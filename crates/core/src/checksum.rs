@@ -3,6 +3,7 @@
 
 use abft_grid::Grid3D;
 use abft_num::Real;
+use abft_stencil::LineSums;
 
 /// Per-layer checksum vectors of a 3-D domain at one time step.
 ///
@@ -79,19 +80,15 @@ impl<T: Real> ChecksumState<T> {
 
 /// Compute all column checksums into a flat `[z][y]` buffer.
 ///
-/// The inner loop is a contiguous-line reduction, the same access pattern
-/// as the fused accumulation in the sweep. Like the sweep, sums are
-/// accumulated in `f64` so that f32 checksums over long lines keep their
-/// full ε = 1e-5 detection margin (§3.4 notes the approximation error
-/// grows with the domain size).
+/// Every line is summed by [`abft_num::line_sum`] — in `f64`, so that f32
+/// checksums over long lines keep their full ε = 1e-5 detection margin
+/// (§3.4 notes the approximation error grows with the domain size), and
+/// in the very order the fused sweep uses, so the two agree bitwise.
 pub fn compute_col_into<T: Real>(grid: &Grid3D<T>, out: &mut [T]) {
     let (_, ny, nz) = grid.dims();
     assert_eq!(out.len(), nz * ny, "column checksum buffer size");
-    for (z, layer) in grid.layers().enumerate() {
-        for y in 0..ny {
-            let sum: f64 = layer.line_y(y).iter().map(|v| v.to_f64()).sum();
-            out[z * ny + y] = T::from_f64(sum);
-        }
+    for (layer, o) in grid.layers().zip(out.chunks_exact_mut(ny)) {
+        layer.col_checksums_into(o);
     }
 }
 
@@ -100,37 +97,20 @@ pub fn compute_col_into<T: Real>(grid: &Grid3D<T>, out: &mut [T]) {
 pub fn compute_row_into<T: Real>(grid: &Grid3D<T>, out: &mut [T]) {
     let (nx, _, nz) = grid.dims();
     assert_eq!(out.len(), nz * nx, "row checksum buffer size");
-    for z in 0..nz {
-        compute_row_layer_into(grid, z, &mut out[z * nx..(z + 1) * nx]);
+    for (layer, o) in grid.layers().zip(out.chunks_exact_mut(nx)) {
+        layer.row_checksums_into(o);
     }
 }
 
 /// Compute the row checksums of a **single layer** into `out` (length `nx`).
 pub fn compute_row_layer_into<T: Real>(grid: &Grid3D<T>, z: usize, out: &mut [T]) {
-    let (nx, ny, _) = grid.dims();
-    assert_eq!(out.len(), nx, "row checksum layer buffer size");
-    let layer = grid.layer(z);
-    let mut acc = vec![0.0f64; nx];
-    for y in 0..ny {
-        for (a, &v) in acc.iter_mut().zip(layer.line_y(y)) {
-            *a += v.to_f64();
-        }
-    }
-    for (o, &a) in out.iter_mut().zip(&acc) {
-        *o = T::from_f64(a);
-    }
+    grid.layer(z).row_checksums_into(out);
 }
 
 /// Compute the column checksums of a **single layer** into `out`
 /// (length `ny`).
 pub fn compute_col_layer_into<T: Real>(grid: &Grid3D<T>, z: usize, out: &mut [T]) {
-    let (_, ny, _) = grid.dims();
-    assert_eq!(out.len(), ny, "column checksum layer buffer size");
-    let layer = grid.layer(z);
-    for (y, o) in out.iter_mut().enumerate() {
-        let sum: f64 = layer.line_y(y).iter().map(|v| v.to_f64()).sum();
-        *o = T::from_f64(sum);
-    }
+    grid.layer(z).col_checksums_into(out);
 }
 
 /// Per-layer sums of the constant field: `c_x` and `c_y` of Theorem 1
@@ -145,11 +125,8 @@ pub fn constant_sums<T: Real>(
         None => (vec![T::ZERO; nz * nx], vec![T::ZERO; nz * ny]),
         Some(c) => {
             assert_eq!(c.dims(), (nx, ny, nz), "constant-field dimension mismatch");
-            let mut ca = vec![T::ZERO; nz * nx];
-            let mut cb = vec![T::ZERO; nz * ny];
-            compute_row_into(c, &mut ca);
-            compute_col_into(c, &mut cb);
-            (ca, cb)
+            let LineSums { row, col } = LineSums::of(c);
+            (row, col)
         }
     }
 }
@@ -157,6 +134,8 @@ pub fn constant_sums<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abft_grid::{BoundarySpec, NoGhosts};
+    use abft_stencil::{sweep, ChecksumMode, Exec, NoHook, Stencil3D, SweepHook};
 
     fn grid() -> Grid3D<f64> {
         Grid3D::from_fn(3, 2, 2, |x, y, z| (x + 10 * y + 100 * z) as f64)
@@ -208,6 +187,83 @@ mod tests {
         let (ca, cb) = constant_sums(Some(&c), 3, 2, 2);
         assert_eq!(&ca[0..3], &[10.0, 12.0, 14.0]);
         assert_eq!(&cb[2..4], &[303.0, 333.0]);
+    }
+
+    /// One sweep of a `nx × 3 × 2` grid under `hook`, fused both ways,
+    /// against every way of recomputing the vectors from the result.
+    fn assert_fused_equals_recomputed<T: Real, H: SweepHook<T>>(nx: usize, hook: &H) {
+        let (ny, nz) = (3, 2);
+        let w = T::from_f64;
+        let src = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+            w(40.0 + ((x * 31 + y * 17 + z * 7) % 23) as f64 * 0.37)
+        });
+        let stencil = if nx > 2 {
+            Stencil3D::seven_point(w(0.4), w(0.11), w(0.09), w(0.1))
+        } else {
+            Stencil3D::from_tuples(&[(0, 0, 0, w(0.6)), (0, 1, 0, w(0.3)), (0, 0, -1, w(0.1))])
+        };
+        let run = |mode: ChecksumMode<'_, T>| {
+            let mut dst = Grid3D::zeros(nx, ny, nz);
+            sweep(
+                &src,
+                &mut dst,
+                &stencil,
+                &BoundarySpec::clamp(),
+                None,
+                &NoGhosts,
+                hook,
+                mode,
+                Exec::Serial,
+            );
+            dst
+        };
+        let (mut col, mut col2) = (vec![T::ZERO; nz * ny], vec![T::ZERO; nz * ny]);
+        let mut row = vec![T::ZERO; nz * nx];
+        let dst = run(ChecksumMode::Col { col: &mut col });
+        let dst2 = run(ChecksumMode::RowCol {
+            row: &mut row,
+            col: &mut col2,
+        });
+        assert_eq!(dst, dst2, "nx {nx}: checksum mode changed the data");
+
+        let direct = ChecksumState::compute(&dst, true);
+        assert_eq!(col, direct.col, "nx {nx}: fused Col vs compute_col_into");
+        assert_eq!(
+            col2, direct.col,
+            "nx {nx}: fused RowCol vs compute_col_into"
+        );
+        assert_eq!(Some(row), direct.row, "nx {nx}: fused vs compute_row_into");
+        for z in 0..nz {
+            let mut layer = vec![T::ZERO; ny];
+            compute_col_layer_into(&dst, z, &mut layer);
+            assert_eq!(layer, direct.col_layer(z), "nx {nx}, layer {z}");
+        }
+    }
+
+    fn fused_equals_recomputed_at_every_width<T: Real>() {
+        // Below, at and above one summation block, and long lines with and
+        // without a remainder.
+        for nx in [1, 7, 8, 9, 16, 17, 512, 515] {
+            assert_fused_equals_recomputed::<T, _>(nx, &NoHook);
+            let strike = move |x: usize, y: usize, z: usize, v: T| {
+                if (x, y, z) == (nx / 2, 1, 1) {
+                    v + T::from_f64(100.0)
+                } else {
+                    v
+                }
+            };
+            assert_fused_equals_recomputed::<T, _>(nx, &strike);
+        }
+    }
+
+    #[test]
+    fn fused_checksums_equal_recomputed_bitwise_f32() {
+        fused_equals_recomputed_at_every_width::<f32>();
+    }
+
+    #[test]
+    fn fused_checksums_equal_recomputed_bitwise_f64() {
+        fused_equals_recomputed_at_every_width::<f64>();
     }
 
     #[test]

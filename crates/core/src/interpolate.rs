@@ -30,11 +30,11 @@
 //! point leaves `O(n·eps)` rounding noise, absorbed by the detection
 //! threshold ε.
 
-use crate::checksum::constant_sums;
 use crate::phantom::StripSet;
 use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
 use abft_num::Real;
-use abft_stencil::Stencil3D;
+use abft_stencil::{LineSums, Stencil3D, StencilSim};
+use std::sync::Arc;
 
 /// True when the α/β corrections along the `x` axis (affecting the column
 /// checksum `b`) are identically zero for this stencil/boundary pair.
@@ -53,18 +53,16 @@ pub fn needs_strips_y<T: Real>(stencil: &Stencil3D<T>, by: &Boundary<T>) -> bool
 }
 
 /// The checksum interpolator for one (stencil, boundary, constant-field,
-/// domain-shape) combination. Construction precomputes the constant-term
-/// sums `c_x`/`c_y` of Theorem 1; each call then runs in
-/// `O(nz · n · k²)` time for vectors of length `n`, independent of the
-/// domain volume.
+/// domain-shape) combination. It holds the constant-term sums `c_x`/`c_y`
+/// of Theorem 1; each call then runs in `O(nz · n · k²)` time for vectors
+/// of length `n`, independent of the domain volume.
 #[derive(Debug, Clone)]
 pub struct Interpolator<T> {
     stencil: Stencil3D<T>,
     bounds: BoundarySpec<T>,
-    /// Row constant sums `c_x`, flat `[z][x]`.
-    ca: Vec<T>,
-    /// Column constant sums `c_y`, flat `[z][y]`.
-    cb: Vec<T>,
+    /// Constant sums `c_x` (`row`, flat `[z][x]`) and `c_y` (`col`, flat
+    /// `[z][y]`); `None` without a constant field.
+    constant_sums: Option<Arc<LineSums<T>>>,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -73,21 +71,39 @@ pub struct Interpolator<T> {
 }
 
 impl<T: Real> Interpolator<T> {
-    /// Build an interpolator. `dims` must match the grids the checksums
-    /// are computed from.
+    /// Build an interpolator, summing `constant` afresh. `dims` must
+    /// match the grids the checksums are computed from.
     pub fn new(
         stencil: &Stencil3D<T>,
         bounds: &BoundarySpec<T>,
         constant: Option<&Grid3D<T>>,
         dims: (usize, usize, usize),
     ) -> Self {
-        let (nx, ny, nz) = dims;
-        let (ca, cb) = constant_sums(constant, nx, ny, nz);
+        if let Some(c) = constant {
+            assert_eq!(c.dims(), dims, "constant-field dimension mismatch");
+        }
+        let sums = constant.map(|c| Arc::new(LineSums::of(c)));
+        Self::with_constant_sums(stencil, bounds, sums, dims)
+    }
+
+    /// Build the interpolator of a simulation. Its constant field's sums
+    /// are computed once per field and shared by every clone of `sim`, so
+    /// this costs no pass over the domain.
+    pub fn for_sim(sim: &StencilSim<T>) -> Self {
+        let sums = sim.constant_field().map(|c| c.line_sums().clone());
+        Self::with_constant_sums(sim.stencil(), sim.bounds(), sums, sim.dims())
+    }
+
+    fn with_constant_sums(
+        stencil: &Stencil3D<T>,
+        bounds: &BoundarySpec<T>,
+        constant_sums: Option<Arc<LineSums<T>>>,
+        (nx, ny, nz): (usize, usize, usize),
+    ) -> Self {
         Self {
             stencil: stencil.clone(),
             bounds: *bounds,
-            ca,
-            cb,
+            constant_sums,
             nx,
             ny,
             nz,
@@ -137,16 +153,34 @@ impl<T: Real> Interpolator<T> {
     ) {
         assert_eq!(col_t.len(), self.nz * self.ny, "col_t length");
         assert_eq!(out.len(), self.nz * self.ny, "out length");
+        let (ny, nz) = (self.ny as isize, self.nz as isize);
+        let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
+        // Phantom lines `(yq, zq)` outside the domain, over the frame the
+        // taps can reach. Each is evaluated on first use and kept for the
+        // rest of the call: a ghost line costs `nx` ghost reads, and up to
+        // `extent`-many taps per neighbouring output read the same one.
+        let (ey, ez) = (
+            self.stencil.extent_y() as isize,
+            self.stencil.extent_z() as isize,
+        );
+        let frame_ny = ny + 2 * ey;
+        let mut phantom: Vec<Option<T>> = vec![None; (frame_ny * (nz + 2 * ez)) as usize];
         for z in 0..self.nz {
             for y in 0..self.ny {
                 // f64 accumulation mirrors the fused checksum computation
                 // (see `abft_core::checksum`): keeps the comparison margin
                 // at ~1 ulp of T instead of O(k) ulps.
-                let mut acc = self.cb[z * self.ny + y].to_f64();
+                let mut acc = cb.map_or(0.0, |c| c[z * self.ny + y].to_f64());
                 for tap in self.stencil.taps() {
                     let yq = y as isize + tap.dj;
                     let zq = z as isize + tap.dk;
-                    let mut s = self.phantom_col(col_t, yq, zq, ghosts).to_f64();
+                    let line = if (0..ny).contains(&yq) && (0..nz).contains(&zq) {
+                        col_t[(zq * ny + yq) as usize]
+                    } else {
+                        *phantom[((zq + ez) * frame_ny + yq + ey) as usize]
+                            .get_or_insert_with(|| self.phantom_col(col_t, yq, zq, ghosts))
+                    };
+                    let mut s = line.to_f64();
                     if !self.fast_x && tap.di != 0 {
                         s += self.corr_x(tap.di, yq, zq, source, ghosts).to_f64();
                     }
@@ -168,34 +202,61 @@ impl<T: Real> Interpolator<T> {
         ghosts: &G,
         out: &mut [T],
     ) {
-        assert_eq!(row_t.len(), self.nz * self.nx, "row_t length");
         assert_eq!(out.len(), self.nz * self.nx, "out length");
-        for z in 0..self.nz {
-            for x in 0..self.nx {
-                let mut acc = self.ca[z * self.nx + x].to_f64();
-                for tap in self.stencil.taps() {
-                    let xq = x as isize + tap.di;
-                    let zq = z as isize + tap.dk;
-                    let s = match self.bounds.x.resolve(xq, self.nx) {
-                        // The x axis wins the precedence: a value-like x
-                        // boundary short-circuits the whole y-sum.
-                        AxisHit::Value(vx) => T::from_usize(self.ny) * vx,
-                        AxisHit::Ghost(gx) => (0..self.ny)
-                            .map(|y| ghosts.ghost(gx, y as isize + tap.dj, zq))
-                            .sum(),
-                        AxisHit::In(xr) => {
-                            let mut s = self.phantom_row(row_t, xr, zq, ghosts);
-                            if !self.fast_y && tap.dj != 0 {
-                                s += self.corr_y(tap.dj, xr, zq, source, ghosts);
-                            }
-                            s
-                        }
-                    };
-                    acc += tap.w.to_f64() * s.to_f64();
-                }
-                out[z * self.nx + x] = T::from_f64(acc);
-            }
+        for (z, out_layer) in out.chunks_exact_mut(self.nx).enumerate() {
+            self.interpolate_row_layer(z, row_t, source, ghosts, out_layer);
         }
+    }
+
+    /// Layer `z` of [`Interpolator::interpolate_row`]: `out` is that
+    /// layer's `[x]` vector. Of `row_t` (still the flat `[z][x]` buffer)
+    /// only the layers [`Interpolator::row_source_layers`] names are read.
+    pub fn interpolate_row_layer<G: GhostCells<T>>(
+        &self,
+        z: usize,
+        row_t: &[T],
+        source: &StripSet<'_, T>,
+        ghosts: &G,
+        out: &mut [T],
+    ) {
+        assert_eq!(row_t.len(), self.nz * self.nx, "row_t length");
+        assert_eq!(out.len(), self.nx, "out layer length");
+        let ca = self.constant_sums.as_deref().map(|s| &s.row[..]);
+        for (x, o) in out.iter_mut().enumerate() {
+            let mut acc = ca.map_or(0.0, |c| c[z * self.nx + x].to_f64());
+            for tap in self.stencil.taps() {
+                let xq = x as isize + tap.di;
+                let zq = z as isize + tap.dk;
+                let s = match self.bounds.x.resolve(xq, self.nx) {
+                    // The x axis wins the precedence: a value-like x
+                    // boundary short-circuits the whole y-sum.
+                    AxisHit::Value(vx) => T::from_usize(self.ny) * vx,
+                    AxisHit::Ghost(gx) => (0..self.ny)
+                        .map(|y| ghosts.ghost(gx, y as isize + tap.dj, zq))
+                        .sum(),
+                    AxisHit::In(xr) => {
+                        let mut s = self.phantom_row(row_t, xr, zq, ghosts);
+                        if !self.fast_y && tap.dj != 0 {
+                            s += self.corr_y(tap.dj, xr, zq, source, ghosts);
+                        }
+                        s
+                    }
+                };
+                acc += tap.w.to_f64() * s.to_f64();
+            }
+            *o = T::from_f64(acc);
+        }
+    }
+
+    /// The layers of `row_t` that interpolating layer `z`'s row checksums
+    /// reads (`z + dk` folded through the z boundary; may repeat).
+    pub fn row_source_layers(&self, z: usize) -> impl Iterator<Item = usize> + '_ {
+        self.stencil.taps().iter().filter_map(move |tap| {
+            match self.bounds.z.resolve(z as isize + tap.dk, self.nz) {
+                AxisHit::In(zr) => Some(zr),
+                _ => None,
+            }
+        })
     }
 
     /// Phantom column-checksum entry `Σ_x u[x, yq, zq]` for a possibly

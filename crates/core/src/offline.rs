@@ -78,8 +78,8 @@ impl<T: Real> OfflineAbft<T> {
             !sim.bounds().uses_ghosts(),
             "offline ABFT does not support ghost boundaries (use the online protector per rank)"
         );
-        let (nx, ny, nz) = sim.dims();
-        let interp = Interpolator::new(sim.stencil(), sim.bounds(), sim.constant(), (nx, ny, nz));
+        let (_, ny, nz) = sim.dims();
+        let interp = Interpolator::for_sim(sim);
         let mut col_ref = vec![T::ZERO; nz * ny];
         compute_col_into(sim.current(), &mut col_ref);
         let mut store = CheckpointStore::new();

@@ -1,8 +1,7 @@
 //! The online ABFT protector (§3): verify and correct after every sweep.
 
 use crate::checksum::{
-    compute_col_into, compute_col_layer_into, compute_row_into, compute_row_layer_into,
-    ChecksumState,
+    compute_col_into, compute_col_layer_into, compute_row_layer_into, ChecksumState,
 };
 use crate::config::{AbftConfig, MultiErrorPolicy};
 use crate::correct::{correct_layer, CorrectionEvent};
@@ -103,7 +102,7 @@ impl<T: Real> OnlineAbft<T> {
     /// the initial checksum \[are\] correct", Theorem 2 proof).
     pub fn new(sim: &StencilSim<T>, cfg: AbftConfig<T>) -> Self {
         let (nx, ny, nz) = sim.dims();
-        let interp = Interpolator::new(sim.stencil(), sim.bounds(), sim.constant(), (nx, ny, nz));
+        let interp = Interpolator::for_sim(sim);
         let init = ChecksumState::compute(sim.current(), cfg.maintain_row);
         Self {
             cfg,
@@ -551,17 +550,34 @@ impl<T: Real> OnlineAbft<T> {
         if !flagged.is_empty() {
             // 4. Materialise the row side (only now — §3.4: "it is only
             //    necessary to perform the detection on one of the two
-            //    checksums […] only then interpolate the other").
+            //    checksums […] only then interpolate the other"), and only
+            //    for the flagged layers: their own rows at t+1, and at time
+            //    t the rows of the layers their interpolation reads.
             if !self.cfg.maintain_row {
-                compute_row_into(sim.previous(), &mut self.row_t_scratch);
-                compute_row_into(sim.current(), &mut self.row_comp);
+                let mut sources: Vec<usize> = flagged
+                    .iter()
+                    .flat_map(|&(z, _)| self.interp.row_source_layers(z))
+                    .collect();
+                sources.sort_unstable();
+                sources.dedup();
+                for z in sources {
+                    let layer = &mut self.row_t_scratch[z * nx..(z + 1) * nx];
+                    compute_row_layer_into(sim.previous(), z, layer);
+                }
+                for &(z, _) in &flagged {
+                    let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
+                    compute_row_layer_into(sim.current(), z, layer);
+                }
             }
             let row_t: &[T] = match &self.row_t {
                 Some(r) => r,
                 None => &self.row_t_scratch,
             };
-            self.interp
-                .interpolate_row(row_t, &source, ghosts, &mut self.row_interp);
+            for &(z, _) in &flagged {
+                let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
+                self.interp
+                    .interpolate_row_layer(z, row_t, &source, ghosts, layer);
+            }
 
             for (z, col_mms) in flagged {
                 self.stats.detections += 1;
@@ -671,8 +687,10 @@ impl<T: Real> OnlineAbft<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_grid::{BoundarySpec, Grid3D};
+    use abft_grid::{Boundary, BoundarySpec, Grid3D};
     use abft_stencil::{Exec, NoHook, Stencil3D};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn make_sim() -> StencilSim<f64> {
         let g = Grid3D::from_fn(12, 10, 3, |x, y, z| {
@@ -956,6 +974,85 @@ mod tests {
         assert_eq!(out.detections, 1);
         assert_eq!(out.uncorrectable, 1);
         assert!(out.corrections.is_empty());
+    }
+
+    /// A ghost source that counts its reads.
+    struct CountingGhost(AtomicUsize);
+
+    impl CountingGhost {
+        fn take(&self) -> usize {
+            self.0.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl GhostCells<f64> for CountingGhost {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> f64 {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            80.0 + (x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.3
+        }
+    }
+
+    /// Ghost reads are the cost the distributed edge phase is made of, and
+    /// a count is a gate this host can hold where wall time is not: on a
+    /// brick with ghost y-faces the interpolation reads each phantom line
+    /// some tap reaches exactly once, the sweep fetches each ghost line a
+    /// row needs once (plus per-tap reads at the x-end cells), and
+    /// protection adds the former to the latter and nothing more.
+    #[test]
+    fn ghost_reads_are_once_per_line() {
+        let (nx, ny, nz) = (20usize, 6usize, 4usize);
+        let bounds = BoundarySpec {
+            y: Boundary::Ghost,
+            ..BoundarySpec::clamp()
+        };
+        for stencil in [
+            Stencil3D::seven_point(0.4, 0.12, 0.08, 0.1),
+            Stencil3D::twenty_seven_point(0.48, 0.02),
+        ] {
+            // The out-of-range `(yq, zq)` lines the taps reach, over the
+            // brick and per output row; `taps` counts per-cell ghost reads.
+            let mut phantom = BTreeSet::new();
+            let (mut row_lines, mut row_taps) = (0, 0);
+            for z in 0..nz as isize {
+                for y in 0..ny as isize {
+                    let ghost_taps = stencil
+                        .taps()
+                        .iter()
+                        .filter(|t| !(0..ny as isize).contains(&(y + t.dj)));
+                    let of_row: BTreeSet<_> =
+                        ghost_taps.clone().map(|t| (y + t.dj, z + t.dk)).collect();
+                    row_lines += of_row.len();
+                    row_taps += ghost_taps.count();
+                    phantom.extend(of_row);
+                }
+            }
+            let interpolation_reads = nx * phantom.len();
+            let x_end_cells = 2 * stencil.extent_x();
+            let sweep_reads = nx * row_lines + x_end_cells * row_taps;
+
+            let initial = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+                80.0 + ((x * 7 + y * 13 + z * 3) % 11) as f64 * 0.3
+            });
+            let mut plain = StencilSim::new(initial, stencil, bounds).with_exec(Exec::Serial);
+            let mut protected = plain.clone();
+            let mut abft = OnlineAbft::new(&protected, AbftConfig::<f64>::paper_defaults());
+            let ghosts = CountingGhost(Default::default());
+
+            let col_t = abft.col_checksums().to_vec();
+            let mut col_next = vec![0.0; nz * ny];
+            let source = StripSet::Grid(protected.current());
+            abft.interp
+                .interpolate_col(&col_t, &source, &ghosts, &mut col_next);
+            assert_eq!(ghosts.take(), interpolation_reads);
+
+            plain.step_full(&NoHook, &ghosts, abft_stencil::ChecksumMode::None);
+            assert_eq!(ghosts.take(), sweep_reads);
+
+            let outcome = abft.step_with_ghosts(&mut protected, &NoHook, &ghosts);
+            assert!(outcome.is_clean(), "false positive: {outcome:?}");
+            assert_eq!(ghosts.take(), sweep_reads + interpolation_reads);
+            assert_eq!(plain.current(), protected.current());
+        }
     }
 
     #[test]

@@ -136,6 +136,12 @@ impl<T: Real> BoundarySpec<T> {
 /// resolving every trailing axis itself, in the same x → y → z order
 /// (against the global boundaries, for the distributed substrate) —
 /// only then is the read bitwise-faithful to the undecomposed sweep.
+///
+/// Reads come a line at a time: for a `(y, z)` pair some tap reaches, the
+/// sweep fetches the in-range `x` its taps can touch once per output row,
+/// and the checksum interpolation sums all of `0..nx`. A source must
+/// therefore answer for every in-range `x` of such a line, and answer the
+/// same every time within one step.
 pub trait GhostCells<T>: Sync {
     /// Value of the ghost cell at global-ish coordinates. Axes preceding
     /// the first ghost hit are already resolved; the firing axis and

@@ -1,6 +1,6 @@
 //! Borrowed views of a single `z`-layer.
 
-use abft_num::Real;
+use abft_num::{line_sum, Real};
 
 /// Shared view of one `nx × ny` layer (`x` contiguous).
 #[derive(Debug, Clone, Copy)]
@@ -60,6 +60,31 @@ impl<'a, T: Real> LayerRef<'a, T> {
     /// Column checksum entry: `b_y = Σ_x u[x,y]` (paper Eq. 3).
     pub fn sum_along_x(&self, y: usize) -> T {
         self.line_y(y).iter().copied().sum()
+    }
+
+    /// The layer's column checksum vector `b` (length `ny`), each line
+    /// summed by [`abft_num::line_sum`] — the summation the fused sweep
+    /// uses, so a recomputed vector equals a fused one bitwise.
+    pub fn col_checksums_into(&self, out: &mut [T]) {
+        assert_eq!(out.len(), self.ny, "column checksum layer buffer size");
+        for (o, line) in out.iter_mut().zip(self.data.chunks_exact(self.nx)) {
+            *o = T::from_f64(line_sum(line));
+        }
+    }
+
+    /// The layer's row checksum vector `a` (length `nx`), accumulated in
+    /// `f64` line by line in `y` order, as the fused sweep does.
+    pub fn row_checksums_into(&self, out: &mut [T]) {
+        assert_eq!(out.len(), self.nx, "row checksum layer buffer size");
+        let mut acc = vec![0.0f64; self.nx];
+        for line in self.data.chunks_exact(self.nx) {
+            for (a, &v) in acc.iter_mut().zip(line) {
+                *a += v.to_f64();
+            }
+        }
+        for (o, &a) in out.iter_mut().zip(&acc) {
+            *o = T::from_f64(a);
+        }
     }
 }
 
@@ -151,6 +176,17 @@ mod tests {
         // b_y = Σ_x u[x,y]
         assert_eq!(l.sum_along_x(0), 3.0);
         assert_eq!(l.sum_along_x(1), 33.0);
+    }
+
+    #[test]
+    fn checksum_vectors_match_the_entry_sums() {
+        let d = layer_data();
+        let l = LayerRef::from_slice(&d, 3, 2);
+        let (mut row, mut col) = ([0.0; 3], [0.0; 2]);
+        l.row_checksums_into(&mut row);
+        l.col_checksums_into(&mut col);
+        assert_eq!(row, [10.0, 12.0, 14.0]);
+        assert_eq!(col, [3.0, 33.0]);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! needs — so that the workspace does not depend on `num-traits`.
 
 mod real;
+mod sum;
 mod ulp;
 
 pub use real::Real;
+pub use sum::line_sum;
 pub use ulp::{max_abs, relative_error, ulp_distance};
 
 #[cfg(test)]
@@ -138,6 +140,64 @@ mod tests {
     fn mul_add_matches() {
         let x = 1.5f64;
         assert_eq!(x.mul_add_r(2.0, 1.0), 4.0);
+    }
+
+    /// A rough `f32` line spanning 2^±20, as multiples of 2^-43 so that
+    /// integers hold its sums exactly.
+    fn rough_line(n: usize) -> Vec<f32> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let mantissa = 1.0 + ((state >> 40) & 0x7F_FFFF) as f32 / (1u32 << 23) as f32;
+                mantissa * 2f32.powi(((state >> 33) % 41) as i32 - 20)
+            })
+            .collect()
+    }
+
+    /// `v · 2^43`, exact for every value and partial sum of a `rough_line`.
+    fn scaled(v: f64) -> i128 {
+        (v * 2f64.powi(43)) as i128
+    }
+
+    #[test]
+    fn line_sum_is_the_plain_sum_when_nothing_rounds() {
+        for n in [0, 1, 7, 15, 16, 17, 31, 32, 33, 512, 515] {
+            let line: Vec<f64> = (0..n).map(|i| (i * i % 97) as f64 - 40.0).collect();
+            assert_eq!(line_sum(&line), line.iter().sum::<f64>(), "n = {n}");
+            let line: Vec<f32> = line.iter().map(|&v| v as f32).collect();
+            assert_eq!(line_sum(&line), line.iter().map(|&v| v as f64).sum::<f64>());
+        }
+    }
+
+    #[test]
+    fn line_sum_of_a_short_line_is_sequential() {
+        let line = rough_line(15);
+        let sequential = line.iter().fold(0.0f64, |s, &v| s + v as f64);
+        assert_eq!(line_sum(&line), sequential);
+    }
+
+    /// The fused sweep's comment argues that an `f64`-accumulated sum
+    /// leaves the paper's ε = 1e-5 margin untouched on a 512-wide `f32`
+    /// line. Splitting the sum into lanes must not weaken that: it is no
+    /// further from the exact sum than the sequential `f64` sum, and both
+    /// are within a few `f64` roundings of it.
+    #[test]
+    fn lane_split_sum_is_no_worse_than_sequential_on_a_wide_f32_line() {
+        let line = rough_line(512);
+        let exact: i128 = line.iter().map(|&v| scaled(v as f64)).sum();
+        let sequential = line.iter().fold(0.0f64, |s, &v| s + v as f64);
+        let split_err = (scaled(line_sum(&line)) - exact).abs();
+        let sequential_err = (scaled(sequential) - exact).abs();
+        assert!(
+            split_err <= sequential_err,
+            "lane-split off by {split_err}, sequential by {sequential_err} (units of 2^-43)"
+        );
+        // 512/16 adds per lane, four folding levels: 36 roundings at most.
+        let bound = 36.0 * f64::EPSILON / 2.0 * exact as f64;
+        assert!((split_err as f64) <= bound, "{split_err} > {bound}");
     }
 
     #[test]

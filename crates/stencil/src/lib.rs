@@ -21,7 +21,19 @@
 //! periodic, reflect) fold the coordinate back in range and resolution
 //! continues with the next axis. The checksum-interpolation machinery in
 //! `abft-core` models exactly this ordering.
+//!
+//! The sweep is one pass that writes each output once. Per output row it
+//! folds every tap's `(y+dj, z+dk)` through the y and z boundaries *once*
+//! — to an in-grid source row, a line of ghost cells fetched once, or a
+//! broadcast value — and then runs one blocked kernel along x: a block of
+//! 16 accumulators starts from the constant term, takes `acc += w·src` for
+//! every tap **in tap order**, and is stored. Only the `extent_x` cells at
+//! each end of a row, whose x reads leave the domain, are computed one
+//! read at a time. Every cell therefore sees the same operations in the
+//! same order whichever route computes it, which is what makes serial,
+//! parallel, row-split and region-tiled sweeps agree bitwise.
 
+mod constant;
 mod exec;
 mod hook;
 mod kernel;
@@ -29,6 +41,7 @@ mod library;
 mod sim;
 mod sweep;
 
+pub use constant::{ConstantField, LineSums};
 pub use exec::Exec;
 pub use hook::{NoHook, SweepHook};
 pub use kernel::{Stencil2D, Stencil3D, Tap2, Tap3};

@@ -1,10 +1,11 @@
 //! A self-contained time-stepping simulation: stencil + boundary spec +
 //! optional constant field + double-buffered state.
 
-use crate::{sweep, sweep_rows, ChecksumMode, Exec, NoHook, Stencil3D, SweepHook};
+use crate::{sweep, sweep_rows, ChecksumMode, ConstantField, Exec, NoHook, Stencil3D, SweepHook};
 use abft_grid::{BoundarySpec, DoubleBuffer, GhostCells, Grid3D, NoGhosts};
 use abft_num::Real;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Wall-clock breakdown of one overlapped (split) step, in seconds.
@@ -49,7 +50,8 @@ impl SplitStepTimes {
 pub struct StencilSim<T> {
     stencil: Stencil3D<T>,
     bounds: BoundarySpec<T>,
-    constant: Option<Grid3D<T>>,
+    /// Read-only, so clones share it (and its line sums).
+    constant: Option<Arc<ConstantField<T>>>,
     buf: DoubleBuffer<T>,
     exec: Exec,
     iteration: usize,
@@ -80,7 +82,7 @@ impl<T: Real> StencilSim<T> {
             self.buf.dims(),
             "constant-field dimension mismatch"
         );
-        self.constant = Some(c);
+        self.constant = Some(Arc::new(ConstantField::new(c)));
         self
     }
 
@@ -99,7 +101,12 @@ impl<T: Real> StencilSim<T> {
     }
 
     pub fn constant(&self) -> Option<&Grid3D<T>> {
-        self.constant.as_ref()
+        self.constant.as_deref().map(ConstantField::grid)
+    }
+
+    /// The constant term together with its shared line sums.
+    pub fn constant_field(&self) -> Option<&ConstantField<T>> {
+        self.constant.as_deref()
     }
 
     pub fn exec(&self) -> Exec {
@@ -165,7 +172,7 @@ impl<T: Real> StencilSim<T> {
             dst,
             &self.stencil,
             &self.bounds,
-            self.constant.as_ref(),
+            self.constant.as_deref().map(ConstantField::grid),
             ghosts,
             hook,
             mode,
@@ -198,7 +205,7 @@ impl<T: Real> StencilSim<T> {
             dst,
             &self.stencil,
             &self.bounds,
-            self.constant.as_ref(),
+            self.constant.as_deref().map(ConstantField::grid),
             ghosts,
             hook,
             mode,
@@ -227,7 +234,7 @@ impl<T: Real> StencilSim<T> {
             dst,
             &self.stencil,
             &self.bounds,
-            self.constant.as_ref(),
+            self.constant.as_deref().map(ConstantField::grid),
             ghosts,
             hook,
             ChecksumMode::None,

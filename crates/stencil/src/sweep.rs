@@ -3,7 +3,7 @@
 
 use crate::{Exec, Stencil3D, SweepHook};
 use abft_grid::{AxisHit, BoundarySpec, GhostCells, Grid3D};
-use abft_num::Real;
+use abft_num::{line_sum, Real};
 use rayon::prelude::*;
 
 /// Which checksum vectors the sweep should produce as a by-product.
@@ -12,6 +12,16 @@ use rayon::prelude::*;
 /// (the paper's `b`, Eq. 3), `row` is `[z][x]` of length `nz·nx` (the
 /// paper's `a`, Eq. 2). Following §3.2 the protectors normally request only
 /// `Col`; `RowCol` exists for the maintain-both ablation.
+///
+/// Each finished output row is summed while still in cache, after the
+/// hook has seen it: a `col` entry is [`abft_num::line_sum`] of the row,
+/// a `row` entry accumulates its column of the layer in `y` order — both
+/// in `f64` whatever `T` is, because a sequential `f32` sum over a
+/// 512-wide line drifts by up to ~n/2 ulps and would eat into the paper's
+/// ε = 1e-5 detection margin (§3.4 notes the approximation error grows
+/// with the domain size). `LayerRef::col_checksums_into` /
+/// `row_checksums_into` sum a stored grid the same way, so recomputed
+/// vectors equal fused ones bitwise.
 pub enum ChecksumMode<'a, T> {
     /// Plain sweep, no checksums.
     None,
@@ -25,8 +35,9 @@ pub enum ChecksumMode<'a, T> {
 /// honouring the per-axis boundary conditions with x → y → z precedence.
 ///
 /// This is the *reference semantics* of every boundary read in the
-/// workspace: the sweep's slow path calls it directly and the checksum
-/// interpolation in `abft-core` models it analytically.
+/// workspace: the sweep calls it for the few cells at each x end of a
+/// row and folds the other axes row by row to the same effect, and the
+/// checksum interpolation in `abft-core` models it analytically.
 #[inline]
 pub fn read_resolved<T: Real, G: GhostCells<T>>(
     src: &Grid3D<T>,
@@ -190,7 +201,6 @@ pub fn sweep_region<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
         "stencil extent must be smaller than the domain on every axis"
     );
 
-    let ll = nx * ny;
     let (row_all, col_all): (Option<&mut [T]>, Option<&mut [T]>) = match mode {
         ChecksumMode::None => (None, None),
         ChecksumMode::Col { col } => (None, Some(col)),
@@ -202,65 +212,50 @@ pub fn sweep_region<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     if let Some(c) = &col_all {
         assert_eq!(c.len(), nz * ny, "col checksum buffer must be nz*ny");
     }
+    if y_rows.is_empty() || xs.is_empty() || zs.is_empty() {
+        return;
+    }
 
-    // Distribute the optional checksum buffers into per-layer chunks.
-    let mut rows: Vec<Option<&mut [T]>> = match row_all {
-        Some(r) => r.chunks_exact_mut(nx).map(Some).collect(),
-        None => (0..nz).map(|_| None).collect(),
-    };
-    let mut cols: Vec<Option<&mut [T]>> = match col_all {
-        Some(c) => c.chunks_exact_mut(ny).map(Some).collect(),
-        None => (0..nz).map(|_| None).collect(),
-    };
-
-    let work: Vec<LayerTask<'_, T>> = dst
+    // One task per swept layer, each owning its slice of the output and of
+    // the optional checksum buffers.
+    let mut row_layers = row_all.map(|r| r.chunks_exact_mut(nx));
+    let mut col_layers = col_all.map(|c| c.chunks_exact_mut(ny));
+    let tasks = dst
         .as_mut_slice()
-        .chunks_exact_mut(ll)
-        .zip(rows.drain(..))
-        .zip(cols.drain(..))
+        .chunks_exact_mut(nx * ny)
         .enumerate()
-        .filter(|(z, _)| zs.contains(z))
-        .map(|(z, ((dst_layer, row), col))| LayerTask {
+        .map(|(z, dst_layer)| LayerTask {
             z,
             dst_layer,
-            row,
-            col,
+            row: row_layers.as_mut().and_then(Iterator::next),
+            col: col_layers.as_mut().and_then(Iterator::next),
         })
-        .collect();
-
+        .filter(|task| zs.contains(&task.z));
+    let run = |task, scratch: &mut Scratch<T>| {
+        sweep_layer(
+            src,
+            task,
+            stencil,
+            bounds,
+            constant,
+            ghosts,
+            hook,
+            y_rows.clone(),
+            xs.clone(),
+            scratch,
+        );
+    };
     match exec {
         Exec::Serial => {
-            for task in work {
-                sweep_layer(
-                    src,
-                    task,
-                    stencil,
-                    bounds,
-                    constant,
-                    ghosts,
-                    hook,
-                    y_rows.clone(),
-                    xs.clone(),
-                );
+            let mut scratch = Scratch::for_stencil(stencil);
+            for task in tasks {
+                run(task, &mut scratch);
             }
         }
-        Exec::Parallel => {
-            let y_rows = &y_rows;
-            let xs = &xs;
-            work.into_par_iter().for_each(|task| {
-                sweep_layer(
-                    src,
-                    task,
-                    stencil,
-                    bounds,
-                    constant,
-                    ghosts,
-                    hook,
-                    y_rows.clone(),
-                    xs.clone(),
-                );
-            });
-        }
+        Exec::Parallel => tasks
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|task| run(task, &mut Scratch::for_stencil(stencil))),
     }
 }
 
@@ -271,10 +266,154 @@ struct LayerTask<'a, T> {
     col: Option<&'a mut [T]>,
 }
 
-/// Sweep the `y_rows × xs` window of a single `z`-layer. Phase 1 computes
-/// raw values (vectorised tap-by-tap accumulation over the interior,
-/// resolved reads on the boundary ring); phase 2 applies the hook and
-/// accumulates checksums over the swept window.
+/// Per-thread working storage of [`sweep_layer`], reused from row to row
+/// and (in a serial sweep) from layer to layer.
+struct Scratch<T> {
+    sources: Vec<TapSource<T>>,
+    /// `(y, z)` arguments of the ghost lines the current row reads, and
+    /// their values over the cells the run's taps reach, back to back.
+    ghost_keys: Vec<(isize, isize)>,
+    ghost_lines: Vec<T>,
+    row_acc: Vec<f64>,
+}
+
+impl<T: Real> Scratch<T> {
+    fn for_stencil(stencil: &Stencil3D<T>) -> Self {
+        Self {
+            sources: Vec::with_capacity(stencil.len()),
+            ghost_keys: Vec::new(),
+            ghost_lines: Vec::new(),
+            row_acc: Vec::new(),
+        }
+    }
+}
+
+/// Where one tap reads along the x-interior run of one output row, once
+/// its `(y+dj, z+dk)` has been folded through the y and z boundaries. A
+/// line is given by the index its cell `x = 0` has (or would have) in the
+/// slice it lives in.
+#[derive(Clone, Copy)]
+enum TapSource<T> {
+    /// An in-grid row: its own, clamped, wrapped or reflected.
+    Row(isize),
+    /// A line of ghost cells, fetched once into [`Scratch::ghost_lines`].
+    Ghost(isize),
+    /// A zero/constant boundary: every read yields the same value, held
+    /// here already multiplied by the tap's weight.
+    Weighted(T),
+}
+
+/// Fold every tap's `(y+dj, z+dk)` for output row `(y, z)` into
+/// `scratch.sources` — y before z, the precedence of [`read_resolved`]
+/// once x is in range. `reach` is the span of source cells the run's taps
+/// touch; ghost lines are fetched over it, each distinct line once.
+fn fold_row<T: Real, G: GhostCells<T>>(
+    stencil: &Stencil3D<T>,
+    (y, z): (usize, usize),
+    (nx, ny, nz): (usize, usize, usize),
+    bounds: &BoundarySpec<T>,
+    ghosts: &G,
+    reach: std::ops::Range<usize>,
+    scratch: &mut Scratch<T>,
+) {
+    let Scratch {
+        sources,
+        ghost_keys,
+        ghost_lines,
+        ..
+    } = scratch;
+    sources.clear();
+    ghost_keys.clear();
+    ghost_lines.clear();
+    let mut ghost_line = |gy: isize, gz: isize| {
+        let n = ghost_keys
+            .iter()
+            .position(|&key| key == (gy, gz))
+            .unwrap_or_else(|| {
+                ghost_keys.push((gy, gz));
+                ghost_lines.extend(reach.clone().map(|x| ghosts.ghost(x as isize, gy, gz)));
+                ghost_keys.len() - 1
+            });
+        TapSource::Ghost((n * reach.len()) as isize - reach.start as isize)
+    };
+    for t in stencil.taps() {
+        let (yq, zq) = (y as isize + t.dj, z as isize + t.dk);
+        let yr = match bounds.y.resolve(yq, ny) {
+            AxisHit::In(i) => i,
+            AxisHit::Value(v) => {
+                sources.push(TapSource::Weighted(t.w * v));
+                continue;
+            }
+            AxisHit::Ghost(gy) => {
+                sources.push(ghost_line(gy, zq));
+                continue;
+            }
+        };
+        let zr = match bounds.z.resolve(zq, nz) {
+            AxisHit::In(i) => i,
+            AxisHit::Value(v) => {
+                sources.push(TapSource::Weighted(t.w * v));
+                continue;
+            }
+            AxisHit::Ghost(gz) => {
+                sources.push(ghost_line(yr as isize, gz));
+                continue;
+            }
+        };
+        sources.push(TapSource::Row(((zr * ny + yr) * nx) as isize));
+    }
+}
+
+/// Outputs per step of the blocked kernel: 16 accumulators fill the
+/// vector registers of baseline x86-64 in `f64` and half of them in `f32`.
+const BLOCK: usize = 16;
+
+/// `N` adjacent outputs starting at x-interior cell `x`: each accumulator
+/// starts from the constant term and takes `acc += w·src` tap by tap **in
+/// tap order** — per cell the very operation sequence of
+/// [`point_resolved`], so the result is bitwise the same.
+#[inline(always)]
+fn block<T: Real, const N: usize>(
+    s: &[T],
+    stencil: &Stencil3D<T>,
+    scratch: &Scratch<T>,
+    constant_row: Option<&[T]>,
+    x: usize,
+) -> [T; N] {
+    let mut acc = [T::ZERO; N];
+    if let Some(c) = constant_row {
+        acc.copy_from_slice(&c[x..x + N]);
+    }
+    for (t, source) in stencil.taps().iter().zip(&scratch.sources) {
+        let (line, first) = match *source {
+            TapSource::Row(first) => (s, first),
+            TapSource::Ghost(first) => (&scratch.ghost_lines[..], first),
+            TapSource::Weighted(wv) => {
+                for a in &mut acc {
+                    *a += wv;
+                }
+                continue;
+            }
+        };
+        let from = (first + x as isize + t.di) as usize;
+        let run = &line[from..from + N];
+        for i in 0..N {
+            acc[i] += t.w * run[i];
+        }
+    }
+    acc
+}
+
+/// Sweep the `y_rows × xs` window of a single `z`-layer, writing every
+/// output cell once.
+///
+/// Boundaries are resolved per row, not per read: [`fold_row`] maps each
+/// tap to an in-grid source row, a fetched ghost line or a broadcast
+/// value, and the one blocked kernel then runs over the whole x-interior
+/// run whether or not the row touches a y or z boundary. Only the
+/// ≤ `extent_x` cells at each x end go through [`point_resolved`]. The
+/// hook and the checksum sums (see [`ChecksumMode`]) then pass over the
+/// cache-hot row.
 #[allow(clippy::too_many_arguments)]
 fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     src: &Grid3D<T>,
@@ -286,103 +425,73 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     hook: &H,
     y_rows: std::ops::Range<usize>,
     xs: std::ops::Range<usize>,
+    scratch: &mut Scratch<T>,
 ) {
     let (nx, ny, nz) = src.dims();
-    let z = task.z;
-    let dst = task.dst_layer;
+    let LayerTask {
+        z,
+        dst_layer,
+        row,
+        mut col,
+    } = task;
     let s = src.as_slice();
-    let layer_base = z * nx * ny;
+    // The x-interior run (every tap's x+di in range), clipped to the
+    // swept window; empty on narrow domains and edge-only windows.
+    let ex = stencil.extent_x();
+    let run_start = ex.clamp(xs.start, xs.end);
+    let run_end = (nx - ex).clamp(run_start, xs.end);
 
-    let (ex, ey, ez) = (stencil.extent_x(), stencil.extent_y(), stencil.extent_z());
-    let z_interior = z >= ez && z + ez < nz;
-    // Interior x-run bounds (may be an empty run on small domains).
-    let xl = ex;
-    let xh = nx.saturating_sub(ex).max(xl);
-
-    // Precompute linear offsets for the interior fast path.
-    let offsets: Vec<isize> = stencil
-        .taps()
-        .iter()
-        .map(|t| t.di + t.dj * nx as isize + t.dk * (nx * ny) as isize)
-        .collect();
-
-    if let Some(row) = &task.row {
-        debug_assert_eq!(row.len(), nx);
+    scratch.row_acc.clear();
+    if row.is_some() {
+        scratch.row_acc.resize(nx, 0.0);
     }
-    let row = task.row;
-    // Checksums are accumulated in f64 regardless of the data type: a
-    // sequential f32 sum over a 512-wide line drifts by up to ~n/2 ulps,
-    // which would eat into the paper's ε = 1e-5 detection margin on large
-    // tiles (§3.4 notes the approximation error grows with domain size).
-    // One widening add per point is far cheaper than a false positive.
-    let mut row_acc: Vec<f64> = if row.is_some() {
-        vec![0.0; nx]
-    } else {
-        Vec::new()
-    };
-    let mut col = task.col;
 
     for y in y_rows {
-        let line_base = layer_base + y * nx;
-        let out = &mut dst[y * nx..(y + 1) * nx];
-        let y_interior = y >= ey && y + ey < ny;
+        let out = &mut dst_layer[y * nx..(y + 1) * nx];
+        let line = (z * ny + y) * nx;
+        let constant_row = constant.map(|c| &c.as_slice()[line..line + nx]);
 
-        // Fast-path run bounds clipped to the swept x-window.
-        let rl = xl.max(xs.start);
-        let rh = xh.min(xs.end);
-        if z_interior && y_interior && rh > rl {
-            // Boundary prefix/suffix (within the window) via resolved reads.
-            for x in (xs.start..rl).chain(rh..xs.end) {
-                out[x] = point_resolved(src, x, y, z, stencil, bounds, constant, ghosts);
-            }
-            // Interior run: initialise with the constant term, then
-            // accumulate tap by tap over contiguous x-runs.
-            let run = &mut out[rl..rh];
-            match constant {
-                Some(c) => run.copy_from_slice(&c.as_slice()[line_base + rl..line_base + rh]),
-                None => run.fill(T::ZERO),
-            }
-            let start = (line_base + rl) as isize;
-            for (tap, &off) in stencil.taps().iter().zip(&offsets) {
-                let w = tap.w;
-                let src_run = &s[(start + off) as usize..][..run.len()];
-                for (o, &v) in run.iter_mut().zip(src_run) {
-                    *o += w * v;
-                }
-            }
-        } else {
-            for x in xs.clone() {
-                out[x] = point_resolved(src, x, y, z, stencil, bounds, constant, ghosts);
-            }
+        for x in (xs.start..run_start).chain(run_end..xs.end) {
+            out[x] = point_resolved(src, x, y, z, stencil, bounds, constant, ghosts);
+        }
+        if run_start < run_end {
+            let reach = run_start - ex..run_end + ex;
+            fold_row(
+                stencil,
+                (y, z),
+                (nx, ny, nz),
+                bounds,
+                ghosts,
+                reach,
+                scratch,
+            );
+        }
+        let mut x = run_start;
+        while x + BLOCK <= run_end {
+            let acc = block::<T, BLOCK>(s, stencil, scratch, constant_row, x);
+            out[x..x + BLOCK].copy_from_slice(&acc);
+            x += BLOCK;
+        }
+        while x < run_end {
+            [out[x]] = block::<T, 1>(s, stencil, scratch, constant_row, x);
+            x += 1;
         }
 
-        // Phase 2: hook + checksum accumulation over the cache-hot window
-        // (checksum modes require a full x-line, enforced up front).
-        let need_row = row.is_some();
-        let need_col = col.is_some();
-        if H::ACTIVE || need_row || need_col {
-            let mut line_sum = 0.0f64;
-            for (x, o) in out[xs.clone()].iter_mut().enumerate() {
-                let x = x + xs.start;
-                let v = if H::ACTIVE {
-                    let t = hook.transform(x, y, z, *o);
-                    *o = t;
-                    t
-                } else {
-                    *o
-                };
-                line_sum += v.to_f64();
-                if need_row {
-                    row_acc[x] += v.to_f64();
-                }
+        if H::ACTIVE {
+            for x in xs.clone() {
+                out[x] = hook.transform(x, y, z, out[x]);
             }
-            if let Some(c) = col.as_deref_mut() {
-                c[y] = T::from_f64(line_sum);
-            }
+        }
+        // Checksum modes require a full x-line, enforced up front.
+        if let Some(c) = col.as_deref_mut() {
+            c[y] = T::from_f64(line_sum(out));
+        }
+        for (a, &v) in scratch.row_acc.iter_mut().zip(out.iter()) {
+            *a += v.to_f64();
         }
     }
     if let Some(r) = row {
-        for (o, &a) in r.iter_mut().zip(&row_acc) {
+        for (o, &a) in r.iter_mut().zip(&scratch.row_acc) {
             *o = T::from_f64(a);
         }
     }
@@ -426,15 +535,16 @@ mod tests {
     use abft_grid::{Boundary, NoGhosts};
 
     /// Naive reference sweep: resolved reads everywhere.
-    fn reference_sweep<T: Real>(
+    fn reference_sweep<T: Real, G: GhostCells<T>>(
         src: &Grid3D<T>,
         stencil: &Stencil3D<T>,
         bounds: &BoundarySpec<T>,
         constant: Option<&Grid3D<T>>,
+        ghosts: &G,
     ) -> Grid3D<T> {
         let (nx, ny, nz) = src.dims();
         Grid3D::from_fn(nx, ny, nz, |x, y, z| {
-            point_resolved(src, x, y, z, stencil, bounds, constant, &NoGhosts)
+            point_resolved(src, x, y, z, stencil, bounds, constant, ghosts)
         })
     }
 
@@ -456,7 +566,7 @@ mod tests {
             (0, 0, -1, 0.05),
             (0, 0, 1, 0.05),
         ]);
-        let expect = reference_sweep(&src, &stencil, &bounds, None);
+        let expect = reference_sweep(&src, &stencil, &bounds, None, &NoGhosts);
         for exec in [Exec::Serial, Exec::Parallel] {
             let mut dst = Grid3D::zeros(9, 7, 4);
             sweep(
@@ -470,10 +580,7 @@ mod tests {
                 ChecksumMode::None,
                 exec,
             );
-            assert!(
-                dst.max_abs_diff(&expect) < 1e-12,
-                "mismatch for {bounds:?} / {exec:?}"
-            );
+            assert_eq!(dst, expect, "mismatch for {bounds:?} / {exec:?}");
         }
     }
 
@@ -499,6 +606,114 @@ mod tests {
             y: Boundary::Constant(2.5),
             z: Boundary::Clamp,
         });
+    }
+
+    /// A ghost source whose value depends on all three coordinates.
+    struct PatternGhost;
+    impl<T: Real> GhostCells<T> for PatternGhost {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
+            T::from_f64((x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.37 - 4.0)
+        }
+    }
+
+    /// Every boundary kind on every axis, with and without a constant
+    /// term, serial and parallel, as one sweep and as a tiling of partial
+    /// windows — on widths whose x-interior run is empty (4), shorter than
+    /// a block (9), a whole number of blocks (20) and blocks plus a tail
+    /// (25) — against resolved reads at every cell, bitwise.
+    fn boundary_matrix<T: Real>() {
+        let w = |v: f64| T::from_f64(v);
+        // Reach 2 in x and y, 1 in z; weights that round in either type.
+        let stencil = Stencil3D::from_tuples(&[
+            (0, 0, 0, w(0.4)),
+            (-1, 0, 0, w(0.1)),
+            (2, 0, 0, w(0.15)),
+            (0, -2, 0, w(0.05)),
+            (1, 1, 0, w(0.1)),
+            (0, 0, -1, w(0.07)),
+            (-2, 1, 1, w(0.03)),
+        ]);
+        let kinds = [
+            Boundary::Clamp,
+            Boundary::Periodic,
+            Boundary::Zero,
+            Boundary::Constant(w(2.5)),
+            Boundary::Reflect,
+            Boundary::Ghost,
+        ];
+        let mut specs = vec![BoundarySpec::uniform(Boundary::Ghost)];
+        for kind in kinds {
+            let clamp = BoundarySpec::clamp();
+            specs.push(BoundarySpec { x: kind, ..clamp });
+            specs.push(BoundarySpec { y: kind, ..clamp });
+            specs.push(BoundarySpec { z: kind, ..clamp });
+        }
+        for nx in [4, 9, 20, 25] {
+            let (ny, nz) = (6, 3);
+            let src = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+                w(((x * 31 + y * 17 + z * 7) % 23) as f64 * 0.3 - 3.0)
+            });
+            let constant =
+                Grid3D::from_fn(nx, ny, nz, |x, y, z| w((x + 2 * y + 3 * z) as f64 * 0.11));
+            // Windows that cut the run, isolate each x end and split y and z.
+            let tiles = [
+                (0..4, 0..1, 0..nz),
+                (0..4, 1..3, 0..nz),
+                (0..4, 3..nx, 0..2),
+                (0..4, 3..nx, 2..nz),
+                (4..ny, 0..nx - 1, 0..nz),
+                (4..ny, nx - 1..nx, 0..nz),
+            ];
+            for bounds in &specs {
+                for constant in [None, Some(&constant)] {
+                    let expect = reference_sweep(&src, &stencil, bounds, constant, &PatternGhost);
+                    for exec in [Exec::Serial, Exec::Parallel] {
+                        let ctx = format!("nx {nx}, {bounds:?}, {exec:?}");
+                        let mut whole = Grid3D::zeros(nx, ny, nz);
+                        let mut tiled = Grid3D::zeros(nx, ny, nz);
+                        sweep(
+                            &src,
+                            &mut whole,
+                            &stencil,
+                            bounds,
+                            constant,
+                            &PatternGhost,
+                            &NoHook,
+                            ChecksumMode::None,
+                            exec,
+                        );
+                        for (rows, xs, zs) in tiles.clone() {
+                            sweep_region(
+                                &src,
+                                &mut tiled,
+                                &stencil,
+                                bounds,
+                                constant,
+                                &PatternGhost,
+                                &NoHook,
+                                ChecksumMode::None,
+                                exec,
+                                rows,
+                                xs,
+                                zs,
+                            );
+                        }
+                        assert_eq!(whole, expect, "whole sweep, {ctx}");
+                        assert_eq!(tiled, expect, "tiled sweep, {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_matrix_matches_resolved_reads_bitwise_f32() {
+        boundary_matrix::<f32>();
+    }
+
+    #[test]
+    fn boundary_matrix_matches_resolved_reads_bitwise_f64() {
+        boundary_matrix::<f64>();
     }
 
     #[test]
@@ -540,11 +755,9 @@ mod tests {
             Exec::Parallel,
         );
         for z in 0..3 {
-            for y in 0..6 {
-                let direct = dst.layer(z).sum_along_x(y);
-                let fused = col[z * 6 + y];
-                assert!((direct - fused).abs() < 1e-12);
-            }
+            let mut direct = [0.0; 6];
+            dst.layer(z).col_checksums_into(&mut direct);
+            assert_eq!(direct, col[z * 6..(z + 1) * 6]);
         }
     }
 
@@ -570,10 +783,11 @@ mod tests {
             Exec::Serial,
         );
         for z in 0..2 {
-            for x in 0..8 {
-                let direct = dst.layer(z).sum_along_y(x);
-                assert!((direct - row[z * 8 + x]).abs() < 1e-12);
-            }
+            let (mut direct_row, mut direct_col) = ([0.0; 8], [0.0; 6]);
+            dst.layer(z).row_checksums_into(&mut direct_row);
+            dst.layer(z).col_checksums_into(&mut direct_col);
+            assert_eq!(direct_row, row[z * 8..(z + 1) * 8]);
+            assert_eq!(direct_col, col[z * 6..(z + 1) * 6]);
         }
     }
 
@@ -620,8 +834,9 @@ mod tests {
         assert_eq!(dirty.at(3, 2, 1) - clean.at(3, 2, 1), 100.0);
         assert_eq!(dirty.at(0, 0, 0), clean.at(0, 0, 0));
         // The fused checksum must reflect the corrupted stored value.
-        let direct = dirty.layer(1).sum_along_x(2);
-        assert!((direct - col[5 + 2]).abs() < 1e-12);
+        let mut direct = [0.0; 5];
+        dirty.layer(1).col_checksums_into(&mut direct);
+        assert_eq!(direct, col[5..10]);
     }
 
     #[test]
