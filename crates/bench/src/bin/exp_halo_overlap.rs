@@ -1,23 +1,25 @@
-//! **Halo-overlap experiment** — the pipelined rank executor (persistent
-//! workers, double-buffered channels, interior/edge split) against the
-//! legacy snapshot-barrier baseline, on the HotSpot3D workload by
-//! default or any library kernel via `--kernel star7|9pt|27pt|13pt`
-//! (wide-footprint kernels drive the corner-halo channels every sweep).
+//! **Halo-overlap experiment** — the two drivers of the rank step
+//! machine against each other: the pipelined one (a pooled thread per
+//! rank, double-buffered channels, interior sweep overlapping the
+//! exchange) and the snapshot one (the same ranks advanced in lock-step
+//! from one thread), on the HotSpot3D workload by default or any library
+//! kernel via `--kernel star7|9pt|27pt|13pt` (wide-footprint kernels
+//! drive the corner-halo channels every sweep).
 //!
 //! For each rank count the harness times three configurations —
 //! snapshot (unprotected), pipelined (unprotected) and pipelined with
 //! per-rank online ABFT — verifies all of them bitwise against the serial
-//! reference, and reports per-iteration wall time, iterations/sec, the
-//! pipeline's speedup over the snapshot baseline and the per-rank
+//! reference, and reports per-iteration wall time, iterations/sec,
+//! `speedup` — **threads vs one-thread lock-step**: what a thread per
+//! rank buys over running the identical steps from one thread, so about
+//! 1 on a one-core host and at most the rank count — and the per-rank
 //! halo-wait fraction (the slice of busy time a rank spends blocked on
 //! neighbour rows, i.e. communication *not* hidden by computation).
 //!
 //! `--json PATH` additionally writes a machine-readable record tagged
 //! with the kernel and grid shape; CI's bench-smoke job uses this to
 //! publish `BENCH_dist*.json` per PR so the perf trajectory of the halo
-//! pipeline is tracked over time, and builds the same binary with the
-//! `hash-ghost-path` feature to gate the strip-indexed ghost path
-//! against the PR 3 hash baseline.
+//! pipeline is tracked over time.
 //!
 //! `--steps-per-exchange K` switches to the **deep-halo mode**: instead
 //! of sweeping rank counts, the harness pins one rank grid and sweeps

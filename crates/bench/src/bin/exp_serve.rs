@@ -19,13 +19,11 @@
 //! hides that.
 //!
 //! The final **concurrency** point feeds a mixed 1-rank/4-rank stream
-//! to an 8-slot pool twice: once under the default
-//! [`SchedPolicy::Concurrent`] slot-packing scheduler and once under
-//! the [`SchedPolicy::SerialFifo`] baseline (one job at a time, strict
-//! submit order). The ratio is the scheduler's throughput headroom;
-//! CI gates it at ≥ 1.2× on its multi-core runners (the assertion
-//! lives in the workflow, not here — a 1-core host legitimately shows
-//! ~1.0×).
+//! to an 8-slot pool and records the most jobs the slot-packing
+//! scheduler ever had in flight at once; CI gates that count at ≥ 2 (a
+//! count, not a wall-time ratio: a 1-core host legitimately shows no
+//! speedup from overlapping jobs, but the scheduler overlaps them all the
+//! same).
 //!
 //! Expected shape: pooled throughput ≥ spawn throughput once the batch
 //! amortises pool start-up (CI gates `reuse_speedup` at 8+ jobs), and
@@ -36,7 +34,7 @@
 
 use abft_bench::{Cli, KernelArg};
 use abft_core::AbftConfig;
-use abft_dist::{run_distributed, DistService, JobHandle, JobSpec, SchedPolicy, ServiceConfig};
+use abft_dist::{run_distributed, DistService, JobHandle, JobSpec};
 use abft_fault::BitFlip;
 use abft_grid::Grid3D;
 use abft_metrics::{write_csv, LatencySplit, Table, Timer};
@@ -60,7 +58,6 @@ struct Point {
 
 struct ConcurrencyPoint {
     concurrent_jobs_per_s: f64,
-    serial_jobs_per_s: f64,
     peak_concurrent: u64,
 }
 
@@ -111,9 +108,8 @@ fn batch(
 }
 
 /// The mixed-size stream for the concurrency point: alternating 1-rank
-/// and 4-rank jobs, so a slot-packing scheduler can run several small
-/// jobs beside a big one while a serial scheduler drains them one by
-/// one.
+/// and 4-rank jobs, so the slot-packing scheduler can run several small
+/// jobs beside a big one.
 fn mixed_batch(
     dims: (usize, usize, usize),
     stencil: &Stencil3D<f64>,
@@ -128,11 +124,11 @@ fn mixed_batch(
         .collect()
 }
 
-/// Run one batch through a service with the given policy; returns the
-/// wall time and the pool's peak concurrent job count.
-fn run_batch(jobs: &[JobSpec<f64>], config: ServiceConfig) -> (f64, u64) {
+/// Run one batch through a fresh `pool`-slot service; returns the wall
+/// time and the pool's peak concurrent job count.
+fn run_batch(jobs: &[JobSpec<f64>], pool: usize) -> (f64, u64) {
     let t = Timer::start();
-    let service = DistService::<f64>::with_config(config).expect("non-empty pool");
+    let service = DistService::<f64>::new(pool).expect("non-empty pool");
     let handles: Vec<JobHandle<f64>> = jobs
         .iter()
         .map(|j| service.submit(j.clone()).expect("valid job"))
@@ -277,37 +273,23 @@ fn main() {
         }
     }
 
-    // Concurrency point: the same mixed stream under the slot-packing
-    // scheduler and under the serial-FIFO baseline.
+    // Concurrency point: the mixed stream on the slot-packing scheduler.
     let mixed = mixed_batch(dims, &stencil, iters);
     let mut concurrent_best = f64::INFINITY;
-    let mut serial_best = f64::INFINITY;
     let mut peak = 0u64;
     for _ in 0..reps {
-        let (secs, p) = run_batch(
-            &mixed,
-            ServiceConfig::new(CONCURRENCY_POOL).with_policy(SchedPolicy::Concurrent),
-        );
+        let (secs, p) = run_batch(&mixed, CONCURRENCY_POOL);
         concurrent_best = concurrent_best.min(secs);
         peak = peak.max(p);
-        let (secs, _) = run_batch(
-            &mixed,
-            ServiceConfig::new(CONCURRENCY_POOL).with_policy(SchedPolicy::SerialFifo),
-        );
-        serial_best = serial_best.min(secs);
     }
     let concurrency = ConcurrencyPoint {
         concurrent_jobs_per_s: JOBS as f64 / concurrent_best,
-        serial_jobs_per_s: JOBS as f64 / serial_best,
         peak_concurrent: peak,
     };
     println!(
         "\nconcurrency (pool {CONCURRENCY_POOL}, mixed 1/4-rank jobs): \
-         {:.1} j/s concurrent vs {:.1} j/s serial-FIFO ({:.2}x, peak {} jobs in flight)",
-        concurrency.concurrent_jobs_per_s,
-        concurrency.serial_jobs_per_s,
-        concurrency.concurrent_jobs_per_s / concurrency.serial_jobs_per_s,
-        concurrency.peak_concurrent,
+         {:.1} j/s, peak {} jobs in flight",
+        concurrency.concurrent_jobs_per_s, concurrency.peak_concurrent,
     );
 
     let path = format!("{}/exp_serve.csv", cli.out);
@@ -345,12 +327,9 @@ fn main() {
              \"kernel\": \"{kernel_name}\",\n  \"pool\": [2, 4],\n  \"jobs\": {JOBS},\n  \
              \"iters\": {iters},\n  \"points\": [\n{}\n  ],\n  \
              \"concurrency\": {{\"pool\": {CONCURRENCY_POOL}, \"jobs\": {JOBS}, \
-             \"concurrent_jobs_per_s\": {:.3}, \"serial_jobs_per_s\": {:.3}, \
-             \"concurrent_speedup\": {:.4}, \"peak_concurrent\": {}}}\n}}\n",
+             \"concurrent_jobs_per_s\": {:.3}, \"peak_concurrent\": {}}}\n}}\n",
             rows.join(",\n"),
             concurrency.concurrent_jobs_per_s,
-            concurrency.serial_jobs_per_s,
-            concurrency.concurrent_jobs_per_s / concurrency.serial_jobs_per_s,
             concurrency.peak_concurrent,
         );
         if let Some(dir) = std::path::Path::new(json_path).parent() {

@@ -11,9 +11,8 @@ use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
 use abft_grid::{GhostCells, NoGhosts};
 use abft_num::Real;
-use abft_stencil::{SplitStepTimes, StencilSim, SweepHook};
-use std::ops::Range;
-use std::time::Instant;
+use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
+use std::time::{Duration, Instant};
 
 /// What one protected step observed and did.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,141 +245,92 @@ impl<T: Real> OnlineAbft<T> {
         self.verify_after_sweep(sim, ghosts)
     }
 
-    /// Advance one protected iteration with an **overlapped** halo
-    /// exchange: interior rows are swept while `wait` (the halo receive)
-    /// is still outstanding, edge rows once it returns, and verification
-    /// runs on the completed step — so detection/correction still lands
-    /// before the rank's next halo post, exactly as in the barriered path.
+    /// First half of a protected **split** step: sweep the ghost-free
+    /// `window` while the halo exchange is still in flight. `verify` must
+    /// match the second half's; when it is set and the window spans whole
+    /// x-lines the column checksums ride the sweep (§3.2, Fig. 2).
     ///
-    /// With [`AbftConfig::maintain_row`](crate::AbftConfig) enabled the
-    /// row checksums need a whole-domain sweep, so this forgoes the
-    /// overlap (waits up front) while keeping the same signature.
-    pub fn step_overlapped<H, G, W>(
+    /// With [`AbftConfig::maintain_row`](crate::AbftConfig) the row
+    /// checksums need a whole-domain sweep, so this half does nothing and
+    /// the second half runs the whole step.
+    ///
+    /// Not calling the second half *is* the clean abort (a peer rank died
+    /// and its halo never arrives): no buffer swap, no verification — the
+    /// simulation still holds iteration `t`, the trusted checksums still
+    /// describe it and no statistics moved, so a checkpoint rollback can
+    /// replay from a consistent state with zero false positives.
+    pub fn sweep_interior<H: SweepHook<T>>(
         &mut self,
         sim: &mut StencilSim<T>,
         hook: &H,
-        interior: Range<usize>,
-        wait: W,
-    ) -> (StepOutcome<T>, SplitStepTimes)
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> G,
-    {
-        self.try_step_overlapped(sim, hook, interior, || Some(wait()))
-            .expect("infallible wait returned a ghost source")
-    }
-
-    /// Fallible variant of [`OnlineAbft::step_overlapped`] for exchanges
-    /// that can fail (a peer rank died mid-run). `wait` returning `None`
-    /// aborts the step *cleanly*: no edge sweep, no buffer swap, no
-    /// verification — the simulation still holds iteration `t`, the
-    /// trusted checksums still describe it, and no detection statistics
-    /// are perturbed, so a checkpoint rollback can replay from a
-    /// consistent state with zero false positives.
-    pub fn try_step_overlapped<H, G, W>(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        hook: &H,
-        interior: Range<usize>,
-        wait: W,
-    ) -> Option<(StepOutcome<T>, SplitStepTimes)>
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> Option<G>,
-    {
+        window: &InteriorWindow,
+        verify: bool,
+    ) {
         debug_assert_eq!(
             sim.dims(),
             (self.nx, self.ny, self.nz),
             "simulation/protector shape"
         );
+        if !self.cfg.maintain_row {
+            let col = self.fuses(window, verify).then_some(&mut self.col_comp[..]);
+            sim.sweep_interior(hook, window, col);
+        }
+    }
+
+    /// Second half of a protected split step: sweep the shell around
+    /// `window` against `ghosts` (which must present the **time-`t`** halo,
+    /// i.e. the same values the sweep reads), finish the step, then either
+    /// verify — interpolate, compare, correct — or, with `verify == false`,
+    /// carry the trusted checksums forward by Theorem 1 without comparing
+    /// (see [`OnlineAbft::carry_step_with_ghosts`]). Detection/correction
+    /// lands before the caller's next halo post, exactly as in the
+    /// whole-step forms; each rank verifies only the z-layers of its own
+    /// brick (the protector's shape *is* the brick).
+    ///
+    /// A window that does not span whole x-lines cannot complete every
+    /// column checksum line, so the vectors are recomputed from the
+    /// finished step — the same `f64` line reduction the fused sweep
+    /// performs, hence bitwise-identical.
+    ///
+    /// Returns the outcome and the time the verify-or-carry tail took (the
+    /// rest of the call is the edge sweep).
+    pub fn sweep_shell_and_verify<H: SweepHook<T>, G: GhostCells<T>>(
+        &mut self,
+        sim: &mut StencilSim<T>,
+        hook: &H,
+        ghosts: &G,
+        window: &InteriorWindow,
+        verify: bool,
+    ) -> (StepOutcome<T>, Duration) {
         if self.cfg.maintain_row {
-            let t0 = Instant::now();
-            let ghosts = wait()?;
-            let wait_s = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let outcome = self.step_with_ghosts(sim, hook, &ghosts);
-            let edge_s = t1.elapsed().as_secs_f64();
-            return Some((
-                outcome,
-                SplitStepTimes {
-                    wait_s,
-                    edge_s,
-                    ..SplitStepTimes::default()
-                },
-            ));
+            let outcome = if verify {
+                self.step_with_ghosts(sim, hook, ghosts)
+            } else {
+                self.carry_step_with_ghosts(sim, hook, ghosts)
+            };
+            return (outcome, Duration::ZERO);
         }
-        let (ghosts, mut times) =
-            sim.try_step_overlapped(hook, interior, wait, Some(&mut self.col_comp))?;
-        let t = Instant::now();
-        let outcome = self.verify_after_sweep(sim, &ghosts);
-        times.verify_s = t.elapsed().as_secs_f64();
-        Some((outcome, times))
+        let fused = self.fuses(window, verify);
+        let col = fused.then_some(&mut self.col_comp[..]);
+        sim.sweep_shell_and_finish(hook, ghosts, window, col);
+        let tail = Instant::now();
+        let outcome = if verify {
+            if !fused {
+                compute_col_into(sim.current(), &mut self.col_comp);
+            }
+            self.verify_after_sweep(sim, ghosts)
+        } else {
+            self.carry_commit(sim, ghosts);
+            StepOutcome::new(sim.iteration())
+        };
+        (outcome, tail.elapsed())
     }
 
-    /// Advance one protected iteration with a **box** overlapped window —
-    /// the x×y×z-decomposition analogue of
-    /// [`OnlineAbft::step_overlapped`]. A full-width `interior_x` together
-    /// with a full-depth `interior_z` delegates to the fused 1-D path;
-    /// otherwise the column checksums cannot be fused into the split
-    /// sweep (a partial window never completes every checksum line), so
-    /// they are recomputed from the finished step — the same `f64` line
-    /// reduction the fused sweep performs, hence bitwise-identical
-    /// vectors — before verification runs. Each rank verifies only the
-    /// z-layers of its own brick (the protector's shape *is* the brick);
-    /// detection/correction still lands before the rank's next halo post.
-    pub fn step_overlapped_region<H, G, W>(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        hook: &H,
-        interior_x: Range<usize>,
-        interior_y: Range<usize>,
-        interior_z: Range<usize>,
-        wait: W,
-    ) -> (StepOutcome<T>, SplitStepTimes)
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> G,
-    {
-        self.try_step_overlapped_region(sim, hook, interior_x, interior_y, interior_z, || {
-            Some(wait())
-        })
-        .expect("infallible wait returned a ghost source")
-    }
-
-    /// Fallible variant of [`OnlineAbft::step_overlapped_region`]; see
-    /// [`OnlineAbft::try_step_overlapped`] for the clean-abort contract.
-    pub fn try_step_overlapped_region<H, G, W>(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        hook: &H,
-        interior_x: Range<usize>,
-        interior_y: Range<usize>,
-        interior_z: Range<usize>,
-        wait: W,
-    ) -> Option<(StepOutcome<T>, SplitStepTimes)>
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> Option<G>,
-    {
-        let (nx, nz) = (self.nx, self.nz);
-        let ix = interior_x.start.min(nx)..interior_x.end.min(nx);
-        let ix = ix.start..ix.end.max(ix.start);
-        let iz = interior_z.start.min(nz)..interior_z.end.min(nz);
-        let iz = iz.start..iz.end.max(iz.start);
-        if self.cfg.maintain_row || (ix == (0..nx) && iz == (0..nz)) {
-            return self.try_step_overlapped(sim, hook, interior_y, wait);
-        }
-        let (ghosts, mut times) =
-            sim.try_step_overlapped_region(hook, ix, interior_y, iz, wait, None)?;
-        let t = Instant::now();
-        compute_col_into(sim.current(), &mut self.col_comp);
-        let outcome = self.verify_after_sweep(sim, &ghosts);
-        times.verify_s = t.elapsed().as_secs_f64();
-        Some((outcome, times))
+    /// Whether a split step over `window` fuses the column checksums into
+    /// its sweeps: only a verifying step needs them, and only whole
+    /// x-lines can be summed in flight.
+    fn fuses(&self, window: &InteriorWindow, verify: bool) -> bool {
+        verify && window.x == (0..self.nx)
     }
 
     /// Advance one iteration **without** comparing: sweep plainly, then
@@ -405,72 +355,6 @@ impl<T: Real> OnlineAbft<T> {
         sim.step_full(hook, ghosts, abft_stencil::ChecksumMode::None);
         self.carry_commit(sim, ghosts);
         StepOutcome::new(sim.iteration())
-    }
-
-    /// Overlapped-window epoch step: like
-    /// [`OnlineAbft::try_step_overlapped_region`] but returns the ghost
-    /// source to the caller (the deep-halo worker keeps the exchanged
-    /// shell alive across the whole epoch) and, with `verify == false`,
-    /// carries the trusted checksums instead of comparing them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_step_overlapped_region_epoch<H, G, W>(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        hook: &H,
-        interior_x: Range<usize>,
-        interior_y: Range<usize>,
-        interior_z: Range<usize>,
-        wait: W,
-        verify: bool,
-    ) -> Option<(StepOutcome<T>, SplitStepTimes, G)>
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> Option<G>,
-    {
-        let (nx, nz) = (self.nx, self.nz);
-        let ix = interior_x.start.min(nx)..interior_x.end.min(nx);
-        let ix = ix.start..ix.end.max(ix.start);
-        let iz = interior_z.start.min(nz)..interior_z.end.min(nz);
-        let iz = iz.start..iz.end.max(iz.start);
-        if self.cfg.maintain_row {
-            // Row checksums need a whole-domain fused sweep: forgo the
-            // overlap (same fallback as the per-step path).
-            let t0 = Instant::now();
-            let ghosts = wait()?;
-            let wait_s = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let outcome = if verify {
-                self.step_with_ghosts(sim, hook, &ghosts)
-            } else {
-                self.carry_step_with_ghosts(sim, hook, &ghosts)
-            };
-            let edge_s = t1.elapsed().as_secs_f64();
-            return Some((
-                outcome,
-                SplitStepTimes {
-                    wait_s,
-                    edge_s,
-                    ..SplitStepTimes::default()
-                },
-                ghosts,
-            ));
-        }
-        let (ghosts, mut times) =
-            sim.try_step_overlapped_region(hook, ix, interior_y, iz, wait, None)?;
-        let t = Instant::now();
-        let outcome = if verify {
-            // The fused column accumulation cannot ride a split window;
-            // recompute from the finished step (bitwise-identical line
-            // reduction), exactly as the per-step region path does.
-            compute_col_into(sim.current(), &mut self.col_comp);
-            self.verify_after_sweep(sim, &ghosts)
-        } else {
-            self.carry_commit(sim, &ghosts);
-            StepOutcome::new(sim.iteration())
-        };
-        times.verify_s += t.elapsed().as_secs_f64();
-        Some((outcome, times, ghosts))
     }
 
     /// Move the trusted checksums one iteration forward analytically
@@ -704,6 +588,37 @@ mod tests {
         .with_exec(Exec::Serial)
     }
 
+    /// Interior rows `y` of [`make_sim`]'s grid, whole x-lines and layers.
+    fn rows(y: std::ops::Range<usize>) -> InteriorWindow {
+        InteriorWindow {
+            x: 0..12,
+            y,
+            z: 0..3,
+        }
+    }
+
+    /// A proper box interior of [`make_sim`]'s grid (partial x-lines).
+    fn inner_box() -> InteriorWindow {
+        InteriorWindow {
+            x: 1..11,
+            y: 1..9,
+            z: 1..2,
+        }
+    }
+
+    /// One protected split step with no ghosts (clamped boundaries).
+    fn split_step<H: SweepHook<f64>>(
+        abft: &mut OnlineAbft<f64>,
+        sim: &mut StencilSim<f64>,
+        hook: &H,
+        window: &InteriorWindow,
+        verify: bool,
+    ) -> StepOutcome<f64> {
+        abft.sweep_interior(sim, hook, window, verify);
+        abft.sweep_shell_and_verify(sim, hook, &NoGhosts, window, verify)
+            .0
+    }
+
     #[test]
     fn error_free_run_is_clean() {
         let mut sim = make_sim();
@@ -773,13 +688,42 @@ mod tests {
         let mut overlapped = make_sim();
         let mut abft_b = OnlineAbft::new(&barriered, AbftConfig::<f64>::paper_defaults());
         let mut abft_o = OnlineAbft::new(&overlapped, AbftConfig::<f64>::paper_defaults());
-        for _ in 0..12 {
+        for it in 0..12 {
             let out_b = abft_b.step(&mut barriered, &NoHook);
-            let (out_o, _) = abft_o.step_overlapped(&mut overlapped, &NoHook, 1..9, || NoGhosts);
+            // Alternate the fused (whole x-lines) and recomputed windows.
+            let window = if it % 2 == 0 { rows(1..9) } else { inner_box() };
+            let out_o = split_step(&mut abft_o, &mut overlapped, &NoHook, &window, true);
             assert_eq!(out_b.is_clean(), out_o.is_clean());
         }
         assert_eq!(barriered.current(), overlapped.current());
         assert_eq!(abft_b.col_checksums(), abft_o.col_checksums());
+    }
+
+    /// `verify == false` is the split form of `carry_step_with_ghosts`: a
+    /// carried epoch through the two halves leaves the same grid and the
+    /// same trusted checksums as the whole-step forms.
+    #[test]
+    fn overlapped_step_carries_like_the_whole_step_form() {
+        for maintain_row in [false, true] {
+            let cfg = AbftConfig::<f64>::paper_defaults().with_maintain_row(maintain_row);
+            let mut whole = make_sim();
+            let mut split = make_sim();
+            let mut abft_w = OnlineAbft::new(&whole, cfg);
+            let mut abft_s = OnlineAbft::new(&split, cfg);
+            for j in 0..8 {
+                let verify = j % 4 == 3;
+                let out_w = if verify {
+                    abft_w.step(&mut whole, &NoHook)
+                } else {
+                    abft_w.carry_step_with_ghosts(&mut whole, &NoHook, &NoGhosts)
+                };
+                let out_s = split_step(&mut abft_s, &mut split, &NoHook, &inner_box(), verify);
+                assert_eq!(out_w, out_s);
+            }
+            assert_eq!(whole.current(), split.current());
+            assert_eq!(abft_w.col_checksums(), abft_s.col_checksums());
+            assert_eq!(abft_w.stats(), abft_s.stats());
+        }
     }
 
     #[test]
@@ -789,7 +733,7 @@ mod tests {
             let mut reference = make_sim();
             let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
             for _ in 0..3 {
-                abft.step_overlapped(&mut sim, &NoHook, 1..9, || NoGhosts);
+                split_step(&mut abft, &mut sim, &NoHook, &rows(1..9), true);
                 reference.step();
             }
             let hook = move |hx: usize, hy: usize, hz: usize, v: f64| {
@@ -799,7 +743,7 @@ mod tests {
                     v
                 }
             };
-            let (out, _) = abft.step_overlapped(&mut sim, &hook, 1..9, || NoGhosts);
+            let out = split_step(&mut abft, &mut sim, &hook, &rows(1..9), true);
             reference.step();
             assert_eq!(out.detections, 1, "flip at ({x},{y},{z}) missed");
             assert_eq!(out.corrections.len(), 1);

@@ -20,12 +20,9 @@
 //! with two table indexings and a range check — index the `(z, y)` line
 //! table, range-check `x` against the run — instead of hashing.
 //!
-//! The PR 3 hash path is kept **only** to prove bitwise equivalence and to
-//! serve as CI's perf baseline: it is compiled under `debug_assertions`
-//! (where every strip lookup is cross-checked against it) or the
-//! `hash-ghost-path` cargo feature (which routes production lookups back
-//! through the `HashMap`, so CI can benchmark strip vs. hash from the same
-//! binary source).
+//! The PR 3 hash path is kept **only** as the witness of bitwise
+//! equivalence: it is compiled under `debug_assertions`, where every strip
+//! lookup is cross-checked against it.
 //!
 //! # Traffic accounting
 //!
@@ -42,7 +39,7 @@ use abft_grid::{AxisHit, Boundary, BoundarySpec};
 use abft_num::Real;
 use std::collections::{BTreeMap, BTreeSet};
 
-#[cfg(any(debug_assertions, feature = "hash-ghost-path"))]
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
 
 /// A rank's halo cells grouped by producing rank, in the canonical
@@ -66,9 +63,7 @@ struct Run {
 /// run table (`(z - z_min) · y_span + (y - y_min)`) and scans that line's
 /// runs (one for a face strip, rarely more than three on a decomposed
 /// grid) with a range check and an offset add. Debug builds cross-check
-/// every lookup against the legacy hash path; the `hash-ghost-path`
-/// feature swaps the production path back to the `HashMap` so CI can
-/// benchmark the two from identical sources.
+/// every lookup against the legacy hash path.
 #[derive(Debug, Clone)]
 pub struct HaloIndex {
     /// Smallest global `y` of any halo cell (line-table origin).
@@ -85,9 +80,8 @@ pub struct HaloIndex {
     /// Total number of halo cells (payload slots).
     len: usize,
     /// The PR 3 path: uniform `HashMap` lookup, kept to prove bitwise
-    /// equivalence (debug builds assert it on every read) and as the CI
-    /// perf baseline (`hash-ghost-path`).
-    #[cfg(any(debug_assertions, feature = "hash-ghost-path"))]
+    /// equivalence (debug builds assert it on every read).
+    #[cfg(debug_assertions)]
     hash: HashMap<(usize, usize, usize), usize>,
 }
 
@@ -155,7 +149,7 @@ impl HaloIndex {
             line_spans,
             runs,
             len: slot,
-            #[cfg(any(debug_assertions, feature = "hash-ghost-path"))]
+            #[cfg(debug_assertions)]
             hash: {
                 let mut hash = HashMap::with_capacity(slot);
                 let mut s = 0usize;
@@ -191,25 +185,17 @@ impl HaloIndex {
     /// Resolves through the strip table (two table indexings, a range
     /// check and an offset); debug builds additionally assert the result
     /// against the hash path on every call, so the whole equivalence test
-    /// matrix doubles as a strip-vs-hash proof. With the `hash-ghost-path`
-    /// feature the legacy `HashMap` resolves instead (CI's perf baseline).
+    /// matrix doubles as a strip-vs-hash proof.
     #[inline]
     pub fn slot(&self, x: usize, y: usize, z: usize) -> Option<usize> {
-        #[cfg(feature = "hash-ghost-path")]
-        {
-            self.slot_hash(x, y, z)
-        }
-        #[cfg(not(feature = "hash-ghost-path"))]
-        {
-            let s = self.slot_strip(x, y, z);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                s,
-                self.slot_hash(x, y, z),
-                "strip/hash halo-index divergence at ({x}, {y}, {z})"
-            );
-            s
-        }
+        let slot = self.slot_strip(x, y, z);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            slot,
+            self.slot_hash(x, y, z),
+            "strip/hash halo-index divergence at ({x}, {y}, {z})"
+        );
+        slot
     }
 
     /// Strip-table lookup: index the `(z, y)` line, range-check the run,
@@ -231,8 +217,8 @@ impl HaloIndex {
         None
     }
 
-    /// The PR 3 `HashMap` lookup (equivalence witness / CI baseline).
-    #[cfg(any(debug_assertions, feature = "hash-ghost-path"))]
+    /// The PR 3 `HashMap` lookup (equivalence witness).
+    #[cfg(debug_assertions)]
     pub fn slot_hash(&self, x: usize, y: usize, z: usize) -> Option<usize> {
         self.hash.get(&(x, y, z)).copied()
     }
@@ -669,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(any(debug_assertions, feature = "hash-ghost-path"))]
+    #[cfg(debug_assertions)]
     fn strip_and_hash_agree_on_every_cell_and_on_misses() {
         let part = Partition3::new(13, 14, 4, 2, 3, 2);
         for boundary in [Boundary::Clamp, Boundary::Periodic] {

@@ -24,29 +24,34 @@
 //!   the values an MPI halo exchange would have delivered. Ghost reads
 //!   resolve through the strip-backed [`HaloIndex`] (per-`(y, z)`-line
 //!   runs with a base slot, so an edge-sweep lookup is two table
-//!   indexings and an offset; the legacy hash path survives behind
-//!   `debug_assertions`/the `hash-ghost-path` feature as equivalence
-//!   witness and CI perf baseline), and each rank's [`HaloPlan`] records
+//!   indexings and an offset; debug builds cross-check every lookup
+//!   against the legacy hash path), and each rank's [`HaloPlan`] records
 //!   per-channel traffic volumes ([`HaloTraffic`]: cells and bytes per
 //!   face/edge/corner channel);
-//! * ranks execute in one of two [`HaloMode`]s. The default
-//!   [`HaloMode::Pipelined`] spawns each rank **once for the whole run**:
-//!   every iteration the rank posts the halo cells it owes each consumer
-//!   to per-neighbour channels, sweeps its ghost-free interior window
-//!   while the halos are in flight, then applies the received ghosts to
-//!   its edge shell — there is no global barrier; ordering is enforced
+//! * every rank advances through **one step machine** (`step.rs`): each
+//!   iteration the rank posts the halo cells it owes each consumer to
+//!   per-neighbour channels and sweeps its ghost-free interior window
+//!   while the halos are in flight, then receives its ghosts, sweeps its
+//!   edge shell and verifies. A rank lost on the way (killed, bereaved of
+//!   a peer, or damaged past local correction) is recovered by **one
+//!   rollback rule**: every rank returns to the newest checkpoint epoch
+//!   they all hold and replays;
+//! * two drivers run that machine, selected by [`HaloMode`]. The default
+//!   [`HaloMode::Pipelined`] gives each rank a pooled thread **for the
+//!   whole run** — there is no global barrier; ordering is enforced
 //!   purely by the bounded (depth-2, double-buffered) channels.
-//!   [`HaloMode::Snapshot`] is the legacy barriered path — a global
-//!   snapshot exchange followed by one thread spawn per rank per
-//!   iteration — kept as the overhead baseline for `exp_halo_overlap`;
+//!   [`HaloMode::Snapshot`] advances every rank from one thread in
+//!   deterministic lock-step (all post, then all complete), needing no
+//!   pool slots — the oracle of the equivalence matrices and the
+//!   one-thread baseline of `exp_halo_overlap`;
 //! * a rank with protection enabled drives its sweep through
-//!   [`OnlineAbft::step_with_ghosts`] (snapshot) or
-//!   [`OnlineAbft::step_overlapped_region`] (pipelined), so checksum
-//!   interpolation sees the same halo values as the sweep — row and
-//!   column checksums cross rank boundaries in every decomposed
-//!   direction, and each rank verifies exactly the z-layers of its own
-//!   brick — and single-point corruptions are detected and corrected
-//!   *locally*, inside the rank's iteration, before the next halo post;
+//!   [`OnlineAbft::sweep_interior`] and
+//!   [`OnlineAbft::sweep_shell_and_verify`], so checksum interpolation
+//!   sees the same halo values as the sweep — row and column checksums
+//!   cross rank boundaries in every decomposed direction, and each rank
+//!   verifies exactly the z-layers of its own brick — and single-point
+//!   corruptions are detected and corrected *locally*, inside the rank's
+//!   iteration, before the next halo post;
 //! * [`DistReport::global`] gathers the bricks back into one grid.
 //!
 //! Both modes are **bitwise identical** to a serial [`StencilSim`] run of
@@ -66,40 +71,46 @@
 //! boundary value — including at brick edges and corners, where two or
 //! all three axes resolve.
 
-use abft_checkpoint::{CheckpointPolicy, EpochRing};
-use abft_core::{AbftConfig, OnlineAbft, ProtectorStats, VerifyCadence};
+use abft_checkpoint::CheckpointPolicy;
+use abft_core::{AbftConfig, OnlineAbft, ProtectorStats};
 use abft_fault::{BitFlip, RankKill};
 use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
 use abft_metrics::RecoveryStats;
 use abft_num::Real;
 use abft_stencil::{Exec, Stencil3D, StencilSim};
 use std::sync::Arc;
-use std::time::Instant;
 
 mod epoch;
 mod index;
 mod pipeline;
 mod service;
+mod step;
 mod worker;
 
 pub use index::{CellGroups, HaloIndex, HaloPlan, HaloTraffic};
 pub use service::{
-    DistService, JobHandle, JobId, JobSpec, SchedPolicy, ServeStats, ServiceConfig, MAX_OVERTAKES,
+    DistService, JobHandle, JobId, JobSpec, ServeStats, ServiceConfig, MAX_OVERTAKES,
 };
 
-/// How halo cells travel between ranks.
+/// Which driver advances a job's ranks. Both run the same per-rank step
+/// machine over the same channels and recover through the same rollback;
+/// they differ only in who calls the steps, so they compute the same
+/// grid, bitwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HaloMode {
-    /// Persistent per-rank workers and a double-buffered channel pipeline:
-    /// each rank is spawned once, posts its owed halo cells at iteration
-    /// start, computes its ghost-free interior window while halos are in
-    /// flight, then applies received ghosts to the edge frame. No global
-    /// barrier.
+    /// One pooled worker thread per rank for the whole job and a
+    /// double-buffered channel pipeline: each rank posts its owed halo
+    /// cells at iteration start, computes its ghost-free interior window
+    /// while halos are in flight, then applies received ghosts to the edge
+    /// frame. No global barrier.
     #[default]
     Pipelined,
-    /// Legacy barriered exchange: the driver snapshots every requested
-    /// halo cell, then spawns one thread per rank per iteration. Kept as
-    /// the baseline the pipeline is benchmarked against.
+    /// Deterministic lock-step on one thread: every rank posts iteration
+    /// `t`, then every rank completes it. Nothing overlaps and nothing
+    /// blocks, so a job needs no pool slots and may have more ranks than
+    /// the pool has workers — the equivalence matrices' oracle and the
+    /// one-thread baseline the pipeline is compared against. (The name is
+    /// historical: the exchange used to be a driver-side snapshot.)
     Snapshot,
 }
 
@@ -133,8 +144,8 @@ pub enum DistError {
     /// used to panic deep in the decomposition instead of saying so).
     ZeroIterations,
     /// A requested halo narrower than the kernel reach on a decomposed
-    /// axis, rejected by [`DistService::submit`]'s strict admission (the
-    /// lenient one-shot path widens the halo to the reach instead).
+    /// axis, rejected by [`DistService::submit`]'s strict admission
+    /// ([`run_distributed`] widens the halo to the reach instead).
     HaloTooNarrow {
         axis: char,
         halo: usize,
@@ -156,8 +167,8 @@ pub enum DistError {
         rank: Option<usize>,
         message: String,
     },
-    /// [`DistService::await_job`] was asked for a job this service never
-    /// admitted — or one whose report was already claimed.
+    /// A job was submitted to a service whose scheduler had already
+    /// stopped (only reachable mid-teardown); it was never admitted.
     UnknownJob { id: u64 },
     /// An explicit grid whose `rx · ry · rz` differs from the rank count.
     GridMismatch {
@@ -285,10 +296,9 @@ impl std::fmt::Display for DistError {
                 Some(r) => write!(f, "rank {r} panicked mid-job: {message}"),
                 None => write!(f, "job panicked: {message}"),
             },
-            Self::UnknownJob { id } => write!(
-                f,
-                "job #{id} was never admitted here (or its report was already claimed)"
-            ),
+            Self::UnknownJob { id } => {
+                write!(f, "job #{id} was never admitted: the service is shutting down")
+            }
             Self::GridMismatch { rx, ry, rz, ranks } => write!(
                 f,
                 "grid {rx}x{ry}x{rz} covers {} ranks but {ranks} were configured",
@@ -576,16 +586,15 @@ impl<T: Real> DistConfig<T> {
 /// Per-rank wall-clock breakdown of one distributed run, in seconds,
 /// accumulated over all iterations.
 ///
-/// In [`HaloMode::Pipelined`] every field is measured inside the rank's
-/// persistent worker: `post_s` covers packing and (possibly
-/// backpressured) channel sends, `interior_s` the sweep that overlaps the
+/// Every field is measured inside the rank's step machine, in either
+/// [`HaloMode`]: `post_s` covers packing and (possibly backpressured)
+/// channel sends — or, between the exchanges of a deep-halo epoch, the
+/// ghost shell's decay — `interior_s` the sweep that overlaps the
 /// exchange, `wait_s` the time blocked in `recv` for neighbour cells (the
 /// un-hidden halo latency), `edge_s` the ghost-dependent edge frame and
-/// `verify_s` the ABFT interpolate/detect/correct tail.
-///
-/// In [`HaloMode::Snapshot`] the driver's serial exchange is attributed
-/// evenly to every rank's `post_s` and the whole barriered step lands in
-/// `edge_s`; `interior_s` and `wait_s` stay zero (nothing overlaps).
+/// `verify_s` the ABFT interpolate/detect/correct tail. In
+/// [`HaloMode::Snapshot`] every message has been posted before any rank
+/// receives, so `wait_s` is the cost of the channel reads alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Packing + posting halo cells (sends, incl. backpressure).
@@ -594,8 +603,7 @@ pub struct PhaseTimings {
     pub interior_s: f64,
     /// Blocked waiting for neighbour halo cells.
     pub wait_s: f64,
-    /// Edge-frame sweep after the halo landed (whole step in snapshot
-    /// mode).
+    /// Edge-frame sweep after the halo landed.
     pub edge_s: f64,
     /// ABFT verification (interpolation, detection, correction).
     pub verify_s: f64,
@@ -623,14 +631,6 @@ impl PhaseTimings {
     /// Sum of all phases.
     pub fn total_s(&self) -> f64 {
         self.post_s + self.interior_s + self.wait_s + self.edge_s + self.verify_s
-    }
-
-    /// Fold one overlapped step's breakdown into the per-run totals.
-    pub(crate) fn add_step(&mut self, step: &abft_stencil::SplitStepTimes) {
-        self.interior_s += step.interior_s;
-        self.wait_s += step.wait_s;
-        self.edge_s += step.edge_s;
-        self.verify_s += step.verify_s;
     }
 
     /// Fraction of this rank's busy time spent blocked on halos — the
@@ -760,55 +760,6 @@ impl<T: Real> std::fmt::Display for DistReport<T> {
         }
         writeln!(f, "rank busy time {busy}")?;
         write!(f, "halo traffic: {}", self.total_traffic())
-    }
-}
-
-/// A balanced contiguous 1-D partition of `n` rows over `ranks` slabs.
-///
-/// ```
-/// use abft_dist::Partition;
-/// let p = Partition::new(10, 3);
-/// assert_eq!(p.ranks(), 3);
-/// assert_eq!((p.start(1), p.size(1)), (4, 3));
-/// assert_eq!(p.owner(9), (2, 2)); // (rank, slab-local row)
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    slabs: Vec<(usize, usize)>,
-}
-
-impl Partition {
-    /// Partition `n` rows over `ranks` slabs (see [`decompose`]).
-    pub fn new(n: usize, ranks: usize) -> Self {
-        Self {
-            slabs: decompose(n, ranks),
-        }
-    }
-
-    /// Number of slabs.
-    pub fn ranks(&self) -> usize {
-        self.slabs.len()
-    }
-
-    /// First global row of `rank`'s slab.
-    pub fn start(&self, rank: usize) -> usize {
-        self.slabs[rank].0
-    }
-
-    /// Height of `rank`'s slab in rows.
-    pub fn size(&self, rank: usize) -> usize {
-        self.slabs[rank].1
-    }
-
-    /// `(start, len)` slices, in rank order.
-    pub fn slabs(&self) -> &[(usize, usize)] {
-        &self.slabs
-    }
-
-    /// Which rank owns global row `y`, and the row's slab-local index.
-    pub fn owner(&self, y: usize) -> (usize, usize) {
-        let r = axis_owner(&self.slabs, y);
-        (r, y - self.slabs[r].0)
     }
 }
 
@@ -992,18 +943,18 @@ pub fn auto_grid(ranks: usize, nx: usize, ny: usize) -> (usize, usize) {
 ///
 /// This is the [`GhostCells`] source handed to the sweep *and* to the
 /// checksum interpolation, so both see identical neighbour data — the
-/// precondition of [`OnlineAbft::step_with_ghosts`].
+/// precondition of [`OnlineAbft::sweep_shell_and_verify`].
 ///
 /// Cells are stored as one flat buffer of scalars in the rank's canonical
 /// cell order; `index` maps a resolved global `(x, y, z)` to its payload
 /// slot through the strip-backed [`HaloIndex`] (a `(z, y)` line-table
-/// index plus a range check on the edge-sweep hot path; the legacy hash
-/// lookup survives behind `debug_assertions` / the `hash-ghost-path`
-/// feature as the equivalence witness and CI perf baseline).
+/// index plus a range check on the edge-sweep hot path).
 #[derive(Debug, Clone)]
 pub struct HaloGhost<T> {
     index: Arc<HaloIndex>,
-    values: Vec<T>,
+    /// The payload, one scalar per slot of `index`. The stepper fills it
+    /// at every exchange and decays it in place between exchanges.
+    pub(crate) values: Vec<T>,
     bounds: BoundarySpec<T>,
     x0: usize,
     y0: usize,
@@ -1014,18 +965,17 @@ pub struct HaloGhost<T> {
 }
 
 impl<T: Real> HaloGhost<T> {
+    /// A ghost source over `index` whose payload has yet to be exchanged.
     pub(crate) fn new(
         index: Arc<HaloIndex>,
-        values: Vec<T>,
         bounds: BoundarySpec<T>,
         brick: Brick,
         dims: (usize, usize, usize),
     ) -> Self {
         let (nx_global, ny_global, nz_global) = dims;
-        debug_assert_eq!(values.len(), index.len(), "halo payload size");
         Self {
             index,
-            values,
+            values: Vec::new(),
             bounds,
             x0: brick.x0,
             y0: brick.y0,
@@ -1034,12 +984,6 @@ impl<T: Real> HaloGhost<T> {
             ny_global,
             nz_global,
         }
-    }
-
-    /// Consume the ghost, keeping only the payload scalars (in canonical
-    /// slot order — the epoch schedule decays these between sweeps).
-    pub(crate) fn into_values(self) -> Vec<T> {
-        self.values
     }
 }
 
@@ -1562,308 +1506,6 @@ pub(crate) fn gather_report<T: Real>(
         recovery: RecoveryStats::default(),
         steps_per_exchange,
     }
-}
-
-/// The legacy barriered execution: snapshot all requested halo cells on
-/// the driver, then spawn one thread per rank per iteration.
-///
-/// Checkpointing and recovery run in lock-step on the driver: every rank
-/// stores a snapshot when the policy fires, a kill (or an uncorrectable
-/// detection under an armed policy) rolls every rank back to the newest
-/// epoch and the loop replays from there. Without a policy a kill is
-/// fatal ([`DistError::RankLost`]).
-fn run_snapshot<T: Real>(
-    ranks: &mut [Rank<T>],
-    bounds: &BoundarySpec<T>,
-    dims: (usize, usize, usize),
-    iters: usize,
-    policy: Option<CheckpointPolicy>,
-    kills: &[RankKill],
-    steps_per_exchange: usize,
-) -> Result<RecoveryStats, DistError> {
-    let k = steps_per_exchange.max(1);
-    // Verification cadence is job-wide (one `AbftConfig` for all ranks).
-    let cadence = ranks
-        .iter()
-        .find_map(|r| r.abft.as_ref())
-        .map(|a| a.config().cadence)
-        .unwrap_or(VerifyCadence::EveryStep);
-    let mut recovery = RecoveryStats::default();
-    let mut rings: Option<Vec<EpochRing<T>>> = policy.map(|p| {
-        recovery.checkpoint_period = p.period;
-        (0..ranks.len())
-            .map(|_| EpochRing::new(p.keep.unwrap_or(1)))
-            .collect()
-    });
-    let mut kills: Vec<RankKill> = kills.to_vec();
-    let mut aux: Vec<T> = Vec::new();
-    // Roll every rank back to the newest epoch; `fired` is the flip
-    // filter marking which already-fired faults must not replay.
-    let rollback = |ranks: &mut [Rank<T>],
-                    rings: &mut [EpochRing<T>],
-                    recovery: &mut RecoveryStats,
-                    progress: usize,
-                    fired: &dyn Fn(&BitFlip) -> bool|
-     -> usize {
-        let t0 = Instant::now();
-        let e = rings[0].latest_epoch().expect("epoch 0 is always stored");
-        for (rank, ring) in ranks.iter_mut().zip(rings.iter_mut()) {
-            let snap = ring.restore(e);
-            rank.sim.restore(&snap.grid, e);
-            if let Some(a) = rank.abft.as_mut() {
-                a.restore_checksums(&snap.aux);
-            }
-            rank.flips.retain(|f| !fired(f));
-            rank.shell_flips.retain(|f| !fired(f));
-        }
-        recovery.rollbacks += 1;
-        recovery.steps_lost += (progress - e) * ranks.len();
-        recovery.recovery_s += t0.elapsed().as_secs_f64();
-        e
-    };
-    // Wire traffic measured at the copy site: elements copied between
-    // *different* ranks, attributed to the producing and consuming rank
-    // (self-served boundary folds are not wire traffic).
-    let mut sent_elems = vec![0usize; ranks.len()];
-    let mut recv_elems = vec![0usize; ranks.len()];
-    let mut sent_msgs = vec![0u64; ranks.len()];
-    let mut recv_msgs = vec![0u64; ranks.len()];
-    // Per-rank decayed ghost shells, live only *inside* an epoch: the
-    // exchange at j == 0 rebuilds them, a rollback (always to an
-    // exchange-aligned epoch — validate() enforces period % k == 0)
-    // simply drops them. The shell is deliberately never checkpointed.
-    let mut shells: Vec<Option<Vec<T>>> = vec![None; ranks.len()];
-    // Epoch-boundary fault attribution: after an uncorrectable batched
-    // verification, replay the epoch from the last snapshot *with the
-    // fault plan kept* and per-step verification forced on, so the
-    // detection lands on the exact sweep that was hit.
-    let mut attributing = false;
-    let mut verify_until = 0usize;
-    let mut t = 0;
-    let mut start = 0; // rewind target of the latest rollback
-    while t < iters {
-        let j = t % k;
-        if attributing && t >= verify_until {
-            attributing = false;
-        }
-        // --- Checkpoint every rank in lock-step when the policy fires.
-        // Skipped right after a rollback (`t == start`): that epoch is
-        // already stored — except at t = 0, whose overwrite-in-place
-        // keeps the "epoch 0 always exists" invariant trivially true.
-        if policy.is_some_and(|p| p.due(t)) && (t == 0 || t != start) {
-            let rings = rings.as_mut().expect("policy implies rings");
-            for (rank, ring) in ranks.iter().zip(rings.iter_mut()) {
-                match &rank.abft {
-                    Some(a) => a.write_checksum_payload(&mut aux),
-                    None => aux.clear(),
-                }
-                ring.store(rank.sim.current(), &aux, t);
-            }
-        }
-
-        // --- Kill check: a lost rank is detected at iteration start, the
-        // lock-step analogue of the pipeline's dropped-channel cascade.
-        let lost: Vec<RankKill> = kills.iter().copied().filter(|k| k.iter == t).collect();
-        if !lost.is_empty() {
-            let Some(rings) = rings.as_mut() else {
-                return Err(DistError::RankLost {
-                    rank: lost[0].rank,
-                    iter: t,
-                });
-            };
-            // One-shot fault semantics: flips before t fired on the first
-            // pass and must not re-fire on replay; the kills just
-            // consumed are removed the same way.
-            let e = rollback(ranks, rings, &mut recovery, t, &|f| f.iteration < t);
-            kills.retain(|k| k.iter != t);
-            recovery.rank_losses += lost.len();
-            shells.iter_mut().for_each(|s| *s = None);
-            t = e;
-            start = e;
-            continue;
-        }
-
-        // Per-step ABFT verification: always under the default cadence;
-        // under the epoch-batched cadence only on the last sweep of an
-        // epoch, the final sweep of the run, and during an attribution
-        // replay window. Unverified interior sweeps carry the checksums
-        // through Eq. 10's one-step interpolation instead.
-        let verify = match cadence {
-            VerifyCadence::EveryStep => true,
-            VerifyCadence::EpochBoundary => j == k - 1 || t + 1 == iters || t < verify_until,
-        };
-
-        let uncorrectable: usize = if j == 0 {
-            // --- Halo exchange: snapshot every requested time-t cell. --
-            // In an MPI deployment this is the send/recv pairs (face,
-            // edge and corner strips); here the scalars are copied out of
-            // the owning rank's current buffer. One message per remote
-            // producer group per *epoch*, not per sweep.
-            let t0 = Instant::now();
-            let ghosts: Vec<HaloGhost<T>> = ranks
-                .iter()
-                .enumerate()
-                .map(|(consumer, rank)| {
-                    let mut values = Vec::with_capacity(rank.plan.index.len());
-                    for (owner, cells) in &rank.plan.groups {
-                        let owner_brick = ranks[*owner].brick;
-                        let grid = ranks[*owner].sim.current();
-                        let before = values.len();
-                        for &(gx, gy, gz) in cells {
-                            worker::push_cell(
-                                grid,
-                                gx - owner_brick.x0,
-                                gy - owner_brick.y0,
-                                gz - owner_brick.z0,
-                                &mut values,
-                            );
-                        }
-                        if *owner != consumer {
-                            let copied = values.len() - before;
-                            sent_elems[*owner] += copied;
-                            recv_elems[consumer] += copied;
-                            sent_msgs[*owner] += 1;
-                            recv_msgs[consumer] += 1;
-                        }
-                    }
-                    HaloGhost::new(rank.plan.index.clone(), values, *bounds, rank.brick, dims)
-                })
-                .collect();
-            let exchange_share = t0.elapsed().as_secs_f64() / ranks.len() as f64;
-
-            // --- Step all ranks concurrently (one thread per rank),
-            // collecting uncorrectable-error counts for escalation. The
-            // ghost payloads come back out of the threads: they seed the
-            // decaying shells for the epoch's interior sweeps. ----------
-            let stepped: Vec<(usize, HaloGhost<T>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranks
-                    .iter_mut()
-                    .zip(ghosts)
-                    .map(|(rank, ghost)| {
-                        scope.spawn(move || {
-                            let t1 = Instant::now();
-                            let unc = worker::step_rank_barriered(rank, t, &ghost, verify);
-                            rank.timing.edge_s += t1.elapsed().as_secs_f64();
-                            (unc, ghost)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            for rank in ranks.iter_mut() {
-                rank.timing.post_s += exchange_share;
-            }
-            let mut unc_total = 0;
-            for (i, (unc, ghost)) in stepped.into_iter().enumerate() {
-                unc_total += unc;
-                if k > 1 {
-                    shells[i] = Some(ghost.into_values());
-                }
-            }
-            unc_total
-        } else {
-            // --- Interior sweep: no exchange. Each rank first advances
-            // its decayed shell by one sweep (duplicated execution, DMR-
-            // guarded when protected), then steps the brick against the
-            // freshly advanced ghost values.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranks
-                    .iter_mut()
-                    .zip(shells.iter_mut())
-                    .map(|(rank, shell)| {
-                        scope.spawn(move || {
-                            let sched = rank
-                                .shell
-                                .clone()
-                                .expect("steps_per_exchange > 1 implies a shell schedule");
-                            let values =
-                                shell.as_mut().expect("interior sweep inside a live epoch");
-                            let t0 = Instant::now();
-                            let shell_flips = rank.shell_flips_at(t - 1);
-                            let guard = rank.abft.is_some();
-                            let mut scratch = Vec::new();
-                            let (det, corr) = sched.advance(
-                                values,
-                                &mut scratch,
-                                rank.sim.previous(),
-                                rank.sim.current(),
-                                j - 1,
-                                &shell_flips,
-                                guard,
-                            );
-                            if let Some(a) = rank.abft.as_mut() {
-                                a.note_shell_guard(det, corr);
-                            }
-                            rank.timing.post_s += t0.elapsed().as_secs_f64();
-                            let ghost = HaloGhost::new(
-                                rank.plan.index.clone(),
-                                std::mem::take(values),
-                                *bounds,
-                                rank.brick,
-                                dims,
-                            );
-                            let t1 = Instant::now();
-                            let unc = worker::step_rank_barriered(rank, t, &ghost, verify);
-                            rank.timing.edge_s += t1.elapsed().as_secs_f64();
-                            *values = ghost.into_values();
-                            unc
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .sum()
-            })
-        };
-
-        // --- Escalate Eq. 10 correction failure to rollback when armed:
-        // instead of letting a known-wrong grid flow to the answer, replay
-        // from the newest epoch. Step t committed before detection, so
-        // its flips count as fired — consuming them is what makes the
-        // replay converge. Unarmed runs keep the legacy behaviour (the
-        // uncorrectable count is reported via ProtectorStats).
-        //
-        // Under the epoch-batched cadence the first escalation instead
-        // *attributes*: the batched verify only says "somewhere in this
-        // epoch"; replaying with the fault plan kept and per-step
-        // verification forced on pins the detection to the faulty sweep.
-        // Only if that verified replay is again defeated (a genuinely
-        // uncorrectable multi-point hit) does the fault plan get consumed.
-        if uncorrectable > 0 {
-            if let Some(rings) = rings.as_mut() {
-                if cadence == VerifyCadence::EpochBoundary && !attributing {
-                    let e = rings[0].latest_epoch().expect("epoch 0 is always stored");
-                    let e = rollback(ranks, rings, &mut recovery, t + 1, &|f| f.iteration < e);
-                    verify_until = t + 1;
-                    attributing = true;
-                    shells.iter_mut().for_each(|s| *s = None);
-                    t = e;
-                    start = e;
-                    continue;
-                }
-                let e = rollback(ranks, rings, &mut recovery, t + 1, &|f| f.iteration <= t);
-                shells.iter_mut().for_each(|s| *s = None);
-                t = e;
-                start = e;
-                continue;
-            }
-        }
-        t += 1;
-    }
-    for (i, rank) in ranks.iter_mut().enumerate() {
-        rank.timing.halo_bytes_sent += (sent_elems[i] * std::mem::size_of::<T>()) as u64;
-        rank.timing.halo_bytes_recv += (recv_elems[i] * std::mem::size_of::<T>()) as u64;
-        rank.timing.halo_msgs_sent += sent_msgs[i];
-        rank.timing.halo_msgs_recv += recv_msgs[i];
-    }
-    if let Some(rings) = &rings {
-        recovery.checkpoints_stored = rings.iter().map(|r| r.stats().stores).sum();
-    }
-    Ok(recovery)
 }
 
 #[cfg(test)]
@@ -2879,8 +2521,8 @@ mod tests {
         assert!(text.contains("halo traffic"), "{text}");
         assert!(text.contains("corner share"), "{text}");
 
-        // Snapshot mode measures the same wire bytes at its copy site as
-        // the pipelined channels move, and both match the analytic plan.
+        // The lock-step driver moves the same wire bytes as the threaded
+        // one, and both match the analytic plan.
         let snap = run_distributed(
             &initial,
             &stencil,

@@ -86,7 +86,7 @@ pub(crate) struct Ports<T> {
 }
 
 impl<T> Ports<T> {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             sends: Vec::new(),
             recvs: Vec::new(),
@@ -121,8 +121,8 @@ pub(crate) struct Topology<T> {
     /// Per-rank halo plans (cell groups, strip index, traffic volumes),
     /// shared with each job's transient [`crate::Rank`] values.
     pub(crate) plans: Vec<Arc<HaloPlan>>,
-    /// Idle channel-endpoint sets, built lazily on first pipelined use
-    /// (snapshot-mode jobs never need them). A *stack* rather than a
+    /// Idle channel-endpoint sets, built lazily on first use (by either
+    /// driver: both run over channels). A *stack* rather than a
     /// single slot because the concurrent scheduler can run several
     /// same-key jobs side by side: each checks out its own set (building
     /// a fresh one when the stack is empty) and checks it back in after
@@ -228,6 +228,19 @@ impl<T: Real> TopologyCache<T> {
             Some(ports) => ports,
             None => build_ports(&self.entries[i].plans, part),
         }
+    }
+
+    /// A replacement set for a job already in flight, whose channels a lost
+    /// round left unusable (the victims dropped their endpoints
+    /// mid-iteration, survivors may hold stale messages). Re-registers the
+    /// key first if a concurrent panic discarded the entry meanwhile.
+    pub(crate) fn check_out_replacement(
+        &mut self,
+        key: &TopoKey<T>,
+        part: &Partition3,
+    ) -> Vec<Ports<T>> {
+        let _ = self.plans(key, part, &key.bounds);
+        self.check_out(key, part)
     }
 
     /// Return a drained channel-endpoint set for reuse by a later job. A

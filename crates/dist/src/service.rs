@@ -11,7 +11,7 @@
 //! * [`DistService::new`] spawns `pool` long-lived worker threads (one
 //!   rank slot each) plus one scheduler thread; workers park on their
 //!   task channel between tasks. [`DistService::with_config`] additionally
-//!   sets the admission-queue capacity and the scheduling policy.
+//!   sets the admission-queue capacity.
 //! * [`DistService::submit`] validates a [`JobSpec`] *synchronously* —
 //!   malformed jobs are rejected with a structured
 //!   [`DistError`](crate::DistError) at admission, before they can reach
@@ -25,14 +25,14 @@
 //!   side by side. A larger job that does not fit is skipped at most
 //!   [`MAX_OVERTAKES`] times; after that it becomes a head-of-line
 //!   barrier until enough slots drain back — so small jobs exploit
-//!   spare slots without starving big ones. [`SchedPolicy::SerialFifo`]
-//!   restores the strict PR 6 one-at-a-time order as a benchmark
-//!   baseline.
+//!   spare slots without starving big ones. A [`HaloMode::Snapshot`] job
+//!   takes no slots at all: the scheduler thread itself advances its
+//!   ranks in lock-step.
 //! * `submit` returns a [`JobHandle`] that **streams** the result:
 //!   [`JobHandle::wait`] blocks, [`JobHandle::try_result`] polls without
 //!   blocking, and [`JobHandle::on_complete`] registers a callback run
-//!   by the scheduler the moment the report is gathered. The id-based
-//!   [`DistService::await_job`] remains as a thin compatibility wrapper.
+//!   by the scheduler the moment the report is gathered. The handle is
+//!   the only claimant; dropping it unclaimed discards the report.
 //! * [`DistService::shutdown`] (or drop) drains the queue, finishes
 //!   in-flight jobs and joins the pool.
 //!
@@ -47,24 +47,22 @@
 //! bitwise under randomized concurrent mixes).
 //!
 //! **Panic containment**: a rank that panics mid-job is caught in its
-//! pool worker; dropping its channel endpoints cascades the failure to
-//! the job's other ranks (also caught), the job fails with
+//! pool worker (a lock-step job's, in the scheduler); dropping its channel
+//! endpoints cascades the failure to the job's other ranks (also caught),
+//! the job fails with
 //! [`DistError::RankPanicked`](crate::DistError::RankPanicked), the
 //! possibly-stale topology entry is discarded, and the pool itself
 //! survives to serve the next job — including jobs that were running
 //! concurrently with the one that died.
 
-use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
-use crate::worker::{self, RankExit, RankResult, RankTask, TaskDone, Vault};
-use crate::{
-    build_ranks, effective_halo, gather_report, run_snapshot, validate, DistConfig, DistError,
-    DistReport, GridSpec, HaloMode, Partition3, Rank,
-};
+use crate::pipeline::TopologyCache;
+use crate::step::{self, Job, RankExit, RankStepper};
+use crate::worker::{self, RankTask, TaskDone};
+use crate::{validate, DistConfig, DistError, DistReport, GridSpec, HaloMode};
 use abft_checkpoint::CheckpointPolicy;
-use abft_core::{AbftConfig, VerifyCadence};
+use abft_core::AbftConfig;
 use abft_fault::{BitFlip, RankKill};
 use abft_grid::{BoundarySpec, Grid3D};
-use abft_metrics::RecoveryStats;
 use abft_num::Real;
 use abft_stencil::Stencil3D;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -83,8 +81,7 @@ use std::time::Instant;
 /// starvation-free.
 pub const MAX_OVERTAKES: u32 = 8;
 
-/// Identifier of one submitted job; the raw form behind a [`JobHandle`],
-/// used by the [`DistService::await_job`] compatibility path.
+/// Identifier of one submitted job; the raw form behind a [`JobHandle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(u64);
 
@@ -101,29 +98,13 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Scheduling policy for admitted jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Slot-allocating concurrent scheduling (the default): every queued
-    /// job whose rank demand fits the free pool slots starts, skipping
-    /// blocked larger jobs at most [`MAX_OVERTAKES`] times each.
-    #[default]
-    Concurrent,
-    /// Strict one-job-at-a-time FIFO — the PR 6 behaviour, kept as the
-    /// benchmark baseline the concurrency gate compares against.
-    SerialFifo,
-}
-
 /// Construction-time configuration of a [`DistService`].
 ///
 /// ```
-/// use abft_dist::{DistService, SchedPolicy, ServiceConfig};
+/// use abft_dist::{DistService, ServiceConfig};
 ///
-/// let service = DistService::<f64>::with_config(
-///     ServiceConfig::new(8)
-///         .with_queue_capacity(32)
-///         .with_policy(SchedPolicy::Concurrent),
-/// )?;
+/// let service =
+///     DistService::<f64>::with_config(ServiceConfig::new(8).with_queue_capacity(32))?;
 /// assert_eq!(service.pool_size(), 8);
 /// assert_eq!(service.queue_capacity(), 32);
 /// service.shutdown();
@@ -133,20 +114,17 @@ pub enum SchedPolicy {
 pub struct ServiceConfig {
     pool: usize,
     queue_capacity: usize,
-    policy: SchedPolicy,
 }
 
 impl ServiceConfig {
     /// Capacity of the bounded admission queue when none is configured.
     pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-    /// A pool of `pool` rank workers with the default queue capacity and
-    /// the concurrent scheduling policy.
+    /// A pool of `pool` rank workers with the default queue capacity.
     pub fn new(pool: usize) -> Self {
         Self {
             pool,
             queue_capacity: Self::DEFAULT_QUEUE_CAPACITY,
-            policy: SchedPolicy::default(),
         }
     }
 
@@ -155,12 +133,6 @@ impl ServiceConfig {
     /// that can hold no job at all could never serve one).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Select the scheduling policy.
-    pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
         self
     }
 }
@@ -353,12 +325,12 @@ pub struct ServeStats {
     pub topology_hits: u64,
     /// Jobs that had to build their topology.
     pub topology_misses: u64,
-    /// Most jobs ever in flight at once (inline snapshot jobs included).
+    /// Most jobs ever in flight at once (lock-step jobs included).
     pub peak_concurrent: u64,
     /// Simulated ranks lost to kill injections, across all jobs.
     pub rank_losses: u64,
     /// Rollback-and-respawn recovery rounds completed (pipelined
-    /// respawns and snapshot-mode lock-step rollbacks alike).
+    /// respawns and lock-step rollbacks alike).
     pub recoveries: u64,
 }
 
@@ -394,8 +366,7 @@ struct ServeState<T: Real> {
     /// Admitted but not yet completed job ids; its size is what the
     /// bounded admission queue caps.
     pending: HashSet<u64>,
-    /// Completed jobs awaiting claim by a [`JobHandle`] (or the
-    /// [`DistService::await_job`] compatibility path).
+    /// Completed jobs awaiting claim by their [`JobHandle`].
     done: HashMap<u64, Result<DistReport<T>, DistError>>,
     /// Streaming consumers registered via [`JobHandle::on_complete`].
     callbacks: HashMap<u64, Callback<T>>,
@@ -423,20 +394,15 @@ struct WorkerHandle<T: Real> {
     handle: JoinHandle<()>,
 }
 
-/// A claim on one submitted job's [`DistReport`] — the canonical way to
-/// consume results (the id-based [`DistService::await_job`] survives
-/// only as a compatibility wrapper).
+/// The claim on one submitted job's [`DistReport`].
 ///
 /// The handle is deliberately **not** `Clone` and [`JobHandle::wait`]
-/// consumes it, so a pure handle user can never observe
-/// [`DistError::UnknownJob`](crate::DistError::UnknownJob): every handle
-/// claims its own result exactly once, by construction. (Mixing a handle
-/// with `await_job(handle.id())` on the same job re-opens that door —
-/// whichever claims first wins.)
+/// consumes it: every job has exactly one claimant, which claims its
+/// result exactly once, by construction.
 ///
-/// Dropping a handle without claiming leaks the report into the
-/// service's done-map until the service itself is dropped; prefer
-/// [`JobHandle::on_complete`] for fire-and-forget jobs.
+/// Dropping a handle without claiming discards the report the moment the
+/// job finishes; use [`JobHandle::on_complete`] to consume a
+/// fire-and-forget job's result.
 pub struct JobHandle<T: Real> {
     id: u64,
     shared: Arc<Shared<T>>,
@@ -455,8 +421,7 @@ impl<T: Real> std::fmt::Debug for JobHandle<T> {
 }
 
 impl<T: Real> JobHandle<T> {
-    /// The underlying [`JobId`] (for logs, or the `await_job`
-    /// compatibility path).
+    /// The underlying [`JobId`] (for logs).
     pub fn id(&self) -> JobId {
         JobId(self.id)
     }
@@ -464,9 +429,7 @@ impl<T: Real> JobHandle<T> {
     /// Block until the job finishes and claim its report.
     ///
     /// # Errors
-    /// The job's own failure ([`DistError::RankPanicked`]) — or
-    /// [`DistError::UnknownJob`] in the one mixed-API corner where
-    /// `await_job(self.id())` already claimed the report.
+    /// The job's own failure (e.g. [`DistError::RankPanicked`]).
     pub fn wait(mut self) -> Result<DistReport<T>, DistError> {
         if let Some(result) = self.taken.take() {
             return result;
@@ -475,9 +438,6 @@ impl<T: Real> JobHandle<T> {
         loop {
             if let Some(result) = state.done.remove(&self.id) {
                 return result;
-            }
-            if !state.pending.contains(&self.id) {
-                return Err(DistError::UnknownJob { id: self.id });
             }
             state = self.shared.cv.wait(state).unwrap();
         }
@@ -490,13 +450,7 @@ impl<T: Real> JobHandle<T> {
     /// service.
     pub fn try_result(&mut self) -> Option<&Result<DistReport<T>, DistError>> {
         if self.taken.is_none() {
-            let mut state = self.shared.state.lock().unwrap();
-            if let Some(result) = state.done.remove(&self.id) {
-                self.taken = Some(result);
-            } else if !state.pending.contains(&self.id) {
-                // Mixed-API corner: await_job already claimed it.
-                self.taken = Some(Err(DistError::UnknownJob { id: self.id }));
-            }
+            self.taken = self.shared.state.lock().unwrap().done.remove(&self.id);
         }
         self.taken.as_ref()
     }
@@ -515,14 +469,34 @@ impl<T: Real> JobHandle<T> {
             return;
         }
         let mut state = self.shared.state.lock().unwrap();
-        if let Some(result) = state.done.remove(&self.id) {
-            drop(state);
-            f(result);
-        } else if state.pending.contains(&self.id) {
-            state.callbacks.insert(self.id, Box::new(f));
+        match state.done.remove(&self.id) {
+            Some(result) => {
+                drop(state);
+                f(result);
+            }
+            None => {
+                state.callbacks.insert(self.id, Box::new(f));
+            }
         }
-        // Else: the mixed-API corner (await_job claimed the report
-        // first); there is no result left to deliver.
+    }
+}
+
+impl<T: Real> Drop for JobHandle<T> {
+    /// Discard a result nobody can claim any more: remove it if the job
+    /// has finished, else leave a callback that drops it when it does — a
+    /// callback [`JobHandle::on_complete`] registered stays in place.
+    fn drop(&mut self) {
+        // A poisoned lock means the service is already failing loudly
+        // elsewhere; a destructor must not add a second panic.
+        let Ok(mut state) = self.shared.state.lock() else {
+            return;
+        };
+        if state.done.remove(&self.id).is_none() && state.pending.contains(&self.id) {
+            state
+                .callbacks
+                .entry(self.id)
+                .or_insert_with(|| Box::new(drop));
+        }
     }
 }
 
@@ -592,10 +566,9 @@ impl<T: Real> DistService<T> {
             cv: Condvar::new(),
         });
         let sched_shared = Arc::clone(&shared);
-        let policy = config.policy;
         let scheduler = std::thread::Builder::new()
             .name("abft-serve-scheduler".to_string())
-            .spawn(move || Scheduler::new(sched_shared, workers, policy).run(event_rx))
+            .spawn(move || Scheduler::new(sched_shared, workers).run(event_rx))
             .expect("spawn scheduler");
         Ok(Self {
             to_scheduler: Some(event_tx),
@@ -713,28 +686,6 @@ impl<T: Real> DistService<T> {
         })
     }
 
-    /// Block until `id`'s report is ready and claim it — the pre-handle
-    /// compatibility surface. Each report can be claimed exactly once;
-    /// prefer keeping the [`JobHandle`] from `submit`, which cannot
-    /// mis-claim.
-    ///
-    /// # Errors
-    /// The job's own failure ([`DistError::RankPanicked`]), or
-    /// [`DistError::UnknownJob`] when `id` was never admitted here or
-    /// its report was already claimed (by this method or a handle).
-    pub fn await_job(&self, id: JobId) -> Result<DistReport<T>, DistError> {
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.done.remove(&id.0) {
-                return result;
-            }
-            if !state.pending.contains(&id.0) {
-                return Err(DistError::UnknownJob { id: id.0 });
-            }
-            state = self.shared.cv.wait(state).unwrap();
-        }
-    }
-
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServeStats {
         self.shared.state.lock().unwrap().stats
@@ -785,8 +736,8 @@ fn strict_halo<T: Real>(spec: &JobSpec<T>, grid: (usize, usize, usize)) -> Resul
 }
 
 /// How many pool slots `spec` occupies while running: one per rank in
-/// pipelined mode, none in snapshot mode (snapshot jobs run inline on
-/// the scheduler thread with scoped threads of their own).
+/// pipelined mode, none in snapshot mode (the lock-step driver advances
+/// every rank inline on the scheduler thread).
 fn slots_needed<T: Real>(spec: &JobSpec<T>) -> usize {
     match spec.cfg.mode {
         HaloMode::Pipelined => spec.cfg.ranks,
@@ -835,97 +786,29 @@ struct QueuedJob<T: Real> {
     overtaken: u32,
 }
 
-/// One in-flight pipelined job: completion slots for its ranks and the
-/// context needed to gather and stamp its report — plus everything a
-/// rollback-and-respawn recovery needs to re-dispatch the job's ranks
-/// from the newest common checkpoint epoch.
+/// One in-flight pipelined job: its ranks' steppers as they come home from
+/// the workers, and the context needed to roll it back or to gather and
+/// stamp its report.
 struct Running<T: Real> {
     submitted: Instant,
     started: Instant,
-    key: TopoKey<T>,
-    part: Partition3,
-    grid: (usize, usize, usize),
-    dims: (usize, usize, usize),
-    bounds: BoundarySpec<T>,
-    iters: usize,
-    ranks: Vec<Option<Rank<T>>>,
-    ports: Vec<Option<Ports<T>>>,
+    job: Job<T>,
+    /// Each rank's stepper once its task has ended (`None` while it is on
+    /// a worker, or after a panic dropped it).
+    steppers: Vec<Option<RankStepper<T>>>,
+    /// How each rank's latest round ended.
+    exits: Vec<Result<(), RankExit>>,
     remaining: usize,
     /// Lowest failing rank and its panic message (the cascade's
     /// "producer/consumer hung up" echoes from higher ranks are noise).
     failure: Option<(usize, String)>,
-    /// The job's checkpoint vault when a policy is armed; `None` means a
-    /// rank loss is unrecoverable.
-    vault: Option<Arc<Vault<T>>>,
-    /// Kill plans that have not fired yet.
-    kills: Vec<RankKill>,
-    /// Per-rank replay bound: the first iteration each rank has *not*
-    /// durably executed, from the latest round's exits.
-    progress: Vec<usize>,
-    /// True when some rank of the current round aborted (killed, peer
-    /// loss, or uncorrectable escalation).
-    aborted: bool,
-    /// Lowest killed rank and its iteration — the root cause reported
-    /// when no vault is armed.
-    lost: Option<(usize, usize)>,
-    /// When the current recovery round was detected (for `recovery_s`).
-    recovery_began: Option<Instant>,
-    recovery: RecoveryStats,
-    /// Sweeps per halo exchange (the epoch length; 1 is per-step legacy).
-    steps_per_exchange: usize,
-    /// True when the job verifies checksums at epoch boundaries only —
-    /// an uncorrectable abort then triggers an *attribution* replay
-    /// (per-step verification with the faults re-enabled) instead of the
-    /// standard consume-and-replay round.
-    epoch_verify: bool,
-    /// True when some rank of the current round exited with an
-    /// uncorrectable-detection abort.
-    uncorrectable_round: bool,
-    /// True while the current round *is* the attribution replay, so a
-    /// second uncorrectable exit falls back to standard consumption
-    /// instead of looping.
-    attributing: bool,
-    /// Iteration bound of per-step verification during an attribution
-    /// replay (0 outside one).
-    verify_until: usize,
 }
 
-/// A job's pre-dispatch state: everything built under the scheduler's
-/// panic guard before any task is sent, so a build-phase panic can never
-/// leave half a job on the pool.
-struct Prepared<T: Real> {
-    key: TopoKey<T>,
-    part: Partition3,
-    grid: (usize, usize, usize),
-    dims: (usize, usize, usize),
-    ranks: Vec<Rank<T>>,
-    /// `Some` for pipelined jobs (checked out of the topology cache),
-    /// `None` for inline snapshot jobs.
-    ports: Option<Vec<Ports<T>>>,
-}
-
-/// Ring depth covering the pipeline's maximum epoch skew, so the newest
-/// epoch common to every ring always exists: neighbouring ranks drift at
-/// most `CHANNEL_DEPTH + 1` iterations apart, the drift compounds across
-/// the rank grid's diameter, and `+2` covers the boundary epochs of the
-/// window. An explicit [`CheckpointPolicy::with_keep`] overrides.
-fn ring_keep(
-    policy: CheckpointPolicy,
-    (rx, ry, rz): (usize, usize, usize),
-    steps_per_exchange: usize,
-) -> usize {
-    policy.keep.unwrap_or_else(|| {
-        let diam = ((rx - 1) + (ry - 1) + (rz - 1)).max(1);
-        // Epoch batching scales the skew: neighbours drift in whole
-        // exchange epochs of `steps_per_exchange` iterations each.
-        let skew = (CHANNEL_DEPTH + 1) * steps_per_exchange.max(1) * diam;
-        skew.div_ceil(policy.period) + 2
-    })
-}
-
-/// The earliest unfired kill plan for rank `idx`.
-fn next_kill(kills: &[RankKill], idx: usize) -> Option<usize> {
-    kills.iter().filter(|k| k.rank == idx).map(|k| k.iter).min()
+impl<T: Real> Running<T> {
+    /// Every stepper that has come home, in rank order.
+    fn take_steppers(&mut self) -> Vec<RankStepper<T>> {
+        self.steppers.iter_mut().flat_map(Option::take).collect()
+    }
 }
 
 /// The scheduler thread's whole world: free-slot accounting, the
@@ -934,15 +817,13 @@ fn next_kill(kills: &[RankKill], idx: usize) -> Option<usize> {
 struct Scheduler<T: Real> {
     shared: Arc<Shared<T>>,
     workers: Vec<WorkerHandle<T>>,
-    policy: SchedPolicy,
     cache: TopologyCache<T>,
     queue: VecDeque<QueuedJob<T>>,
     running: HashMap<u64, Running<T>>,
-    /// Jobs whose ranks all exited with a recoverable abort, waiting for
-    /// enough free slots to respawn. Served before any queued admission —
-    /// a waiting recovery is a head-of-line barrier, so the slots its
-    /// job just released (plus any that drain back) cannot be stolen
-    /// from under it indefinitely.
+    /// Rolled-back jobs waiting for enough free slots to respawn. Served
+    /// before any queued admission — a waiting recovery is a head-of-line
+    /// barrier, so the slots its job just released (plus any that drain
+    /// back) cannot be stolen from under it indefinitely.
     pending_recovery: VecDeque<u64>,
     /// Free pool-slot indices (a worker is free again the moment its
     /// completion event arrives — not when its whole job finishes).
@@ -953,12 +834,11 @@ struct Scheduler<T: Real> {
 }
 
 impl<T: Real> Scheduler<T> {
-    fn new(shared: Arc<Shared<T>>, workers: Vec<WorkerHandle<T>>, policy: SchedPolicy) -> Self {
+    fn new(shared: Arc<Shared<T>>, workers: Vec<WorkerHandle<T>>) -> Self {
         let free = (0..workers.len()).collect();
         Self {
             shared,
             workers,
-            policy,
             cache: TopologyCache::new(),
             queue: VecDeque::new(),
             running: HashMap::new(),
@@ -1005,7 +885,7 @@ impl<T: Real> Scheduler<T> {
                 .running
                 .get(&id)
                 .expect("recovering job is in flight")
-                .ranks
+                .steppers
                 .len();
             if need > self.free.len() {
                 return;
@@ -1018,22 +898,7 @@ impl<T: Real> Scheduler<T> {
             .iter()
             .map(|q| (slots_needed(&q.adm.spec), q.overtaken))
             .collect();
-        let picks = match self.policy {
-            SchedPolicy::Concurrent => {
-                plan_admissions(&mut demands, self.free.len(), MAX_OVERTAKES)
-            }
-            SchedPolicy::SerialFifo => {
-                if self.running.is_empty()
-                    && demands
-                        .first()
-                        .is_some_and(|&(need, _)| need <= self.free.len())
-                {
-                    vec![0]
-                } else {
-                    Vec::new()
-                }
-            }
-        };
+        let picks = plan_admissions(&mut demands, self.free.len(), MAX_OVERTAKES);
         for (q, &(_, overtaken)) in self.queue.iter_mut().zip(&demands) {
             q.overtaken = overtaken;
         }
@@ -1047,12 +912,13 @@ impl<T: Real> Scheduler<T> {
     }
 
     /// Build one admitted job under a panic guard and either dispatch
-    /// its ranks onto free slots (pipelined) or run it inline
-    /// (snapshot).
+    /// its ranks onto free slots (pipelined) or drive it in lock-step on
+    /// this thread (snapshot).
     fn start_job(&mut self, adm: Admitted<T>) {
         let started = Instant::now();
-        let prepared = match catch_unwind(AssertUnwindSafe(|| self.prepare(&adm.spec))) {
-            Ok(Ok(prepared)) => prepared,
+        let built = catch_unwind(AssertUnwindSafe(|| Job::build(&adm.spec, &mut self.cache)));
+        let (job, steppers) = match built {
+            Ok(Ok(built)) => built,
             Ok(Err(e)) => {
                 self.publish(adm.id, Err(e));
                 return;
@@ -1061,122 +927,27 @@ impl<T: Real> Scheduler<T> {
                 // A panic in validate/plan/build: nothing reached the
                 // pool, but the cache may hold a half-built entry.
                 self.cache.clear();
-                self.publish(
-                    adm.id,
-                    Err(DistError::RankPanicked {
-                        rank: None,
-                        message: worker::panic_message(payload),
-                    }),
-                );
+                self.publish(adm.id, Err(panicked(payload)));
                 return;
             }
         };
-        match prepared.ports {
-            None => {
-                // Snapshot jobs occupy no pool slots: they run inline on
-                // the scheduler thread with scoped threads of their own
-                // (concurrent pipelined jobs keep computing meanwhile;
-                // only scheduling decisions pause).
-                self.peak = self.peak.max(self.running.len() as u64 + 1);
-                let Prepared {
-                    grid,
-                    dims,
-                    mut ranks,
-                    ..
-                } = prepared;
-                let bounds = adm.spec.bounds;
-                let iters = adm.spec.cfg.iters;
-                let policy = adm.spec.cfg.checkpoint;
-                let kills = adm.spec.cfg.kills.clone();
-                let k = adm.spec.cfg.steps_per_exchange;
-                let outcome = catch_unwind(AssertUnwindSafe(move || {
-                    let wall = Instant::now();
-                    run_snapshot(&mut ranks, &bounds, dims, iters, policy, &kills, k).map(
-                        |recovery| {
-                            let mut report =
-                                gather_report(ranks, grid, dims, wall.elapsed().as_secs_f64(), k);
-                            report.recovery = recovery;
-                            report
-                        },
-                    )
-                }));
-                let result = match outcome {
-                    Ok(result) => {
-                        if let Ok(report) = &result {
-                            self.rank_losses += report.recovery.rank_losses as u64;
-                            self.recoveries += report.recovery.rollbacks as u64;
-                        }
-                        result
-                    }
-                    Err(payload) => Err(DistError::RankPanicked {
-                        rank: None,
-                        message: worker::panic_message(payload),
-                    }),
-                };
-                self.publish(adm.id, stamp(result, adm.submitted, started));
+        match adm.spec.cfg.mode {
+            HaloMode::Snapshot => {
+                self.drive_lockstep(adm.id, job, steppers, adm.submitted, started)
             }
-            Some(ports) => {
-                let count = prepared.ranks.len();
-                let k = adm.spec.cfg.steps_per_exchange;
-                let vault =
-                    adm.spec.cfg.checkpoint.map(|p| {
-                        Arc::new(Vault::new(p.period, ring_keep(p, prepared.grid, k), count))
-                    });
-                let kills = adm.spec.cfg.kills.clone();
-                let mut ranks = prepared.ranks;
-                for (idx, (rank, port)) in ranks.drain(..).zip(ports).enumerate() {
-                    let slot = self.free.pop().expect("admission guaranteed free slots");
-                    let task = RankTask {
-                        job: adm.id,
-                        slot,
-                        idx,
-                        rank,
-                        ports: port,
-                        bounds: adm.spec.bounds,
-                        dims: prepared.dims,
-                        iters: adm.spec.cfg.iters,
-                        start: 0,
-                        kill: next_kill(&kills, idx),
-                        vault: vault.clone(),
-                        steps_per_exchange: k,
-                        verify_until: 0,
-                    };
-                    self.workers[slot]
-                        .tx
-                        .send(task)
-                        .expect("pool worker hung up");
-                }
+            HaloMode::Pipelined => {
+                let count = steppers.len();
+                self.dispatch(adm.id, steppers);
                 self.running.insert(
                     adm.id,
                     Running {
                         submitted: adm.submitted,
                         started,
-                        key: prepared.key,
-                        part: prepared.part,
-                        grid: prepared.grid,
-                        dims: prepared.dims,
-                        bounds: adm.spec.bounds,
-                        iters: adm.spec.cfg.iters,
-                        ranks: (0..count).map(|_| None).collect(),
-                        ports: (0..count).map(|_| None).collect(),
+                        job,
+                        steppers: (0..count).map(|_| None).collect(),
+                        exits: vec![Ok(()); count],
                         remaining: count,
                         failure: None,
-                        vault,
-                        kills,
-                        progress: vec![0; count],
-                        aborted: false,
-                        lost: None,
-                        recovery_began: None,
-                        recovery: RecoveryStats::default(),
-                        steps_per_exchange: k,
-                        epoch_verify: adm
-                            .spec
-                            .cfg
-                            .abft
-                            .is_some_and(|a| a.cadence == VerifyCadence::EpochBoundary),
-                        uncorrectable_round: false,
-                        attributing: false,
-                        verify_until: 0,
                     },
                 );
                 self.peak = self.peak.max(self.running.len() as u64);
@@ -1184,307 +955,149 @@ impl<T: Real> Scheduler<T> {
         }
     }
 
-    /// Resolve one job's topology (cache hit or build) and construct its
-    /// fresh per-job rank state. Pure build work — no task leaves the
-    /// scheduler here, which is what lets `start_job` treat a panic as
-    /// "nothing happened yet".
-    fn prepare(&mut self, spec: &JobSpec<T>) -> Result<Prepared<T>, DistError> {
-        // Re-validate: admission already did, but the scheduler must
-        // never trust a handed-over spec enough to panic a pooled worker.
-        let part = validate(
-            &spec.initial,
-            &spec.stencil,
-            &spec.bounds,
-            spec.constant.as_ref(),
-            &spec.cfg,
-        )?;
-        let dims = spec.initial.dims();
-        let grid = (part.rx(), part.ry(), part.rz());
-        let halo = effective_halo(&spec.cfg, &spec.stencil, grid);
-        let key = TopoKey {
-            dims,
-            grid,
-            halo,
-            bounds: spec.bounds,
-        };
-        let plans = self.cache.plans(&key, &part, &spec.bounds);
-        let ranks = build_ranks(
-            &spec.initial,
-            &spec.stencil,
-            &spec.bounds,
-            spec.constant.as_ref(),
-            &spec.cfg,
-            &part,
-            &plans,
-        );
-        let ports = match spec.cfg.mode {
-            HaloMode::Pipelined => {
-                if ranks.len() > self.workers.len() {
-                    return Err(DistError::PoolTooSmall {
-                        ranks: ranks.len(),
-                        pool: self.workers.len(),
-                    });
-                }
-                Some(self.cache.check_out(&key, &part))
-            }
-            HaloMode::Snapshot => None,
-        };
-        Ok(Prepared {
-            key,
-            part,
-            grid,
-            dims,
-            ranks,
-            ports,
-        })
-    }
-
-    /// Fold one rank completion into its job; when it is the job's last,
-    /// either gather and publish, or — when a rank was lost and a vault
-    /// is armed — queue a rollback-and-respawn round instead.
-    fn handle_done(&mut self, done: TaskDone<T>) {
-        // The worker parked the moment it sent this event: its slot is
-        // free even though the job may still be waiting on siblings.
-        self.free.push(done.slot);
-        let Some(job) = self.running.get_mut(&done.job) else {
-            // A completion for a job the scheduler no longer tracks —
-            // unreachable under the no-dispatch-before-prepare rule, but
-            // the recycled slot keeps even a bug from leaking capacity.
-            return;
-        };
-        match done.result {
-            RankResult::Finished(rank, ports) => {
-                job.progress[done.idx] = job.iters;
-                job.ranks[done.idx] = Some(rank);
-                job.ports[done.idx] = Some(ports);
-            }
-            RankResult::Aborted { rank, exit } => {
-                job.aborted = true;
-                job.progress[done.idx] = exit.progress(job.iters);
-                job.ranks[done.idx] = Some(rank);
-                if matches!(exit, RankExit::Uncorrectable { .. }) {
-                    job.uncorrectable_round = true;
-                }
-                if let RankExit::Killed { iter } = exit {
-                    self.rank_losses += 1;
-                    job.recovery.rank_losses += 1;
-                    job.kills
-                        .retain(|k| !(k.rank == done.idx && k.iter == iter));
-                    if job.lost.is_none_or(|(r, _)| done.idx < r) {
-                        job.lost = Some((done.idx, iter));
-                    }
-                }
-            }
-            RankResult::Panicked(message) => {
-                if job.failure.as_ref().is_none_or(|(r, _)| done.idx < *r) {
-                    job.failure = Some((done.idx, message));
-                }
-            }
-        }
-        job.remaining -= 1;
-        if job.remaining > 0 {
-            return;
-        }
-        // Every rank has exited. A panic anywhere is fatal for the job
-        // (a panicked rank's state is gone — there is nothing to roll
-        // back); a recoverable abort with a vault queues a respawn.
-        if job.failure.is_none() && job.aborted {
-            if job.vault.is_some() {
-                job.recovery_began = Some(Instant::now());
-                self.pending_recovery.push_back(done.job);
-                // admit_ready (run after every event) performs the
-                // respawn as soon as enough slots are free.
-                return;
-            }
-            let job = self.running.remove(&done.job).expect("job is in flight");
-            let (rank, iter) = job.lost.expect("abort without a panic implies a kill");
-            self.publish(
-                done.job,
-                stamp(
-                    Err(DistError::RankLost { rank, iter }),
-                    job.submitted,
-                    job.started,
-                ),
-            );
-            return;
-        }
-        let job = self.running.remove(&done.job).expect("job is in flight");
-        let Running {
-            submitted,
-            started,
-            key,
-            grid,
-            dims,
-            ranks,
-            ports,
-            failure,
-            vault,
-            mut recovery,
-            steps_per_exchange,
-            ..
-        } = job;
-        let result = if let Some((rank, message)) = failure {
-            // The job died mid-exchange: its channels may hold stale
-            // messages, so the topology entry cannot be reused.
-            self.cache.discard(&key);
-            Err(DistError::RankPanicked {
-                rank: Some(rank),
-                message,
-            })
-        } else {
-            match catch_unwind(AssertUnwindSafe(move || {
-                let ranks: Vec<Rank<T>> = ranks
-                    .into_iter()
-                    .map(|r| r.expect("every rank reported"))
-                    .collect();
-                gather_report(
-                    ranks,
-                    grid,
-                    dims,
-                    started.elapsed().as_secs_f64(),
-                    steps_per_exchange,
-                )
-            })) {
-                Ok(mut report) => {
-                    self.cache.check_in(
-                        &key,
-                        ports
-                            .into_iter()
-                            .map(|p| p.expect("every rank reported"))
-                            .collect(),
-                    );
-                    if let Some(v) = &vault {
-                        recovery.checkpoints_stored = v.stores();
-                        recovery.checkpoint_period = v.period;
-                    }
-                    report.recovery = recovery;
-                    Ok(report)
-                }
-                Err(payload) => {
-                    self.cache.discard(&key);
-                    Err(DistError::RankPanicked {
-                        rank: None,
-                        message: worker::panic_message(payload),
-                    })
-                }
-            }
-        };
-        self.publish(done.job, stamp(result, submitted, started));
-    }
-
-    /// One recovery round: roll every rank of a fully-exited job back to
-    /// the vault's newest common epoch, consume the faults that already
-    /// fired, and re-dispatch all ranks over a fresh channel set with
-    /// `start` at the rollback epoch. The replayed run's final grid is
-    /// bitwise what the fault-free run produces: snapshots capture
-    /// exactly the committed state (grid + trusted checksums), and the
-    /// replay performs the identical sweeps in the identical order.
-    fn respawn(&mut self, id: u64) {
-        let mut job = self.running.remove(&id).expect("job is in flight");
-        let vault = Arc::clone(job.vault.as_ref().expect("respawn requires a vault"));
-        let Some(e) = vault.common_epoch() else {
-            // An explicit `with_keep` shallower than the pipeline's epoch
-            // skew evicted the overlap: there is no epoch every rank can
-            // roll back to. Fail this job with a typed error — the
-            // auto-sized ring depth makes this unreachable, but a user-
-            // pinned depth must not panic the scheduler (which would
-            // strand every waiter and kill the whole service).
-            let keep = vault.rings[0].lock().expect("vault ring poisoned").keep();
+    /// Run a built job to its end in lock-step on this thread, under a
+    /// panic guard. It occupies no pool slots (concurrent pipelined jobs
+    /// keep computing meanwhile; only scheduling decisions pause).
+    fn drive_lockstep(
+        &mut self,
+        id: u64,
+        mut job: Job<T>,
+        steppers: Vec<RankStepper<T>>,
+        submitted: Instant,
+        started: Instant,
+    ) {
+        self.peak = self.peak.max(self.running.len() as u64 + 1);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            step::run_lockstep(&mut job, steppers, &mut self.cache)
+        }))
+        .unwrap_or_else(|payload| {
+            // Same hygiene as after a pipelined job's panic: do not reuse
+            // the topology entry the dead job's channels came from.
             self.cache.discard(&job.key);
-            self.publish(
-                id,
-                stamp(
-                    Err(DistError::NoCommonEpoch { keep }),
-                    job.submitted,
-                    job.started,
-                ),
-            );
-            return;
-        };
-        let count = job.ranks.len();
-        // An uncorrectable exit under epoch-boundary verification means a
-        // fault struck *somewhere inside* the failed epoch — the batched
-        // comparison cannot say where. The attribution replay re-enables
-        // the faults that fired since the rollback target and re-runs
-        // with per-step verification, which pins (and corrects) each
-        // fault at its true step. A kill-triggered round, or a second
-        // uncorrectable round, uses the standard consume-and-replay
-        // semantics instead.
-        let attribute = job.epoch_verify && job.uncorrectable_round && !job.attributing;
-        let verify_until = if attribute {
-            job.progress.iter().copied().max().unwrap_or(0)
-        } else {
-            0
-        };
-        for (idx, slot) in job.ranks.iter_mut().enumerate() {
-            let rank = slot.as_mut().expect("every rank reported");
-            let mut ring = vault.rings[idx].lock().expect("vault ring poisoned");
-            // Ranks that ran ahead of the rollback target still retain
-            // epochs newer than `e`. The replay re-reaches those epochs
-            // and stores them again, so drop the stale copies now — the
-            // ring's in-order assert would otherwise panic the worker on
-            // the first re-store (a recoverable loss turned fatal).
-            ring.truncate_after(e);
-            let snap = ring.restore(e);
-            rank.sim.restore(&snap.grid, e);
-            if let Some(a) = rank.abft.as_mut() {
-                a.restore_checksums(&snap.aux);
-            }
-            // One-shot fault semantics: flips below this rank's progress
-            // fired (and were committed) on the lost attempt; only the
-            // rest may fire again during replay — except during an
-            // attribution replay, which deliberately re-fires everything
-            // after the rollback target so per-step verification can
-            // catch each fault at its own step.
-            let progress = job.progress[idx];
-            let keep_from = if attribute { e } else { progress };
-            rank.flips.retain(|f| f.iteration >= keep_from);
-            rank.shell_flips.retain(|f| f.iteration >= keep_from);
-            job.recovery.steps_lost += progress - e;
-        }
-        // The lost round's channels are unusable (the victims dropped
-        // their endpoints mid-iteration): drop the surviving halves and
-        // check out a fresh set. plans() re-registers the key if a
-        // concurrent panic discarded the cache entry meanwhile.
-        job.ports = (0..count).map(|_| None).collect();
-        let _ = self.cache.plans(&job.key, &job.part, &job.bounds);
-        let ports = self.cache.check_out(&job.key, &job.part);
-        for (idx, (slot, port)) in job.ranks.iter_mut().zip(ports).enumerate() {
-            let rank = slot.take().expect("every rank reported");
-            let worker_slot = self.free.pop().expect("respawn waited for enough slots");
+            Err(panicked(payload))
+        });
+        self.retire(id, &job, result, submitted, started);
+    }
+
+    /// Send each stepper of job `id` to a free pool worker.
+    fn dispatch(&mut self, id: u64, steppers: Vec<RankStepper<T>>) {
+        for stepper in steppers {
+            let slot = self.free.pop().expect("admission guaranteed free slots");
             let task = RankTask {
                 job: id,
-                slot: worker_slot,
-                idx,
-                rank,
-                ports: port,
-                bounds: job.bounds,
-                dims: job.dims,
-                iters: job.iters,
-                start: e,
-                kill: next_kill(&job.kills, idx),
-                vault: Some(Arc::clone(&vault)),
-                steps_per_exchange: job.steps_per_exchange,
-                verify_until,
+                slot,
+                stepper,
             };
-            self.workers[worker_slot]
+            self.workers[slot]
                 .tx
                 .send(task)
                 .expect("pool worker hung up");
         }
-        job.progress = vec![e; count];
-        job.remaining = count;
-        job.aborted = false;
-        job.lost = None;
-        job.attributing = attribute;
-        job.uncorrectable_round = false;
-        job.verify_until = verify_until;
-        job.recovery.rollbacks += 1;
-        if let Some(began) = job.recovery_began.take() {
-            job.recovery.recovery_s += began.elapsed().as_secs_f64();
+    }
+
+    /// Fold one rank completion into its job; when it is the job's last,
+    /// either gather and publish, or — when some rank stopped early —
+    /// queue a rollback-and-respawn round instead.
+    fn handle_done(&mut self, done: TaskDone<T>) {
+        // The worker parked the moment it sent this event: its slot is
+        // free even though the job may still be waiting on siblings.
+        self.free.push(done.slot);
+        let Some(run) = self.running.get_mut(&done.job) else {
+            // A completion for a job the scheduler no longer tracks —
+            // unreachable under the no-dispatch-before-build rule, but
+            // the recycled slot keeps even a bug from leaking capacity.
+            return;
+        };
+        match done.result {
+            Ok((stepper, exit)) => {
+                run.steppers[done.idx] = Some(stepper);
+                run.exits[done.idx] = exit;
+            }
+            Err(message) => {
+                if run.failure.as_ref().is_none_or(|(r, _)| done.idx < *r) {
+                    run.failure = Some((done.idx, message));
+                }
+            }
         }
-        self.recoveries += 1;
-        self.running.insert(id, job);
+        run.remaining -= 1;
+        if run.remaining > 0 {
+            return;
+        }
+        // Every rank has exited. A panic anywhere is fatal for the job
+        // (a panicked rank's state is gone — there is nothing to roll
+        // back); any other early exit starts a recovery round.
+        if run.failure.is_none() && run.exits.iter().any(Result::is_err) {
+            self.recover(done.job);
+            return;
+        }
+        let mut run = self.running.remove(&done.job).expect("job is in flight");
+        let result = match run.failure.take() {
+            Some((rank, message)) => Err(DistError::RankPanicked {
+                rank: Some(rank),
+                message,
+            }),
+            None => {
+                let steppers = run.take_steppers();
+                let wall_s = run.started.elapsed().as_secs_f64();
+                catch_unwind(AssertUnwindSafe(|| {
+                    run.job.finish(steppers, &mut self.cache, wall_s)
+                }))
+                .map_err(panicked)
+            }
+        };
+        if result.is_err() {
+            // The job died mid-exchange: its channels may hold stale
+            // messages, so the topology entry cannot be reused.
+            self.cache.discard(&run.job.key);
+        }
+        self.retire(done.job, &run.job, result, run.submitted, run.started);
+    }
+
+    /// One recovery round of a fully-exited job: roll every rank back
+    /// ([`Job::rollback`]) over a fresh channel set and queue the
+    /// re-dispatch, which admit_ready (run after every event) performs as
+    /// soon as enough slots are free.
+    fn recover(&mut self, id: u64) {
+        let began = Instant::now();
+        let run = self.running.get_mut(&id).expect("job is in flight");
+        let mut steppers = run.take_steppers();
+        let ports = self
+            .cache
+            .check_out_replacement(&run.job.key, &run.job.part);
+        match run.job.rollback(&mut steppers, &run.exits, ports, began) {
+            Ok(()) => {
+                run.steppers = steppers.into_iter().map(Some).collect();
+                self.pending_recovery.push_back(id);
+            }
+            Err(e) => {
+                let run = self.running.remove(&id).expect("job is in flight");
+                self.retire(id, &run.job, Err(e), run.submitted, run.started);
+            }
+        }
+    }
+
+    /// Send the rolled-back ranks of job `id` out again.
+    fn respawn(&mut self, id: u64) {
+        let run = self.running.get_mut(&id).expect("job is in flight");
+        let steppers = run.take_steppers();
+        run.remaining = steppers.len();
+        run.exits.fill(Ok(()));
+        self.dispatch(id, steppers);
+    }
+
+    /// A job has left the scheduler, one way or the other: fold its
+    /// recovery ledger into the service counters, stamp and publish.
+    fn retire(
+        &mut self,
+        id: u64,
+        job: &Job<T>,
+        result: Result<DistReport<T>, DistError>,
+        submitted: Instant,
+        started: Instant,
+    ) {
+        self.rank_losses += job.recovery.rank_losses as u64;
+        self.recoveries += job.recovery.rollbacks as u64;
+        self.publish(id, stamp(result, submitted, started));
     }
 
     /// Record one job's outcome: update the counters, hand the result to
@@ -1516,6 +1129,14 @@ impl<T: Real> Scheduler<T> {
                 self.shared.cv.notify_all();
             }
         }
+    }
+}
+
+/// A panic caught outside any one rank's containment.
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> DistError {
+    DistError::RankPanicked {
+        rank: None,
+        message: worker::panic_message(payload),
     }
 }
 
@@ -1746,23 +1367,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_fifo_policy_never_overlaps_jobs() {
-        let service = DistService::<f64>::with_config(
-            ServiceConfig::new(4).with_policy(SchedPolicy::SerialFifo),
-        )
-        .unwrap();
-        let gate = block_scheduler(&service);
-        let handles: Vec<JobHandle<f64>> =
-            (0..4).map(|_| service.submit(job(1, 6)).unwrap()).collect();
-        gate.send(()).unwrap();
-        for handle in handles {
-            handle.wait().unwrap();
-        }
-        assert_eq!(service.stats().peak_concurrent, 1);
-        service.shutdown();
-    }
-
-    #[test]
     fn small_jobs_overtake_a_blocked_big_job_without_starving_it() {
         // Pool of 2: a 2-rank job runs, a second 2-rank job blocks, and
         // 1-rank jobs queued behind it... cannot overtake (no free
@@ -1881,18 +1485,118 @@ mod tests {
         service.shutdown();
     }
 
+    /// Poll until the service has finished `n` jobs (single-core safe: the
+    /// pool makes progress while this thread sleeps).
+    fn await_finished(service: &DistService<f64>, n: u64) {
+        let mut polled = 0u32;
+        while service.stats().jobs_completed + service.stats().jobs_failed < n {
+            polled += 1;
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            assert!(polled < 60_000, "jobs never finished");
+        }
+    }
+
     #[test]
-    fn await_job_compat_path_claims_exactly_once() {
+    fn dropping_a_handle_discards_its_result() {
         let service = DistService::<f64>::new(2).unwrap();
+        let parked = |service: &DistService<f64>| {
+            let state = service.shared.state.lock().unwrap();
+            (state.done.len(), state.callbacks.len(), state.pending.len())
+        };
+        // Dropped while the job is still pending (the scheduler is parked,
+        // so it cannot have run): the result is dropped on publication.
+        let gate = block_scheduler(&service);
+        drop(service.submit(job(2, 3)).unwrap());
+        gate.send(()).unwrap();
+        await_finished(&service, 2);
+        assert_eq!(parked(&service), (0, 0, 0));
+        // Dropped after the job finished: the parked result is removed.
         let handle = service.submit(job(2, 3)).unwrap();
-        let id = handle.id();
+        await_finished(&service, 3);
+        assert_eq!(parked(&service), (1, 0, 0));
         drop(handle);
-        assert!(service.await_job(id).is_ok());
-        assert_eq!(
-            service.await_job(id).unwrap_err(),
-            DistError::UnknownJob { id: id.as_u64() }
-        );
+        assert_eq!(parked(&service), (0, 0, 0));
+        // A callback registered by on_complete survives the handle's drop.
+        let (tx, rx) = mpsc::channel();
+        service
+            .submit(job(2, 3))
+            .unwrap()
+            .on_complete(move |result| tx.send(result.is_ok()).unwrap());
+        assert!(rx.recv().unwrap());
         service.shutdown();
+    }
+
+    /// The lock-step driver needs neither pool slots nor threads: a job
+    /// with more ranks than the pool has workers completes, bitwise equal
+    /// to the same job pipelined on a pool that fits it.
+    #[test]
+    fn lockstep_jobs_may_have_more_ranks_than_the_pool() {
+        let small = DistService::<f64>::new(1).unwrap();
+        let snap = small
+            .submit(job(4, 5).with_mode(HaloMode::Snapshot))
+            .unwrap()
+            .wait()
+            .unwrap();
+        small.shutdown();
+        let fits = DistService::<f64>::new(4).unwrap();
+        let pipe = fits.submit(job(4, 5)).unwrap().wait().unwrap();
+        fits.shutdown();
+        assert_eq!(snap.ranks.len(), 4);
+        assert_eq!(snap.global, pipe.global);
+    }
+
+    /// A lock-step job runs on the scheduler thread, so its panic must be
+    /// contained there: the job fails with `RankPanicked` and the
+    /// scheduler serves the next job. Admission lets no poisoned spec
+    /// through, so the poison goes into a built job, and the scheduler is
+    /// driven directly — with no workers at all, which lock-step never
+    /// needs.
+    #[test]
+    fn a_panicking_lockstep_job_leaves_the_pool_serving() {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(ServeState::default()),
+            cv: Condvar::new(),
+        });
+        let mut scheduler = Scheduler::<f64>::new(Arc::clone(&shared), Vec::new());
+        let spec = job(2, 4).with_mode(HaloMode::Snapshot);
+        let (poisoned, mut steppers) = Job::build(&spec, &mut scheduler.cache).unwrap();
+        // An impossible bit position blows the hook constructor's assert
+        // in rank 1's second iteration.
+        steppers[1].rank.flips.push(BitFlip {
+            iteration: 1,
+            x: 0,
+            y: 0,
+            z: 0,
+            bit: 64,
+        });
+        let now = Instant::now();
+        scheduler.drive_lockstep(7, poisoned, steppers, now, now);
+        scheduler.start_job(Admitted {
+            id: 8,
+            spec: spec.clone(),
+            submitted: now,
+        });
+        let mut state = shared.state.lock().unwrap();
+        match state.done.remove(&7) {
+            Some(Err(DistError::RankPanicked {
+                rank: None,
+                message,
+            })) => assert!(message.contains("out of range"), "{message}"),
+            other => panic!("expected a contained panic, got {other:?}"),
+        }
+        let served = state.done.remove(&8).expect("published").unwrap();
+        let pipelined = crate::run_distributed(
+            &spec.initial,
+            &spec.stencil,
+            &spec.bounds,
+            None,
+            &DistConfig::new(2, 4),
+        );
+        assert_eq!(served.global, pipelined.unwrap().global);
+        assert_eq!(
+            (state.stats.jobs_failed, state.stats.jobs_completed),
+            (1, 1)
+        );
     }
 
     #[test]

@@ -1,0 +1,882 @@
+//! The rank step machine and the cross-rank rollback: the **one**
+//! implementation of the paper's protected parallel step (§3.2: sweep →
+//! interpolate → detect/correct *before* the next halo post) and of its
+//! recovery rule (§5.4: checkpoint grid + checksums, roll back, replay).
+//!
+//! A [`RankStepper`] advances one rank one iteration at a time, in two
+//! halves:
+//!
+//! 1. [`RankStepper::post`] — store a checkpoint when the policy is due
+//!    (before anything else, so even an immediate kill leaves a
+//!    recoverable epoch behind), die if a kill plan fires, then either
+//!    **post** (first sweep of an exchange epoch: snapshot the halo cells
+//!    this rank owes its consumers — face strips, edge strips, corner
+//!    patches — out of the time-`t` buffer and send one message per
+//!    consumer channel; self-served cells are copied aside) or **decay**
+//!    the deep ghost shell by one sweep (later sweeps of an epoch), and
+//!    sweep the ghost-free interior window — the overlap window in which
+//!    neighbour sends and receives complete.
+//! 2. [`RankStepper::complete`] — on an exchange sweep, block on each
+//!    producer channel and assemble the [`HaloGhost`]; sweep the edge
+//!    shell against it and finish the step; when protected, verify (or
+//!    carry) the checksums — corrections land *before* the next post, so a
+//!    neighbour can never observe a known-corrupted cell — and escalate
+//!    damage Eq. 10 cannot repair.
+//!
+//! Either half can end the rank's round with a [`RankExit`]; a half that
+//! fails commits nothing, so a rank's replay bound is simply its `t`.
+//! [`Job::rollback`] is the recovery rule over all of a job's ranks.
+//!
+//! Two drivers run the same steppers and the same rollback: the pool
+//! worker ([`crate::worker`]) loops `post(); complete()` on its own thread
+//! with the scheduler rolling back between rounds, and [`run_lockstep`]
+//! advances every rank of a job from one thread.
+
+use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
+use crate::service::JobSpec;
+use crate::{
+    build_ranks, effective_halo, gather_report, validate, DistError, DistReport, HaloGhost,
+    Partition3, Rank,
+};
+use abft_checkpoint::{CheckpointPolicy, EpochRing};
+use abft_core::VerifyCadence;
+use abft_fault::MultiFlipHook;
+use abft_grid::{Boundary, Grid3D};
+use abft_metrics::RecoveryStats;
+use abft_num::Real;
+use abft_stencil::{InteriorWindow, NoHook, SweepHook};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// One job's shared checkpoint vault: a per-rank [`EpochRing`] written by
+/// the steppers (each rank stores a snapshot of its own brick at the start
+/// of every iteration `t` with `t % period == 0`) and read by
+/// [`Job::rollback`], which rolls every rank back to the newest epoch
+/// present in *all* rings.
+pub(crate) struct Vault<T> {
+    /// Checkpoint period Δ in iterations.
+    pub(crate) period: usize,
+    /// One ring per rank index. A `Mutex` rather than sharded ownership so
+    /// the rollback can read the rings while the steppers are parked —
+    /// there is never contention (a rank only writes its own ring, and the
+    /// rollback only runs after every rank of the job has stopped).
+    pub(crate) rings: Vec<Mutex<EpochRing<T>>>,
+}
+
+impl<T: Real> Vault<T> {
+    pub(crate) fn new(period: usize, keep: usize, ranks: usize) -> Self {
+        Self {
+            period,
+            rings: (0..ranks)
+                .map(|_| Mutex::new(EpochRing::new(keep)))
+                .collect(),
+        }
+    }
+
+    /// Total snapshots stored across all rings.
+    fn stores(&self) -> usize {
+        self.rings
+            .iter()
+            .map(|r| r.lock().expect("vault ring poisoned").stats().stores)
+            .sum()
+    }
+
+    /// The newest epoch present in every ring — the common rollback
+    /// target. `None` if the rings share no epoch (cannot happen when the
+    /// ring depth covers the pipeline's maximum skew: every rank stores
+    /// epoch 0 before its first post, and eviction only trims epochs
+    /// older than `keep` periods behind that rank's own progress).
+    pub(crate) fn common_epoch(&self) -> Option<usize> {
+        let rings: Vec<_> = self
+            .rings
+            .iter()
+            .map(|r| r.lock().expect("vault ring poisoned"))
+            .collect();
+        let first = rings.first()?;
+        first
+            .epochs()
+            .into_iter()
+            .rev()
+            .find(|&e| rings[1..].iter().all(|r| r.get(e).is_some()))
+    }
+}
+
+/// Ring depth covering the pipeline's maximum epoch skew, so the newest
+/// epoch common to every ring always exists: neighbouring ranks drift at
+/// most `CHANNEL_DEPTH + 1` iterations apart, the drift compounds across
+/// the rank grid's diameter, and `+2` covers the boundary epochs of the
+/// window. An explicit [`CheckpointPolicy::with_keep`] overrides.
+fn ring_keep(
+    policy: CheckpointPolicy,
+    (rx, ry, rz): (usize, usize, usize),
+    steps_per_exchange: usize,
+) -> usize {
+    policy.keep.unwrap_or_else(|| {
+        let diam = ((rx - 1) + (ry - 1) + (rz - 1)).max(1);
+        // Epoch batching scales the skew: neighbours drift in whole
+        // exchange epochs of `steps_per_exchange` iterations each.
+        let skew = (CHANNEL_DEPTH + 1) * steps_per_exchange.max(1) * diam;
+        skew.div_ceil(policy.period) + 2
+    })
+}
+
+/// Why one rank stopped before the job's last iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RankExit {
+    /// A [`abft_fault::RankKill`] plan fired at the start of iteration
+    /// `iter`: the rank posted nothing for `iter`.
+    Killed { iter: usize },
+    /// A channel send or receive failed during iteration `iter` — some
+    /// peer died and dropped its endpoints. The step was abandoned
+    /// *before* commit: the simulation still holds the last completed
+    /// iteration and no verification ran on torn data.
+    PeerLost { iter: usize },
+    /// ABFT verification of iteration `iter` found damage Eq. 10 cannot
+    /// repair, and a checkpoint vault is armed: escalate to rollback
+    /// instead of carrying a known-wrong grid forward. (Without a vault
+    /// the rank keeps running and the damage is reported in its stats.)
+    /// The step *was* committed, so the rank's `t` is `iter + 1`: replay
+    /// must restart past the fault.
+    Uncorrectable { iter: usize },
+}
+
+/// One rank of one job as a resumable step machine: the rank's state, its
+/// channel endpoints for its slot in the topology, the job's sweep
+/// parameters and the rank's own position `t`.
+pub(crate) struct RankStepper<T: Real> {
+    pub(crate) rank: Rank<T>,
+    /// Borrowed from the topology cache for the job: a clean job drains
+    /// every channel (one send and one recv per channel per exchange), so
+    /// the same endpoints carry the pool's next job.
+    pub(crate) ports: Ports<T>,
+    /// Rank index within the job (its vault ring, its topology position).
+    pub(crate) idx: usize,
+    iters: usize,
+    /// Sweeps per halo exchange: 1 exchanges every iteration, `k > 1`
+    /// posts once per epoch and decays the deep ghost shell in between.
+    k: usize,
+    cadence: VerifyCadence,
+    vault: Option<Arc<Vault<T>>>,
+    /// Iterations at which a kill plan for this rank has yet to fire.
+    kills: Vec<usize>,
+    /// The ghost-free overlap window: cells whose stencil support stays
+    /// in-brick (may be empty for bricks barely larger than the extent);
+    /// the complement is the edge shell. An axis only narrows when it is
+    /// actually decomposed (brick-local boundary is Ghost).
+    window: InteriorWindow,
+    /// This iteration's ghost source. Its payload is rebuilt by every
+    /// exchange (`post` fills the self-served prefix, `complete` appends
+    /// the received messages) and decayed in place between exchanges. It
+    /// is deliberately never checkpointed: rollback targets are
+    /// exchange-aligned, so the replay's first post rebuilds it.
+    ghost: HaloGhost<T>,
+    scratch: Vec<T>,
+    aux: Vec<T>,
+    /// The next iteration to execute — equally, the first one this rank
+    /// has *not* durably executed.
+    pub(crate) t: usize,
+    /// Rewind target of the latest rollback (0 for a fresh job): the
+    /// vault already holds that epoch.
+    start: usize,
+    /// Attribution window: per-step verification is forced on for every
+    /// sweep `t < verify_until`, pinning an epoch-batched detection to
+    /// the exact faulty sweep during a replay. 0 outside attribution.
+    verify_until: usize,
+}
+
+impl<T: Real> RankStepper<T> {
+    fn new(
+        rank: Rank<T>,
+        ports: Ports<T>,
+        idx: usize,
+        spec: &JobSpec<T>,
+        vault: Option<Arc<Vault<T>>>,
+    ) -> Self {
+        let brick = rank.brick;
+        let stencil = rank.sim.stencil();
+        let (ex, ey, ez) = (stencil.extent_x(), stencil.extent_y(), stencil.extent_z());
+        let inner = |ghost: bool, e: usize, len: usize| {
+            if ghost {
+                e..len.saturating_sub(e).max(e)
+            } else {
+                0..len
+            }
+        };
+        let bounds = rank.sim.bounds();
+        let window = InteriorWindow {
+            x: inner(matches!(bounds.x, Boundary::Ghost), ex, brick.x_len),
+            y: inner(true, ey, brick.y_len),
+            z: inner(matches!(bounds.z, Boundary::Ghost), ez, brick.z_len),
+        };
+        Self {
+            ghost: HaloGhost::new(
+                rank.plan.index.clone(),
+                spec.bounds,
+                brick,
+                spec.initial.dims(),
+            ),
+            cadence: rank
+                .abft
+                .as_ref()
+                .map_or(VerifyCadence::EveryStep, |a| a.config().cadence),
+            kills: spec
+                .cfg
+                .kills
+                .iter()
+                .filter(|k| k.rank == idx)
+                .map(|k| k.iter)
+                .collect(),
+            rank,
+            ports,
+            idx,
+            iters: spec.cfg.iters,
+            k: spec.cfg.steps_per_exchange,
+            vault,
+            window,
+            scratch: Vec::new(),
+            aux: Vec::new(),
+            t: 0,
+            start: 0,
+            verify_until: 0,
+        }
+    }
+
+    /// Run every remaining iteration on the calling thread — the pool
+    /// worker's driver loop.
+    pub(crate) fn run(&mut self) -> Result<(), RankExit> {
+        while !self.is_done() {
+            self.post()?;
+            self.complete()?;
+        }
+        Ok(())
+    }
+
+    /// Whether this rank has executed the job's last iteration.
+    pub(crate) fn is_done(&self) -> bool {
+        self.t == self.iters
+    }
+
+    /// Drop this rank's channel endpoints. After a failed round on its own
+    /// thread that is what unblocks — and errors — every neighbour still
+    /// waiting on this rank, cascading the loss through the topology
+    /// instead of hanging the pipeline. The rank itself survives for the
+    /// rollback.
+    pub(crate) fn hang_up(&mut self) {
+        self.ports = Ports::empty();
+    }
+
+    /// First half of iteration `t`: checkpoint, kill check, post or decay,
+    /// interior sweep.
+    pub(crate) fn post(&mut self) -> Result<(), RankExit> {
+        match self.hook() {
+            None => self.post_with(&NoHook),
+            Some(hook) => self.post_with(&hook),
+        }
+    }
+
+    /// Second half of iteration `t`: receive and assemble, edge sweep,
+    /// verify or carry, escalate. Advances `t` when the step commits.
+    pub(crate) fn complete(&mut self) -> Result<(), RankExit> {
+        match self.hook() {
+            None => self.complete_with(&NoHook),
+            Some(hook) => self.complete_with(&hook),
+        }
+    }
+
+    /// The fault-injection hook for iteration `t`, if any flip is due.
+    fn hook(&self) -> Option<MultiFlipHook<T>> {
+        let flips = self.rank.flips_at(self.t);
+        (!flips.is_empty()).then(|| MultiFlipHook::new(flips))
+    }
+
+    /// Whether iteration `t` compares checksums: always under the default
+    /// cadence; under the epoch-batched cadence only on the epoch's last
+    /// sweep, the run's final sweep, and inside an attribution replay
+    /// window. Unverified sweeps carry the checksums through Theorem 1's
+    /// one-step interpolation instead.
+    fn verifies(&self) -> bool {
+        match self.cadence {
+            VerifyCadence::EveryStep => true,
+            VerifyCadence::EpochBoundary => {
+                self.t % self.k == self.k - 1
+                    || self.t + 1 == self.iters
+                    || self.t < self.verify_until
+            }
+        }
+    }
+
+    fn post_with<H: SweepHook<T>>(&mut self, hook: &H) -> Result<(), RankExit> {
+        let t = self.t;
+        // The snapshot (grid + trusted checksums, the paper's §5.4 "state
+        // of the grid and of the checksums") is taken *before* the kill
+        // check: both happen "at the start of t", and storing first
+        // guarantees every rank — even one killed at t = 0 — leaves at
+        // least one recoverable epoch in its ring. Skipped at the first
+        // step after a rollback: the ring already holds that epoch.
+        if let Some(v) = &self.vault {
+            if t.is_multiple_of(v.period) && (t == 0 || t != self.start) {
+                match &self.rank.abft {
+                    Some(a) => a.write_checksum_payload(&mut self.aux),
+                    None => self.aux.clear(),
+                }
+                v.rings[self.idx]
+                    .lock()
+                    .expect("vault ring poisoned")
+                    .store(self.rank.sim.current(), &self.aux, t);
+            }
+        }
+        if self.kills.contains(&t) {
+            // A kill is a one-shot event: it does not fire again on replay.
+            self.kills.retain(|&k| k != t);
+            return Err(RankExit::Killed { iter: t });
+        }
+
+        let began = Instant::now();
+        let j = t % self.k;
+        if j == 0 {
+            let current = self.rank.sim.current();
+            let mut sent = 0;
+            for (tx, cells) in &self.ports.sends {
+                let mut msg = Vec::with_capacity(cells.len());
+                pack_cells(current, cells, &mut msg);
+                sent += msg.len();
+                if tx.send(msg).is_err() {
+                    return Err(RankExit::PeerLost { iter: t });
+                }
+            }
+            self.ghost.values.clear();
+            pack_cells(current, &self.ports.self_cells, &mut self.ghost.values);
+            self.rank.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
+            self.rank.timing.halo_msgs_sent += self.ports.sends.len() as u64;
+        } else {
+            // No exchange: advance the decayed shell by one sweep
+            // (duplicated execution, DMR-guarded when protected).
+            let (det, corr) = self
+                .rank
+                .shell
+                .as_deref()
+                .expect("steps_per_exchange > 1 implies a shell schedule")
+                .advance(
+                    &mut self.ghost.values,
+                    &mut self.scratch,
+                    self.rank.sim.previous(),
+                    self.rank.sim.current(),
+                    j - 1,
+                    &self.rank.shell_flips_at(t - 1),
+                    self.rank.abft.is_some(),
+                );
+            if let Some(a) = self.rank.abft.as_mut() {
+                a.note_shell_guard(det, corr);
+            }
+        }
+        let posted = Instant::now();
+        let verify = self.verifies();
+        match self.rank.abft.as_mut() {
+            Some(a) => a.sweep_interior(&mut self.rank.sim, hook, &self.window, verify),
+            None => self.rank.sim.sweep_interior(hook, &self.window, None),
+        }
+        self.rank.timing.post_s += (posted - began).as_secs_f64();
+        self.rank.timing.interior_s += posted.elapsed().as_secs_f64();
+        Ok(())
+    }
+
+    fn complete_with<H: SweepHook<T>>(&mut self, hook: &H) -> Result<(), RankExit> {
+        let t = self.t;
+        let began = Instant::now();
+        if t.is_multiple_of(self.k) {
+            // Wire bytes measured at assembly: everything in the payload
+            // beyond the self-served prefix arrived over a channel.
+            let self_len = self.ghost.values.len();
+            for rx in &self.ports.recvs {
+                match rx.recv() {
+                    Ok(msg) => self.ghost.values.extend(msg),
+                    // A producer died: the step is abandoned before the
+                    // edge sweep, so the simulation still holds iteration
+                    // t intact.
+                    Err(_) => return Err(RankExit::PeerLost { iter: t }),
+                }
+            }
+            debug_assert_eq!(
+                self.ghost.values.len(),
+                self.rank.plan.index.len(),
+                "halo payload size"
+            );
+            let received = self.ghost.values.len() - self_len;
+            self.rank.timing.halo_bytes_recv += (received * std::mem::size_of::<T>()) as u64;
+            self.rank.timing.halo_msgs_recv += self.ports.recvs.len() as u64;
+        }
+        let landed = Instant::now();
+        let verify = self.verifies();
+        let (uncorrectable, tail) = match self.rank.abft.as_mut() {
+            Some(a) => {
+                let (outcome, tail) = a.sweep_shell_and_verify(
+                    &mut self.rank.sim,
+                    hook,
+                    &self.ghost,
+                    &self.window,
+                    verify,
+                );
+                (outcome.uncorrectable, tail)
+            }
+            None => {
+                self.rank
+                    .sim
+                    .sweep_shell_and_finish(hook, &self.ghost, &self.window, None);
+                (0, Duration::ZERO)
+            }
+        };
+        self.rank.timing.wait_s += (landed - began).as_secs_f64();
+        self.rank.timing.edge_s += landed.elapsed().saturating_sub(tail).as_secs_f64();
+        self.rank.timing.verify_s += tail.as_secs_f64();
+        self.t += 1;
+        // Eq. 10 was defeated (multi-point damage). With a vault armed,
+        // escalate to rollback instead of carrying a wrong grid forward.
+        if uncorrectable > 0 && self.vault.is_some() {
+            return Err(RankExit::Uncorrectable { iter: t });
+        }
+        Ok(())
+    }
+}
+
+/// Append the values of `cells` (brick-local coordinates) to `out`.
+fn pack_cells<T: Real>(grid: &Grid3D<T>, cells: &[(usize, usize, usize)], out: &mut Vec<T>) {
+    let (nx, ny, _) = grid.dims();
+    out.extend(
+        cells
+            .iter()
+            .map(|&(lx, ly, lz)| grid.as_slice()[(lz * ny + ly) * nx + lx]),
+    );
+}
+
+/// What the ranks of one job share beside their steppers: the topology
+/// identity its channel sets are checked in and out under, and the
+/// cross-rank recovery state.
+pub(crate) struct Job<T: Real> {
+    pub(crate) key: TopoKey<T>,
+    pub(crate) part: Partition3,
+    steps_per_exchange: usize,
+    /// `None` means a rank loss is unrecoverable.
+    pub(crate) vault: Option<Arc<Vault<T>>>,
+    /// True when the job verifies checksums at epoch boundaries only — an
+    /// uncorrectable exit then triggers an *attribution* replay instead of
+    /// the standard consume-and-replay round.
+    epoch_verify: bool,
+    /// True while the current round *is* the attribution replay, so a
+    /// second uncorrectable exit falls back to standard consumption
+    /// instead of looping.
+    attributing: bool,
+    pub(crate) recovery: RecoveryStats,
+}
+
+impl<T: Real> Job<T> {
+    /// Resolve one job's topology (cache hit or build), construct its
+    /// fresh per-job rank state and check a channel set out for it. Pure
+    /// build work — nothing runs yet.
+    pub(crate) fn build(
+        spec: &JobSpec<T>,
+        cache: &mut TopologyCache<T>,
+    ) -> Result<(Self, Vec<RankStepper<T>>), DistError> {
+        // Re-validate: admission already did, but a handed-over spec must
+        // never be trusted enough to panic a pooled worker.
+        let part = validate(
+            &spec.initial,
+            &spec.stencil,
+            &spec.bounds,
+            spec.constant.as_ref(),
+            &spec.cfg,
+        )?;
+        let grid = (part.rx(), part.ry(), part.rz());
+        let key = TopoKey {
+            dims: spec.initial.dims(),
+            grid,
+            halo: effective_halo(&spec.cfg, &spec.stencil, grid),
+            bounds: spec.bounds,
+        };
+        let plans = cache.plans(&key, &part, &spec.bounds);
+        let ranks = build_ranks(
+            &spec.initial,
+            &spec.stencil,
+            &spec.bounds,
+            spec.constant.as_ref(),
+            &spec.cfg,
+            &part,
+            &plans,
+        );
+        let k = spec.cfg.steps_per_exchange;
+        let vault = spec
+            .cfg
+            .checkpoint
+            .map(|p| Arc::new(Vault::new(p.period, ring_keep(p, grid, k), ranks.len())));
+        let steppers = ranks
+            .into_iter()
+            .zip(cache.check_out(&key, &part))
+            .enumerate()
+            .map(|(idx, (rank, ports))| RankStepper::new(rank, ports, idx, spec, vault.clone()))
+            .collect();
+        let job = Self {
+            key,
+            part,
+            steps_per_exchange: k,
+            vault,
+            epoch_verify: spec
+                .cfg
+                .abft
+                .is_some_and(|a| a.cadence == VerifyCadence::EpochBoundary),
+            attributing: false,
+            recovery: RecoveryStats::default(),
+        };
+        Ok((job, steppers))
+    }
+
+    /// One recovery round, after every rank has stopped and at least one
+    /// did not finish: roll every rank back to the vault's newest common
+    /// epoch, consume the faults that already fired, and re-arm the
+    /// steppers over the fresh channel set `ports` (the lost round's
+    /// channels may hold stale messages). The replayed run's final grid is
+    /// bitwise what the fault-free run produces: snapshots capture exactly
+    /// the committed state (grid + trusted checksums), and the replay
+    /// performs the identical sweeps in the identical order.
+    ///
+    /// # Errors
+    /// [`DistError::RankLost`] without a checkpoint policy, and
+    /// [`DistError::NoCommonEpoch`] when an explicit `with_keep` shallower
+    /// than the pipeline's epoch skew evicted the overlap — the auto-sized
+    /// ring depth makes that unreachable, but a user-pinned depth must
+    /// fail the job, not panic its driver.
+    pub(crate) fn rollback(
+        &mut self,
+        steppers: &mut [RankStepper<T>],
+        exits: &[Result<(), RankExit>],
+        ports: Vec<Ports<T>>,
+        began: Instant,
+    ) -> Result<(), DistError> {
+        let mut killed = exits.iter().enumerate().filter_map(|(rank, x)| match x {
+            Err(RankExit::Killed { iter }) => Some((rank, *iter)),
+            _ => None,
+        });
+        self.recovery.rank_losses += killed.clone().count();
+        let Some(vault) = &self.vault else {
+            let (rank, iter) = killed
+                .next()
+                .expect("without a vault only a kill ends a round early");
+            return Err(DistError::RankLost { rank, iter });
+        };
+        let Some(e) = vault.common_epoch() else {
+            let keep = vault.rings[0].lock().expect("vault ring poisoned").keep();
+            return Err(DistError::NoCommonEpoch { keep });
+        };
+        // An uncorrectable exit under epoch-boundary verification means a
+        // fault struck *somewhere inside* the failed epoch — the batched
+        // comparison cannot say where. The attribution replay re-enables
+        // the faults that fired since the rollback target and re-runs
+        // with per-step verification, which pins (and corrects) each
+        // fault at its true step. A kill-triggered round, or a second
+        // uncorrectable round, uses the standard consume-and-replay
+        // semantics instead.
+        let uncorrectable = exits
+            .iter()
+            .any(|x| matches!(x, Err(RankExit::Uncorrectable { .. })));
+        let attribute = self.epoch_verify && uncorrectable && !self.attributing;
+        let verify_until = if attribute {
+            steppers.iter().map(|s| s.t).max().unwrap_or(0)
+        } else {
+            0
+        };
+        debug_assert!(
+            e.is_multiple_of(self.steps_per_exchange),
+            "rollback must land on an exchange boundary (validate pins period % k == 0)"
+        );
+        for (s, ports) in steppers.iter_mut().zip(ports) {
+            let mut ring = vault.rings[s.idx].lock().expect("vault ring poisoned");
+            // Ranks that ran ahead of the rollback target still retain
+            // epochs newer than `e`. The replay re-reaches those epochs
+            // and stores them again, so drop the stale copies now — the
+            // ring's in-order assert would otherwise panic the rank on
+            // the first re-store (a recoverable loss turned fatal).
+            ring.truncate_after(e);
+            let snap = ring.restore(e);
+            s.rank.sim.restore(&snap.grid, e);
+            if let Some(a) = s.rank.abft.as_mut() {
+                a.restore_checksums(&snap.aux);
+            }
+            // One-shot fault semantics: flips below this rank's `t` fired
+            // (and were committed) on the lost attempt; only the rest may
+            // fire again during replay — except during an attribution
+            // replay, which deliberately re-fires everything after the
+            // rollback target so per-step verification can catch each
+            // fault at its own step.
+            let keep_from = if attribute { e } else { s.t };
+            s.rank.flips.retain(|f| f.iteration >= keep_from);
+            s.rank.shell_flips.retain(|f| f.iteration >= keep_from);
+            self.recovery.steps_lost += s.t - e;
+            s.t = e;
+            s.start = e;
+            s.verify_until = verify_until;
+            s.ports = ports;
+        }
+        self.attributing = attribute;
+        self.recovery.rollbacks += 1;
+        self.recovery.recovery_s += began.elapsed().as_secs_f64();
+        Ok(())
+    }
+
+    /// Every rank ran to the end: return the drained channel set for
+    /// reuse, gather the bricks and fold the recovery ledger in.
+    pub(crate) fn finish(
+        &mut self,
+        steppers: Vec<RankStepper<T>>,
+        cache: &mut TopologyCache<T>,
+        wall_s: f64,
+    ) -> DistReport<T> {
+        let (ranks, ports) = steppers.into_iter().map(|s| (s.rank, s.ports)).unzip();
+        cache.check_in(&self.key, ports);
+        if let Some(v) = &self.vault {
+            self.recovery.checkpoints_stored = v.stores();
+            self.recovery.checkpoint_period = v.period;
+        }
+        let mut report = gather_report(
+            ranks,
+            self.key.grid,
+            self.key.dims,
+            wall_s,
+            self.steps_per_exchange,
+        );
+        report.recovery = self.recovery;
+        report
+    }
+}
+
+/// The lock-step driver: advance every rank of a job from the calling
+/// thread — every rank posts iteration `t`, then every rank completes it.
+/// In that order a channel never holds more than one message, so no send
+/// or receive blocks and a job needs neither pool slots nor threads; the
+/// order of every rank's operations is fixed, so a run is deterministic.
+/// A round in which any rank stops is rolled back by the same
+/// [`Job::rollback`] the scheduler uses, and the loop continues.
+pub(crate) fn run_lockstep<T: Real>(
+    job: &mut Job<T>,
+    mut steppers: Vec<RankStepper<T>>,
+    cache: &mut TopologyCache<T>,
+) -> Result<DistReport<T>, DistError> {
+    let wall = Instant::now();
+    while !steppers[0].is_done() {
+        let mut exits: Vec<_> = steppers.iter_mut().map(RankStepper::post).collect();
+        if exits.iter().all(Result::is_ok) {
+            exits = steppers.iter_mut().map(RankStepper::complete).collect();
+        }
+        if exits.iter().any(Result::is_err) {
+            let began = Instant::now();
+            let ports = cache.check_out_replacement(&job.key, &job.part);
+            job.rollback(&mut steppers, &exits, ports, began)?;
+        }
+    }
+    Ok(job.finish(steppers, cache, wall.elapsed().as_secs_f64()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::HaloMode;
+    use abft_core::AbftConfig;
+    use abft_fault::RankKill;
+    use abft_stencil::{Exec, Stencil3D, StencilSim};
+    use proptest::prelude::*;
+
+    const ITERS: usize = 9;
+
+    fn spec(grid: (usize, usize), k: usize, period: usize, kill: RankKill) -> JobSpec<f64> {
+        JobSpec::over(
+            Grid3D::from_fn(8, 16, 2, |x, y, z| {
+                40.0 + ((x * 5 + y * 3 + z * 11) % 17) as f64 * 0.4
+            }),
+            Stencil3D::seven_point(0.4f64, 0.12, 0.08, 0.1),
+        )
+        .with_ranks(4)
+        .with_grid(grid.0, grid.1)
+        .with_iters(ITERS)
+        .with_steps_per_exchange(k)
+        .with_abft(AbftConfig::<f64>::paper_defaults())
+        .with_checkpoint(CheckpointPolicy::every(period))
+        .with_rank_kill(kill)
+    }
+
+    fn serial(spec: &JobSpec<f64>) -> Grid3D<f64> {
+        let mut sim = StencilSim::new(spec.initial.clone(), spec.stencil.clone(), spec.bounds)
+            .with_exec(Exec::Serial);
+        for _ in 0..spec.cfg.iters {
+            sim.step();
+        }
+        sim.current().clone()
+    }
+
+    /// One job's steppers driven from one thread, one half-step at a time,
+    /// with a model of the channels that says which half-steps cannot
+    /// block: what a pool of threads would do, minus the threads.
+    struct Harness {
+        job: Job<f64>,
+        steppers: Vec<RankStepper<f64>>,
+        cache: TopologyCache<f64>,
+        /// Per rank, the other ranks it receives from / sends to.
+        producers: Vec<Vec<usize>>,
+        consumers: Vec<Vec<usize>>,
+        /// Exchanges each rank has posted / completed over the current
+        /// channel set.
+        sent: Vec<usize>,
+        received: Vec<usize>,
+        /// Ranks between `post` and `complete`.
+        posted: Vec<bool>,
+        /// How each rank's round ended, once it has (a stopped rank has
+        /// hung up, exactly as the pool worker makes it).
+        exits: Vec<Option<Result<(), RankExit>>>,
+        rollbacks: usize,
+    }
+
+    impl Harness {
+        fn new(spec: &JobSpec<f64>) -> Self {
+            let mut cache = TopologyCache::new();
+            let (job, steppers) = Job::build(spec, &mut cache).unwrap();
+            let n = steppers.len();
+            let producers: Vec<Vec<usize>> = steppers
+                .iter()
+                .map(|s| {
+                    let owners = s.rank.plan.groups.iter().map(|(owner, _)| *owner);
+                    owners.filter(|&p| p != s.idx).collect()
+                })
+                .collect();
+            let consumers = (0..n)
+                .map(|p| (0..n).filter(|&c| producers[c].contains(&p)).collect())
+                .collect();
+            Self {
+                job,
+                steppers,
+                cache,
+                producers,
+                consumers,
+                sent: vec![0; n],
+                received: vec![0; n],
+                posted: vec![false; n],
+                exits: vec![None; n],
+                rollbacks: 0,
+            }
+        }
+
+        fn hung_up(&self, r: usize) -> bool {
+            matches!(self.exits[r], Some(Err(_)))
+        }
+
+        /// Whether rank `r`'s next half-step returns without blocking: a
+        /// post needs room in every live consumer's channel, a complete a
+        /// message from every live producer (a hung-up peer fails the call
+        /// instead of blocking it). Only exchange sweeps touch channels.
+        fn legal(&self, r: usize) -> bool {
+            if self.exits[r].is_some() {
+                return false;
+            }
+            if !self.steppers[r].t.is_multiple_of(self.steppers[r].k) {
+                return true;
+            }
+            if self.posted[r] {
+                let has_message = |&p: &usize| self.sent[p] > self.received[r];
+                let mut producers = self.producers[r].iter();
+                producers.all(|p| self.hung_up(*p) || has_message(p))
+            } else {
+                let has_room = |&c: &usize| self.sent[r] - self.received[c] < CHANNEL_DEPTH;
+                let mut consumers = self.consumers[r].iter();
+                consumers.all(|c| self.hung_up(*c) || has_room(c))
+            }
+        }
+
+        /// Run rank `r`'s next half-step.
+        fn advance(&mut self, r: usize) {
+            let s = &mut self.steppers[r];
+            let exchange = s.t.is_multiple_of(s.k);
+            let count = if self.posted[r] {
+                &mut self.received
+            } else {
+                &mut self.sent
+            };
+            let result = if self.posted[r] {
+                s.complete()
+            } else {
+                s.post()
+            };
+            self.posted[r] = !self.posted[r];
+            match result {
+                Ok(()) => {
+                    count[r] += usize::from(exchange);
+                    if s.is_done() {
+                        self.exits[r] = Some(Ok(()));
+                    }
+                }
+                Err(exit) => {
+                    s.hang_up();
+                    self.exits[r] = Some(Err(exit));
+                }
+            }
+        }
+
+        /// Every rank has stopped and some did not finish: roll back over
+        /// a fresh channel set, and check what the PR 8 skew bug broke —
+        /// after `truncate_after` no ring may hold an epoch out of order
+        /// or past the rollback target.
+        fn roll_back(&mut self) -> Result<(), TestCaseError> {
+            let exits: Vec<_> = self.exits.iter().map(|x| x.expect("stopped")).collect();
+            let ports = self
+                .cache
+                .check_out_replacement(&self.job.key, &self.job.part);
+            self.job
+                .rollback(&mut self.steppers, &exits, ports, Instant::now())
+                .expect("auto-sized rings share an epoch");
+            self.rollbacks += 1;
+            let vault = self.job.vault.as_ref().expect("policy arms a vault");
+            for (ring, s) in vault.rings.iter().zip(&self.steppers) {
+                let epochs = ring.lock().unwrap().epochs();
+                prop_assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{epochs:?}");
+                prop_assert_eq!(epochs.last(), Some(&s.t));
+            }
+            let n = self.steppers.len();
+            self.sent = vec![0; n];
+            self.received = vec![0; n];
+            self.posted = vec![false; n];
+            self.exits = vec![None; n];
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(16))]
+
+        /// The interleavings the threaded driver meets by chance,
+        /// enumerated: any order of half-steps in which no channel
+        /// operation would block, with one rank killed along the way,
+        /// ends — after exactly one rollback — on the serial grid, bitwise.
+        #[test]
+        fn any_legal_interleaving_with_a_kill_matches_serial(
+            slabs in any::<bool>(),
+            k in 1usize..=2,
+            periods in 1usize..=2,
+            kill in (0usize..4, 0usize..ITERS),
+            picks in proptest::collection::vec(0usize..64, 64),
+        ) {
+            let grid = if slabs { (1, 4) } else { (2, 2) };
+            let spec = spec(grid, k, k * periods, RankKill::new(kill.0, kill.1));
+            prop_assert_eq!(spec.cfg.mode, HaloMode::Pipelined);
+            let mut h = Harness::new(&spec);
+            for step in 0.. {
+                let legal: Vec<usize> = (0..4).filter(|&r| h.legal(r)).collect();
+                if let Some(&r) = legal.get((picks[step % 64] + step / 64) % legal.len().max(1)) {
+                    h.advance(r);
+                } else if h.exits.iter().all(|x| *x == Some(Ok(()))) {
+                    break;
+                } else {
+                    prop_assert!(h.exits.iter().all(Option::is_some), "no rank can move");
+                    h.roll_back()?;
+                }
+            }
+            prop_assert_eq!(h.rollbacks, 1);
+            prop_assert_eq!(h.job.recovery.rank_losses, 1);
+            let report = h.job.finish(h.steppers, &mut h.cache, 0.0);
+            prop_assert_eq!(report.global, serial(&spec));
+        }
+    }
+}

@@ -1,179 +1,36 @@
-//! The per-rank worker: the body of one persistent **pool** thread that
-//! parks between jobs and runs one rank's whole simulation per job, plus
-//! the barriered single-step used by the legacy snapshot mode.
-//!
-//! Pipelined iteration structure (one pass of [`run`]'s loop):
-//!
-//! 1. **post** — snapshot the halo cells this rank owes its consumers
-//!    (face strips, edge strips, corner patches) out of the current
-//!    (time-`t`) buffer and send one message per consumer channel;
-//!    self-served cells are copied aside.
-//! 2. **interior** — sweep the box window whose stencil support stays
-//!    in-brick (x-, y- and z-edges all excluded on a fully decomposed
-//!    grid). This is the overlap window: neighbour sends/receives
-//!    complete while the bulk of the compute runs.
-//! 3. **wait** — block on each producer channel for its halo message and
-//!    assemble the [`HaloGhost`] for this iteration.
-//! 4. **edge** — sweep the remaining edge shell against the ghost and
-//!    finish the step (buffer swap).
-//! 5. **verify** — when protected, ABFT interpolation/detection runs on
-//!    the completed step; corrections land *before* the next post, so a
-//!    neighbour can never observe a known-corrupted cell.
+//! The pool worker: the body of one persistent **pool** thread that parks
+//! between tasks and drives one rank's stepper per task — the threaded
+//! driver of [`crate::step`]'s step machine. Ordering between ranks is
+//! enforced purely by the bounded channels: there is no global barrier.
 
-use crate::pipeline::{HaloMsg, Ports};
 use crate::service::SchedEvent;
-use crate::{HaloGhost, Rank};
-use abft_checkpoint::EpochRing;
-use abft_core::VerifyCadence;
-use abft_fault::MultiFlipHook;
-use abft_grid::{Boundary, BoundarySpec, Grid3D};
+use crate::step::{RankExit, RankStepper};
 use abft_num::Real;
-use abft_stencil::{ChecksumMode, NoHook, SplitStepTimes};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// One job's shared checkpoint vault: a per-rank [`EpochRing`] written by
-/// the workers (each rank stores a snapshot of its own brick at the start
-/// of every iteration `t` with `t % period == 0`) and read by the
-/// scheduler's recovery path, which rolls every rank back to the newest
-/// epoch present in *all* rings.
-pub(crate) struct Vault<T> {
-    /// Checkpoint period Δ in iterations.
-    pub(crate) period: usize,
-    /// One ring per rank index. A `Mutex` rather than sharded ownership so
-    /// the scheduler can read the rings while workers are parked — there
-    /// is never contention (a rank only writes its own ring, and the
-    /// scheduler only reads after every rank of the job has exited).
-    pub(crate) rings: Vec<Mutex<EpochRing<T>>>,
-}
-
-impl<T: Real> Vault<T> {
-    pub(crate) fn new(period: usize, keep: usize, ranks: usize) -> Self {
-        Self {
-            period,
-            rings: (0..ranks)
-                .map(|_| Mutex::new(EpochRing::new(keep)))
-                .collect(),
-        }
-    }
-
-    /// Total snapshots stored across all rings.
-    pub(crate) fn stores(&self) -> usize {
-        self.rings
-            .iter()
-            .map(|r| r.lock().expect("vault ring poisoned").stats().stores)
-            .sum()
-    }
-
-    /// The newest epoch present in every ring — the common rollback
-    /// target. `None` if the rings share no epoch (cannot happen when the
-    /// ring depth covers the pipeline's maximum skew: every rank stores
-    /// epoch 0 before its first post, and eviction only trims epochs
-    /// older than `keep` periods behind that rank's own progress).
-    pub(crate) fn common_epoch(&self) -> Option<usize> {
-        let rings: Vec<_> = self
-            .rings
-            .iter()
-            .map(|r| r.lock().expect("vault ring poisoned"))
-            .collect();
-        let first = rings.first()?;
-        first
-            .epochs()
-            .into_iter()
-            .rev()
-            .find(|&e| rings[1..].iter().all(|r| r.get(e).is_some()))
-    }
-}
-
-/// How one rank's share of a job ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RankExit {
-    /// Ran every iteration; rank and ports are reusable.
-    Complete,
-    /// A [`abft_fault::RankKill`] plan fired at the start of iteration
-    /// `iter`: the rank posted nothing for `iter` and dropped its channel
-    /// endpoints, which is what its neighbours observe as the loss.
-    Killed { iter: usize },
-    /// A channel send or receive failed during iteration `iter` — some
-    /// peer died and dropped its endpoints. The step was abandoned
-    /// *before* commit: the simulation still holds the last completed
-    /// iteration and no verification ran on torn data.
-    PeerLost { iter: usize },
-    /// ABFT verification of iteration `iter` found damage Eq. 10 cannot
-    /// repair, and a checkpoint vault is armed: escalate to rollback
-    /// instead of carrying a known-wrong grid forward. (Without a vault
-    /// the rank keeps running and the damage is reported in its stats,
-    /// as before.) The step *was* committed: replay must restart past
-    /// the fault, i.e. this rank's progress is `iter + 1`.
-    Uncorrectable { iter: usize },
-}
-
-impl RankExit {
-    /// First iteration this rank has *not* durably executed — the replay
-    /// start bound used to decide which one-shot faults already fired.
-    pub(crate) fn progress(&self, iters: usize) -> usize {
-        match *self {
-            RankExit::Complete => iters,
-            RankExit::Killed { iter } | RankExit::PeerLost { iter } => iter,
-            RankExit::Uncorrectable { iter } => iter + 1,
-        }
-    }
-}
-
-/// One rank's share of one job, dispatched to a pool worker: the freshly
-/// built rank state, the checked-out channel endpoints for its slot in
-/// the topology, and the job's sweep parameters.
-pub(crate) struct RankTask<T> {
+/// One rank's share of one job (or of one of its recovery rounds),
+/// dispatched to a pool worker.
+pub(crate) struct RankTask<T: Real> {
     /// The job this rank belongs to (echoed back so the concurrent
     /// scheduler can route the completion to the right in-flight job).
     pub(crate) job: u64,
     /// The pool slot the scheduler dispatched this task to (echoed back
     /// so the slot returns to the free list the moment the worker parks).
     pub(crate) slot: usize,
-    /// Rank index within the job (echoed back so the scheduler can
-    /// restore ranks and ports to their topology positions).
-    pub(crate) idx: usize,
-    pub(crate) rank: Rank<T>,
-    pub(crate) ports: Ports<T>,
-    pub(crate) bounds: BoundarySpec<T>,
-    pub(crate) dims: (usize, usize, usize),
-    pub(crate) iters: usize,
-    /// First iteration to execute: 0 for a fresh job, the rollback epoch
-    /// for a respawn after recovery.
-    pub(crate) start: usize,
-    /// Pending kill plan for this rank (the earliest unfired one).
-    pub(crate) kill: Option<usize>,
-    /// The job's checkpoint vault, when a [`abft_checkpoint::CheckpointPolicy`]
-    /// is armed.
-    pub(crate) vault: Option<Arc<Vault<T>>>,
-    /// Sweeps per halo exchange (`k`): 1 is the legacy lock-step-per-
-    /// iteration protocol, `k > 1` posts once per epoch and decays the
-    /// deep ghost shell locally between exchanges.
-    pub(crate) steps_per_exchange: usize,
-    /// Attribution window: per-step verification is forced on for every
-    /// sweep `t < verify_until`, pinning an epoch-batched detection to
-    /// the exact faulty sweep during a replay. 0 outside attribution.
-    pub(crate) verify_until: usize,
+    pub(crate) stepper: RankStepper<T>,
 }
 
-/// How a pool worker's task ended: reusable state, a recoverable abort
-/// (rank returned for rollback, ports deliberately dropped — dropping the
-/// endpoints is what cascades the loss to blocked neighbours), or a panic
-/// (everything dropped).
-pub(crate) enum RankResult<T> {
-    Finished(Rank<T>, Ports<T>),
-    Aborted { rank: Rank<T>, exit: RankExit },
-    Panicked(String),
-}
-
-/// What a pool worker hands back per task.
-pub(crate) struct TaskDone<T> {
+/// What a pool worker hands back per task: the stepper and how its round
+/// ended (its rank and ports are reusable after `Ok`; after an early exit
+/// the rank is returned for rollback with its ports hung up), or the
+/// message of a panic that dropped everything.
+pub(crate) struct TaskDone<T: Real> {
     pub(crate) job: u64,
     pub(crate) slot: usize,
+    /// Rank index within the job.
     pub(crate) idx: usize,
-    pub(crate) result: RankResult<T>,
+    pub(crate) result: Result<(RankStepper<T>, Result<(), RankExit>), String>,
 }
 
 /// Render a caught panic payload (the `&str`/`String` forms `panic!`
@@ -195,43 +52,25 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// scheduler's unified event channel, interleaved with submissions from
 /// whichever jobs are running concurrently.
 pub(crate) fn pool_worker<T: Real>(tasks: Receiver<RankTask<T>>, events: Sender<SchedEvent<T>>) {
-    while let Ok(mut task) = tasks.recv() {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run(
-                &mut task.rank,
-                &task.ports,
-                task.bounds,
-                task.dims,
-                task.iters,
-                task.start,
-                task.kill,
-                task.idx,
-                task.vault.as_deref(),
-                task.steps_per_exchange,
-                task.verify_until,
-            )
-        }));
-        let (job, slot, idx) = (task.job, task.slot, task.idx);
-        let result = match outcome {
-            Ok(RankExit::Complete) => {
-                let RankTask { rank, ports, .. } = task;
-                RankResult::Finished(rank, ports)
-            }
+    while let Ok(RankTask {
+        job,
+        slot,
+        mut stepper,
+    }) = tasks.recv()
+    {
+        let idx = stepper.idx;
+        let result = match catch_unwind(AssertUnwindSafe(|| stepper.run())) {
             Ok(exit) => {
-                // A killed (or peer-bereaved) rank drops its ports: the
-                // hung-up channels unblock — and error — every neighbour
-                // still waiting on this rank, cascading the loss through
-                // the topology instead of hanging the pipeline. The rank
-                // itself survives for the scheduler's rollback.
-                let RankTask { rank, ports, .. } = task;
-                drop(ports);
-                RankResult::Aborted { rank, exit }
+                if exit.is_err() {
+                    stepper.hang_up();
+                }
+                Ok((stepper, exit))
             }
             Err(payload) => {
                 // Drop the rank and its ports: hung-up channels unblock
                 // (and fail) every neighbour still waiting on this rank.
-                drop(task);
-                RankResult::Panicked(panic_message(payload))
+                drop(stepper);
+                Err(panic_message(payload))
             }
         };
         let done = TaskDone {
@@ -246,415 +85,50 @@ pub(crate) fn pool_worker<T: Real>(tasks: Receiver<RankTask<T>>, events: Sender<
     }
 }
 
-/// Append the value of brick-local cell `(lx, ly, lz)` to `out`.
-pub(crate) fn push_cell<T: Real>(
-    grid: &Grid3D<T>,
-    lx: usize,
-    ly: usize,
-    lz: usize,
-    out: &mut Vec<T>,
-) {
-    let (nx, ny, _) = grid.dims();
-    out.push(grid.as_slice()[(lz * ny + ly) * nx + lx]);
-}
-
-/// Snapshot the scalars of `cells` (brick-local coordinates) into one
-/// flat payload.
-pub(crate) fn pack_cells<T: Real>(grid: &Grid3D<T>, cells: &[(usize, usize, usize)]) -> HaloMsg<T> {
-    let mut out = Vec::with_capacity(cells.len());
-    for &(lx, ly, lz) in cells {
-        push_cell(grid, lx, ly, lz, &mut out);
-    }
-    out
-}
-
-/// One rank's whole simulation for one job (pipelined mode). Ports are
-/// borrowed, not consumed: a clean job drains every channel (one send
-/// and one recv per channel per iteration), so the same endpoints carry
-/// the pool's next job.
-///
-/// Each iteration `t` of `start..iters`: store a checkpoint when due
-/// (before anything else, so even an immediate kill leaves a recoverable
-/// epoch behind), die if a kill plan fires, then post / sweep / verify.
-/// Any channel error — a peer dropped its endpoints — aborts the step
-/// cleanly ([`RankExit::PeerLost`]): no partial state is committed, so
-/// the scheduler can roll the whole job back to a common epoch.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run<T: Real>(
-    rank: &mut Rank<T>,
-    ports: &Ports<T>,
-    bounds: BoundarySpec<T>,
-    dims: (usize, usize, usize),
-    iters: usize,
-    start: usize,
-    kill: Option<usize>,
-    idx: usize,
-    vault: Option<&Vault<T>>,
-    steps_per_exchange: usize,
-    verify_until: usize,
-) -> RankExit {
-    let k = steps_per_exchange.max(1);
-    debug_assert!(
-        k == 1 || start.is_multiple_of(k),
-        "resume must land on an exchange boundary (validate pins period % k == 0)"
-    );
-    let cadence = rank
-        .abft
-        .as_ref()
-        .map(|a| a.config().cadence)
-        .unwrap_or(VerifyCadence::EveryStep);
-    let sched = rank.shell.clone();
-    let brick = rank.brick;
-    let ex = rank.sim.stencil().extent_x();
-    let ey = rank.sim.stencil().extent_y();
-    let ez = rank.sim.stencil().extent_z();
-    // The ghost-free overlap window: cells whose stencil support stays
-    // in-brick (may be empty for bricks barely larger than the extent);
-    // the complement is the edge shell. An axis only narrows when it is
-    // actually decomposed (brick-local boundary is Ghost).
-    let interior_x = if matches!(rank.sim.bounds().x, Boundary::Ghost) {
-        ex..brick.x_len.saturating_sub(ex).max(ex)
-    } else {
-        0..brick.x_len
-    };
-    let interior_y = ey..brick.y_len.saturating_sub(ey).max(ey);
-    let interior_z = if matches!(rank.sim.bounds().z, Boundary::Ghost) {
-        ez..brick.z_len.saturating_sub(ez).max(ez)
-    } else {
-        0..brick.z_len
-    };
-    let index = rank.plan.index.clone();
-    let mut aux = Vec::new();
-    // The decaying deep-halo shell, live only between the epoch's
-    // exchange and its last sweep (`None` at every `j == 0`). A rollback
-    // never needs it: recovery targets are exchange-aligned, so the
-    // replay's first post rebuilds it from scratch.
-    let mut shell_vals: Option<Vec<T>> = None;
-    let mut scratch: Vec<T> = Vec::new();
-
-    for t in start..iters {
-        let j = t % k;
-        // --- 0. checkpoint / kill -------------------------------------
-        // The snapshot (grid + trusted checksums, the paper's §5.4
-        // "state of the grid and of the checksums") is taken *before*
-        // the kill check: both happen "at the start of t", and storing
-        // first guarantees every rank — even one killed at t = 0 —
-        // leaves at least one recoverable epoch in its ring. Skipped at
-        // `t == start` of a resume: the ring already holds that epoch.
-        if let Some(v) = vault {
-            if t % v.period == 0 && (t == 0 || t != start) {
-                match &rank.abft {
-                    Some(a) => a.write_checksum_payload(&mut aux),
-                    None => aux.clear(),
-                }
-                v.rings[idx].lock().expect("vault ring poisoned").store(
-                    rank.sim.current(),
-                    &aux,
-                    t,
-                );
-            }
-        }
-        if kill == Some(t) {
-            return RankExit::Killed { iter: t };
-        }
-
-        // Per-step ABFT verification: always under the default cadence;
-        // under the epoch-batched cadence only on the epoch's last
-        // sweep, the run's final sweep, and inside an attribution
-        // replay window. Unverified sweeps carry the checksums through
-        // Eq. 10's one-step interpolation instead.
-        let verify = match cadence {
-            VerifyCadence::EveryStep => true,
-            VerifyCadence::EpochBoundary => j == k - 1 || t + 1 == iters || t < verify_until,
-        };
-
-        if j == 0 {
-            // --- 1. post (once per epoch) -----------------------------
-            let t0 = Instant::now();
-            let current = rank.sim.current();
-            let mut sent = 0usize;
-            for (tx, cells) in &ports.sends {
-                let msg = pack_cells(current, cells);
-                sent += msg.len();
-                if tx.send(msg).is_err() {
-                    return RankExit::PeerLost { iter: t };
-                }
-            }
-            let self_values = pack_cells(current, &ports.self_cells);
-            rank.timing.post_s += t0.elapsed().as_secs_f64();
-            rank.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
-            rank.timing.halo_msgs_sent += ports.sends.len() as u64;
-
-            // --- 2–5. overlapped step ---------------------------------
-            let recvs = &ports.recvs;
-            let index = index.clone();
-            let self_len = self_values.len();
-            // Wire bytes measured at assembly: everything in the payload
-            // beyond the self-served prefix arrived over a channel.
-            let recv_elems = std::cell::Cell::new(0usize);
-            let recv_ref = &recv_elems;
-            let wait = move || {
-                let mut values = self_values;
-                for rx in recvs {
-                    match rx.recv() {
-                        Ok(msg) => values.extend(msg),
-                        Err(_) => return None,
-                    }
-                }
-                recv_ref.set(values.len() - self_len);
-                Some(HaloGhost::new(index, values, bounds, brick, dims))
-            };
-
-            let flips_now = rank.flips_at(t);
-            // k == 1 keeps the legacy calls bit-for-bit; k > 1 routes
-            // through the epoch variants, which hand the ghost payload
-            // back so it can seed the decaying shell.
-            let stepped: Option<(usize, SplitStepTimes, Option<HaloGhost<T>>)> = if k == 1 {
-                match (&mut rank.abft, flips_now.is_empty()) {
-                    (Some(abft), true) => abft
-                        .try_step_overlapped_region(
-                            &mut rank.sim,
-                            &NoHook,
-                            interior_x.clone(),
-                            interior_y.clone(),
-                            interior_z.clone(),
-                            wait,
-                        )
-                        .map(|(o, times)| (o.uncorrectable, times, None)),
-                    (Some(abft), false) => {
-                        let hook = MultiFlipHook::new(flips_now);
-                        abft.try_step_overlapped_region(
-                            &mut rank.sim,
-                            &hook,
-                            interior_x.clone(),
-                            interior_y.clone(),
-                            interior_z.clone(),
-                            wait,
-                        )
-                        .map(|(o, times)| (o.uncorrectable, times, None))
-                    }
-                    (None, true) => rank
-                        .sim
-                        .try_step_overlapped_region(
-                            &NoHook,
-                            interior_x.clone(),
-                            interior_y.clone(),
-                            interior_z.clone(),
-                            wait,
-                            None,
-                        )
-                        .map(|(_, times)| (0, times, None)),
-                    (None, false) => {
-                        let hook = MultiFlipHook::new(flips_now);
-                        rank.sim
-                            .try_step_overlapped_region(
-                                &hook,
-                                interior_x.clone(),
-                                interior_y.clone(),
-                                interior_z.clone(),
-                                wait,
-                                None,
-                            )
-                            .map(|(_, times)| (0, times, None))
-                    }
-                }
-            } else {
-                match (&mut rank.abft, flips_now.is_empty()) {
-                    (Some(abft), true) => abft
-                        .try_step_overlapped_region_epoch(
-                            &mut rank.sim,
-                            &NoHook,
-                            interior_x.clone(),
-                            interior_y.clone(),
-                            interior_z.clone(),
-                            wait,
-                            verify,
-                        )
-                        .map(|(o, times, g)| (o.uncorrectable, times, Some(g))),
-                    (Some(abft), false) => {
-                        let hook = MultiFlipHook::new(flips_now);
-                        abft.try_step_overlapped_region_epoch(
-                            &mut rank.sim,
-                            &hook,
-                            interior_x.clone(),
-                            interior_y.clone(),
-                            interior_z.clone(),
-                            wait,
-                            verify,
-                        )
-                        .map(|(o, times, g)| (o.uncorrectable, times, Some(g)))
-                    }
-                    (None, true) => rank
-                        .sim
-                        .try_step_overlapped_region(
-                            &NoHook,
-                            interior_x.clone(),
-                            interior_y.clone(),
-                            interior_z.clone(),
-                            wait,
-                            None,
-                        )
-                        .map(|(g, times)| (0, times, Some(g))),
-                    (None, false) => {
-                        let hook = MultiFlipHook::new(flips_now);
-                        rank.sim
-                            .try_step_overlapped_region(
-                                &hook,
-                                interior_x.clone(),
-                                interior_y.clone(),
-                                interior_z.clone(),
-                                wait,
-                                None,
-                            )
-                            .map(|(g, times)| (0, times, Some(g)))
-                    }
-                }
-            };
-            let Some((uncorrectable, times, ghost)) = stepped else {
-                // A producer died: the step was abandoned before the edge
-                // sweep, so the simulation still holds iteration t intact.
-                return RankExit::PeerLost { iter: t };
-            };
-            rank.timing.add_step(&times);
-            rank.timing.halo_bytes_recv += (recv_elems.get() * std::mem::size_of::<T>()) as u64;
-            rank.timing.halo_msgs_recv += ports.recvs.len() as u64;
-            if let Some(g) = ghost {
-                shell_vals = Some(g.into_values());
-            }
-            // Eq. 10 was defeated (multi-point damage). With a vault
-            // armed, escalate to rollback instead of carrying a wrong
-            // grid forward.
-            if uncorrectable > 0 && vault.is_some() {
-                return RankExit::Uncorrectable { iter: t };
-            }
-        } else {
-            // --- Interior sweep: no post, no wait. Advance the decayed
-            // shell by one sweep (duplicated execution, DMR-guarded when
-            // protected), then step the brick against the freshly
-            // advanced ghost values.
-            let sched = sched
-                .as_deref()
-                .expect("steps_per_exchange > 1 implies a shell schedule");
-            let values = shell_vals
-                .as_mut()
-                .expect("interior sweep inside a live epoch");
-            let t0 = Instant::now();
-            let shell_flips = rank.shell_flips_at(t - 1);
-            let guard = rank.abft.is_some();
-            let (det, corr) = sched.advance(
-                values,
-                &mut scratch,
-                rank.sim.previous(),
-                rank.sim.current(),
-                j - 1,
-                &shell_flips,
-                guard,
-            );
-            if let Some(a) = rank.abft.as_mut() {
-                a.note_shell_guard(det, corr);
-            }
-            rank.timing.post_s += t0.elapsed().as_secs_f64();
-            let ghost = HaloGhost::new(index.clone(), std::mem::take(values), bounds, brick, dims);
-            let t1 = Instant::now();
-            let uncorrectable = step_rank_barriered(rank, t, &ghost, verify);
-            rank.timing.edge_s += t1.elapsed().as_secs_f64();
-            *values = ghost.into_values();
-            if uncorrectable > 0 && vault.is_some() {
-                return RankExit::Uncorrectable { iter: t };
-            }
-        }
-    }
-    RankExit::Complete
-}
-
-/// Advance one rank by one iteration against a pre-built ghost (snapshot
-/// mode or an epoch's interior sweep), injecting any flips scheduled for
-/// iteration `t` and protecting the sweep when ABFT is enabled. With
-/// `verify` false a protected rank carries its checksums through Eq. 10's
-/// interpolation instead of verifying (the epoch-batched cadence's
-/// interior sweeps). Returns the number of layers whose damage defeated
-/// Eq. 10 this step (always 0 unprotected or unverified), so the
-/// barriered driver can escalate to a checkpoint rollback.
-pub(crate) fn step_rank_barriered<T: Real>(
-    rank: &mut Rank<T>,
-    t: usize,
-    ghost: &HaloGhost<T>,
-    verify: bool,
-) -> usize {
-    let flips_now = rank.flips_at(t);
-    match (&mut rank.abft, flips_now.is_empty()) {
-        (Some(abft), true) if verify => {
-            abft.step_with_ghosts(&mut rank.sim, &NoHook, ghost)
-                .uncorrectable
-        }
-        (Some(abft), false) if verify => {
-            let hook = MultiFlipHook::new(flips_now);
-            abft.step_with_ghosts(&mut rank.sim, &hook, ghost)
-                .uncorrectable
-        }
-        (Some(abft), true) => {
-            abft.carry_step_with_ghosts(&mut rank.sim, &NoHook, ghost)
-                .uncorrectable
-        }
-        (Some(abft), false) => {
-            let hook = MultiFlipHook::new(flips_now);
-            abft.carry_step_with_ghosts(&mut rank.sim, &hook, ghost)
-                .uncorrectable
-        }
-        (None, true) => {
-            rank.sim.step_full(&NoHook, ghost, ChecksumMode::None);
-            0
-        }
-        (None, false) => {
-            let hook = MultiFlipHook::new(flips_now);
-            rank.sim.step_full(&hook, ghost, ChecksumMode::None);
-            0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{TopoKey, TopologyCache};
-    use crate::{build_ranks, DistConfig, Partition3};
-    use abft_fault::BitFlip;
+    use crate::pipeline::{HaloMsg, TopologyCache};
+    use crate::step::Job;
+    use crate::JobSpec;
+    use abft_checkpoint::CheckpointPolicy;
+    use abft_core::AbftConfig;
+    use abft_fault::{BitFlip, RankKill};
+    use abft_grid::Grid3D;
     use abft_stencil::Stencil3D;
     use std::sync::mpsc::{channel, sync_channel};
 
-    /// A complete single-rank task over a 6×6×4 clamped domain with a
-    /// width-1 y-halo topology and a seven-point kernel.
+    /// A single-rank job over a 6×6×4 clamped domain with a seven-point
+    /// kernel.
+    fn one_rank_spec(iters: usize) -> JobSpec<f64> {
+        JobSpec::over(
+            Grid3D::from_fn(6, 6, 4, |x, y, z| (x * 3 + y + z * 5) as f64),
+            Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1),
+        )
+        .with_iters(iters)
+    }
+
+    /// The job's only stepper, over a fresh topology.
+    fn one_stepper(spec: &JobSpec<f64>) -> RankStepper<f64> {
+        let (_, mut steppers) = Job::build(spec, &mut TopologyCache::new()).unwrap();
+        steppers.remove(0)
+    }
+
     fn one_rank_task(iters: usize) -> RankTask<f64> {
-        let dims = (6, 6, 4);
-        let part = Partition3::new(6, 6, 4, 1, 1, 1);
-        let bounds = BoundarySpec::clamp();
-        let initial = Grid3D::from_fn(6, 6, 4, |x, y, z| (x * 3 + y + z * 5) as f64);
-        let cfg = DistConfig::<f64>::new(1, iters);
-        let stencil = Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1);
-        let key = TopoKey {
-            dims,
-            grid: (1, 1, 1),
-            halo: (0, 1, 0),
-            bounds,
-        };
-        let mut cache = TopologyCache::new();
-        let plans = cache.plans(&key, &part, &bounds);
-        let ports = cache.check_out(&key, &part).remove(0);
-        let mut ranks = build_ranks(&initial, &stencil, &bounds, None, &cfg, &part, &plans);
         RankTask {
             job: 1,
             slot: 0,
-            idx: 0,
-            rank: ranks.remove(0),
-            ports,
-            bounds,
-            dims,
-            iters,
-            start: 0,
-            kill: None,
-            vault: None,
-            steps_per_exchange: 1,
-            verify_until: 0,
+            stepper: one_stepper(&one_rank_spec(iters)),
+        }
+    }
+
+    fn flip(iteration: usize, x: usize, y: usize, bit: u32) -> BitFlip {
+        BitFlip {
+            iteration,
+            x,
+            y,
+            z: 1,
+            bit,
         }
     }
 
@@ -676,25 +150,18 @@ mod tests {
         let worker = std::thread::spawn(move || pool_worker::<f64>(task_rx, done_tx));
 
         // Poison the first task: a flip with an impossible bit position
-        // blows the hook constructor's assert mid-iteration, inside the
-        // worker thread.
+        // blows the hook constructor's assert mid-job, inside the worker
+        // thread.
         let mut poisoned = one_rank_task(3);
-        poisoned.rank.flips.push(BitFlip {
-            iteration: 1,
-            x: 0,
-            y: 0,
-            z: 0,
-            bit: 64,
-        });
+        poisoned.stepper.rank.flips.push(flip(1, 0, 0, 64));
         poisoned.job = 9;
         poisoned.slot = 5;
-        poisoned.idx = 7;
         task_tx.send(poisoned).unwrap();
         let done = done_event(done_rx.recv().unwrap());
-        assert_eq!((done.job, done.slot, done.idx), (9, 5, 7));
+        assert_eq!((done.job, done.slot, done.idx), (9, 5, 0));
         let message = match done.result {
-            RankResult::Panicked(message) => message,
-            _ => panic!("poisoned task must panic"),
+            Err(message) => message,
+            Ok(_) => panic!("poisoned task must panic"),
         };
         assert!(
             message.contains("out of range"),
@@ -706,7 +173,7 @@ mod tests {
         let done = done_event(done_rx.recv().unwrap());
         assert_eq!((done.job, done.slot, done.idx), (1, 0, 0));
         assert!(
-            matches!(done.result, RankResult::Finished(..)),
+            matches!(done.result, Ok((_, Ok(())))),
             "pool worker was poisoned by the panic"
         );
 
@@ -726,15 +193,20 @@ mod tests {
         let mut task = one_rank_task(3);
         let (dead_tx, dead_rx) = sync_channel::<HaloMsg<f64>>(2);
         drop(dead_tx);
-        task.ports.recvs.push(dead_rx);
+        task.stepper.ports.recvs.push(dead_rx);
         task_tx.send(task).unwrap();
         let done = done_event(done_rx.recv().unwrap());
         match done.result {
-            RankResult::Aborted { rank, exit } => {
-                assert_eq!(exit, RankExit::PeerLost { iter: 0 });
-                assert_eq!(rank.sim.iteration(), 0, "aborted step must not commit");
+            Ok((stepper, exit)) => {
+                assert_eq!(exit, Err(RankExit::PeerLost { iter: 0 }));
+                assert_eq!(
+                    stepper.rank.sim.iteration(),
+                    0,
+                    "aborted step must not commit"
+                );
+                assert!(stepper.ports.recvs.is_empty(), "worker must hang up");
             }
-            _ => panic!("dead producer must abort, not panic or finish"),
+            Err(message) => panic!("dead producer must abort, not panic: {message}"),
         }
 
         drop(task_tx);
@@ -746,36 +218,48 @@ mod tests {
     /// vault ring holds every due epoch (including 0).
     #[test]
     fn kill_plan_fires_at_iteration_start_after_checkpointing() {
-        let mut task = one_rank_task(6);
-        task.kill = Some(4);
-        task.vault = Some(Arc::new(Vault::new(2, 8, 1)));
-        let vault = task.vault.clone().unwrap();
-        let exit = run(
-            &mut task.rank,
-            &task.ports,
-            task.bounds,
-            task.dims,
-            task.iters,
-            task.start,
-            task.kill,
-            task.idx,
-            task.vault.as_deref(),
-            task.steps_per_exchange,
-            task.verify_until,
-        );
-        assert_eq!(exit, RankExit::Killed { iter: 4 });
-        assert_eq!(task.rank.sim.iteration(), 4);
+        let spec = one_rank_spec(6)
+            .with_rank_kill(RankKill::new(0, 4))
+            .with_checkpoint(CheckpointPolicy::every(2).with_keep(8));
+        let (job, mut steppers) = Job::build(&spec, &mut TopologyCache::new()).unwrap();
+        assert_eq!(steppers[0].run(), Err(RankExit::Killed { iter: 4 }));
+        assert_eq!(steppers[0].rank.sim.iteration(), 4);
         // epochs 0, 2 and 4: the snapshot at t=4 lands before the kill
+        let vault = job.vault.expect("policy arms a vault");
         assert_eq!(vault.rings[0].lock().unwrap().epochs(), vec![0, 2, 4]);
         assert_eq!(vault.common_epoch(), Some(4));
     }
 
+    /// A rank's replay bound is its stepper's `t` — the first iteration
+    /// it has not durably executed — whichever way its round ended.
     #[test]
     fn rank_exit_progress_bounds() {
-        assert_eq!(RankExit::Complete.progress(7), 7);
-        assert_eq!(RankExit::Killed { iter: 3 }.progress(7), 3);
-        assert_eq!(RankExit::PeerLost { iter: 5 }.progress(7), 5);
-        assert_eq!(RankExit::Uncorrectable { iter: 2 }.progress(7), 3);
+        let mut done = one_stepper(&one_rank_spec(7));
+        assert_eq!(done.run(), Ok(()));
+        assert_eq!(done.t, 7);
+
+        let mut killed = one_stepper(&one_rank_spec(7).with_rank_kill(RankKill::new(0, 3)));
+        assert_eq!(killed.run(), Err(RankExit::Killed { iter: 3 }));
+        assert_eq!(killed.t, 3);
+
+        // A dead producer is found in the second half of iteration 0.
+        let mut bereaved = one_stepper(&one_rank_spec(7));
+        let (dead_tx, dead_rx) = sync_channel::<HaloMsg<f64>>(2);
+        drop(dead_tx);
+        bereaved.ports.recvs.push(dead_rx);
+        assert_eq!(bereaved.run(), Err(RankExit::PeerLost { iter: 0 }));
+        assert_eq!(bereaved.t, 0);
+
+        // Two same-layer flips defeat Eq. 10 under the strict policy: the
+        // step commits before the damage is found, so replay starts past it.
+        let storm = one_rank_spec(7)
+            .with_abft(AbftConfig::<f64>::paper_defaults())
+            .with_checkpoint(CheckpointPolicy::every(2))
+            .with_flip(0, flip(2, 1, 2, 53))
+            .with_flip(0, flip(2, 4, 4, 53));
+        let mut defeated = one_stepper(&storm);
+        assert_eq!(defeated.run(), Err(RankExit::Uncorrectable { iter: 2 }));
+        assert_eq!(defeated.t, 3);
     }
 
     #[test]

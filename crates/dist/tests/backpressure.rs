@@ -6,7 +6,7 @@
 //! submission.
 
 use abft_core::{AbftConfig, VerifyCadence};
-use abft_dist::{DistError, DistService, JobHandle, JobSpec, SchedPolicy, ServiceConfig};
+use abft_dist::{DistError, DistService, JobHandle, JobSpec, ServiceConfig};
 use abft_grid::Grid3D;
 use abft_stencil::Stencil3D;
 use proptest::prelude::*;
@@ -78,10 +78,7 @@ proptest! {
             1..12,
         ),
     ) {
-        let service = DistService::<f64>::with_config(
-            ServiceConfig::new(4).with_policy(SchedPolicy::Concurrent),
-        )
-        .unwrap();
+        let service = DistService::<f64>::new(4).unwrap();
         let mut handles: Vec<(usize, JobHandle<f64>)> = Vec::new();
         for (i, &(ranks, iters, k, protect)) in burst.iter().enumerate() {
             let mut spec = job(i, [1, 2][ranks], iters).with_steps_per_exchange(k);

@@ -1,18 +1,35 @@
-//! The pipelined execution path must be **bitwise** interchangeable with
-//! the legacy snapshot path: same halo values, same sweep results, same
+//! The pipelined (threaded) and snapshot (lock-step) drivers must be
+//! **bitwise** interchangeable: same halo values, same sweep results, same
 //! ABFT decisions — across boundary conditions, halo widths, rank counts
-//! and mid-pipeline fault injection.
+//! and mid-pipeline fault injection. The two drive the same step machine,
+//! so every matrix also pins both to a serial `StencilSim` loop — the
+//! reference that shares none of that code.
 
 use abft_core::AbftConfig;
 use abft_dist::{run_distributed, DistConfig, HaloMode};
 use abft_fault::BitFlip;
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
-use abft_stencil::Stencil3D;
+use abft_stencil::{Exec, Stencil3D, StencilSim};
 
 fn wavy(nx: usize, ny: usize, nz: usize) -> Grid3D<f64> {
     Grid3D::from_fn(nx, ny, nz, |x, y, z| {
         ((x * 17 + y * 29 + z * 11) % 31) as f64 * 0.5 - 7.0
     })
+}
+
+/// The independent reference: one undecomposed serial simulation.
+fn serial(
+    initial: &Grid3D<f64>,
+    stencil: &Stencil3D<f64>,
+    bounds: &BoundarySpec<f64>,
+    iters: usize,
+) -> Grid3D<f64> {
+    let mut sim =
+        StencilSim::new(initial.clone(), stencil.clone(), *bounds).with_exec(Exec::Serial);
+    for _ in 0..iters {
+        sim.step();
+    }
+    sim.current().clone()
 }
 
 /// y-asymmetric 7-point-ish kernel so every halo row carries a distinct
@@ -40,6 +57,7 @@ fn pipelined_matches_snapshot_bitwise_across_boundaries_and_halo_widths() {
             y: boundary,
             z: Boundary::Clamp,
         };
+        let expect = serial(&initial, &stencil, &bounds, 11);
         for halo in [1usize, 2, 3] {
             for ranks in [2usize, 3, 5] {
                 let base = DistConfig::<f64>::new(ranks, 11).with_halo(halo);
@@ -63,6 +81,10 @@ fn pipelined_matches_snapshot_bitwise_across_boundaries_and_halo_widths() {
                     snap.global, pipe.global,
                     "halo {halo}, {ranks} ranks diverged under y = {boundary:?}"
                 );
+                assert_eq!(
+                    snap.global, expect,
+                    "halo {halo}, {ranks} ranks left the serial trajectory under y = {boundary:?}"
+                );
             }
         }
     }
@@ -81,6 +103,7 @@ fn pipelined_matches_snapshot_for_wide_stencils() {
     ]);
     for boundary in [Boundary::Clamp, Boundary::Periodic] {
         let bounds = BoundarySpec::uniform(boundary);
+        let expect = serial(&initial, &stencil, &bounds, 7);
         for ranks in [2usize, 4] {
             let base = DistConfig::<f64>::new(ranks, 7);
             let snap = run_distributed(
@@ -93,6 +116,7 @@ fn pipelined_matches_snapshot_for_wide_stencils() {
             .unwrap();
             let pipe = run_distributed(&initial, &stencil, &bounds, None, &base).unwrap();
             assert_eq!(snap.global, pipe.global, "{ranks} ranks, y = {boundary:?}");
+            assert_eq!(snap.global, expect, "{ranks} ranks, y = {boundary:?}");
         }
     }
 }
@@ -154,6 +178,12 @@ fn flip_injection_and_correction_agree_mid_pipeline() {
         );
     }
     assert_eq!(snap.global, pipe.global, "repaired grids diverged");
+    // Eq. 10 repairs to within rounding of the fault-free value, not
+    // bitwise: the serial reference bounds the residual instead.
+    let residual = snap
+        .global
+        .max_abs_diff(&serial(&initial, &stencil, &bounds, 12));
+    assert!(residual < 1e-9, "residual error {residual:.3e}");
 }
 
 /// Unbalanced decompositions (slabs of different heights) and many ranks:
@@ -174,4 +204,5 @@ fn pipelined_matches_snapshot_on_unbalanced_decompositions() {
     .unwrap();
     let pipe = run_distributed(&initial, &stencil, &bounds, None, &base).unwrap();
     assert_eq!(snap.global, pipe.global);
+    assert_eq!(snap.global, serial(&initial, &stencil, &bounds, 9));
 }

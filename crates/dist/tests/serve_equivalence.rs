@@ -9,9 +9,7 @@
 //! even while they run side by side on the same pool.
 
 use abft_core::AbftConfig;
-use abft_dist::{
-    run_distributed, DistService, HaloMode, JobHandle, JobSpec, SchedPolicy, ServiceConfig,
-};
+use abft_dist::{run_distributed, DistService, HaloMode, JobHandle, JobSpec};
 use abft_fault::BitFlip;
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
 use abft_stencil::Stencil3D;
@@ -305,10 +303,7 @@ proptest! {
             2..7,
         ),
     ) {
-        let service = DistService::<f64>::with_config(
-            ServiceConfig::new(8).with_policy(SchedPolicy::Concurrent),
-        )
-        .unwrap();
+        let service = DistService::<f64>::new(8).unwrap();
         // Park the scheduler so the whole batch queues before any of it
         // can start: the admission pass then co-schedules maximally.
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();

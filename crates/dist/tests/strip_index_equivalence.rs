@@ -4,13 +4,13 @@
 //! the distributed substrate supports — including x×y×z brick grids,
 //! whose halo shells add z-face, z-edge and z-corner cells.
 //!
-//! The hash witness only exists in debug builds or under the
-//! `hash-ghost-path` feature (release builds strip it from the hot path
-//! entirely), so this file is compiled under the same cfg. Debug builds
-//! additionally cross-check strip vs. hash inside `HaloIndex::slot` on
-//! every ghost read of every other test in the workspace — this file is
-//! the exhaustive, directed version of that proof.
-#![cfg(any(debug_assertions, feature = "hash-ghost-path"))]
+//! The hash witness only exists in debug builds (release builds strip it
+//! from the hot path entirely), so this file is compiled under the same
+//! cfg. Debug builds additionally cross-check strip vs. hash inside
+//! `HaloIndex::slot` on every ghost read of every other test in the
+//! workspace — this file is the exhaustive, directed version of that
+//! proof.
+#![cfg(debug_assertions)]
 
 use abft_dist::{auto_grid, run_distributed, DistConfig, GridSpec, HaloMode, HaloPlan, Partition3};
 use abft_grid::{Boundary, BoundarySpec, Grid3D};

@@ -20,8 +20,9 @@ pub struct RecoveryStats {
     /// Total iterations of completed work discarded by rollbacks, summed
     /// over ranks (`Σ_r progress_r − epoch`).
     pub steps_lost: usize,
-    /// Wall-clock seconds from loss detection to the respawn dispatch,
-    /// summed over rollback rounds.
+    /// Wall-clock seconds from loss detection (every rank of the job has
+    /// stopped) to every rank rolled back and ready to run again, summed
+    /// over rollback rounds.
     pub recovery_s: f64,
     /// Snapshots taken across all ranks.
     pub checkpoints_stored: usize,

@@ -45,5 +45,5 @@ pub use constant::{ConstantField, LineSums};
 pub use exec::Exec;
 pub use hook::{NoHook, SweepHook};
 pub use kernel::{Stencil2D, Stencil3D, Tap2, Tap3};
-pub use sim::{SplitStepTimes, StencilSim};
+pub use sim::{InteriorWindow, StencilSim};
 pub use sweep::{read_resolved, sweep, sweep_region, sweep_rows, ChecksumMode};

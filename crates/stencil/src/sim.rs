@@ -1,35 +1,24 @@
 //! A self-contained time-stepping simulation: stencil + boundary spec +
 //! optional constant field + double-buffered state.
 
-use crate::{sweep, sweep_rows, ChecksumMode, ConstantField, Exec, NoHook, Stencil3D, SweepHook};
+use crate::{sweep, sweep_region, ChecksumMode, ConstantField, Exec, NoHook, Stencil3D, SweepHook};
 use abft_grid::{BoundarySpec, DoubleBuffer, GhostCells, Grid3D, NoGhosts};
 use abft_num::Real;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Wall-clock breakdown of one overlapped (split) step, in seconds.
-///
-/// Produced by [`StencilSim::step_overlapped`]; `verify_s` stays zero for
-/// unprotected steps and is filled in by the protector when ABFT
-/// verification runs after the edge phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SplitStepTimes {
-    /// Interior rows swept while halos were in flight.
-    pub interior_s: f64,
-    /// Blocked waiting for the ghost source (halo receive).
-    pub wait_s: f64,
-    /// Edge rows swept after the halo landed.
-    pub edge_s: f64,
-    /// ABFT interpolation/detection/correction after the step.
-    pub verify_s: f64,
-}
-
-impl SplitStepTimes {
-    /// Sum of all phases.
-    pub fn total_s(&self) -> f64 {
-        self.interior_s + self.wait_s + self.edge_s + self.verify_s
-    }
+/// The ghost-free box of a split step: the cells whose stencil support
+/// stays inside the grid on every axis that reads ghosts. The first half
+/// of the step ([`StencilSim::sweep_interior`]) sweeps it while a halo
+/// exchange is in flight; the second half
+/// ([`StencilSim::sweep_shell_and_finish`]) sweeps everything around it
+/// once the ghosts have landed. An axis that reads no ghosts spans its
+/// whole length; any range may be empty.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InteriorWindow {
+    pub x: Range<usize>,
+    pub y: Range<usize>,
+    pub z: Range<usize>,
 }
 
 /// An unprotected stencil simulation (the paper's "No-ABFT" baseline) and
@@ -182,25 +171,80 @@ impl<T: Real> StencilSim<T> {
         self.iteration += 1;
     }
 
-    /// Low-level half of a split step: sweep only the `y`-rows in `rows`
-    /// into the back buffer **without** completing the step. Call
-    /// [`StencilSim::finish_step`] once disjoint row ranges covering the
-    /// whole domain have been swept; the result is bitwise equal to one
-    /// [`StencilSim::step_full`]. `col`, when given, receives the fused
-    /// column checksums of the swept rows.
-    pub fn sweep_rows_partial<H: SweepHook<T>, G: GhostCells<T>>(
+    /// First half of a split step: sweep the ghost-free `window` into the
+    /// back buffer **without** completing the step. Nothing in the window
+    /// may read a ghost cell ([`NoGhosts`] turns a stray access into a
+    /// panic rather than silent corruption). `col`, when given, receives
+    /// the fused column checksums of the swept `(z, y)` lines and needs a
+    /// full-width window ([`sweep_region`]'s rule).
+    ///
+    /// Not calling the second half *is* the abort: the current state still
+    /// holds iteration `t` (the back buffer holds a torn partial sweep,
+    /// overwritten by the next sweep or a [`StencilSim::restore`]).
+    pub fn sweep_interior<H: SweepHook<T>>(
+        &mut self,
+        hook: &H,
+        window: &InteriorWindow,
+        col: Option<&mut [T]>,
+    ) {
+        self.sweep_box(
+            hook,
+            &NoGhosts,
+            window.y.clone(),
+            window.x.clone(),
+            window.z.clone(),
+            col,
+        );
+    }
+
+    /// Second half of a split step: sweep the shell around `window` (the
+    /// same window the first half swept) against `ghosts` — bottom/top
+    /// z-slabs over the full cross-section, then the y-frame rows
+    /// full-width and the x-side columns of the middle box — and complete
+    /// the step (buffer swap, iteration count). The two halves together
+    /// are bitwise equal to one [`StencilSim::step_full`] with the same
+    /// ghost values.
+    pub fn sweep_shell_and_finish<H: SweepHook<T>, G: GhostCells<T>>(
+        &mut self,
+        hook: &H,
+        ghosts: &G,
+        window: &InteriorWindow,
+        mut col: Option<&mut [T]>,
+    ) {
+        let (nx, ny, nz) = self.dims();
+        let InteriorWindow { x, y, z } = window;
+        let mut piece = |rows: Range<usize>, xs: Range<usize>, zs: &Range<usize>| {
+            self.sweep_box(hook, ghosts, rows, xs, zs.clone(), col.as_deref_mut());
+        };
+        piece(0..ny, 0..nx, &(0..z.start));
+        piece(0..ny, 0..nx, &(z.end..nz));
+        piece(0..y.start, 0..nx, z);
+        piece(y.end..ny, 0..nx, z);
+        piece(y.clone(), 0..x.start, z);
+        piece(y.clone(), x.end..nx, z);
+        self.buf.swap();
+        self.iteration += 1;
+    }
+
+    /// Sweep one box of the domain into the back buffer.
+    fn sweep_box<H: SweepHook<T>, G: GhostCells<T>>(
         &mut self,
         hook: &H,
         ghosts: &G,
         rows: Range<usize>,
+        xs: Range<usize>,
+        zs: Range<usize>,
         col: Option<&mut [T]>,
     ) {
         let (src, dst) = self.buf.split();
         let mode = match col {
-            Some(c) => ChecksumMode::Col { col: c },
-            None => ChecksumMode::None,
+            // The x-side pieces of a full-width window are empty: they
+            // complete no checksum line, and `sweep_region` would refuse
+            // the partial x-range before noticing there is nothing to do.
+            Some(col) if !xs.is_empty() => ChecksumMode::Col { col },
+            _ => ChecksumMode::None,
         };
-        sweep_rows(
+        sweep_region(
             src,
             dst,
             &self.stencil,
@@ -211,211 +255,9 @@ impl<T: Real> StencilSim<T> {
             mode,
             self.exec,
             rows,
-        );
-    }
-
-    /// Low-level half of a split step over a box `rows × xs × zs` window:
-    /// sweep it into the back buffer **without** completing the step (no
-    /// checksums — a partial x-window cannot complete a column checksum
-    /// line). Call [`StencilSim::finish_step`] once disjoint windows
-    /// tiling the whole domain have been swept; the result is bitwise
-    /// equal to one [`StencilSim::step_full`].
-    pub fn sweep_region_partial<H: SweepHook<T>, G: GhostCells<T>>(
-        &mut self,
-        hook: &H,
-        ghosts: &G,
-        rows: Range<usize>,
-        xs: Range<usize>,
-        zs: Range<usize>,
-    ) {
-        let (src, dst) = self.buf.split();
-        crate::sweep_region(
-            src,
-            dst,
-            &self.stencil,
-            &self.bounds,
-            self.constant.as_deref().map(ConstantField::grid),
-            ghosts,
-            hook,
-            ChecksumMode::None,
-            self.exec,
-            rows,
             xs,
             zs,
         );
-    }
-
-    /// Complete a split step: swap the buffers and advance the iteration
-    /// counter. Every row must have been swept via
-    /// [`StencilSim::sweep_rows_partial`] since the last step.
-    pub fn finish_step(&mut self) {
-        self.buf.swap();
-        self.iteration += 1;
-    }
-
-    /// One overlapped step: sweep the `interior` rows (which must not
-    /// depend on ghost cells), then call `wait` to obtain the ghost source
-    /// — the overlap window where a halo exchange completes — and finally
-    /// sweep the remaining edge rows against it. Bitwise equal to
-    /// [`StencilSim::step_full`] with the same ghost values.
-    ///
-    /// Returns the ghost source (protectors reuse it for checksum
-    /// interpolation) and the per-phase wall-clock breakdown.
-    pub fn step_overlapped<H, G, W>(
-        &mut self,
-        hook: &H,
-        interior: Range<usize>,
-        wait: W,
-        col: Option<&mut [T]>,
-    ) -> (G, SplitStepTimes)
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> G,
-    {
-        self.try_step_overlapped(hook, interior, || Some(wait()), col)
-            .expect("infallible wait returned a ghost source")
-    }
-
-    /// Fallible variant of [`StencilSim::step_overlapped`] for exchanges
-    /// that can *fail* (a peer rank died and its halo never arrives).
-    /// `wait` returns `None` to abort the step: the edge sweep is skipped,
-    /// the buffers are **not** swapped and the iteration counter does not
-    /// advance — the current state still holds iteration `t` (the back
-    /// buffer holds a torn partial sweep, overwritten by the next sweep or
-    /// a [`StencilSim::restore`]), so the caller can roll back cleanly.
-    pub fn try_step_overlapped<H, G, W>(
-        &mut self,
-        hook: &H,
-        interior: Range<usize>,
-        wait: W,
-        mut col: Option<&mut [T]>,
-    ) -> Option<(G, SplitStepTimes)>
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> Option<G>,
-    {
-        let ny = self.dims().1;
-        let interior = interior.start.min(ny)..interior.end.min(ny);
-        let interior = interior.start..interior.end.max(interior.start);
-
-        let t0 = Instant::now();
-        // Interior rows resolve every read in-slab; `NoGhosts` turns any
-        // stray ghost access into a panic rather than silent corruption.
-        self.sweep_rows_partial(hook, &NoGhosts, interior.clone(), col.as_deref_mut());
-        let t1 = Instant::now();
-        let ghosts = wait()?;
-        let t2 = Instant::now();
-        self.sweep_rows_partial(hook, &ghosts, 0..interior.start, col.as_deref_mut());
-        self.sweep_rows_partial(hook, &ghosts, interior.end..ny, col);
-        self.finish_step();
-        let t3 = Instant::now();
-
-        let times = SplitStepTimes {
-            interior_s: (t1 - t0).as_secs_f64(),
-            wait_s: (t2 - t1).as_secs_f64(),
-            edge_s: (t3 - t2).as_secs_f64(),
-            verify_s: 0.0,
-        };
-        Some((ghosts, times))
-    }
-
-    /// One overlapped step with a box interior window — the 3-D
-    /// generalisation of [`StencilSim::step_overlapped`] for
-    /// x×y×z-decomposed bricks, whose ghost-free interior excludes the x-,
-    /// y- *and* z-edge cells. Sweeps `interior_y × interior_x ×
-    /// interior_z` first (no ghost reads allowed), calls `wait` for the
-    /// ghost source, then sweeps the remaining edge shell (bottom/top
-    /// z-slabs over the full cross-section, then the y-frame rows
-    /// full-width and the x-side columns of the middle box) against it.
-    /// Bitwise equal to [`StencilSim::step_full`] with the same ghost
-    /// values.
-    ///
-    /// Full-width `interior_x` *and* full-depth `interior_z` delegate to
-    /// [`StencilSim::step_overlapped`] (the fused-checksum 1-D path);
-    /// otherwise `col` must be `None` — a partial window cannot complete
-    /// every column checksum line, so protectors recompute the vectors
-    /// from the finished step instead.
-    pub fn step_overlapped_region<H, G, W>(
-        &mut self,
-        hook: &H,
-        interior_x: Range<usize>,
-        interior_y: Range<usize>,
-        interior_z: Range<usize>,
-        wait: W,
-        col: Option<&mut [T]>,
-    ) -> (G, SplitStepTimes)
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> G,
-    {
-        self.try_step_overlapped_region(
-            hook,
-            interior_x,
-            interior_y,
-            interior_z,
-            || Some(wait()),
-            col,
-        )
-        .expect("infallible wait returned a ghost source")
-    }
-
-    /// Fallible variant of [`StencilSim::step_overlapped_region`]; see
-    /// [`StencilSim::try_step_overlapped`] for the abort contract (`wait`
-    /// returning `None` leaves the step uncommitted).
-    pub fn try_step_overlapped_region<H, G, W>(
-        &mut self,
-        hook: &H,
-        interior_x: Range<usize>,
-        interior_y: Range<usize>,
-        interior_z: Range<usize>,
-        wait: W,
-        col: Option<&mut [T]>,
-    ) -> Option<(G, SplitStepTimes)>
-    where
-        H: SweepHook<T>,
-        G: GhostCells<T>,
-        W: FnOnce() -> Option<G>,
-    {
-        let (nx, ny, nz) = self.dims();
-        let ix = interior_x.start.min(nx)..interior_x.end.min(nx);
-        let ix = ix.start..ix.end.max(ix.start);
-        let iz = interior_z.start.min(nz)..interior_z.end.min(nz);
-        let iz = iz.start..iz.end.max(iz.start);
-        if ix == (0..nx) && iz == (0..nz) {
-            return self.try_step_overlapped(hook, interior_y, wait, col);
-        }
-        assert!(
-            col.is_none(),
-            "fused column checksums need a full-width, full-depth interior \
-             window; compute them from the finished step instead"
-        );
-        let iy = interior_y.start.min(ny)..interior_y.end.min(ny);
-        let iy = iy.start..iy.end.max(iy.start);
-
-        let t0 = Instant::now();
-        self.sweep_region_partial(hook, &NoGhosts, iy.clone(), ix.clone(), iz.clone());
-        let t1 = Instant::now();
-        let ghosts = wait()?;
-        let t2 = Instant::now();
-        self.sweep_region_partial(hook, &ghosts, 0..ny, 0..nx, 0..iz.start);
-        self.sweep_region_partial(hook, &ghosts, 0..ny, 0..nx, iz.end..nz);
-        self.sweep_region_partial(hook, &ghosts, 0..iy.start, 0..nx, iz.clone());
-        self.sweep_region_partial(hook, &ghosts, iy.end..ny, 0..nx, iz.clone());
-        self.sweep_region_partial(hook, &ghosts, iy.clone(), 0..ix.start, iz.clone());
-        self.sweep_region_partial(hook, &ghosts, iy.clone(), ix.end..nx, iz.clone());
-        self.finish_step();
-        let t3 = Instant::now();
-
-        let times = SplitStepTimes {
-            interior_s: (t1 - t0).as_secs_f64(),
-            wait_s: (t2 - t1).as_secs_f64(),
-            edge_s: (t3 - t2).as_secs_f64(),
-            verify_s: 0.0,
-        };
-        Some((ghosts, times))
     }
 
     /// Restore the simulation to a checkpointed state.
@@ -505,20 +347,30 @@ mod tests {
         assert_eq!(sim.current().at(1, 1, 0), 6.0);
     }
 
+    /// One split step over `window` with no ghosts (clamped boundaries).
+    fn split_step(sim: &mut StencilSim<f64>, window: &InteriorWindow, mut col: Option<&mut [f64]>) {
+        sim.sweep_interior(&NoHook, window, col.as_deref_mut());
+        sim.sweep_shell_and_finish(&NoHook, &NoGhosts, window, col);
+    }
+
     #[test]
     fn overlapped_step_is_bitwise_equal_to_full_step() {
         let mut full = sim_2d(10);
         let mut split = sim_2d(10);
         for it in 0..7 {
             full.step();
-            // Vary the interior window, including empty and full-domain.
-            let interior = match it % 3 {
+            // Vary the interior rows, including empty and full-domain.
+            let y = match it % 3 {
                 0 => 1..9,
                 1 => 3..5,
                 _ => 0..10,
             };
-            let (_, times) = split.step_overlapped(&NoHook, interior, || NoGhosts, None);
-            assert!(times.interior_s >= 0.0 && times.edge_s >= 0.0);
+            let window = InteriorWindow {
+                x: 0..10,
+                y,
+                z: 0..1,
+            };
+            split_step(&mut split, &window, None);
         }
         assert_eq!(full.current(), split.current());
         assert_eq!(full.iteration(), split.iteration());
@@ -531,15 +383,14 @@ mod tests {
         for it in 0..8 {
             full.step();
             // Vary the window: proper 2-D interiors, a full-width window
-            // (delegates to the 1-D fused path) and an empty interior.
-            let (ix, iy) = match it % 4 {
+            // and an empty interior.
+            let (x, y) = match it % 4 {
                 0 => (1..11, 1..11),
                 1 => (3..5, 2..9),
                 2 => (0..12, 4..8),
                 _ => (5..5, 0..12),
             };
-            let (_, times) = split.step_overlapped_region(&NoHook, ix, iy, 0..1, || NoGhosts, None);
-            assert!(times.interior_s >= 0.0 && times.edge_s >= 0.0);
+            split_step(&mut split, &InteriorWindow { x, y, z: 0..1 }, None);
         }
         assert_eq!(full.current(), split.current());
         assert_eq!(full.iteration(), split.iteration());
@@ -560,16 +411,15 @@ mod tests {
         let mut split = make();
         for it in 0..8 {
             full.step();
-            // Proper 3-D interiors, a full box (delegates to the fused
-            // path), partial z with full x, and empty interiors.
-            let (ix, iy, iz) = match it % 4 {
+            // Proper 3-D interiors, a full box, partial z with full x,
+            // and empty interiors.
+            let (x, y, z) = match it % 4 {
                 0 => (1..8, 1..7, 1..4),
                 1 => (2..5, 2..6, 2..3),
                 2 => (0..9, 0..8, 0..5),
                 _ => (0..9, 3..5, 1..4),
             };
-            let (_, times) = split.step_overlapped_region(&NoHook, ix, iy, iz, || NoGhosts, None);
-            assert!(times.interior_s >= 0.0 && times.edge_s >= 0.0);
+            split_step(&mut split, &InteriorWindow { x, y, z }, None);
         }
         assert_eq!(full.current(), split.current());
         assert_eq!(full.iteration(), split.iteration());
@@ -582,8 +432,40 @@ mod tests {
         let mut col_full = vec![0.0f64; 8];
         let mut col_split = vec![0.0f64; 8];
         full.step_with_col(&NoHook, &mut col_full);
-        let (_, _) = split.step_overlapped(&NoHook, 2..6, || NoGhosts, Some(&mut col_split));
+        let window = InteriorWindow {
+            x: 0..8,
+            y: 2..6,
+            z: 0..1,
+        };
+        split_step(&mut split, &window, Some(&mut col_split));
         assert_eq!(col_full, col_split);
+    }
+
+    /// A window that is full-width in x but partial in z still fuses: every
+    /// `(z, y)` line is swept whole by exactly one piece.
+    #[test]
+    fn overlapped_step_checksums_fuse_on_a_partial_z_window() {
+        let make = || {
+            let g = Grid3D::from_fn(9, 8, 5, |x, y, z| ((x * 3 + y * 5 + z * 7) % 11) as f64);
+            StencilSim::new(
+                g,
+                Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1),
+                BoundarySpec::clamp(),
+            )
+            .with_exec(Exec::Serial)
+        };
+        let (mut full, mut split) = (make(), make());
+        let mut col_full = vec![0.0f64; 5 * 8];
+        let mut col_split = vec![0.0f64; 5 * 8];
+        full.step_with_col(&NoHook, &mut col_full);
+        let window = InteriorWindow {
+            x: 0..9,
+            y: 2..6,
+            z: 1..4,
+        };
+        split_step(&mut split, &window, Some(&mut col_split));
+        assert_eq!(col_full, col_split);
+        assert_eq!(full.current(), split.current());
     }
 
     #[test]

@@ -65,8 +65,8 @@ fn submodules_are_reachable() {
     assert!(t.is_empty());
     let sc = stencil_abft::hotspot::Scenario::tile_small();
     assert_eq!(sc.dims, (64, 64, 8));
-    let p = stencil_abft::dist::Partition::new(8, 2);
-    assert_eq!(p.size(0), 4);
+    let p = stencil_abft::dist::Partition3::new(8, 8, 1, 1, 2, 1);
+    assert_eq!(p.brick(0).y_len, 4);
 }
 
 #[test]
