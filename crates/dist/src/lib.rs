@@ -71,954 +71,37 @@
 //! boundary value — including at brick edges and corners, where two or
 //! all three axes resolve.
 
-use abft_checkpoint::CheckpointPolicy;
-use abft_core::{AbftConfig, OnlineAbft, ProtectorStats};
-use abft_fault::{BitFlip, RankKill};
-use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
-use abft_metrics::RecoveryStats;
+use abft_core::OnlineAbft;
+use abft_fault::BitFlip;
+use abft_grid::{Boundary, BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::{Exec, Stencil3D, StencilSim};
 use std::sync::Arc;
 
+mod config;
 mod epoch;
+mod error;
+mod ghost;
 mod index;
+mod partition;
 mod pipeline;
+mod report;
 mod service;
 mod step;
+mod validate;
 mod worker;
 
+pub use config::{DistConfig, GridSpec, HaloMode};
+pub use error::DistError;
+pub use ghost::HaloGhost;
 pub use index::{CellGroups, HaloIndex, HaloPlan, HaloTraffic};
+pub use partition::{auto_grid, decompose, Brick, Partition3};
+pub(crate) use report::gather_report;
+pub use report::{DistReport, PhaseTimings, RankReport};
 pub use service::{
     DistService, JobHandle, JobId, JobSpec, ServeStats, ServiceConfig, MAX_OVERTAKES,
 };
-
-/// Which driver advances a job's ranks. Both run the same per-rank step
-/// machine over the same channels and recover through the same rollback;
-/// they differ only in who calls the steps, so they compute the same
-/// grid, bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HaloMode {
-    /// One pooled worker thread per rank for the whole job and a
-    /// double-buffered channel pipeline: each rank posts its owed halo
-    /// cells at iteration start, computes its ghost-free interior window
-    /// while halos are in flight, then applies received ghosts to the edge
-    /// frame. No global barrier.
-    #[default]
-    Pipelined,
-    /// Deterministic lock-step on one thread: every rank posts iteration
-    /// `t`, then every rank completes it. Nothing overlaps and nothing
-    /// blocks, so a job needs no pool slots and may have more ranks than
-    /// the pool has workers — the equivalence matrices' oracle and the
-    /// one-thread baseline the pipeline is compared against. (The name is
-    /// historical: the exchange used to be a driver-side snapshot.)
-    Snapshot,
-}
-
-/// Shape of the rank grid the domain is decomposed over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GridSpec {
-    /// `1 × ranks × 1` y-slabs — the legacy decomposition and the
-    /// default.
-    #[default]
-    Slabs,
-    /// Auto-factor the rank count into the `RX×RY` (undecomposed z) grid
-    /// whose tiles have the smallest perimeter (see [`auto_grid`]).
-    Auto,
-    /// An explicit `RX×RY×RZ` brick grid; `rx · ry · rz` must equal the
-    /// rank count. `rz = 1` is the PR 3 tile grid, behaviourally
-    /// identical to before the z axis became decomposable.
-    Explicit { rx: usize, ry: usize, rz: usize },
-}
-
-/// A rejected distributed-run configuration.
-///
-/// Returned by [`run_distributed`] instead of panicking, so fault-campaign
-/// drivers can record rejected injections rather than dying mid-campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DistError {
-    /// `ranks == 0`.
-    NoRanks,
-    /// The domain has no cells (some axis is zero-length).
-    EmptyGrid { dims: (usize, usize, usize) },
-    /// `iters == 0`: the job would do nothing (and the one-shot path
-    /// used to panic deep in the decomposition instead of saying so).
-    ZeroIterations,
-    /// A requested halo narrower than the kernel reach on a decomposed
-    /// axis, rejected by [`DistService::submit`]'s strict admission
-    /// ([`run_distributed`] widens the halo to the reach instead).
-    HaloTooNarrow {
-        axis: char,
-        halo: usize,
-        extent: usize,
-    },
-    /// A pipelined job wants more ranks than the service has pooled
-    /// workers; all of a job's ranks must run concurrently, so it could
-    /// never start.
-    PoolTooSmall { ranks: usize, pool: usize },
-    /// The service's bounded admission queue is full: `capacity` jobs are
-    /// already admitted and unfinished. Returned by
-    /// [`DistService::submit`] as structured backpressure — retry later,
-    /// or use [`DistService::submit_wait`] to block for a slot instead.
-    QueueFull { capacity: usize },
-    /// A rank's simulation panicked mid-job. The job is lost but the
-    /// pool survives; `rank` is the lowest failing rank when known
-    /// (`None` when the panic escaped the per-rank containment).
-    RankPanicked {
-        rank: Option<usize>,
-        message: String,
-    },
-    /// A job was submitted to a service whose scheduler had already
-    /// stopped (only reachable mid-teardown); it was never admitted.
-    UnknownJob { id: u64 },
-    /// An explicit grid whose `rx · ry · rz` differs from the rank count.
-    GridMismatch {
-        rx: usize,
-        ry: usize,
-        rz: usize,
-        ranks: usize,
-    },
-    /// More y-ranks than domain rows (at most one rank per row).
-    TooManyRanks { rows: usize, ranks: usize },
-    /// More x-ranks than domain columns (at most one rank per column).
-    TooManyRanksX { cols: usize, ranks: usize },
-    /// More z-ranks than domain layers (at most one rank per layer).
-    TooManyRanksZ { layers: usize, ranks: usize },
-    /// A brick is not taller (in y) than the stencil's y-extent.
-    SlabTooShort {
-        rank: usize,
-        rows: usize,
-        extent: usize,
-    },
-    /// A brick is not wider (in x) than the stencil's x-extent.
-    TileTooNarrow {
-        rank: usize,
-        cols: usize,
-        extent: usize,
-    },
-    /// A brick is not thicker (in z) than the stencil's z-extent.
-    BrickTooThin {
-        rank: usize,
-        layers: usize,
-        extent: usize,
-    },
-    /// The outer-domain boundary spec uses [`Boundary::Ghost`].
-    GhostBoundary,
-    /// The constant field's dimensions differ from the domain's.
-    ConstantShape {
-        expected: (usize, usize, usize),
-        got: (usize, usize, usize),
-    },
-    /// A flip names a rank that does not exist.
-    FlipRank { rank: usize, ranks: usize },
-    /// A flip's brick-local coordinates fall outside its rank's 3-D brick
-    /// (it would never fire and silently corrupt the experiment
-    /// bookkeeping).
-    FlipOutOfBrick {
-        rank: usize,
-        flip: (usize, usize, usize),
-        brick: (usize, usize, usize),
-    },
-    /// A flip's bit index exceeds the float width.
-    FlipBit { bit: u32, bits: u32 },
-    /// A flip is scheduled for an iteration that never runs.
-    FlipIteration { iteration: usize, iters: usize },
-    /// A kill names a rank that does not exist.
-    KillRank { rank: usize, ranks: usize },
-    /// A kill is scheduled for an iteration that never runs.
-    KillIteration { iter: usize, iters: usize },
-    /// A rank was lost (killed, or aborted past the point of local
-    /// correction) and no checkpoint policy was configured, so the job
-    /// cannot be rolled back and respawned.
-    RankLost { rank: usize, iter: usize },
-    /// A rollback was required but the per-rank checkpoint rings share no
-    /// common epoch: an explicit [`CheckpointPolicy::with_keep`] shallower
-    /// than the pipeline's epoch skew evicted the overlap before the loss
-    /// was detected. The job is lost but the pool survives; deepen the
-    /// ring or leave `keep` auto-sized.
-    ///
-    /// [`CheckpointPolicy::with_keep`]: abft_checkpoint::CheckpointPolicy::with_keep
-    NoCommonEpoch { keep: usize },
-    /// `steps_per_exchange == 0`: an epoch must contain at least one sweep.
-    ZeroStepsPerExchange,
-    /// The checkpoint period is not a multiple of `steps_per_exchange`.
-    /// Snapshots must land on exchange boundaries — only there is the
-    /// ghost shell empty (it is rebuilt from the next exchange, not
-    /// stored) and the epoch-batched checksums verified, so a rollback
-    /// target inside an epoch would restore an unverifiable state.
-    CheckpointEpochMismatch {
-        period: usize,
-        steps_per_exchange: usize,
-    },
-    /// A deep halo (`steps_per_exchange · reach`) is at least as wide as
-    /// the domain axis itself, so boundary resolution of shell cells
-    /// would wrap/fold more than once.
-    HaloTooDeep { axis: char, halo: usize, len: usize },
-    /// A ghost-shell flip's global coordinates never appear in the
-    /// rank's exchanged halo shell, so it would never fire.
-    ShellFlipOutsideHalo {
-        rank: usize,
-        x: usize,
-        y: usize,
-        z: usize,
-    },
-    /// A ghost-shell flip is scheduled on an exchange boundary, where the
-    /// shell is rebuilt from freshly exchanged cells (there is no decayed
-    /// shell to corrupt). With `steps_per_exchange == 1` every iteration
-    /// is a boundary.
-    ShellFlipAtBoundary {
-        iter: usize,
-        steps_per_exchange: usize,
-    },
-}
-
-impl std::fmt::Display for DistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NoRanks => write!(f, "need at least one rank"),
-            Self::EmptyGrid { dims } => {
-                let (nx, ny, nz) = dims;
-                write!(f, "domain {nx}x{ny}x{nz} has no cells")
-            }
-            Self::ZeroIterations => write!(f, "zero iterations configured; nothing to run"),
-            Self::HaloTooNarrow { axis, halo, extent } => write!(
-                f,
-                "requested halo {halo} is narrower than the kernel {axis}-reach {extent} on a decomposed {axis} axis"
-            ),
-            Self::PoolTooSmall { ranks, pool } => write!(
-                f,
-                "job needs {ranks} concurrent ranks but the pool has {pool} workers"
-            ),
-            Self::QueueFull { capacity } => write!(
-                f,
-                "admission queue is full ({capacity} jobs admitted and unfinished)"
-            ),
-            Self::RankPanicked { rank, message } => match rank {
-                Some(r) => write!(f, "rank {r} panicked mid-job: {message}"),
-                None => write!(f, "job panicked: {message}"),
-            },
-            Self::UnknownJob { id } => {
-                write!(f, "job #{id} was never admitted: the service is shutting down")
-            }
-            Self::GridMismatch { rx, ry, rz, ranks } => write!(
-                f,
-                "grid {rx}x{ry}x{rz} covers {} ranks but {ranks} were configured",
-                rx * ry * rz
-            ),
-            Self::TooManyRanks { rows, ranks } => write!(
-                f,
-                "cannot decompose {rows} rows over {ranks} y-ranks (at most one rank per row)"
-            ),
-            Self::TooManyRanksX { cols, ranks } => write!(
-                f,
-                "cannot decompose {cols} columns over {ranks} x-ranks (at most one rank per column)"
-            ),
-            Self::TooManyRanksZ { layers, ranks } => write!(
-                f,
-                "cannot decompose {layers} z-layers over {ranks} z-ranks (at most one rank per layer)"
-            ),
-            Self::SlabTooShort {
-                rank,
-                rows,
-                extent,
-            } => write!(
-                f,
-                "rank {rank}'s brick of {rows} rows is not taller than the stencil y-extent {extent}; use fewer y-ranks"
-            ),
-            Self::TileTooNarrow {
-                rank,
-                cols,
-                extent,
-            } => write!(
-                f,
-                "rank {rank}'s brick of {cols} columns is not wider than the stencil x-extent {extent}; use fewer x-ranks"
-            ),
-            Self::BrickTooThin {
-                rank,
-                layers,
-                extent,
-            } => write!(
-                f,
-                "rank {rank}'s brick of {layers} z-layers is not thicker than the stencil z-extent {extent}; use fewer z-ranks"
-            ),
-            Self::GhostBoundary => write!(
-                f,
-                "global boundaries must be self-contained (no Ghost axis)"
-            ),
-            Self::ConstantShape { expected, got } => write!(
-                f,
-                "constant field is {got:?} but the domain is {expected:?}"
-            ),
-            Self::FlipRank { rank, ranks } => {
-                write!(f, "flip rank {rank} out of range ({ranks} ranks)")
-            }
-            Self::FlipOutOfBrick { rank, flip, brick } => {
-                let (x, y, z) = flip;
-                let (nx, ny, nz) = brick;
-                write!(
-                    f,
-                    "flip ({x}, {y}, {z}) outside rank {rank}'s {nx}x{ny}x{nz} brick"
-                )
-            }
-            Self::FlipBit { bit, bits } => {
-                write!(f, "flip bit {bit} out of range for a {bits}-bit float")
-            }
-            Self::FlipIteration { iteration, iters } => write!(
-                f,
-                "flip iteration {iteration} never runs ({iters} iterations configured)"
-            ),
-            Self::KillRank { rank, ranks } => {
-                write!(f, "kill rank {rank} out of range ({ranks} ranks)")
-            }
-            Self::KillIteration { iter, iters } => write!(
-                f,
-                "kill iteration {iter} never runs ({iters} iterations configured)"
-            ),
-            Self::RankLost { rank, iter } => write!(
-                f,
-                "rank {rank} was lost at iteration {iter} and no checkpoint policy is \
-                 configured; enable one with DistConfig::with_checkpoint to recover"
-            ),
-            Self::NoCommonEpoch { keep } => write!(
-                f,
-                "checkpoint rings (keep = {keep}) share no common epoch to roll back to; \
-                 deepen CheckpointPolicy::with_keep or leave the depth auto-sized"
-            ),
-            Self::ZeroStepsPerExchange => {
-                write!(f, "steps_per_exchange must be at least 1")
-            }
-            Self::CheckpointEpochMismatch {
-                period,
-                steps_per_exchange,
-            } => write!(
-                f,
-                "checkpoint period {period} is not a multiple of steps_per_exchange \
-                 {steps_per_exchange}; snapshots must land on exchange boundaries"
-            ),
-            Self::HaloTooDeep { axis, halo, len } => write!(
-                f,
-                "deep halo of {halo} cells is not narrower than the {len}-cell {axis} axis; \
-                 lower steps_per_exchange or grow the domain"
-            ),
-            Self::ShellFlipOutsideHalo { rank, x, y, z } => write!(
-                f,
-                "shell flip ({x}, {y}, {z}) is not in rank {rank}'s exchanged ghost shell"
-            ),
-            Self::ShellFlipAtBoundary {
-                iter,
-                steps_per_exchange,
-            } => write!(
-                f,
-                "shell flip at iteration {iter} lands on an exchange boundary \
-                 (steps_per_exchange = {steps_per_exchange}); the shell is rebuilt there"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DistError {}
-
-/// Configuration of one distributed run.
-///
-/// Built with [`DistConfig::new`] and the `with_*` builders:
-///
-/// ```
-/// use abft_core::AbftConfig;
-/// use abft_dist::{DistConfig, GridSpec, HaloMode};
-///
-/// let cfg = DistConfig::<f32>::new(8, 100)
-///     .with_grid3(2, 2, 2) // an x×y×z brick grid
-///     .with_halo(2)
-///     .with_abft(AbftConfig::paper_defaults())
-///     .with_mode(HaloMode::Snapshot);
-/// assert_eq!(cfg.grid, GridSpec::Explicit { rx: 2, ry: 2, rz: 2 });
-/// assert_eq!(cfg.halo, Some(2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct DistConfig<T> {
-    /// Number of simulated ranks.
-    pub ranks: usize,
-    /// Stencil iterations to run.
-    pub iters: usize,
-    /// Halo width override, applied to every decomposed axis. The
-    /// effective width per axis is `max(halo, stencil extent)`; `None`
-    /// uses the stencil extents.
-    pub halo: Option<usize>,
-    /// Per-rank online ABFT configuration; `None` runs unprotected.
-    pub abft: Option<AbftConfig<T>>,
-    /// Faults to inject: `(rank, flip)` with the flip's coordinates local
-    /// to that rank's brick.
-    pub flips: Vec<(usize, BitFlip)>,
-    /// Halo exchange strategy (default: [`HaloMode::Pipelined`]).
-    pub mode: HaloMode,
-    /// Rank-grid shape (default: [`GridSpec::Slabs`], the legacy 1×R×1
-    /// y-slab decomposition).
-    pub grid: GridSpec,
-    /// Periodic in-memory checkpointing; `None` (the default) stores no
-    /// snapshots, so a lost rank is unrecoverable
-    /// ([`DistError::RankLost`]).
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Whole-rank losses to inject: each kill removes its rank at the
-    /// start of the given iteration (before that iteration's halo post).
-    pub kills: Vec<RankKill>,
-    /// Sweeps per halo exchange (temporal tiling). `1` — the default —
-    /// is the paper's per-step exchange and is bitwise-legacy. With
-    /// `k > 1` the halo is exchanged at depth `k · reach` once per
-    /// epoch, then each rank sweeps `k` steps locally while the ghost
-    /// shell decays by one stencil reach per step.
-    pub steps_per_exchange: usize,
-    /// Faults to inject into a rank's *received ghost shell* mid-decay:
-    /// `(rank, flip)` with the flip's coordinates **global** (the shell
-    /// holds neighbour cells, which have no brick-local address in the
-    /// consumer). Only meaningful with `steps_per_exchange > 1`; the
-    /// flip fires while the named rank advances its shell after the
-    /// flip's iteration completes.
-    pub shell_flips: Vec<(usize, BitFlip)>,
-}
-
-impl<T: Real> DistConfig<T> {
-    /// An unprotected pipelined run over `ranks` y-slabs for `iters`
-    /// iterations.
-    pub fn new(ranks: usize, iters: usize) -> Self {
-        Self {
-            ranks,
-            iters,
-            halo: None,
-            abft: None,
-            flips: Vec::new(),
-            mode: HaloMode::default(),
-            grid: GridSpec::default(),
-            checkpoint: None,
-            kills: Vec::new(),
-            steps_per_exchange: 1,
-            shell_flips: Vec::new(),
-        }
-    }
-
-    /// Enable per-rank online ABFT protection.
-    pub fn with_abft(mut self, cfg: AbftConfig<T>) -> Self {
-        self.abft = Some(cfg);
-        self
-    }
-
-    /// Widen the halo beyond the stencil's extents (extra cells are
-    /// exchanged but unused; useful for overlap experiments).
-    pub fn with_halo(mut self, cells: usize) -> Self {
-        self.halo = Some(cells);
-        self
-    }
-
-    /// Select the halo exchange strategy.
-    pub fn with_mode(mut self, mode: HaloMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Decompose over an explicit `rx × ry` rank grid with an
-    /// undecomposed z axis (`rx · ry` must equal `ranks`; checked by
-    /// [`run_distributed`]).
-    pub fn with_grid(mut self, rx: usize, ry: usize) -> Self {
-        self.grid = GridSpec::Explicit { rx, ry, rz: 1 };
-        self
-    }
-
-    /// Decompose over an explicit `rx × ry × rz` rank-brick grid
-    /// (`rx · ry · rz` must equal `ranks`; checked by
-    /// [`run_distributed`]).
-    pub fn with_grid3(mut self, rx: usize, ry: usize, rz: usize) -> Self {
-        self.grid = GridSpec::Explicit { rx, ry, rz };
-        self
-    }
-
-    /// Auto-factor the rank count into a near-square grid ([`auto_grid`]).
-    pub fn with_auto_grid(mut self) -> Self {
-        self.grid = GridSpec::Auto;
-        self
-    }
-
-    /// Set the rank-grid shape from a [`GridSpec`].
-    pub fn with_grid_spec(mut self, grid: GridSpec) -> Self {
-        self.grid = grid;
-        self
-    }
-
-    /// Inject one bit-flip in `rank`'s brick (local coordinates).
-    /// Validity is checked by [`run_distributed`], which rejects
-    /// out-of-brick flips with a [`DistError`].
-    pub fn with_flip(mut self, rank: usize, flip: BitFlip) -> Self {
-        self.flips.push((rank, flip));
-        self
-    }
-
-    /// Store an in-memory snapshot of every rank each time the policy
-    /// fires, enabling rollback-and-respawn recovery from rank loss.
-    pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Kill `rank` at the start of iteration `iter`. Without a checkpoint
-    /// policy the run fails with [`DistError::RankLost`]; with one, every
-    /// rank rolls back to the newest common epoch and replays.
-    pub fn with_rank_kill(mut self, kill: RankKill) -> Self {
-        self.kills.push(kill);
-        self
-    }
-
-    /// Sweep `k` steps per halo exchange over a depth-`k · reach` ghost
-    /// shell. `1` (the default) is the per-step legacy protocol; any
-    /// checkpoint period must be a multiple of `k` (checked by
-    /// [`run_distributed`]).
-    pub fn with_steps_per_exchange(mut self, k: usize) -> Self {
-        self.steps_per_exchange = k;
-        self
-    }
-
-    /// Inject one bit-flip into `rank`'s received ghost shell mid-decay
-    /// (global coordinates; requires `steps_per_exchange > 1` and an
-    /// iteration off the exchange boundary — both checked by
-    /// [`run_distributed`]).
-    pub fn with_shell_flip(mut self, rank: usize, flip: BitFlip) -> Self {
-        self.shell_flips.push((rank, flip));
-        self
-    }
-}
-
-/// Per-rank wall-clock breakdown of one distributed run, in seconds,
-/// accumulated over all iterations.
-///
-/// Every field is measured inside the rank's step machine, in either
-/// [`HaloMode`]: `post_s` covers packing and (possibly backpressured)
-/// channel sends — or, between the exchanges of a deep-halo epoch, the
-/// ghost shell's decay — `interior_s` the sweep that overlaps the
-/// exchange, `wait_s` the time blocked in `recv` for neighbour cells (the
-/// un-hidden halo latency), `edge_s` the ghost-dependent edge frame and
-/// `verify_s` the ABFT interpolate/detect/correct tail. In
-/// [`HaloMode::Snapshot`] every message has been posted before any rank
-/// receives, so `wait_s` is the cost of the channel reads alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTimings {
-    /// Packing + posting halo cells (sends, incl. backpressure).
-    pub post_s: f64,
-    /// Interior sweep performed while halos were in flight.
-    pub interior_s: f64,
-    /// Blocked waiting for neighbour halo cells.
-    pub wait_s: f64,
-    /// Edge-frame sweep after the halo landed.
-    pub edge_s: f64,
-    /// ABFT verification (interpolation, detection, correction).
-    pub verify_s: f64,
-    /// Halo payload bytes this rank sent to other ranks over the whole
-    /// run, **measured at the pack/copy site** (self-served boundary
-    /// folds are excluded; both modes move the same cells, so the modes
-    /// report identical totals — and they match the analytic plan,
-    /// `HaloTraffic::remote_cells · cell_bytes · iters`, which the unit
-    /// tests assert).
-    pub halo_bytes_sent: u64,
-    /// Halo payload bytes this rank received from other ranks over the
-    /// whole run, measured at halo-assembly time.
-    pub halo_bytes_recv: u64,
-    /// Halo messages this rank sent over the whole run (one per remote
-    /// consumer group per exchange epoch). With `steps_per_exchange = k`
-    /// ranks exchange once per `k` sweeps, so this falls as `1/k` while
-    /// the per-message byte payload grows with the deep shell.
-    pub halo_msgs_sent: u64,
-    /// Halo messages this rank received over the whole run (one per
-    /// remote producer group per exchange epoch).
-    pub halo_msgs_recv: u64,
-}
-
-impl PhaseTimings {
-    /// Sum of all phases.
-    pub fn total_s(&self) -> f64 {
-        self.post_s + self.interior_s + self.wait_s + self.edge_s + self.verify_s
-    }
-
-    /// Fraction of this rank's busy time spent blocked on halos — the
-    /// paper-relevant "communication not hidden by computation" metric.
-    pub fn halo_wait_fraction(&self) -> f64 {
-        let total = self.total_s();
-        if total > 0.0 {
-            self.wait_s / total
-        } else {
-            0.0
-        }
-    }
-}
-
-/// What one rank owned and observed.
-#[derive(Debug, Clone)]
-pub struct RankReport {
-    /// Rank index, `0..ranks`, row-major over the grid
-    /// (`(tz · ry + ty) · rx + tx`).
-    pub rank: usize,
-    /// First global `x` column of the brick.
-    pub x0: usize,
-    /// Brick width in columns.
-    pub x_len: usize,
-    /// First global `y` row of the brick.
-    pub y0: usize,
-    /// Brick height in rows.
-    pub y_len: usize,
-    /// First global `z` layer of the brick.
-    pub z0: usize,
-    /// Brick depth in layers.
-    pub z_len: usize,
-    /// Protector counters (all zero for unprotected runs).
-    pub stats: ProtectorStats,
-    /// Where this rank's wall-clock time went.
-    pub timing: PhaseTimings,
-    /// Per-channel halo-traffic volumes (cells and bytes per iteration,
-    /// split into face/edge/corner channels).
-    pub traffic: HaloTraffic,
-}
-
-/// Result of a distributed run.
-#[derive(Debug, Clone)]
-pub struct DistReport<T> {
-    /// The gathered global grid after the final iteration.
-    pub global: Grid3D<T>,
-    /// Per-rank reports, indexed by rank.
-    pub ranks: Vec<RankReport>,
-    /// The resolved rank-grid shape `(rx, ry, rz)`.
-    pub grid: (usize, usize, usize),
-    /// Wall-clock seconds of the iteration loop (setup and gather
-    /// excluded), as seen by the driver.
-    pub wall_s: f64,
-    /// Submit-to-completion seconds as observed by the serving layer
-    /// (queue wait + setup + iteration loop + gather). Zero when the
-    /// report was produced outside a [`DistService`]. Always
-    /// `queue_wait_s + exec_s` up to clock-read jitter.
-    pub latency_s: f64,
-    /// Seconds the job spent admitted but not yet started — waiting for
-    /// enough free pool slots (and, under the bounded-skip policy, for
-    /// its turn past other queued jobs). Zero outside a [`DistService`];
-    /// near-zero for [`run_distributed`], whose private service has
-    /// exactly the slots its one job needs.
-    pub queue_wait_s: f64,
-    /// Seconds from scheduler dispatch to gathered report: rank-state
-    /// build, the iteration loop, and the gather. Zero outside a
-    /// [`DistService`].
-    pub exec_s: f64,
-    /// Rank-loss and rollback accounting for this job. All-zero
-    /// ([`RecoveryStats::is_clean`]) when no rank was lost;
-    /// `checkpoints_stored`/`checkpoint_period` are populated whenever a
-    /// checkpoint policy was active, even on clean runs.
-    pub recovery: RecoveryStats,
-    /// Sweeps per halo exchange this run used (the epoch length; `1` is
-    /// the legacy per-step protocol).
-    pub steps_per_exchange: usize,
-}
-
-impl<T: Real> DistReport<T> {
-    /// Protector counters summed over all ranks.
-    pub fn total_stats(&self) -> ProtectorStats {
-        let mut total = ProtectorStats::default();
-        for r in &self.ranks {
-            total.merge(&r.stats);
-        }
-        total
-    }
-
-    /// The largest per-rank halo-wait fraction (the rank most exposed to
-    /// communication latency).
-    pub fn max_halo_wait_fraction(&self) -> f64 {
-        self.ranks
-            .iter()
-            .map(|r| r.timing.halo_wait_fraction())
-            .fold(0.0, f64::max)
-    }
-
-    /// Per-channel halo-traffic volumes summed over all ranks.
-    pub fn total_traffic(&self) -> HaloTraffic {
-        let mut total = HaloTraffic::default();
-        for r in &self.ranks {
-            total.merge(&r.traffic);
-        }
-        total
-    }
-}
-
-impl<T: Real> std::fmt::Display for DistReport<T> {
-    /// One-glance run summary: rank-grid shape, wall time, protector
-    /// totals and the per-channel halo-traffic volumes.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.total_stats();
-        writeln!(
-            f,
-            "{}x{}x{} rank grid · {} ranks · wall {:.4} s · {} detections / {} corrections",
-            self.grid.0,
-            self.grid.1,
-            self.grid.2,
-            self.ranks.len(),
-            self.wall_s,
-            stats.detections,
-            stats.corrections,
-        )?;
-        let mut busy = abft_metrics::LatencySummary::new();
-        for r in &self.ranks {
-            busy.push(r.timing.total_s());
-        }
-        writeln!(f, "rank busy time {busy}")?;
-        write!(f, "halo traffic: {}", self.total_traffic())
-    }
-}
-
-/// Balanced contiguous 1-D decomposition of `n` rows over `ranks` slabs:
-/// the first `n % ranks` slabs get one extra row. Returns `(start, len)`
-/// per rank.
-///
-/// # Panics
-/// Panics when there are more ranks than rows.
-pub fn decompose(n: usize, ranks: usize) -> Vec<(usize, usize)> {
-    assert!(ranks > 0, "need at least one rank");
-    assert!(
-        ranks <= n,
-        "cannot decompose {n} rows over {ranks} ranks (at most one rank per row)"
-    );
-    let base = n / ranks;
-    let extra = n % ranks;
-    let mut out = Vec::with_capacity(ranks);
-    let mut start = 0;
-    for r in 0..ranks {
-        let len = base + usize::from(r < extra);
-        out.push((start, len));
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
-/// One rank's box of the global domain: an x×y×z brick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Brick {
-    /// First global `x` column.
-    pub x0: usize,
-    /// Width in columns.
-    pub x_len: usize,
-    /// First global `y` row.
-    pub y0: usize,
-    /// Height in rows.
-    pub y_len: usize,
-    /// First global `z` layer.
-    pub z0: usize,
-    /// Depth in layers.
-    pub z_len: usize,
-}
-
-impl Brick {
-    /// Whether global cell `(x, y, z)` lies in this brick.
-    pub fn contains(&self, x: usize, y: usize, z: usize) -> bool {
-        (self.x0..self.x0 + self.x_len).contains(&x)
-            && (self.y0..self.y0 + self.y_len).contains(&y)
-            && (self.z0..self.z0 + self.z_len).contains(&z)
-    }
-}
-
-/// A balanced 3-D (x×y×z) brick decomposition of an `nx × ny × nz` domain
-/// over an `rx × ry × rz` rank grid: each axis is split with
-/// [`decompose`], and rank `(tz · ry + ty) · rx + tx` owns the brick at
-/// grid position `(tx, ty, tz)` — for `rz = 1` this is exactly the PR 3
-/// x×y tile numbering.
-///
-/// ```
-/// use abft_dist::Partition3;
-/// let p = Partition3::new(10, 9, 4, 2, 3, 2);
-/// assert_eq!(p.ranks(), 12);
-/// let b = p.brick(9); // grid position (1, 1, 1)
-/// assert_eq!((b.x0, b.x_len, b.y0, b.y_len, b.z0, b.z_len), (5, 5, 3, 3, 2, 2));
-/// assert_eq!(p.owner(7, 4, 3), (9, 2, 1, 1)); // (rank, brick-local x, y, z)
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition3 {
-    cols: Vec<(usize, usize)>,
-    rows: Vec<(usize, usize)>,
-    layers: Vec<(usize, usize)>,
-}
-
-impl Partition3 {
-    /// Partition an `nx × ny × nz` domain over an `rx × ry × rz` grid.
-    ///
-    /// # Panics
-    /// Panics when an axis has more ranks than cells (see [`decompose`]).
-    pub fn new(nx: usize, ny: usize, nz: usize, rx: usize, ry: usize, rz: usize) -> Self {
-        Self {
-            cols: decompose(nx, rx),
-            rows: decompose(ny, ry),
-            layers: decompose(nz, rz),
-        }
-    }
-
-    /// Ranks along x.
-    pub fn rx(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Ranks along y.
-    pub fn ry(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Ranks along z.
-    pub fn rz(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Total rank count (`rx · ry · rz`).
-    pub fn ranks(&self) -> usize {
-        self.cols.len() * self.rows.len() * self.layers.len()
-    }
-
-    /// The brick owned by `rank` (row-major:
-    /// `rank = (tz · ry + ty) · rx + tx`).
-    pub fn brick(&self, rank: usize) -> Brick {
-        let tx = rank % self.rx();
-        let ty = (rank / self.rx()) % self.ry();
-        let tz = rank / (self.rx() * self.ry());
-        let (x0, x_len) = self.cols[tx];
-        let (y0, y_len) = self.rows[ty];
-        let (z0, z_len) = self.layers[tz];
-        Brick {
-            x0,
-            x_len,
-            y0,
-            y_len,
-            z0,
-            z_len,
-        }
-    }
-
-    /// Which rank owns global cell `(x, y, z)`, plus its brick-local
-    /// coordinates.
-    pub fn owner(&self, x: usize, y: usize, z: usize) -> (usize, usize, usize, usize) {
-        let tx = axis_owner(&self.cols, x);
-        let ty = axis_owner(&self.rows, y);
-        let tz = axis_owner(&self.layers, z);
-        (
-            (tz * self.ry() + ty) * self.rx() + tx,
-            x - self.cols[tx].0,
-            y - self.rows[ty].0,
-            z - self.layers[tz].0,
-        )
-    }
-}
-
-fn axis_owner(parts: &[(usize, usize)], q: usize) -> usize {
-    for (i, &(start, len)) in parts.iter().enumerate() {
-        if (start..start + len).contains(&q) {
-            return i;
-        }
-    }
-    panic!("coordinate {q} owned by no rank");
-}
-
-/// Factor `ranks` into the `(rx, ry)` grid (with `rx · ry == ranks`,
-/// `rx ≤ nx`, `ry ≤ ny`) whose tiles have the smallest perimeter — i.e.
-/// the least halo surface per unit of computed volume. Ties and the
-/// no-valid-factorisation fallback resolve to the slab-most shape
-/// (smallest `rx`), matching the legacy default.
-pub fn auto_grid(ranks: usize, nx: usize, ny: usize) -> (usize, usize) {
-    let mut best = (1, ranks);
-    let mut best_cost = usize::MAX;
-    for rx in 1..=ranks {
-        if !ranks.is_multiple_of(rx) {
-            continue;
-        }
-        let ry = ranks / rx;
-        if rx > nx || ry > ny {
-            continue;
-        }
-        let cost = nx.div_ceil(rx) + ny.div_ceil(ry);
-        if cost < best_cost {
-            best = (rx, ry);
-            best_cost = cost;
-        }
-    }
-    best
-}
-
-/// Time-`t` halo cells for one rank, plus the geometry needed to resolve a
-/// brick-local out-of-range read against the **global** boundaries of all
-/// three decomposed axes (including edge and corner reads, where two or
-/// all three of x, y and z are out of range at once).
-///
-/// This is the [`GhostCells`] source handed to the sweep *and* to the
-/// checksum interpolation, so both see identical neighbour data — the
-/// precondition of [`OnlineAbft::sweep_shell_and_verify`].
-///
-/// Cells are stored as one flat buffer of scalars in the rank's canonical
-/// cell order; `index` maps a resolved global `(x, y, z)` to its payload
-/// slot through the strip-backed [`HaloIndex`] (a `(z, y)` line-table
-/// index plus a range check on the edge-sweep hot path).
-#[derive(Debug, Clone)]
-pub struct HaloGhost<T> {
-    index: Arc<HaloIndex>,
-    /// The payload, one scalar per slot of `index`. The stepper fills it
-    /// at every exchange and decays it in place between exchanges.
-    pub(crate) values: Vec<T>,
-    bounds: BoundarySpec<T>,
-    x0: usize,
-    y0: usize,
-    z0: usize,
-    nx_global: usize,
-    ny_global: usize,
-    nz_global: usize,
-}
-
-impl<T: Real> HaloGhost<T> {
-    /// A ghost source over `index` whose payload has yet to be exchanged.
-    pub(crate) fn new(
-        index: Arc<HaloIndex>,
-        bounds: BoundarySpec<T>,
-        brick: Brick,
-        dims: (usize, usize, usize),
-    ) -> Self {
-        let (nx_global, ny_global, nz_global) = dims;
-        Self {
-            index,
-            values: Vec::new(),
-            bounds,
-            x0: brick.x0,
-            y0: brick.y0,
-            z0: brick.z0,
-            nx_global,
-            ny_global,
-            nz_global,
-        }
-    }
-}
-
-impl<T: Real> GhostCells<T> for HaloGhost<T> {
-    #[inline]
-    fn ghost(&self, x: isize, y: isize, z: isize) -> T {
-        // The sweep resolves axes in x → y → z order and short-circuits on
-        // the first value-like hit, so the axes before the ghost hit are
-        // in-range brick-local indices while the rest are still raw.
-        // Shifting into global coordinates and finishing the resolution
-        // here (global x first, then y, then z) reproduces the serial
-        // sweep's read exactly — an already-resolved local index simply
-        // maps to an in-range global one.
-        let gx = match self.bounds.x.resolve(self.x0 as isize + x, self.nx_global) {
-            AxisHit::In(i) => i,
-            AxisHit::Value(v) => return v,
-            AxisHit::Ghost(_) => unreachable!("global ghost x-boundary rejected up front"),
-        };
-        let gy = match self.bounds.y.resolve(self.y0 as isize + y, self.ny_global) {
-            AxisHit::In(i) => i,
-            AxisHit::Value(v) => return v,
-            AxisHit::Ghost(_) => unreachable!("global ghost y-boundary rejected up front"),
-        };
-        let gz = match self.bounds.z.resolve(self.z0 as isize + z, self.nz_global) {
-            AxisHit::In(i) => i,
-            AxisHit::Value(v) => return v,
-            AxisHit::Ghost(_) => unreachable!("global ghost z-boundary rejected up front"),
-        };
-        let slot = self
-            .index
-            .slot(gx, gy, gz)
-            .unwrap_or_else(|| panic!("halo cell ({gx}, {gy}, {gz}) was not exchanged"));
-        self.values[slot]
-    }
-}
+pub(crate) use validate::{effective_halo, validate};
 
 /// One simulated rank: its brick simulation, optional protector, pending
 /// faults, halo plan (cell groups, strip index, traffic volumes) and
@@ -1067,229 +150,6 @@ impl<T: Real> Rank<T> {
             .copied()
             .collect()
     }
-}
-
-/// Resolve the grid spec against the rank count, without validating it
-/// against the domain.
-fn grid_shape<T: Real>(
-    cfg: &DistConfig<T>,
-    nx: usize,
-    ny: usize,
-) -> Result<(usize, usize, usize), DistError> {
-    match cfg.grid {
-        GridSpec::Slabs => Ok((1, cfg.ranks, 1)),
-        GridSpec::Auto => {
-            let (rx, ry) = auto_grid(cfg.ranks, nx, ny);
-            Ok((rx, ry, 1))
-        }
-        GridSpec::Explicit { rx, ry, rz } => {
-            if rx * ry * rz != cfg.ranks {
-                Err(DistError::GridMismatch {
-                    rx,
-                    ry,
-                    rz,
-                    ranks: cfg.ranks,
-                })
-            } else {
-                Ok((rx, ry, rz))
-            }
-        }
-    }
-}
-
-/// Check a distributed configuration against the domain, returning the
-/// brick decomposition on success.
-fn validate<T: Real>(
-    initial: &Grid3D<T>,
-    stencil: &Stencil3D<T>,
-    bounds: &BoundarySpec<T>,
-    constant: Option<&Grid3D<T>>,
-    cfg: &DistConfig<T>,
-) -> Result<Partition3, DistError> {
-    let (nx, ny, nz) = initial.dims();
-    if nx == 0 || ny == 0 || nz == 0 {
-        return Err(DistError::EmptyGrid { dims: (nx, ny, nz) });
-    }
-    if cfg.iters == 0 {
-        return Err(DistError::ZeroIterations);
-    }
-    if matches!(bounds.x, Boundary::Ghost)
-        || matches!(bounds.y, Boundary::Ghost)
-        || matches!(bounds.z, Boundary::Ghost)
-    {
-        return Err(DistError::GhostBoundary);
-    }
-    if let Some(c) = constant {
-        if c.dims() != initial.dims() {
-            return Err(DistError::ConstantShape {
-                expected: initial.dims(),
-                got: c.dims(),
-            });
-        }
-    }
-    if cfg.ranks == 0 {
-        return Err(DistError::NoRanks);
-    }
-    let (rx, ry, rz) = grid_shape(cfg, nx, ny)?;
-    if ry > ny {
-        return Err(DistError::TooManyRanks {
-            rows: ny,
-            ranks: ry,
-        });
-    }
-    if rx > nx {
-        return Err(DistError::TooManyRanksX {
-            cols: nx,
-            ranks: rx,
-        });
-    }
-    if rz > nz {
-        return Err(DistError::TooManyRanksZ {
-            layers: nz,
-            ranks: rz,
-        });
-    }
-    let part = Partition3::new(nx, ny, nz, rx, ry, rz);
-    for rank in 0..part.ranks() {
-        let brick = part.brick(rank);
-        if brick.y_len <= stencil.extent_y() {
-            return Err(DistError::SlabTooShort {
-                rank,
-                rows: brick.y_len,
-                extent: stencil.extent_y(),
-            });
-        }
-        if rx > 1 && brick.x_len <= stencil.extent_x() {
-            return Err(DistError::TileTooNarrow {
-                rank,
-                cols: brick.x_len,
-                extent: stencil.extent_x(),
-            });
-        }
-        if rz > 1 && brick.z_len <= stencil.extent_z() {
-            return Err(DistError::BrickTooThin {
-                rank,
-                layers: brick.z_len,
-                extent: stencil.extent_z(),
-            });
-        }
-    }
-    for (rank, flip) in &cfg.flips {
-        if *rank >= cfg.ranks {
-            return Err(DistError::FlipRank {
-                rank: *rank,
-                ranks: cfg.ranks,
-            });
-        }
-        let brick = part.brick(*rank);
-        if flip.x >= brick.x_len || flip.y >= brick.y_len || flip.z >= brick.z_len {
-            return Err(DistError::FlipOutOfBrick {
-                rank: *rank,
-                flip: (flip.x, flip.y, flip.z),
-                brick: (brick.x_len, brick.y_len, brick.z_len),
-            });
-        }
-        if flip.bit >= T::BITS {
-            return Err(DistError::FlipBit {
-                bit: flip.bit,
-                bits: T::BITS,
-            });
-        }
-        if flip.iteration >= cfg.iters {
-            return Err(DistError::FlipIteration {
-                iteration: flip.iteration,
-                iters: cfg.iters,
-            });
-        }
-    }
-    for kill in &cfg.kills {
-        if kill.rank >= cfg.ranks {
-            return Err(DistError::KillRank {
-                rank: kill.rank,
-                ranks: cfg.ranks,
-            });
-        }
-        if kill.iter >= cfg.iters {
-            return Err(DistError::KillIteration {
-                iter: kill.iter,
-                iters: cfg.iters,
-            });
-        }
-    }
-    let k = cfg.steps_per_exchange;
-    if k == 0 {
-        return Err(DistError::ZeroStepsPerExchange);
-    }
-    if k > 1 {
-        // Deep shells fold through the boundary at most once: the
-        // effective halo must stay narrower than each exchanged axis.
-        let (hx, hy, hz) = effective_halo(cfg, stencil, (rx, ry, rz));
-        for (axis, h, n) in [('x', hx, nx), ('y', hy, ny), ('z', hz, nz)] {
-            if h > 0 && h >= n {
-                return Err(DistError::HaloTooDeep {
-                    axis,
-                    halo: h,
-                    len: n,
-                });
-            }
-        }
-    }
-    if let Some(p) = cfg.checkpoint {
-        // Snapshots must land on exchange boundaries: only there is the
-        // decayed ghost shell empty (rebuilt from the next exchange
-        // rather than stored) and the epoch-batched checksums verified.
-        if p.period % k != 0 {
-            return Err(DistError::CheckpointEpochMismatch {
-                period: p.period,
-                steps_per_exchange: k,
-            });
-        }
-    }
-    for (rank, flip) in &cfg.shell_flips {
-        if *rank >= cfg.ranks {
-            return Err(DistError::FlipRank {
-                rank: *rank,
-                ranks: cfg.ranks,
-            });
-        }
-        if flip.bit >= T::BITS {
-            return Err(DistError::FlipBit {
-                bit: flip.bit,
-                bits: T::BITS,
-            });
-        }
-        if flip.iteration >= cfg.iters {
-            return Err(DistError::FlipIteration {
-                iteration: flip.iteration,
-                iters: cfg.iters,
-            });
-        }
-        // The shell decays after every sweep except an epoch's last (the
-        // next exchange rebuilds it), so a flip on the boundary — or any
-        // flip at k = 1 — would never fire.
-        if k == 1 || flip.iteration % k == k - 1 {
-            return Err(DistError::ShellFlipAtBoundary {
-                iter: flip.iteration,
-                steps_per_exchange: k,
-            });
-        }
-        let (hx, hy, hz) = effective_halo(cfg, stencil, (rx, ry, rz));
-        let brick = part.brick(*rank);
-        let wx = index::resolved_window(brick.x0, brick.x_len, hx, nx, &bounds.x);
-        let wy = index::resolved_window(brick.y0, brick.y_len, hy, ny, &bounds.y);
-        let wz = index::resolved_window(brick.z0, brick.z_len, hz, nz, &bounds.z);
-        let shell = index::needed_halo_cells(&brick, &wx, &wy, &wz);
-        let cell = (flip.x, flip.y, flip.z);
-        if !shell.contains(&cell) || brick.contains(flip.x, flip.y, flip.z) {
-            return Err(DistError::ShellFlipOutsideHalo {
-                rank: *rank,
-                x: flip.x,
-                y: flip.y,
-                z: flip.z,
-            });
-        }
-    }
-    Ok(part)
 }
 
 /// Run the distributed simulation and gather the result.
@@ -1347,32 +207,6 @@ pub fn run_distributed<T: Real>(
     let report = handle.wait();
     service.shutdown();
     report
-}
-
-/// The effective per-axis halo width `(hx, hy, hz)`: the configured halo
-/// widened to the stencil's reach, on the axes that exchange (y always —
-/// it is always ghost-decomposed — x and z only when actually split).
-pub(crate) fn effective_halo<T: Real>(
-    cfg: &DistConfig<T>,
-    stencil: &Stencil3D<T>,
-    (rx, _ry, rz): (usize, usize, usize),
-) -> (usize, usize, usize) {
-    // Temporal tiling deepens the shell: k sweeps per exchange need k
-    // stencil reaches of ghost cells (the shell decays by one reach per
-    // sweep). k = 1 reduces to the legacy per-step widths.
-    let k = cfg.steps_per_exchange.max(1);
-    let hy = cfg.halo.unwrap_or(0).max(k * stencil.extent_y());
-    let hx = if rx > 1 {
-        cfg.halo.unwrap_or(0).max(k * stencil.extent_x())
-    } else {
-        0
-    };
-    let hz = if rz > 1 {
-        cfg.halo.unwrap_or(0).max(k * stencil.extent_z())
-    } else {
-        0
-    };
-    (hx, hy, hz)
 }
 
 /// Build one job's transient rank state: per-brick sims (with constant
@@ -1457,60 +291,10 @@ pub(crate) fn build_ranks<T: Real>(
         .collect()
 }
 
-/// Gather the finished ranks' bricks back into one global grid and fold
-/// their stats, timings and traffic into a [`DistReport`].
-pub(crate) fn gather_report<T: Real>(
-    ranks: Vec<Rank<T>>,
-    grid: (usize, usize, usize),
-    dims: (usize, usize, usize),
-    wall_s: f64,
-    steps_per_exchange: usize,
-) -> DistReport<T> {
-    let (nx, ny, nz) = dims;
-    // One pass per brick, contiguous x-line copies.
-    let mut global = Grid3D::zeros(nx, ny, nz);
-    for rank in &ranks {
-        let local = rank.sim.current();
-        let b = rank.brick;
-        for lz in 0..b.z_len {
-            for ly in 0..b.y_len {
-                let src = &local.as_slice()[(lz * b.y_len + ly) * b.x_len..][..b.x_len];
-                let base = global.idx(b.x0, b.y0 + ly, b.z0 + lz);
-                global.as_mut_slice()[base..base + b.x_len].copy_from_slice(src);
-            }
-        }
-    }
-    DistReport {
-        global,
-        ranks: ranks
-            .iter()
-            .enumerate()
-            .map(|(i, r)| RankReport {
-                rank: i,
-                x0: r.brick.x0,
-                x_len: r.brick.x_len,
-                y0: r.brick.y0,
-                y_len: r.brick.y_len,
-                z0: r.brick.z0,
-                z_len: r.brick.z_len,
-                stats: r.abft.as_ref().map(|a| a.stats()).unwrap_or_default(),
-                timing: r.timing,
-                traffic: r.plan.traffic,
-            })
-            .collect(),
-        grid,
-        wall_s,
-        latency_s: 0.0,
-        queue_wait_s: 0.0,
-        exec_s: 0.0,
-        recovery: RecoveryStats::default(),
-        steps_per_exchange,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abft_core::AbftConfig;
     use std::collections::BTreeSet;
 
     fn wavy(nx: usize, ny: usize, nz: usize) -> Grid3D<f64> {

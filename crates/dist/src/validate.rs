@@ -1,0 +1,256 @@
+//! Admission checks: a configuration against its domain, and the halo
+//! depth it implies.
+
+use crate::{auto_grid, index, DistConfig, DistError, GridSpec, Partition3};
+use abft_grid::{Boundary, BoundarySpec, Grid3D};
+use abft_num::Real;
+use abft_stencil::Stencil3D;
+
+/// Resolve the grid spec against the rank count, without validating it
+/// against the domain.
+fn grid_shape<T: Real>(
+    cfg: &DistConfig<T>,
+    nx: usize,
+    ny: usize,
+) -> Result<(usize, usize, usize), DistError> {
+    match cfg.grid {
+        GridSpec::Slabs => Ok((1, cfg.ranks, 1)),
+        GridSpec::Auto => {
+            let (rx, ry) = auto_grid(cfg.ranks, nx, ny);
+            Ok((rx, ry, 1))
+        }
+        GridSpec::Explicit { rx, ry, rz } => {
+            if rx * ry * rz != cfg.ranks {
+                Err(DistError::GridMismatch {
+                    rx,
+                    ry,
+                    rz,
+                    ranks: cfg.ranks,
+                })
+            } else {
+                Ok((rx, ry, rz))
+            }
+        }
+    }
+}
+
+/// Check a distributed configuration against the domain, returning the
+/// brick decomposition on success.
+pub(crate) fn validate<T: Real>(
+    initial: &Grid3D<T>,
+    stencil: &Stencil3D<T>,
+    bounds: &BoundarySpec<T>,
+    constant: Option<&Grid3D<T>>,
+    cfg: &DistConfig<T>,
+) -> Result<Partition3, DistError> {
+    let (nx, ny, nz) = initial.dims();
+    if nx == 0 || ny == 0 || nz == 0 {
+        return Err(DistError::EmptyGrid { dims: (nx, ny, nz) });
+    }
+    if cfg.iters == 0 {
+        return Err(DistError::ZeroIterations);
+    }
+    if matches!(bounds.x, Boundary::Ghost)
+        || matches!(bounds.y, Boundary::Ghost)
+        || matches!(bounds.z, Boundary::Ghost)
+    {
+        return Err(DistError::GhostBoundary);
+    }
+    if let Some(c) = constant {
+        if c.dims() != initial.dims() {
+            return Err(DistError::ConstantShape {
+                expected: initial.dims(),
+                got: c.dims(),
+            });
+        }
+    }
+    if cfg.ranks == 0 {
+        return Err(DistError::NoRanks);
+    }
+    let (rx, ry, rz) = grid_shape(cfg, nx, ny)?;
+    if ry > ny {
+        return Err(DistError::TooManyRanks {
+            rows: ny,
+            ranks: ry,
+        });
+    }
+    if rx > nx {
+        return Err(DistError::TooManyRanksX {
+            cols: nx,
+            ranks: rx,
+        });
+    }
+    if rz > nz {
+        return Err(DistError::TooManyRanksZ {
+            layers: nz,
+            ranks: rz,
+        });
+    }
+    let part = Partition3::new(nx, ny, nz, rx, ry, rz);
+    for rank in 0..part.ranks() {
+        let brick = part.brick(rank);
+        if brick.y_len <= stencil.extent_y() {
+            return Err(DistError::SlabTooShort {
+                rank,
+                rows: brick.y_len,
+                extent: stencil.extent_y(),
+            });
+        }
+        if rx > 1 && brick.x_len <= stencil.extent_x() {
+            return Err(DistError::TileTooNarrow {
+                rank,
+                cols: brick.x_len,
+                extent: stencil.extent_x(),
+            });
+        }
+        if rz > 1 && brick.z_len <= stencil.extent_z() {
+            return Err(DistError::BrickTooThin {
+                rank,
+                layers: brick.z_len,
+                extent: stencil.extent_z(),
+            });
+        }
+    }
+    for (rank, flip) in &cfg.flips {
+        if *rank >= cfg.ranks {
+            return Err(DistError::FlipRank {
+                rank: *rank,
+                ranks: cfg.ranks,
+            });
+        }
+        let brick = part.brick(*rank);
+        if flip.x >= brick.x_len || flip.y >= brick.y_len || flip.z >= brick.z_len {
+            return Err(DistError::FlipOutOfBrick {
+                rank: *rank,
+                flip: (flip.x, flip.y, flip.z),
+                brick: (brick.x_len, brick.y_len, brick.z_len),
+            });
+        }
+        if flip.bit >= T::BITS {
+            return Err(DistError::FlipBit {
+                bit: flip.bit,
+                bits: T::BITS,
+            });
+        }
+        if flip.iteration >= cfg.iters {
+            return Err(DistError::FlipIteration {
+                iteration: flip.iteration,
+                iters: cfg.iters,
+            });
+        }
+    }
+    for kill in &cfg.kills {
+        if kill.rank >= cfg.ranks {
+            return Err(DistError::KillRank {
+                rank: kill.rank,
+                ranks: cfg.ranks,
+            });
+        }
+        if kill.iter >= cfg.iters {
+            return Err(DistError::KillIteration {
+                iter: kill.iter,
+                iters: cfg.iters,
+            });
+        }
+    }
+    let k = cfg.steps_per_exchange;
+    if k == 0 {
+        return Err(DistError::ZeroStepsPerExchange);
+    }
+    if k > 1 {
+        // Deep shells fold through the boundary at most once: the
+        // effective halo must stay narrower than each exchanged axis.
+        let (hx, hy, hz) = effective_halo(cfg, stencil, (rx, ry, rz));
+        for (axis, h, n) in [('x', hx, nx), ('y', hy, ny), ('z', hz, nz)] {
+            if h > 0 && h >= n {
+                return Err(DistError::HaloTooDeep {
+                    axis,
+                    halo: h,
+                    len: n,
+                });
+            }
+        }
+    }
+    if let Some(p) = cfg.checkpoint {
+        // Snapshots must land on exchange boundaries: only there is the
+        // decayed ghost shell empty (rebuilt from the next exchange
+        // rather than stored) and the epoch-batched checksums verified.
+        if p.period % k != 0 {
+            return Err(DistError::CheckpointEpochMismatch {
+                period: p.period,
+                steps_per_exchange: k,
+            });
+        }
+    }
+    for (rank, flip) in &cfg.shell_flips {
+        if *rank >= cfg.ranks {
+            return Err(DistError::FlipRank {
+                rank: *rank,
+                ranks: cfg.ranks,
+            });
+        }
+        if flip.bit >= T::BITS {
+            return Err(DistError::FlipBit {
+                bit: flip.bit,
+                bits: T::BITS,
+            });
+        }
+        if flip.iteration >= cfg.iters {
+            return Err(DistError::FlipIteration {
+                iteration: flip.iteration,
+                iters: cfg.iters,
+            });
+        }
+        // The shell decays after every sweep except an epoch's last (the
+        // next exchange rebuilds it), so a flip on the boundary — or any
+        // flip at k = 1 — would never fire.
+        if k == 1 || flip.iteration % k == k - 1 {
+            return Err(DistError::ShellFlipAtBoundary {
+                iter: flip.iteration,
+                steps_per_exchange: k,
+            });
+        }
+        let (hx, hy, hz) = effective_halo(cfg, stencil, (rx, ry, rz));
+        let brick = part.brick(*rank);
+        let wx = index::resolved_window(brick.x0, brick.x_len, hx, nx, &bounds.x);
+        let wy = index::resolved_window(brick.y0, brick.y_len, hy, ny, &bounds.y);
+        let wz = index::resolved_window(brick.z0, brick.z_len, hz, nz, &bounds.z);
+        let shell = index::needed_halo_cells(&brick, &wx, &wy, &wz);
+        let cell = (flip.x, flip.y, flip.z);
+        if !shell.contains(&cell) || brick.contains(flip.x, flip.y, flip.z) {
+            return Err(DistError::ShellFlipOutsideHalo {
+                rank: *rank,
+                x: flip.x,
+                y: flip.y,
+                z: flip.z,
+            });
+        }
+    }
+    Ok(part)
+}
+
+/// The effective per-axis halo width `(hx, hy, hz)`: the configured halo
+/// widened to the stencil's reach, on the axes that exchange (y always —
+/// it is always ghost-decomposed — x and z only when actually split).
+pub(crate) fn effective_halo<T: Real>(
+    cfg: &DistConfig<T>,
+    stencil: &Stencil3D<T>,
+    (rx, _ry, rz): (usize, usize, usize),
+) -> (usize, usize, usize) {
+    // Temporal tiling deepens the shell: k sweeps per exchange need k
+    // stencil reaches of ghost cells (the shell decays by one reach per
+    // sweep). k = 1 reduces to the legacy per-step widths.
+    let k = cfg.steps_per_exchange.max(1);
+    let hy = cfg.halo.unwrap_or(0).max(k * stencil.extent_y());
+    let hx = if rx > 1 {
+        cfg.halo.unwrap_or(0).max(k * stencil.extent_x())
+    } else {
+        0
+    };
+    let hz = if rz > 1 {
+        cfg.halo.unwrap_or(0).max(k * stencil.extent_z())
+    } else {
+        0
+    };
+    (hx, hy, hz)
+}
