@@ -9,173 +9,12 @@
 //! most multi-error layers (deltas rarely collide), keeping the final l2
 //! error near the single-error level, while `Strict`'s error grows with
 //! `k`. Offline rollback handles any `k` by construction.
-//!
-//! The second half is the **recovery campaign**: mixed bit-flip +
-//! rank-kill storms against the distributed substrate, sweeping the
-//! checkpoint period Δ. Every campaign must come back **bitwise
-//! identical** to the fault-free trajectory (kills repaired by rollback
-//! and respawn, flips repaired in place by Eq. 10, uncorrectable storms
-//! escalated to rollback) — any unrecovered campaign fails the binary,
-//! which is what the CI `recovery-smoke` gate relies on. `--json PATH`
-//! publishes the per-period ledger as `BENCH_recovery.json`.
 
 use abft_bench::{fmt_log, hotspot_campaign, scenario_config, Cli};
-use abft_checkpoint::CheckpointPolicy;
-use abft_core::{AbftConfig, MultiErrorPolicy, VerifyCadence};
-use abft_dist::{run_distributed, DistConfig, HaloMode};
-use abft_fault::{random_flips, random_flips_at_bit, random_kills, Fault, Method};
-use abft_grid::{BoundarySpec, Grid3D};
+use abft_core::MultiErrorPolicy;
+use abft_fault::{random_flips, Fault, Method};
 use abft_hotspot::Scenario;
-use abft_metrics::{write_csv, RecoveryStats, Summary, Table};
-use abft_stencil::Stencil3D;
-
-/// One (rank grid, checkpoint period) point of the recovery campaign
-/// ledger.
-struct RecoveryPoint {
-    grid: (usize, usize),
-    period: usize,
-    /// Sweeps batched per halo exchange during the campaigns (`k`).
-    steps_per_exchange: usize,
-    campaigns: usize,
-    unrecovered: usize,
-    stats: RecoveryStats,
-}
-
-/// Storm campaigns seeded deterministically, with both halo modes
-/// alternating, swept over rank grids × checkpoint periods. The 2×2 grid
-/// is the workhorse shape; the 1×4 slab grid has rank-graph diameter 3,
-/// so with tight periods the pipeline's epoch skew crosses checkpoint
-/// boundaries — the regime where survivors retain epochs newer than the
-/// rollback target and replay must not trip over them. Even campaigns
-/// are kill-only: rollback replay must reproduce the fault-free grid
-/// **bitwise**. Odd campaigns add two correctable flips on top of the
-/// kill: Eq. 10's in-place correction reconstructs from checksum deltas
-/// in floating point, so those must land within the same `1e-9` residual
-/// bound the fault-matrix suite holds single-flip runs to.
-///
-/// With `steps_per_exchange = k > 1` the same storms run against the
-/// temporally tiled exchange (deep shells decayed locally for `k` sweeps
-/// per exchange): kill-only campaigns additionally batch verification to
-/// the exchange boundaries, so rollback replay must restore both the
-/// brick and the carried checksum state; mixed campaigns keep per-sweep
-/// verification so Eq. 10 repairs random flips in place mid-epoch. The
-/// caller only passes periods aligned to `k` (the library rejects the
-/// rest by construction).
-fn recovery_campaigns(
-    seed: u64,
-    campaigns: usize,
-    periods: &[usize],
-    steps_per_exchange: usize,
-) -> Vec<RecoveryPoint> {
-    const NX: usize = 16;
-    const NY: usize = 16;
-    const NZ: usize = 4;
-    const ITERS: usize = 24;
-    const RANKS: usize = 4;
-    let grids = [(2usize, 2usize), (1, 4)];
-    let initial = Grid3D::from_fn(NX, NY, NZ, |x, y, z| {
-        60.0 + ((x * 7 + y * 3 + z * 5) % 19) as f64 * 0.3
-    });
-    let stencil = Stencil3D::seven_point(0.4f64, 0.12, 0.08, 0.1);
-    let bounds = BoundarySpec::clamp();
-    let modes = [HaloMode::Pipelined, HaloMode::Snapshot];
-    // One fault-free reference per (grid, halo mode); every campaign must
-    // reproduce its shape's reference exactly.
-    let expect: Vec<Vec<Grid3D<f64>>> = grids
-        .iter()
-        .map(|(rx, ry)| {
-            modes
-                .iter()
-                .map(|mode| {
-                    let cfg = DistConfig::new(RANKS, ITERS)
-                        .with_grid(*rx, *ry)
-                        .with_abft(AbftConfig::<f64>::paper_defaults())
-                        .with_mode(*mode);
-                    run_distributed(&initial, &stencil, &bounds, None, &cfg)
-                        .expect("fault-free reference")
-                        .global
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut points = Vec::new();
-    for (gi, &(rx, ry)) in grids.iter().enumerate() {
-        let brick = (NX / rx, NY / ry, NZ);
-        for &period in periods {
-            let mut stats = RecoveryStats::default();
-            let mut unrecovered = 0usize;
-            for c in 0..campaigns {
-                let storm_seed =
-                    seed ^ ((gi as u64) << 52) ^ ((period as u64) << 40) ^ ((c as u64) << 8);
-                let kill = random_kills(storm_seed, 1, RANKS, ITERS)[0];
-                let mixed = c % 2 == 1;
-                let mode_idx = c % modes.len();
-                // Kill-only storms also batch verification to the
-                // exchange boundary; mixed storms keep per-sweep verify
-                // so randomly placed flips are repaired in place.
-                let abft = if !mixed && steps_per_exchange > 1 {
-                    AbftConfig::<f64>::paper_defaults().with_cadence(VerifyCadence::EpochBoundary)
-                } else {
-                    AbftConfig::<f64>::paper_defaults()
-                };
-                let mut cfg = DistConfig::new(RANKS, ITERS)
-                    .with_grid(rx, ry)
-                    .with_abft(abft)
-                    .with_steps_per_exchange(steps_per_exchange)
-                    .with_checkpoint(CheckpointPolicy::every(period))
-                    .with_rank_kill(kill)
-                    .with_mode(modes[mode_idx]);
-                if mixed {
-                    let flips = random_flips_at_bit(storm_seed ^ 0x5a5a, 2, ITERS, brick, 51);
-                    for (i, flip) in flips.into_iter().enumerate() {
-                        cfg = cfg.with_flip((storm_seed as usize + i * 7) % RANKS, flip);
-                    }
-                }
-                match run_distributed(&initial, &stencil, &bounds, None, &cfg) {
-                    Ok(rep) => {
-                        // Rollback replay alone is bitwise; an in-place flip
-                        // correction may leave float-reconstruction residual.
-                        let recovered = if mixed {
-                            rep.global.max_abs_diff(&expect[gi][mode_idx]) < 1e-9
-                        } else {
-                            rep.global == expect[gi][mode_idx]
-                        };
-                        if recovered {
-                            stats.merge(&rep.recovery);
-                        } else {
-                            eprintln!(
-                                "[exp_multi_error] UNRECOVERED (residual {:.3e}): \
-                                 {rx}x{ry} Δ={period} k={steps_per_exchange} campaign {c} \
-                                 kill rank {} at t={} mixed={mixed}",
-                                rep.global.max_abs_diff(&expect[gi][mode_idx]),
-                                kill.rank,
-                                kill.iter
-                            );
-                            unrecovered += 1;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "[exp_multi_error] UNRECOVERED (error {e}): {rx}x{ry} \
-                             Δ={period} k={steps_per_exchange} campaign {c}"
-                        );
-                        unrecovered += 1;
-                    }
-                }
-            }
-            points.push(RecoveryPoint {
-                grid: (rx, ry),
-                period,
-                steps_per_exchange,
-                campaigns,
-                unrecovered,
-                stats,
-            });
-        }
-    }
-    points
-}
+use abft_metrics::{write_csv, Summary, Table};
 
 fn main() {
     let cli = Cli::parse();
@@ -249,123 +88,4 @@ fn main() {
     let path = format!("{}/exp_multi_error.csv", cli.out);
     write_csv(&table, &path).expect("write CSV");
     println!("\n[csv] {path}");
-
-    // ---- mixed bit-flip + rank-kill recovery campaigns (dist layer) ----
-    let campaigns = cli.reps.div_ceil(4).max(6);
-    let periods = [1usize, 2, 4, 8];
-    // The same storms also run against the temporally tiled exchange:
-    // `--steps-per-exchange K` pins one epoch length, the default sweeps
-    // k ∈ {1, 2}. Checkpoint periods must land on exchange boundaries,
-    // so each k only sweeps its aligned periods.
-    let epoch_lens = match cli.steps_per_exchange {
-        Some(k) => vec![k],
-        None => vec![1, 2],
-    };
-    eprintln!(
-        "[exp_multi_error] recovery: {campaigns} mixed-storm campaigns x Δ in {periods:?} \
-         x k in {epoch_lens:?} on 2x2 and 1x4 rank grids"
-    );
-    let mut points = Vec::new();
-    for &k in &epoch_lens {
-        let aligned: Vec<usize> = periods.iter().copied().filter(|p| p % k == 0).collect();
-        assert!(
-            !aligned.is_empty(),
-            "no checkpoint period in {periods:?} aligns with --steps-per-exchange {k}"
-        );
-        points.extend(recovery_campaigns(cli.seed, campaigns, &aligned, k));
-    }
-
-    let mut recovery_table = Table::new(vec![
-        "rank grid",
-        "checkpoint period",
-        "steps_per_exchange",
-        "campaigns",
-        "unrecovered",
-        "rank losses",
-        "rollbacks",
-        "steps lost",
-        "recovery s",
-        "checkpoints stored",
-    ]);
-    for p in &points {
-        println!(
-            "{}x{} Δ={} k={} campaigns {:>3} unrecovered {} losses {:>3} rollbacks {:>3} \
-             steps_lost {:>4} recovery {:.3}s checkpoints {:>4}",
-            p.grid.0,
-            p.grid.1,
-            p.period,
-            p.steps_per_exchange,
-            p.campaigns,
-            p.unrecovered,
-            p.stats.rank_losses,
-            p.stats.rollbacks,
-            p.stats.steps_lost,
-            p.stats.recovery_s,
-            p.stats.checkpoints_stored,
-        );
-        recovery_table.row(vec![
-            format!("{}x{}", p.grid.0, p.grid.1),
-            p.period.to_string(),
-            p.steps_per_exchange.to_string(),
-            p.campaigns.to_string(),
-            p.unrecovered.to_string(),
-            p.stats.rank_losses.to_string(),
-            p.stats.rollbacks.to_string(),
-            p.stats.steps_lost.to_string(),
-            format!("{:.6}", p.stats.recovery_s),
-            p.stats.checkpoints_stored.to_string(),
-        ]);
-    }
-    let path = format!("{}/exp_multi_error_recovery.csv", cli.out);
-    write_csv(&recovery_table, &path).expect("write CSV");
-    println!("[csv] {path}");
-
-    if let Some(json_path) = &cli.json {
-        let rows: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"ranks\": 4, \"grid\": [{}, {}, 1], \"kernel\": \"star7\", \
-                     \"recovery\": true, \"checkpoint_period\": {}, \
-                     \"steps_per_exchange\": {}, \
-                     \"campaigns\": {}, \"unrecovered\": {}, \
-                     \"rank_losses\": {}, \"rollbacks\": {}, \"steps_lost\": {}, \
-                     \"recovery_s\": {:.6}, \"checkpoints_stored\": {}}}",
-                    p.grid.0,
-                    p.grid.1,
-                    p.period,
-                    p.steps_per_exchange,
-                    p.campaigns,
-                    p.unrecovered,
-                    p.stats.rank_losses,
-                    p.stats.rollbacks,
-                    p.stats.steps_lost,
-                    p.stats.recovery_s,
-                    p.stats.checkpoints_stored,
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"experiment\": \"exp_multi_error\",\n  \"grid\": [16, 16, 4],\n  \
-             \"kernel\": \"star7\",\n  \"iters\": 24,\n  \"recovery\": true,\n  \
-             \"points\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n"),
-        );
-        if let Some(dir) = std::path::Path::new(json_path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create JSON output dir");
-            }
-        }
-        std::fs::write(json_path, json).expect("write JSON");
-        println!("[json] {json_path}");
-    }
-
-    // The gate the CI recovery-smoke job relies on: every mixed storm
-    // must have been repaired exactly.
-    let unrecovered: usize = points.iter().map(|p| p.unrecovered).sum();
-    assert_eq!(
-        unrecovered, 0,
-        "{unrecovered} campaigns failed to recover bitwise"
-    );
-    println!("[recovery] all campaigns recovered bitwise");
 }

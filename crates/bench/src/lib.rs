@@ -1,129 +1,22 @@
 //! Shared harness code for the experiment binaries.
 //!
-//! Every binary regenerates one table or figure of the paper's §5 (see
-//! DESIGN.md §6 for the experiment index). The binaries print the same
-//! rows/series the paper reports and optionally write CSV files under
-//! `results/`.
+//! Every binary regenerates one table or figure of the paper's §5, or
+//! studies one fault-model question the paper leaves open (the README's
+//! workspace table lists them). The binaries print the same rows/series
+//! the paper reports and write CSV files under `results/`. Nothing here
+//! answers "what does protection cost?" — that is `benchmark/`'s job.
 
 use abft_core::AbftConfig;
-use abft_dist::GridSpec;
 use abft_fault::{Campaign, Method, RunRecord};
 use abft_hotspot::{build_sim, Scenario};
 use abft_metrics::Summary;
-use abft_num::Real;
-use abft_stencil::{Exec, Stencil2D, Stencil3D, StencilSim};
-
-/// Parsed `--grid` argument of the distributed experiments: an explicit
-/// `RXxRY` (undecomposed z) or `RXxRYxRZ` rank grid, or `auto`
-/// (near-square x×y factorisation per rank count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GridArg {
-    /// `--grid auto`.
-    Auto,
-    /// `--grid RXxRY` (`rz = 1`) or `--grid RXxRYxRZ`.
-    Explicit(usize, usize, usize),
-}
-
-impl GridArg {
-    /// Parse `"auto"`, `"RXxRY"` or `"RXxRYxRZ"` (case-insensitive
-    /// separator).
-    pub fn parse(s: &str) -> Self {
-        if s.eq_ignore_ascii_case("auto") {
-            return Self::Auto;
-        }
-        let parts: Vec<usize> = s
-            .split(['x', 'X'])
-            .map(|p| {
-                p.parse()
-                    .unwrap_or_else(|_| panic!("--grid expects RXxRY[xRZ] or auto, got {s:?}"))
-            })
-            .collect();
-        match parts[..] {
-            [rx, ry] => Self::Explicit(rx, ry, 1),
-            [rx, ry, rz] => Self::Explicit(rx, ry, rz),
-            _ => panic!("--grid expects RXxRY[xRZ] or auto, got {s:?}"),
-        }
-    }
-}
-
-/// Parsed `--kernel` argument of the distributed experiments: a named
-/// wide-footprint stencil from `abft-stencil`'s library. The experiments
-/// tag their CSV/JSON output with [`KernelArg::name`], and CI's schema
-/// check asserts every `BENCH_*.json` artifact carries the tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelArg {
-    /// `star7`: 7-point star diffusion — extent 1, no corner taps.
-    Star7,
-    /// `9pt`: 9-point convection–diffusion — diagonal taps, asymmetric.
-    Nine,
-    /// `27pt`: 27-point diffusion box — the full 3-D corner footprint.
-    TwentySeven,
-    /// `13pt`: 13-point 4th-order star — extent 2, no corner taps.
-    Star13,
-}
-
-impl KernelArg {
-    /// Parse a `--kernel` value (`star7`, `9pt`, `27pt`, `13pt`).
-    pub fn parse(s: &str) -> Self {
-        match s.to_ascii_lowercase().as_str() {
-            "star7" | "star" | "7pt" => Self::Star7,
-            "9pt" | "nine" => Self::Nine,
-            "27pt" => Self::TwentySeven,
-            "13pt" | "star13" => Self::Star13,
-            other => panic!("--kernel expects star7|9pt|27pt|13pt, got {other:?}"),
-        }
-    }
-
-    /// The tag written into CSV/JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Star7 => "star7",
-            Self::Nine => "9pt",
-            Self::TwentySeven => "27pt",
-            Self::Star13 => "13pt",
-        }
-    }
-
-    /// The library stencil this kernel names, with the experiments'
-    /// pinned (stable, conservative) coefficients.
-    pub fn stencil<T: Real>(self) -> Stencil3D<T> {
-        match self {
-            Self::Star7 => Stencil3D::diffusion_7pt(T::from_f64(0.12)),
-            Self::Nine => {
-                Stencil2D::convection_9pt(T::from_f64(0.18), T::from_f64(0.08), T::from_f64(-0.05))
-                    .into_3d()
-            }
-            Self::TwentySeven => Stencil3D::diffusion_27pt(T::from_f64(0.21)),
-            Self::Star13 => Stencil3D::diffusion_13pt_4th_order(T::from_f64(0.02)),
-        }
-    }
-
-    /// Every named kernel, star footprints first (`exp_corner_traffic`
-    /// sweeps this list and reports overhead relative to [`Self::Star7`]).
-    pub fn all() -> [KernelArg; 4] {
-        [Self::Star7, Self::Nine, Self::TwentySeven, Self::Star13]
-    }
-}
+use abft_stencil::{Exec, StencilSim};
 
 /// Common command-line options for the experiment binaries.
 ///
 /// Supported flags: `--reps N`, `--seed S`, `--threads N`, `--large`
-/// (include the 512×512×8 tile), `--small-only` is the default,
-/// `--out DIR` (CSV output directory, default `results/`), `--iters N`
-/// (override an experiment's iteration count), `--json PATH` (machine
-/// readable results, used by CI's bench-smoke artifact),
-/// `--grid RXxRY[xRZ]|auto` (rank-grid shape; an explicit shape pins the
-/// rank sweep to `RX·RY·RZ` ranks), `--kernel star7|9pt|27pt|13pt`
-/// (library stencil override) and `--steps-per-exchange K` (epoch
-/// length: exchange a depth-`K·r` halo once per `K` sweeps;
-/// `exp_halo_overlap` and `exp_corner_traffic`). `--iters`, `--json`
-/// and `--grid` are honoured by
-/// the distributed experiments (`exp_dist_scaling`, `exp_halo_overlap`,
-/// `exp_corner_traffic`); `--kernel` only by `exp_halo_overlap`
-/// (`exp_dist_scaling` pins the HotSpot3D workload and
-/// `exp_corner_traffic` always sweeps the whole kernel library). The
-/// figure-replication binaries pin the paper's parameters and ignore
-/// all of these.
+/// (include the 512×512×8 tile; the 64×64×8 tile alone is the default)
+/// and `--out DIR` (CSV output directory, default `results/`).
 #[derive(Debug, Clone)]
 pub struct Cli {
     pub reps: usize,
@@ -131,11 +24,6 @@ pub struct Cli {
     pub threads: usize,
     pub large: bool,
     pub out: String,
-    pub iters: Option<usize>,
-    pub json: Option<String>,
-    pub grid: Option<GridArg>,
-    pub kernel: Option<KernelArg>,
-    pub steps_per_exchange: Option<usize>,
 }
 
 impl Default for Cli {
@@ -146,11 +34,6 @@ impl Default for Cli {
             threads: 8,
             large: false,
             out: "results".to_string(),
-            iters: None,
-            json: None,
-            grid: None,
-            kernel: None,
-            steps_per_exchange: None,
         }
     }
 }
@@ -181,32 +64,8 @@ impl Cli {
                     i += 1;
                     cli.out = args[i].clone();
                 }
-                "--iters" => {
-                    i += 1;
-                    cli.iters = Some(args[i].parse().expect("--iters N"));
-                }
-                "--json" => {
-                    i += 1;
-                    cli.json = Some(args[i].clone());
-                }
-                "--grid" => {
-                    i += 1;
-                    cli.grid = Some(GridArg::parse(&args[i]));
-                }
-                "--kernel" => {
-                    i += 1;
-                    cli.kernel = Some(KernelArg::parse(&args[i]));
-                }
-                "--steps-per-exchange" => {
-                    i += 1;
-                    let k: usize = args[i].parse().expect("--steps-per-exchange K");
-                    assert!(k >= 1, "--steps-per-exchange K must be >= 1");
-                    cli.steps_per_exchange = Some(k);
-                }
                 other => panic!(
-                    "unknown flag {other}; supported: --reps N --seed S --threads N --large --out DIR \
-                     --iters N --json PATH --grid RXxRY[xRZ]|auto --kernel star7|9pt|27pt|13pt \
-                     --steps-per-exchange K (dist experiments only)"
+                    "unknown flag {other}; supported: --reps N --seed S --threads N --large --out DIR"
                 ),
             }
             i += 1;
@@ -231,25 +90,6 @@ impl Cli {
             v.push(Scenario::tile_large());
         }
         v
-    }
-
-    /// The [`GridSpec`] the distributed experiments should decompose over.
-    pub fn grid_spec(&self) -> GridSpec {
-        match self.grid {
-            None => GridSpec::Slabs,
-            Some(GridArg::Auto) => GridSpec::Auto,
-            Some(GridArg::Explicit(rx, ry, rz)) => GridSpec::Explicit { rx, ry, rz },
-        }
-    }
-
-    /// Rank counts the distributed experiments sweep. An explicit
-    /// `--grid RXxRY[xRZ]` pins the sweep to its own rank count; `auto`
-    /// and the slab default sweep the usual ladder.
-    pub fn rank_counts(&self) -> Vec<usize> {
-        match self.grid {
-            Some(GridArg::Explicit(rx, ry, rz)) => vec![rx * ry * rz],
-            _ => vec![1, 2, 4, 8],
-        }
     }
 }
 
@@ -318,69 +158,6 @@ mod tests {
         let c = Cli::default();
         assert_eq!(c.reps, 50);
         assert!(!c.large);
-        assert_eq!(c.grid, None);
-        assert_eq!(c.kernel, None);
-        assert_eq!(c.grid_spec(), abft_dist::GridSpec::Slabs);
-        assert_eq!(c.rank_counts(), vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn kernel_arg_parses_names_and_builds_stencils() {
-        assert_eq!(KernelArg::parse("star7"), KernelArg::Star7);
-        assert_eq!(KernelArg::parse("9PT"), KernelArg::Nine);
-        assert_eq!(KernelArg::parse("27pt"), KernelArg::TwentySeven);
-        assert_eq!(KernelArg::parse("13pt"), KernelArg::Star13);
-        for k in KernelArg::all() {
-            let s = k.stencil::<f64>();
-            assert!(
-                (s.weight_sum() - 1.0).abs() < 1e-12,
-                "{} not conservative",
-                k.name()
-            );
-        }
-        assert_eq!(KernelArg::Nine.stencil::<f64>().len(), 9);
-        assert_eq!(KernelArg::TwentySeven.stencil::<f64>().len(), 27);
-        assert_eq!(KernelArg::Star13.stencil::<f64>().extent_x(), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn malformed_kernel_arg_rejected() {
-        let _ = KernelArg::parse("49pt");
-    }
-
-    #[test]
-    fn grid_arg_parsing_and_sweep_pinning() {
-        assert_eq!(GridArg::parse("2x2"), GridArg::Explicit(2, 2, 1));
-        assert_eq!(GridArg::parse("4X1"), GridArg::Explicit(4, 1, 1));
-        assert_eq!(GridArg::parse("2x2x2"), GridArg::Explicit(2, 2, 2));
-        assert_eq!(GridArg::parse("1X2x3"), GridArg::Explicit(1, 2, 3));
-        assert_eq!(GridArg::parse("auto"), GridArg::Auto);
-        let c = Cli {
-            grid: Some(GridArg::Explicit(2, 3, 2)),
-            ..Cli::default()
-        };
-        assert_eq!(
-            c.grid_spec(),
-            abft_dist::GridSpec::Explicit {
-                rx: 2,
-                ry: 3,
-                rz: 2
-            }
-        );
-        assert_eq!(c.rank_counts(), vec![12]);
-        let c = Cli {
-            grid: Some(GridArg::Auto),
-            ..c
-        };
-        assert_eq!(c.grid_spec(), abft_dist::GridSpec::Auto);
-        assert_eq!(c.rank_counts(), vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn malformed_grid_arg_rejected() {
-        let _ = GridArg::parse("2by2");
     }
 
     #[test]

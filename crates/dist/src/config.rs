@@ -57,11 +57,10 @@ pub enum GridSpec {
 ///
 /// let cfg = DistConfig::<f32>::new(8, 100)
 ///     .with_grid3(2, 2, 2) // an x×y×z brick grid
-///     .with_halo(2)
 ///     .with_abft(AbftConfig::paper_defaults())
 ///     .with_mode(HaloMode::Snapshot);
 /// assert_eq!(cfg.grid, GridSpec::Explicit { rx: 2, ry: 2, rz: 2 });
-/// assert_eq!(cfg.halo, Some(2));
+/// assert_eq!(cfg.mode, HaloMode::Snapshot);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistConfig<T> {
@@ -69,10 +68,6 @@ pub struct DistConfig<T> {
     pub ranks: usize,
     /// Stencil iterations to run.
     pub iters: usize,
-    /// Halo width override, applied to every decomposed axis. The
-    /// effective width per axis is `max(halo, stencil extent)`; `None`
-    /// uses the stencil extents.
-    pub halo: Option<usize>,
     /// Per-rank online ABFT configuration; `None` runs unprotected.
     pub abft: Option<AbftConfig<T>>,
     /// Faults to inject: `(rank, flip)` with the flip's coordinates local
@@ -112,7 +107,6 @@ impl<T: Real> DistConfig<T> {
         Self {
             ranks,
             iters,
-            halo: None,
             abft: None,
             flips: Vec::new(),
             mode: HaloMode::default(),
@@ -127,13 +121,6 @@ impl<T: Real> DistConfig<T> {
     /// Enable per-rank online ABFT protection.
     pub fn with_abft(mut self, cfg: AbftConfig<T>) -> Self {
         self.abft = Some(cfg);
-        self
-    }
-
-    /// Widen the halo beyond the stencil's extents (extra cells are
-    /// exchanged but unused; useful for overlap experiments).
-    pub fn with_halo(mut self, cells: usize) -> Self {
-        self.halo = Some(cells);
         self
     }
 

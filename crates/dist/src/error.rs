@@ -18,14 +18,6 @@ pub enum DistError {
     /// `iters == 0`: the job would do nothing (and the one-shot path
     /// used to panic deep in the decomposition instead of saying so).
     ZeroIterations,
-    /// A requested halo narrower than the kernel reach on a decomposed
-    /// axis, rejected by [`DistService::submit`]'s strict admission
-    /// ([`run_distributed`] widens the halo to the reach instead).
-    HaloTooNarrow {
-        axis: char,
-        halo: usize,
-        extent: usize,
-    },
     /// A pipelined job wants more ranks than the service has pooled
     /// workers; all of a job's ranks must run concurrently, so it could
     /// never start.
@@ -115,6 +107,12 @@ pub enum DistError {
     NoCommonEpoch { keep: usize },
     /// `steps_per_exchange == 0`: an epoch must contain at least one sweep.
     ZeroStepsPerExchange,
+    /// A checkpoint policy with `period == 0` (constructible only by
+    /// struct literal; [`CheckpointPolicy::every`] panics on it): no
+    /// iteration after the first would ever be checkpointed.
+    ///
+    /// [`CheckpointPolicy::every`]: abft_checkpoint::CheckpointPolicy::every
+    ZeroCheckpointPeriod,
     /// The checkpoint period is not a multiple of `steps_per_exchange`.
     /// Snapshots must land on exchange boundaries — only there is the
     /// ghost shell empty (it is rebuilt from the next exchange, not
@@ -155,10 +153,6 @@ impl std::fmt::Display for DistError {
                 write!(f, "domain {nx}x{ny}x{nz} has no cells")
             }
             Self::ZeroIterations => write!(f, "zero iterations configured; nothing to run"),
-            Self::HaloTooNarrow { axis, halo, extent } => write!(
-                f,
-                "requested halo {halo} is narrower than the kernel {axis}-reach {extent} on a decomposed {axis} axis"
-            ),
             Self::PoolTooSmall { ranks, pool } => write!(
                 f,
                 "job needs {ranks} concurrent ranks but the pool has {pool} workers"
@@ -260,6 +254,9 @@ impl std::fmt::Display for DistError {
             ),
             Self::ZeroStepsPerExchange => {
                 write!(f, "steps_per_exchange must be at least 1")
+            }
+            Self::ZeroCheckpointPeriod => {
+                write!(f, "checkpoint period must be at least 1")
             }
             Self::CheckpointEpochMismatch {
                 period,

@@ -311,8 +311,7 @@ impl HaloTraffic {
     }
 
     /// Fraction of the channel volume carried by xy-edge (corner)
-    /// patches — the quantity `exp_corner_traffic` tracks across kernel
-    /// footprints.
+    /// patches.
     pub fn corner_share(&self) -> f64 {
         let total = self.channel_cells();
         if total > 0 {
@@ -398,8 +397,8 @@ impl HaloPlan {
     /// Plan rank `me`'s halo: resolve the out-of-brick windows through the
     /// global boundaries, group the needed cells by owner, build the
     /// strip index and tally the per-channel volumes.
-    /// `halo = (hx, hy, hz)` is the effective per-axis halo width (0
-    /// disables the axis) and `dims` the global domain.
+    /// `halo = (hx, hy, hz)` is the per-axis halo depth (0 disables the
+    /// axis) and `dims` the global domain.
     pub fn new<T: Real>(
         brick: &Brick,
         me: usize,

@@ -42,8 +42,7 @@
 //!   purely by the bounded (depth-2, double-buffered) channels.
 //!   [`HaloMode::Snapshot`] advances every rank from one thread in
 //!   deterministic lock-step (all post, then all complete), needing no
-//!   pool slots — the oracle of the equivalence matrices and the
-//!   one-thread baseline of `exp_halo_overlap`;
+//!   pool slots — the oracle of the equivalence matrices;
 //! * a rank with protection enabled drives its sweep through
 //!   [`OnlineAbft::sweep_interior`] and
 //!   [`OnlineAbft::sweep_shell_and_verify`], so checksum interpolation
@@ -190,12 +189,9 @@ pub fn run_distributed<T: Real>(
     constant: Option<&Grid3D<T>>,
     cfg: &DistConfig<T>,
 ) -> Result<DistReport<T>, DistError> {
-    // A documented DistService-of-one: a temporary service with one pool
-    // slot per rank and a single-job queue, using lenient halo semantics
-    // (a narrow halo widens to the kernel reach instead of erroring —
-    // kept for the overlap experiments that sweep halo widths below wide
-    // kernels' reach). The one-shot and pooled paths are therefore the
-    // same code; only admission strictness differs.
+    // A DistService-of-one: a temporary service with one pool slot per
+    // rank and a single-job queue, so the one-shot and pooled paths are
+    // the same code and admit exactly the same specs.
     let service = DistService::with_config(ServiceConfig::new(cfg.ranks.max(1)))?;
     let mut spec = JobSpec::over(initial.clone(), stencil.clone())
         .with_bounds(*bounds)
@@ -203,7 +199,7 @@ pub fn run_distributed<T: Real>(
     if let Some(c) = constant {
         spec = spec.with_constant(c.clone());
     }
-    let handle = service.submit_lenient(spec)?;
+    let handle = service.submit(spec)?;
     let report = handle.wait();
     service.shutdown();
     report
@@ -1364,12 +1360,8 @@ mod tests {
     fn serving_error_messages_are_specific() {
         let cases: Vec<(DistError, &str)> = vec![
             (
-                DistError::HaloTooNarrow {
-                    axis: 'z',
-                    halo: 1,
-                    extent: 2,
-                },
-                "kernel z-reach 2",
+                DistError::ZeroCheckpointPeriod,
+                "checkpoint period must be at least 1",
             ),
             (
                 DistError::PoolTooSmall { ranks: 8, pool: 4 },

@@ -42,13 +42,12 @@
 //! `iters` iterations complete cleanly every channel is drained — the
 //! same [`Ports`] set can carry the next job unchanged. The
 //! [`TopologyCache`] exploits this: topologies are keyed on everything
-//! the channel wiring depends on — domain shape, rank grid, effective
-//! per-axis halo depth (which folds in the kernel reach, since the
-//! effective width is `max(halo, extent)` per decomposed axis) and the
-//! global boundary spec (periodic wrap changes who owes whom) — and only
-//! a job that *panicked* mid-flight poisons its entry (channels may hold
-//! stale messages), so the scheduler discards that one entry and rebuilds
-//! on next use.
+//! the channel wiring depends on — domain shape, rank grid, per-axis
+//! halo depth (`steps_per_exchange` kernel reaches per decomposed axis)
+//! and the global boundary spec (periodic wrap changes who owes whom) —
+//! and only a job that *panicked* mid-flight poisons its entry (channels
+//! may hold stale messages), so the scheduler discards that one entry and
+//! rebuilds on next use.
 
 use crate::{HaloPlan, Partition3};
 use abft_grid::BoundarySpec;
@@ -99,16 +98,16 @@ impl<T> Ports<T> {
 /// equal keys exchange exactly the same cells over exactly the same
 /// channels, so they can share one [`Topology`].
 ///
-/// The kernel reach enters through `halo`: callers key on the *effective*
-/// per-axis halo depth `max(requested halo, stencil extent)`, so a wider
-/// kernel under the same requested halo yields a different key.
+/// The kernel reach and the epoch length enter through `halo`, the
+/// per-axis depth `steps_per_exchange · stencil extent` on the axes that
+/// exchange: a wider kernel or a longer epoch yields a different key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TopoKey<T> {
     /// Global domain dims `(nx, ny, nz)`.
     pub(crate) dims: (usize, usize, usize),
     /// Rank-grid shape `(rx, ry, rz)`.
     pub(crate) grid: (usize, usize, usize),
-    /// Effective per-axis halo depth `(hx, hy, hz)`.
+    /// Per-axis halo depth `(hx, hy, hz)`.
     pub(crate) halo: (usize, usize, usize),
     /// Global boundary spec (periodic wrap rewires the halo channels).
     pub(crate) bounds: BoundarySpec<T>,

@@ -143,7 +143,7 @@ impl ServiceConfig {
 /// job can outlive the submitting call.
 ///
 /// Built with [`JobSpec::over`] and the same `with_*` vocabulary as
-/// [`DistConfig`] — `with_halo`, `with_grid3`, `with_abft`, `with_flip`
+/// [`DistConfig`] — `with_grid3`, `with_abft`, `with_flip`, `with_checkpoint`
 /// and friends forward to the embedded config, so one-shot and pooled
 /// call sites read identically:
 ///
@@ -218,13 +218,6 @@ impl<T: Real> JobSpec<T> {
     /// Set the number of stencil iterations.
     pub fn with_iters(mut self, iters: usize) -> Self {
         self.cfg.iters = iters;
-        self
-    }
-
-    /// Widen the halo beyond the stencil's extents
-    /// ([`DistConfig::with_halo`]).
-    pub fn with_halo(mut self, cells: usize) -> Self {
-        self.cfg = self.cfg.with_halo(cells);
         self
     }
 
@@ -309,9 +302,9 @@ impl<T: Real> JobSpec<T> {
 /// traffic and the high-water mark of concurrent jobs.
 ///
 /// `topology_hits` counting up while `topology_misses` stays flat is the
-/// pool-reuse signal `exp_serve` measures: repeat jobs skip halo-plan and
-/// channel construction entirely. `peak_concurrent` above 1 is the
-/// slot-allocation signal: the scheduler actually ran jobs side by side.
+/// pool-reuse signal: repeat jobs skip halo-plan and channel construction
+/// entirely. `peak_concurrent` above 1 is the slot-allocation signal: the
+/// scheduler actually ran jobs side by side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Jobs that produced a report.
@@ -593,12 +586,11 @@ impl<T: Real> DistService<T> {
 
     /// Admit one job and return its [`JobHandle`] immediately.
     ///
-    /// Validation is synchronous and strict: on top of every
-    /// [`crate::run_distributed`] check (empty grid, zero iterations,
-    /// rank/grid fit, flip validity, …) the service rejects a requested
-    /// halo narrower than the kernel reach on a decomposed axis
-    /// ([`DistError::HaloTooNarrow`] — the one-shot API silently widens
-    /// it instead) and a pipelined job needing more ranks than the pool
+    /// Validation is synchronous, and it is the admission rule of
+    /// [`crate::run_distributed`] too (empty grid, zero iterations,
+    /// rank/grid fit, flip validity, checkpoint alignment, …): that call
+    /// submits here. The one check that depends on the service rather
+    /// than the spec is a pipelined job needing more ranks than the pool
     /// has workers ([`DistError::PoolTooSmall`] — such a job could never
     /// make progress, since every rank of a job must run concurrently).
     ///
@@ -608,7 +600,7 @@ impl<T: Real> DistService<T> {
     /// (use [`DistService::submit_wait`] to block instead). The job is
     /// not enqueued.
     pub fn submit(&self, spec: JobSpec<T>) -> Result<JobHandle<T>, DistError> {
-        self.admit(spec, true, false)
+        self.admit(spec, false)
     }
 
     /// Like [`DistService::submit`], but **block** until the bounded
@@ -618,32 +610,17 @@ impl<T: Real> DistService<T> {
     /// # Errors
     /// Any non-capacity admission failure, as for `submit`.
     pub fn submit_wait(&self, spec: JobSpec<T>) -> Result<JobHandle<T>, DistError> {
-        self.admit(spec, true, true)
+        self.admit(spec, true)
     }
 
-    /// Admission with the one-shot API's lenient halo semantics (a
-    /// too-narrow halo is widened to the kernel reach, not rejected) —
-    /// the compatibility path [`crate::run_distributed`] rides on.
-    pub(crate) fn submit_lenient(&self, spec: JobSpec<T>) -> Result<JobHandle<T>, DistError> {
-        self.admit(spec, false, false)
-    }
-
-    fn admit(
-        &self,
-        spec: JobSpec<T>,
-        strict: bool,
-        block: bool,
-    ) -> Result<JobHandle<T>, DistError> {
-        let part = validate(
+    fn admit(&self, spec: JobSpec<T>, block: bool) -> Result<JobHandle<T>, DistError> {
+        validate(
             &spec.initial,
             &spec.stencil,
             &spec.bounds,
             spec.constant.as_ref(),
             &spec.cfg,
         )?;
-        if strict {
-            strict_halo(&spec, (part.rx(), part.ry(), part.rz()))?;
-        }
         if spec.cfg.mode == HaloMode::Pipelined && spec.cfg.ranks > self.pool {
             return Err(DistError::PoolTooSmall {
                 ranks: spec.cfg.ranks,
@@ -711,28 +688,6 @@ impl<T: Real> Drop for DistService<T> {
     fn drop(&mut self) {
         self.finish();
     }
-}
-
-/// Reject a requested halo the kernel cannot fit through on an axis that
-/// actually exchanges (more than one rank). The lenient path widens the
-/// halo to the kernel reach instead; under strict admission that silent
-/// rewrite of the job's exchange volume is an error.
-fn strict_halo<T: Real>(spec: &JobSpec<T>, grid: (usize, usize, usize)) -> Result<(), DistError> {
-    let Some(halo) = spec.cfg.halo else {
-        return Ok(());
-    };
-    let (rx, ry, rz) = grid;
-    let axes = [
-        ('x', spec.stencil.extent_x(), rx),
-        ('y', spec.stencil.extent_y(), ry),
-        ('z', spec.stencil.extent_z(), rz),
-    ];
-    for (axis, extent, ranks) in axes {
-        if ranks > 1 && halo < extent {
-            return Err(DistError::HaloTooNarrow { axis, halo, extent });
-        }
-    }
-    Ok(())
 }
 
 /// How many pool slots `spec` occupies while running: one per rank in
@@ -1440,36 +1395,131 @@ mod tests {
         assert_eq!(plan_admissions(&mut queue, 0, MAX_OVERTAKES), vec![0, 1]);
     }
 
-    #[test]
-    fn strict_admission_rejects_a_halo_narrower_than_the_kernel() {
-        // 4th-order star kernel: reach 2 on every axis; request halo 1 on
-        // a y-decomposed domain.
-        let wide = Stencil3D::diffusion_13pt_4th_order(0.02f64);
-        let spec = JobSpec::over(field(12, 16, 4), wide.clone())
-            .with_ranks(2)
-            .with_iters(3)
-            .with_halo(1);
-        let service = DistService::<f64>::new(2).unwrap();
-        let err = service.submit(spec).unwrap_err();
-        assert_eq!(
-            err,
-            DistError::HaloTooNarrow {
-                axis: 'y',
-                halo: 1,
-                extent: 2,
-            }
+    /// What [`crate::run_distributed`] and [`DistService::submit`] make of
+    /// the same `spec`, in that order: the final grid or the rejection.
+    fn both_verdicts(
+        service: &DistService<f64>,
+        spec: JobSpec<f64>,
+    ) -> [Result<Grid3D<f64>, DistError>; 2] {
+        let one_shot = crate::run_distributed(
+            &spec.initial,
+            &spec.stencil,
+            &spec.bounds,
+            spec.constant.as_ref(),
+            &spec.cfg,
         );
-        // The one-shot path keeps the lenient legacy semantics: the same
-        // configuration silently widens the halo and runs.
-        let report = crate::run_distributed(
-            &field(12, 16, 4),
-            &wide,
-            &BoundarySpec::clamp(),
-            None,
-            &DistConfig::new(2, 3).with_halo(1),
+        let pooled = service.submit(spec).and_then(JobHandle::wait);
+        [one_shot, pooled].map(|verdict| verdict.map(|report| report.global))
+    }
+
+    #[test]
+    fn one_shot_and_pooled_admission_agree() {
+        let service = DistService::<f64>::new(4).unwrap();
+        let flip = BitFlip {
+            iteration: 1,
+            x: 0,
+            y: 0,
+            z: 0,
+            bit: 40,
+        };
+        let wide_z = Stencil3D::from_tuples(&[(0, 0, -2, 0.5f64), (0, 0, 2, 0.5)]);
+        let rejects: Vec<(JobSpec<f64>, DistError)> = vec![
+            (job(2, 0), DistError::ZeroIterations),
+            (
+                job(4, 3).with_grid(3, 2),
+                DistError::GridMismatch {
+                    rx: 3,
+                    ry: 2,
+                    rz: 1,
+                    ranks: 4,
+                },
+            ),
+            (
+                // 4 layers over 2 z-ranks: 2-layer bricks under z-reach 2.
+                JobSpec::over(field(6, 8, 4), wide_z)
+                    .with_ranks(2)
+                    .with_grid3(1, 1, 2),
+                DistError::BrickTooThin {
+                    rank: 0,
+                    layers: 2,
+                    extent: 2,
+                },
+            ),
+            (
+                job(2, 3).with_flip(1, BitFlip { x: 99, ..flip }),
+                DistError::FlipOutOfBrick {
+                    rank: 1,
+                    flip: (99, 0, 0),
+                    brick: (10, 8, 2),
+                },
+            ),
+            (
+                job(2, 6)
+                    .with_steps_per_exchange(2)
+                    .with_checkpoint(CheckpointPolicy::every(3)),
+                DistError::CheckpointEpochMismatch {
+                    period: 3,
+                    steps_per_exchange: 2,
+                },
+            ),
+            (
+                job(2, 6).with_checkpoint(CheckpointPolicy {
+                    period: 0,
+                    keep: None,
+                }),
+                DistError::ZeroCheckpointPeriod,
+            ),
+            (
+                job(2, 6)
+                    .with_steps_per_exchange(2)
+                    .with_shell_flip(0, flip),
+                DistError::ShellFlipAtBoundary {
+                    iter: 1,
+                    steps_per_exchange: 2,
+                },
+            ),
+        ];
+        for (spec, expected) in rejects {
+            let [one_shot, pooled] = both_verdicts(&service, spec);
+            assert_eq!(one_shot, Err(expected.clone()));
+            assert_eq!(pooled, Err(expected));
+        }
+        // A wide kernel on a deep shell — the halo depth both entry points
+        // derive is 2 sweeps × reach 2 — is accepted by both, bitwise alike.
+        let valid = JobSpec::over(
+            field(12, 16, 4),
+            Stencil3D::diffusion_13pt_4th_order(0.02f64),
         )
-        .unwrap();
-        assert_eq!(report.ranks.len(), 2);
+        .with_ranks(2)
+        .with_iters(6)
+        .with_steps_per_exchange(2)
+        .with_abft(AbftConfig::paper_defaults())
+        .with_checkpoint(CheckpointPolicy::every(2));
+        let [one_shot, pooled] = both_verdicts(&service, valid);
+        assert_eq!(one_shot.unwrap(), pooled.unwrap());
+        service.shutdown();
+    }
+
+    #[test]
+    fn zero_checkpoint_period_is_rejected_and_spares_the_topology_cache() {
+        let service = DistService::<f64>::new(2).unwrap();
+        service.submit(job(2, 4)).unwrap().wait().unwrap();
+        // `keep: None` used to divide by zero sizing the ring (a panic
+        // that cleared the pool's cache); `Some` ran, checkpointing only
+        // at t = 0.
+        for keep in [None, Some(3)] {
+            let spec = job(2, 4).with_checkpoint(CheckpointPolicy { period: 0, keep });
+            for verdict in both_verdicts(&service, spec) {
+                assert_eq!(verdict, Err(DistError::ZeroCheckpointPeriod));
+            }
+        }
+        service.submit(job(2, 4)).unwrap().wait().unwrap();
+        let stats = service.stats();
+        assert_eq!(
+            (stats.topology_misses, stats.topology_hits),
+            (1, 1),
+            "{stats:?}"
+        );
         service.shutdown();
     }
 

@@ -172,6 +172,9 @@ pub(crate) fn validate<T: Real>(
         }
     }
     if let Some(p) = cfg.checkpoint {
+        if p.period == 0 {
+            return Err(DistError::ZeroCheckpointPeriod);
+        }
         // Snapshots must land on exchange boundaries: only there is the
         // decayed ghost shell empty (rebuilt from the next exchange
         // rather than stored) and the epoch-batched checksums verified.
@@ -229,28 +232,19 @@ pub(crate) fn validate<T: Real>(
     Ok(part)
 }
 
-/// The effective per-axis halo width `(hx, hy, hz)`: the configured halo
-/// widened to the stencil's reach, on the axes that exchange (y always —
-/// it is always ghost-decomposed — x and z only when actually split).
+/// The per-axis halo depth `(hx, hy, hz)`: `k` stencil reaches — one per
+/// sweep of an exchange epoch, the shell decaying by a reach per sweep —
+/// on the axes that exchange (y always — it is always ghost-decomposed —
+/// x and z only when actually split).
 pub(crate) fn effective_halo<T: Real>(
     cfg: &DistConfig<T>,
     stencil: &Stencil3D<T>,
     (rx, _ry, rz): (usize, usize, usize),
 ) -> (usize, usize, usize) {
-    // Temporal tiling deepens the shell: k sweeps per exchange need k
-    // stencil reaches of ghost cells (the shell decays by one reach per
-    // sweep). k = 1 reduces to the legacy per-step widths.
-    let k = cfg.steps_per_exchange.max(1);
-    let hy = cfg.halo.unwrap_or(0).max(k * stencil.extent_y());
-    let hx = if rx > 1 {
-        cfg.halo.unwrap_or(0).max(k * stencil.extent_x())
-    } else {
-        0
-    };
-    let hz = if rz > 1 {
-        cfg.halo.unwrap_or(0).max(k * stencil.extent_z())
-    } else {
-        0
-    };
-    (hx, hy, hz)
+    let k = cfg.steps_per_exchange;
+    (
+        if rx > 1 { k * stencil.extent_x() } else { 0 },
+        k * stencil.extent_y(),
+        if rz > 1 { k * stencil.extent_z() } else { 0 },
+    )
 }

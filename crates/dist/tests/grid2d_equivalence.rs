@@ -1,8 +1,7 @@
 //! The 2-D (x×y) rank-grid decomposition must be **bitwise**
 //! interchangeable with the serial reference and across halo modes for
 //! every grid shape — slabs, columns, squares and unbalanced rectangles —
-//! under clamp and periodic global boundaries and halo widths wider than
-//! the stencil needs.
+//! under clamp and periodic global boundaries.
 //!
 //! The domain extents (13×14) are deliberately not divisible by the rank
 //! counts, so every multi-rank axis produces unbalanced tiles and the
@@ -60,7 +59,7 @@ fn run(
 }
 
 /// The acceptance matrix: pipelined ≡ snapshot ≡ serial, bitwise, for
-/// every grid shape × boundary × halo width, on non-divisible extents.
+/// every grid shape × boundary, on non-divisible extents.
 #[test]
 fn grids_match_serial_bitwise_across_boundaries_and_halo_widths() {
     let initial = wavy(13, 14, 2);
@@ -69,32 +68,28 @@ fn grids_match_serial_bitwise_across_boundaries_and_halo_widths() {
         let bounds = BoundarySpec::uniform(boundary);
         let expect = serial(&initial, &stencil, &bounds, 9);
         for (rx, ry) in GRIDS {
-            for halo in [1usize, 2, 3] {
-                let base = DistConfig::<f64>::new(rx * ry, 9)
-                    .with_grid(rx, ry)
-                    .with_halo(halo);
-                let pipe = run(
-                    &initial,
-                    &stencil,
-                    &bounds,
-                    &base.clone().with_mode(HaloMode::Pipelined),
-                );
-                let snap = run(
-                    &initial,
-                    &stencil,
-                    &bounds,
-                    &base.with_mode(HaloMode::Snapshot),
-                );
-                assert_eq!(pipe.grid, (rx, ry, 1));
-                assert_eq!(
-                    pipe.global, expect,
-                    "{rx}x{ry} pipelined diverged from serial ({boundary:?}, halo {halo})"
-                );
-                assert_eq!(
-                    snap.global, expect,
-                    "{rx}x{ry} snapshot diverged from serial ({boundary:?}, halo {halo})"
-                );
-            }
+            let base = DistConfig::<f64>::new(rx * ry, 9).with_grid(rx, ry);
+            let pipe = run(
+                &initial,
+                &stencil,
+                &bounds,
+                &base.clone().with_mode(HaloMode::Pipelined),
+            );
+            let snap = run(
+                &initial,
+                &stencil,
+                &bounds,
+                &base.with_mode(HaloMode::Snapshot),
+            );
+            assert_eq!(pipe.grid, (rx, ry, 1));
+            assert_eq!(
+                pipe.global, expect,
+                "{rx}x{ry} pipelined diverged from serial ({boundary:?})"
+            );
+            assert_eq!(
+                snap.global, expect,
+                "{rx}x{ry} snapshot diverged from serial ({boundary:?})"
+            );
         }
     }
 }

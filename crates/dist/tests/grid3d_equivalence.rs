@@ -1,10 +1,10 @@
 //! The 3-D (x×y×z) rank-brick decomposition must be **bitwise**
 //! interchangeable with the serial reference and across halo modes for
 //! every brick shape — z-slabs, y×z sheets and full bricks — under clamp
-//! and periodic global boundaries and halo widths wider than the stencil
-//! needs; and the per-rank ABFT protection must contain a bit-flip at
-//! every structurally distinct site of a brick's z-surface (z-faces, the
-//! xz/yz-edges, the xyz-corners) exactly as it does in the interior.
+//! and periodic global boundaries; and the per-rank ABFT protection must
+//! contain a bit-flip at every structurally distinct site of a brick's
+//! z-surface (z-faces, the xz/yz-edges, the xyz-corners) exactly as it
+//! does in the interior.
 //!
 //! The domain extents (13×11×7) are deliberately not divisible by the
 //! rank counts, so every multi-rank axis produces unbalanced bricks and
@@ -68,7 +68,7 @@ fn run(
 }
 
 /// The acceptance matrix: pipelined ≡ snapshot ≡ serial, bitwise, for
-/// every brick shape × boundary × halo width, on non-divisible extents.
+/// every brick shape × boundary, on non-divisible extents.
 #[test]
 fn bricks_match_serial_bitwise_across_boundaries_and_halo_widths() {
     let initial = wavy(13, 11, 7);
@@ -77,32 +77,28 @@ fn bricks_match_serial_bitwise_across_boundaries_and_halo_widths() {
         let bounds = BoundarySpec::uniform(boundary);
         let expect = serial(&initial, &stencil, &bounds, 9);
         for (rx, ry, rz) in BRICKS {
-            for halo in [1usize, 2] {
-                let base = DistConfig::<f64>::new(rx * ry * rz, 9)
-                    .with_grid3(rx, ry, rz)
-                    .with_halo(halo);
-                let pipe = run(
-                    &initial,
-                    &stencil,
-                    &bounds,
-                    &base.clone().with_mode(HaloMode::Pipelined),
-                );
-                let snap = run(
-                    &initial,
-                    &stencil,
-                    &bounds,
-                    &base.with_mode(HaloMode::Snapshot),
-                );
-                assert_eq!(pipe.grid, (rx, ry, rz));
-                assert_eq!(
-                    pipe.global, expect,
-                    "{rx}x{ry}x{rz} pipelined diverged from serial ({boundary:?}, halo {halo})"
-                );
-                assert_eq!(
-                    snap.global, expect,
-                    "{rx}x{ry}x{rz} snapshot diverged from serial ({boundary:?}, halo {halo})"
-                );
-            }
+            let base = DistConfig::<f64>::new(rx * ry * rz, 9).with_grid3(rx, ry, rz);
+            let pipe = run(
+                &initial,
+                &stencil,
+                &bounds,
+                &base.clone().with_mode(HaloMode::Pipelined),
+            );
+            let snap = run(
+                &initial,
+                &stencil,
+                &bounds,
+                &base.with_mode(HaloMode::Snapshot),
+            );
+            assert_eq!(pipe.grid, (rx, ry, rz));
+            assert_eq!(
+                pipe.global, expect,
+                "{rx}x{ry}x{rz} pipelined diverged from serial ({boundary:?})"
+            );
+            assert_eq!(
+                snap.global, expect,
+                "{rx}x{ry}x{rz} snapshot diverged from serial ({boundary:?})"
+            );
         }
     }
 }

@@ -8,11 +8,12 @@
 //! a typed error rather than a hang or a wrong answer.
 
 use abft_checkpoint::CheckpointPolicy;
-use abft_core::AbftConfig;
+use abft_core::{AbftConfig, VerifyCadence};
 use abft_dist::{run_distributed, DistConfig, DistError, DistReport, HaloMode};
-use abft_fault::{BitFlip, RankKill};
+use abft_fault::{random_flips_at_bit, random_kills, BitFlip, RankKill};
 use abft_grid::{BoundarySpec, Grid3D};
 use abft_stencil::Stencil3D;
+use proptest::prelude::*;
 
 const NX: usize = 12;
 const NY: usize = 12;
@@ -428,5 +429,64 @@ fn uncorrectable_storm_escalates_to_rollback_with_deep_halos() {
             1,
             "storm must be flagged exactly once at {ctx}"
         );
+    }
+}
+
+proptest! {
+    // A handful of storms locally; CI runs 64 through PROPTEST_CASES, and
+    // a failing storm's seed lands in proptest-regressions/.
+    #![proptest_config(ProptestConfig::with_cases_env(6))]
+
+    /// The storm campaign: one seeded kill — in mixed storms with two
+    /// correctable flips on top — on the 2×2 grid and on the 1×4 slab
+    /// grid, whose rank-graph diameter of 3 lets the pipeline's epoch
+    /// skew cross checkpoint boundaries under tight periods. Kill-only
+    /// storms must replay to the fault-free grid **bitwise**, and at
+    /// `k > 1` they verify at exchange boundaries only, so the rollback
+    /// has to restore the carried checksums too. Mixed storms keep
+    /// per-sweep verification (Eq. 10 repairs the flips in place
+    /// mid-epoch) and stay within its reconstruction residual. A storm
+    /// that ends in any `DistError` fails the test.
+    #[test]
+    fn seeded_flip_and_kill_storms_always_recover(
+        slabs in any::<bool>(),
+        k in 1usize..=2,
+        period in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+        mode in prop_oneof![Just(HaloMode::Pipelined), Just(HaloMode::Snapshot)],
+        mixed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // Snapshots must land on exchange boundaries.
+        prop_assume!(period % k == 0);
+        let (rx, ry) = if slabs { (1, 4) } else { (2, 2) };
+        let abft = AbftConfig::<f64>::paper_defaults();
+        let mut cfg = DistConfig::new(4, ITERS)
+            .with_grid(rx, ry)
+            .with_steps_per_exchange(k)
+            .with_abft(if mixed || k == 1 {
+                abft
+            } else {
+                abft.with_cadence(VerifyCadence::EpochBoundary)
+            })
+            .with_checkpoint(CheckpointPolicy::every(period))
+            .with_rank_kill(random_kills(seed, 1, 4, ITERS)[0])
+            .with_mode(mode);
+        if mixed {
+            let brick = (NX / rx, NY / ry, NZ);
+            let flips = random_flips_at_bit(seed ^ 0x5a5a, 2, ITERS, brick, 51);
+            for (i, flip) in flips.into_iter().enumerate() {
+                cfg = cfg.with_flip((seed as usize).wrapping_add(i * 7) % 4, flip);
+            }
+        }
+        let rep = run(&cfg, &BoundarySpec::clamp());
+        let expect = reference((rx, ry, 1), &BoundarySpec::clamp(), mode);
+        if mixed {
+            let diff = rep.global.max_abs_diff(&expect);
+            prop_assert!(diff < 1e-9, "residual {:.3e}", diff);
+        } else {
+            prop_assert_eq!(&rep.global, &expect);
+        }
+        prop_assert_eq!(rep.recovery.rank_losses, 1);
+        prop_assert!(rep.recovery.rollbacks >= 1);
     }
 }

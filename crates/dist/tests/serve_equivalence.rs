@@ -82,7 +82,6 @@ fn catalogue() -> Vec<(&'static str, JobSpec<f64>)> {
             )
             .with_ranks(2)
             .with_iters(5)
-            .with_halo(2)
             .with_abft(AbftConfig::<f64>::paper_defaults()),
         ),
         (

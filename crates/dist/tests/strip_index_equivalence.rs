@@ -1,6 +1,6 @@
 //! Property test of the strip-index claim: the strip-indexed ghost path
 //! resolves **every** halo cell to the identical payload slot the PR 3
-//! `HashMap` path produced, for every grid spec × halo width × boundary
+//! `HashMap` path produced, for every grid spec × halo depth × boundary
 //! the distributed substrate supports — including x×y×z brick grids,
 //! whose halo shells add z-face, z-edge and z-corner cells.
 //!
@@ -108,11 +108,10 @@ proptest! {
 
     /// End-to-end: a corner-hungry kernel driven through the strip index
     /// stays bitwise equal to the serial reference over sampled grid
-    /// specs and halo widths (in debug builds each of these ghost reads
-    /// also cross-checks against the hash path internally).
+    /// specs (in debug builds each of these ghost reads also cross-checks
+    /// against the hash path internally).
     #[test]
     fn corner_kernels_stay_bitwise_serial_through_the_strip_index(
-        halo in 1usize..=3,
         spec_kind in 0usize..4,
         use_27pt in proptest::prelude::any::<bool>(),
         boundary in prop_oneof![Just(Boundary::Clamp), Just(Boundary::Periodic)],
@@ -141,7 +140,6 @@ proptest! {
         }
         let cfg = DistConfig::<f64>::new(ranks, 7)
             .with_grid_spec(spec)
-            .with_halo(halo)
             .with_mode(mode);
         let rep = run_distributed(&initial, &stencil, &bounds, None, &cfg).expect("valid config");
         prop_assert_eq!(&rep.global, serial.current());

@@ -10,10 +10,10 @@
 //! [`abft_stencil::Stencil3D`] plus constant field so that the ABFT
 //! machinery applies unchanged.
 //!
-//! **Substitution note (recorded in DESIGN.md):** Rodinia ships binary
-//! power/temperature trace files; this port generates seeded synthetic
-//! power maps (uniform background + Gaussian hot spots, magnitudes in the
-//! normalised `[0, 1]` range Rodinia's files use). The ABFT method is
+//! **Substitution note:** Rodinia ships binary power/temperature trace
+//! files; this port generates seeded synthetic power maps (uniform
+//! background + Gaussian hot spots, magnitudes in the normalised
+//! `[0, 1]` range Rodinia's files use). The ABFT method is
 //! agnostic to the specific field values; only smooth, physically
 //! plausible data at the right magnitude matters for the evaluation.
 

@@ -1,8 +1,8 @@
 //! Streaming latency summary for serving workloads: exact min/max plus
 //! P²-estimated p50/p99 in O(1) memory per quantile.
 //!
-//! The serving runtime (`DistService`, `exp_serve`) observes an unbounded
-//! stream of per-job latencies; storing every sample to sort later (the
+//! The serving runtime (`DistService`) observes an unbounded stream of
+//! per-job latencies; storing every sample to sort later (the
 //! [`crate::Quantiles`] approach) does not fit a long-lived pool. The P²
 //! algorithm (Jain & Chlamtác, CACM 1985) tracks one quantile with five
 //! markers whose positions are nudged toward their ideal rank after every
@@ -225,73 +225,6 @@ impl LatencySummary {
     }
 }
 
-/// Queue-wait / execution split of an end-to-end latency stream.
-///
-/// A concurrently scheduled pool makes the end-to-end ("sojourn") latency
-/// of a job the sum of two very different quantities: the time the job sat
-/// admitted-but-unstarted behind other jobs (`queue`), and the time its
-/// ranks actually computed (`exec`). A serving report that only shows the
-/// total cannot distinguish an overloaded pool (queue grows, exec flat)
-/// from a slow kernel (exec grows, queue flat) — this type keeps all three
-/// summaries side by side so the split survives aggregation.
-///
-/// ```
-/// use abft_metrics::LatencySplit;
-/// let mut lat = LatencySplit::new();
-/// lat.push(0.5, 1.5); // waited 0.5 s, ran 1.5 s
-/// lat.push(0.0, 2.0);
-/// assert_eq!(lat.total().count(), 2);
-/// assert_eq!(lat.queue().max(), 0.5);
-/// assert_eq!(lat.total().max(), 2.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LatencySplit {
-    queue: LatencySummary,
-    exec: LatencySummary,
-    total: LatencySummary,
-}
-
-impl LatencySplit {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one job's `(queue-wait, execution)` pair (seconds) in; the
-    /// total stream observes their sum.
-    pub fn push(&mut self, queue_s: f64, exec_s: f64) {
-        self.queue.push(queue_s);
-        self.exec.push(exec_s);
-        self.total.push(queue_s + exec_s);
-    }
-
-    /// Time spent admitted but not yet started.
-    pub fn queue(&self) -> &LatencySummary {
-        &self.queue
-    }
-
-    /// Time spent actually executing.
-    pub fn exec(&self) -> &LatencySummary {
-        &self.exec
-    }
-
-    /// End-to-end latency (queue + exec).
-    pub fn total(&self) -> &LatencySummary {
-        &self.total
-    }
-}
-
-impl fmt::Display for LatencySplit {
-    /// Three labelled one-line summaries, queue first — the order a pool
-    /// operator reads them in when diagnosing saturation.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "queue {} | exec {} | total {}",
-            self.queue, self.exec, self.total
-        )
-    }
-}
-
 impl fmt::Display for LatencySummary {
     /// `n=…: min/p50/p99/max = a/b/c/d s` — the one-line serving summary.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -420,24 +353,6 @@ mod tests {
         let text = lat.to_string();
         assert!(text.contains("n=100"), "{text}");
         assert!(text.contains("min/p50/p99/max"), "{text}");
-    }
-
-    #[test]
-    fn split_total_is_the_sum_stream() {
-        let mut lat = LatencySplit::new();
-        for x in permuted(200) {
-            lat.push(x / 1000.0, x / 100.0);
-        }
-        assert_eq!(lat.queue().count(), 200);
-        assert_eq!(lat.exec().count(), 200);
-        assert_eq!(lat.total().count(), 200);
-        // The total stream saw queue + exec, element-wise.
-        assert!((lat.total().max() - (lat.queue().max() + lat.exec().max())).abs() < 1e-12);
-        assert!((lat.total().mean() - (lat.queue().mean() + lat.exec().mean())).abs() < 1e-12);
-        let text = lat.to_string();
-        assert!(text.contains("queue "), "{text}");
-        assert!(text.contains("exec "), "{text}");
-        assert!(text.contains("total "), "{text}");
     }
 
     #[test]

@@ -78,7 +78,6 @@ fn main() {
             )
             .with_ranks(2)
             .with_iters(24)
-            .with_halo(2)
             .with_abft(AbftConfig::<f64>::paper_defaults()),
         ),
         (
