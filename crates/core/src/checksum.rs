@@ -241,9 +241,11 @@ mod tests {
     }
 
     fn fused_equals_recomputed_at_every_width<T: Real>() {
-        // Below, at and above one summation block, and long lines with and
-        // without a remainder.
-        for nx in [1, 7, 8, 9, 16, 17, 512, 515] {
+        // Below, at and above one summation block, the sweep kernel's
+        // block edges (at this reach of 1 the widths up to 17 give narrow
+        // blocks plus an overlapped one, 19 to 37 whole blocks plus an
+        // overlapped one), and long lines with and without a remainder.
+        for nx in [1, 7, 8, 9, 16, 17, 19, 21, 36, 37, 512, 515] {
             assert_fused_equals_recomputed::<T, _>(nx, &NoHook);
             let strike = move |x: usize, y: usize, z: usize, v: T| {
                 if (x, y, z) == (nx / 2, 1, 1) {

@@ -32,7 +32,7 @@
 
 use crate::phantom::StripSet;
 use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
-use abft_num::Real;
+use abft_num::{line_sum, Real};
 use abft_stencil::{LineSums, Stencil3D, StencilSim};
 use std::sync::Arc;
 
@@ -157,14 +157,17 @@ impl<T: Real> Interpolator<T> {
         let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
         // Phantom lines `(yq, zq)` outside the domain, over the frame the
         // taps can reach. Each is evaluated on first use and kept for the
-        // rest of the call: a ghost line costs `nx` ghost reads, and up to
-        // `extent`-many taps per neighbouring output read the same one.
+        // rest of the call: a ghost line is a bulk read of `nx` cells and
+        // their sum, and up to `extent`-many taps per neighbouring output
+        // read the same one.
         let (ey, ez) = (
             self.stencil.extent_y() as isize,
             self.stencil.extent_z() as isize,
         );
         let frame_ny = ny + 2 * ey;
         let mut phantom: Vec<Option<T>> = vec![None; (frame_ny * (nz + 2 * ez)) as usize];
+        // A fetched ghost line; stays unallocated without a ghost axis.
+        let mut line_buf: Vec<T> = Vec::new();
         for z in 0..self.nz {
             for y in 0..self.ny {
                 // f64 accumulation mirrors the fused checksum computation
@@ -177,8 +180,9 @@ impl<T: Real> Interpolator<T> {
                     let line = if (0..ny).contains(&yq) && (0..nz).contains(&zq) {
                         col_t[(zq * ny + yq) as usize]
                     } else {
-                        *phantom[((zq + ez) * frame_ny + yq + ey) as usize]
-                            .get_or_insert_with(|| self.phantom_col(col_t, yq, zq, ghosts))
+                        *phantom[((zq + ez) * frame_ny + yq + ey) as usize].get_or_insert_with(
+                            || self.phantom_col(col_t, yq, zq, ghosts, &mut line_buf),
+                        )
                     };
                     let mut s = line.to_f64();
                     if !self.fast_x && tap.di != 0 {
@@ -261,15 +265,33 @@ impl<T: Real> Interpolator<T> {
 
     /// Phantom column-checksum entry `Σ_x u[x, yq, zq]` for a possibly
     /// out-of-range `(yq, zq)` (the in-range case reads `col_t` directly).
-    fn phantom_col<G: GhostCells<T>>(&self, col_t: &[T], yq: isize, zq: isize, ghosts: &G) -> T {
+    ///
+    /// A ghost line is fetched whole into `line` (allocated by the first
+    /// one, so a source without a ghost axis costs no allocation) and
+    /// summed by [`line_sum`] — *the* order of every checksum line, so the
+    /// entry is bitwise what the line's owner holds for it in its own
+    /// `b(t)`, and the dependent-add chain is 16 times shorter than a
+    /// sequential sum's.
+    fn phantom_col<G: GhostCells<T>>(
+        &self,
+        col_t: &[T],
+        yq: isize,
+        zq: isize,
+        ghosts: &G,
+        line: &mut Vec<T>,
+    ) -> T {
+        let mut ghost_sum = |y: isize, z: isize| {
+            line.clear();
+            line.reserve_exact(self.nx);
+            ghosts.ghost_line(0..self.nx, y, z, line);
+            T::from_f64(line_sum(line))
+        };
         match self.bounds.y.resolve(yq, self.ny) {
             AxisHit::Value(vy) => T::from_usize(self.nx) * vy,
-            AxisHit::Ghost(gy) => (0..self.nx).map(|x| ghosts.ghost(x as isize, gy, zq)).sum(),
+            AxisHit::Ghost(gy) => ghost_sum(gy, zq),
             AxisHit::In(yr) => match self.bounds.z.resolve(zq, self.nz) {
                 AxisHit::Value(vz) => T::from_usize(self.nx) * vz,
-                AxisHit::Ghost(gz) => (0..self.nx)
-                    .map(|x| ghosts.ghost(x as isize, yr as isize, gz))
-                    .sum(),
+                AxisHit::Ghost(gz) => ghost_sum(yr as isize, gz),
                 AxisHit::In(zr) => col_t[zr * self.ny + yr],
             },
         }

@@ -920,82 +920,178 @@ mod tests {
         assert!(out.corrections.is_empty());
     }
 
-    /// A ghost source that counts its reads.
-    struct CountingGhost(AtomicUsize);
-
-    impl CountingGhost {
-        fn take(&self) -> usize {
-            self.0.swap(0, Ordering::Relaxed)
-        }
+    /// The value every counting source serves.
+    fn pattern(x: isize, y: isize, z: isize) -> f64 {
+        80.0 + (x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.3
     }
+
+    /// A ghost source that reports `(per-cell reads, bulk reads it
+    /// answered itself)` since it was last asked.
+    trait Counted: GhostCells<f64> {
+        fn take(&self) -> (usize, usize);
+    }
+
+    /// Counts its per-cell reads; lines reach it through the trait's
+    /// default body, cell by cell.
+    #[derive(Default)]
+    struct CountingGhost(AtomicUsize);
 
     impl GhostCells<f64> for CountingGhost {
         fn ghost(&self, x: isize, y: isize, z: isize) -> f64 {
             self.0.fetch_add(1, Ordering::Relaxed);
-            80.0 + (x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.3
+            pattern(x, y, z)
         }
+    }
+
+    impl Counted for CountingGhost {
+        fn take(&self) -> (usize, usize) {
+            (self.0.swap(0, Ordering::Relaxed), 0)
+        }
+    }
+
+    /// Overrides the bulk read, and counts both kinds of call.
+    #[derive(Default)]
+    struct LineCountingGhost {
+        cells: AtomicUsize,
+        lines: AtomicUsize,
+    }
+
+    impl GhostCells<f64> for LineCountingGhost {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> f64 {
+            self.cells.fetch_add(1, Ordering::Relaxed);
+            pattern(x, y, z)
+        }
+
+        fn ghost_line(&self, xs: std::ops::Range<usize>, y: isize, z: isize, out: &mut Vec<f64>) {
+            self.lines.fetch_add(1, Ordering::Relaxed);
+            out.extend(xs.map(|x| pattern(x as isize, y, z)));
+        }
+    }
+
+    impl Counted for LineCountingGhost {
+        fn take(&self) -> (usize, usize) {
+            (
+                self.cells.swap(0, Ordering::Relaxed),
+                self.lines.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    /// `(per-cell, bulk)` ghost reads of one column interpolation, one
+    /// plain sweep and one protected step on a 20×6×4 brick — after
+    /// checking that protection changed no cell and raised nothing.
+    fn ghost_read_counts<G: Counted>(
+        stencil: &Stencil3D<f64>,
+        bounds: BoundarySpec<f64>,
+        ghosts: &G,
+    ) -> [(usize, usize); 3] {
+        let (nx, ny, nz) = (20usize, 6usize, 4usize);
+        let initial = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+            80.0 + ((x * 7 + y * 13 + z * 3) % 11) as f64 * 0.3
+        });
+        let mut plain = StencilSim::new(initial, stencil.clone(), bounds).with_exec(Exec::Serial);
+        let mut protected = plain.clone();
+        let mut abft = OnlineAbft::new(&protected, AbftConfig::<f64>::paper_defaults());
+
+        let col_t = abft.col_checksums().to_vec();
+        let mut col_next = vec![0.0; nz * ny];
+        let source = StripSet::Grid(protected.current());
+        abft.interp
+            .interpolate_col(&col_t, &source, ghosts, &mut col_next);
+        let interpolation = ghosts.take();
+
+        plain.step_full(&NoHook, ghosts, abft_stencil::ChecksumMode::None);
+        let sweep = ghosts.take();
+
+        let outcome = abft.step_with_ghosts(&mut protected, &NoHook, ghosts);
+        assert!(outcome.is_clean(), "false positive: {outcome:?}");
+        assert_eq!(plain.current(), protected.current());
+        [interpolation, sweep, ghosts.take()]
+    }
+
+    fn counted_stencils() -> [Stencil3D<f64>; 2] {
+        [
+            Stencil3D::seven_point(0.4, 0.12, 0.08, 0.1),
+            Stencil3D::twenty_seven_point(0.48, 0.02),
+        ]
     }
 
     /// Ghost reads are the cost the distributed edge phase is made of, and
     /// a count is a gate this host can hold where wall time is not: on a
-    /// brick with ghost y-faces the interpolation reads each phantom line
-    /// some tap reaches exactly once, the sweep fetches each ghost line a
-    /// row needs once (plus per-tap reads at the x-end cells), and
-    /// protection adds the former to the latter and nothing more.
+    /// brick with ghost y-faces the interpolation fetches each phantom
+    /// line some tap reaches exactly once, the sweep fetches each ghost
+    /// line a row needs once — its x-end cells read the fetched line too —
+    /// and protection adds the former to the latter and nothing more. A
+    /// source that overrides the bulk read gets one call per such line and
+    /// is never read cell by cell.
     #[test]
     fn ghost_reads_are_once_per_line() {
-        let (nx, ny, nz) = (20usize, 6usize, 4usize);
+        let (nx, ny, nz) = (20usize, 6isize, 4isize);
         let bounds = BoundarySpec {
             y: Boundary::Ghost,
             ..BoundarySpec::clamp()
         };
-        for stencil in [
-            Stencil3D::seven_point(0.4, 0.12, 0.08, 0.1),
-            Stencil3D::twenty_seven_point(0.48, 0.02),
-        ] {
+        for stencil in counted_stencils() {
             // The out-of-range `(yq, zq)` lines the taps reach, over the
-            // brick and per output row; `taps` counts per-cell ghost reads.
+            // brick and per output row.
             let mut phantom = BTreeSet::new();
-            let (mut row_lines, mut row_taps) = (0, 0);
-            for z in 0..nz as isize {
-                for y in 0..ny as isize {
-                    let ghost_taps = stencil
+            let mut row_lines = 0;
+            for z in 0..nz {
+                for y in 0..ny {
+                    let of_row: BTreeSet<_> = stencil
                         .taps()
                         .iter()
-                        .filter(|t| !(0..ny as isize).contains(&(y + t.dj)));
-                    let of_row: BTreeSet<_> =
-                        ghost_taps.clone().map(|t| (y + t.dj, z + t.dk)).collect();
+                        .filter(|t| !(0..ny).contains(&(y + t.dj)))
+                        .map(|t| (y + t.dj, z + t.dk))
+                        .collect();
                     row_lines += of_row.len();
-                    row_taps += ghost_taps.count();
                     phantom.extend(of_row);
                 }
             }
             let interpolation_reads = nx * phantom.len();
-            let x_end_cells = 2 * stencil.extent_x();
-            let sweep_reads = nx * row_lines + x_end_cells * row_taps;
+            let sweep_reads = nx * row_lines;
 
-            let initial = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
-                80.0 + ((x * 7 + y * 13 + z * 3) % 11) as f64 * 0.3
-            });
-            let mut plain = StencilSim::new(initial, stencil, bounds).with_exec(Exec::Serial);
-            let mut protected = plain.clone();
-            let mut abft = OnlineAbft::new(&protected, AbftConfig::<f64>::paper_defaults());
-            let ghosts = CountingGhost(Default::default());
+            let [interpolation, sweep, protected] =
+                ghost_read_counts(&stencil, bounds, &CountingGhost::default());
+            assert_eq!(interpolation, (interpolation_reads, 0));
+            assert_eq!(sweep, (sweep_reads, 0));
+            assert_eq!(protected, (sweep_reads + interpolation_reads, 0));
 
-            let col_t = abft.col_checksums().to_vec();
-            let mut col_next = vec![0.0; nz * ny];
-            let source = StripSet::Grid(protected.current());
-            abft.interp
-                .interpolate_col(&col_t, &source, &ghosts, &mut col_next);
-            assert_eq!(ghosts.take(), interpolation_reads);
+            let [interpolation, sweep, protected] =
+                ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
+            assert_eq!(interpolation, (0, phantom.len()));
+            assert_eq!(sweep, (0, row_lines));
+            assert_eq!(protected, (0, row_lines + phantom.len()));
+        }
+    }
 
-            plain.step_full(&NoHook, &ghosts, abft_stencil::ChecksumMode::None);
-            assert_eq!(ghosts.take(), sweep_reads);
-
-            let outcome = abft.step_with_ghosts(&mut protected, &NoHook, &ghosts);
-            assert!(outcome.is_clean(), "false positive: {outcome:?}");
-            assert_eq!(ghosts.take(), sweep_reads + interpolation_reads);
-            assert_eq!(plain.current(), protected.current());
+    /// The twin on a brick whose **x** axis is the ghost axis: no line
+    /// leaves the brick whole, so nothing is fetched in bulk, and what
+    /// still arrives cell by cell is exactly the taps that leave the brick
+    /// in x — from the `2 · extent_x` end cells of each row in the sweep,
+    /// and as many again in the interpolation's β correction terms.
+    #[test]
+    fn ghost_reads_on_an_x_ghost_brick_are_the_end_taps_only() {
+        let (nx, ny, nz) = (20isize, 6usize, 4usize);
+        let bounds = BoundarySpec {
+            x: Boundary::Ghost,
+            ..BoundarySpec::clamp()
+        };
+        for stencil in counted_stencils() {
+            let ex = stencil.extent_x() as isize;
+            let leaving_per_row: usize = (0..ex)
+                .chain(nx - ex..nx)
+                .map(|x| {
+                    let leaves = |t: &&abft_stencil::Tap3<f64>| !(0..nx).contains(&(x + t.di));
+                    stencil.taps().iter().filter(leaves).count()
+                })
+                .sum();
+            let end_reads = ny * nz * leaving_per_row;
+            let [interpolation, sweep, protected] =
+                ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
+            assert_eq!(interpolation, (end_reads, 0));
+            assert_eq!(sweep, (end_reads, 0));
+            assert_eq!(protected, (2 * end_reads, 0));
         }
     }
 

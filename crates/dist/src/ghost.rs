@@ -4,6 +4,7 @@
 use crate::{Brick, HaloIndex};
 use abft_grid::{AxisHit, BoundarySpec, GhostCells};
 use abft_num::Real;
+use std::ops::Range;
 use std::sync::Arc;
 
 #[cfg(doc)]
@@ -21,7 +22,14 @@ use abft_core::OnlineAbft;
 /// Cells are stored as one flat buffer of scalars in the rank's canonical
 /// cell order; `index` maps a resolved global `(x, y, z)` to its payload
 /// slot through the strip-backed [`HaloIndex`] (a `(z, y)` line-table
-/// index plus a range check on the edge-sweep hot path).
+/// index plus a range check). Both readers fetch whole lines
+/// ([`GhostCells::ghost_line`]): `(y, z)` resolve once per line and the
+/// cells are copied run by run, so the lookup is paid per line and the
+/// halo is read as memory. [`GhostCells::ghost`] — one cell, three axes
+/// resolved — serves what leaves the brick in x, and is the reference
+/// the bulk read is held to (on every line in debug builds, and by this
+/// module's property test in both profiles). The two share one
+/// resolution routine and one index lookup routine.
 #[derive(Debug, Clone)]
 pub struct HaloGhost<T> {
     index: Arc<HaloIndex>,
@@ -47,8 +55,8 @@ impl<T: Real> HaloGhost<T> {
     ) -> Self {
         let (nx_global, ny_global, nz_global) = dims;
         Self {
+            values: Vec::with_capacity(index.len()),
             index,
-            values: Vec::new(),
             bounds,
             x0: brick.x0,
             y0: brick.y0,
@@ -57,6 +65,32 @@ impl<T: Real> HaloGhost<T> {
             ny_global,
             nz_global,
         }
+    }
+}
+
+/// What a brick-local `(y, z)` resolves to against the global y and z
+/// boundaries: a global line, or the value a zero/constant hit yields
+/// for every cell of it.
+enum LineHit<T> {
+    At(usize, usize),
+    Value(T),
+}
+
+impl<T: Real> HaloGhost<T> {
+    /// Finish resolving brick-local `(y, z)`, y before z.
+    #[inline]
+    fn resolve_line(&self, y: isize, z: isize) -> LineHit<T> {
+        let gy = match self.bounds.y.resolve(self.y0 as isize + y, self.ny_global) {
+            AxisHit::In(i) => i,
+            AxisHit::Value(v) => return LineHit::Value(v),
+            AxisHit::Ghost(_) => unreachable!("global ghost y-boundary rejected up front"),
+        };
+        let gz = match self.bounds.z.resolve(self.z0 as isize + z, self.nz_global) {
+            AxisHit::In(i) => i,
+            AxisHit::Value(v) => return LineHit::Value(v),
+            AxisHit::Ghost(_) => unreachable!("global ghost z-boundary rejected up front"),
+        };
+        LineHit::At(gy, gz)
     }
 }
 
@@ -75,20 +109,193 @@ impl<T: Real> GhostCells<T> for HaloGhost<T> {
             AxisHit::Value(v) => return v,
             AxisHit::Ghost(_) => unreachable!("global ghost x-boundary rejected up front"),
         };
-        let gy = match self.bounds.y.resolve(self.y0 as isize + y, self.ny_global) {
-            AxisHit::In(i) => i,
-            AxisHit::Value(v) => return v,
-            AxisHit::Ghost(_) => unreachable!("global ghost y-boundary rejected up front"),
-        };
-        let gz = match self.bounds.z.resolve(self.z0 as isize + z, self.nz_global) {
-            AxisHit::In(i) => i,
-            AxisHit::Value(v) => return v,
-            AxisHit::Ghost(_) => unreachable!("global ghost z-boundary rejected up front"),
+        let (gy, gz) = match self.resolve_line(y, z) {
+            LineHit::At(gy, gz) => (gy, gz),
+            LineHit::Value(v) => return v,
         };
         let slot = self
             .index
             .slot(gx, gy, gz)
             .unwrap_or_else(|| panic!("halo cell ({gx}, {gy}, {gz}) was not exchanged"));
         self.values[slot]
+    }
+
+    /// A line is resolved once and copied: `x` is in range by contract
+    /// (so it maps straight to global `x0 + x`), `(y, z)` resolve once for
+    /// the whole line, and the payload is copied run by run — in the
+    /// canonical order a line's cells are contiguous within each
+    /// producer's group. Debug builds compare every copied cell with
+    /// [`GhostCells::ghost`], which in turn cross-checks the hash witness.
+    fn ghost_line(&self, xs: Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
+        let appended = out.len();
+        match self.resolve_line(y, z) {
+            LineHit::Value(v) => out.resize(appended + xs.len(), v),
+            LineHit::At(gy, gz) => {
+                let (mut gx, end) = (self.x0 + xs.start, self.x0 + xs.end);
+                while gx < end {
+                    let (slot, left) = self.index.run_at(gx, gy, gz).unwrap_or_else(|| {
+                        panic!("halo cell ({gx}, {gy}, {gz}) was not exchanged")
+                    });
+                    let n = left.min(end - gx);
+                    out.extend_from_slice(&self.values[slot..slot + n]);
+                    gx += n;
+                }
+            }
+        }
+        let copied = &out[appended..];
+        debug_assert_eq!(copied.len(), xs.len(), "bulk ghost line length");
+        debug_assert!(
+            xs.clone()
+                .zip(copied)
+                .all(|(x, v)| v.to_bits_u64() == self.ghost(x as isize, y, z).to_bits_u64()),
+            "bulk ghost line ({xs:?}, {y}, {z}) diverged from the per-cell path"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{HaloPlan, Partition3};
+    use abft_grid::Boundary;
+    use proptest::prelude::*;
+
+    /// A ghost source over `index` whose payload is the slot number, so
+    /// every exchanged cell holds a different value.
+    fn numbered(
+        index: Arc<HaloIndex>,
+        bounds: BoundarySpec<f64>,
+        brick: Brick,
+        dims: (usize, usize, usize),
+    ) -> HaloGhost<f64> {
+        let mut ghost = HaloGhost::new(index, bounds, brick, dims);
+        ghost.values = (0..ghost.index.len()).map(|s| s as f64 + 0.25).collect();
+        ghost
+    }
+
+    fn boundary(kind: usize) -> Boundary<f64> {
+        match kind {
+            0 => Boundary::Clamp,
+            1 => Boundary::Periodic,
+            2 => Boundary::Reflect,
+            3 => Boundary::Zero,
+            _ => Boundary::Constant(2.5),
+        }
+    }
+
+    /// `xs` of line `(y, z)` through the bulk read, appended to a buffer
+    /// that already holds something: exactly `xs.len()` cells arrive, each
+    /// bitwise the per-cell read, and what was there stays.
+    fn assert_line_matches_cells(
+        ghost: &HaloGhost<f64>,
+        xs: Range<usize>,
+        (y, z): (isize, isize),
+    ) -> Result<(), TestCaseError> {
+        let mut out = vec![-1.0, -2.0];
+        ghost.ghost_line(xs.clone(), y, z, &mut out);
+        prop_assert_eq!(out.len(), 2 + xs.len(), "cells appended for {:?}", xs);
+        prop_assert_eq!(&out[..2], &[-1.0, -2.0][..], "buffer prefix");
+        for (x, v) in xs.zip(&out[2..]) {
+            prop_assert_eq!(
+                v.to_bits(),
+                ghost.ghost(x as isize, y, z).to_bits(),
+                "cell ({}, {}, {})",
+                x,
+                y,
+                z
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(24))]
+
+        /// Every line a tap can reach around every brick, over the rank
+        /// grids, boundary mixes and shell depths the substrate runs:
+        /// the bulk read is the per-cell read, in both build profiles.
+        #[test]
+        fn bulk_read_equals_per_cell_read_bitwise(
+            grid in prop_oneof![
+                Just((1usize, 2usize, 1usize)),
+                Just((2, 2, 1)),
+                Just((2, 2, 2)),
+                Just((1, 4, 1)),
+            ],
+            kinds in (0usize..5, 0usize..5, 0usize..5),
+            k in 1usize..=2,
+            reach in 1usize..=2,
+            dims in (8usize..=13, 9usize..=14, 4usize..=6),
+            cut in (0usize..64, 0usize..64),
+        ) {
+            let (rx, ry, rz) = grid;
+            let (nx, ny, nz) = dims;
+            let bounds = BoundarySpec {
+                x: boundary(kinds.0),
+                y: boundary(kinds.1),
+                z: boundary(kinds.2),
+            };
+            let part = Partition3::new(nx, ny, nz, rx, ry, rz);
+            // An axis exchanges only when it is decomposed; y always is.
+            let depth = |ranks: usize| if ranks > 1 { k * reach } else { 0 };
+            let halo = (depth(rx), k * reach, depth(rz));
+            for me in 0..part.ranks() {
+                let brick = part.brick(me);
+                let plan = HaloPlan::new(&brick, me, &part, halo, dims, &bounds);
+                let ghost = numbered(plan.index.clone(), bounds, brick, dims);
+                let (x_len, y_len, z_len) =
+                    (brick.x_len, brick.y_len as isize, brick.z_len as isize);
+                let (hy, hz) = (halo.1 as isize, halo.2 as isize);
+                for z in -hz..z_len + hz {
+                    for y in -hy..y_len + hy {
+                        if (0..y_len).contains(&y) && (0..z_len).contains(&z) {
+                            continue; // the brick's own line is no ghost line
+                        }
+                        // Empty, single-cell, whole-line and an arbitrary
+                        // sub-range (which straddles a run boundary
+                        // whenever the line has one).
+                        let (a, b) = (cut.0 % x_len, cut.1 % x_len);
+                        for xs in [a..a, a..a + 1, 0..x_len, a.min(b)..a.max(b) + 1] {
+                            assert_line_matches_cells(&ghost, xs, (y, z))?;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A line served by several runs (two producers, then a gap) on a
+    /// 8-wide brick whose row `y = -1` is global row 0.
+    fn gapped_line() -> HaloGhost<f64> {
+        let groups = vec![
+            (0, vec![(0, 0, 0), (1, 0, 0), (2, 0, 0)]),
+            (1, vec![(3, 0, 0), (4, 0, 0), (6, 0, 0), (7, 0, 0)]),
+        ];
+        let brick = Brick {
+            x0: 0,
+            x_len: 8,
+            y0: 1,
+            y_len: 4,
+            z0: 0,
+            z_len: 1,
+        };
+        let index = Arc::new(HaloIndex::new(&groups));
+        assert_eq!(index.n_runs(), 3);
+        numbered(index, BoundarySpec::clamp(), brick, (8, 9, 1))
+    }
+
+    #[test]
+    fn bulk_read_copies_across_a_run_boundary() {
+        let ghost = gapped_line();
+        for xs in [0..5, 1..4, 2..3, 3..5, 6..8] {
+            assert_line_matches_cells(&ghost, xs, (-1, 0)).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "halo cell (5, 0, 0) was not exchanged")]
+    fn bulk_read_of_an_unexchanged_cell_panics_instead_of_reading_the_next_run() {
+        let mut out = Vec::new();
+        gapped_line().ghost_line(4..8, -1, 0, &mut out);
     }
 }

@@ -16,9 +16,12 @@
 //! z-major, row-major order, consecutive slots form maximal **runs** of
 //! x-consecutive cells at a fixed `(y, z)` line (a face strip is a single
 //! run per line; x-face strips contribute one short run per line; edge
-//! and corner patches extend or add runs). A ghost read then resolves
-//! with two table indexings and a range check — index the `(z, y)` line
-//! table, range-check `x` against the run — instead of hashing.
+//! and corner patches extend or add runs). A lookup then resolves with
+//! two table indexings and a range check — index the `(z, y)` line table,
+//! range-check `x` against the run — instead of hashing, and it is paid
+//! **per line**, not per read: `HaloIndex::run_at` also says how far
+//! the run extends, so a whole ghost line is one lookup and one slice
+//! copy per run ([`crate::HaloGhost`]'s bulk read).
 //!
 //! The PR 3 hash path is kept **only** as the witness of bitwise
 //! equivalence: it is compiled under `debug_assertions`, where every strip
@@ -59,11 +62,11 @@ struct Run {
 
 /// Cell → payload-slot resolution for one rank's halo.
 ///
-/// The production path is arithmetic: `slot(x, y, z)` indexes a per-line
-/// run table (`(z - z_min) · y_span + (y - y_min)`) and scans that line's
-/// runs (one for a face strip, rarely more than three on a decomposed
-/// grid) with a range check and an offset add. Debug builds cross-check
-/// every lookup against the legacy hash path.
+/// The production path is arithmetic: `HaloIndex::run_at` indexes a
+/// per-line run table (`(z - z_min) · y_span + (y - y_min)`) and scans
+/// that line's runs (one for a face strip, rarely more than three on a
+/// decomposed grid) with a range check and an offset add. Debug builds
+/// cross-check every single-cell lookup against the legacy hash path.
 #[derive(Debug, Clone)]
 pub struct HaloIndex {
     /// Smallest global `y` of any halo cell (line-table origin).
@@ -179,13 +182,13 @@ impl HaloIndex {
         self.runs.len()
     }
 
-    /// Payload slot of global halo cell `(x, y, z)` — the production
+    /// Payload slot of global halo cell `(x, y, z)` — the single-cell
     /// lookup.
     ///
-    /// Resolves through the strip table (two table indexings, a range
-    /// check and an offset); debug builds additionally assert the result
-    /// against the hash path on every call, so the whole equivalence test
-    /// matrix doubles as a strip-vs-hash proof.
+    /// Resolves through the strip table (`HaloIndex::run_at`); debug
+    /// builds additionally assert the result against the hash path on
+    /// every call, so the whole equivalence test matrix doubles as a
+    /// strip-vs-hash proof.
     #[inline]
     pub fn slot(&self, x: usize, y: usize, z: usize) -> Option<usize> {
         let slot = self.slot_strip(x, y, z);
@@ -198,10 +201,19 @@ impl HaloIndex {
         slot
     }
 
-    /// Strip-table lookup: index the `(z, y)` line, range-check the run,
-    /// offset.
+    /// Strip-table lookup: the slot of `(x, y, z)` alone.
     #[inline]
     pub fn slot_strip(&self, x: usize, y: usize, z: usize) -> Option<usize> {
+        self.run_at(x, y, z).map(|(slot, _)| slot)
+    }
+
+    /// The index's one lookup routine: index the `(z, y)` line,
+    /// range-check its runs, offset. Returns the payload slot of
+    /// `(x, y, z)` and how many cells of its run start there — cells
+    /// `(x .. x + left, y, z)` occupy slots `slot .. slot + left`, so a
+    /// whole ghost line is found with one lookup per run.
+    #[inline]
+    pub(crate) fn run_at(&self, x: usize, y: usize, z: usize) -> Option<(usize, usize)> {
         let dy = y.checked_sub(self.y_min)?;
         if dy >= self.y_span {
             return None;
@@ -211,7 +223,7 @@ impl HaloIndex {
         for run in &self.runs[first as usize..(first + n) as usize] {
             let dx = x.wrapping_sub(run.x0);
             if dx < run.len {
-                return Some(run.base + dx);
+                return Some((run.base + dx, run.len - dx));
             }
         }
         None

@@ -21,11 +21,14 @@
 //!   — the full 3-D halo shell: x/y/z face strips, the edge strips where
 //!   two axis windows meet (the 2-D decomposition's corner patches are
 //!   the xy-edges) and the corner patches where all three do — exactly
-//!   the values an MPI halo exchange would have delivered. Ghost reads
-//!   resolve through the strip-backed [`HaloIndex`] (per-`(y, z)`-line
-//!   runs with a base slot, so an edge-sweep lookup is two table
-//!   indexings and an offset; debug builds cross-check every lookup
-//!   against the legacy hash path), and each rank's [`HaloPlan`] records
+//!   the values an MPI halo exchange would have delivered. Ghosts are
+//!   read a line at a time: [`HaloGhost`] resolves a line's `(y, z)`
+//!   once and copies it out of the payload through the strip-backed
+//!   [`HaloIndex`] (per-`(y, z)`-line runs with a base slot, so a lookup
+//!   is two table indexings and an offset — per line, not per cell;
+//!   debug builds cross-check every copied line against the single-cell
+//!   path, and that against the legacy hash path), and each rank's
+//!   [`HaloPlan`] records
 //!   per-channel traffic volumes ([`HaloTraffic`]: cells and bytes per
 //!   face/edge/corner channel);
 //! * every rank advances through **one step machine** (`step.rs`): each

@@ -49,7 +49,7 @@
 //! may hold stale messages), so the scheduler discards that one entry and
 //! rebuilds on next use.
 
-use crate::{HaloPlan, Partition3};
+use crate::{Brick, HaloPlan, Partition3};
 use abft_grid::BoundarySpec;
 use abft_num::Real;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -59,9 +59,16 @@ use std::sync::Arc;
 /// canonical cell order.
 pub(crate) type HaloMsg<T> = Vec<T>;
 
-/// An outgoing halo channel: the sender plus the producer-local
-/// `(lx, ly, lz)` cells owed to that consumer every iteration.
-pub(crate) type SendPort<T> = (SyncSender<HaloMsg<T>>, Vec<(usize, usize, usize)>);
+/// Cells of one rank's brick in payload order, as `(flat start, len)`
+/// runs of the brick's storage. The canonical order is z-major row-major
+/// — the brick's own memory order — so x-consecutive owed cells are
+/// contiguous on both sides and a payload is packed with one slice copy
+/// per run instead of one gather per cell.
+pub(crate) type CellRuns = Vec<(usize, usize)>;
+
+/// An outgoing halo channel: the sender plus the producer's cells owed to
+/// that consumer every iteration.
+pub(crate) type SendPort<T> = (SyncSender<HaloMsg<T>>, CellRuns);
 
 /// Double-buffering depth of each halo channel: a producer can run at
 /// most this many iterations ahead of a consumer before its send blocks.
@@ -80,8 +87,8 @@ pub(crate) struct Ports<T> {
     /// (matching the consumer's payload layout); exactly one message per
     /// producer per iteration, in iteration order.
     pub(crate) recvs: Vec<Receiver<HaloMsg<T>>>,
-    /// Brick-local `(lx, ly, lz)` cells this rank serves to itself.
-    pub(crate) self_cells: Vec<(usize, usize, usize)>,
+    /// The cells this rank serves to itself.
+    pub(crate) self_cells: CellRuns,
 }
 
 impl<T> Ports<T> {
@@ -138,21 +145,32 @@ fn build_ports<T: Real>(plans: &[Arc<HaloPlan>], part: &Partition3) -> Vec<Ports
     let mut ports: Vec<Ports<T>> = (0..plans.len()).map(|_| Ports::empty()).collect();
     for (c, plan) in plans.iter().enumerate() {
         for (p, cells) in &plan.groups {
-            let brick = part.brick(*p);
-            let localised: Vec<(usize, usize, usize)> = cells
-                .iter()
-                .map(|&(gx, gy, gz)| (gx - brick.x0, gy - brick.y0, gz - brick.z0))
-                .collect();
+            let owed = cell_runs(cells, &part.brick(*p));
             if *p == c {
-                ports[c].self_cells = localised;
+                ports[c].self_cells = owed;
             } else {
                 let (tx, rx) = sync_channel(CHANNEL_DEPTH);
-                ports[*p].sends.push((tx, localised));
+                ports[*p].sends.push((tx, owed));
                 ports[c].recvs.push(rx);
             }
         }
     }
     ports
+}
+
+/// Global `cells` of `brick`, in payload order, as maximal runs of the
+/// brick's storage.
+fn cell_runs(cells: &[(usize, usize, usize)], brick: &Brick) -> CellRuns {
+    let mut runs = CellRuns::new();
+    for &(gx, gy, gz) in cells {
+        let flat =
+            ((gz - brick.z0) * brick.y_len + (gy - brick.y0)) * brick.x_len + (gx - brick.x0);
+        match runs.last_mut() {
+            Some((start, len)) if *start + *len == flat => *len += 1,
+            _ => runs.push((flat, 1)),
+        }
+    }
+    runs
 }
 
 /// The pool's topology store: a small keyed set of reusable topologies
@@ -314,6 +332,12 @@ mod tests {
         // 3 y-slabs: the middle rank owes both neighbours, ends owe one.
         assert_eq!(ports[1].sends.len(), 2);
         assert_eq!(ports[1].recvs.len(), 2);
+        // The middle 8×4×2 slab owes each neighbour one whole row per
+        // layer: a run per row, not a tuple per cell. The last slab folds
+        // the clamped edge onto its own last row.
+        assert_eq!(ports[1].sends[0].1, [(0, 8), (32, 8)]);
+        assert_eq!(ports[1].sends[1].1, [(24, 8), (56, 8)]);
+        assert_eq!(ports[2].self_cells, [(24, 8), (56, 8)]);
         cache.check_in(&k, ports);
         // Discard drops the entry (post-panic hygiene).
         cache.discard(&k);

@@ -337,7 +337,7 @@ impl<T: Real> RankStepper<T> {
             let current = self.rank.sim.current();
             let mut sent = 0;
             for (tx, cells) in &self.ports.sends {
-                let mut msg = Vec::with_capacity(cells.len());
+                let mut msg = Vec::new();
                 pack_cells(current, cells, &mut msg);
                 sent += msg.len();
                 if tx.send(msg).is_err() {
@@ -438,14 +438,13 @@ impl<T: Real> RankStepper<T> {
     }
 }
 
-/// Append the values of `cells` (brick-local coordinates) to `out`.
-fn pack_cells<T: Real>(grid: &Grid3D<T>, cells: &[(usize, usize, usize)], out: &mut Vec<T>) {
-    let (nx, ny, _) = grid.dims();
-    out.extend(
-        cells
-            .iter()
-            .map(|&(lx, ly, lz)| grid.as_slice()[(lz * ny + ly) * nx + lx]),
-    );
+/// Append the brick cells `runs` names to `out`, grown to its final size
+/// first: one slice copy per run.
+fn pack_cells<T: Real>(grid: &Grid3D<T>, runs: &[(usize, usize)], out: &mut Vec<T>) {
+    out.reserve_exact(runs.iter().map(|&(_, len)| len).sum());
+    for &(start, len) in runs {
+        out.extend_from_slice(&grid.as_slice()[start..start + len]);
+    }
 }
 
 /// What the ranks of one job share beside their steppers: the topology

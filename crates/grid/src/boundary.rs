@@ -1,6 +1,7 @@
 //! Boundary conditions and per-axis index resolution.
 
 use abft_num::Real;
+use std::ops::Range;
 
 /// Behaviour of one axis when a stencil tap reaches past the domain edge.
 ///
@@ -137,17 +138,35 @@ impl<T: Real> BoundarySpec<T> {
 /// (against the global boundaries, for the distributed substrate) —
 /// only then is the read bitwise-faithful to the undecomposed sweep.
 ///
-/// Reads come a line at a time: for a `(y, z)` pair some tap reaches, the
-/// sweep fetches the in-range `x` its taps can touch once per output row,
-/// and the checksum interpolation sums all of `0..nx`. A source must
-/// therefore answer for every in-range `x` of such a line, and answer the
-/// same every time within one step.
+/// Reads come a line at a time, through [`GhostCells::ghost_line`]: for a
+/// `(y, z)` pair some tap reaches, the sweep fetches the in-range `x` its
+/// taps can touch once per output row, and the checksum interpolation
+/// sums all of `0..nx`. A source must therefore answer for every in-range
+/// `x` of such a line, and answer the same every time within one step.
+/// What still arrives one cell at a time through [`GhostCells::ghost`] is
+/// what is not an x-line: reads that leave the domain in `x` (from the
+/// x-end cells of a row whose x axis is itself a ghost axis, and in the
+/// interpolation's correction terms), and the sums along `y` of the
+/// row-checksum side, which runs only after a mismatch.
 pub trait GhostCells<T>: Sync {
     /// Value of the ghost cell at global-ish coordinates. Axes preceding
     /// the first ghost hit are already resolved; the firing axis and
     /// every axis after it keep their signed coordinates, each of which
     /// may be out of range.
     fn ghost(&self, x: isize, y: isize, z: isize) -> T;
+
+    /// The bulk read: append the cells `xs` of line `(y, z)` to `out`.
+    ///
+    /// Every `x` in `xs` is an in-range (already resolved) index; `y` and
+    /// `z` are as [`GhostCells::ghost`] receives them when the y or the z
+    /// axis fires. An implementation appends **exactly** `xs.len()` cells
+    /// and leaves what `out` already holds untouched, and cell `i` of
+    /// what it appends is bitwise what `ghost(xs.start + i, y, z)`
+    /// returns. This default assembles the line cell by cell; a source
+    /// whose lines are contiguous in memory overrides it with a copy.
+    fn ghost_line(&self, xs: Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
+        out.extend(xs.map(|x| self.ghost(x as isize, y, z)));
+    }
 }
 
 /// A [`GhostCells`] implementation that panics — used as the hook for

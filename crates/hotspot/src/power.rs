@@ -10,43 +10,77 @@ use abft_num::Real;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// One Gaussian hot spot of a power map (a functional-unit blob).
+struct Blob {
+    cx: f64,
+    cy: f64,
+    amp: f64,
+    sigma: f64,
+}
+
+/// The seeded parameters of one power map.
+struct PowerModel {
+    background: f64,
+    blobs: Vec<Blob>,
+    /// Power dissipates mostly in the active (bottom) layers; scale down
+    /// with height like a die stack would.
+    layer_scale: Vec<f64>,
+}
+
+impl PowerModel {
+    fn draw(nx: usize, ny: usize, nz: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let background: f64 = rng.random_range(0.05..0.15);
+        let n_blobs = rng.random_range(3..=6);
+        let blobs = (0..n_blobs)
+            .map(|_| Blob {
+                cx: rng.random_range(0.1..0.9) * nx as f64,
+                cy: rng.random_range(0.1..0.9) * ny as f64,
+                amp: rng.random_range(0.3..0.9),
+                sigma: rng.random_range(0.05..0.2) * nx.max(ny) as f64,
+            })
+            .collect();
+        let layer_scale = (0..nz)
+            .map(|z| 1.0 - 0.5 * z as f64 / nz.max(1) as f64)
+            .collect();
+        Self {
+            background,
+            blobs,
+            layer_scale,
+        }
+    }
+
+    /// Background plus every blob at column `(x, y)`: the part of a
+    /// cell's power that is the same on every layer.
+    fn column(&self, x: usize, y: usize) -> f64 {
+        let mut p = self.background;
+        for b in &self.blobs {
+            let dx = x as f64 - b.cx;
+            let dy = y as f64 - b.cy;
+            p += b.amp * (-(dx * dx + dy * dy) / (2.0 * b.sigma * b.sigma)).exp();
+        }
+        p
+    }
+
+    /// The power of the cell on layer `z` of a column whose sum is `p`.
+    fn cell<T: Real>(&self, p: f64, z: usize) -> T {
+        T::from_f64((p * self.layer_scale[z]).clamp(0.0, 1.0))
+    }
+}
+
 /// A normalised power-density map: uniform background plus a few Gaussian
 /// hot spots (functional-unit blobs), clamped to `[0, 1]`.
 ///
 /// Deterministic in `(dims, seed)`.
 pub fn synthetic_power<T: Real>(nx: usize, ny: usize, nz: usize, seed: u64) -> Grid3D<T> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let background: f64 = rng.random_range(0.05..0.15);
-    let n_blobs = rng.random_range(3..=6);
-    struct Blob {
-        cx: f64,
-        cy: f64,
-        amp: f64,
-        sigma: f64,
+    let model = PowerModel::draw(nx, ny, nz, seed);
+    // The blob sum is 3–6 `exp` calls and does not depend on `z`: summed
+    // once per column and scaled per layer, not summed once per cell.
+    let mut plane = Vec::with_capacity(nx * ny);
+    for y in 0..ny {
+        plane.extend((0..nx).map(|x| model.column(x, y)));
     }
-    let blobs: Vec<Blob> = (0..n_blobs)
-        .map(|_| Blob {
-            cx: rng.random_range(0.1..0.9) * nx as f64,
-            cy: rng.random_range(0.1..0.9) * ny as f64,
-            amp: rng.random_range(0.3..0.9),
-            sigma: rng.random_range(0.05..0.2) * nx.max(ny) as f64,
-        })
-        .collect();
-    // Power dissipates mostly in the active (bottom) layers; scale down
-    // with height like a die stack would.
-    let layer_scale: Vec<f64> = (0..nz)
-        .map(|z| 1.0 - 0.5 * z as f64 / nz.max(1) as f64)
-        .collect();
-
-    Grid3D::from_fn(nx, ny, nz, |x, y, z| {
-        let mut p = background;
-        for b in &blobs {
-            let dx = x as f64 - b.cx;
-            let dy = y as f64 - b.cy;
-            p += b.amp * (-(dx * dx + dy * dy) / (2.0 * b.sigma * b.sigma)).exp();
-        }
-        T::from_f64((p * layer_scale[z]).clamp(0.0, 1.0))
-    })
+    Grid3D::from_fn(nx, ny, nz, |x, y, z| model.cell(plane[y * nx + x], z))
 }
 
 /// Initial temperature: ambient plus a mild power-correlated elevation
@@ -74,6 +108,20 @@ mod tests {
         assert_eq!(a, b);
         let c = synthetic_power::<f32>(32, 32, 4, 8);
         assert_ne!(a, c);
+    }
+
+    /// Summing the blobs once per column changed no bit: every cell is
+    /// what evaluating the whole formula at that cell gives.
+    #[test]
+    fn power_equals_the_per_cell_formula() {
+        for seed in [1, 7, 8] {
+            let (nx, ny, nz) = (13, 9, 5);
+            let model = PowerModel::draw(nx, ny, nz, seed);
+            let per_cell = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+                model.cell::<f32>(model.column(x, y), z)
+            });
+            assert_eq!(synthetic_power::<f32>(nx, ny, nz, seed), per_cell);
+        }
     }
 
     #[test]

@@ -22,16 +22,18 @@
 //! continues with the next axis. The checksum-interpolation machinery in
 //! `abft-core` models exactly this ordering.
 //!
-//! The sweep is one pass that writes each output once. Per output row it
-//! folds every tap's `(y+dj, z+dk)` through the y and z boundaries *once*
-//! — to an in-grid source row, a line of ghost cells fetched once, or a
-//! broadcast value — and then runs one blocked kernel along x: a block of
-//! 16 accumulators starts from the constant term, takes `acc += w·src` for
-//! every tap **in tap order**, and is stored. Only the `extent_x` cells at
-//! each end of a row, whose x reads leave the domain, are computed one
-//! read at a time. Every cell therefore sees the same operations in the
-//! same order whichever route computes it, which is what makes serial,
-//! parallel, row-split and region-tiled sweeps agree bitwise.
+//! The sweep is one pass with no per-read boundary path. Per output row
+//! it folds every tap's `(y+dj, z+dk)` through the y and z boundaries
+//! *once* — to an in-grid source row, a line of ghost cells fetched with
+//! one bulk read, or a broadcast value — and then runs one blocked kernel
+//! along x: a block of 16 accumulators (4 on a run shorter than that)
+//! starts from the constant term, takes `acc += w·src` for every tap **in
+//! tap order**, and is stored. A run's remainder is one more whole block
+//! that overlaps the previous one, not a scalar tail, and the `extent_x`
+//! cells at each end of a row read through the same folded sources,
+//! resolving only x per tap. Every cell therefore sees the same operations
+//! in the same order whichever route computes it, which is what makes
+//! serial, parallel, row-split and region-tiled sweeps agree bitwise.
 
 mod constant;
 mod exec;

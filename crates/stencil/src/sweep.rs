@@ -2,9 +2,10 @@
 //! with optional fused checksum accumulation and per-point hooks.
 
 use crate::{Exec, Stencil3D, SweepHook};
-use abft_grid::{AxisHit, BoundarySpec, GhostCells, Grid3D};
+use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
 use abft_num::{line_sum, Real};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which checksum vectors the sweep should produce as a by-product.
 ///
@@ -35,9 +36,10 @@ pub enum ChecksumMode<'a, T> {
 /// honouring the per-axis boundary conditions with x → y → z precedence.
 ///
 /// This is the *reference semantics* of every boundary read in the
-/// workspace: the sweep calls it for the few cells at each x end of a
-/// row and folds the other axes row by row to the same effect, and the
-/// checksum interpolation in `abft-core` models it analytically.
+/// workspace, and no sweep calls it: the kernel folds y and z once per
+/// row and x once per tap of an x-end cell to the same effect, the
+/// tests hold it to a loop over this function bitwise, and the checksum
+/// interpolation in `abft-core` models it analytically.
 #[inline]
 pub fn read_resolved<T: Real, G: GhostCells<T>>(
     src: &Grid3D<T>,
@@ -271,7 +273,7 @@ struct LayerTask<'a, T> {
 struct Scratch<T> {
     sources: Vec<TapSource<T>>,
     /// `(y, z)` arguments of the ghost lines the current row reads, and
-    /// their values over the cells the run's taps reach, back to back.
+    /// their values over the cells the window's taps reach, back to back.
     ghost_keys: Vec<(isize, isize)>,
     ghost_lines: Vec<T>,
     row_acc: Vec<f64>,
@@ -288,10 +290,9 @@ impl<T: Real> Scratch<T> {
     }
 }
 
-/// Where one tap reads along the x-interior run of one output row, once
-/// its `(y+dj, z+dk)` has been folded through the y and z boundaries. A
-/// line is given by the index its cell `x = 0` has (or would have) in the
-/// slice it lives in.
+/// Where one tap reads along one output row, once its `(y+dj, z+dk)` has
+/// been folded through the y and z boundaries. A line is given by the
+/// index its cell `x = 0` has (or would have) in the slice it lives in.
 #[derive(Clone, Copy)]
 enum TapSource<T> {
     /// An in-grid row: its own, clamped, wrapped or reflected.
@@ -303,17 +304,33 @@ enum TapSource<T> {
     Weighted(T),
 }
 
+/// The source cells of a line that the taps of window `xs` can load once
+/// x is resolved: the in-range part of `xs` widened by the x extent, and
+/// wherever the x boundary folds the rest of it (clamp, periodic and
+/// reflect land back in the line — possibly far from the window). Ghost
+/// lines are fetched over this span.
+fn x_reach<T: Real>(xs: &Range<usize>, nx: usize, ex: usize, bx: &Boundary<T>) -> Range<usize> {
+    let (lo, hi) = (xs.start as isize - ex as isize, (xs.end + ex) as isize);
+    let mut reach = lo.max(0) as usize..hi.min(nx as isize) as usize;
+    for q in (lo..0).chain(nx as isize..hi) {
+        if let AxisHit::In(i) = bx.resolve(q, nx) {
+            reach = reach.start.min(i)..reach.end.max(i + 1);
+        }
+    }
+    reach
+}
+
 /// Fold every tap's `(y+dj, z+dk)` for output row `(y, z)` into
 /// `scratch.sources` — y before z, the precedence of [`read_resolved`]
-/// once x is in range. `reach` is the span of source cells the run's taps
-/// touch; ghost lines are fetched over it, each distinct line once.
+/// once x is in range. Ghost lines are fetched over `reach` (see
+/// [`x_reach`]) through the source's bulk read, each distinct line once.
 fn fold_row<T: Real, G: GhostCells<T>>(
     stencil: &Stencil3D<T>,
     (y, z): (usize, usize),
     (nx, ny, nz): (usize, usize, usize),
     bounds: &BoundarySpec<T>,
     ghosts: &G,
-    reach: std::ops::Range<usize>,
+    reach: Range<usize>,
     scratch: &mut Scratch<T>,
 ) {
     let Scratch {
@@ -331,7 +348,11 @@ fn fold_row<T: Real, G: GhostCells<T>>(
             .position(|&key| key == (gy, gz))
             .unwrap_or_else(|| {
                 ghost_keys.push((gy, gz));
-                ghost_lines.extend(reach.clone().map(|x| ghosts.ghost(x as isize, gy, gz)));
+                // Sized once, by the first line fetched: a row reads no
+                // more distinct lines than the (dj, dk) frame holds.
+                let frame = (2 * stencil.extent_y() + 1) * (2 * stencil.extent_z() + 1);
+                ghost_lines.reserve_exact(frame * reach.len() - ghost_lines.len());
+                ghosts.ghost_line(reach.clone(), gy, gz, ghost_lines);
                 ghost_keys.len() - 1
             });
         TapSource::Ghost((n * reach.len()) as isize - reach.start as isize)
@@ -368,52 +389,120 @@ fn fold_row<T: Real, G: GhostCells<T>>(
 /// vector registers of baseline x86-64 in `f64` and half of them in `f32`.
 const BLOCK: usize = 16;
 
-/// `N` adjacent outputs starting at x-interior cell `x`: each accumulator
-/// starts from the constant term and takes `acc += w·src` tap by tap **in
-/// tap order** — per cell the very operation sequence of
-/// [`point_resolved`], so the result is bitwise the same.
-#[inline(always)]
-fn block<T: Real, const N: usize>(
-    s: &[T],
-    stencil: &Stencil3D<T>,
-    scratch: &Scratch<T>,
-    constant_row: Option<&[T]>,
-    x: usize,
-) -> [T; N] {
-    let mut acc = [T::ZERO; N];
-    if let Some(c) = constant_row {
-        acc.copy_from_slice(&c[x..x + N]);
-    }
-    for (t, source) in stencil.taps().iter().zip(&scratch.sources) {
-        let (line, first) = match *source {
-            TapSource::Row(first) => (s, first),
-            TapSource::Ghost(first) => (&scratch.ghost_lines[..], first),
-            TapSource::Weighted(wv) => {
-                for a in &mut acc {
-                    *a += wv;
+/// Outputs per step on an x-interior run shorter than [`BLOCK`].
+const NARROW: usize = 4;
+
+/// One output row with its taps folded: everything the kernel reads.
+struct FoldedRow<'a, T> {
+    /// The whole time-`t` grid ([`TapSource::Row`] indexes into it).
+    s: &'a [T],
+    stencil: &'a Stencil3D<T>,
+    /// One source per tap and the ghost lines they name, as [`fold_row`]
+    /// left them.
+    sources: &'a [TapSource<T>],
+    ghost_lines: &'a [T],
+    constant_row: Option<&'a [T]>,
+}
+
+impl<T: Real> FoldedRow<'_, T> {
+    /// `N` adjacent outputs starting at x-interior cell `x`: each
+    /// accumulator starts from the constant term and takes `acc += w·src`
+    /// tap by tap **in tap order** — per cell the very operation sequence
+    /// of a loop over [`read_resolved`], so the result is bitwise the same.
+    #[inline(always)]
+    fn block<const N: usize>(&self, x: usize) -> [T; N] {
+        let mut acc = [T::ZERO; N];
+        if let Some(c) = self.constant_row {
+            acc.copy_from_slice(&c[x..x + N]);
+        }
+        for (t, source) in self.stencil.taps().iter().zip(self.sources) {
+            let (line, first) = match *source {
+                TapSource::Row(first) => (self.s, first),
+                TapSource::Ghost(first) => (self.ghost_lines, first),
+                TapSource::Weighted(wv) => {
+                    for a in &mut acc {
+                        *a += wv;
+                    }
+                    continue;
                 }
-                continue;
+            };
+            let from = (first + x as isize + t.di) as usize;
+            let run = &line[from..from + N];
+            for i in 0..N {
+                acc[i] += t.w * run[i];
             }
-        };
-        let from = (first + x as isize + t.di) as usize;
-        let run = &line[from..from + N];
-        for i in 0..N {
-            acc[i] += t.w * run[i];
+        }
+        acc
+    }
+
+    /// The x-interior `run` of the row, `N` outputs at a time; `run` holds
+    /// at least `N` cells or none. There is no scalar tail: what is left
+    /// after the last whole block is computed as one more whole block
+    /// ending at `run.end`. Every output is a function of the source grid
+    /// alone, by the same operation sequence wherever its block starts,
+    /// so the cells that block computes a second time get bitwise the
+    /// values they had — and the hook runs after the row, so it still
+    /// sees each cell once.
+    #[inline(always)]
+    fn blocks<const N: usize>(&self, out: &mut [T], run: Range<usize>) {
+        let mut x = run.start;
+        while x < run.end {
+            x = x.min(run.end - N);
+            out[x..x + N].copy_from_slice(&self.block::<N>(x));
+            x += N;
         }
     }
-    acc
+
+    /// One x-end cell: some tap's `x + di` leaves the domain. Only x is
+    /// resolved per tap, and it wins the precedence exactly as in
+    /// [`read_resolved`] — a value-like x yields its value, a ghost x asks
+    /// the source with the tap's raw `(y, z)`; an in-range x loads from
+    /// the tap's folded source, a broadcast value entering pre-multiplied
+    /// as [`FoldedRow::block`] adds it.
+    #[inline]
+    fn end_cell<G: GhostCells<T>>(
+        &self,
+        (x, y, z): (usize, usize, usize),
+        nx: usize,
+        bx: &Boundary<T>,
+        ghosts: &G,
+    ) -> T {
+        let mut v = self.constant_row.map_or(T::ZERO, |c| c[x]);
+        for (t, source) in self.stencil.taps().iter().zip(self.sources) {
+            let xr = match bx.resolve(x as isize + t.di, nx) {
+                AxisHit::In(i) => i as isize,
+                AxisHit::Value(vx) => {
+                    v += t.w * vx;
+                    continue;
+                }
+                AxisHit::Ghost(gx) => {
+                    v += t.w * ghosts.ghost(gx, y as isize + t.dj, z as isize + t.dk);
+                    continue;
+                }
+            };
+            v += match *source {
+                TapSource::Row(first) => t.w * self.s[(first + xr) as usize],
+                TapSource::Ghost(first) => t.w * self.ghost_lines[(first + xr) as usize],
+                TapSource::Weighted(wv) => wv,
+            };
+        }
+        v
+    }
 }
 
 /// Sweep the `y_rows × xs` window of a single `z`-layer, writing every
-/// output cell once.
+/// output cell once (bar the few an overlapped last block rewrites with
+/// the same bits, see [`FoldedRow::blocks`]).
 ///
 /// Boundaries are resolved per row, not per read: [`fold_row`] maps each
 /// tap to an in-grid source row, a fetched ghost line or a broadcast
-/// value, and the one blocked kernel then runs over the whole x-interior
-/// run whether or not the row touches a y or z boundary. Only the
-/// ≤ `extent_x` cells at each x end go through [`point_resolved`]. The
-/// hook and the checksum sums (see [`ChecksumMode`]) then pass over the
-/// cache-hot row.
+/// value, and the one blocked kernel ([`FoldedRow::block`], instantiated
+/// [`BLOCK`] wide, [`NARROW`] wide for a run shorter than that and one
+/// wide below even that) runs over the whole x-interior run whether or
+/// not the row touches a y or z boundary. The ≤ `extent_x` cells at each
+/// x end read through the same folded sources and resolve only x per tap
+/// ([`FoldedRow::end_cell`]). The hook and the checksum sums (see
+/// [`ChecksumMode`]) then pass over the cache-hot row.
 #[allow(clippy::too_many_arguments)]
 fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     src: &Grid3D<T>,
@@ -423,8 +512,8 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     constant: Option<&Grid3D<T>>,
     ghosts: &G,
     hook: &H,
-    y_rows: std::ops::Range<usize>,
-    xs: std::ops::Range<usize>,
+    y_rows: Range<usize>,
+    xs: Range<usize>,
     scratch: &mut Scratch<T>,
 ) {
     let (nx, ny, nz) = src.dims();
@@ -434,12 +523,12 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
         row,
         mut col,
     } = task;
-    let s = src.as_slice();
     // The x-interior run (every tap's x+di in range), clipped to the
     // swept window; empty on narrow domains and edge-only windows.
     let ex = stencil.extent_x();
     let run_start = ex.clamp(xs.start, xs.end);
     let run_end = (nx - ex).clamp(run_start, xs.end);
+    let reach = x_reach(&xs, nx, ex, &bounds.x);
 
     scratch.row_acc.clear();
     if row.is_some() {
@@ -449,32 +538,29 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     for y in y_rows {
         let out = &mut dst_layer[y * nx..(y + 1) * nx];
         let line = (z * ny + y) * nx;
-        let constant_row = constant.map(|c| &c.as_slice()[line..line + nx]);
-
+        fold_row(
+            stencil,
+            (y, z),
+            (nx, ny, nz),
+            bounds,
+            ghosts,
+            reach.clone(),
+            scratch,
+        );
+        let folded = FoldedRow {
+            s: src.as_slice(),
+            stencil,
+            sources: &scratch.sources,
+            ghost_lines: &scratch.ghost_lines,
+            constant_row: constant.map(|c| &c.as_slice()[line..line + nx]),
+        };
         for x in (xs.start..run_start).chain(run_end..xs.end) {
-            out[x] = point_resolved(src, x, y, z, stencil, bounds, constant, ghosts);
+            out[x] = folded.end_cell((x, y, z), nx, &bounds.x, ghosts);
         }
-        if run_start < run_end {
-            let reach = run_start - ex..run_end + ex;
-            fold_row(
-                stencil,
-                (y, z),
-                (nx, ny, nz),
-                bounds,
-                ghosts,
-                reach,
-                scratch,
-            );
-        }
-        let mut x = run_start;
-        while x + BLOCK <= run_end {
-            let acc = block::<T, BLOCK>(s, stencil, scratch, constant_row, x);
-            out[x..x + BLOCK].copy_from_slice(&acc);
-            x += BLOCK;
-        }
-        while x < run_end {
-            [out[x]] = block::<T, 1>(s, stencil, scratch, constant_row, x);
-            x += 1;
+        match run_end - run_start {
+            BLOCK.. => folded.blocks::<BLOCK>(out, run_start..run_end),
+            NARROW.. => folded.blocks::<NARROW>(out, run_start..run_end),
+            _ => folded.blocks::<1>(out, run_start..run_end),
         }
 
         if H::ACTIVE {
@@ -497,42 +583,11 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     }
 }
 
-/// Compute one point with fully resolved (boundary-aware) reads.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn point_resolved<T: Real, G: GhostCells<T>>(
-    src: &Grid3D<T>,
-    x: usize,
-    y: usize,
-    z: usize,
-    stencil: &Stencil3D<T>,
-    bounds: &BoundarySpec<T>,
-    constant: Option<&Grid3D<T>>,
-    ghosts: &G,
-) -> T {
-    let mut v = match constant {
-        Some(c) => c.at(x, y, z),
-        None => T::ZERO,
-    };
-    for t in stencil.taps() {
-        let u = read_resolved(
-            src,
-            x as isize + t.di,
-            y as isize + t.dj,
-            z as isize + t.dk,
-            bounds,
-            ghosts,
-        );
-        v += t.w * u;
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NoHook;
-    use abft_grid::{Boundary, NoGhosts};
+    use abft_grid::NoGhosts;
 
     /// Naive reference sweep: resolved reads everywhere.
     fn reference_sweep<T: Real, G: GhostCells<T>>(
@@ -544,7 +599,12 @@ mod tests {
     ) -> Grid3D<T> {
         let (nx, ny, nz) = src.dims();
         Grid3D::from_fn(nx, ny, nz, |x, y, z| {
-            point_resolved(src, x, y, z, stencil, bounds, constant, ghosts)
+            let mut v = constant.map_or(T::ZERO, |c| c.at(x, y, z));
+            for t in stencil.taps() {
+                let (xq, yq, zq) = (x as isize + t.di, y as isize + t.dj, z as isize + t.dk);
+                v += t.w * read_resolved(src, xq, yq, zq, bounds, ghosts);
+            }
+            v
         })
     }
 
@@ -608,20 +668,40 @@ mod tests {
         });
     }
 
-    /// A ghost source whose value depends on all three coordinates.
+    /// The ghost value at `(x, y, z)`: depends on all three coordinates.
+    fn pattern<T: Real>(x: isize, y: isize, z: isize) -> T {
+        T::from_f64((x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.37 - 4.0)
+    }
+
+    /// A ghost source served through the trait's default bulk read.
     struct PatternGhost;
     impl<T: Real> GhostCells<T> for PatternGhost {
         fn ghost(&self, x: isize, y: isize, z: isize) -> T {
-            T::from_f64((x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.37 - 4.0)
+            pattern(x, y, z)
         }
     }
 
-    /// Every boundary kind on every axis, with and without a constant
-    /// term, serial and parallel, as one sweep and as a tiling of partial
-    /// windows — on widths whose x-interior run is empty (4), shorter than
-    /// a block (9), a whole number of blocks (20) and blocks plus a tail
-    /// (25) — against resolved reads at every cell, bitwise.
-    fn boundary_matrix<T: Real>() {
+    /// The same values from a source that overrides the bulk read.
+    struct BulkPatternGhost;
+    impl<T: Real> GhostCells<T> for BulkPatternGhost {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
+            pattern(x, y, z)
+        }
+
+        fn ghost_line(&self, xs: Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
+            out.extend(xs.map(|x| pattern::<T>(x as isize, y, z)));
+        }
+    }
+
+    /// Every boundary kind on every axis (and ghost y/z lines under an x
+    /// that folds far from the window), with and without a constant term,
+    /// serial and parallel, as one sweep and as a tiling of partial
+    /// windows — against resolved reads at every cell, bitwise. At the
+    /// kernel's reach of 2 the widths give x-interior runs that are empty
+    /// (4), below the narrow block (7), exactly one (8), narrow blocks
+    /// only (9), narrow blocks and an overlapped one (19), whole blocks
+    /// (20, 36) and whole blocks and an overlapped one (21, 25, 37).
+    fn boundary_matrix<T: Real, G: GhostCells<T>>(ghosts: &G) {
         let w = |v: f64| T::from_f64(v);
         // Reach 2 in x and y, 1 in z; weights that round in either type.
         let stencil = Stencil3D::from_tuples(&[
@@ -641,32 +721,50 @@ mod tests {
             Boundary::Reflect,
             Boundary::Ghost,
         ];
-        let mut specs = vec![BoundarySpec::uniform(Boundary::Ghost)];
+        let all_ghost = BoundarySpec::uniform(Boundary::Ghost);
+        let mut specs = vec![
+            all_ghost,
+            BoundarySpec {
+                x: Boundary::Periodic,
+                ..all_ghost
+            },
+            BoundarySpec {
+                x: Boundary::Reflect,
+                ..all_ghost
+            },
+        ];
         for kind in kinds {
             let clamp = BoundarySpec::clamp();
             specs.push(BoundarySpec { x: kind, ..clamp });
             specs.push(BoundarySpec { y: kind, ..clamp });
             specs.push(BoundarySpec { z: kind, ..clamp });
         }
-        for nx in [4, 9, 20, 25] {
+        let untouched = w(-7777.0);
+        for nx in [4, 7, 8, 9, 19, 20, 21, 25, 36, 37] {
             let (ny, nz) = (6, 3);
             let src = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
                 w(((x * 31 + y * 17 + z * 7) % 23) as f64 * 0.3 - 3.0)
             });
             let constant =
                 Grid3D::from_fn(nx, ny, nz, |x, y, z| w((x + 2 * y + 3 * z) as f64 * 0.11));
-            // Windows that cut the run, isolate each x end and split y and z.
+            // Windows that isolate each x end (cells whose folded x lands
+            // far away), split y and z, and cut the run — the last one so
+            // that on the widest grid its 15 cells end in a block that,
+            // laid out from the row's run instead of the window's, would
+            // start left of the window.
+            let cut = nx.saturating_sub(17).max(3);
             let tiles = [
                 (0..4, 0..1, 0..nz),
                 (0..4, 1..3, 0..nz),
                 (0..4, 3..nx, 0..2),
                 (0..4, 3..nx, 2..nz),
-                (4..ny, 0..nx - 1, 0..nz),
+                (4..ny, 0..cut, 0..nz),
+                (4..ny, cut..nx - 1, 0..nz),
                 (4..ny, nx - 1..nx, 0..nz),
             ];
             for bounds in &specs {
                 for constant in [None, Some(&constant)] {
-                    let expect = reference_sweep(&src, &stencil, bounds, constant, &PatternGhost);
+                    let expect = reference_sweep(&src, &stencil, bounds, constant, ghosts);
                     for exec in [Exec::Serial, Exec::Parallel] {
                         let ctx = format!("nx {nx}, {bounds:?}, {exec:?}");
                         let mut whole = Grid3D::zeros(nx, ny, nz);
@@ -677,28 +775,40 @@ mod tests {
                             &stencil,
                             bounds,
                             constant,
-                            &PatternGhost,
+                            ghosts,
                             &NoHook,
                             ChecksumMode::None,
                             exec,
                         );
-                        for (rows, xs, zs) in tiles.clone() {
-                            sweep_region(
-                                &src,
-                                &mut tiled,
-                                &stencil,
-                                bounds,
-                                constant,
-                                &PatternGhost,
-                                &NoHook,
-                                ChecksumMode::None,
-                                exec,
-                                rows,
-                                xs,
-                                zs,
-                            );
-                        }
                         assert_eq!(whole, expect, "whole sweep, {ctx}");
+                        for (rows, xs, zs) in tiles.clone() {
+                            // A window writes its own cells and no others.
+                            let mut alone = Grid3D::filled(nx, ny, nz, untouched);
+                            for dst in [&mut tiled, &mut alone] {
+                                sweep_region(
+                                    &src,
+                                    dst,
+                                    &stencil,
+                                    bounds,
+                                    constant,
+                                    ghosts,
+                                    &NoHook,
+                                    ChecksumMode::None,
+                                    exec,
+                                    rows.clone(),
+                                    xs.clone(),
+                                    zs.clone(),
+                                );
+                            }
+                            let window = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+                                if rows.contains(&y) && xs.contains(&x) && zs.contains(&z) {
+                                    expect.at(x, y, z)
+                                } else {
+                                    untouched
+                                }
+                            });
+                            assert_eq!(alone, window, "window {rows:?}×{xs:?}×{zs:?}, {ctx}");
+                        }
                         assert_eq!(tiled, expect, "tiled sweep, {ctx}");
                     }
                 }
@@ -708,12 +818,14 @@ mod tests {
 
     #[test]
     fn boundary_matrix_matches_resolved_reads_bitwise_f32() {
-        boundary_matrix::<f32>();
+        boundary_matrix::<f32, _>(&PatternGhost);
+        boundary_matrix::<f32, _>(&BulkPatternGhost);
     }
 
     #[test]
     fn boundary_matrix_matches_resolved_reads_bitwise_f64() {
-        boundary_matrix::<f64>();
+        boundary_matrix::<f64, _>(&PatternGhost);
+        boundary_matrix::<f64, _>(&BulkPatternGhost);
     }
 
     #[test]
