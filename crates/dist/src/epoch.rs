@@ -34,12 +34,12 @@
 //!
 //! [`OnlineAbft::note_shell_guard`]: abft_core::OnlineAbft::note_shell_guard
 
-use crate::index::HaloPlan;
-use crate::Brick;
+use crate::{Brick, HaloPlan, Partition3};
 use abft_fault::BitFlip;
 use abft_grid::{AxisHit, BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::Stencil3D;
+use std::sync::Arc;
 
 /// One resolved stencil-tap read of a shell slot's advance.
 #[derive(Debug, Clone, Copy)]
@@ -58,9 +58,6 @@ enum TapRead<T> {
 struct SlotAdvance<T> {
     /// Payload slot this program writes.
     slot: usize,
-    /// How many consecutive epoch advances the slot stays valid for
-    /// (the reads-availability fixed point, capped at `k − 1`).
-    steps: usize,
     /// The slot's constant-field term (global constant at its cell).
     constant: T,
     /// `(weight, read)` per stencil tap, in tap order — the sweep's
@@ -74,22 +71,21 @@ struct SlotAdvance<T> {
 pub(crate) struct ShellSchedule<T> {
     /// Sweeps per exchange epoch.
     k: usize,
-    /// Global coordinates per payload slot (canonical plan order).
-    coords: Vec<(usize, usize, usize)>,
-    /// Advance programs for the out-of-brick slots that can advance at
-    /// least once.
+    /// The halo plan whose payload this schedule advances.
+    plan: Arc<HaloPlan>,
+    /// Per payload slot, how many consecutive epoch advances rewrite it
+    /// (the reads-availability fixed point, capped at `k − 1`); 0 for
+    /// slots that never advance.
+    steps: Vec<usize>,
+    /// Advance programs for the slots that advance at least once.
     advances: Vec<SlotAdvance<T>>,
     /// `(slot, brick flat index)` for boundary folds that land inside
     /// the brick: refreshed by copying the freshly swept brick cell.
     brick_copies: Vec<(usize, usize)>,
 }
 
-/// Advance program for one shell slot: `(constant term, weighted tap reads)`.
-/// `None` marks slots that never advance (in-brick, or an unresolvable read).
-type SlotProgram<T> = Option<(T, Vec<(T, TapRead<T>)>)>;
-
 impl<T: Real> ShellSchedule<T> {
-    /// Build the schedule for one rank.
+    /// Build the schedule for rank `me` of `part`.
     ///
     /// `read_halo` is the per-axis ghost depth the **brick sweep**
     /// actually reads (the stencil reach on exchanged axes, zero
@@ -99,8 +95,9 @@ impl<T: Real> ShellSchedule<T> {
     /// at build time.
     #[allow(clippy::too_many_arguments)] // mirrors the sweep-setup call site: every piece is distinct rank state
     pub(crate) fn new(
-        plan: &HaloPlan,
-        brick: &Brick,
+        plan: &Arc<HaloPlan>,
+        me: usize,
+        part: &Partition3,
         dims: (usize, usize, usize),
         bounds: &BoundarySpec<T>,
         stencil: &Stencil3D<T>,
@@ -109,46 +106,34 @@ impl<T: Real> ShellSchedule<T> {
         k: usize,
     ) -> Self {
         assert!(k >= 1, "an epoch has at least one sweep");
-        let coords: Vec<(usize, usize, usize)> = plan
-            .groups
-            .iter()
-            .flat_map(|(_, cells)| cells.iter().copied())
-            .collect();
-
+        let brick = &part.brick(me);
         let mut brick_copies = Vec::new();
-        // Per-slot advance program; `None` marks in-brick slots and
-        // slots with an unresolvable read (they never advance).
-        let mut programs: Vec<SlotProgram<T>> = Vec::with_capacity(coords.len());
-        for (slot, &(gx, gy, gz)) in coords.iter().enumerate() {
+        let mut advances: Vec<SlotAdvance<T>> = Vec::new();
+        // Per slot, the sweeps it stays valid for, from above: an in-brick
+        // fold is refreshed by copy every sweep, a slot whose taps all
+        // resolve advances at most `k − 1` times, any other slot never.
+        let mut steps = vec![0; plan.len()];
+        for (slot, (gx, gy, gz)) in plan.cells().enumerate() {
             if brick.contains(gx, gy, gz) {
                 brick_copies.push((slot, brick_flat(brick, gx, gy, gz)));
-                programs.push(None);
+                steps[slot] = k;
                 continue;
             }
-            let mut reads = Vec::with_capacity(stencil.taps().len());
-            let mut ok = true;
-            for t in stencil.taps() {
-                match resolve_tap(
-                    gx as isize + t.di,
-                    gy as isize + t.dj,
-                    gz as isize + t.dk,
-                    bounds,
-                    dims,
-                    brick,
-                    plan,
-                ) {
-                    Some(read) => reads.push((t.w, read)),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                let c = constant.map(|c| c.at(gx, gy, gz)).unwrap_or(T::ZERO);
-                programs.push(Some((c, reads)));
-            } else {
-                programs.push(None);
+            let reads: Option<Vec<_>> = stencil
+                .taps()
+                .iter()
+                .map(|t| {
+                    let (xq, yq, zq) = (gx as isize + t.di, gy as isize + t.dj, gz as isize + t.dk);
+                    resolve_tap(xq, yq, zq, bounds, dims, brick, plan).map(|read| (t.w, read))
+                })
+                .collect();
+            if let Some(reads) = reads {
+                steps[slot] = k - 1;
+                advances.push(SlotAdvance {
+                    slot,
+                    constant: constant.map_or(T::ZERO, |c| c.at(gx, gy, gz)),
+                    reads,
+                });
             }
         }
 
@@ -156,31 +141,17 @@ impl<T: Real> ShellSchedule<T> {
         // step than the least-available slot it reads; brick and
         // boundary-value reads are always fresh. Monotone decreasing
         // from the k−1 cap, so it converges.
-        let mut avail: Vec<usize> = programs
-            .iter()
-            .enumerate()
-            .map(|(s, p)| {
-                if brick.contains(coords[s].0, coords[s].1, coords[s].2) {
-                    k // refreshed by copy every sweep
-                } else if p.is_some() {
-                    k.saturating_sub(1)
-                } else {
-                    0
-                }
-            })
-            .collect();
         loop {
             let mut changed = false;
-            for (s, program) in programs.iter().enumerate() {
-                let Some((_, reads)) = program else { continue };
-                let mut cap = k.saturating_sub(1);
-                for (_, read) in reads {
+            for adv in &advances {
+                let mut cap = k - 1;
+                for (_, read) in &adv.reads {
                     if let TapRead::Slot(t) = read {
-                        cap = cap.min(1 + avail[*t]);
+                        cap = cap.min(1 + steps[*t]);
                     }
                 }
-                if cap < avail[s] {
-                    avail[s] = cap;
+                if cap < steps[adv.slot] {
+                    steps[adv.slot] = cap;
                     changed = true;
                 }
             }
@@ -193,52 +164,35 @@ impl<T: Real> ShellSchedule<T> {
         // (the depth-`reach` shell) must stay valid through all k−1
         // interior sweeps. Validation (HaloTooDeep) keeps domains large
         // enough for this to hold; the assert is the proof obligation.
-        let (hx, hy, hz) = read_halo;
-        let (nx, ny, nz) = dims;
-        let wx = crate::index::resolved_window(brick.x0, brick.x_len, hx, nx, &bounds.x);
-        let wy = crate::index::resolved_window(brick.y0, brick.y_len, hy, ny, &bounds.y);
-        let wz = crate::index::resolved_window(brick.z0, brick.z_len, hz, nz, &bounds.z);
-        for (gx, gy, gz) in crate::index::needed_halo_cells(brick, &wx, &wy, &wz) {
+        let sweep_reads = HaloPlan::new(brick, me, part, read_halo, dims, bounds);
+        for (gx, gy, gz) in sweep_reads.cells() {
             if brick.contains(gx, gy, gz) {
                 continue;
             }
             let slot = plan
-                .index
                 .slot(gx, gy, gz)
                 .unwrap_or_else(|| panic!("sweep-read ghost ({gx}, {gy}, {gz}) not in the shell"));
             assert!(
-                avail[slot] >= k - 1,
+                steps[slot] >= k - 1,
                 "ghost ({gx}, {gy}, {gz}) decays after {} sweeps but the epoch needs {}",
-                avail[slot],
+                steps[slot],
                 k - 1,
             );
         }
 
-        let advances = programs
-            .into_iter()
-            .enumerate()
-            .filter_map(|(slot, p)| {
-                let (constant, reads) = p?;
-                (avail[slot] > 0).then_some(SlotAdvance {
-                    slot,
-                    steps: avail[slot],
-                    constant,
-                    reads,
-                })
-            })
-            .collect();
+        // From here `steps` counts advances only: a brick copy is
+        // refreshed, never advanced.
+        for &(slot, _) in &brick_copies {
+            steps[slot] = 0;
+        }
+        advances.retain(|adv| steps[adv.slot] > 0);
         Self {
             k,
-            coords,
+            plan: plan.clone(),
+            steps,
             advances,
             brick_copies,
         }
-    }
-
-    /// Sweeps per exchange epoch.
-    #[cfg(test)]
-    pub(crate) fn steps_per_exchange(&self) -> usize {
-        self.k
     }
 
     /// Advance the shell from time `t` to `t + 1` after the epoch's
@@ -274,7 +228,7 @@ impl<T: Real> ShellSchedule<T> {
             }
         };
         for adv in &self.advances {
-            if adv.steps < m {
+            if self.steps[adv.slot] < m {
                 continue; // decayed: stale from here on, never read again
             }
             let mut v = adv.constant;
@@ -290,18 +244,17 @@ impl<T: Real> ShellSchedule<T> {
         // `shell` now holds time t+1, `scratch` the time-t values the
         // guard recomputes from.
         for flip in flips {
-            if let Some(slot) = self.slot_of(flip.x, flip.y, flip.z) {
-                let live = self.advances.iter().any(|a| a.slot == slot && a.steps >= m);
-                if live {
-                    shell[slot] = shell[slot].flip_bit(flip.bit);
-                }
+            // Only a slot this advance rewrote holds a value to corrupt.
+            match self.plan.slot(flip.x, flip.y, flip.z) {
+                Some(slot) if self.steps[slot] >= m => shell[slot] = shell[slot].flip_bit(flip.bit),
+                _ => {}
             }
         }
         let mut detections = 0;
         let mut corrections = 0;
         if guard {
             for adv in &self.advances {
-                if adv.steps < m {
+                if self.steps[adv.slot] < m {
                     continue;
                 }
                 let mut v = adv.constant;
@@ -328,11 +281,6 @@ impl<T: Real> ShellSchedule<T> {
             }
         }
         (detections, corrections)
-    }
-
-    /// Payload slot of global cell `(x, y, z)`, if it is in the shell.
-    fn slot_of(&self, x: usize, y: usize, z: usize) -> Option<usize> {
-        self.coords.iter().position(|&c| c == (x, y, z))
     }
 }
 
@@ -380,7 +328,7 @@ fn resolve_tap<T: Real>(
     if brick.contains(xr, yr, zr) {
         Some(TapRead::Brick(brick_flat(brick, xr, yr, zr)))
     } else {
-        plan.index.slot(xr, yr, zr).map(TapRead::Slot)
+        plan.slot(xr, yr, zr).map(TapRead::Slot)
     }
 }
 
@@ -393,16 +341,26 @@ mod tests {
     fn schedule_for(
         k: usize,
         boundary: Boundary<f64>,
-    ) -> (ShellSchedule<f64>, crate::index::HaloPlan, Brick) {
+    ) -> (ShellSchedule<f64>, Arc<HaloPlan>, Brick) {
         let part = Partition3::new(8, 12, 1, 1, 3, 1);
         let brick = part.brick(1);
         let stencil = abft_stencil::Stencil2D::five_point(0.4, 0.15, 0.1).into_3d();
         let bounds = BoundarySpec::uniform(boundary);
         let cfg = DistConfig::<f64>::new(3, 8).with_steps_per_exchange(k);
         let halo = effective_halo(&cfg, &stencil, (1, 3, 1));
-        let plan = crate::index::HaloPlan::new(&brick, 1, &part, halo, (8, 12, 1), &bounds);
+        let plan = Arc::new(HaloPlan::new(&brick, 1, &part, halo, (8, 12, 1), &bounds));
         let read = (0, stencil.extent_y(), 0);
-        let sched = ShellSchedule::new(&plan, &brick, (8, 12, 1), &bounds, &stencil, None, read, k);
+        let sched = ShellSchedule::new(
+            &plan,
+            1,
+            &part,
+            (8, 12, 1),
+            &bounds,
+            &stencil,
+            None,
+            read,
+            k,
+        );
         (sched, plan, brick)
     }
 
@@ -412,7 +370,7 @@ mod tests {
             for b in [Boundary::Clamp, Boundary::Periodic] {
                 // ShellSchedule::new asserts the invariant internally.
                 let (sched, _, _) = schedule_for(k, b);
-                assert_eq!(sched.steps_per_exchange(), k);
+                assert_eq!(sched.k, k);
             }
         }
     }
@@ -430,11 +388,8 @@ mod tests {
         serial.step();
 
         // Shell at time t from the global grid; brick buffers likewise.
-        let mut shell: Vec<f64> = sched
-            .coords
-            .iter()
-            .map(|&(x, y, z)| global.at(x, y, z))
-            .collect();
+        let coords: Vec<_> = plan.cells().collect();
+        let mut shell: Vec<f64> = coords.iter().map(|&(x, y, z)| global.at(x, y, z)).collect();
         let previous = Grid3D::from_fn(brick.x_len, brick.y_len, brick.z_len, |x, y, z| {
             global.at(brick.x0 + x, brick.y0 + y, brick.z0 + z)
         });
@@ -448,33 +403,32 @@ mod tests {
             sched.advance(&mut shell, &mut scratch, &previous, &current, 0, &[], true);
         assert_eq!((det, corr), (0, 0), "clean advance must not trip the guard");
         for adv in &sched.advances {
-            let (x, y, z) = sched.coords[adv.slot];
+            let (x, y, z) = coords[adv.slot];
             assert_eq!(
                 shell[adv.slot].to_bits(),
                 serial.current().at(x, y, z).to_bits(),
                 "advanced ghost ({x}, {y}, {z}) diverged from the serial sweep"
             );
         }
-        let _ = plan;
     }
 
     #[test]
     fn guard_detects_and_repairs_an_injected_shell_flip() {
-        let (sched, _, brick) = schedule_for(2, Boundary::Clamp);
+        let (sched, plan, brick) = schedule_for(2, Boundary::Clamp);
         let global = Grid3D::from_fn(8, 12, 1, |x, y, _| (x + y) as f64 * 0.5 + 1.0);
         let previous = Grid3D::from_fn(brick.x_len, brick.y_len, brick.z_len, |x, y, z| {
             global.at(brick.x0 + x, brick.y0 + y, brick.z0 + z)
         });
         let current = previous.clone();
-        let mut shell: Vec<f64> = sched
-            .coords
-            .iter()
-            .map(|&(x, y, z)| global.at(x, y, z))
-            .collect();
+        let seeded = || -> Vec<f64> { plan.cells().map(|(x, y, z)| global.at(x, y, z)).collect() };
+        let mut shell = seeded();
         let mut scratch = Vec::new();
         // Flip a cell the schedule actually advances.
         let adv = &sched.advances[0];
-        let (x, y, z) = sched.coords[adv.slot];
+        let (x, y, z) = plan
+            .cells()
+            .nth(adv.slot)
+            .expect("an advanced slot is planned");
         let flip = BitFlip {
             iteration: 0,
             x,
@@ -494,11 +448,7 @@ mod tests {
         assert_eq!((det, corr), (1, 1), "the guard must catch exactly the flip");
 
         // Without the guard the corruption survives in the shell.
-        let mut shell2: Vec<f64> = sched
-            .coords
-            .iter()
-            .map(|&(x, y, z)| global.at(x, y, z))
-            .collect();
+        let mut shell2 = seeded();
         let (det, corr) = sched.advance(
             &mut shell2,
             &mut scratch,

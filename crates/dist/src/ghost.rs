@@ -1,7 +1,7 @@
 //! The ghost source a rank's sweep and checksum interpolation read
 //! out-of-brick cells through.
 
-use crate::{Brick, HaloIndex};
+use crate::{Brick, HaloPlan};
 use abft_grid::{AxisHit, BoundarySpec, GhostCells};
 use abft_num::Real;
 use std::ops::Range;
@@ -19,21 +19,20 @@ use abft_core::OnlineAbft;
 /// checksum interpolation, so both see identical neighbour data — the
 /// precondition of [`OnlineAbft::sweep_shell_and_verify`].
 ///
-/// Cells are stored as one flat buffer of scalars in the rank's canonical
-/// cell order; `index` maps a resolved global `(x, y, z)` to its payload
-/// slot through the strip-backed [`HaloIndex`] (a `(z, y)` line-table
-/// index plus a range check). Both readers fetch whole lines
-/// ([`GhostCells::ghost_line`]): `(y, z)` resolve once per line and the
-/// cells are copied run by run, so the lookup is paid per line and the
-/// halo is read as memory. [`GhostCells::ghost`] — one cell, three axes
-/// resolved — serves what leaves the brick in x, and is the reference
-/// the bulk read is held to (on every line in debug builds, and by this
-/// module's property test in both profiles). The two share one
-/// resolution routine and one index lookup routine.
+/// Cells are stored as one flat buffer of scalars in the order of the
+/// rank's [`HaloPlan`], which maps a resolved global `(x, y, z)` to its
+/// payload slot: the box that contains it, plus an offset. Both readers
+/// fetch whole lines ([`GhostCells::ghost_line`]): `(y, z)` resolve once
+/// per line and the cells are copied box by box, so the lookup is paid
+/// per line and the halo is read as memory. [`GhostCells::ghost`] — one
+/// cell, three axes resolved — serves what leaves the brick in x, and is
+/// the reference the bulk read is held to (on every line in debug builds,
+/// and by this module's property test in both profiles). The two share
+/// one resolution routine and one lookup routine.
 #[derive(Debug, Clone)]
 pub struct HaloGhost<T> {
-    index: Arc<HaloIndex>,
-    /// The payload, one scalar per slot of `index`. The stepper fills it
+    plan: Arc<HaloPlan>,
+    /// The payload, one scalar per slot of `plan`. The stepper fills it
     /// at every exchange and decays it in place between exchanges.
     pub(crate) values: Vec<T>,
     bounds: BoundarySpec<T>,
@@ -46,17 +45,17 @@ pub struct HaloGhost<T> {
 }
 
 impl<T: Real> HaloGhost<T> {
-    /// A ghost source over `index` whose payload has yet to be exchanged.
+    /// A ghost source over `plan` whose payload has yet to be exchanged.
     pub(crate) fn new(
-        index: Arc<HaloIndex>,
+        plan: Arc<HaloPlan>,
         bounds: BoundarySpec<T>,
         brick: Brick,
         dims: (usize, usize, usize),
     ) -> Self {
         let (nx_global, ny_global, nz_global) = dims;
         Self {
-            values: Vec::with_capacity(index.len()),
-            index,
+            values: Vec::with_capacity(plan.len()),
+            plan,
             bounds,
             x0: brick.x0,
             y0: brick.y0,
@@ -114,7 +113,7 @@ impl<T: Real> GhostCells<T> for HaloGhost<T> {
             LineHit::Value(v) => return v,
         };
         let slot = self
-            .index
+            .plan
             .slot(gx, gy, gz)
             .unwrap_or_else(|| panic!("halo cell ({gx}, {gy}, {gz}) was not exchanged"));
         self.values[slot]
@@ -122,10 +121,9 @@ impl<T: Real> GhostCells<T> for HaloGhost<T> {
 
     /// A line is resolved once and copied: `x` is in range by contract
     /// (so it maps straight to global `x0 + x`), `(y, z)` resolve once for
-    /// the whole line, and the payload is copied run by run — in the
-    /// canonical order a line's cells are contiguous within each
-    /// producer's group. Debug builds compare every copied cell with
-    /// [`GhostCells::ghost`], which in turn cross-checks the hash witness.
+    /// the whole line, and the payload is copied box by box — a line's
+    /// cells are contiguous within each box it crosses. Debug builds
+    /// compare every copied cell with [`GhostCells::ghost`].
     fn ghost_line(&self, xs: Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
         let appended = out.len();
         match self.resolve_line(y, z) {
@@ -133,7 +131,7 @@ impl<T: Real> GhostCells<T> for HaloGhost<T> {
             LineHit::At(gy, gz) => {
                 let (mut gx, end) = (self.x0 + xs.start, self.x0 + xs.end);
                 while gx < end {
-                    let (slot, left) = self.index.run_at(gx, gy, gz).unwrap_or_else(|| {
+                    let (slot, left) = self.plan.run_at(gx, gy, gz).unwrap_or_else(|| {
                         panic!("halo cell ({gx}, {gy}, {gz}) was not exchanged")
                     });
                     let n = left.min(end - gx);
@@ -156,20 +154,20 @@ impl<T: Real> GhostCells<T> for HaloGhost<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HaloPlan, Partition3};
+    use crate::{HaloBox, Partition3};
     use abft_grid::Boundary;
     use proptest::prelude::*;
 
-    /// A ghost source over `index` whose payload is the slot number, so
+    /// A ghost source over `plan` whose payload is the slot number, so
     /// every exchanged cell holds a different value.
     fn numbered(
-        index: Arc<HaloIndex>,
+        plan: HaloPlan,
         bounds: BoundarySpec<f64>,
         brick: Brick,
         dims: (usize, usize, usize),
     ) -> HaloGhost<f64> {
-        let mut ghost = HaloGhost::new(index, bounds, brick, dims);
-        ghost.values = (0..ghost.index.len()).map(|s| s as f64 + 0.25).collect();
+        let mut ghost = HaloGhost::new(Arc::new(plan), bounds, brick, dims);
+        ghost.values = (0..ghost.plan.len()).map(|s| s as f64 + 0.25).collect();
         ghost
     }
 
@@ -242,7 +240,7 @@ mod tests {
             for me in 0..part.ranks() {
                 let brick = part.brick(me);
                 let plan = HaloPlan::new(&brick, me, &part, halo, dims, &bounds);
-                let ghost = numbered(plan.index.clone(), bounds, brick, dims);
+                let ghost = numbered(plan, bounds, brick, dims);
                 let (x_len, y_len, z_len) =
                     (brick.x_len, brick.y_len as isize, brick.z_len as isize);
                 let (hy, hz) = (halo.1 as isize, halo.2 as isize);
@@ -252,7 +250,7 @@ mod tests {
                             continue; // the brick's own line is no ghost line
                         }
                         // Empty, single-cell, whole-line and an arbitrary
-                        // sub-range (which straddles a run boundary
+                        // sub-range (which straddles a box boundary
                         // whenever the line has one).
                         let (a, b) = (cut.0 % x_len, cut.1 % x_len);
                         for xs in [a..a, a..a + 1, 0..x_len, a.min(b)..a.max(b) + 1] {
@@ -264,13 +262,18 @@ mod tests {
         }
     }
 
-    /// A line served by several runs (two producers, then a gap) on a
+    /// A line served by several boxes (two producers, then a gap) on a
     /// 8-wide brick whose row `y = -1` is global row 0.
     fn gapped_line() -> HaloGhost<f64> {
-        let groups = vec![
-            (0, vec![(0, 0, 0), (1, 0, 0), (2, 0, 0)]),
-            (1, vec![(3, 0, 0), (4, 0, 0), (6, 0, 0), (7, 0, 0)]),
-        ];
+        let row = |owner, x, base| HaloBox {
+            owner,
+            x,
+            y: 0..1,
+            z: 0..1,
+            base,
+        };
+        let plan = HaloPlan::from_boxes(vec![row(0, 0..3, 0), row(1, 3..5, 3), row(1, 6..8, 5)]);
+        assert_eq!(plan.len(), 7);
         let brick = Brick {
             x0: 0,
             x_len: 8,
@@ -279,9 +282,7 @@ mod tests {
             z0: 0,
             z_len: 1,
         };
-        let index = Arc::new(HaloIndex::new(&groups));
-        assert_eq!(index.n_runs(), 3);
-        numbered(index, BoundarySpec::clamp(), brick, (8, 9, 1))
+        numbered(plan, BoundarySpec::clamp(), brick, (8, 9, 1))
     }
 
     #[test]

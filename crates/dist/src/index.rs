@@ -1,31 +1,32 @@
-//! Halo planning: which cells a rank needs, in what canonical order they
-//! travel, how fast an out-of-brick read finds its payload slot, and how
-//! much traffic each halo channel carries.
+//! Halo planning: which cells a rank needs, as **boxes** — the one
+//! representation every later stage reads, from the plan to the payload —
+//! and how much traffic each halo channel carries.
 //!
-//! # Strip indexing
+//! # Boxes
 //!
-//! A rank's halo is a set of global `(x, y, z)` cells — the full 3-D
-//! shell around its brick: x/y/z **faces**, the **edges** where two axis
-//! windows meet and the **corners** where all three do — flattened into
-//! one payload whose order both endpoints derive independently (see
-//! [`group_cells`]). Through PR 3 the cell → payload-slot map was a
-//! `HashMap`, uniform for any topology but paying a SipHash per ghost
-//! read on the edge-sweep hot path.
+//! A rank's halo is the full 3-D shell around its brick: x/y/z **faces**,
+//! the **edges** where two axis windows meet and the **corners** where all
+//! three do — a product of three per-axis windows, so it is planned per
+//! axis. Along each axis, `brick ∪ window` (the window being what the
+//! `halo` out-of-brick coordinates on either side resolve to through the
+//! global boundary) is cut into maximal intervals of constant owning rank
+//! coordinate and window membership. Every combination of an x, a y and a
+//! z interval with at least one window interval is one [`HaloBox`]: a
+//! global `x × y × z` range with a single owner.
 //!
-//! [`HaloIndex`] exploits the halo's *density*: in the canonical
-//! z-major, row-major order, consecutive slots form maximal **runs** of
-//! x-consecutive cells at a fixed `(y, z)` line (a face strip is a single
-//! run per line; x-face strips contribute one short run per line; edge
-//! and corner patches extend or add runs). A lookup then resolves with
-//! two table indexings and a range check — index the `(z, y)` line table,
-//! range-check `x` against the run — instead of hashing, and it is paid
-//! **per line**, not per read: `HaloIndex::run_at` also says how far
-//! the run extends, so a whole ghost line is one lookup and one slice
-//! copy per run ([`crate::HaloGhost`]'s bulk read).
-//!
-//! The PR 3 hash path is kept **only** as the witness of bitwise
-//! equivalence: it is compiled under `debug_assertions`, where every strip
-//! lookup is cross-checked against it.
+//! [`HaloPlan`] is that short, disjoint list — two boxes for an interior
+//! y-slab, 26 for the centre brick of a 3×3×3 grid — ordered self-owned
+//! first (boundary folds the rank serves to itself), then by ascending
+//! owner, each box's cells z-major row-major from its `base`. The list
+//! *is* the payload layout, both endpoints of a channel derive it
+//! independently, and everything else is read off it: a producer packs
+//! one slice copy per `(y, z)` line of each box it owes; a ghost read is
+//! per-axis containment plus an offset (`HaloPlan::run_at`: the plan
+//! keeps the per-axis intervals and which box each triple of them is, so
+//! a lookup is three short scans, not a pass over the boxes; it also says
+//! how far the box's line extends, so a ghost line is one lookup and one
+//! slice copy per box it crosses); the unique / self / remote cell counts
+//! are box volumes and the messages per epoch the distinct remote owners.
 //!
 //! # Traffic accounting
 //!
@@ -37,202 +38,45 @@
 //! [`crate::RankReport`] surfaces it per rank;
 //! [`crate::DistReport::total_traffic`] aggregates it.
 
+use crate::partition::axis_owner;
 use crate::{Brick, Partition3};
 use abft_grid::{AxisHit, Boundary, BoundarySpec};
 use abft_num::Real;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
-#[cfg(debug_assertions)]
-use std::collections::HashMap;
-
-/// A rank's halo cells grouped by producing rank, in the canonical
-/// payload order (self first, then ascending producers; each group
-/// z-major row-major, i.e. sorted by `(z, y, x)`).
-pub type CellGroups = Vec<(usize, Vec<(usize, usize, usize)>)>;
-
-/// One maximal x-consecutive run of halo cells at a fixed global `(y, z)`
-/// line: cells `(x0 .. x0+len, y, z)` occupy payload slots
-/// `base .. base+len` (stride 1 in the canonical order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
-    x0: usize,
-    len: usize,
-    base: usize,
+/// One box of a rank's halo: the global cells `x × y × z`, all owned by
+/// rank `owner`, occupying payload slots `base .. base + volume()` in
+/// z-major row-major order (so every `(y, z)` line of the box is one
+/// contiguous run of slots, and of the owner's brick).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HaloBox {
+    /// The rank whose brick holds these cells (the consumer itself for a
+    /// boundary fold).
+    pub owner: usize,
+    /// Global `x` range.
+    pub x: Range<usize>,
+    /// Global `y` range.
+    pub y: Range<usize>,
+    /// Global `z` range.
+    pub z: Range<usize>,
+    /// Payload slot of the box's first cell.
+    pub base: usize,
 }
 
-/// Cell → payload-slot resolution for one rank's halo.
-///
-/// The production path is arithmetic: `HaloIndex::run_at` indexes a
-/// per-line run table (`(z - z_min) · y_span + (y - y_min)`) and scans
-/// that line's runs (one for a face strip, rarely more than three on a
-/// decomposed grid) with a range check and an offset add. Debug builds
-/// cross-check every single-cell lookup against the legacy hash path.
-#[derive(Debug, Clone)]
-pub struct HaloIndex {
-    /// Smallest global `y` of any halo cell (line-table origin).
-    y_min: usize,
-    /// Smallest global `z` of any halo cell (line-table origin).
-    z_min: usize,
-    /// Number of `y` values the line table spans per `z`.
-    y_span: usize,
-    /// Per-line `(first_run, n_runs)` into `runs`, indexed by
-    /// `(z - z_min) · y_span + (y - y_min)`.
-    line_spans: Vec<(u32, u32)>,
-    /// All runs, grouped by line, in line-table order.
-    runs: Vec<Run>,
-    /// Total number of halo cells (payload slots).
-    len: usize,
-    /// The PR 3 path: uniform `HashMap` lookup, kept to prove bitwise
-    /// equivalence (debug builds assert it on every read).
-    #[cfg(debug_assertions)]
-    hash: HashMap<(usize, usize, usize), usize>,
-}
-
-impl HaloIndex {
-    /// Build the index over the canonical payload order of `groups`.
-    pub fn new(groups: &CellGroups) -> Self {
-        let mut tagged: Vec<((usize, usize), Run)> = Vec::new();
-        let mut slot = 0usize;
-        for (_, cells) in groups {
-            let mut current: Option<((usize, usize), Run)> = None;
-            for &(gx, gy, gz) in cells {
-                match &mut current {
-                    Some((line, run)) if *line == (gy, gz) && gx == run.x0 + run.len => {
-                        run.len += 1
-                    }
-                    _ => {
-                        if let Some(done) = current.take() {
-                            tagged.push(done);
-                        }
-                        current = Some((
-                            (gy, gz),
-                            Run {
-                                x0: gx,
-                                len: 1,
-                                base: slot,
-                            },
-                        ));
-                    }
-                }
-                slot += 1;
-            }
-            if let Some(done) = current.take() {
-                tagged.push(done);
-            }
-        }
-        let y_min = tagged.iter().map(|((y, _), _)| *y).min().unwrap_or(0);
-        let y_max = tagged.iter().map(|((y, _), _)| *y).max().unwrap_or(0);
-        let z_min = tagged.iter().map(|((_, z), _)| *z).min().unwrap_or(0);
-        let z_max = tagged.iter().map(|((_, z), _)| *z).max().unwrap_or(0);
-        let y_span = if tagged.is_empty() {
-            0
-        } else {
-            y_max - y_min + 1
-        };
-        let z_span = if tagged.is_empty() {
-            0
-        } else {
-            z_max - z_min + 1
-        };
-        tagged.sort_by_key(|((y, z), run)| (*z, *y, run.x0, run.base));
-        let mut line_spans = vec![(0u32, 0u32); z_span * y_span];
-        let mut runs = Vec::with_capacity(tagged.len());
-        for ((y, z), run) in tagged {
-            let span = &mut line_spans[(z - z_min) * y_span + (y - y_min)];
-            if span.1 == 0 {
-                span.0 = runs.len() as u32;
-            }
-            span.1 += 1;
-            runs.push(run);
-        }
-        Self {
-            y_min,
-            z_min,
-            y_span,
-            line_spans,
-            runs,
-            len: slot,
-            #[cfg(debug_assertions)]
-            hash: {
-                let mut hash = HashMap::with_capacity(slot);
-                let mut s = 0usize;
-                for (_, cells) in groups {
-                    for &cell in cells {
-                        hash.insert(cell, s);
-                        s += 1;
-                    }
-                }
-                hash
-            },
-        }
+impl HaloBox {
+    /// Number of cells (payload slots) in the box.
+    pub fn volume(&self) -> usize {
+        self.x.len() * self.y.len() * self.z.len()
     }
 
-    /// Number of halo cells (payload slots).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the halo is empty (value-like boundaries everywhere).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of strips (maximal x-consecutive runs) backing the index.
-    pub fn n_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Payload slot of global halo cell `(x, y, z)` — the single-cell
-    /// lookup.
-    ///
-    /// Resolves through the strip table (`HaloIndex::run_at`); debug
-    /// builds additionally assert the result against the hash path on
-    /// every call, so the whole equivalence test matrix doubles as a
-    /// strip-vs-hash proof.
-    #[inline]
-    pub fn slot(&self, x: usize, y: usize, z: usize) -> Option<usize> {
-        let slot = self.slot_strip(x, y, z);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            slot,
-            self.slot_hash(x, y, z),
-            "strip/hash halo-index divergence at ({x}, {y}, {z})"
-        );
-        slot
-    }
-
-    /// Strip-table lookup: the slot of `(x, y, z)` alone.
-    #[inline]
-    pub fn slot_strip(&self, x: usize, y: usize, z: usize) -> Option<usize> {
-        self.run_at(x, y, z).map(|(slot, _)| slot)
-    }
-
-    /// The index's one lookup routine: index the `(z, y)` line,
-    /// range-check its runs, offset. Returns the payload slot of
-    /// `(x, y, z)` and how many cells of its run start there — cells
-    /// `(x .. x + left, y, z)` occupy slots `slot .. slot + left`, so a
-    /// whole ghost line is found with one lookup per run.
-    #[inline]
-    pub(crate) fn run_at(&self, x: usize, y: usize, z: usize) -> Option<(usize, usize)> {
-        let dy = y.checked_sub(self.y_min)?;
-        if dy >= self.y_span {
-            return None;
-        }
-        let dz = z.checked_sub(self.z_min)?;
-        let &(first, n) = self.line_spans.get(dz * self.y_span + dy)?;
-        for run in &self.runs[first as usize..(first + n) as usize] {
-            let dx = x.wrapping_sub(run.x0);
-            if dx < run.len {
-                return Some((run.base + dx, run.len - dx));
-            }
-        }
-        None
-    }
-
-    /// The PR 3 `HashMap` lookup (equivalence witness).
-    #[cfg(debug_assertions)]
-    pub fn slot_hash(&self, x: usize, y: usize, z: usize) -> Option<usize> {
-        self.hash.get(&(x, y, z)).copied()
+    /// The box's cells in payload order.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.z.clone().flat_map(move |z| {
+            self.y
+                .clone()
+                .flat_map(move |y| self.x.clone().map(move |x| (x, y, z)))
+        })
     }
 }
 
@@ -393,24 +237,35 @@ impl std::fmt::Display for HaloTraffic {
     }
 }
 
-/// Everything one rank needs to exchange halos: the canonical cell
-/// groups, the payload-slot index and the per-channel traffic volumes.
+/// Everything one rank needs to exchange halos: the boxes of its halo
+/// shell in payload order, and the per-channel traffic volumes.
 #[derive(Debug, Clone)]
 pub struct HaloPlan {
-    /// Needed cells grouped by producing rank in canonical payload order.
-    pub groups: CellGroups,
-    /// Cell → payload-slot index (strip-backed).
-    pub index: std::sync::Arc<HaloIndex>,
+    /// Disjoint boxes, self-owned first, then ascending owner; `base`
+    /// runs on from box to box.
+    boxes: Vec<HaloBox>,
+    /// The x, y and z intervals the boxes are products of, each ascending.
+    segments: [Vec<Range<usize>>; 3],
+    /// Per `(z, y, x)` triple of `segments`, its box's index in `boxes`;
+    /// `None` where no axis is a window (brick cells: not halo).
+    box_of: Vec<Option<usize>>,
     /// Analytic per-channel traffic volumes.
     pub traffic: HaloTraffic,
 }
 
+/// A maximal interval of `brick ∪ window` along one axis on which the
+/// owning rank coordinate and window membership are both constant.
+struct Segment {
+    range: Range<usize>,
+    owner: usize,
+    window: bool,
+}
+
 impl HaloPlan {
-    /// Plan rank `me`'s halo: resolve the out-of-brick windows through the
-    /// global boundaries, group the needed cells by owner, build the
-    /// strip index and tally the per-channel volumes.
-    /// `halo = (hx, hy, hz)` is the per-axis halo depth (0 disables the
-    /// axis) and `dims` the global domain.
+    /// Plan rank `me`'s halo: cut each axis into segments through the
+    /// global boundaries, take their product as boxes and tally the
+    /// per-channel volumes. `halo = (hx, hy, hz)` is the per-axis halo
+    /// depth (0 disables the axis) and `dims` the global domain.
     pub fn new<T: Real>(
         brick: &Brick,
         me: usize,
@@ -419,38 +274,141 @@ impl HaloPlan {
         dims: (usize, usize, usize),
         bounds: &BoundarySpec<T>,
     ) -> Self {
-        let (hx, hy, hz) = halo;
-        let (nx, ny, nz) = dims;
-        let wx = resolved_window(brick.x0, brick.x_len, hx, nx, &bounds.x);
-        let wy = resolved_window(brick.y0, brick.y_len, hy, ny, &bounds.y);
-        let wz = resolved_window(brick.z0, brick.z_len, hz, nz, &bounds.z);
-        let cells = needed_halo_cells(brick, &wx, &wy, &wz);
-        let self_cells = cells
-            .iter()
-            .filter(|&&(x, y, z)| brick.contains(x, y, z))
-            .count();
-        let groups = group_cells(cells.clone(), part, me);
-        let epoch_messages = groups.iter().filter(|(owner, _)| *owner != me).count();
-        let traffic = HaloTraffic {
-            row_cells: brick.x_len * wy.len() * brick.z_len,
-            col_cells: wx.len() * brick.y_len * brick.z_len,
-            corner_cells: wx.len() * wy.len() * brick.z_len,
-            zface_cells: brick.x_len * brick.y_len * wz.len(),
-            zedge_cells: (wx.len() * brick.y_len + brick.x_len * wy.len()) * wz.len(),
-            zcorner_cells: wx.len() * wy.len() * wz.len(),
-            unique_cells: cells.len(),
-            self_cells,
-            remote_cells: cells.len() - self_cells,
-            cell_bytes: std::mem::size_of::<T>(),
-            epoch_messages,
+        let [cols, rows, layers] = part.axes();
+        let xs = axis_segments(brick.x0, brick.x_len, halo.0, dims.0, &bounds.x, cols);
+        let ys = axis_segments(brick.y0, brick.y_len, halo.1, dims.1, &bounds.y, rows);
+        let zs = axis_segments(brick.z0, brick.z_len, halo.2, dims.2, &bounds.z, layers);
+        // The shell is every combination with at least one window axis:
+        // faces, edges and corners, so diagonal taps and the checksum
+        // interpolation's cross-axis terms need no extra message kind.
+        let mut boxes = Vec::new();
+        for (iz, sz) in zs.iter().enumerate() {
+            for (iy, sy) in ys.iter().enumerate() {
+                for (ix, sx) in xs.iter().enumerate() {
+                    if sx.window || sy.window || sz.window {
+                        let triple = (iz * ys.len() + iy) * xs.len() + ix;
+                        let halo_box = HaloBox {
+                            owner: (sz.owner * part.ry() + sy.owner) * part.rx() + sx.owner,
+                            x: sx.range.clone(),
+                            y: sy.range.clone(),
+                            z: sz.range.clone(),
+                            base: 0,
+                        };
+                        boxes.push((triple, halo_box));
+                    }
+                }
+            }
+        }
+        // Stable, so an owner's boxes keep their (z, y, x) segment order.
+        boxes.sort_by_key(|(_, b)| (b.owner != me, b.owner));
+        let mut box_of = vec![None; xs.len() * ys.len() * zs.len()];
+        let (mut unique_cells, mut self_cells) = (0, 0);
+        for (i, (triple, b)) in boxes.iter_mut().enumerate() {
+            box_of[*triple] = Some(i);
+            b.base = unique_cells;
+            unique_cells += b.volume();
+            self_cells += if b.owner == me { b.volume() } else { 0 };
+        }
+        let boxes: Vec<HaloBox> = boxes.into_iter().map(|(_, b)| b).collect();
+        let mut producers: Vec<usize> = boxes.iter().map(|b| b.owner).collect();
+        producers.dedup();
+        let window = |segs: &[Segment]| -> usize {
+            let in_window = segs.iter().filter(|s| s.window);
+            in_window.map(|s| s.range.len()).sum()
         };
-        let index = std::sync::Arc::new(HaloIndex::new(&groups));
+        let (wx, wy, wz) = (window(&xs), window(&ys), window(&zs));
         Self {
-            groups,
-            index,
-            traffic,
+            traffic: HaloTraffic {
+                row_cells: brick.x_len * wy * brick.z_len,
+                col_cells: wx * brick.y_len * brick.z_len,
+                corner_cells: wx * wy * brick.z_len,
+                zface_cells: brick.x_len * brick.y_len * wz,
+                zedge_cells: (wx * brick.y_len + brick.x_len * wy) * wz,
+                zcorner_cells: wx * wy * wz,
+                unique_cells,
+                self_cells,
+                remote_cells: unique_cells - self_cells,
+                cell_bytes: std::mem::size_of::<T>(),
+                epoch_messages: producers.iter().filter(|&&p| p != me).count(),
+            },
+            boxes,
+            segments: [xs, ys, zs].map(|segs| segs.into_iter().map(|s| s.range).collect()),
+            box_of,
         }
     }
+
+    /// The boxes, in payload order.
+    pub fn boxes(&self) -> &[HaloBox] {
+        &self.boxes
+    }
+
+    /// The boxes grouped by owner: one slice per producer, the rank's own
+    /// first. A remote slice is exactly one message per exchange.
+    pub(crate) fn owed(&self) -> impl Iterator<Item = &[HaloBox]> {
+        self.boxes.chunk_by(|a, b| a.owner == b.owner)
+    }
+
+    /// Every halo cell, in payload order: the `i`-th cell occupies slot `i`.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.boxes.iter().flat_map(HaloBox::cells)
+    }
+
+    /// Number of halo cells (payload slots).
+    pub fn len(&self) -> usize {
+        self.boxes.last().map_or(0, |b| b.base + b.volume())
+    }
+
+    /// Whether the halo is empty (value-like boundaries everywhere).
+    pub fn is_empty(&self) -> bool {
+        self.boxes.is_empty()
+    }
+
+    /// Payload slot of global halo cell `(x, y, z)`, or `None` when the
+    /// cell is not exchanged.
+    #[inline]
+    pub fn slot(&self, x: usize, y: usize, z: usize) -> Option<usize> {
+        self.run_at(x, y, z).map(|(slot, _)| slot)
+    }
+
+    /// The plan's one lookup: find each coordinate's segment, then the
+    /// triple's box, and offset into it. Returns the payload slot of
+    /// `(x, y, z)` and how many cells of its box's line start there —
+    /// cells `(x .. x + left, y, z)` occupy slots `slot .. slot + left`.
+    #[inline]
+    pub(crate) fn run_at(&self, x: usize, y: usize, z: usize) -> Option<(usize, usize)> {
+        let [xs, ys, zs] = &self.segments;
+        let at = |segs: &[Range<usize>], q: usize| segs.iter().position(|s| s.contains(&q));
+        let (ix, iy, iz) = (at(xs, x)?, at(ys, y)?, at(zs, z)?);
+        let b = &self.boxes[self.box_of[(iz * ys.len() + iy) * xs.len() + ix]?];
+        let line = (z - b.z.start) * b.y.len() + (y - b.y.start);
+        Some((b.base + line * b.x.len() + (x - b.x.start), b.x.end - x))
+    }
+}
+
+/// Cut `brick ∪ window` along one axis into [`Segment`]s. The window is
+/// what the `halo` coordinates on either side of `start .. start + len`
+/// resolve to through the global boundary.
+fn axis_segments<T: Real>(
+    start: usize,
+    len: usize,
+    halo: usize,
+    n: usize,
+    b: &Boundary<T>,
+    parts: &[(usize, usize)],
+) -> Vec<Segment> {
+    let window = resolved_window(start, len, halo, n, b);
+    let coords: BTreeSet<usize> = (start..start + len).chain(window.iter().copied()).collect();
+    let tagged: Vec<(usize, usize, bool)> = coords
+        .into_iter()
+        .map(|q| (q, axis_owner(parts, q), window.contains(&q)))
+        .collect();
+    let runs = tagged.chunk_by(|a, b| a.0 + 1 == b.0 && (a.1, a.2) == (b.1, b.2));
+    runs.map(|run| Segment {
+        range: run[0].0..run[0].0 + run.len(),
+        owner: run[0].1,
+        window: run[0].2,
+    })
+    .collect()
 }
 
 /// The in-domain cells one axis window `start-halo..start+len+halo`
@@ -458,7 +416,7 @@ impl HaloPlan {
 /// contribute nothing; clamp/reflect at the outer edges fold into
 /// in-domain cells (possibly the brick's own), periodic wraps around the
 /// torus.
-pub(crate) fn resolved_window<T: Real>(
+fn resolved_window<T: Real>(
     start: usize,
     len: usize,
     halo: usize,
@@ -475,82 +433,114 @@ pub(crate) fn resolved_window<T: Real>(
     set
 }
 
-/// The set of global cells a brick needs to satisfy every possible
-/// out-of-brick read, given the already-resolved per-axis windows: the
-/// full 3-D halo shell — x/y/z faces, xy/xz/yz edges and xyz corners,
-/// i.e. every combination of `(Wx ∪ brick-x) × (Wy ∪ brick-y) ×
-/// (Wz ∪ brick-z)` with at least one window axis. The shell always
-/// includes edges and corners, so diagonal stencil taps and the checksum
-/// interpolation's cross-axis correction terms are served without any
-/// extra message kind.
-pub(crate) fn needed_halo_cells(
-    brick: &Brick,
-    wx: &BTreeSet<usize>,
-    wy: &BTreeSet<usize>,
-    wz: &BTreeSet<usize>,
-) -> BTreeSet<(usize, usize, usize)> {
-    let bx = || brick.x0..brick.x0 + brick.x_len;
-    let by = || brick.y0..brick.y0 + brick.y_len;
-    let bz = || brick.z0..brick.z0 + brick.z_len;
-    let mut cells = BTreeSet::new();
-    // y-faces + xy-edges (all brick z-layers).
-    for &gy in wy {
-        for gz in bz() {
-            for gx in bx() {
-                cells.insert((gx, gy, gz));
-            }
-            for &gx in wx {
-                cells.insert((gx, gy, gz));
-            }
-        }
-    }
-    // x-faces (all brick z-layers).
-    for &gx in wx {
-        for gz in bz() {
-            for gy in by() {
-                cells.insert((gx, gy, gz));
-            }
-        }
-    }
-    // z-faces + xz/yz-edges + xyz-corners.
-    for &gz in wz {
-        for gy in by().chain(wy.iter().copied()) {
-            for gx in bx().chain(wx.iter().copied()) {
-                cells.insert((gx, gy, gz));
-            }
-        }
-    }
-    cells
-}
+/// The per-cell construction the boxes replaced, kept as the reference
+/// the box product is proven against (`tests::boxes_equal_cell_lists`).
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::BTreeMap;
 
-/// Group a rank's needed cells by producing rank in the canonical payload
-/// order — self-owned first, then ascending rank, each group z-major
-/// row-major (sorted by `(z, y, x)`, so x-consecutive cells occupy
-/// consecutive payload slots and the strip index stays dense).
-pub(crate) fn group_cells(
-    cells: BTreeSet<(usize, usize, usize)>,
-    part: &Partition3,
-    me: usize,
-) -> CellGroups {
-    let mut by_owner: BTreeMap<usize, Vec<(usize, usize, usize)>> = BTreeMap::new();
-    for (gx, gy, gz) in cells {
-        let (owner, _, _, _) = part.owner(gx, gy, gz);
-        by_owner.entry(owner).or_default().push((gx, gy, gz));
+    /// A rank's halo cells grouped by producing rank: self first, then
+    /// ascending producers.
+    pub(super) type OwedCells = Vec<(usize, Vec<(usize, usize, usize)>)>;
+
+    /// The set of global cells a brick needs to satisfy every possible
+    /// out-of-brick read: every combination of `(Wx ∪ brick-x) ×
+    /// (Wy ∪ brick-y) × (Wz ∪ brick-z)` with at least one window axis.
+    pub(super) fn needed_halo_cells<T: Real>(
+        brick: &Brick,
+        halo: (usize, usize, usize),
+        dims: (usize, usize, usize),
+        bounds: &BoundarySpec<T>,
+    ) -> BTreeSet<(usize, usize, usize)> {
+        let wx = resolved_window(brick.x0, brick.x_len, halo.0, dims.0, &bounds.x);
+        let wy = resolved_window(brick.y0, brick.y_len, halo.1, dims.1, &bounds.y);
+        let wz = resolved_window(brick.z0, brick.z_len, halo.2, dims.2, &bounds.z);
+        let bx = || brick.x0..brick.x0 + brick.x_len;
+        let by = || brick.y0..brick.y0 + brick.y_len;
+        let bz = || brick.z0..brick.z0 + brick.z_len;
+        let mut cells = BTreeSet::new();
+        // y-faces + xy-edges (all brick z-layers).
+        for &gy in &wy {
+            for gz in bz() {
+                for gx in bx() {
+                    cells.insert((gx, gy, gz));
+                }
+                for &gx in &wx {
+                    cells.insert((gx, gy, gz));
+                }
+            }
+        }
+        // x-faces (all brick z-layers).
+        for &gx in &wx {
+            for gz in bz() {
+                for gy in by() {
+                    cells.insert((gx, gy, gz));
+                }
+            }
+        }
+        // z-faces + xz/yz-edges + xyz-corners.
+        for &gz in &wz {
+            for gy in by().chain(wy.iter().copied()) {
+                for gx in bx().chain(wx.iter().copied()) {
+                    cells.insert((gx, gy, gz));
+                }
+            }
+        }
+        cells
     }
-    let mut groups: CellGroups = Vec::with_capacity(by_owner.len());
-    if let Some(own) = by_owner.remove(&me) {
-        groups.push((me, own));
+
+    /// Group a rank's needed cells by producing rank — self-owned first,
+    /// then ascending rank.
+    pub(super) fn group_cells(
+        cells: BTreeSet<(usize, usize, usize)>,
+        part: &Partition3,
+        me: usize,
+    ) -> OwedCells {
+        let mut by_owner: BTreeMap<usize, Vec<(usize, usize, usize)>> = BTreeMap::new();
+        for (gx, gy, gz) in cells {
+            let (owner, _, _, _) = part.owner(gx, gy, gz);
+            by_owner.entry(owner).or_default().push((gx, gy, gz));
+        }
+        let mut groups: OwedCells = Vec::with_capacity(by_owner.len());
+        if let Some(own) = by_owner.remove(&me) {
+            groups.push((me, own));
+        }
+        groups.extend(by_owner);
+        groups
     }
-    groups.extend(by_owner);
-    for (_, group) in &mut groups {
-        group.sort_unstable_by_key(|&(x, y, z)| (z, y, x));
-    }
-    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl HaloPlan {
+        /// A plan over hand-built `boxes`, for tests of shapes a tensor
+        /// rank grid never produces: their distinct per-axis ranges are
+        /// the segments.
+        pub(crate) fn from_boxes(boxes: Vec<HaloBox>) -> Self {
+            let axis = |range: fn(&HaloBox) -> &Range<usize>| -> Vec<Range<usize>> {
+                let starts: BTreeSet<usize> = boxes.iter().map(|b| range(b).start).collect();
+                let of = |start| boxes.iter().map(range).find(|r| r.start == start);
+                starts.into_iter().map(|s| of(s).unwrap().clone()).collect()
+            };
+            let segments = [axis(|b| &b.x), axis(|b| &b.y), axis(|b| &b.z)];
+            let at = |a: usize, r: &Range<usize>| segments[a].iter().position(|s| s == r).unwrap();
+            let mut box_of = vec![None; segments.iter().map(Vec::len).product()];
+            for (i, b) in boxes.iter().enumerate() {
+                let (ix, iy, iz) = (at(0, &b.x), at(1, &b.y), at(2, &b.z));
+                box_of[(iz * segments[1].len() + iy) * segments[0].len() + ix] = Some(i);
+            }
+            Self {
+                boxes,
+                segments,
+                box_of,
+                traffic: HaloTraffic::default(),
+            }
+        }
+    }
 
     fn plan_for(
         brick: Brick,
@@ -563,10 +553,99 @@ mod tests {
         HaloPlan::new(&brick, me, part, halo, dims, bounds)
     }
 
+    fn boundary(kind: usize) -> Boundary<f64> {
+        match kind {
+            0 => Boundary::Clamp,
+            1 => Boundary::Periodic,
+            2 => Boundary::Reflect,
+            3 => Boundary::Zero,
+            _ => Boundary::Constant(2.5),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(24))]
+
+        /// The box product is the per-cell construction: over the rank
+        /// grids, boundary mixes and shell depths the substrate runs, every
+        /// rank's boxes hold the same cells with the same owner, each in
+        /// exactly one payload slot, `slot()` is a bijection onto
+        /// `0..len`, each producer owes the same cells (so no message
+        /// changes size), and everything else misses.
+        #[test]
+        fn boxes_equal_cell_lists(
+            grid in prop_oneof![
+                Just((1usize, 2usize, 1usize)),
+                Just((2, 2, 1)),
+                Just((2, 2, 2)),
+                Just((1, 4, 1)),
+                Just((3, 3, 3)),
+            ],
+            kinds in (0usize..5, 0usize..5, 0usize..5),
+            k in 1usize..=2,
+            reach in 1usize..=2,
+            dims in (8usize..=13, 9usize..=14, 4usize..=6),
+        ) {
+            let (rx, ry, rz) = grid;
+            let (nx, ny, nz) = dims;
+            let bounds = BoundarySpec {
+                x: boundary(kinds.0),
+                y: boundary(kinds.1),
+                z: boundary(kinds.2),
+            };
+            let part = Partition3::new(nx, ny, nz, rx, ry, rz);
+            // An axis exchanges only when it is decomposed (y always is),
+            // and admission keeps a shell narrower than its axis.
+            let depth = |ranks: usize, n: usize| if ranks > 1 { (k * reach).min(n - 1) } else { 0 };
+            let halo = (depth(rx, nx), (k * reach).min(ny - 1), depth(rz, nz));
+            for me in 0..part.ranks() {
+                let brick = part.brick(me);
+                let plan = plan_for(brick, me, &part, halo, dims, &bounds);
+                let cells = oracle::needed_halo_cells(&brick, halo, dims, &bounds);
+                let groups = oracle::group_cells(cells.clone(), &part, me);
+
+                prop_assert_eq!(plan.len(), cells.len(), "rank {}: a cell twice or missing", me);
+                prop_assert_eq!(plan.is_empty(), cells.is_empty());
+                for (slot, (x, y, z)) in plan.cells().enumerate() {
+                    prop_assert!(cells.contains(&(x, y, z)), "rank {}: ({}, {}, {}) not needed", me, x, y, z);
+                    prop_assert_eq!(plan.slot(x, y, z), Some(slot), "rank {}: slot of ({}, {}, {})", me, x, y, z);
+                }
+                // Producer by producer, in message order: the same owner
+                // and the same cells.
+                let owed: Vec<_> = plan.owed().collect();
+                prop_assert_eq!(owed.len(), groups.len(), "rank {}: producers", me);
+                for (boxes, (owner, group)) in owed.iter().zip(&groups) {
+                    let mut boxed: Vec<_> = boxes.iter().flat_map(HaloBox::cells).collect();
+                    for b in boxes.iter() {
+                        prop_assert_eq!(b.owner, *owner);
+                        for (x, y, z) in b.cells() {
+                            prop_assert_eq!(part.owner(x, y, z).0, *owner);
+                        }
+                    }
+                    boxed.sort_unstable();
+                    prop_assert_eq!(&boxed, group, "rank {}: cells owed by {}", me, owner);
+                }
+                // Misses miss, over the domain plus a guard band.
+                for z in 0..nz + 2 {
+                    for y in 0..ny + 2 {
+                        for x in 0..nx + 2 {
+                            prop_assert_eq!(
+                                plan.slot(x, y, z).is_some(),
+                                cells.contains(&(x, y, z)),
+                                "rank {}: ({}, {}, {})", me, x, y, z
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn slab_halo_rows_are_one_run_per_line() {
         // Interior slab of a 1×3×1 split over 6×12×2: two full-width halo
-        // rows on two z-layers, each (y, z) line one contiguous run.
+        // rows on two z-layers — one box per neighbour, each of its
+        // (y, z) lines one contiguous run.
         let part = Partition3::new(6, 12, 2, 1, 3, 1);
         let brick = part.brick(1);
         let plan = plan_for(
@@ -577,11 +656,14 @@ mod tests {
             (6, 12, 2),
             &BoundarySpec::clamp(),
         );
-        assert_eq!(plan.index.len(), 6 * 2 * 2);
-        assert_eq!(plan.index.n_runs(), 4, "one run per halo row per layer");
-        for (slot, &(x, y, z)) in plan.groups.iter().flat_map(|(_, g)| g).enumerate() {
-            assert_eq!(plan.index.slot(x, y, z), Some(slot));
-            assert_eq!(plan.index.slot_strip(x, y, z), Some(slot));
+        assert_eq!(plan.len(), 6 * 2 * 2);
+        assert_eq!(plan.boxes().len(), 2, "one box per halo row");
+        for b in plan.boxes() {
+            assert_eq!((b.x.clone(), b.y.len(), b.z.clone()), (0..6, 1, 0..2));
+        }
+        for (slot, (x, y, z)) in plan.cells().enumerate() {
+            assert_eq!(plan.slot(x, y, z), Some(slot));
+            assert_eq!(plan.run_at(x, y, z), Some((slot, 6 - x)));
         }
     }
 
@@ -598,21 +680,20 @@ mod tests {
             &BoundarySpec::clamp(),
         );
         // In-brick interior cells, out-of-window rows, far columns and
-        // out-of-table z all miss without panicking.
-        assert_eq!(plan.index.slot_strip(2, 5, 0), None);
-        assert_eq!(plan.index.slot_strip(0, 0, 0), None);
-        assert_eq!(plan.index.slot_strip(99, 3, 0), None);
-        assert_eq!(plan.index.slot_strip(2, 99, 0), None);
-        assert_eq!(plan.index.slot_strip(2, 3, 99), None);
+        // out-of-shell z all miss without panicking.
+        assert_eq!(plan.slot(2, 5, 0), None);
+        assert_eq!(plan.slot(0, 0, 0), None);
+        assert_eq!(plan.slot(99, 3, 0), None);
+        assert_eq!(plan.slot(2, 99, 0), None);
+        assert_eq!(plan.slot(2, 3, 99), None);
     }
 
     #[test]
     fn interior_tile_ring_runs_follow_the_producer_groups() {
-        // Interior tile of a 3×3×1 grid over 9×9, halo 1: per z-layer the
-        // ring has 16 cells from 8 producers. Runs never span producer
-        // groups (slots are contiguous per group), so each layer's ring
-        // decomposes into 12 runs: one per corner patch (4), one per row
-        // strip (2) and one per row of each column strip (2 × 3).
+        // Interior tile of a 3×3×1 grid over 9×9, halo 1: the ring has 16
+        // cells from 8 producers. A box never spans producers, so the ring
+        // is 8 boxes: one cell per corner patch (4), a 3-cell row per row
+        // strip (2) and a 3-cell column per column strip (2).
         let part = Partition3::new(9, 9, 1, 3, 3, 1);
         let brick = part.brick(4);
         let plan = plan_for(
@@ -623,12 +704,31 @@ mod tests {
             (9, 9, 1),
             &BoundarySpec::clamp(),
         );
-        assert_eq!(plan.index.len(), 16);
-        assert_eq!(plan.index.n_runs(), 4 + 2 + 2 * 3);
+        assert_eq!(plan.len(), 16);
+        let owners: Vec<usize> = plan.boxes().iter().map(|b| b.owner).collect();
+        assert_eq!(owners, [0, 1, 2, 3, 5, 6, 7, 8]);
+        let shapes: Vec<_> = plan
+            .boxes()
+            .iter()
+            .map(|b| (b.x.len(), b.y.len()))
+            .collect();
+        assert_eq!(
+            shapes,
+            [
+                (1, 1),
+                (3, 1),
+                (1, 1),
+                (1, 3),
+                (1, 3),
+                (1, 1),
+                (3, 1),
+                (1, 1)
+            ]
+        );
         for corner in [(2, 2), (6, 2), (2, 6), (6, 6)] {
-            assert!(plan.index.slot(corner.0, corner.1, 0).is_some());
+            assert!(plan.slot(corner.0, corner.1, 0).is_some());
         }
-        assert_eq!(plan.index.slot(4, 4, 0), None, "brick interior not indexed");
+        assert_eq!(plan.slot(4, 4, 0), None, "brick interior not planned");
     }
 
     #[test]
@@ -645,7 +745,7 @@ mod tests {
             (9, 9, 9),
             &BoundarySpec::clamp(),
         );
-        assert_eq!(plan.index.len(), 5 * 5 * 5 - 3 * 3 * 3);
+        assert_eq!(plan.len(), 5 * 5 * 5 - 3 * 3 * 3);
         let t = plan.traffic;
         assert_eq!(t.row_cells, 3 * 2 * 3);
         assert_eq!(t.col_cells, 2 * 3 * 3);
@@ -653,39 +753,67 @@ mod tests {
         assert_eq!(t.zface_cells, 3 * 3 * 2);
         assert_eq!(t.zedge_cells, (2 * 3 + 3 * 2) * 2);
         assert_eq!(t.zcorner_cells, 2 * 2 * 2);
-        // z-face, z-edge and z-corner cells all resolve through the index.
+        // z-face, z-edge and z-corner cells all resolve through the plan.
         for cell in [(4, 4, 2), (2, 4, 2), (2, 2, 2), (4, 4, 6), (6, 6, 6)] {
             assert!(
-                plan.index.slot(cell.0, cell.1, cell.2).is_some(),
+                plan.slot(cell.0, cell.1, cell.2).is_some(),
                 "missing shell cell {cell:?}"
             );
         }
-        assert_eq!(plan.index.slot(4, 4, 4), None, "brick interior excluded");
+        assert_eq!(plan.slot(4, 4, 4), None, "brick interior excluded");
         // 26 producers: every face/edge/corner neighbour of the centre.
-        assert_eq!(plan.groups.len(), 26);
+        assert_eq!(plan.owed().count(), 26);
+        assert_eq!(t.epoch_messages, 26);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn strip_and_hash_agree_on_every_cell_and_on_misses() {
-        let part = Partition3::new(13, 14, 4, 2, 3, 2);
-        for boundary in [Boundary::Clamp, Boundary::Periodic] {
-            let bounds = BoundarySpec::<f64>::uniform(boundary);
-            for me in 0..part.ranks() {
-                let brick = part.brick(me);
-                let plan = plan_for(brick, me, &part, (2, 2, 1), (13, 14, 4), &bounds);
-                for z in 0..4 {
-                    for y in 0..14 {
-                        for x in 0..13 {
-                            assert_eq!(
-                                plan.index.slot_strip(x, y, z),
-                                plan.index.slot_hash(x, y, z),
-                                "divergence at ({x}, {y}, {z}) rank {me} {boundary:?}"
-                            );
-                        }
-                    }
-                }
-            }
+    fn centre_brick_of_3x3x3_plans_one_box_per_producer() {
+        let part = Partition3::new(9, 9, 9, 3, 3, 3);
+        let plan = plan_for(
+            part.brick(13),
+            13,
+            &part,
+            (1, 1, 1),
+            (9, 9, 9),
+            &BoundarySpec::clamp(),
+        );
+        assert_eq!(plan.boxes().len(), 26);
+        let owners: Vec<usize> = plan.boxes().iter().map(|b| b.owner).collect();
+        let expect: Vec<usize> = (0..27).filter(|&r| r != 13).collect();
+        assert_eq!(owners, expect);
+    }
+
+    #[test]
+    fn dist_halo_shape_plans_two_boxes_per_rank() {
+        // The benchmark's `dist-halo` job: 512×16×8 over 1×2 ranks, clamp,
+        // halo (0, 1, 0). Each rank needs one row of its neighbour and
+        // folds the clamped domain edge onto one row of its own: 8 192
+        // cells, two boxes.
+        let part = Partition3::new(512, 16, 8, 1, 2, 1);
+        for me in 0..2 {
+            let plan = plan_for(
+                part.brick(me),
+                me,
+                &part,
+                (0, 1, 0),
+                (512, 16, 8),
+                &BoundarySpec::clamp(),
+            );
+            assert_eq!(plan.len(), 2 * 512 * 8);
+            let boxes: Vec<_> = plan
+                .boxes()
+                .iter()
+                .map(|b| (b.owner, b.x.clone(), b.y.clone(), b.z.clone(), b.base))
+                .collect();
+            let (own_row, their_row) = [(0, 8), (15, 7)][me];
+            assert_eq!(
+                boxes,
+                [
+                    (me, 0..512, own_row..own_row + 1, 0..8, 0),
+                    (1 - me, 0..512, their_row..their_row + 1, 0..8, 4096),
+                ]
+            );
+            assert_eq!(plan.traffic.epoch_messages, 1);
         }
     }
 
@@ -701,16 +829,12 @@ mod tests {
             (10, 10, 4),
             &BoundarySpec::periodic(),
         );
-        let mut seen = vec![false; plan.index.len()];
-        let mut expected = 0usize;
-        for (_, group) in &plan.groups {
-            for &(x, y, z) in group {
-                let slot = plan.index.slot(x, y, z).expect("planned cell must resolve");
-                assert_eq!(slot, expected, "payload order broken at ({x}, {y}, {z})");
-                assert!(!seen[slot]);
-                seen[slot] = true;
-                expected += 1;
-            }
+        let mut seen = vec![false; plan.len()];
+        for (expected, (x, y, z)) in plan.cells().enumerate() {
+            let slot = plan.slot(x, y, z).expect("planned cell must resolve");
+            assert_eq!(slot, expected, "payload order broken at ({x}, {y}, {z})");
+            assert!(!seen[slot]);
+            seen[slot] = true;
         }
         assert!(seen.iter().all(|&s| s), "slots must cover 0..len");
     }
@@ -799,8 +923,9 @@ mod tests {
         let part = Partition3::new(5, 5, 1, 1, 1, 1);
         let brick = part.brick(0);
         let plan = plan_for(brick, 0, &part, (0, 1, 0), (5, 5, 1), &BoundarySpec::zero());
-        assert!(plan.index.is_empty());
-        assert_eq!(plan.index.slot_strip(0, 0, 0), None);
+        assert!(plan.is_empty());
+        assert_eq!(plan.len(), 0);
+        assert_eq!(plan.slot(0, 0, 0), None);
         assert_eq!(plan.traffic.unique_cells, 0);
         assert_eq!(plan.traffic.corner_share(), 0.0);
     }

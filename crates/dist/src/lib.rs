@@ -21,16 +21,16 @@
 //!   — the full 3-D halo shell: x/y/z face strips, the edge strips where
 //!   two axis windows meet (the 2-D decomposition's corner patches are
 //!   the xy-edges) and the corner patches where all three do — exactly
-//!   the values an MPI halo exchange would have delivered. Ghosts are
-//!   read a line at a time: [`HaloGhost`] resolves a line's `(y, z)`
-//!   once and copies it out of the payload through the strip-backed
-//!   [`HaloIndex`] (per-`(y, z)`-line runs with a base slot, so a lookup
-//!   is two table indexings and an offset — per line, not per cell;
-//!   debug builds cross-check every copied line against the single-cell
-//!   path, and that against the legacy hash path), and each rank's
-//!   [`HaloPlan`] records
-//!   per-channel traffic volumes ([`HaloTraffic`]: cells and bytes per
-//!   face/edge/corner channel);
+//!   the values an MPI halo exchange would have delivered. The shell is
+//!   planned as a short list of boxes ([`HaloPlan`]: one [`HaloBox`] per
+//!   producer and per-axis window segment, laid end to end in the
+//!   payload), and that list is the only description of it: producers
+//!   pack it line by line, and [`HaloGhost`] reads ghosts a line at a
+//!   time — a line's `(y, z)` resolve once, and a lookup is box
+//!   containment plus an offset, per line, not per cell (debug builds
+//!   cross-check every copied line against the single-cell path). Each
+//!   plan also records per-channel traffic volumes ([`HaloTraffic`]:
+//!   cells and bytes per face/edge/corner channel);
 //! * every rank advances through **one step machine** (`step.rs`): each
 //!   iteration the rank posts the halo cells it owes each consumer to
 //!   per-neighbour channels and sweeps its ghost-free interior window
@@ -96,7 +96,7 @@ mod worker;
 pub use config::{DistConfig, GridSpec, HaloMode};
 pub use error::DistError;
 pub use ghost::HaloGhost;
-pub use index::{CellGroups, HaloIndex, HaloPlan, HaloTraffic};
+pub use index::{HaloBox, HaloPlan, HaloTraffic};
 pub use partition::{auto_grid, decompose, Brick, Partition3};
 pub(crate) use report::gather_report;
 pub use report::{DistReport, PhaseTimings, RankReport};
@@ -106,21 +106,20 @@ pub use service::{
 pub(crate) use validate::{effective_halo, validate};
 
 /// One simulated rank: its brick simulation, optional protector, pending
-/// faults, halo plan (cell groups, strip index, traffic volumes) and
-/// accumulated phase timings.
+/// faults, halo plan (boxes, traffic volumes) and accumulated phase
+/// timings.
 pub(crate) struct Rank<T> {
     pub(crate) sim: StencilSim<T>,
     pub(crate) abft: Option<OnlineAbft<T>>,
     pub(crate) brick: Brick,
     pub(crate) flips: Vec<BitFlip>,
-    /// The rank's halo plan: global cells it needs every iteration,
-    /// grouped by producer (self-owned cells first — boundary folds the
-    /// rank serves to itself — then remote producers in ascending rank
-    /// order, each group z-major row-major). Concatenating the groups'
-    /// scalars in this order yields the per-iteration halo payload; the
-    /// plan's strip index resolves cells to payload slots. Shared with
-    /// the pool's topology cache — the plan is immutable, so jobs with
-    /// the same shape reuse one copy.
+    /// The rank's halo plan: the global cells it needs every exchange,
+    /// as boxes (self-owned first — boundary folds the rank serves to
+    /// itself — then remote producers in ascending rank order, each box
+    /// z-major row-major). Concatenating the boxes' scalars in this order
+    /// yields the halo payload, and the plan resolves cells to payload
+    /// slots. Shared with the pool's topology cache — the plan is
+    /// immutable, so jobs with the same shape reuse one copy.
     pub(crate) plan: Arc<HaloPlan>,
     pub(crate) timing: PhaseTimings,
     /// Ghost-shell faults to inject while this rank decays its shell
@@ -276,7 +275,8 @@ pub(crate) fn build_ranks<T: Real>(
                 shell: (k > 1).then(|| {
                     Arc::new(epoch::ShellSchedule::new(
                         &plans[r],
-                        &brick,
+                        r,
+                        part,
                         initial.dims(),
                         bounds,
                         stencil,
@@ -644,10 +644,7 @@ mod tests {
     ) -> BTreeSet<(usize, usize, usize)> {
         let brick = part.brick(rank);
         let plan = HaloPlan::new(&brick, rank, part, halo, dims, bounds);
-        plan.groups
-            .iter()
-            .flat_map(|(_, cells)| cells.iter().copied())
-            .collect()
+        plan.cells().collect()
     }
 
     #[test]
@@ -730,26 +727,29 @@ mod tests {
         let bounds = BoundarySpec::<f64>::clamp();
         let brick = part.brick(0);
         let plan = HaloPlan::new(&brick, 0, &part, (1, 1, 1), (6, 6, 4), &bounds);
-        assert_eq!(plan.groups[0].0, 0, "self group must come first");
-        let owners: Vec<usize> = plan.groups.iter().map(|(p, _)| *p).collect();
+        assert_eq!(plan.boxes()[0].owner, 0, "self boxes must come first");
+        let owners: Vec<usize> = plan.boxes().iter().map(|b| b.owner).collect();
         let mut sorted = owners.clone();
         sorted.sort_unstable();
         assert_eq!(owners[1..], sorted[1..], "producers ascending");
-        // The strip index enumerates the concatenated groups in order,
-        // and each group is z-major row-major so runs stay dense.
+        // The payload is the boxes laid end to end, each z-major
+        // row-major so every line of a box is one run of slots.
         let mut expected_slot = 0;
-        for (_, group) in &plan.groups {
+        for b in plan.boxes() {
+            assert_eq!(b.base, expected_slot, "boxes must tile the payload");
+            let cells: Vec<_> = b.cells().collect();
             assert!(
-                group
+                cells
                     .windows(2)
                     .all(|w| (w[0].2, w[0].1, w[0].0) < (w[1].2, w[1].1, w[1].0)),
-                "groups must be sorted z-major row-major"
+                "a box must enumerate z-major row-major"
             );
-            for &(x, y, z) in group {
-                assert_eq!(plan.index.slot(x, y, z), Some(expected_slot));
+            for (x, y, z) in cells {
+                assert_eq!(plan.slot(x, y, z), Some(expected_slot));
                 expected_slot += 1;
             }
         }
+        assert_eq!(expected_slot, plan.len());
     }
 
     #[test]

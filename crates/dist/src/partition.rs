@@ -124,6 +124,11 @@ impl Partition3 {
         }
     }
 
+    /// The `(start, len)` intervals the x, y and z axes are split into.
+    pub(crate) fn axes(&self) -> [&[(usize, usize)]; 3] {
+        [&self.cols, &self.rows, &self.layers]
+    }
+
     /// Which rank owns global cell `(x, y, z)`, plus its brick-local
     /// coordinates.
     pub fn owner(&self, x: usize, y: usize, z: usize) -> (usize, usize, usize, usize) {
@@ -139,7 +144,8 @@ impl Partition3 {
     }
 }
 
-fn axis_owner(parts: &[(usize, usize)], q: usize) -> usize {
+/// Index of the interval of `parts` that holds coordinate `q`.
+pub(crate) fn axis_owner(parts: &[(usize, usize)], q: usize) -> usize {
     for (i, &(start, len)) in parts.iter().enumerate() {
         if (start..start + len).contains(&q) {
             return i;

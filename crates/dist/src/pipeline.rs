@@ -22,12 +22,11 @@
 //! the worker snapshots them locally before sweeping.
 //!
 //! Messages carry no cell coordinates: both endpoints derive the same
-//! canonical cell order from the consumer's halo plan (self first, then
-//! producers ascending, each group z-major row-major — sorted by
-//! `(z, y, x)` so x-consecutive cells occupy consecutive payload slots),
-//! so a message is just the flat value payload and the consumer's
-//! prebuilt strip index ([`crate::HaloIndex`]) resolves lookups
-//! arithmetically.
+//! cell order from the consumer's halo plan — its boxes, self-owned first,
+//! then producers ascending, each box z-major row-major. A port holds the
+//! consumer's boxes its producer owns, the producer packs them line by
+//! line out of its brick, and the message is just the flat values: the
+//! consumer's [`HaloPlan`] finds a cell by box containment and an offset.
 //!
 //! Progress argument (no deadlock): consider the rank at the minimum
 //! iteration `t`. Every channel holds only messages for iterations `>=
@@ -49,26 +48,19 @@
 //! may hold stale messages), so the scheduler discards that one entry and
 //! rebuilds on next use.
 
-use crate::{Brick, HaloPlan, Partition3};
+use crate::{HaloBox, HaloPlan, Partition3};
 use abft_grid::BoundarySpec;
 use abft_num::Real;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
-/// Halo payload: the values of the owed cells, flat, in the consumer's
-/// canonical cell order.
+/// Halo payload: the values of the owed cells, flat, in the order of the
+/// consumer's boxes.
 pub(crate) type HaloMsg<T> = Vec<T>;
 
-/// Cells of one rank's brick in payload order, as `(flat start, len)`
-/// runs of the brick's storage. The canonical order is z-major row-major
-/// — the brick's own memory order — so x-consecutive owed cells are
-/// contiguous on both sides and a payload is packed with one slice copy
-/// per run instead of one gather per cell.
-pub(crate) type CellRuns = Vec<(usize, usize)>;
-
-/// An outgoing halo channel: the sender plus the producer's cells owed to
-/// that consumer every iteration.
-pub(crate) type SendPort<T> = (SyncSender<HaloMsg<T>>, CellRuns);
+/// An outgoing halo channel: the sender plus the consumer's boxes this
+/// producer owns, owed every exchange.
+pub(crate) type SendPort<T> = (SyncSender<HaloMsg<T>>, Vec<HaloBox>);
 
 /// Double-buffering depth of each halo channel: a producer can run at
 /// most this many iterations ahead of a consumer before its send blocks.
@@ -87,8 +79,8 @@ pub(crate) struct Ports<T> {
     /// (matching the consumer's payload layout); exactly one message per
     /// producer per iteration, in iteration order.
     pub(crate) recvs: Vec<Receiver<HaloMsg<T>>>,
-    /// The cells this rank serves to itself.
-    pub(crate) self_cells: CellRuns,
+    /// The boxes this rank serves to itself.
+    pub(crate) self_boxes: Vec<HaloBox>,
 }
 
 impl<T> Ports<T> {
@@ -96,7 +88,7 @@ impl<T> Ports<T> {
         Self {
             sends: Vec::new(),
             recvs: Vec::new(),
-            self_cells: Vec::new(),
+            self_boxes: Vec::new(),
         }
     }
 }
@@ -124,8 +116,8 @@ pub(crate) struct TopoKey<T> {
 /// channel endpoints, reusable across every job that shares the key.
 pub(crate) struct Topology<T> {
     pub(crate) key: TopoKey<T>,
-    /// Per-rank halo plans (cell groups, strip index, traffic volumes),
-    /// shared with each job's transient [`crate::Rank`] values.
+    /// Per-rank halo plans (boxes and traffic volumes), shared with each
+    /// job's transient [`crate::Rank`] values.
     pub(crate) plans: Vec<Arc<HaloPlan>>,
     /// Idle channel-endpoint sets, built lazily on first use (by either
     /// driver: both run over channels). A *stack* rather than a
@@ -139,38 +131,23 @@ pub(crate) struct Topology<T> {
 
 /// Wire up per-rank halo channels from the ranks' halo plans. Channels
 /// are created in consumer-major, ascending-producer order — the same
-/// deterministic order the plans list their groups in — so two builds of
+/// deterministic order the plans list their boxes in — so two builds of
 /// the same key are interchangeable.
-fn build_ports<T: Real>(plans: &[Arc<HaloPlan>], part: &Partition3) -> Vec<Ports<T>> {
+fn build_ports<T: Real>(plans: &[Arc<HaloPlan>]) -> Vec<Ports<T>> {
     let mut ports: Vec<Ports<T>> = (0..plans.len()).map(|_| Ports::empty()).collect();
     for (c, plan) in plans.iter().enumerate() {
-        for (p, cells) in &plan.groups {
-            let owed = cell_runs(cells, &part.brick(*p));
-            if *p == c {
-                ports[c].self_cells = owed;
+        for owed in plan.owed() {
+            let p = owed[0].owner;
+            if p == c {
+                ports[c].self_boxes = owed.to_vec();
             } else {
                 let (tx, rx) = sync_channel(CHANNEL_DEPTH);
-                ports[*p].sends.push((tx, owed));
+                ports[p].sends.push((tx, owed.to_vec()));
                 ports[c].recvs.push(rx);
             }
         }
     }
     ports
-}
-
-/// Global `cells` of `brick`, in payload order, as maximal runs of the
-/// brick's storage.
-fn cell_runs(cells: &[(usize, usize, usize)], brick: &Brick) -> CellRuns {
-    let mut runs = CellRuns::new();
-    for &(gx, gy, gz) in cells {
-        let flat =
-            ((gz - brick.z0) * brick.y_len + (gy - brick.y0)) * brick.x_len + (gx - brick.x0);
-        match runs.last_mut() {
-            Some((start, len)) if *start + *len == flat => *len += 1,
-            _ => runs.push((flat, 1)),
-        }
-    }
-    runs
 }
 
 /// The pool's topology store: a small keyed set of reusable topologies
@@ -237,13 +214,13 @@ impl<T: Real> TopologyCache<T> {
     /// is already carrying a concurrent same-key job. The caller must
     /// [`Self::check_in`] the set after a clean job, or [`Self::discard`]
     /// the entry after a panicked one.
-    pub(crate) fn check_out(&mut self, key: &TopoKey<T>, part: &Partition3) -> Vec<Ports<T>> {
+    pub(crate) fn check_out(&mut self, key: &TopoKey<T>) -> Vec<Ports<T>> {
         let i = self
             .position(key)
             .expect("ports checked out before plans were built");
         match self.entries[i].idle_ports.pop() {
             Some(ports) => ports,
-            None => build_ports(&self.entries[i].plans, part),
+            None => build_ports(&self.entries[i].plans),
         }
     }
 
@@ -257,7 +234,7 @@ impl<T: Real> TopologyCache<T> {
         part: &Partition3,
     ) -> Vec<Ports<T>> {
         let _ = self.plans(key, part, &key.bounds);
-        self.check_out(key, part)
+        self.check_out(key)
     }
 
     /// Return a drained channel-endpoint set for reuse by a later job. A
@@ -327,17 +304,25 @@ mod tests {
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
         cache.plans(&k, &part, &k.bounds);
-        let ports = cache.check_out(&k, &part);
+        let ports = cache.check_out(&k);
         assert_eq!(ports.len(), 3);
         // 3 y-slabs: the middle rank owes both neighbours, ends owe one.
         assert_eq!(ports[1].sends.len(), 2);
         assert_eq!(ports[1].recvs.len(), 2);
-        // The middle 8×4×2 slab owes each neighbour one whole row per
-        // layer: a run per row, not a tuple per cell. The last slab folds
-        // the clamped edge onto its own last row.
-        assert_eq!(ports[1].sends[0].1, [(0, 8), (32, 8)]);
-        assert_eq!(ports[1].sends[1].1, [(24, 8), (56, 8)]);
-        assert_eq!(ports[2].self_cells, [(24, 8), (56, 8)]);
+        // The middle 8×4×2 slab (rows 4..8) owes each neighbour one whole
+        // row over both layers: one box, not a tuple per cell. The last
+        // slab folds the clamped edge onto its own last row. `base` is the
+        // box's place in its *consumer's* payload.
+        let owed = |owner, y: usize, base| HaloBox {
+            owner,
+            x: 0..8,
+            y: y..y + 1,
+            z: 0..2,
+            base,
+        };
+        assert_eq!(ports[1].sends[0].1, [owed(1, 4, 16)]);
+        assert_eq!(ports[1].sends[1].1, [owed(1, 7, 16)]);
+        assert_eq!(ports[2].self_boxes, [owed(2, 11, 0)]);
         cache.check_in(&k, ports);
         // Discard drops the entry (post-panic hygiene).
         cache.discard(&k);

@@ -9,10 +9,10 @@
 //! 1. [`RankStepper::post`] — store a checkpoint when the policy is due
 //!    (before anything else, so even an immediate kill leaves a
 //!    recoverable epoch behind), die if a kill plan fires, then either
-//!    **post** (first sweep of an exchange epoch: snapshot the halo cells
+//!    **post** (first sweep of an exchange epoch: snapshot the halo boxes
 //!    this rank owes its consumers — face strips, edge strips, corner
 //!    patches — out of the time-`t` buffer and send one message per
-//!    consumer channel; self-served cells are copied aside) or **decay**
+//!    consumer channel; self-served boxes are copied aside) or **decay**
 //!    the deep ghost shell by one sweep (later sweeps of an epoch), and
 //!    sweep the ghost-free interior window — the overlap window in which
 //!    neighbour sends and receives complete.
@@ -35,8 +35,8 @@
 use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
 use crate::service::JobSpec;
 use crate::{
-    build_ranks, effective_halo, gather_report, validate, DistError, DistReport, HaloGhost,
-    Partition3, Rank,
+    build_ranks, effective_halo, gather_report, validate, Brick, DistError, DistReport, HaloBox,
+    HaloGhost, Partition3, Rank,
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
 use abft_core::VerifyCadence;
@@ -209,12 +209,7 @@ impl<T: Real> RankStepper<T> {
             z: inner(matches!(bounds.z, Boundary::Ghost), ez, brick.z_len),
         };
         Self {
-            ghost: HaloGhost::new(
-                rank.plan.index.clone(),
-                spec.bounds,
-                brick,
-                spec.initial.dims(),
-            ),
+            ghost: HaloGhost::new(rank.plan.clone(), spec.bounds, brick, spec.initial.dims()),
             cadence: rank
                 .abft
                 .as_ref()
@@ -336,16 +331,17 @@ impl<T: Real> RankStepper<T> {
         if j == 0 {
             let current = self.rank.sim.current();
             let mut sent = 0;
-            for (tx, cells) in &self.ports.sends {
+            for (tx, boxes) in &self.ports.sends {
                 let mut msg = Vec::new();
-                pack_cells(current, cells, &mut msg);
+                pack_boxes(current, &self.rank.brick, boxes, &mut msg);
                 sent += msg.len();
                 if tx.send(msg).is_err() {
                     return Err(RankExit::PeerLost { iter: t });
                 }
             }
             self.ghost.values.clear();
-            pack_cells(current, &self.ports.self_cells, &mut self.ghost.values);
+            let own = &self.ports.self_boxes;
+            pack_boxes(current, &self.rank.brick, own, &mut self.ghost.values);
             self.rank.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
             self.rank.timing.halo_msgs_sent += self.ports.sends.len() as u64;
         } else {
@@ -398,7 +394,7 @@ impl<T: Real> RankStepper<T> {
             }
             debug_assert_eq!(
                 self.ghost.values.len(),
-                self.rank.plan.index.len(),
+                self.rank.plan.len(),
                 "halo payload size"
             );
             let received = self.ghost.values.len() - self_len;
@@ -438,12 +434,20 @@ impl<T: Real> RankStepper<T> {
     }
 }
 
-/// Append the brick cells `runs` names to `out`, grown to its final size
-/// first: one slice copy per run.
-fn pack_cells<T: Real>(grid: &Grid3D<T>, runs: &[(usize, usize)], out: &mut Vec<T>) {
-    out.reserve_exact(runs.iter().map(|&(_, len)| len).sum());
-    for &(start, len) in runs {
-        out.extend_from_slice(&grid.as_slice()[start..start + len]);
+/// Append the cells of `boxes` to `out` in payload order, read out of
+/// `grid` — the storage of `brick`, which owns them all. A box is z-major
+/// row-major like the brick, so each of its `(y, z)` lines is one slice
+/// copy; `out` grows to its final size first.
+fn pack_boxes<T: Real>(grid: &Grid3D<T>, brick: &Brick, boxes: &[HaloBox], out: &mut Vec<T>) {
+    out.reserve_exact(boxes.iter().map(HaloBox::volume).sum());
+    for b in boxes {
+        for z in b.z.clone() {
+            for y in b.y.clone() {
+                let line = ((z - brick.z0) * brick.y_len + (y - brick.y0)) * brick.x_len;
+                let start = line + (b.x.start - brick.x0);
+                out.extend_from_slice(&grid.as_slice()[start..start + b.x.len()]);
+            }
+        }
     }
 }
 
@@ -508,7 +512,7 @@ impl<T: Real> Job<T> {
             .map(|p| Arc::new(Vault::new(p.period, ring_keep(p, grid, k), ranks.len())));
         let steppers = ranks
             .into_iter()
-            .zip(cache.check_out(&key, &part))
+            .zip(cache.check_out(&key))
             .enumerate()
             .map(|(idx, (rank, ports))| RankStepper::new(rank, ports, idx, spec, vault.clone()))
             .collect();
@@ -738,7 +742,7 @@ mod tests {
             let producers: Vec<Vec<usize>> = steppers
                 .iter()
                 .map(|s| {
-                    let owners = s.rank.plan.groups.iter().map(|(owner, _)| *owner);
+                    let owners = s.rank.plan.owed().map(|owed| owed[0].owner);
                     owners.filter(|&p| p != s.idx).collect()
                 })
                 .collect();

@@ -1,7 +1,7 @@
 //! Admission checks: a configuration against its domain, and the halo
 //! depth it implies.
 
-use crate::{auto_grid, index, DistConfig, DistError, GridSpec, Partition3};
+use crate::{auto_grid, DistConfig, DistError, GridSpec, HaloPlan, Partition3};
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::Stencil3D;
@@ -213,14 +213,12 @@ pub(crate) fn validate<T: Real>(
                 steps_per_exchange: k,
             });
         }
-        let (hx, hy, hz) = effective_halo(cfg, stencil, (rx, ry, rz));
+        // The target must be a shell cell the rank receives: in one of its
+        // halo boxes, and not a boundary fold onto its own brick.
+        let halo = effective_halo(cfg, stencil, (rx, ry, rz));
         let brick = part.brick(*rank);
-        let wx = index::resolved_window(brick.x0, brick.x_len, hx, nx, &bounds.x);
-        let wy = index::resolved_window(brick.y0, brick.y_len, hy, ny, &bounds.y);
-        let wz = index::resolved_window(brick.z0, brick.z_len, hz, nz, &bounds.z);
-        let shell = index::needed_halo_cells(&brick, &wx, &wy, &wz);
-        let cell = (flip.x, flip.y, flip.z);
-        if !shell.contains(&cell) || brick.contains(flip.x, flip.y, flip.z) {
+        let shell = HaloPlan::new(&brick, *rank, &part, halo, (nx, ny, nz), bounds);
+        if shell.slot(flip.x, flip.y, flip.z).is_none() || brick.contains(flip.x, flip.y, flip.z) {
             return Err(DistError::ShellFlipOutsideHalo {
                 rank: *rank,
                 x: flip.x,
@@ -247,4 +245,68 @@ pub(crate) fn effective_halo<T: Real>(
         k * stencil.extent_y(),
         if rz > 1 { k * stencil.extent_z() } else { 0 },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use abft_fault::BitFlip;
+    use abft_stencil::Stencil2D;
+
+    /// Shell-flip admission over a table of targets: rank 0 of three
+    /// y-slabs (rows 0..4 of 8×12×2) with a reach-1 kernel, so the shell
+    /// is `k` rows deep. A target is admitted exactly when the rank
+    /// receives it — a fold onto its own brick, a brick cell and anything
+    /// beyond the shell are `ShellFlipOutsideHalo`.
+    #[test]
+    fn shell_flip_admission_follows_the_halo_boxes() {
+        let initial = Grid3D::from_fn(8, 12, 2, |x, y, z| (x + y + z) as f64);
+        let stencil = Stencil2D::five_point(0.4, 0.15, 0.1).into_3d();
+        // (boundary, k, target (x, y, z), admitted)
+        let table = [
+            // Clamp: rows -1.. fold onto the rank's own row 0; rows 4.. are
+            // the neighbour's.
+            (Boundary::Clamp, 2, (3, 4, 0), true),
+            (Boundary::Clamp, 2, (7, 5, 1), true),
+            (Boundary::Clamp, 2, (3, 6, 0), false), // one row past a 2-deep shell
+            (Boundary::Clamp, 3, (3, 6, 0), true),
+            (Boundary::Clamp, 3, (3, 7, 0), false),
+            (Boundary::Clamp, 2, (3, 0, 0), false), // folded into the brick
+            (Boundary::Clamp, 3, (0, 0, 1), false),
+            (Boundary::Clamp, 2, (3, 2, 0), false), // brick interior
+            (Boundary::Clamp, 2, (3, 11, 0), false), // far side of the domain
+            (Boundary::Clamp, 2, (8, 4, 0), false), // outside the domain
+            (Boundary::Clamp, 2, (3, 4, 2), false),
+            // Periodic: rows -1.. wrap onto the last slab's rows 11, 10, ..
+            (Boundary::Periodic, 2, (3, 11, 0), true),
+            (Boundary::Periodic, 2, (0, 10, 1), true),
+            (Boundary::Periodic, 2, (3, 9, 0), false),
+            (Boundary::Periodic, 3, (3, 9, 0), true),
+            (Boundary::Periodic, 3, (3, 8, 0), false),
+            (Boundary::Periodic, 2, (3, 5, 0), true),
+            (Boundary::Periodic, 3, (3, 6, 1), true),
+            (Boundary::Periodic, 2, (3, 0, 0), false), // its own row: no fold under periodic
+            (Boundary::Periodic, 3, (3, 3, 0), false),
+        ];
+        for (boundary, k, (x, y, z), admitted) in table {
+            let flip = BitFlip {
+                iteration: 0,
+                x,
+                y,
+                z,
+                bit: 51,
+            };
+            let cfg = DistConfig::<f64>::new(3, 6)
+                .with_steps_per_exchange(k)
+                .with_shell_flip(0, flip);
+            let bounds = BoundarySpec::uniform(boundary);
+            let got = validate(&initial, &stencil, &bounds, None, &cfg).map(|_| ());
+            let want = if admitted {
+                Ok(())
+            } else {
+                Err(DistError::ShellFlipOutsideHalo { rank: 0, x, y, z })
+            };
+            assert_eq!(got, want, "{boundary:?}, k = {k}, target ({x}, {y}, {z})");
+        }
+    }
 }

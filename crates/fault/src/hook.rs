@@ -3,7 +3,14 @@
 use crate::BitFlip;
 use abft_num::Real;
 use abft_stencil::SweepHook;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a hook's record. The record is a plain value written whole, so a
+/// panic elsewhere in the sweep that unwound through a hook call leaves it
+/// valid: recover the guard instead of poisoning every later read.
+fn lock<R>(record: &Mutex<R>) -> MutexGuard<'_, R> {
+    record.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A sweep hook that corrupts exactly one point: when the sweep computes
 /// the value for the flip's `(x, y, z)`, the configured bit is flipped
@@ -40,7 +47,7 @@ impl<T: Real> FlipHook<T> {
 
     /// `(clean, corrupted)` values if the hook has fired.
     pub fn observed(&self) -> Option<(T, T)> {
-        *self.observed.lock()
+        *lock(&self.observed)
     }
 
     /// Magnitude `|corrupted − clean|` of the delivered corruption, if the
@@ -55,7 +62,7 @@ impl<T: Real> SweepHook<T> for FlipHook<T> {
     fn transform(&self, x: usize, y: usize, z: usize, value: T) -> T {
         if (x, y, z) == (self.flip.x, self.flip.y, self.flip.z) {
             let corrupted = value.flip_bit(self.flip.bit);
-            *self.observed.lock() = Some((value, corrupted));
+            *lock(&self.observed) = Some((value, corrupted));
             corrupted
         } else {
             value
@@ -86,7 +93,7 @@ impl<T: Real> MultiFlipHook<T> {
 
     /// `(flip, clean, corrupted)` for every flip that fired.
     pub fn fired(&self) -> Vec<(BitFlip, T, T)> {
-        self.fired.lock().clone()
+        lock(&self.fired).clone()
     }
 }
 
@@ -97,7 +104,7 @@ impl<T: Real> SweepHook<T> for MultiFlipHook<T> {
         for f in &self.flips {
             if (x, y, z) == (f.x, f.y, f.z) {
                 let corrupted = v.flip_bit(f.bit);
-                self.fired.lock().push((*f, v, corrupted));
+                lock(&self.fired).push((*f, v, corrupted));
                 v = corrupted;
             }
         }
@@ -168,6 +175,20 @@ mod tests {
     #[should_panic]
     fn bit_out_of_range_rejected() {
         let _ = FlipHook::<f32>::new(flip(0, 0, 0, 32));
+    }
+
+    #[test]
+    fn a_panic_under_the_record_lock_does_not_poison_later_reads() {
+        let h = FlipHook::<f32>::new(flip(1, 2, 0, 31));
+        assert_eq!(h.transform(1, 2, 0, 5.0), -5.0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = lock(&h.observed);
+            panic!("a sweep panics while the hook holds its record");
+        }));
+        assert!(unwound.is_err() && h.observed.is_poisoned());
+        assert_eq!(h.observed(), Some((5.0, -5.0)));
+        assert_eq!(h.transform(1, 2, 0, 7.0), -7.0);
+        assert_eq!(h.observed(), Some((7.0, -7.0)));
     }
 
     #[test]
