@@ -68,6 +68,11 @@ pub struct Interpolator<T> {
     nz: usize,
     fast_x: bool,
     fast_y: bool,
+    /// Per tap with a non-zero `di`, the place of that `di` among the
+    /// distinct ones — the β corrections a source line can be asked for —
+    /// and how many those are.
+    tap_shift: Vec<Option<usize>>,
+    shifts: usize,
 }
 
 impl<T: Real> Interpolator<T> {
@@ -100,7 +105,18 @@ impl<T: Real> Interpolator<T> {
         constant_sums: Option<Arc<LineSums<T>>>,
         (nx, ny, nz): (usize, usize, usize),
     ) -> Self {
+        let mut x_shifts: Vec<isize> = Vec::new();
+        let tap_shift = stencil.taps().iter().map(|t| {
+            (t.di != 0).then(|| {
+                x_shifts.iter().position(|&i| i == t.di).unwrap_or_else(|| {
+                    x_shifts.push(t.di);
+                    x_shifts.len() - 1
+                })
+            })
+        });
         Self {
+            tap_shift: tap_shift.collect(),
+            shifts: x_shifts.len(),
             stencil: stencil.clone(),
             bounds: *bounds,
             constant_sums,
@@ -165,7 +181,13 @@ impl<T: Real> Interpolator<T> {
             self.stencil.extent_z() as isize,
         );
         let frame_ny = ny + 2 * ey;
-        let mut phantom: Vec<Option<T>> = vec![None; (frame_ny * (nz + 2 * ez)) as usize];
+        let frame = (frame_ny * (nz + 2 * ez)) as usize;
+        let mut phantom: Vec<Option<T>> = vec![None; frame];
+        // The β correction of source line `(yq, zq)` for each distinct tap
+        // `di`, kept the same way: it depends on nothing else, and every
+        // tap with that `di` of up to `extent`-many outputs asks for it.
+        let shifts = if self.fast_x { 0 } else { self.shifts };
+        let mut beta: Vec<Option<T>> = vec![None; shifts * frame];
         // A fetched ghost line; stays unallocated without a ghost axis.
         let mut line_buf: Vec<T> = Vec::new();
         for z in 0..self.nz {
@@ -174,19 +196,22 @@ impl<T: Real> Interpolator<T> {
                 // (see `abft_core::checksum`): keeps the comparison margin
                 // at ~1 ulp of T instead of O(k) ulps.
                 let mut acc = cb.map_or(0.0, |c| c[z * self.ny + y].to_f64());
-                for tap in self.stencil.taps() {
+                for (tap, shift) in self.stencil.taps().iter().zip(&self.tap_shift) {
                     let yq = y as isize + tap.dj;
                     let zq = z as isize + tap.dk;
+                    let at = || ((zq + ez) * frame_ny + yq + ey) as usize;
                     let line = if (0..ny).contains(&yq) && (0..nz).contains(&zq) {
                         col_t[(zq * ny + yq) as usize]
                     } else {
-                        *phantom[((zq + ez) * frame_ny + yq + ey) as usize].get_or_insert_with(
-                            || self.phantom_col(col_t, yq, zq, ghosts, &mut line_buf),
-                        )
+                        *phantom[at()].get_or_insert_with(|| {
+                            self.phantom_col(col_t, yq, zq, ghosts, &mut line_buf)
+                        })
                     };
                     let mut s = line.to_f64();
-                    if !self.fast_x && tap.di != 0 {
-                        s += self.corr_x(tap.di, yq, zq, source, ghosts).to_f64();
+                    if let (false, Some(shift)) = (self.fast_x, shift) {
+                        let corr = beta[shift * frame + at()]
+                            .get_or_insert_with(|| self.corr_x(tap.di, yq, zq, source, ghosts));
+                        s += corr.to_f64();
                     }
                     acc += tap.w.to_f64() * s;
                 }
@@ -309,30 +334,11 @@ impl<T: Real> Interpolator<T> {
         }
     }
 
-    /// Time-`t` value at in-range `x` with `(yq, zq)` resolved by the
-    /// sweep's y → z precedence (the `x` axis was already resolved).
-    fn inner_col_point<G: GhostCells<T>>(
-        &self,
-        x: usize,
-        yq: isize,
-        zq: isize,
-        source: &StripSet<'_, T>,
-        ghosts: &G,
-    ) -> T {
-        match self.bounds.y.resolve(yq, self.ny) {
-            AxisHit::Value(vy) => vy,
-            AxisHit::Ghost(gy) => ghosts.ghost(x as isize, gy, zq),
-            AxisHit::In(yr) => match self.bounds.z.resolve(zq, self.nz) {
-                AxisHit::Value(vz) => vz,
-                AxisHit::Ghost(gz) => ghosts.ghost(x as isize, yr as isize, gz),
-                AxisHit::In(zr) => source.near_x(x, yr, zr, self.nx),
-            },
-        }
-    }
-
     /// β correction for one tap's `x` offset `i` (paper Theorem 1):
     /// `Σ_x u[resolve(x+i), ·] − Σ_x u[x, ·]`, evaluated in `O(|i|)` from
-    /// near-boundary data.
+    /// near-boundary data. `(yq, zq)` resolve once, by the sweep's y → z
+    /// precedence (x is resolved per term), to where the line's in-range
+    /// cells are read.
     fn corr_x<G: GhostCells<T>>(
         &self,
         i: isize,
@@ -341,11 +347,30 @@ impl<T: Real> Interpolator<T> {
         source: &StripSet<'_, T>,
         ghosts: &G,
     ) -> T {
+        enum Line<T> {
+            Value(T),
+            Ghost(isize, isize),
+            In(usize, usize),
+        }
+        let line = match self.bounds.y.resolve(yq, self.ny) {
+            AxisHit::Value(vy) => Line::Value(vy),
+            AxisHit::Ghost(gy) => Line::Ghost(gy, zq),
+            AxisHit::In(yr) => match self.bounds.z.resolve(zq, self.nz) {
+                AxisHit::Value(vz) => Line::Value(vz),
+                AxisHit::Ghost(gz) => Line::Ghost(yr as isize, gz),
+                AxisHit::In(zr) => Line::In(yr, zr),
+            },
+        };
+        let point = |x: usize| match line {
+            Line::Value(v) => v,
+            Line::Ghost(gy, gz) => ghosts.ghost(x as isize, gy, gz),
+            Line::In(yr, zr) => source.near_x(x, yr, zr, self.nx),
+        };
         let mut corr = T::ZERO;
         for m in 0..i.unsigned_abs() {
             // In-range index whose contribution the shifted sum loses…
             let x_excl = if i > 0 { m } else { self.nx - 1 - m };
-            corr -= self.inner_col_point(x_excl, yq, zq, source, ghosts);
+            corr -= point(x_excl);
             // …and the out-of-range read it gains instead.
             let x_raw = if i > 0 {
                 (self.nx + m) as isize
@@ -353,7 +378,7 @@ impl<T: Real> Interpolator<T> {
                 -(m as isize) - 1
             };
             corr += match self.bounds.x.resolve(x_raw, self.nx) {
-                AxisHit::In(xm) => self.inner_col_point(xm, yq, zq, source, ghosts),
+                AxisHit::In(xm) => point(xm),
                 AxisHit::Value(v) => v,
                 AxisHit::Ghost(gx) => ghosts.ghost(gx, yq, zq),
             };
@@ -592,6 +617,39 @@ mod tests {
             true,
             false,
         );
+    }
+
+    /// `interpolate_col` evaluates each line's β once per distinct `di`
+    /// and reuses it; tap by tap from scratch must give the same bits.
+    #[test]
+    fn shared_corrections_equal_per_tap_evaluation_bitwise() {
+        for (stencil, bounds) in [
+            (asymmetric(), BoundarySpec::clamp()),
+            (wide(), BoundarySpec::uniform(Boundary::Reflect)),
+            (wide(), BoundarySpec::zero()),
+        ] {
+            let (nx, ny, nz) = (9, 8, 3);
+            let src = grid(nx, ny, nz);
+            let col_t = ChecksumState::compute(&src, false).col;
+            let interp = Interpolator::new(&stencil, &bounds, None, (nx, ny, nz));
+            let source = StripSet::Grid(&src);
+            let mut got = vec![0.0; nz * ny];
+            interp.interpolate_col(&col_t, &source, &NoGhosts, &mut got);
+            for z in 0..nz {
+                for y in 0..ny {
+                    let mut acc = 0.0;
+                    for tap in stencil.taps() {
+                        let (yq, zq) = (y as isize + tap.dj, z as isize + tap.dk);
+                        let mut s = interp.phantom_col(&col_t, yq, zq, &NoGhosts, &mut Vec::new());
+                        if tap.di != 0 {
+                            s += interp.corr_x(tap.di, yq, zq, &source, &NoGhosts);
+                        }
+                        acc += tap.w * s;
+                    }
+                    assert_eq!(got[z * ny + y].to_bits(), acc.to_bits(), "({y}, {z})");
+                }
+            }
+        }
     }
 
     #[test]

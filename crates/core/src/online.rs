@@ -1069,7 +1069,8 @@ mod tests {
     /// leaves the brick whole, so nothing is fetched in bulk, and what
     /// still arrives cell by cell is exactly the taps that leave the brick
     /// in x — from the `2 · extent_x` end cells of each row in the sweep,
-    /// and as many again in the interpolation's β correction terms.
+    /// and in the interpolation one β correction (`|di|` reads) per source
+    /// line and distinct `di`, however many taps and outputs share it.
     #[test]
     fn ghost_reads_on_an_x_ghost_brick_are_the_end_taps_only() {
         let (nx, ny, nz) = (20isize, 6usize, 4usize);
@@ -1087,11 +1088,23 @@ mod tests {
                 })
                 .sum();
             let end_reads = ny * nz * leaving_per_row;
+            let mut corrections = BTreeSet::new();
+            for z in 0..nz as isize {
+                for y in 0..ny as isize {
+                    let shifted = stencil.taps().iter().filter(|t| t.di != 0);
+                    corrections.extend(shifted.map(|t| (t.di, y + t.dj, z + t.dk)));
+                }
+            }
+            let beta_reads: usize = corrections.iter().map(|c| c.0.unsigned_abs()).sum();
+            assert!(
+                beta_reads <= end_reads,
+                "{beta_reads} vs one per tap {end_reads}"
+            );
             let [interpolation, sweep, protected] =
                 ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
-            assert_eq!(interpolation, (end_reads, 0));
+            assert_eq!(interpolation, (beta_reads, 0));
             assert_eq!(sweep, (end_reads, 0));
-            assert_eq!(protected, (2 * end_reads, 0));
+            assert_eq!(protected, (end_reads + beta_reads, 0));
         }
     }
 

@@ -33,7 +33,7 @@ use abft_core::OnlineAbft;
 pub struct HaloGhost<T> {
     plan: Arc<HaloPlan>,
     /// The payload, one scalar per slot of `plan`. The stepper fills it
-    /// at every exchange and decays it in place between exchanges.
+    /// at every exchange and advances it in place between exchanges.
     pub(crate) values: Vec<T>,
     bounds: BoundarySpec<T>,
     x0: usize,

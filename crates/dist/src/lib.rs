@@ -125,11 +125,11 @@ pub(crate) struct Rank<T> {
     /// Ghost-shell faults to inject while this rank decays its shell
     /// (global coordinates; only fire with `steps_per_exchange > 1`).
     pub(crate) shell_flips: Vec<BitFlip>,
-    /// The per-epoch ghost-shell decay schedule; `Some` exactly when
-    /// `steps_per_exchange > 1`. Captured at build time because shell
-    /// cells live outside the brick (their constant-field terms are not
-    /// in the rank's local slice).
-    pub(crate) shell: Option<Arc<epoch::ShellSchedule<T>>>,
+    /// The deep ghost shell as sweepable memory; `Some` exactly when
+    /// `steps_per_exchange > 1` and the plan holds a remote box. Built
+    /// with the rank because shell cells live outside the brick (their
+    /// constant-field terms are not in the rank's local slice).
+    pub(crate) shell: Option<epoch::ShellBox<T>>,
 }
 
 impl<T: Real> Rank<T> {
@@ -143,12 +143,10 @@ impl<T: Real> Rank<T> {
     }
 
     /// The ghost-shell flips scheduled to fire in the shell advance that
-    /// follows sweep `t`.
-    pub(crate) fn shell_flips_at(&self, t: usize) -> Vec<BitFlip> {
-        self.shell_flips
-            .iter()
-            .filter(|f| f.iteration == t)
-            .copied()
+    /// follows sweep `t`, each as the payload slot it strikes and the bit.
+    pub(crate) fn shell_flips_at(&self, t: usize) -> Vec<(usize, u32)> {
+        let due = self.shell_flips.iter().filter(|f| f.iteration == t);
+        due.filter_map(|f| Some((self.plan.slot(f.x, f.y, f.z)?, f.bit)))
             .collect()
     }
 }
@@ -207,6 +205,28 @@ pub fn run_distributed<T: Real>(
     report
 }
 
+/// Copy the `size` box whose first cell is `from` in `src` to the box at
+/// `to` in `dst`, one slice copy per x-line: how a brick leaves the global
+/// grid and returns to it, and how brick cells enter a shell's box.
+pub(crate) fn copy_box<T: Real>(
+    src: &Grid3D<T>,
+    from: [usize; 3],
+    dst: &mut Grid3D<T>,
+    to: [usize; 3],
+    [lx, ly, lz]: [usize; 3],
+) {
+    if lx == 0 {
+        return;
+    }
+    for z in 0..lz {
+        for y in 0..ly {
+            let s = src.idx(from[0], from[1] + y, from[2] + z);
+            let d = dst.idx(to[0], to[1] + y, to[2] + z);
+            dst.as_mut_slice()[d..d + lx].copy_from_slice(&src.as_slice()[s..s + lx]);
+        }
+    }
+}
+
 /// Build one job's transient rank state: per-brick sims (with constant
 /// slices), per-job protectors and per-job flip lists. Everything here is
 /// job-scoped by construction — a fresh call per job is what guarantees
@@ -232,28 +252,32 @@ pub(crate) fn build_ranks<T: Real>(
         z: if rz > 1 { Boundary::Ghost } else { bounds.z },
     };
     let k = cfg.steps_per_exchange.max(1);
-    // Ghost depth the brick sweep reads per axis — the validity the
-    // decay schedule must preserve across every interior sweep.
-    let read_halo = (
-        if rx > 1 { stencil.extent_x() } else { 0 },
-        stencil.extent_y(),
-        if rz > 1 { stencil.extent_z() } else { 0 },
-    );
+    let halo = effective_halo(cfg, stencil, (rx, part.ry(), rz));
     (0..part.ranks())
         .map(|r| {
             let brick = part.brick(r);
-            let local = Grid3D::from_fn(brick.x_len, brick.y_len, brick.z_len, |x, y, z| {
-                initial.at(brick.x0 + x, brick.y0 + y, brick.z0 + z)
-            });
-            let mut sim =
-                StencilSim::new(local, stencil.clone(), local_bounds).with_exec(Exec::Serial);
+            let carve = |global: &Grid3D<T>| {
+                let size = [brick.x_len, brick.y_len, brick.z_len];
+                let mut local = Grid3D::zeros(size[0], size[1], size[2]);
+                copy_box(
+                    global,
+                    [brick.x0, brick.y0, brick.z0],
+                    &mut local,
+                    [0; 3],
+                    size,
+                );
+                local
+            };
+            let mut sim = StencilSim::new(carve(initial), stencil.clone(), local_bounds)
+                .with_exec(Exec::Serial);
             if let Some(c) = constant {
-                let local_c = Grid3D::from_fn(brick.x_len, brick.y_len, brick.z_len, |x, y, z| {
-                    c.at(brick.x0 + x, brick.y0 + y, brick.z0 + z)
-                });
-                sim = sim.with_constant(local_c);
+                sim = sim.with_constant(carve(c));
             }
             let abft = cfg.abft.map(|acfg| OnlineAbft::new(&sim, acfg));
+            let (dims, guarded) = (initial.dims(), abft.is_some());
+            let shell = epoch::ShellBox::new(
+                &plans[r], &brick, dims, bounds, stencil, constant, halo, k, guarded,
+            );
             Rank {
                 sim,
                 abft,
@@ -272,19 +296,7 @@ pub(crate) fn build_ranks<T: Real>(
                     .filter(|(fr, _)| *fr == r)
                     .map(|(_, f)| *f)
                     .collect(),
-                shell: (k > 1).then(|| {
-                    Arc::new(epoch::ShellSchedule::new(
-                        &plans[r],
-                        r,
-                        part,
-                        initial.dims(),
-                        bounds,
-                        stencil,
-                        constant,
-                        read_halo,
-                        k,
-                    ))
-                }),
+                shell,
             }
         })
         .collect()

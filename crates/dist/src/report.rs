@@ -1,7 +1,7 @@
 //! What a run reports: per-rank phase timings and traffic, the gathered
 //! global grid, and the fold from finished ranks to a [`DistReport`].
 
-use crate::{HaloTraffic, Rank};
+use crate::{copy_box, HaloTraffic, Rank};
 use abft_core::ProtectorStats;
 use abft_grid::Grid3D;
 use abft_metrics::RecoveryStats;
@@ -203,15 +203,9 @@ pub(crate) fn gather_report<T: Real>(
     // One pass per brick, contiguous x-line copies.
     let mut global = Grid3D::zeros(nx, ny, nz);
     for rank in &ranks {
-        let local = rank.sim.current();
         let b = rank.brick;
-        for lz in 0..b.z_len {
-            for ly in 0..b.y_len {
-                let src = &local.as_slice()[(lz * b.y_len + ly) * b.x_len..][..b.x_len];
-                let base = global.idx(b.x0, b.y0 + ly, b.z0 + lz);
-                global.as_mut_slice()[base..base + b.x_len].copy_from_slice(src);
-            }
-        }
+        let (to, size) = ([b.x0, b.y0, b.z0], [b.x_len, b.y_len, b.z_len]);
+        copy_box(rank.sim.current(), [0; 3], &mut global, to, size);
     }
     DistReport {
         global,

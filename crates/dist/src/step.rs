@@ -12,9 +12,11 @@
 //!    **post** (first sweep of an exchange epoch: snapshot the halo boxes
 //!    this rank owes its consumers — face strips, edge strips, corner
 //!    patches — out of the time-`t` buffer and send one message per
-//!    consumer channel; self-served boxes are copied aside) or **decay**
-//!    the deep ghost shell by one sweep (later sweeps of an epoch), and
-//!    sweep the ghost-free interior window — the overlap window in which
+//!    consumer channel; self-served boxes are copied aside) or **advance**
+//!    the deep ghost shell by one sweep (later sweeps of an epoch: what
+//!    neighbours own is swept forward in the rank's extended box,
+//!    [`crate::epoch`], what the rank owns is packed afresh), and sweep
+//!    the ghost-free interior window — the overlap window in which
 //!    neighbour sends and receives complete.
 //! 2. [`RankStepper::complete`] — on an exchange sweep, block on each
 //!    producer channel and assemble the [`HaloGhost`]; sweep the edge
@@ -153,7 +155,7 @@ pub(crate) struct RankStepper<T: Real> {
     pub(crate) idx: usize,
     iters: usize,
     /// Sweeps per halo exchange: 1 exchanges every iteration, `k > 1`
-    /// posts once per epoch and decays the deep ghost shell in between.
+    /// posts once per epoch and advances the deep ghost shell in between.
     k: usize,
     cadence: VerifyCadence,
     vault: Option<Arc<Vault<T>>>,
@@ -166,11 +168,13 @@ pub(crate) struct RankStepper<T: Real> {
     window: InteriorWindow,
     /// This iteration's ghost source. Its payload is rebuilt by every
     /// exchange (`post` fills the self-served prefix, `complete` appends
-    /// the received messages) and decayed in place between exchanges. It
+    /// the received messages) and advanced in place between exchanges. It
     /// is deliberately never checkpointed: rollback targets are
     /// exchange-aligned, so the replay's first post rebuilds it.
     ghost: HaloGhost<T>,
+    /// Staging for the self-served boxes re-packed between exchanges.
     scratch: Vec<T>,
+    /// Staging for a checkpoint's checksum payload.
     aux: Vec<T>,
     /// The next iteration to execute — equally, the first one this rank
     /// has *not* durably executed.
@@ -260,7 +264,7 @@ impl<T: Real> RankStepper<T> {
         self.ports = Ports::empty();
     }
 
-    /// First half of iteration `t`: checkpoint, kill check, post or decay,
+    /// First half of iteration `t`: checkpoint, kill check, post or advance,
     /// interior sweep.
     pub(crate) fn post(&mut self) -> Result<(), RankExit> {
         match self.hook() {
@@ -345,25 +349,21 @@ impl<T: Real> RankStepper<T> {
             self.rank.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
             self.rank.timing.halo_msgs_sent += self.ports.sends.len() as u64;
         } else {
-            // No exchange: advance the decayed shell by one sweep
-            // (duplicated execution, DMR-guarded when protected).
-            let (det, corr) = self
-                .rank
-                .shell
-                .as_deref()
-                .expect("steps_per_exchange > 1 implies a shell schedule")
-                .advance(
-                    &mut self.ghost.values,
-                    &mut self.scratch,
-                    self.rank.sim.previous(),
-                    self.rank.sim.current(),
-                    j - 1,
-                    &self.rank.shell_flips_at(t - 1),
-                    self.rank.abft.is_some(),
-                );
-            if let Some(a) = self.rank.abft.as_mut() {
-                a.note_shell_guard(det, corr);
+            // No exchange: bring the shell forward by one sweep — what
+            // neighbours own by sweeping it a second time here (guarded
+            // when protected), what this rank owns by packing it afresh.
+            let flips = self.rank.shell_flips_at(t - 1);
+            if let Some(shell) = self.rank.shell.as_mut() {
+                let previous = self.rank.sim.previous();
+                let (det, corr) = shell.advance(&mut self.ghost.values, previous, j, &flips);
+                if let Some(a) = self.rank.abft.as_mut() {
+                    a.note_shell_guard(det, corr);
+                }
             }
+            self.scratch.clear();
+            let (current, own) = (self.rank.sim.current(), &self.ports.self_boxes);
+            pack_boxes(current, &self.rank.brick, own, &mut self.scratch);
+            self.ghost.values[..self.scratch.len()].copy_from_slice(&self.scratch);
         }
         let posted = Instant::now();
         let verify = self.verifies();

@@ -11,12 +11,18 @@
 //! cadences), and the intra-epoch fault story: flips at every sweep
 //! offset inside an epoch and flips into mid-decay ghost-shell cells
 //! are detected and corrected exactly once, in the right rank.
+//!
+//! A property test then draws what the matrix does not enumerate — every
+//! boundary kind per axis, a reach-2 kernel, `k = 4`, bricks thinner than
+//! the shell, a constant field — and holds each draw to the same
+//! equality, unprotected and protected.
 
 use abft_core::{AbftConfig, VerifyCadence};
 use abft_dist::{run_distributed, DistConfig, DistError, DistReport, HaloMode};
 use abft_fault::BitFlip;
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
-use abft_stencil::{Exec, Stencil3D, StencilSim};
+use abft_stencil::{Exec, Stencil2D, Stencil3D, StencilSim};
+use proptest::prelude::*;
 
 /// The acceptance rank grids: a pure y-split, an x×y sheet and the full
 /// 2×2×2 brick grid.
@@ -473,4 +479,77 @@ fn shell_flip_validation_rejects_boundary_sweeps_and_foreign_cells() {
         build(K, cell(3, 3, 8)),
         Err(DistError::ShellFlipOutsideHalo { .. })
     ));
+}
+
+fn any_boundary() -> impl Strategy<Value = Boundary<f64>> {
+    prop_oneof![
+        Just(Boundary::Clamp),
+        Just(Boundary::Periodic),
+        Just(Boundary::Zero),
+        Just(Boundary::Constant(1.5)),
+        Just(Boundary::Reflect),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(24))]
+
+    /// The deep shell's proof obligation at run level: whatever the rank
+    /// grid (1×4 cuts 13 rows into bricks of 3–4, thinner than any shell
+    /// drawn here but the shallowest), the boundary on each axis, the
+    /// epoch length, the kernel (flat 5-point, asymmetric 9-point, reach-2
+    /// 13-point, dense 27-point) and the constant field, a job ends on the
+    /// serial grid bitwise under both drivers — and a protected one has
+    /// detected nothing on the way, in the brick or in the shell.
+    #[test]
+    fn any_boundary_kernel_and_epoch_matches_serial_bitwise(
+        grid in prop_oneof![Just((1, 2, 1)), Just((2, 2, 1)), Just((1, 4, 1)), Just((2, 2, 2))],
+        bounds in (any_boundary(), any_boundary(), any_boundary()),
+        k in 2usize..=4,
+        kernel in 0usize..4,
+        with_constant in any::<bool>(),
+    ) {
+        let (rx, ry, rz) = grid;
+        let stencil = match kernel {
+            0 => Stencil2D::five_point(0.4, 0.15, 0.1).into_3d(),
+            1 => nine_point(),
+            2 => Stencil3D::diffusion_13pt_4th_order(0.02),
+            _ => Stencil3D::diffusion_27pt(0.21),
+        };
+        // Deep enough for a reach-2, k = 4 shell on every split axis.
+        let initial = wavy(11, 13, if rz > 1 { 10 } else { 3 });
+        let (nx, ny, nz) = initial.dims();
+        let constant = with_constant
+            .then(|| Grid3D::from_fn(nx, ny, nz, |x, y, z| ((x + 2 * y + 3 * z) % 7) as f64 * 0.05));
+        let bounds = BoundarySpec { x: bounds.0, y: bounds.1, z: bounds.2 };
+        let iters = k + 3;
+        let mut sim = StencilSim::new(initial.clone(), stencil.clone(), bounds)
+            .with_exec(Exec::Serial);
+        if let Some(c) = &constant {
+            sim = sim.with_constant(c.clone());
+        }
+        for _ in 0..iters {
+            sim.step();
+        }
+        let base = DistConfig::<f64>::new(rx * ry * rz, iters)
+            .with_grid3(rx, ry, rz)
+            .with_steps_per_exchange(k);
+        for protected in [false, true] {
+            for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
+                let mut cfg = base.clone().with_mode(mode);
+                if protected {
+                    cfg = cfg.with_abft(AbftConfig::paper_defaults());
+                }
+                let rep = run_distributed(&initial, &stencil, &bounds, constant.as_ref(), &cfg)
+                    .expect("valid dist config");
+                let ctx = format!(
+                    "{rx}x{ry}x{rz} k={k} {bounds:?} {} taps constant={with_constant} \
+                     protected={protected} {mode:?}",
+                    stencil.len()
+                );
+                prop_assert_eq!(rep.total_stats().detections, 0, "false positive ({})", ctx);
+                prop_assert!(rep.global == *sim.current(), "diverged from serial ({})", ctx);
+            }
+        }
+    }
 }
