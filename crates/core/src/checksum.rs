@@ -9,8 +9,8 @@ use abft_stencil::LineSums;
 ///
 /// Stored flat: `col` is `[z][y]` (length `nz·ny`, the paper's `b`), `row`
 /// is `[z][x]` (length `nz·nx`, the paper's `a`). Following §3.2 the row
-/// side is optional — the online protector reconstructs it on demand
-/// unless `maintain_row` is configured.
+/// side is optional — the online protector keeps only the column side
+/// and builds rows for the layers whose columns mismatch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChecksumState<T> {
     nx: usize,

@@ -17,27 +17,6 @@ pub enum MultiErrorPolicy {
     /// for multiple simultaneous errors (an extension over the paper's
     /// positional pairing in Fig. 6).
     DeltaMatch,
-    /// Never write into the domain; only repair checksum state.
-    RefreshOnly,
-}
-
-/// When the online protector compares interpolated against computed
-/// checksums. The distributed deep-halo mode (`steps_per_exchange > 1`)
-/// sweeps several steps per halo exchange; batching the comparison to
-/// the exchange boundary trades detection latency for verification cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyCadence {
-    /// Verify after every sweep (the paper's online protocol, §3).
-    #[default]
-    EveryStep,
-    /// Carry the trusted checksums analytically through the interior
-    /// steps of an exchange epoch (Theorem 1 applied `k` times) and
-    /// compare only on the epoch's final sweep. A fault injected at an
-    /// interior step has propagated by the time it is seen, so it
-    /// surfaces as a multi-line mismatch — uncorrectable in place — and
-    /// the distributed layer attributes the faulty step by replaying
-    /// the epoch from the last checkpoint with per-step verification.
-    EpochBoundary,
 }
 
 /// Configuration shared by the online and offline protectors.
@@ -56,35 +35,26 @@ pub struct AbftConfig<T> {
     /// Offline verification period Δ in iterations (§4; the paper's
     /// default is 16). Ignored by the online protector.
     pub period: usize,
-    /// Maintain the row checksum vector `a` every iteration instead of
-    /// reconstructing it from the time-`t` buffer on demand (§3.2
-    /// recommends reconstructing; maintaining costs one extra accumulation
-    /// per point — the ablation benchmark measures the difference).
-    pub maintain_row: bool,
     /// Multi-error handling.
     pub policy: MultiErrorPolicy,
     /// Offline: maximum rollback/recompute attempts per verification
     /// window before giving up (a second fault during recomputation is
     /// possible in an error-prone environment).
     pub max_rollback_retries: usize,
-    /// Online: when to compare interpolated against computed checksums.
-    pub cadence: VerifyCadence,
 }
 
 impl<T: Real> AbftConfig<T> {
     /// Paper-faithful defaults for the float type: ε = 1e-5 for `f32`
     /// (Table 1), ε = 1e-11 for `f64` (same headroom relative to the
-    /// machine epsilon), Δ = 16, single-checksum mode, strict policy.
+    /// machine epsilon), Δ = 16, strict policy.
     pub fn paper_defaults() -> Self {
         let epsilon = if T::BITS == 32 { 1e-5 } else { 1e-11 };
         AbftConfig {
             epsilon: T::from_f64(epsilon),
             abs_floor: T::ONE,
             period: 16,
-            maintain_row: false,
             policy: MultiErrorPolicy::default(),
             max_rollback_retries: 3,
-            cadence: VerifyCadence::default(),
         }
     }
 
@@ -101,21 +71,9 @@ impl<T: Real> AbftConfig<T> {
         self
     }
 
-    /// Maintain both checksum vectors every iteration.
-    pub fn with_maintain_row(mut self, on: bool) -> Self {
-        self.maintain_row = on;
-        self
-    }
-
     /// Select the multi-error policy.
     pub fn with_policy(mut self, policy: MultiErrorPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Select the online verification cadence.
-    pub fn with_cadence(mut self, cadence: VerifyCadence) -> Self {
-        self.cadence = cadence;
         self
     }
 
@@ -143,15 +101,7 @@ mod tests {
         let c = AbftConfig::<f32>::paper_defaults();
         assert_eq!(c.epsilon, 1e-5);
         assert_eq!(c.period, 16);
-        assert!(!c.maintain_row);
         assert_eq!(c.policy, MultiErrorPolicy::Strict);
-        assert_eq!(c.cadence, VerifyCadence::EveryStep);
-    }
-
-    #[test]
-    fn cadence_builder() {
-        let c = AbftConfig::<f64>::paper_defaults().with_cadence(VerifyCadence::EpochBoundary);
-        assert_eq!(c.cadence, VerifyCadence::EpochBoundary);
     }
 
     #[test]
@@ -165,11 +115,9 @@ mod tests {
         let c = AbftConfig::<f32>::paper_defaults()
             .with_epsilon(1e-4)
             .with_period(8)
-            .with_maintain_row(true)
             .with_policy(MultiErrorPolicy::DeltaMatch);
         assert_eq!(c.epsilon, 1e-4);
         assert_eq!(c.period, 8);
-        assert!(c.maintain_row);
         assert_eq!(c.policy, MultiErrorPolicy::DeltaMatch);
     }
 

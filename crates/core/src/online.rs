@@ -1,8 +1,11 @@
 //! The online ABFT protector (§3): verify and correct after every sweep.
+//!
+//! One path runs on every sweep: fused column checksums → interpolate →
+//! detect → build rows for the flagged layers only → correct. Only the
+//! column vector is trusted state; rows are materialised from the two
+//! live buffers when a mismatch needs them (§3.4).
 
-use crate::checksum::{
-    compute_col_into, compute_col_layer_into, compute_row_layer_into, ChecksumState,
-};
+use crate::checksum::{compute_col_into, compute_col_layer_into, compute_row_layer_into};
 use crate::config::{AbftConfig, MultiErrorPolicy};
 use crate::correct::{correct_layer, CorrectionEvent};
 use crate::detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis};
@@ -11,7 +14,7 @@ use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
 use abft_grid::{GhostCells, NoGhosts};
 use abft_num::Real;
-use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
+use abft_stencil::{ChecksumMode, InteriorWindow, StencilSim, SweepHook};
 use std::time::{Duration, Instant};
 
 /// What one protected step observed and did.
@@ -54,7 +57,7 @@ impl<T: Real> StepOutcome<T> {
 ///
 /// Per §3.2 only the column vector `b` is maintained every iteration; the
 /// row side is materialised on demand from the still-live time-`t` buffer
-/// when a mismatch occurs (set [`AbftConfig::maintain_row`] to keep both).
+/// for the layers whose columns mismatched.
 ///
 /// ```
 /// use abft_core::{AbftConfig, OnlineAbft};
@@ -79,19 +82,13 @@ pub struct OnlineAbft<T> {
     nz: usize,
     /// Trusted column checksums of the current iteration (`b(t)`).
     col_t: Vec<T>,
-    /// Trusted row checksums, when maintained (`a(t)`).
-    row_t: Option<Vec<T>>,
     // Scratch buffers (allocated once).
     col_comp: Vec<T>,
     col_interp: Vec<T>,
+    /// Time-`t` rows of the layers a flagged layer's interpolation reads.
+    row_t: Vec<T>,
     row_comp: Vec<T>,
     row_interp: Vec<T>,
-    row_t_scratch: Vec<T>,
-    /// Sweeps carried without verification since the last comparison
-    /// (non-zero only inside a deep-halo epoch). While non-zero the
-    /// time-`t` buffer is *untrusted*, so the verifying step must not
-    /// materialise reference rows from it.
-    carried: usize,
     stats: ProtectorStats,
 }
 
@@ -101,22 +98,20 @@ impl<T: Real> OnlineAbft<T> {
     /// the initial checksum \[are\] correct", Theorem 2 proof).
     pub fn new(sim: &StencilSim<T>, cfg: AbftConfig<T>) -> Self {
         let (nx, ny, nz) = sim.dims();
-        let interp = Interpolator::for_sim(sim);
-        let init = ChecksumState::compute(sim.current(), cfg.maintain_row);
+        let mut col_t = vec![T::ZERO; nz * ny];
+        compute_col_into(sim.current(), &mut col_t);
         Self {
             cfg,
-            interp,
+            interp: Interpolator::for_sim(sim),
             nx,
             ny,
             nz,
-            col_t: init.col,
-            row_t: init.row,
+            col_t,
             col_comp: vec![T::ZERO; nz * ny],
             col_interp: vec![T::ZERO; nz * ny],
+            row_t: vec![T::ZERO; nz * nx],
             row_comp: vec![T::ZERO; nz * nx],
             row_interp: vec![T::ZERO; nz * nx],
-            row_t_scratch: vec![T::ZERO; nz * nx],
-            carried: 0,
             stats: ProtectorStats::default(),
         }
     }
@@ -124,11 +119,6 @@ impl<T: Real> OnlineAbft<T> {
     /// Cumulative statistics.
     pub fn stats(&self) -> ProtectorStats {
         self.stats
-    }
-
-    /// The configuration this protector runs under.
-    pub fn config(&self) -> &AbftConfig<T> {
-        &self.cfg
     }
 
     /// Fold an external duplicate-execution guard's events into this
@@ -156,18 +146,14 @@ impl<T: Real> OnlineAbft<T> {
         self.col_t[z * self.ny + y] += delta;
     }
 
-    /// Serialise the trusted checksum state — `b(t)` and, when maintained,
-    /// `a(t)` — into `out`. Together with the grid this is exactly what the
-    /// paper checkpoints ("the current state of the grid and of the
-    /// checksums", §5.4): restoring both via
-    /// [`OnlineAbft::restore_checksums`] resumes protection without a
-    /// recompute and without a trust gap.
+    /// Serialise the trusted checksum state `b(t)` into `out`. Together
+    /// with the grid this is exactly what the paper checkpoints ("the
+    /// current state of the grid and of the checksums", §5.4): restoring
+    /// both via [`OnlineAbft::restore_checksums`] resumes protection
+    /// without a recompute and without a trust gap.
     pub fn write_checksum_payload(&self, out: &mut Vec<T>) {
         out.clear();
         out.extend_from_slice(&self.col_t);
-        if let Some(r) = &self.row_t {
-            out.extend_from_slice(r);
-        }
     }
 
     /// Restore the trusted checksum state from a payload written by
@@ -178,29 +164,12 @@ impl<T: Real> OnlineAbft<T> {
     /// # Panics
     /// Panics if the payload length does not match this protector's shape.
     pub fn restore_checksums(&mut self, payload: &[T]) {
-        let ncol = self.nz * self.ny;
-        match &mut self.row_t {
-            Some(r) => {
-                assert_eq!(
-                    payload.len(),
-                    ncol + self.nz * self.nx,
-                    "checksum payload does not match protector shape"
-                );
-                self.col_t.copy_from_slice(&payload[..ncol]);
-                r.copy_from_slice(&payload[ncol..]);
-            }
-            None => {
-                assert_eq!(
-                    payload.len(),
-                    ncol,
-                    "checksum payload does not match protector shape"
-                );
-                self.col_t.copy_from_slice(payload);
-            }
-        }
-        // A checkpoint captures a verified state: the restored grid and
-        // checksums agree, so any carried-epoch distrust is void.
-        self.carried = 0;
+        assert_eq!(
+            payload.len(),
+            self.col_t.len(),
+            "checksum payload does not match protector shape"
+        );
+        self.col_t.copy_from_slice(payload);
     }
 
     /// Advance the simulation one protected iteration.
@@ -222,37 +191,16 @@ impl<T: Real> OnlineAbft<T> {
             (self.nx, self.ny, self.nz),
             "simulation/protector shape"
         );
-
         // 1. Sweep with fused checksum accumulation (§3.2, Fig. 2).
-        if self.cfg.maintain_row {
-            sim.step_full(
-                hook,
-                ghosts,
-                abft_stencil::ChecksumMode::RowCol {
-                    row: &mut self.row_comp,
-                    col: &mut self.col_comp,
-                },
-            );
-        } else {
-            sim.step_full(
-                hook,
-                ghosts,
-                abft_stencil::ChecksumMode::Col {
-                    col: &mut self.col_comp,
-                },
-            );
-        }
+        let col = &mut self.col_comp;
+        sim.step_full(hook, ghosts, ChecksumMode::Col { col });
         self.verify_after_sweep(sim, ghosts)
     }
 
     /// First half of a protected **split** step: sweep the ghost-free
-    /// `window` while the halo exchange is still in flight. `verify` must
-    /// match the second half's; when it is set and the window spans whole
-    /// x-lines the column checksums ride the sweep (§3.2, Fig. 2).
-    ///
-    /// With [`AbftConfig::maintain_row`](crate::AbftConfig) the row
-    /// checksums need a whole-domain sweep, so this half does nothing and
-    /// the second half runs the whole step.
+    /// `window` while the halo exchange is still in flight. When the
+    /// window spans whole x-lines the column checksums ride the sweep
+    /// (§3.2, Fig. 2).
     ///
     /// Not calling the second half *is* the clean abort (a peer rank died
     /// and its halo never arrives): no buffer swap, no verification — the
@@ -264,124 +212,58 @@ impl<T: Real> OnlineAbft<T> {
         sim: &mut StencilSim<T>,
         hook: &H,
         window: &InteriorWindow,
-        verify: bool,
     ) {
         debug_assert_eq!(
             sim.dims(),
             (self.nx, self.ny, self.nz),
             "simulation/protector shape"
         );
-        if !self.cfg.maintain_row {
-            let col = self.fuses(window, verify).then_some(&mut self.col_comp[..]);
-            sim.sweep_interior(hook, window, col);
-        }
+        let col = self.fuses(window).then_some(&mut self.col_comp[..]);
+        sim.sweep_interior(hook, window, col);
     }
 
     /// Second half of a protected split step: sweep the shell around
     /// `window` against `ghosts` (which must present the **time-`t`** halo,
-    /// i.e. the same values the sweep reads), finish the step, then either
-    /// verify — interpolate, compare, correct — or, with `verify == false`,
-    /// carry the trusted checksums forward by Theorem 1 without comparing
-    /// (see [`OnlineAbft::carry_step_with_ghosts`]). Detection/correction
-    /// lands before the caller's next halo post, exactly as in the
-    /// whole-step forms; each rank verifies only the z-layers of its own
-    /// brick (the protector's shape *is* the brick).
+    /// i.e. the same values the sweep reads), finish the step, then verify
+    /// — interpolate, compare, correct. Detection/correction lands before
+    /// the caller's next halo post, exactly as in the whole-step forms;
+    /// each rank verifies only the z-layers of its own brick (the
+    /// protector's shape *is* the brick).
     ///
     /// A window that does not span whole x-lines cannot complete every
     /// column checksum line, so the vectors are recomputed from the
     /// finished step — the same `f64` line reduction the fused sweep
     /// performs, hence bitwise-identical.
     ///
-    /// Returns the outcome and the time the verify-or-carry tail took (the
-    /// rest of the call is the edge sweep).
+    /// Returns the outcome and the time the verify tail took (the rest of
+    /// the call is the edge sweep).
     pub fn sweep_shell_and_verify<H: SweepHook<T>, G: GhostCells<T>>(
         &mut self,
         sim: &mut StencilSim<T>,
         hook: &H,
         ghosts: &G,
         window: &InteriorWindow,
-        verify: bool,
     ) -> (StepOutcome<T>, Duration) {
-        if self.cfg.maintain_row {
-            let outcome = if verify {
-                self.step_with_ghosts(sim, hook, ghosts)
-            } else {
-                self.carry_step_with_ghosts(sim, hook, ghosts)
-            };
-            return (outcome, Duration::ZERO);
-        }
-        let fused = self.fuses(window, verify);
+        let fused = self.fuses(window);
         let col = fused.then_some(&mut self.col_comp[..]);
         sim.sweep_shell_and_finish(hook, ghosts, window, col);
         let tail = Instant::now();
-        let outcome = if verify {
-            if !fused {
-                compute_col_into(sim.current(), &mut self.col_comp);
-            }
-            self.verify_after_sweep(sim, ghosts)
-        } else {
-            self.carry_commit(sim, ghosts);
-            StepOutcome::new(sim.iteration())
-        };
+        if !fused {
+            compute_col_into(sim.current(), &mut self.col_comp);
+        }
+        let outcome = self.verify_after_sweep(sim, ghosts);
         (outcome, tail.elapsed())
     }
 
     /// Whether a split step over `window` fuses the column checksums into
-    /// its sweeps: only a verifying step needs them, and only whole
-    /// x-lines can be summed in flight.
-    fn fuses(&self, window: &InteriorWindow, verify: bool) -> bool {
-        verify && window.x == (0..self.nx)
-    }
-
-    /// Advance one iteration **without** comparing: sweep plainly, then
-    /// move the trusted checksums forward analytically (Theorem 1) so
-    /// they keep describing the new iteration. The interior steps of a
-    /// deep-halo exchange epoch use this under
-    /// [`VerifyCadence::EpochBoundary`](crate::VerifyCadence): the
-    /// carried vectors are the *expected* chain, so a fault injected at
-    /// any carried step leaves them untouched and is exposed by the
-    /// comparison at the epoch's final, verifying sweep.
-    pub fn carry_step_with_ghosts<H: SweepHook<T>, G: GhostCells<T>>(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        hook: &H,
-        ghosts: &G,
-    ) -> StepOutcome<T> {
-        debug_assert_eq!(
-            sim.dims(),
-            (self.nx, self.ny, self.nz),
-            "simulation/protector shape"
-        );
-        sim.step_full(hook, ghosts, abft_stencil::ChecksumMode::None);
-        self.carry_commit(sim, ghosts);
-        StepOutcome::new(sim.iteration())
-    }
-
-    /// Move the trusted checksums one iteration forward analytically
-    /// without comparing. The carried state is the **expected** chain:
-    /// it is derived from the previously trusted vectors, never from the
-    /// (possibly faulted) swept data, so interior-step corruption cannot
-    /// launder itself into the trusted state.
-    fn carry_commit<G: GhostCells<T>>(&mut self, sim: &StencilSim<T>, ghosts: &G) {
-        self.stats.steps += 1;
-        self.carried += 1;
-        let source = StripSet::Grid(sim.previous());
-        self.interp
-            .interpolate_col(&self.col_t, &source, ghosts, &mut self.col_interp);
-        std::mem::swap(&mut self.col_t, &mut self.col_interp);
-        if self.cfg.maintain_row {
-            if let Some(rt) = &mut self.row_t {
-                self.interp
-                    .interpolate_row(rt, &source, ghosts, &mut self.row_interp);
-                std::mem::swap(rt, &mut self.row_interp);
-            }
-        }
+    /// its sweeps: only whole x-lines can be summed in flight.
+    fn fuses(&self, window: &InteriorWindow) -> bool {
+        window.x == (0..self.nx)
     }
 
     /// Steps 2–5 of the protected iteration: interpolate the expected
     /// checksums, detect, correct/refresh, and commit the trusted state.
-    /// The sweep must already have filled `self.col_comp` (and
-    /// `self.row_comp` when row checksums are maintained).
+    /// The sweep must already have filled `self.col_comp`.
     fn verify_after_sweep<G: GhostCells<T>>(
         &mut self,
         sim: &mut StencilSim<T>,
@@ -413,54 +295,27 @@ impl<T: Real> OnlineAbft<T> {
             }
         }
 
-        if !flagged.is_empty() && self.carried > 0 && !self.cfg.maintain_row {
-            // Batched verification without a maintained row chain: the
-            // time-`t` buffer carries every fault since the last compare,
-            // so rows materialised from it would agree with the faulted
-            // columns and misdiagnose the mismatch as checksum-only
-            // (Fig. 5b). Without a trusted second axis the mismatch
-            // cannot be localised — escalate each flagged layer so the
-            // distributed layer replays the epoch with per-step
-            // verification to attribute and correct the faulty sweep.
-            for (z, _) in flagged.drain(..) {
-                self.stats.detections += 1;
-                outcome.detections += 1;
-                self.stats.uncorrectable += 1;
-                outcome.uncorrectable += 1;
-                self.refresh_layer(sim, z);
-            }
-        }
-
         if !flagged.is_empty() {
             // 4. Materialise the row side (only now — §3.4: "it is only
             //    necessary to perform the detection on one of the two
             //    checksums […] only then interpolate the other"), and only
             //    for the flagged layers: their own rows at t+1, and at time
             //    t the rows of the layers their interpolation reads.
-            if !self.cfg.maintain_row {
-                let mut sources: Vec<usize> = flagged
-                    .iter()
-                    .flat_map(|&(z, _)| self.interp.row_source_layers(z))
-                    .collect();
-                sources.sort_unstable();
-                sources.dedup();
-                for z in sources {
-                    let layer = &mut self.row_t_scratch[z * nx..(z + 1) * nx];
-                    compute_row_layer_into(sim.previous(), z, layer);
-                }
-                for &(z, _) in &flagged {
-                    let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
-                    compute_row_layer_into(sim.current(), z, layer);
-                }
+            let mut sources: Vec<usize> = flagged
+                .iter()
+                .flat_map(|&(z, _)| self.interp.row_source_layers(z))
+                .collect();
+            sources.sort_unstable();
+            sources.dedup();
+            for z in sources {
+                compute_row_layer_into(sim.previous(), z, &mut self.row_t[z * nx..(z + 1) * nx]);
             }
-            let row_t: &[T] = match &self.row_t {
-                Some(r) => r,
-                None => &self.row_t_scratch,
-            };
             for &(z, _) in &flagged {
+                let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
+                compute_row_layer_into(sim.current(), z, layer);
                 let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
                 self.interp
-                    .interpolate_row_layer(z, row_t, &source, ghosts, layer);
+                    .interpolate_row_layer(z, &self.row_t, &source, ghosts, layer);
             }
 
             for (z, col_mms) in flagged {
@@ -479,13 +334,7 @@ impl<T: Real> OnlineAbft<T> {
 
         // 5. Commit: the (possibly repaired) computed checksums become the
         //    trusted state for the next iteration.
-        self.carried = 0;
         std::mem::swap(&mut self.col_t, &mut self.col_comp);
-        if self.cfg.maintain_row {
-            if let Some(rt) = &mut self.row_t {
-                std::mem::swap(rt, &mut self.row_comp);
-            }
-        }
         outcome
     }
 
@@ -496,28 +345,9 @@ impl<T: Real> OnlineAbft<T> {
         diag: LayerDiagnosis<T>,
         outcome: &mut StepOutcome<T>,
     ) {
-        let (nx, ny) = (self.nx, self.ny);
         match diag {
             LayerDiagnosis::Clean => {}
-            LayerDiagnosis::SingleError { x, y, .. } => {
-                if self.cfg.policy == MultiErrorPolicy::RefreshOnly {
-                    self.refresh_layer(sim, z);
-                    outcome.checksum_refreshes += 1;
-                    return;
-                }
-                let ev = correct_layer(
-                    &mut sim.current_mut().layer_mut(z),
-                    &mut self.row_comp[z * nx..(z + 1) * nx],
-                    &mut self.col_comp[z * ny..(z + 1) * ny],
-                    &self.row_interp[z * nx..(z + 1) * nx],
-                    &self.col_interp[z * ny..(z + 1) * ny],
-                    x,
-                    y,
-                    z,
-                );
-                self.stats.corrections += 1;
-                outcome.corrections.push(ev);
-            }
+            LayerDiagnosis::SingleError { x, y, .. } => self.correct(sim, x, y, z, outcome),
             LayerDiagnosis::ChecksumCorruption { .. } => {
                 // Fig. 5b: the domain is consistent, one of the checksum
                 // vectors is not — recompute from data and move on.
@@ -525,46 +355,53 @@ impl<T: Real> OnlineAbft<T> {
                 self.stats.checksum_refreshes += 1;
                 outcome.checksum_refreshes += 1;
             }
-            LayerDiagnosis::MultiError { rows, cols } => match self.cfg.policy {
-                MultiErrorPolicy::DeltaMatch => {
-                    let pairs = pair_by_delta(&rows, &cols, T::from_f64(0.05));
-                    let expected = rows.len().max(cols.len());
-                    for (r, c) in &pairs {
-                        let ev = correct_layer(
-                            &mut sim.current_mut().layer_mut(z),
-                            &mut self.row_comp[z * nx..(z + 1) * nx],
-                            &mut self.col_comp[z * ny..(z + 1) * ny],
-                            &self.row_interp[z * nx..(z + 1) * nx],
-                            &self.col_interp[z * ny..(z + 1) * ny],
-                            r.index,
-                            c.index,
-                            z,
-                        );
-                        self.stats.corrections += 1;
-                        outcome.corrections.push(ev);
-                    }
-                    if pairs.len() < expected {
-                        self.stats.uncorrectable += 1;
-                        outcome.uncorrectable += 1;
-                        self.refresh_layer(sim, z);
-                    }
-                }
-                MultiErrorPolicy::Strict | MultiErrorPolicy::RefreshOnly => {
+            LayerDiagnosis::MultiError { rows, cols } => {
+                let pairs = match self.cfg.policy {
+                    MultiErrorPolicy::DeltaMatch => pair_by_delta(&rows, &cols, T::from_f64(0.05)),
                     // Report, and adopt the data as-is so detection state
                     // stays consistent for subsequent iterations.
+                    MultiErrorPolicy::Strict => Vec::new(),
+                };
+                for (r, c) in &pairs {
+                    self.correct(sim, r.index, c.index, z, outcome);
+                }
+                if pairs.len() < rows.len().max(cols.len()) {
                     self.stats.uncorrectable += 1;
                     outcome.uncorrectable += 1;
                     self.refresh_layer(sim, z);
                 }
-            },
+            }
         }
     }
 
-    /// Recompute one layer's checksum state directly from the swept data.
-    fn refresh_layer(&mut self, sim: &StencilSim<T>, z: usize) {
+    /// Eq. 10 at `(x, y)` of layer `z`, repairing the computed vectors too.
+    fn correct(
+        &mut self,
+        sim: &mut StencilSim<T>,
+        x: usize,
+        y: usize,
+        z: usize,
+        outcome: &mut StepOutcome<T>,
+    ) {
         let (nx, ny) = (self.nx, self.ny);
+        let ev = correct_layer(
+            &mut sim.current_mut().layer_mut(z),
+            &mut self.row_comp[z * nx..(z + 1) * nx],
+            &mut self.col_comp[z * ny..(z + 1) * ny],
+            &self.row_interp[z * nx..(z + 1) * nx],
+            &self.col_interp[z * ny..(z + 1) * ny],
+            x,
+            y,
+            z,
+        );
+        self.stats.corrections += 1;
+        outcome.corrections.push(ev);
+    }
+
+    /// Recompute one layer's column checksums directly from the swept data.
+    fn refresh_layer(&mut self, sim: &StencilSim<T>, z: usize) {
+        let ny = self.ny;
         compute_col_layer_into(sim.current(), z, &mut self.col_comp[z * ny..(z + 1) * ny]);
-        compute_row_layer_into(sim.current(), z, &mut self.row_comp[z * nx..(z + 1) * nx]);
     }
 }
 
@@ -612,11 +449,9 @@ mod tests {
         sim: &mut StencilSim<f64>,
         hook: &H,
         window: &InteriorWindow,
-        verify: bool,
     ) -> StepOutcome<f64> {
-        abft.sweep_interior(sim, hook, window, verify);
-        abft.sweep_shell_and_verify(sim, hook, &NoGhosts, window, verify)
-            .0
+        abft.sweep_interior(sim, hook, window);
+        abft.sweep_shell_and_verify(sim, hook, &NoGhosts, window).0
     }
 
     #[test]
@@ -692,38 +527,11 @@ mod tests {
             let out_b = abft_b.step(&mut barriered, &NoHook);
             // Alternate the fused (whole x-lines) and recomputed windows.
             let window = if it % 2 == 0 { rows(1..9) } else { inner_box() };
-            let out_o = split_step(&mut abft_o, &mut overlapped, &NoHook, &window, true);
+            let out_o = split_step(&mut abft_o, &mut overlapped, &NoHook, &window);
             assert_eq!(out_b.is_clean(), out_o.is_clean());
         }
         assert_eq!(barriered.current(), overlapped.current());
         assert_eq!(abft_b.col_checksums(), abft_o.col_checksums());
-    }
-
-    /// `verify == false` is the split form of `carry_step_with_ghosts`: a
-    /// carried epoch through the two halves leaves the same grid and the
-    /// same trusted checksums as the whole-step forms.
-    #[test]
-    fn overlapped_step_carries_like_the_whole_step_form() {
-        for maintain_row in [false, true] {
-            let cfg = AbftConfig::<f64>::paper_defaults().with_maintain_row(maintain_row);
-            let mut whole = make_sim();
-            let mut split = make_sim();
-            let mut abft_w = OnlineAbft::new(&whole, cfg);
-            let mut abft_s = OnlineAbft::new(&split, cfg);
-            for j in 0..8 {
-                let verify = j % 4 == 3;
-                let out_w = if verify {
-                    abft_w.step(&mut whole, &NoHook)
-                } else {
-                    abft_w.carry_step_with_ghosts(&mut whole, &NoHook, &NoGhosts)
-                };
-                let out_s = split_step(&mut abft_s, &mut split, &NoHook, &inner_box(), verify);
-                assert_eq!(out_w, out_s);
-            }
-            assert_eq!(whole.current(), split.current());
-            assert_eq!(abft_w.col_checksums(), abft_s.col_checksums());
-            assert_eq!(abft_w.stats(), abft_s.stats());
-        }
     }
 
     #[test]
@@ -733,7 +541,7 @@ mod tests {
             let mut reference = make_sim();
             let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
             for _ in 0..3 {
-                split_step(&mut abft, &mut sim, &NoHook, &rows(1..9), true);
+                split_step(&mut abft, &mut sim, &NoHook, &rows(1..9));
                 reference.step();
             }
             let hook = move |hx: usize, hy: usize, hz: usize, v: f64| {
@@ -743,7 +551,7 @@ mod tests {
                     v
                 }
             };
-            let out = split_step(&mut abft, &mut sim, &hook, &rows(1..9), true);
+            let out = split_step(&mut abft, &mut sim, &hook, &rows(1..9));
             reference.step();
             assert_eq!(out.detections, 1, "flip at ({x},{y},{z}) missed");
             assert_eq!(out.corrections.len(), 1);
@@ -766,31 +574,6 @@ mod tests {
         };
         let out = abft.step(&mut sim, &hook);
         assert!(out.is_clean());
-    }
-
-    #[test]
-    fn maintain_row_mode_corrects_too() {
-        let mut sim = make_sim();
-        let cfg = AbftConfig::<f64>::paper_defaults().with_maintain_row(true);
-        let mut abft = OnlineAbft::new(&sim, cfg);
-        abft.step(&mut sim, &NoHook);
-        let hook = |x: usize, y: usize, z: usize, v: f64| {
-            if (x, y, z) == (2, 7, 2) {
-                v * 4.0
-            } else {
-                v
-            }
-        };
-        let out = abft.step(&mut sim, &hook);
-        assert_eq!(out.corrections.len(), 1);
-        assert_eq!(
-            (
-                out.corrections[0].x,
-                out.corrections[0].y,
-                out.corrections[0].z
-            ),
-            (2, 7, 2)
-        );
     }
 
     #[test]
@@ -821,103 +604,6 @@ mod tests {
             assert!(out.is_clean());
         }
         assert_eq!(sim.current(), reference.current());
-    }
-
-    #[test]
-    fn carried_epoch_is_clean_and_bitwise_neutral() {
-        // Three carried steps plus a verifying one: no false positive,
-        // and the data never deviates from an unprotected run.
-        let mut plain = make_sim();
-        let mut sim = make_sim();
-        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
-        for epoch in 0..3 {
-            for j in 0..4 {
-                plain.step();
-                let out = if j == 3 {
-                    abft.step(&mut sim, &NoHook)
-                } else {
-                    abft.carry_step_with_ghosts(&mut sim, &NoHook, &NoGhosts)
-                };
-                assert!(out.is_clean(), "false positive in epoch {epoch} step {j}");
-            }
-        }
-        assert_eq!(plain.current(), sim.current());
-        assert_eq!(abft.stats().steps, 12);
-        assert_eq!(abft.stats().verifications, 3);
-    }
-
-    #[test]
-    fn carried_step_fault_surfaces_at_the_boundary_as_uncorrectable() {
-        let mut sim = make_sim();
-        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
-        let hook = |x: usize, y: usize, z: usize, v: f64| {
-            if (x, y, z) == (5, 4, 1) {
-                v + 50.0
-            } else {
-                v
-            }
-        };
-        // Fault at the first carried step of a 3-step epoch: the carried
-        // expected chain stays clean, so the corruption has propagated by
-        // the verifying sweep and cannot be paired to a single point.
-        let out = abft.carry_step_with_ghosts(&mut sim, &hook, &NoGhosts);
-        assert!(out.is_clean(), "carried steps never compare");
-        abft.carry_step_with_ghosts(&mut sim, &NoHook, &NoGhosts);
-        let out = abft.step(&mut sim, &NoHook);
-        assert!(out.detections > 0, "propagated fault missed at boundary");
-        assert!(
-            out.uncorrectable > 0,
-            "propagated fault is not point-correctable"
-        );
-    }
-
-    #[test]
-    fn boundary_step_fault_with_maintained_rows_is_corrected_in_place() {
-        // With a carried (trusted) row chain the boundary sweep's own
-        // fault is still point-correctable at the epoch boundary.
-        let mut sim = make_sim();
-        let mut reference = make_sim();
-        let cfg = AbftConfig::<f64>::paper_defaults().with_maintain_row(true);
-        let mut abft = OnlineAbft::new(&sim, cfg);
-        for _ in 0..2 {
-            abft.carry_step_with_ghosts(&mut sim, &NoHook, &NoGhosts);
-            reference.step();
-        }
-        let hook = |x: usize, y: usize, z: usize, v: f64| {
-            if (x, y, z) == (5, 4, 1) {
-                v + 50.0
-            } else {
-                v
-            }
-        };
-        let out = abft.step(&mut sim, &hook);
-        reference.step();
-        assert_eq!(out.detections, 1);
-        assert_eq!(out.corrections.len(), 1);
-        assert!(sim.current().max_abs_diff(reference.current()) < 1e-9);
-    }
-
-    #[test]
-    fn boundary_step_fault_without_rows_escalates_after_carried_steps() {
-        // Without a maintained row chain the untrusted time-t buffer
-        // cannot supply reference rows, so a batched mismatch escalates
-        // for replay attribution instead of risking a misdiagnosis.
-        let mut sim = make_sim();
-        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
-        for _ in 0..2 {
-            abft.carry_step_with_ghosts(&mut sim, &NoHook, &NoGhosts);
-        }
-        let hook = |x: usize, y: usize, z: usize, v: f64| {
-            if (x, y, z) == (5, 4, 1) {
-                v + 50.0
-            } else {
-                v
-            }
-        };
-        let out = abft.step(&mut sim, &hook);
-        assert_eq!(out.detections, 1);
-        assert_eq!(out.uncorrectable, 1);
-        assert!(out.corrections.is_empty());
     }
 
     /// The value every counting source serves.

@@ -115,9 +115,9 @@ pub enum DistError {
     ZeroCheckpointPeriod,
     /// The checkpoint period is not a multiple of `steps_per_exchange`.
     /// Snapshots must land on exchange boundaries — only there is the
-    /// ghost shell empty (it is rebuilt from the next exchange, not
-    /// stored) and the epoch-batched checksums verified, so a rollback
-    /// target inside an epoch would restore an unverifiable state.
+    /// ghost shell spent (it is rebuilt from the next exchange, not
+    /// stored), so a rollback target inside an epoch would resume with
+    /// no shell to read.
     CheckpointEpochMismatch {
         period: usize,
         steps_per_exchange: usize,

@@ -20,10 +20,10 @@
 //!    neighbour sends and receives complete.
 //! 2. [`RankStepper::complete`] — on an exchange sweep, block on each
 //!    producer channel and assemble the [`HaloGhost`]; sweep the edge
-//!    shell against it and finish the step; when protected, verify (or
-//!    carry) the checksums — corrections land *before* the next post, so a
-//!    neighbour can never observe a known-corrupted cell — and escalate
-//!    damage Eq. 10 cannot repair.
+//!    shell against it and finish the step; when protected, verify the
+//!    checksums — every sweep, so corrections land *before* the next post
+//!    and a neighbour can never observe a known-corrupted cell — and
+//!    escalate damage Eq. 10 cannot repair.
 //!
 //! Either half can end the rank's round with a [`RankExit`]; a half that
 //! fails commits nothing, so a rank's replay bound is simply its `t`.
@@ -41,7 +41,6 @@ use crate::{
     HaloGhost, Partition3, Rank,
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
-use abft_core::VerifyCadence;
 use abft_fault::MultiFlipHook;
 use abft_grid::{Boundary, Grid3D};
 use abft_metrics::RecoveryStats;
@@ -157,7 +156,6 @@ pub(crate) struct RankStepper<T: Real> {
     /// Sweeps per halo exchange: 1 exchanges every iteration, `k > 1`
     /// posts once per epoch and advances the deep ghost shell in between.
     k: usize,
-    cadence: VerifyCadence,
     vault: Option<Arc<Vault<T>>>,
     /// Iterations at which a kill plan for this rank has yet to fire.
     kills: Vec<usize>,
@@ -182,10 +180,6 @@ pub(crate) struct RankStepper<T: Real> {
     /// Rewind target of the latest rollback (0 for a fresh job): the
     /// vault already holds that epoch.
     start: usize,
-    /// Attribution window: per-step verification is forced on for every
-    /// sweep `t < verify_until`, pinning an epoch-batched detection to
-    /// the exact faulty sweep during a replay. 0 outside attribution.
-    verify_until: usize,
 }
 
 impl<T: Real> RankStepper<T> {
@@ -214,10 +208,6 @@ impl<T: Real> RankStepper<T> {
         };
         Self {
             ghost: HaloGhost::new(rank.plan.clone(), spec.bounds, brick, spec.initial.dims()),
-            cadence: rank
-                .abft
-                .as_ref()
-                .map_or(VerifyCadence::EveryStep, |a| a.config().cadence),
             kills: spec
                 .cfg
                 .kills
@@ -236,7 +226,6 @@ impl<T: Real> RankStepper<T> {
             aux: Vec::new(),
             t: 0,
             start: 0,
-            verify_until: 0,
         }
     }
 
@@ -274,7 +263,7 @@ impl<T: Real> RankStepper<T> {
     }
 
     /// Second half of iteration `t`: receive and assemble, edge sweep,
-    /// verify or carry, escalate. Advances `t` when the step commits.
+    /// verify, escalate. Advances `t` when the step commits.
     pub(crate) fn complete(&mut self) -> Result<(), RankExit> {
         match self.hook() {
             None => self.complete_with(&NoHook),
@@ -286,22 +275,6 @@ impl<T: Real> RankStepper<T> {
     fn hook(&self) -> Option<MultiFlipHook<T>> {
         let flips = self.rank.flips_at(self.t);
         (!flips.is_empty()).then(|| MultiFlipHook::new(flips))
-    }
-
-    /// Whether iteration `t` compares checksums: always under the default
-    /// cadence; under the epoch-batched cadence only on the epoch's last
-    /// sweep, the run's final sweep, and inside an attribution replay
-    /// window. Unverified sweeps carry the checksums through Theorem 1's
-    /// one-step interpolation instead.
-    fn verifies(&self) -> bool {
-        match self.cadence {
-            VerifyCadence::EveryStep => true,
-            VerifyCadence::EpochBoundary => {
-                self.t % self.k == self.k - 1
-                    || self.t + 1 == self.iters
-                    || self.t < self.verify_until
-            }
-        }
     }
 
     fn post_with<H: SweepHook<T>>(&mut self, hook: &H) -> Result<(), RankExit> {
@@ -366,9 +339,8 @@ impl<T: Real> RankStepper<T> {
             self.ghost.values[..self.scratch.len()].copy_from_slice(&self.scratch);
         }
         let posted = Instant::now();
-        let verify = self.verifies();
         match self.rank.abft.as_mut() {
-            Some(a) => a.sweep_interior(&mut self.rank.sim, hook, &self.window, verify),
+            Some(a) => a.sweep_interior(&mut self.rank.sim, hook, &self.window),
             None => self.rank.sim.sweep_interior(hook, &self.window, None),
         }
         self.rank.timing.post_s += (posted - began).as_secs_f64();
@@ -402,16 +374,10 @@ impl<T: Real> RankStepper<T> {
             self.rank.timing.halo_msgs_recv += self.ports.recvs.len() as u64;
         }
         let landed = Instant::now();
-        let verify = self.verifies();
         let (uncorrectable, tail) = match self.rank.abft.as_mut() {
             Some(a) => {
-                let (outcome, tail) = a.sweep_shell_and_verify(
-                    &mut self.rank.sim,
-                    hook,
-                    &self.ghost,
-                    &self.window,
-                    verify,
-                );
+                let (outcome, tail) =
+                    a.sweep_shell_and_verify(&mut self.rank.sim, hook, &self.ghost, &self.window);
                 (outcome.uncorrectable, tail)
             }
             None => {
@@ -460,14 +426,6 @@ pub(crate) struct Job<T: Real> {
     steps_per_exchange: usize,
     /// `None` means a rank loss is unrecoverable.
     pub(crate) vault: Option<Arc<Vault<T>>>,
-    /// True when the job verifies checksums at epoch boundaries only — an
-    /// uncorrectable exit then triggers an *attribution* replay instead of
-    /// the standard consume-and-replay round.
-    epoch_verify: bool,
-    /// True while the current round *is* the attribution replay, so a
-    /// second uncorrectable exit falls back to standard consumption
-    /// instead of looping.
-    attributing: bool,
     pub(crate) recovery: RecoveryStats,
 }
 
@@ -521,11 +479,6 @@ impl<T: Real> Job<T> {
             part,
             steps_per_exchange: k,
             vault,
-            epoch_verify: spec
-                .cfg
-                .abft
-                .is_some_and(|a| a.cadence == VerifyCadence::EpochBoundary),
-            attributing: false,
             recovery: RecoveryStats::default(),
         };
         Ok((job, steppers))
@@ -568,23 +521,6 @@ impl<T: Real> Job<T> {
             let keep = vault.rings[0].lock().expect("vault ring poisoned").keep();
             return Err(DistError::NoCommonEpoch { keep });
         };
-        // An uncorrectable exit under epoch-boundary verification means a
-        // fault struck *somewhere inside* the failed epoch — the batched
-        // comparison cannot say where. The attribution replay re-enables
-        // the faults that fired since the rollback target and re-runs
-        // with per-step verification, which pins (and corrects) each
-        // fault at its true step. A kill-triggered round, or a second
-        // uncorrectable round, uses the standard consume-and-replay
-        // semantics instead.
-        let uncorrectable = exits
-            .iter()
-            .any(|x| matches!(x, Err(RankExit::Uncorrectable { .. })));
-        let attribute = self.epoch_verify && uncorrectable && !self.attributing;
-        let verify_until = if attribute {
-            steppers.iter().map(|s| s.t).max().unwrap_or(0)
-        } else {
-            0
-        };
         debug_assert!(
             e.is_multiple_of(self.steps_per_exchange),
             "rollback must land on an exchange boundary (validate pins period % k == 0)"
@@ -604,20 +540,14 @@ impl<T: Real> Job<T> {
             }
             // One-shot fault semantics: flips below this rank's `t` fired
             // (and were committed) on the lost attempt; only the rest may
-            // fire again during replay — except during an attribution
-            // replay, which deliberately re-fires everything after the
-            // rollback target so per-step verification can catch each
-            // fault at its own step.
-            let keep_from = if attribute { e } else { s.t };
-            s.rank.flips.retain(|f| f.iteration >= keep_from);
-            s.rank.shell_flips.retain(|f| f.iteration >= keep_from);
+            // fire again during replay.
+            s.rank.flips.retain(|f| f.iteration >= s.t);
+            s.rank.shell_flips.retain(|f| f.iteration >= s.t);
             self.recovery.steps_lost += s.t - e;
             s.t = e;
             s.start = e;
-            s.verify_until = verify_until;
             s.ports = ports;
         }
-        self.attributing = attribute;
         self.recovery.rollbacks += 1;
         self.recovery.recovery_s += began.elapsed().as_secs_f64();
         Ok(())

@@ -176,8 +176,8 @@ pub(crate) fn validate<T: Real>(
             return Err(DistError::ZeroCheckpointPeriod);
         }
         // Snapshots must land on exchange boundaries: only there is the
-        // decayed ghost shell empty (rebuilt from the next exchange
-        // rather than stored) and the epoch-batched checksums verified.
+        // decayed ghost shell spent (rebuilt from the next exchange
+        // rather than stored).
         if p.period % k != 0 {
             return Err(DistError::CheckpointEpochMismatch {
                 period: p.period,

@@ -5,7 +5,7 @@
 //! no other failure mode. The service's counters must account for every
 //! submission.
 
-use abft_core::{AbftConfig, VerifyCadence};
+use abft_core::AbftConfig;
 use abft_dist::{DistError, DistService, JobHandle, JobSpec, ServiceConfig};
 use abft_grid::Grid3D;
 use abft_stencil::Stencil3D;
@@ -67,10 +67,10 @@ proptest! {
     }
 
     /// Epoch-batched jobs behave no differently under the concurrent
-    /// scheduler: bursts mixing `steps_per_exchange > 1` with
-    /// boundary-batched verification all complete exactly once, each
-    /// report echoes the epoch length its job was submitted with, and
-    /// no clean run raises a detection.
+    /// scheduler: bursts of `steps_per_exchange > 1` jobs, protected or
+    /// not, all complete exactly once, each report echoes the epoch
+    /// length its job was submitted with, and no clean run raises a
+    /// detection.
     #[test]
     fn epoch_batched_jobs_complete_exactly_once_under_concurrent_scheduling(
         burst in proptest::collection::vec(
@@ -83,9 +83,7 @@ proptest! {
         for (i, &(ranks, iters, k, protect)) in burst.iter().enumerate() {
             let mut spec = job(i, [1, 2][ranks], iters).with_steps_per_exchange(k);
             if protect {
-                spec = spec.with_abft(
-                    AbftConfig::<f64>::paper_defaults().with_cadence(VerifyCadence::EpochBoundary),
-                );
+                spec = spec.with_abft(AbftConfig::<f64>::paper_defaults());
             }
             handles.push((k, service.submit_wait(spec).unwrap()));
         }

@@ -7,17 +7,18 @@
 //!
 //! The matrix also pins the communication contract (halo messages fall
 //! as `1/k` while each payload grows with the deep shell), the clean
-//! protected runs (zero false positives under both verification
-//! cadences), and the intra-epoch fault story: flips at every sweep
-//! offset inside an epoch and flips into mid-decay ghost-shell cells
-//! are detected and corrected exactly once, in the right rank.
+//! protected runs (zero false positives), and the intra-epoch fault
+//! story: flips at every sweep offset inside an epoch — interior and
+//! interpolation-boundary-strip brick cells alike — and flips into
+//! mid-decay ghost-shell cells are detected and corrected exactly once,
+//! in the right rank.
 //!
 //! A property test then draws what the matrix does not enumerate — every
 //! boundary kind per axis, a reach-2 kernel, `k = 4`, bricks thinner than
 //! the shell, a constant field — and holds each draw to the same
 //! equality, unprotected and protected.
 
-use abft_core::{AbftConfig, VerifyCadence};
+use abft_core::AbftConfig;
 use abft_dist::{run_distributed, DistConfig, DistError, DistReport, HaloMode};
 use abft_fault::BitFlip;
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
@@ -163,9 +164,8 @@ fn halo_messages_scale_inversely_with_epoch_length() {
     }
 }
 
-/// Clean protected runs under both verification cadences: bitwise-exact
-/// results and zero detections (no false positives from the carried
-/// checksum chain or the shell guard).
+/// Clean protected runs: bitwise-exact results and zero detections (no
+/// false positives from the brick verification or the shell guard).
 #[test]
 fn protected_clean_runs_are_exact_with_zero_false_positives() {
     let initial = Grid3D::from_fn(13, 13, 5, |x, y, z| {
@@ -176,29 +176,27 @@ fn protected_clean_runs_are_exact_with_zero_false_positives() {
     let expect = serial(&initial, &stencil, &bounds, 6);
     for (rx, ry, rz) in GRIDS {
         for k in [2usize, 3] {
-            for cadence in [VerifyCadence::EveryStep, VerifyCadence::EpochBoundary] {
-                for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
-                    let rep = run(
-                        &initial,
-                        &stencil,
-                        &bounds,
-                        &DistConfig::new(rx * ry * rz, 6)
-                            .with_grid3(rx, ry, rz)
-                            .with_steps_per_exchange(k)
-                            .with_abft(AbftConfig::<f64>::paper_defaults().with_cadence(cadence))
-                            .with_mode(mode),
-                    );
-                    let ctx = format!("{rx}x{ry}x{rz} k={k} {cadence:?} {mode:?}");
-                    assert_eq!(
-                        rep.total_stats().detections,
-                        0,
-                        "false positive on a clean run ({ctx})"
-                    );
-                    assert_eq!(
-                        rep.global, expect,
-                        "protection perturbed a clean run ({ctx})"
-                    );
-                }
+            for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
+                let rep = run(
+                    &initial,
+                    &stencil,
+                    &bounds,
+                    &DistConfig::new(rx * ry * rz, 6)
+                        .with_grid3(rx, ry, rz)
+                        .with_steps_per_exchange(k)
+                        .with_abft(AbftConfig::<f64>::paper_defaults())
+                        .with_mode(mode),
+                );
+                let ctx = format!("{rx}x{ry}x{rz} k={k} {mode:?}");
+                assert_eq!(
+                    rep.total_stats().detections,
+                    0,
+                    "false positive on a clean run ({ctx})"
+                );
+                assert_eq!(
+                    rep.global, expect,
+                    "protection perturbed a clean run ({ctx})"
+                );
             }
         }
     }
@@ -235,20 +233,33 @@ fn matrix_serial() -> Grid3D<f64> {
 /// exchange sweep, both interior sweeps) in every rank: exactly one
 /// detection and one correction, in the right rank, exact recovery —
 /// the per-step protection is oblivious to where the epoch boundaries
-/// fall.
+/// fall. Besides an interior cell, the flips strike the interpolation
+/// boundary strip of each rank's 6×6 brick, the cells whose expected
+/// checksums read the ghost shell: a cell on the face toward the
+/// y-neighbour, one on the face toward the x-neighbour in the bottom
+/// layer (an edge of the 6×6×2 brick), and the corner where both faces
+/// meet.
 #[test]
 fn intra_epoch_brick_flips_are_corrected_at_every_sweep_offset() {
     let expect = matrix_serial();
     for rank in 0..4 {
+        // Rank `px + 2·py` of the 2×2×1 grid: its ghost faces are the
+        // high ends of a low brick and the low ends of a high one.
+        let x_in = if rank % 2 == 0 { NX / 2 - 1 } else { 0 };
+        let y_in = if rank / 2 == 0 { NY / 2 - 1 } else { 0 };
+        let sites = [(3, 2, 1), (3, y_in, 1), (x_in, 2, 0), (x_in, y_in, 1)];
         // Iterations 3, 4, 5 cover epoch offsets j = 0, 1, 2 of the
         // middle epoch.
-        for iteration in [3usize, 4, 5] {
+        for ((x, y, z), iteration) in sites
+            .into_iter()
+            .flat_map(|s| [(s, 3usize), (s, 4), (s, 5)])
+        {
             for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
                 let flip = BitFlip {
                     iteration,
-                    x: 3,
-                    y: 2,
-                    z: 1,
+                    x,
+                    y,
+                    z,
                     bit: 51,
                 };
                 let rep = run(
@@ -262,7 +273,7 @@ fn intra_epoch_brick_flips_are_corrected_at_every_sweep_offset() {
                         .with_flip(rank, flip)
                         .with_mode(mode),
                 );
-                let ctx = format!("rank {rank}, iteration {iteration}, {mode:?}");
+                let ctx = format!("rank {rank}, ({x}, {y}, {z}), iteration {iteration}, {mode:?}");
                 let total = rep.total_stats();
                 assert_eq!(total.detections, 1, "missed detection at {ctx}");
                 assert_eq!(total.corrections, 1, "missed correction at {ctx}");
@@ -348,68 +359,6 @@ fn mid_decay_shell_flips_are_caught_by_the_guard_and_propagate_unprotected() {
         assert_ne!(
             unprotected.global, expect,
             "unguarded shell corruption must propagate ({mode:?})"
-        );
-    }
-}
-
-/// Epoch-batched verification plus attribution: under the
-/// `EpochBoundary` cadence an interior-cell flip on an *unverified*
-/// sweep is only caught by the batched check at the exchange boundary,
-/// which cannot name the sweep. With a checkpoint armed the job must
-/// replay the epoch from the last snapshot with per-step verification
-/// forced on, pinning the detection to the faulty sweep and finishing
-/// bitwise-exact — in both halo modes.
-#[test]
-fn epoch_batched_detection_attributes_the_faulty_sweep_via_replay() {
-    use abft_checkpoint::CheckpointPolicy;
-    let expect = matrix_serial();
-    // Iteration 4 is epoch offset j = 1 of the epoch starting at t = 3:
-    // sweep 4 runs unverified, the batched check fires after sweep 5.
-    let flip = BitFlip {
-        iteration: 4,
-        x: 3,
-        y: 3,
-        z: 1,
-        bit: 51,
-    };
-    for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
-        let rep = run(
-            &matrix_initial(),
-            &matrix_stencil(),
-            &BoundarySpec::clamp(),
-            &DistConfig::new(4, ITERS)
-                .with_grid3(2, 2, 1)
-                .with_steps_per_exchange(K)
-                .with_abft(
-                    AbftConfig::<f64>::paper_defaults().with_cadence(VerifyCadence::EpochBoundary),
-                )
-                .with_checkpoint(CheckpointPolicy::every(K))
-                .with_flip(1, flip)
-                .with_mode(mode),
-        );
-        let ctx = format!("{mode:?}");
-        assert_eq!(
-            rep.recovery.rollbacks, 1,
-            "attribution must replay exactly once ({ctx})"
-        );
-        assert!(
-            rep.ranks[1].stats.detections >= 1,
-            "batched verify missed the epoch ({ctx})"
-        );
-        assert_eq!(
-            rep.ranks[1].stats.corrections, 1,
-            "replay must pin and repair the faulty sweep ({ctx})"
-        );
-        for r in [0usize, 2, 3] {
-            assert_eq!(
-                rep.ranks[r].stats.detections, 0,
-                "false positive in rank {r} ({ctx})"
-            );
-        }
-        let diff = rep.global.max_abs_diff(&expect);
-        assert!(
-            diff < 1e-9,
-            "residual error {diff:.3e} after attribution ({ctx})"
         );
     }
 }

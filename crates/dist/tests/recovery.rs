@@ -8,7 +8,7 @@
 //! a typed error rather than a hang or a wrong answer.
 
 use abft_checkpoint::CheckpointPolicy;
-use abft_core::{AbftConfig, VerifyCadence};
+use abft_core::AbftConfig;
 use abft_dist::{run_distributed, DistConfig, DistError, DistReport, HaloMode};
 use abft_fault::{random_flips_at_bit, random_kills, BitFlip, RankKill};
 use abft_grid::{BoundarySpec, Grid3D};
@@ -440,13 +440,13 @@ proptest! {
     /// The storm campaign: one seeded kill — in mixed storms with two
     /// correctable flips on top — on the 2×2 grid and on the 1×4 slab
     /// grid, whose rank-graph diameter of 3 lets the pipeline's epoch
-    /// skew cross checkpoint boundaries under tight periods. Kill-only
-    /// storms must replay to the fault-free grid **bitwise**, and at
-    /// `k > 1` they verify at exchange boundaries only, so the rollback
-    /// has to restore the carried checksums too. Mixed storms keep
-    /// per-sweep verification (Eq. 10 repairs the flips in place
-    /// mid-epoch) and stay within its reconstruction residual. A storm
-    /// that ends in any `DistError` fails the test.
+    /// skew cross checkpoint boundaries under tight periods. Every sweep
+    /// is verified, and at `k > 1` the rollback lands on an exchange
+    /// boundary, whose first post rebuilds the ghost shell the snapshot
+    /// does not hold. Kill-only storms must replay to the fault-free grid
+    /// **bitwise**; mixed storms, whose flips Eq. 10 repairs in place
+    /// mid-epoch, stay within its reconstruction residual. A storm that
+    /// ends in any `DistError` fails the test.
     #[test]
     fn seeded_flip_and_kill_storms_always_recover(
         slabs in any::<bool>(),
@@ -459,15 +459,10 @@ proptest! {
         // Snapshots must land on exchange boundaries.
         prop_assume!(period % k == 0);
         let (rx, ry) = if slabs { (1, 4) } else { (2, 2) };
-        let abft = AbftConfig::<f64>::paper_defaults();
         let mut cfg = DistConfig::new(4, ITERS)
             .with_grid(rx, ry)
             .with_steps_per_exchange(k)
-            .with_abft(if mixed || k == 1 {
-                abft
-            } else {
-                abft.with_cadence(VerifyCadence::EpochBoundary)
-            })
+            .with_abft(AbftConfig::<f64>::paper_defaults())
             .with_checkpoint(CheckpointPolicy::every(period))
             .with_rank_kill(random_kills(seed, 1, 4, ITERS)[0])
             .with_mode(mode);

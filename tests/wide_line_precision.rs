@@ -27,17 +27,53 @@ fn error_free_f32_run_with_512_wide_lines_never_flags() {
 
 #[test]
 fn error_free_f32_run_with_512_wide_columns_never_flags() {
-    // The row-checksum direction: ny = 512 sums along y.
-    let initial = Grid3D::from_fn(12, 512, 2, |x, y, z| {
-        80.0f32 + ((x * 3 + y * 7 + z) % 11) as f32 * 0.4
-    });
+    // 512-tall columns: the row checksums, built only when a column
+    // mismatches, sum along this axis.
+    let initial = tall_columns();
     let stencil = Stencil3D::seven_point(0.4f32, 0.12, 0.08, 0.1);
     let mut sim = StencilSim::new(initial, stencil, BoundarySpec::clamp()).with_exec(Exec::Serial);
-    let cfg = AbftConfig::<f32>::paper_defaults().with_maintain_row(true);
-    let mut abft = OnlineAbft::new(&sim, cfg);
+    let mut abft = OnlineAbft::new(&sim, AbftConfig::<f32>::paper_defaults());
     for t in 0..256 {
         let out = abft.step(&mut sim, &NoHook);
         assert!(out.is_clean(), "false positive at iteration {t}");
+    }
+}
+
+fn tall_columns() -> Grid3D<f32> {
+    Grid3D::from_fn(12, 512, 2, |x, y, z| {
+        80.0f32 + ((x * 3 + y * 7 + z) % 11) as f32 * 0.4
+    })
+}
+
+#[test]
+fn faults_on_512_tall_columns_are_located_exactly() {
+    // The rows materialised for a flagged layer are 512-long sums; they
+    // must still pin every corruption to its exact cell.
+    let stencil = Stencil3D::seven_point(0.4f32, 0.12, 0.08, 0.1);
+    let mut sim =
+        StencilSim::new(tall_columns(), stencil, BoundarySpec::clamp()).with_exec(Exec::Serial);
+    let mut abft = OnlineAbft::new(&sim, AbftConfig::<f32>::paper_defaults());
+    for t in 0..256 {
+        if t % 32 != 16 {
+            let out = abft.step(&mut sim, &NoHook);
+            assert!(out.is_clean(), "false positive at iteration {t}");
+            continue;
+        }
+        // y = 0, 73, …, 511: both ends and six cells between.
+        let i = t / 32;
+        let site = ((i * 5 + 3) % 12, i * 73, i % 2);
+        let hook = move |x: usize, y: usize, z: usize, v: f32| {
+            if (x, y, z) == site {
+                v + 5.0 // well above ε·|a| ≈ 1e-5·512·80 ≈ 0.41
+            } else {
+                v
+            }
+        };
+        let out = abft.step(&mut sim, &hook);
+        assert_eq!(out.detections, 1, "fault at {site:?} (t = {t})");
+        assert_eq!(out.corrections.len(), 1, "fault at {site:?} (t = {t})");
+        let ev = out.corrections[0];
+        assert_eq!((ev.x, ev.y, ev.z), site, "t = {t}");
     }
 }
 
