@@ -199,8 +199,10 @@ impl<T: Real> EpochRing<T> {
                 return;
             }
         }
-        let mut snap = if self.ring.len() == self.keep {
-            self.ring.pop_front().expect("ring is non-empty")
+        let snap = if self.ring.len() == self.keep {
+            let mut snap = self.ring.pop_front().expect("ring is non-empty");
+            fill_snapshot(&mut snap, grid, aux, iteration);
+            snap
         } else {
             Snapshot {
                 grid: grid.clone(),
@@ -208,7 +210,6 @@ impl<T: Real> EpochRing<T> {
                 iteration,
             }
         };
-        fill_snapshot(&mut snap, grid, aux, iteration);
         self.ring.push_back(snap);
         self.stats.stores += 1;
     }

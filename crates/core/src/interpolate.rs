@@ -24,11 +24,22 @@
 //! cancels and the interpolation degenerates to Eqs. 8–9 — the fast path,
 //! which needs no time-`t` domain data at all.
 //!
-//! All resolution follows the sweep's x → y → z precedence exactly (see
-//! `abft_stencil::read_resolved`), so in exact arithmetic interpolated and
-//! freshly computed checksums are **equal**, not merely close; floating
-//! point leaves `O(n·eps)` rounding noise, absorbed by the detection
-//! threshold ε.
+//! All resolution follows the sweep's x → y → z precedence exactly (the
+//! per-read resolution the sweep's tests hold it to, `read_resolved` in
+//! `abft-stencil`, is test-only: it is their oracle), so in exact
+//! arithmetic interpolated and freshly computed checksums are **equal**,
+//! not merely close; floating point leaves `O(n·eps)` rounding noise,
+//! absorbed by the detection threshold ε.
+//!
+//! The column interpolation runs like the sweep runs Eq. 1: the source
+//! lines `b(t)[y+j]` — phantom ones included, and with `β` added on one
+//! plane per distinct `i` — are laid out once per call in a frame
+//! `2·extent` wider than the vector on the y and z axes, and then each
+//! tap adds `w · frame[…]` to a contiguous run of outputs (taps outer,
+//! outputs inner). Each output still sees its constant term and then the
+//! taps in tap order, so the frame changes no bit of the result; the
+//! oracle is `tests::shared_corrections_equal_per_tap_evaluation_bitwise`,
+//! a per-output, per-tap loop drawn over every boundary kind.
 
 use crate::phantom::StripSet;
 use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
@@ -68,11 +79,12 @@ pub struct Interpolator<T> {
     nz: usize,
     fast_x: bool,
     fast_y: bool,
-    /// Per tap with a non-zero `di`, the place of that `di` among the
-    /// distinct ones — the β corrections a source line can be asked for —
-    /// and how many those are.
-    tap_shift: Vec<Option<usize>>,
-    shifts: usize,
+    /// Per tap, the plane of `interpolate_col`'s frame it reads: 0 for the
+    /// plain source lines, or — off the x fast path, for a non-zero `di` —
+    /// `1 +` the place of that `di` among the distinct ones, whose plane
+    /// holds each line plus its β. And how many planes there are.
+    tap_plane: Vec<usize>,
+    planes: usize,
 }
 
 impl<T: Real> Interpolator<T> {
@@ -105,25 +117,27 @@ impl<T: Real> Interpolator<T> {
         constant_sums: Option<Arc<LineSums<T>>>,
         (nx, ny, nz): (usize, usize, usize),
     ) -> Self {
+        let fast_x = !needs_strips_x(stencil, &bounds.x);
         let mut x_shifts: Vec<isize> = Vec::new();
-        let tap_shift = stencil.taps().iter().map(|t| {
-            (t.di != 0).then(|| {
-                x_shifts.iter().position(|&i| i == t.di).unwrap_or_else(|| {
-                    x_shifts.push(t.di);
-                    x_shifts.len() - 1
-                })
+        let tap_plane = stencil.taps().iter().map(|t| {
+            if fast_x || t.di == 0 {
+                return 0;
+            }
+            1 + x_shifts.iter().position(|&i| i == t.di).unwrap_or_else(|| {
+                x_shifts.push(t.di);
+                x_shifts.len() - 1
             })
         });
         Self {
-            tap_shift: tap_shift.collect(),
-            shifts: x_shifts.len(),
+            tap_plane: tap_plane.collect(),
+            planes: 1 + x_shifts.len(),
             stencil: stencil.clone(),
             bounds: *bounds,
             constant_sums,
             nx,
             ny,
             nz,
-            fast_x: !needs_strips_x(stencil, &bounds.x),
+            fast_x,
             fast_y: !needs_strips_y(stencil, &bounds.y),
         }
     }
@@ -160,6 +174,20 @@ impl<T: Real> Interpolator<T> {
     /// `col_t`/`out` are flat `[z][y]` buffers; `source` provides time-`t`
     /// near-boundary data (may be [`StripSet::None`] iff
     /// [`Interpolator::col_strip_width`] is 0 and no ghost axis is used).
+    ///
+    /// Evaluated the way the sweep evaluates Eq. 1. First a *frame* of
+    /// source lines `(yq, zq)`, `(ny + 2·ey) × (nz + 2·ez)` of them in
+    /// `f64`, is filled once: in-range lines from `col_t`, and every
+    /// out-of-range line some tap reaches through the boundaries (a ghost
+    /// line is fetched and summed once however many taps read it). Off
+    /// the fast path, each distinct tap `di` adds one plane holding
+    /// `line + β(di)`, filled only on the lines a tap with that `di`
+    /// reaches, so each β is evaluated once too. Then, per layer, the
+    /// taps run outer and the outputs inner: `acc[y] += w · s[y + dj]`
+    /// over a contiguous run of the tap's plane and layer `z + dk`.
+    /// Every entry still starts from `c_y` and takes `+= w·s` in tap
+    /// order, with `s` widened and corrected exactly as one tap at a time
+    /// would, so the result is bitwise the per-output evaluation's.
     pub fn interpolate_col<G: GhostCells<T>>(
         &self,
         col_t: &[T],
@@ -167,55 +195,98 @@ impl<T: Real> Interpolator<T> {
         ghosts: &G,
         out: &mut [T],
     ) {
-        assert_eq!(col_t.len(), self.nz * self.ny, "col_t length");
-        assert_eq!(out.len(), self.nz * self.ny, "out length");
-        let (ny, nz) = (self.ny as isize, self.nz as isize);
-        let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
-        // Phantom lines `(yq, zq)` outside the domain, over the frame the
-        // taps can reach. Each is evaluated on first use and kept for the
-        // rest of the call: a ghost line is a bulk read of `nx` cells and
-        // their sum, and up to `extent`-many taps per neighbouring output
-        // read the same one.
-        let (ey, ez) = (
-            self.stencil.extent_y() as isize,
-            self.stencil.extent_z() as isize,
-        );
+        let (ny, nz) = (self.ny, self.nz);
+        assert_eq!(col_t.len(), nz * ny, "col_t length");
+        assert_eq!(out.len(), nz * ny, "out length");
+        let (nyi, nzi) = (ny as isize, nz as isize);
+        let (ey, ez) = (self.stencil.extent_y(), self.stencil.extent_z());
         let frame_ny = ny + 2 * ey;
-        let frame = (frame_ny * (nz + 2 * ez)) as usize;
-        let mut phantom: Vec<Option<T>> = vec![None; frame];
-        // The β correction of source line `(yq, zq)` for each distinct tap
-        // `di`, kept the same way: it depends on nothing else, and every
-        // tap with that `di` of up to `extent`-many outputs asks for it.
-        let shifts = if self.fast_x { 0 } else { self.shifts };
-        let mut beta: Vec<Option<T>> = vec![None; shifts * frame];
+        let area = frame_ny * (nz + 2 * ez);
+        // Frame position of source line `(yq, zq)`.
+        let at = |yq: isize, zq: isize| {
+            (zq + ez as isize) as usize * frame_ny + (yq + ey as isize) as usize
+        };
+        let mut frame = vec![0.0f64; self.planes * area];
+        let mut filled = vec![false; self.planes * area];
         // A fetched ghost line; stays unallocated without a ghost axis.
         let mut line_buf: Vec<T> = Vec::new();
-        for z in 0..self.nz {
-            for y in 0..self.ny {
-                // f64 accumulation mirrors the fused checksum computation
-                // (see `abft_core::checksum`): keeps the comparison margin
-                // at ~1 ulp of T instead of O(k) ulps.
-                let mut acc = cb.map_or(0.0, |c| c[z * self.ny + y].to_f64());
-                for (tap, shift) in self.stencil.taps().iter().zip(&self.tap_shift) {
-                    let yq = y as isize + tap.dj;
-                    let zq = z as isize + tap.dk;
-                    let at = || ((zq + ez) * frame_ny + yq + ey) as usize;
-                    let line = if (0..ny).contains(&yq) && (0..nz).contains(&zq) {
-                        col_t[(zq * ny + yq) as usize]
-                    } else {
-                        *phantom[at()].get_or_insert_with(|| {
-                            self.phantom_col(col_t, yq, zq, ghosts, &mut line_buf)
-                        })
-                    };
-                    let mut s = line.to_f64();
-                    if let (false, Some(shift)) = (self.fast_x, shift) {
-                        let corr = beta[shift * frame + at()]
-                            .get_or_insert_with(|| self.corr_x(tap.di, yq, zq, source, ghosts));
-                        s += corr.to_f64();
+
+        // Plane 0, in range: the checksum vector itself.
+        for (z, layer) in col_t.chunks_exact(ny).enumerate() {
+            let to = at(0, z as isize);
+            for (s, &c) in frame[to..to + ny].iter_mut().zip(layer) {
+                *s = c.to_f64();
+            }
+        }
+        // Plane 0, out of range: the phantom lines some tap reaches — all
+        // of a tap's lines on an out-of-range layer, and on an in-range
+        // one those past the y edge its `dj` crosses.
+        for tap in self.stencil.taps() {
+            let (dj, dk) = (tap.dj, tap.dk);
+            let y_edge = if dj < 0 {
+                dj..(dj + nyi).min(0)
+            } else {
+                nyi.max(dj)..dj + nyi
+            };
+            for zq in dk..dk + nzi {
+                let yqs = if (0..nzi).contains(&zq) {
+                    y_edge.clone()
+                } else {
+                    dj..dj + nyi
+                };
+                for yq in yqs {
+                    let i = at(yq, zq);
+                    if !filled[i] {
+                        filled[i] = true;
+                        frame[i] = self
+                            .phantom_col(col_t, yq, zq, ghosts, &mut line_buf)
+                            .to_f64();
                     }
-                    acc += tap.w.to_f64() * s;
                 }
-                out[z * self.ny + y] = T::from_f64(acc);
+            }
+        }
+        // The β planes: `line + β(di)` on every line a tap with that `di`
+        // reaches, each evaluated once.
+        for (tap, &plane) in self.stencil.taps().iter().zip(&self.tap_plane) {
+            if plane == 0 {
+                continue;
+            }
+            let base = plane * area;
+            for zq in tap.dk..tap.dk + nzi {
+                for yq in tap.dj..tap.dj + nyi {
+                    let i = at(yq, zq);
+                    if !filled[base + i] {
+                        filled[base + i] = true;
+                        let corr = self.corr_x(tap.di, yq, zq, source, ghosts);
+                        frame[base + i] = frame[i] + corr.to_f64();
+                    }
+                }
+            }
+        }
+
+        // Taps outer, outputs inner. f64 accumulation mirrors the fused
+        // checksum computation (see `abft_core::checksum`): keeps the
+        // comparison margin at ~1 ulp of T instead of O(k) ulps.
+        let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
+        let mut acc = vec![0.0f64; ny];
+        for (z, out_layer) in out.chunks_exact_mut(ny).enumerate() {
+            match cb {
+                Some(c) => {
+                    for (a, &c) in acc.iter_mut().zip(&c[z * ny..(z + 1) * ny]) {
+                        *a = c.to_f64();
+                    }
+                }
+                None => acc.fill(0.0),
+            }
+            for (tap, &plane) in self.stencil.taps().iter().zip(&self.tap_plane) {
+                let w = tap.w.to_f64();
+                let from = plane * area + at(tap.dj, z as isize + tap.dk);
+                for (a, &s) in acc.iter_mut().zip(&frame[from..from + ny]) {
+                    *a += w * s;
+                }
+            }
+            for (o, &a) in out_layer.iter_mut().zip(&acc) {
+                *o = T::from_f64(a);
             }
         }
     }
@@ -438,6 +509,7 @@ mod tests {
     use crate::phantom::capture_all_layers;
     use abft_grid::NoGhosts;
     use abft_stencil::{sweep, ChecksumMode, Exec, NoHook};
+    use proptest::prelude::*;
 
     fn grid(nx: usize, ny: usize, nz: usize) -> Grid3D<f64> {
         Grid3D::from_fn(nx, ny, nz, |x, y, z| {
@@ -619,36 +691,154 @@ mod tests {
         );
     }
 
-    /// `interpolate_col` evaluates each line's β once per distinct `di`
-    /// and reuses it; tap by tap from scratch must give the same bits.
-    #[test]
-    fn shared_corrections_equal_per_tap_evaluation_bitwise() {
-        for (stencil, bounds) in [
-            (asymmetric(), BoundarySpec::clamp()),
-            (wide(), BoundarySpec::uniform(Boundary::Reflect)),
-            (wide(), BoundarySpec::zero()),
-        ] {
-            let (nx, ny, nz) = (9, 8, 3);
-            let src = grid(nx, ny, nz);
-            let col_t = ChecksumState::compute(&src, false).col;
-            let interp = Interpolator::new(&stencil, &bounds, None, (nx, ny, nz));
-            let source = StripSet::Grid(&src);
-            let mut got = vec![0.0; nz * ny];
-            interp.interpolate_col(&col_t, &source, &NoGhosts, &mut got);
-            for z in 0..nz {
-                for y in 0..ny {
-                    let mut acc = 0.0;
-                    for tap in stencil.taps() {
-                        let (yq, zq) = (y as isize + tap.dj, z as isize + tap.dk);
-                        let mut s = interp.phantom_col(&col_t, yq, zq, &NoGhosts, &mut Vec::new());
-                        if tap.di != 0 {
-                            s += interp.corr_x(tap.di, yq, zq, &source, &NoGhosts);
-                        }
-                        acc += tap.w * s;
+    /// The ghost value at `(x, y, z)`: depends on all three coordinates.
+    fn pattern<T: Real>(x: isize, y: isize, z: isize) -> T {
+        T::from_f64((x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.37 - 4.0)
+    }
+
+    /// A ghost source served through the trait's default bulk read.
+    struct PatternGhost;
+    impl<T: Real> GhostCells<T> for PatternGhost {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
+            pattern(x, y, z)
+        }
+    }
+
+    /// The same values from a source that overrides the bulk read.
+    struct BulkPatternGhost;
+    impl<T: Real> GhostCells<T> for BulkPatternGhost {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
+            pattern(x, y, z)
+        }
+
+        fn ghost_line(&self, xs: std::ops::Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
+            out.extend(xs.map(|x| pattern::<T>(x as isize, y, z)));
+        }
+    }
+
+    /// The per-output evaluation of Eq. 5 that `interpolate_col`'s frame
+    /// replaces: for each entry, its constant term, then tap by tap the
+    /// source line (phantom through the boundaries) widened to `f64`,
+    /// plus its β off the fast path, times the weight.
+    fn per_tap<T: Real, G: GhostCells<T>>(
+        interp: &Interpolator<T>,
+        col_t: &[T],
+        source: &StripSet<'_, T>,
+        ghosts: &G,
+    ) -> Vec<T> {
+        let (ny, nz) = (interp.ny, interp.nz);
+        let cb = interp.constant_sums.as_deref().map(|s| &s.col[..]);
+        let mut out = Vec::with_capacity(nz * ny);
+        for z in 0..nz {
+            for y in 0..ny {
+                let mut acc = cb.map_or(0.0, |c| c[z * ny + y].to_f64());
+                for tap in interp.stencil.taps() {
+                    let (yq, zq) = (y as isize + tap.dj, z as isize + tap.dk);
+                    let line = interp.phantom_col(col_t, yq, zq, ghosts, &mut Vec::new());
+                    let mut s = line.to_f64();
+                    if !interp.fast_x && tap.di != 0 {
+                        s += interp.corr_x(tap.di, yq, zq, source, ghosts).to_f64();
                     }
-                    assert_eq!(got[z * ny + y].to_bits(), acc.to_bits(), "({y}, {z})");
+                    acc += tap.w.to_f64() * s;
                 }
+                out.push(T::from_f64(acc));
             }
+        }
+        out
+    }
+
+    /// One drawn case in type `T`: `interpolate_col` against [`per_tap`],
+    /// bitwise.
+    fn frame_matches_per_tap<T: Real>(
+        taps: &[(isize, isize, isize, f64)],
+        bounds: [usize; 3],
+        dims: (usize, usize, usize),
+        with_constant: bool,
+        bulk_ghosts: bool,
+    ) -> Result<(), TestCaseError> {
+        let w = |v: f64| T::from_f64(v);
+        let taps: Vec<_> = taps.iter().map(|&(i, j, k, v)| (i, j, k, w(v))).collect();
+        let stencil = Stencil3D::from_tuples(&taps);
+        let kind = |b: usize| match b {
+            0 => Boundary::Clamp,
+            1 => Boundary::Periodic,
+            2 => Boundary::Zero,
+            3 => Boundary::Constant(w(2.5)),
+            4 => Boundary::Reflect,
+            _ => Boundary::Ghost,
+        };
+        let bounds = BoundarySpec {
+            x: kind(bounds[0]),
+            y: kind(bounds[1]),
+            z: kind(bounds[2]),
+        };
+        // Each axis at least one longer than the stencil's reach on it.
+        let (nx, ny, nz) = (
+            stencil.extent_x() + dims.0,
+            stencil.extent_y() + dims.1,
+            stencil.extent_z() + dims.2,
+        );
+        let src = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+            w(((x * 31 + y * 17 + z * 7) % 23) as f64 * 0.3 - 3.0)
+        });
+        let constant = with_constant
+            .then(|| Grid3D::from_fn(nx, ny, nz, |x, y, z| w((x + 2 * y + 3 * z) as f64 * 0.11)));
+        let col_t = ChecksumState::compute(&src, false).col;
+        let interp = Interpolator::new(&stencil, &bounds, constant.as_ref(), (nx, ny, nz));
+        let source = StripSet::Grid(&src);
+        let mut got = vec![T::ZERO; nz * ny];
+        let expect = if bulk_ghosts {
+            interp.interpolate_col(&col_t, &source, &BulkPatternGhost, &mut got);
+            per_tap(&interp, &col_t, &source, &BulkPatternGhost)
+        } else {
+            interp.interpolate_col(&col_t, &source, &PatternGhost, &mut got);
+            per_tap(&interp, &col_t, &source, &PatternGhost)
+        };
+        for (n, (g, e)) in got.iter().zip(&expect).enumerate() {
+            prop_assert!(
+                g.to_f64().to_bits() == e.to_f64().to_bits(),
+                "entry (y {}, z {}): frame {g:?} vs per tap {e:?}; {bounds:?}, \
+                 dims {:?}, taps {taps:?}, constant {with_constant}",
+                n % ny,
+                n / ny,
+                (nx, ny, nz),
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(64))]
+
+        /// `interpolate_col` fills each source line, and each line's β
+        /// per distinct `di`, once into a frame and runs taps outer; the
+        /// per-output, per-tap evaluation must give the same bits — over
+        /// every boundary kind per axis, ghost sources with and without a
+        /// bulk read, `f32` and `f64`, with and without a constant field,
+        /// and domains as short as the stencil's reach plus one, where the
+        /// frame is wider than the domain.
+        #[test]
+        fn shared_corrections_equal_per_tap_evaluation_bitwise(
+            taps in proptest::collection::vec(
+                (-2isize..=2, -2isize..=2, -2isize..=2, -1.0f64..1.0),
+                1..=9,
+            ),
+            mirror_x in any::<bool>(),
+            bounds in (0usize..6, 0usize..6, 0usize..6),
+            dims in (1usize..8, 1usize..6, 1usize..4),
+            with_constant in any::<bool>(),
+            bulk_ghosts in any::<bool>(),
+        ) {
+            // Mirroring every tap in x makes the stencil x-symmetric, so a
+            // reach-1 clamp x takes the fast path.
+            let mut taps = taps;
+            if mirror_x {
+                let mirrored: Vec<_> = taps.iter().map(|&(i, j, k, v)| (-i, j, k, v)).collect();
+                taps.extend(mirrored);
+            }
+            let bounds = [bounds.0, bounds.1, bounds.2];
+            frame_matches_per_tap::<f32>(&taps, bounds, dims, with_constant, bulk_ghosts)?;
+            frame_matches_per_tap::<f64>(&taps, bounds, dims, with_constant, bulk_ghosts)?;
         }
     }
 

@@ -48,4 +48,4 @@ pub use exec::Exec;
 pub use hook::{NoHook, SweepHook};
 pub use kernel::{Stencil2D, Stencil3D, Tap2, Tap3};
 pub use sim::{InteriorWindow, StencilSim};
-pub use sweep::{read_resolved, sweep, sweep_region, sweep_rows, ChecksumMode};
+pub use sweep::{sweep, sweep_region, sweep_rows, ChecksumMode};

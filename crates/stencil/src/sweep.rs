@@ -35,13 +35,13 @@ pub enum ChecksumMode<'a, T> {
 /// Resolve a (possibly out-of-range) read of `src` at signed coordinates,
 /// honouring the per-axis boundary conditions with x → y → z precedence.
 ///
-/// This is the *reference semantics* of every boundary read in the
-/// workspace, and no sweep calls it: the kernel folds y and z once per
-/// row and x once per tap of an x-end cell to the same effect, the
-/// tests hold it to a loop over this function bitwise, and the checksum
-/// interpolation in `abft-core` models it analytically.
-#[inline]
-pub fn read_resolved<T: Real, G: GhostCells<T>>(
+/// The tests' oracle for every boundary read, and compiled for them
+/// only: the kernel folds y and z once per row and x once per tap of an
+/// x-end cell to the same effect, the tests hold it to a loop over this
+/// function bitwise, and the checksum interpolation in `abft-core`
+/// models it analytically.
+#[cfg(test)]
+fn read_resolved<T: Real, G: GhostCells<T>>(
     src: &Grid3D<T>,
     xq: isize,
     yq: isize,
@@ -321,7 +321,7 @@ fn x_reach<T: Real>(xs: &Range<usize>, nx: usize, ex: usize, bx: &Boundary<T>) -
 }
 
 /// Fold every tap's `(y+dj, z+dk)` for output row `(y, z)` into
-/// `scratch.sources` — y before z, the precedence of [`read_resolved`]
+/// `scratch.sources` — y before z, the precedence of `read_resolved`
 /// once x is in range. Ghost lines are fetched over `reach` (see
 /// [`x_reach`]) through the source's bulk read, each distinct line once.
 fn fold_row<T: Real, G: GhostCells<T>>(
@@ -408,7 +408,7 @@ impl<T: Real> FoldedRow<'_, T> {
     /// `N` adjacent outputs starting at x-interior cell `x`: each
     /// accumulator starts from the constant term and takes `acc += w·src`
     /// tap by tap **in tap order** — per cell the very operation sequence
-    /// of a loop over [`read_resolved`], so the result is bitwise the same.
+    /// of a loop over `read_resolved`, so the result is bitwise the same.
     #[inline(always)]
     fn block<const N: usize>(&self, x: usize) -> [T; N] {
         let mut acc = [T::ZERO; N];
@@ -455,7 +455,7 @@ impl<T: Real> FoldedRow<'_, T> {
 
     /// One x-end cell: some tap's `x + di` leaves the domain. Only x is
     /// resolved per tap, and it wins the precedence exactly as in
-    /// [`read_resolved`] — a value-like x yields its value, a ghost x asks
+    /// `read_resolved` — a value-like x yields its value, a ghost x asks
     /// the source with the tap's raw `(y, z)`; an in-range x loads from
     /// the tap's folded source, a broadcast value entering pre-multiplied
     /// as [`FoldedRow::block`] adds it.
