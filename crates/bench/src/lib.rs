@@ -7,7 +7,7 @@
 //! answers "what does protection cost?" — that is `benchmark/`'s job.
 
 use abft_core::AbftConfig;
-use abft_fault::{Campaign, Method, RunRecord};
+use abft_fault::{Campaign, RunRecord};
 use abft_hotspot::{build_sim, Scenario};
 use abft_metrics::Summary;
 use abft_stencil::{Exec, StencilSim};
@@ -143,15 +143,10 @@ pub fn overhead_pct(x: f64, b: f64) -> f64 {
     100.0 * (x - b) / b
 }
 
-/// The method list with the paper's ordering, re-exported for binaries.
-pub fn methods() -> [Method; 3] {
-    Method::all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_fault::BitFlip;
+    use abft_fault::{BitFlip, Method};
 
     #[test]
     fn cli_defaults() {

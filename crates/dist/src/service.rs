@@ -1446,6 +1446,10 @@ mod tests {
                 },
             ),
             (
+                job(2, 3).with_flip(5, flip),
+                DistError::FlipRank { rank: 5, ranks: 2 },
+            ),
+            (
                 job(2, 3).with_flip(1, BitFlip { x: 99, ..flip }),
                 DistError::FlipOutOfBrick {
                     rank: 1,
@@ -1480,10 +1484,14 @@ mod tests {
             ),
         ];
         for (spec, expected) in rejects {
+            // `submit` itself refuses it: nothing malformed reaches the pool.
+            assert_eq!(service.submit(spec.clone()).err(), Some(expected.clone()));
             let [one_shot, pooled] = both_verdicts(&service, spec);
             assert_eq!(one_shot, Err(expected.clone()));
             assert_eq!(pooled, Err(expected));
         }
+        // The pool still serves.
+        assert!(service.submit(job(4, 4)).unwrap().wait().is_ok());
         // A wide kernel on a deep shell — the halo depth both entry points
         // derive is 2 sweeps × reach 2 — is accepted by both, bitwise alike.
         let valid = JobSpec::over(
@@ -1653,52 +1661,6 @@ mod tests {
     fn zero_sized_pool_is_rejected() {
         let err = DistService::<f64>::new(0).err();
         assert_eq!(err, Some(DistError::NoRanks));
-    }
-
-    #[test]
-    fn malformed_jobs_never_reach_the_pool() {
-        // Every admission failure must come back synchronously from
-        // submit — and the pool must stay healthy for the next job.
-        let service = DistService::<f64>::new(4).unwrap();
-        let rejects: Vec<(JobSpec<f64>, DistError)> = vec![
-            (job(2, 0), DistError::ZeroIterations),
-            (
-                job(2, 3).with_flip(
-                    5,
-                    BitFlip {
-                        iteration: 1,
-                        x: 0,
-                        y: 0,
-                        z: 0,
-                        bit: 3,
-                    },
-                ),
-                DistError::FlipRank { rank: 5, ranks: 2 },
-            ),
-            (
-                job(2, 3).with_flip(
-                    1,
-                    BitFlip {
-                        iteration: 1,
-                        x: 99,
-                        y: 0,
-                        z: 0,
-                        bit: 3,
-                    },
-                ),
-                DistError::FlipOutOfBrick {
-                    rank: 1,
-                    flip: (99, 0, 0),
-                    brick: (10, 8, 2),
-                },
-            ),
-        ];
-        for (spec, expected) in rejects {
-            assert_eq!(service.submit(spec).unwrap_err(), expected);
-        }
-        // The pool still serves.
-        assert!(service.submit(job(4, 4)).unwrap().wait().is_ok());
-        service.shutdown();
     }
 
     #[test]

@@ -36,10 +36,10 @@ pub enum ChecksumMode<'a, T> {
 /// honouring the per-axis boundary conditions with x → y → z precedence.
 ///
 /// The tests' oracle for every boundary read, and compiled for them
-/// only: the kernel folds y and z once per row and x once per tap of an
-/// x-end cell to the same effect, the tests hold it to a loop over this
-/// function bitwise, and the checksum interpolation in `abft-core`
-/// models it analytically.
+/// only: the kernel folds z once per layer, y once per face row and x
+/// once per tap of an x-end cell to the same effect, the tests hold it
+/// to a loop over this function bitwise, and the checksum interpolation
+/// in `abft-core` models it analytically.
 #[cfg(test)]
 fn read_resolved<T: Real, G: GhostCells<T>>(
     src: &Grid3D<T>,
@@ -271,6 +271,16 @@ struct LayerTask<'a, T> {
 /// Per-thread working storage of [`sweep_layer`], reused from row to row
 /// and (in a serial sweep) from layer to layer.
 struct Scratch<T> {
+    /// Every tap's `z + dk` folded through the z boundary for the current
+    /// layer, in tap order (filled by [`fold_layer`]).
+    layer: Vec<LayerTap<T>>,
+    /// The rows of the current layer whose sources are `layer` shifted by
+    /// the row's line: every tap lands in range on y, and no tap of the
+    /// layer lands on a z ghost. Empty otherwise.
+    template_rows: Range<usize>,
+    /// `layer` holds the table of a z-interior layer (every `z + dk` in
+    /// range), which is the same table for all of them.
+    interior_layer: bool,
     sources: Vec<TapSource<T>>,
     /// `(y, z)` arguments of the ghost lines the current row reads, and
     /// their values over the cells the window's taps reach, back to back.
@@ -282,12 +292,29 @@ struct Scratch<T> {
 impl<T: Real> Scratch<T> {
     fn for_stencil(stencil: &Stencil3D<T>) -> Self {
         Self {
+            layer: Vec::with_capacity(stencil.len()),
+            template_rows: 0..0,
+            interior_layer: false,
             sources: Vec::with_capacity(stencil.len()),
             ghost_keys: Vec::new(),
             ghost_lines: Vec::new(),
             row_acc: Vec::new(),
         }
     }
+}
+
+/// One tap's `z + dk` folded through the z boundary, for every row of a
+/// layer.
+#[derive(Clone, Copy)]
+enum LayerTap<T> {
+    /// An in-grid layer `zr`, held as the tap's source line relative to
+    /// the output row's line when `y + dj` is in range:
+    /// `((zr − z)·ny + dj)·nx`.
+    Row(isize),
+    /// A zero/constant boundary, already multiplied by the tap's weight.
+    Weighted(T),
+    /// A ghost layer `gz`, read along whatever row y resolves to.
+    Ghost(isize),
 }
 
 /// Where one tap reads along one output row, once its `(y+dj, z+dk)` has
@@ -320,26 +347,77 @@ fn x_reach<T: Real>(xs: &Range<usize>, nx: usize, ex: usize, bx: &Boundary<T>) -
     reach
 }
 
+/// Fold every tap's `z + dk` for layer `z` into `scratch.layer`, and
+/// mark the rows [`fold_row`] may answer by shifting it. A z-interior
+/// layer after another keeps the table as it is: relative to the output
+/// row, its sources are where the last layer's were.
+fn fold_layer<T: Real>(
+    stencil: &Stencil3D<T>,
+    z: usize,
+    (nx, ny, nz): (usize, usize, usize),
+    bz: &Boundary<T>,
+    scratch: &mut Scratch<T>,
+) {
+    let ez = stencil.extent_z();
+    let interior = (ez..nz - ez).contains(&z);
+    if interior && scratch.interior_layer {
+        return;
+    }
+    scratch.interior_layer = interior;
+    let (nx, ny, zi) = (nx as isize, ny as isize, z as isize);
+    scratch.layer.clear();
+    scratch.layer.extend(
+        stencil
+            .taps()
+            .iter()
+            .map(|t| match bz.resolve(zi + t.dk, nz) {
+                AxisHit::In(zr) => LayerTap::Row(((zr as isize - zi) * ny + t.dj) * nx),
+                AxisHit::Value(v) => LayerTap::Weighted(t.w * v),
+                AxisHit::Ghost(gz) => LayerTap::Ghost(gz),
+            }),
+    );
+    let ey = stencil.extent_y();
+    let z_ghost = scratch
+        .layer
+        .iter()
+        .any(|t| matches!(t, LayerTap::Ghost(_)));
+    scratch.template_rows = if z_ghost { 0..0 } else { ey..ny as usize - ey };
+}
+
 /// Fold every tap's `(y+dj, z+dk)` for output row `(y, z)` into
-/// `scratch.sources` — y before z, the precedence of `read_resolved`
-/// once x is in range. Ghost lines are fetched over `reach` (see
-/// [`x_reach`]) through the source's bulk read, each distinct line once.
+/// `scratch.sources`, given the layer's z fold from [`fold_layer`]: y
+/// before z, the precedence of `read_resolved` once x is in range. A row
+/// of `scratch.template_rows` takes the layer table shifted by its line,
+/// with nothing to resolve; any other row resolves `y + dj` per tap.
+/// Ghost lines are fetched over `reach` (see [`x_reach`]) through the
+/// source's bulk read, each distinct line once.
 fn fold_row<T: Real, G: GhostCells<T>>(
     stencil: &Stencil3D<T>,
     (y, z): (usize, usize),
-    (nx, ny, nz): (usize, usize, usize),
-    bounds: &BoundarySpec<T>,
+    (nx, ny): (usize, usize),
+    by: &Boundary<T>,
     ghosts: &G,
     reach: Range<usize>,
     scratch: &mut Scratch<T>,
 ) {
     let Scratch {
+        layer,
+        template_rows,
         sources,
         ghost_keys,
         ghost_lines,
         ..
     } = scratch;
     sources.clear();
+    let line = ((z * ny + y) * nx) as isize;
+    if template_rows.contains(&y) {
+        sources.extend(layer.iter().map(|tap| match *tap {
+            LayerTap::Row(rel) => TapSource::Row(line + rel),
+            LayerTap::Weighted(wv) => TapSource::Weighted(wv),
+            LayerTap::Ghost(_) => unreachable!("a z-ghost layer has no template rows"),
+        }));
+        return;
+    }
     ghost_keys.clear();
     ghost_lines.clear();
     let mut ghost_line = |gy: isize, gz: isize| {
@@ -357,31 +435,25 @@ fn fold_row<T: Real, G: GhostCells<T>>(
             });
         TapSource::Ghost((n * reach.len()) as isize - reach.start as isize)
     };
-    for t in stencil.taps() {
-        let (yq, zq) = (y as isize + t.dj, z as isize + t.dk);
-        let yr = match bounds.y.resolve(yq, ny) {
-            AxisHit::In(i) => i,
+    for (t, tap) in stencil.taps().iter().zip(layer.iter()) {
+        let yq = y as isize + t.dj;
+        let yr = match by.resolve(yq, ny) {
+            AxisHit::In(i) => i as isize,
             AxisHit::Value(v) => {
                 sources.push(TapSource::Weighted(t.w * v));
                 continue;
             }
             AxisHit::Ghost(gy) => {
-                sources.push(ghost_line(gy, zq));
+                sources.push(ghost_line(gy, z as isize + t.dk));
                 continue;
             }
         };
-        let zr = match bounds.z.resolve(zq, nz) {
-            AxisHit::In(i) => i,
-            AxisHit::Value(v) => {
-                sources.push(TapSource::Weighted(t.w * v));
-                continue;
-            }
-            AxisHit::Ghost(gz) => {
-                sources.push(ghost_line(yr as isize, gz));
-                continue;
-            }
-        };
-        sources.push(TapSource::Row(((zr * ny + yr) * nx) as isize));
+        sources.push(match *tap {
+            // The y fold moved the tap's row from `yq` to `yr`.
+            LayerTap::Row(rel) => TapSource::Row(line + rel + (yr - yq) * nx as isize),
+            LayerTap::Weighted(wv) => TapSource::Weighted(wv),
+            LayerTap::Ghost(gz) => ghost_line(yr, gz),
+        });
     }
 }
 
@@ -494,15 +566,19 @@ impl<T: Real> FoldedRow<'_, T> {
 /// output cell once (bar the few an overlapped last block rewrites with
 /// the same bits, see [`FoldedRow::blocks`]).
 ///
-/// Boundaries are resolved per row, not per read: [`fold_row`] maps each
-/// tap to an in-grid source row, a fetched ghost line or a broadcast
-/// value, and the one blocked kernel ([`FoldedRow::block`], instantiated
-/// [`BLOCK`] wide, [`NARROW`] wide for a run shorter than that and one
-/// wide below even that) runs over the whole x-interior run whether or
-/// not the row touches a y or z boundary. The ≤ `extent_x` cells at each
-/// x end read through the same folded sources and resolve only x per tap
-/// ([`FoldedRow::end_cell`]). The hook and the checksum sums (see
-/// [`ChecksumMode`]) then pass over the cache-hot row.
+/// Boundaries are resolved z per layer and y per face row, never per
+/// read: [`fold_layer`] folds each tap's `z + dk` once for the layer, and
+/// [`fold_row`] maps each tap to an in-grid source row, a fetched ghost
+/// line or a broadcast value — on a row whose taps all land in range on
+/// y (and in a layer without z ghosts) by shifting the layer's table,
+/// elsewhere by resolving `y + dj`. The one blocked kernel
+/// ([`FoldedRow::block`], instantiated [`BLOCK`] wide, [`NARROW`] wide
+/// for a run shorter than that and one wide below even that) runs over
+/// the whole x-interior run whether or not the row touches a y or z
+/// boundary. The ≤ `extent_x` cells at each x end read through the same
+/// folded sources and resolve only x per tap ([`FoldedRow::end_cell`]).
+/// The hook and the checksum sums (see [`ChecksumMode`]) then pass over
+/// the cache-hot row.
 #[allow(clippy::too_many_arguments)]
 fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     src: &Grid3D<T>,
@@ -529,6 +605,7 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     let run_start = ex.clamp(xs.start, xs.end);
     let run_end = (nx - ex).clamp(run_start, xs.end);
     let reach = x_reach(&xs, nx, ex, &bounds.x);
+    fold_layer(stencil, z, (nx, ny, nz), &bounds.z, scratch);
 
     scratch.row_acc.clear();
     if row.is_some() {
@@ -541,8 +618,8 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
         fold_row(
             stencil,
             (y, z),
-            (nx, ny, nz),
-            bounds,
+            (nx, ny),
+            &bounds.y,
             ghosts,
             reach.clone(),
             scratch,
@@ -588,6 +665,7 @@ mod tests {
     use super::*;
     use crate::NoHook;
     use abft_grid::NoGhosts;
+    use proptest::prelude::*;
 
     /// Naive reference sweep: resolved reads everywhere.
     fn reference_sweep<T: Real, G: GhostCells<T>>(
@@ -740,8 +818,12 @@ mod tests {
             specs.push(BoundarySpec { z: kind, ..clamp });
         }
         let untouched = w(-7777.0);
-        for nx in [4, 7, 8, 9, 19, 20, 21, 25, 36, 37] {
-            let (ny, nz) = (6, 3);
+        // (6, 3) has two y-interior rows in one z-interior layer; (11, 6)
+        // has seven in four, so most rows shift their layer's template.
+        let shapes = [4, 7, 8, 9, 19, 20, 21, 25, 36, 37]
+            .into_iter()
+            .flat_map(|nx| [(nx, 6, 3), (nx, 11, 6)]);
+        for (nx, ny, nz) in shapes {
             let src = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
                 w(((x * 31 + y * 17 + z * 7) % 23) as f64 * 0.3 - 3.0)
             });
@@ -766,7 +848,7 @@ mod tests {
                 for constant in [None, Some(&constant)] {
                     let expect = reference_sweep(&src, &stencil, bounds, constant, ghosts);
                     for exec in [Exec::Serial, Exec::Parallel] {
-                        let ctx = format!("nx {nx}, {bounds:?}, {exec:?}");
+                        let ctx = format!("{:?}, {bounds:?}, {exec:?}", (nx, ny, nz));
                         let mut whole = Grid3D::zeros(nx, ny, nz);
                         let mut tiled = Grid3D::zeros(nx, ny, nz);
                         sweep(
@@ -826,6 +908,130 @@ mod tests {
     fn boundary_matrix_matches_resolved_reads_bitwise_f64() {
         boundary_matrix::<f64, _>(&PatternGhost);
         boundary_matrix::<f64, _>(&BulkPatternGhost);
+    }
+
+    /// A window end on an axis of length `n` whose taps reach `e`: an end
+    /// of the axis, an edge of its interior band `e..n − e`, or anywhere.
+    fn band_edge_or_any(pick: usize, any: usize, n: usize, e: usize) -> usize {
+        match pick {
+            0 => 0,
+            1 => e,
+            2 => n - e,
+            3 => n,
+            _ => any % (n + 1),
+        }
+    }
+
+    /// One drawn case in type `T`: `sweep_region` over a `rows × 0..nx ×
+    /// zs` window, serial and parallel, against [`reference_sweep`]
+    /// inside the window and untouched cells outside it, bitwise.
+    fn folded_rows_match<T: Real, G: GhostCells<T>>(
+        taps: &[(isize, isize, isize, f64)],
+        bounds: [usize; 3],
+        dims: (usize, usize, usize),
+        with_constant: bool,
+        ghosts: &G,
+        (rows, zs): ([usize; 4], [usize; 4]),
+    ) -> Result<(), TestCaseError> {
+        let w = |v: f64| T::from_f64(v);
+        let taps: Vec<_> = taps.iter().map(|&(i, j, k, v)| (i, j, k, w(v))).collect();
+        let stencil = Stencil3D::from_tuples(&taps);
+        let kind = |b: usize| match b {
+            0 => Boundary::Clamp,
+            1 => Boundary::Periodic,
+            2 => Boundary::Zero,
+            3 => Boundary::Constant(w(2.5)),
+            4 => Boundary::Reflect,
+            _ => Boundary::Ghost,
+        };
+        let bounds = BoundarySpec {
+            x: kind(bounds[0]),
+            y: kind(bounds[1]),
+            z: kind(bounds[2]),
+        };
+        let (ey, ez) = (stencil.extent_y(), stencil.extent_z());
+        let (nx, ny, nz) = (stencil.extent_x() + dims.0, ey + dims.1, ez + dims.2);
+        let window = |[p, q, a, b]: [usize; 4], n: usize, e: usize| {
+            let (lo, hi) = (band_edge_or_any(p, a, n, e), band_edge_or_any(q, b, n, e));
+            lo.min(hi)..lo.max(hi)
+        };
+        let (rows, zs) = (window(rows, ny, ey), window(zs, nz, ez));
+        let src = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+            w(((x * 31 + y * 17 + z * 7) % 23) as f64 * 0.3 - 3.0)
+        });
+        let constant = with_constant
+            .then(|| Grid3D::from_fn(nx, ny, nz, |x, y, z| w((x + 2 * y + 3 * z) as f64 * 0.11)));
+        let expect = reference_sweep(&src, &stencil, &bounds, constant.as_ref(), ghosts);
+        let untouched = w(-7777.0);
+        for exec in [Exec::Serial, Exec::Parallel] {
+            let mut got = Grid3D::filled(nx, ny, nz, untouched);
+            sweep_region(
+                &src,
+                &mut got,
+                &stencil,
+                &bounds,
+                constant.as_ref(),
+                ghosts,
+                &NoHook,
+                ChecksumMode::None,
+                exec,
+                rows.clone(),
+                0..nx,
+                zs.clone(),
+            );
+            for n in 0..nx * ny * nz {
+                let (x, y, z) = (n % nx, n / nx % ny, n / (nx * ny));
+                let e = if rows.contains(&y) && zs.contains(&z) {
+                    expect.at(x, y, z)
+                } else {
+                    untouched
+                };
+                let g = got.at(x, y, z);
+                prop_assert!(
+                    g.to_f64().to_bits() == e.to_f64().to_bits(),
+                    "cell {:?}: swept {g:?} vs resolved {e:?}; window {rows:?}×{zs:?}, \
+                     {bounds:?}, dims {:?}, taps {taps:?}, constant {with_constant}, {exec:?}",
+                    (x, y, z),
+                    (nx, ny, nz),
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(64))]
+
+        /// The sweep folds z once per layer and y only on face rows; every
+        /// other row shifts its layer's template. Whatever the row, the
+        /// result must be resolved reads' bits — over asymmetric kernels
+        /// of reach ≤ 2, every boundary kind per axis, ghost sources with
+        /// and without a bulk read, `f32` and `f64`, with and without a
+        /// constant field, domains whose interior band is empty, one row
+        /// or most rows, and windows that start or end on a band edge.
+        #[test]
+        fn folded_rows_match_resolved_reads_bitwise(
+            taps in proptest::collection::vec(
+                (-2isize..=2, -2isize..=2, -2isize..=2, -1.0f64..1.0),
+                1..=9,
+            ),
+            bounds in (0usize..6, 0usize..6, 0usize..6),
+            dims in (1usize..=20, 1usize..=8, 1usize..=8),
+            with_constant in any::<bool>(),
+            bulk_ghosts in any::<bool>(),
+            rows in (0usize..6, 0usize..6, 0usize..64, 0usize..64),
+            zs in (0usize..6, 0usize..6, 0usize..64, 0usize..64),
+        ) {
+            let bounds = [bounds.0, bounds.1, bounds.2];
+            let windows = ([rows.0, rows.1, rows.2, rows.3], [zs.0, zs.1, zs.2, zs.3]);
+            if bulk_ghosts {
+                folded_rows_match::<f32, _>(&taps, bounds, dims, with_constant, &BulkPatternGhost, windows)?;
+                folded_rows_match::<f64, _>(&taps, bounds, dims, with_constant, &BulkPatternGhost, windows)?;
+            } else {
+                folded_rows_match::<f32, _>(&taps, bounds, dims, with_constant, &PatternGhost, windows)?;
+                folded_rows_match::<f64, _>(&taps, bounds, dims, with_constant, &PatternGhost, windows)?;
+            }
+        }
     }
 
     #[test]
