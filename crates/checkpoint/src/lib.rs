@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use abft_grid::Grid3D;
+use abft_grid::{copy_box, Grid3D};
 use abft_num::Real;
 
 /// When and how deep to checkpoint a protected run.
@@ -187,6 +187,30 @@ impl<T: Real> EpochRing<T> {
     /// Panics if `iteration` is older than the latest stored epoch —
     /// epochs must arrive in increasing order.
     pub fn store(&mut self, grid: &Grid3D<T>, aux: &[T], iteration: usize) {
+        let (nx, ny, nz) = grid.dims();
+        self.store_box(grid, [0; 3], [nx, ny, nz], aux, iteration);
+    }
+
+    /// [`EpochRing::store`] of the `size` box of `grid` whose first cell
+    /// is `from`: the snapshot holds the box alone, copied once.
+    pub fn store_box(
+        &mut self,
+        grid: &Grid3D<T>,
+        from: [usize; 3],
+        size: [usize; 3],
+        aux: &[T],
+        iteration: usize,
+    ) {
+        let fill = |snap: &mut Snapshot<T>| {
+            let [nx, ny, nz] = size;
+            if snap.grid.dims() != (nx, ny, nz) {
+                snap.grid = Grid3D::zeros(nx, ny, nz);
+            }
+            copy_box(grid, from, &mut snap.grid, [0; 3], size);
+            snap.aux.clear();
+            snap.aux.extend_from_slice(aux);
+            snap.iteration = iteration;
+        };
         if let Some(last) = self.ring.back_mut() {
             assert!(
                 iteration >= last.iteration,
@@ -194,22 +218,22 @@ impl<T: Real> EpochRing<T> {
                 last.iteration
             );
             if last.iteration == iteration {
-                fill_snapshot(last, grid, aux, iteration);
+                fill(last);
                 self.stats.stores += 1;
                 return;
             }
         }
-        let snap = if self.ring.len() == self.keep {
-            let mut snap = self.ring.pop_front().expect("ring is non-empty");
-            fill_snapshot(&mut snap, grid, aux, iteration);
-            snap
+        let mut snap = if self.ring.len() == self.keep {
+            self.ring.pop_front().expect("ring is non-empty")
         } else {
+            let [nx, ny, nz] = size;
             Snapshot {
-                grid: grid.clone(),
-                aux: aux.to_vec(),
+                grid: Grid3D::zeros(nx, ny, nz),
+                aux: Vec::with_capacity(aux.len()),
                 iteration,
             }
         };
+        fill(&mut snap);
         self.ring.push_back(snap);
         self.stats.stores += 1;
     }
@@ -276,17 +300,6 @@ impl<T: Real> EpochRing<T> {
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
-}
-
-fn fill_snapshot<T: Real>(snap: &mut Snapshot<T>, grid: &Grid3D<T>, aux: &[T], iteration: usize) {
-    if snap.grid.dims() == grid.dims() && snap.aux.len() == aux.len() {
-        snap.grid.copy_from(grid);
-        snap.aux.copy_from_slice(aux);
-    } else {
-        snap.grid = grid.clone();
-        snap.aux = aux.to_vec();
-    }
-    snap.iteration = iteration;
 }
 
 #[cfg(test)]

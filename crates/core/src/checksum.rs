@@ -2,8 +2,8 @@
 //! Eqs. 2–3.
 
 use abft_grid::Grid3D;
-use abft_num::Real;
-use abft_stencil::LineSums;
+use abft_num::{line_sum, Real};
+use abft_stencil::{InteriorWindow, LineSums};
 
 /// Per-layer checksum vectors of a 3-D domain at one time step.
 ///
@@ -111,6 +111,49 @@ pub fn compute_row_layer_into<T: Real>(grid: &Grid3D<T>, z: usize, out: &mut [T]
 /// (length `ny`).
 pub fn compute_col_layer_into<T: Real>(grid: &Grid3D<T>, z: usize, out: &mut [T]) {
     grid.layer(z).col_checksums_into(out);
+}
+
+/// The column checksums of the `domain` box of `grid`, flat `[z][y]` over
+/// the box: each line's slice is summed by [`line_sum`] from its first
+/// cell, exactly as a grid of the box's own shape sums its lines.
+pub(crate) fn box_col_into<T: Real>(grid: &Grid3D<T>, domain: &InteriorWindow, out: &mut [T]) {
+    let (nx, ny, _) = grid.dims();
+    assert_eq!(
+        out.len(),
+        domain.z.len() * domain.y.len(),
+        "box checksum size"
+    );
+    let (ys, xs) = (&domain.y, &domain.x);
+    let lines = domain
+        .z
+        .clone()
+        .flat_map(|z| ys.clone().map(move |y| (z * ny + y) * nx));
+    for (o, line) in out.iter_mut().zip(lines) {
+        *o = T::from_f64(line_sum(&grid.as_slice()[line + xs.start..line + xs.end]));
+    }
+}
+
+/// The row checksums of layer `z` (counted within the box) of the
+/// `domain` box of `grid`, accumulated in `f64` in `y` order like
+/// [`compute_row_layer_into`].
+pub(crate) fn box_row_layer_into<T: Real>(
+    grid: &Grid3D<T>,
+    domain: &InteriorWindow,
+    z: usize,
+    out: &mut [T],
+) {
+    let (nx, ny, _) = grid.dims();
+    let mut acc = vec![0.0f64; domain.x.len()];
+    for y in domain.y.clone() {
+        let line = ((domain.z.start + z) * ny + y) * nx;
+        let cells = &grid.as_slice()[line + domain.x.start..line + domain.x.end];
+        for (a, &v) in acc.iter_mut().zip(cells) {
+            *a += v.to_f64();
+        }
+    }
+    for (o, &a) in out.iter_mut().zip(&acc) {
+        *o = T::from_f64(a);
+    }
 }
 
 /// Per-layer sums of the constant field: `c_x` and `c_y` of Theorem 1

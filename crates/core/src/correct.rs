@@ -25,7 +25,8 @@ impl<T: Real> CorrectionEvent<T> {
     }
 }
 
-/// Correct a single corrupted point at `(ex, ey)` of layer `z` (Eq. 10):
+/// Correct a single corrupted point at `(ex, ey)` of layer `z` (Eq. 10)
+/// of the box whose first cell sits at `(ox, oy)` of `layer`:
 ///
 /// ```text
 /// correct = a'[ex] − (a[ex] − u[ex,ey])     // recover via the row sum
@@ -47,12 +48,13 @@ pub fn correct_layer<T: Real>(
     ex: usize,
     ey: usize,
     z: usize,
+    (ox, oy): (usize, usize),
 ) -> CorrectionEvent<T> {
-    let old = layer.at(ex, ey);
+    let old = layer.at(ox + ex, oy + ey);
     let via_row = interp_row[ex] - (comp_row[ex] - old);
     let via_col = interp_col[ey] - (comp_col[ey] - old);
     let new = (via_row + via_col) / T::from_f64(2.0);
-    layer.set(ex, ey, new);
+    layer.set(ox + ex, oy + ey, new);
     comp_row[ex] += new - old;
     comp_col[ey] += new - old;
     CorrectionEvent {
@@ -98,6 +100,7 @@ mod tests {
             2,
             1,
             0,
+            (0, 0),
         );
         assert_eq!(ev.old, 512.0);
         assert_eq!(ev.new, truth);
@@ -123,6 +126,7 @@ mod tests {
             1,
             2,
             0,
+            (0, 0),
         );
         // After correction the computed checksums must equal the clean ones.
         for (a, b) in comp_row.iter().zip(&interp_row) {

@@ -4,17 +4,24 @@
 //! detect → build rows for the flagged layers only → correct. Only the
 //! column vector is trusted state; rows are materialised from the two
 //! live buffers when a mismatch needs them (§3.4).
+//!
+//! What is protected is a box of the simulation's grid: the whole grid
+//! ([`OnlineAbft::new`]), or a rank's brick inside its padded grid
+//! ([`OnlineAbft::over_box`]). A box's checksum lines are its slices of
+//! the grid's x-lines, and its interpolation reads the cells around it
+//! out of the grid's time-`t` buffer.
 
-use crate::checksum::{compute_col_into, compute_col_layer_into, compute_row_layer_into};
+use crate::checksum::{box_col_into, box_row_layer_into};
 use crate::config::{AbftConfig, MultiErrorPolicy};
 use crate::correct::{correct_layer, CorrectionEvent};
 use crate::detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis};
 use crate::interpolate::Interpolator;
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
-use abft_grid::{GhostCells, NoGhosts};
+use abft_grid::{copy_box, AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D, NoGhosts};
 use abft_num::Real;
 use abft_stencil::{ChecksumMode, InteriorWindow, StencilSim, SweepHook};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// What one protected step observed and did.
@@ -77,6 +84,9 @@ impl<T: Real> StepOutcome<T> {
 pub struct OnlineAbft<T> {
     cfg: AbftConfig<T>,
     interp: Interpolator<T>,
+    /// The simulation's whole grid, and the protected box of it.
+    grid: InteriorWindow,
+    domain: InteriorWindow,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -85,6 +95,10 @@ pub struct OnlineAbft<T> {
     // Scratch buffers (allocated once).
     col_comp: Vec<T>,
     col_interp: Vec<T>,
+    /// The whole grid's column vector a fused sweep writes, when the box
+    /// spans the grid's x-lines but not all of them (empty otherwise); its
+    /// block for the box is copied into `col_comp`.
+    col_grid: Vec<T>,
     /// Time-`t` rows of the layers a flagged layer's interpolation reads.
     row_t: Vec<T>,
     row_comp: Vec<T>,
@@ -97,18 +111,53 @@ impl<T: Real> OnlineAbft<T> {
     /// state from its current grid ("we assume that the initial data … and
     /// the initial checksum \[are\] correct", Theorem 2 proof).
     pub fn new(sim: &StencilSim<T>, cfg: AbftConfig<T>) -> Self {
-        let (nx, ny, nz) = sim.dims();
+        Self::over_box(sim, cfg, sim.whole())
+    }
+
+    /// A protector of the `domain` box of `sim`'s grid. On an axis the
+    /// box spans, the grid's boundary applies at its ends; on any other
+    /// the interpolation reads what lies beyond the box as ghost cells
+    /// out of the rest of the grid — resolved through the grid's
+    /// boundaries where that is left too. It steps through the split
+    /// step ([`OnlineAbft::sweep_interior`], then
+    /// [`OnlineAbft::sweep_shell_and_verify`]).
+    pub fn over_box(sim: &StencilSim<T>, cfg: AbftConfig<T>, domain: InteriorWindow) -> Self {
+        let grid = sim.whole();
+        let (nx, ny, nz) = (domain.x.len(), domain.y.len(), domain.z.len());
+        let interp = if domain == grid {
+            Interpolator::for_sim(sim)
+        } else {
+            let (d, g, b) = (&domain, &grid, sim.bounds());
+            let [x, y, z] = [(b.x, &d.x, &g.x), (b.y, &d.y, &g.y), (b.z, &d.z, &g.z)]
+                .map(|(b, d, g)| if d == g { b } else { Boundary::Ghost });
+            let constant = sim.constant().map(|c| {
+                let mut slice = Grid3D::zeros(nx, ny, nz);
+                let from = [d.x.start, d.y.start, d.z.start];
+                copy_box(c, from, &mut slice, [0; 3], [nx, ny, nz]);
+                slice
+            });
+            let bounds = BoundarySpec { x, y, z };
+            Interpolator::new(sim.stencil(), &bounds, constant.as_ref(), (nx, ny, nz))
+        };
         let mut col_t = vec![T::ZERO; nz * ny];
-        compute_col_into(sim.current(), &mut col_t);
+        box_col_into(sim.current(), &domain, &mut col_t);
+        let col_grid = if domain != grid && domain.x == grid.x {
+            vec![T::ZERO; grid.z.len() * grid.y.len()]
+        } else {
+            Vec::new()
+        };
         Self {
             cfg,
-            interp: Interpolator::for_sim(sim),
+            interp,
+            grid,
+            domain,
             nx,
             ny,
             nz,
             col_t,
             col_comp: vec![T::ZERO; nz * ny],
             col_interp: vec![T::ZERO; nz * ny],
+            col_grid,
             row_t: vec![T::ZERO; nz * nx],
             row_comp: vec![T::ZERO; nz * nx],
             row_interp: vec![T::ZERO; nz * nx],
@@ -122,7 +171,7 @@ impl<T: Real> OnlineAbft<T> {
     }
 
     /// Fold an external duplicate-execution guard's events into this
-    /// protector's statistics. The distributed deep-halo mode advances
+    /// protector's statistics. The distributed deep-halo mode sweeps
     /// ghost-shell cells locally between exchanges; those cells live
     /// outside the brick the checksums span, so their redundant-recompute
     /// guard reports detections/corrections through this hook instead.
@@ -177,9 +226,9 @@ impl<T: Real> OnlineAbft<T> {
         self.step_with_ghosts(sim, hook, &NoGhosts)
     }
 
-    /// Advance one protected iteration with ghost-cell boundaries (used by
-    /// the distributed chunks: `ghosts` must present the **time-`t`** halo,
-    /// i.e. the same values the sweep reads).
+    /// Advance one protected iteration with ghost-cell boundaries:
+    /// `ghosts` must present the **time-`t`** halo, i.e. the same values
+    /// the sweep reads. The protector must span the whole grid.
     pub fn step_with_ghosts<H: SweepHook<T>, G: GhostCells<T>>(
         &mut self,
         sim: &mut StencilSim<T>,
@@ -194,13 +243,14 @@ impl<T: Real> OnlineAbft<T> {
         // 1. Sweep with fused checksum accumulation (§3.2, Fig. 2).
         let col = &mut self.col_comp;
         sim.step_full(hook, ghosts, ChecksumMode::Col { col });
-        self.verify_after_sweep(sim, ghosts)
+        let diagnoses = self.diagnose(sim, ghosts);
+        self.repair(sim, diagnoses)
     }
 
     /// First half of a protected **split** step: sweep the ghost-free
     /// `window` while the halo exchange is still in flight. When the
-    /// window spans whole x-lines the column checksums ride the sweep
-    /// (§3.2, Fig. 2).
+    /// window spans the box's x-lines and those are the grid's, the
+    /// column checksums ride the sweep (§3.2, Fig. 2).
     ///
     /// Not calling the second half *is* the clean abort (a peer rank died
     /// and its halo never arrives): no buffer swap, no verification — the
@@ -213,71 +263,94 @@ impl<T: Real> OnlineAbft<T> {
         hook: &H,
         window: &InteriorWindow,
     ) {
-        debug_assert_eq!(
-            sim.dims(),
-            (self.nx, self.ny, self.nz),
-            "simulation/protector shape"
-        );
-        let col = self.fuses(window).then_some(&mut self.col_comp[..]);
+        debug_assert_eq!(sim.whole(), self.grid, "simulation/protector shape");
+        let col = self.fuses(window).then(|| self.fused_target());
         sim.sweep_interior(hook, window, col);
     }
 
-    /// Second half of a protected split step: sweep the shell around
-    /// `window` against `ghosts` (which must present the **time-`t`** halo,
-    /// i.e. the same values the sweep reads), finish the step, then verify
-    /// — interpolate, compare, correct. Detection/correction lands before
-    /// the caller's next halo post, exactly as in the whole-step forms;
-    /// each rank verifies only the z-layers of its own brick (the
-    /// protector's shape *is* the brick).
+    /// Second half of a protected split step: sweep `outer ∖ window`
+    /// (`outer ⊇` the protected box), finish the step, then verify —
+    /// interpolate, compare, correct — the box. Detection/correction
+    /// lands before the caller's next halo post, exactly as in the
+    /// whole-step forms; a rank's protector verifies only its own brick.
+    /// The interpolation reads the cells around the box out of the time-`t`
+    /// buffer, so they must hold the halo the sweep read.
     ///
-    /// A window that does not span whole x-lines cannot complete every
-    /// column checksum line, so the vectors are recomputed from the
+    /// A window that does not span the box's x-lines cannot complete
+    /// every column checksum line, so the vectors are recomputed from the
     /// finished step — the same `f64` line reduction the fused sweep
     /// performs, hence bitwise-identical.
     ///
     /// Returns the outcome and the time the verify tail took (the rest of
     /// the call is the edge sweep).
-    pub fn sweep_shell_and_verify<H: SweepHook<T>, G: GhostCells<T>>(
+    pub fn sweep_shell_and_verify<H: SweepHook<T>>(
         &mut self,
         sim: &mut StencilSim<T>,
         hook: &H,
-        ghosts: &G,
         window: &InteriorWindow,
+        outer: &InteriorWindow,
     ) -> (StepOutcome<T>, Duration) {
         let fused = self.fuses(window);
-        let col = fused.then_some(&mut self.col_comp[..]);
-        sim.sweep_shell_and_finish(hook, ghosts, window, col);
+        let col = fused.then(|| self.fused_target());
+        sim.sweep_shell_and_finish(hook, window, outer, col);
         let tail = Instant::now();
         if !fused {
-            compute_col_into(sim.current(), &mut self.col_comp);
+            box_col_into(sim.current(), &self.domain, &mut self.col_comp);
+        } else if !self.col_grid.is_empty() {
+            let (gny, d) = (self.grid.y.len(), &self.domain);
+            let lines = d.z.clone().map(|z| z * gny + d.y.start);
+            for (out, line) in self.col_comp.chunks_exact_mut(self.ny).zip(lines) {
+                out.copy_from_slice(&self.col_grid[line..line + self.ny]);
+            }
         }
-        let outcome = self.verify_after_sweep(sim, ghosts);
+        let ghosts = PadGhosts {
+            grid: sim.previous(),
+            at: self.origin(),
+            bounds: sim.bounds(),
+        };
+        let diagnoses = self.diagnose(sim, &ghosts);
+        let outcome = self.repair(sim, diagnoses);
         (outcome, tail.elapsed())
     }
 
     /// Whether a split step over `window` fuses the column checksums into
-    /// its sweeps: only whole x-lines can be summed in flight.
+    /// its sweeps: only whole x-lines of the grid can be summed in flight.
     fn fuses(&self, window: &InteriorWindow) -> bool {
-        window.x == (0..self.nx)
+        window.x == self.domain.x && self.domain.x == self.grid.x
     }
 
-    /// Steps 2–5 of the protected iteration: interpolate the expected
-    /// checksums, detect, correct/refresh, and commit the trusted state.
+    /// Where a fused sweep writes its column vector.
+    fn fused_target(&mut self) -> &mut [T] {
+        if self.col_grid.is_empty() {
+            &mut self.col_comp
+        } else {
+            &mut self.col_grid
+        }
+    }
+
+    /// The grid cell of the box's first cell.
+    fn origin(&self) -> [usize; 3] {
+        [
+            self.domain.x.start,
+            self.domain.y.start,
+            self.domain.z.start,
+        ]
+    }
+
+    /// Steps 2–4 of the protected iteration: interpolate the expected
+    /// checksums, detect, and diagnose each flagged layer from its rows.
     /// The sweep must already have filled `self.col_comp`.
-    fn verify_after_sweep<G: GhostCells<T>>(
+    fn diagnose<G: GhostCells<T>>(
         &mut self,
-        sim: &mut StencilSim<T>,
+        sim: &StencilSim<T>,
         ghosts: &G,
-    ) -> StepOutcome<T> {
+    ) -> Vec<(usize, LayerDiagnosis<T>)> {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        self.stats.steps += 1;
-        self.stats.verifications += 1;
-        let mut outcome = StepOutcome::new(sim.iteration());
 
         // 2. Interpolate the expected column checksums from time t
         //    (Theorem 1). The previous buffer *is* the time-t grid, so
         //    boundary corrections read it directly.
-        let source = StripSet::Grid(sim.previous());
+        let source = StripSet::Box(sim.previous(), self.origin());
         self.interp
             .interpolate_col(&self.col_t, &source, ghosts, &mut self.col_interp);
 
@@ -294,46 +367,60 @@ impl<T: Real> OnlineAbft<T> {
                 flagged.push((z, mms));
             }
         }
-
-        if !flagged.is_empty() {
-            // 4. Materialise the row side (only now — §3.4: "it is only
-            //    necessary to perform the detection on one of the two
-            //    checksums […] only then interpolate the other"), and only
-            //    for the flagged layers: their own rows at t+1, and at time
-            //    t the rows of the layers their interpolation reads.
-            let mut sources: Vec<usize> = flagged
-                .iter()
-                .flat_map(|&(z, _)| self.interp.row_source_layers(z))
-                .collect();
-            sources.sort_unstable();
-            sources.dedup();
-            for z in sources {
-                compute_row_layer_into(sim.previous(), z, &mut self.row_t[z * nx..(z + 1) * nx]);
-            }
-            for &(z, _) in &flagged {
-                let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
-                compute_row_layer_into(sim.current(), z, layer);
-                let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
-                self.interp
-                    .interpolate_row_layer(z, &self.row_t, &source, ghosts, layer);
-            }
-
-            for (z, col_mms) in flagged {
-                self.stats.detections += 1;
-                outcome.detections += 1;
-                let row_mms = compare_vectors(
-                    &self.row_interp[z * nx..(z + 1) * nx],
-                    &self.row_comp[z * nx..(z + 1) * nx],
-                    self.cfg.epsilon,
-                    self.cfg.abs_floor,
-                );
-                let diag = classify_layer(row_mms, col_mms);
-                self.handle_layer(sim, z, diag, &mut outcome);
-            }
+        if flagged.is_empty() {
+            return Vec::new();
         }
 
-        // 5. Commit: the (possibly repaired) computed checksums become the
-        //    trusted state for the next iteration.
+        // 4. Materialise the row side (only now — §3.4: "it is only
+        //    necessary to perform the detection on one of the two
+        //    checksums […] only then interpolate the other"), and only for
+        //    the flagged layers: their own rows at t+1, and at time t the
+        //    rows of the layers their interpolation reads.
+        let mut sources: Vec<usize> = flagged
+            .iter()
+            .flat_map(|&(z, _)| self.interp.row_source_layers(z))
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        for z in sources {
+            let layer = &mut self.row_t[z * nx..(z + 1) * nx];
+            box_row_layer_into(sim.previous(), &self.domain, z, layer);
+        }
+        for &(z, _) in &flagged {
+            let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
+            box_row_layer_into(sim.current(), &self.domain, z, layer);
+            let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
+            self.interp
+                .interpolate_row_layer(z, &self.row_t, &source, ghosts, layer);
+        }
+        let diagnose = |(z, col_mms)| {
+            let row_mms = compare_vectors(
+                &self.row_interp[z * nx..(z + 1) * nx],
+                &self.row_comp[z * nx..(z + 1) * nx],
+                self.cfg.epsilon,
+                self.cfg.abs_floor,
+            );
+            (z, classify_layer(row_mms, col_mms))
+        };
+        flagged.into_iter().map(diagnose).collect()
+    }
+
+    /// Step 5: correct or refresh each diagnosed layer, then commit the
+    /// (possibly repaired) computed checksums as the trusted state for the
+    /// next iteration.
+    fn repair(
+        &mut self,
+        sim: &mut StencilSim<T>,
+        diagnoses: Vec<(usize, LayerDiagnosis<T>)>,
+    ) -> StepOutcome<T> {
+        self.stats.steps += 1;
+        self.stats.verifications += 1;
+        let mut outcome = StepOutcome::new(sim.iteration());
+        for (z, diag) in diagnoses {
+            self.stats.detections += 1;
+            outcome.detections += 1;
+            self.handle_layer(sim, z, diag, &mut outcome);
+        }
         std::mem::swap(&mut self.col_t, &mut self.col_comp);
         outcome
     }
@@ -374,7 +461,8 @@ impl<T: Real> OnlineAbft<T> {
         }
     }
 
-    /// Eq. 10 at `(x, y)` of layer `z`, repairing the computed vectors too.
+    /// Eq. 10 at `(x, y)` of layer `z` of the box, repairing the computed
+    /// vectors too.
     fn correct(
         &mut self,
         sim: &mut StencilSim<T>,
@@ -384,8 +472,9 @@ impl<T: Real> OnlineAbft<T> {
         outcome: &mut StepOutcome<T>,
     ) {
         let (nx, ny) = (self.nx, self.ny);
+        let [ox, oy, oz] = self.origin();
         let ev = correct_layer(
-            &mut sim.current_mut().layer_mut(z),
+            &mut sim.current_mut().layer_mut(oz + z),
             &mut self.row_comp[z * nx..(z + 1) * nx],
             &mut self.col_comp[z * ny..(z + 1) * ny],
             &self.row_interp[z * nx..(z + 1) * nx],
@@ -393,6 +482,7 @@ impl<T: Real> OnlineAbft<T> {
             x,
             y,
             z,
+            (ox, oy),
         );
         self.stats.corrections += 1;
         outcome.corrections.push(ev);
@@ -401,14 +491,69 @@ impl<T: Real> OnlineAbft<T> {
     /// Recompute one layer's column checksums directly from the swept data.
     fn refresh_layer(&mut self, sim: &StencilSim<T>, z: usize) {
         let ny = self.ny;
-        compute_col_layer_into(sim.current(), z, &mut self.col_comp[z * ny..(z + 1) * ny]);
+        let oz = self.domain.z.start;
+        let layer = InteriorWindow {
+            z: oz + z..oz + z + 1,
+            ..self.domain.clone()
+        };
+        box_col_into(
+            sim.current(),
+            &layer,
+            &mut self.col_comp[z * ny..(z + 1) * ny],
+        );
+    }
+}
+
+/// The cells around a protected box as its interpolation's ghost source:
+/// a box-local read that a `Ghost` axis sends out of the box lands in the
+/// rest of `grid` (the padded time-`t` buffer), and where it leaves the
+/// grid too it resolves through the grid's own boundaries — x, then y,
+/// then z, the sweep's precedence.
+struct PadGhosts<'a, T> {
+    grid: &'a Grid3D<T>,
+    at: [usize; 3],
+    bounds: &'a BoundarySpec<T>,
+}
+
+impl<T: Real> PadGhosts<'_, T> {
+    /// Box-local `q` resolved in the grid: a cell, or the value a
+    /// zero/constant end yields.
+    fn resolve(&self, q: [isize; 3]) -> Result<[usize; 3], T> {
+        let (b, (nx, ny, nz)) = (self.bounds, self.grid.dims());
+        let mut cell = [0; 3];
+        for (a, (bound, n)) in [(b.x, nx), (b.y, ny), (b.z, nz)].into_iter().enumerate() {
+            match bound.resolve(self.at[a] as isize + q[a], n) {
+                AxisHit::In(i) => cell[a] = i,
+                AxisHit::Value(v) => return Err(v),
+                AxisHit::Ghost(_) => unreachable!("a padded grid has no ghost boundary"),
+            }
+        }
+        Ok(cell)
+    }
+}
+
+impl<T: Real> GhostCells<T> for PadGhosts<'_, T> {
+    fn ghost(&self, x: isize, y: isize, z: isize) -> T {
+        self.resolve([x, y, z])
+            .map_or_else(|v| v, |[x, y, z]| self.grid.at(x, y, z))
+    }
+
+    /// `(y, z)` resolve once (`x` is in range); the line is then a slice
+    /// of the grid.
+    fn ghost_line(&self, xs: Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
+        match self.resolve([xs.start as isize, y, z]) {
+            Err(v) => out.resize(out.len() + xs.len(), v),
+            Ok([x, y, z]) => {
+                let start = (z * self.grid.ny() + y) * self.grid.nx() + x;
+                out.extend_from_slice(&self.grid.as_slice()[start..start + xs.len()]);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_grid::{Boundary, BoundarySpec, Grid3D};
     use abft_stencil::{Exec, NoHook, Stencil3D};
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -450,8 +595,9 @@ mod tests {
         hook: &H,
         window: &InteriorWindow,
     ) -> StepOutcome<f64> {
+        let whole = sim.whole();
         abft.sweep_interior(sim, hook, window);
-        abft.sweep_shell_and_verify(sim, hook, &NoGhosts, window).0
+        abft.sweep_shell_and_verify(sim, hook, window, &whole).0
     }
 
     #[test]
@@ -853,5 +999,260 @@ mod tests {
         assert_eq!(out.detections, 2);
         assert_eq!(out.corrections.len(), 2);
         assert!(sim.current().max_abs_diff(reference.current()) < 1e-8);
+    }
+
+    /// A brick-local ghost source over a whole time-`t` field: each read
+    /// shifted by the brick's offset and resolved, x → y → z, through the
+    /// field's own boundaries, one cell at a time.
+    struct Around<'a, T> {
+        field: &'a Grid3D<T>,
+        at: [usize; 3],
+        bounds: BoundarySpec<T>,
+    }
+
+    impl<T: Real> GhostCells<T> for Around<'_, T> {
+        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
+            let (nx, ny, nz) = self.field.dims();
+            let b = [self.bounds.x, self.bounds.y, self.bounds.z];
+            let mut cell = [0; 3];
+            for (a, (q, n)) in [(x, nx), (y, ny), (z, nz)].into_iter().enumerate() {
+                match b[a].resolve(q + self.at[a] as isize, n) {
+                    AxisHit::In(i) => cell[a] = i,
+                    AxisHit::Value(v) => return v,
+                    AxisHit::Ghost(_) => unreachable!("the field's boundaries are its own"),
+                }
+            }
+            self.field.at(cell[0], cell[1], cell[2])
+        }
+    }
+
+    /// The global cell a padded cell `p` of one axis stands for, given
+    /// the brick's first global cell `b0`, the pad `lo` below it and the
+    /// axis length `n`.
+    fn unpad(p: usize, b0: usize, lo: usize, n: usize) -> usize {
+        (p as isize + b0 as isize - lo as isize).rem_euclid(n as isize) as usize
+    }
+
+    /// One case: the box protector of a brick inside its one-reach-deep
+    /// padded grid, and the brick-shaped protector of the same brick with
+    /// ghost axes, stepped side by side beside a serial run of the whole
+    /// field that supplies the halo (landed in the pad, or served through
+    /// [`Around`]). Sweep 2 adds a corruption at `site` (brick-local) in
+    /// both. Every step the two must hold bitwise-equal column checksums,
+    /// observe the same outcome and leave the same brick.
+    fn box_and_brick_step_alike<T: Real>(three_d: bool, boundary: Boundary<T>, site: [usize; 3]) {
+        let w = T::from_f64;
+        let (stencil, dims, b0, len) = if three_d {
+            let taps = [
+                (0, 0, 0, 0.3),
+                (-1, 0, 0, 0.14),
+                (1, 0, 0, 0.09),
+                (0, -1, 0, 0.12),
+                (0, 1, 0, 0.07),
+                (0, 0, -1, 0.1),
+                (0, 0, 1, 0.06),
+                (1, 1, 1, 0.05),
+                (-1, 0, -1, 0.07),
+            ];
+            let taps: Vec<_> = taps.iter().map(|&(i, j, k, v)| (i, j, k, w(v))).collect();
+            (
+                Stencil3D::from_tuples(&taps),
+                [12, 11, 8],
+                [0, 3, 2],
+                [7, 6, 4],
+            )
+        } else {
+            let taps = [
+                (0, 0, 0.36),
+                (-1, 0, 0.17),
+                (1, 0, 0.11),
+                (0, -1, 0.14),
+                (0, 1, 0.1),
+                (1, -1, 0.06),
+                (-1, 1, 0.06),
+            ];
+            let taps: Vec<_> = taps.iter().map(|&(i, j, v)| (i, j, w(v))).collect();
+            (
+                abft_stencil::Stencil2D::from_tuples(&taps).into_3d(),
+                [14, 12, 1],
+                [0, 3, 0],
+                [7, 6, 1],
+            )
+        };
+        let bounds = BoundarySpec::uniform(boundary);
+        // A pad one reach deep on the axes the brick does not span,
+        // clipped at a domain end that does not wrap.
+        let wraps = matches!(boundary, Boundary::Periodic);
+        let pad = |a: usize, room: usize| {
+            if len[a] == dims[a] || !(wraps || room > 0) {
+                0
+            } else {
+                1
+            }
+        };
+        let lo: [usize; 3] = std::array::from_fn(|a| pad(a, b0[a]));
+        let padded: [usize; 3] =
+            std::array::from_fn(|a| lo[a] + len[a] + pad(a, dims[a] - b0[a] - len[a]));
+        let brick = InteriorWindow {
+            x: lo[0]..lo[0] + len[0],
+            y: lo[1]..lo[1] + len[1],
+            z: lo[2]..lo[2] + len[2],
+        };
+        let window = InteriorWindow {
+            x: lo[0] + 1..lo[0] + len[0] - 1,
+            y: lo[1] + 1..lo[1] + len[1] - 1,
+            z: if three_d {
+                lo[2] + 1..lo[2] + len[2] - 1
+            } else {
+                0..1
+            },
+        };
+        let field =
+            |x: usize, y: usize, z: usize| w(40.0 + ((x * 7 + y * 13 + z * 5) % 17) as f64 * 0.6);
+        let constant = |x: usize, y: usize, z: usize| w(((x + 2 * y + 3 * z) % 5) as f64 * 0.1);
+        let with_constant = |sim: StencilSim<T>, c: Grid3D<T>| {
+            if three_d {
+                sim.with_constant(c)
+            } else {
+                sim
+            }
+        };
+        let whole =
+            |f: &dyn Fn(usize, usize, usize) -> T| Grid3D::from_fn(dims[0], dims[1], dims[2], f);
+        let mut reference = with_constant(
+            StencilSim::new(whole(&field), stencil.clone(), bounds),
+            whole(&constant),
+        )
+        .with_exec(Exec::Serial);
+        let of_padded = |f: &dyn Fn(usize, usize, usize) -> T| {
+            Grid3D::from_fn(padded[0], padded[1], padded[2], |x, y, z| {
+                f(
+                    unpad(x, b0[0], lo[0], dims[0]),
+                    unpad(y, b0[1], lo[1], dims[1]),
+                    unpad(z, b0[2], lo[2], dims[2]),
+                )
+            })
+        };
+        let mut boxed = with_constant(
+            StencilSim::new(of_padded(&field), stencil.clone(), bounds),
+            of_padded(&constant),
+        )
+        .with_exec(Exec::Serial);
+        let ghost = |a: usize, b: Boundary<T>| {
+            if len[a] == dims[a] {
+                b
+            } else {
+                Boundary::Ghost
+            }
+        };
+        let brick_bounds = BoundarySpec {
+            x: ghost(0, boundary),
+            y: ghost(1, boundary),
+            z: ghost(2, boundary),
+        };
+        let of_brick = |f: &dyn Fn(usize, usize, usize) -> T| {
+            Grid3D::from_fn(len[0], len[1], len[2], |x, y, z| {
+                f(b0[0] + x, b0[1] + y, b0[2] + z)
+            })
+        };
+        let mut shaped = with_constant(
+            StencilSim::new(of_brick(&field), stencil.clone(), brick_bounds),
+            of_brick(&constant),
+        )
+        .with_exec(Exec::Serial);
+        let cfg = AbftConfig::<T>::paper_defaults();
+        let mut abft_box = OnlineAbft::over_box(&boxed, cfg, brick.clone());
+        let mut abft_brick = OnlineAbft::new(&shaped, cfg);
+        let ctx = format!("3-D {three_d}, {boundary:?}, site {site:?}");
+        assert_eq!(
+            abft_box.col_checksums(),
+            abft_brick.col_checksums(),
+            "initial state, {ctx}"
+        );
+        for t in 0..4 {
+            // The exchange: the pad holds the field at time t, whose brick
+            // is the protected one (corrections included).
+            let mut now = reference.current().clone();
+            abft_grid::copy_box(shaped.current(), [0; 3], &mut now, b0, len);
+            for (x, y, z) in (0..padded[2]).flat_map(|z| {
+                (0..padded[1]).flat_map(move |y| (0..padded[0]).map(move |x| (x, y, z)))
+            }) {
+                if !(brick.x.contains(&x) && brick.y.contains(&y) && brick.z.contains(&z)) {
+                    let g = [
+                        unpad(x, b0[0], lo[0], dims[0]),
+                        unpad(y, b0[1], lo[1], dims[1]),
+                        unpad(z, b0[2], lo[2], dims[2]),
+                    ];
+                    boxed.current_mut().set(x, y, z, now.at(g[0], g[1], g[2]));
+                }
+            }
+            let strike = move |at: [usize; 3]| {
+                move |x: usize, y: usize, z: usize, v: T| {
+                    let hit = t == 2 && [x, y, z] == std::array::from_fn(|a| at[a] + site[a]);
+                    if hit {
+                        v + T::from_f64(40.0)
+                    } else {
+                        v
+                    }
+                }
+            };
+            abft_box.sweep_interior(&mut boxed, &strike(lo), &window);
+            let (by_box, _) =
+                abft_box.sweep_shell_and_verify(&mut boxed, &strike(lo), &window, &brick);
+            let around = Around {
+                field: &now,
+                at: b0,
+                bounds,
+            };
+            let by_brick = abft_brick.step_with_ghosts(&mut shaped, &strike([0; 3]), &around);
+            reference.step();
+            assert_eq!(by_box, by_brick, "step {t}, {ctx}");
+            assert_eq!(
+                by_box.corrections.len(),
+                usize::from(t == 2),
+                "step {t}, {ctx}"
+            );
+            let bits = |v: &[T]| v.iter().map(|c| c.to_bits_u64()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(abft_box.col_checksums()),
+                bits(abft_brick.col_checksums()),
+                "step {t}, {ctx}"
+            );
+            let mut cells = Grid3D::zeros(len[0], len[1], len[2]);
+            abft_grid::copy_box(boxed.current(), lo, &mut cells, [0; 3], len);
+            assert_eq!(
+                bits(cells.as_slice()),
+                bits(shaped.current().as_slice()),
+                "step {t}, {ctx}"
+            );
+        }
+    }
+
+    /// Every brick face, edge and corner (and the centre), f32 and f64,
+    /// clamp and periodic, 2-D and 3-D.
+    fn box_protector_equals_brick_protector<T: Real>() {
+        for three_d in [false, true] {
+            let len = if three_d { [7, 6, 4] } else { [7, 6, 1] };
+            let ends = |a: usize| [0, len[a] / 2, len[a] - 1];
+            for boundary in [Boundary::Clamp, Boundary::Periodic] {
+                for z in if three_d { ends(2).to_vec() } else { vec![0] } {
+                    for y in ends(1) {
+                        for x in ends(0) {
+                            box_and_brick_step_alike::<T>(three_d, boundary, [x, y, z]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_box_protector_steps_as_the_brick_protector_bitwise_f32() {
+        box_protector_equals_brick_protector::<f32>();
+    }
+
+    #[test]
+    fn a_box_protector_steps_as_the_brick_protector_bitwise_f64() {
+        box_protector_equals_brick_protector::<f64>();
     }
 }

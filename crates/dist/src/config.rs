@@ -95,8 +95,8 @@ pub struct DistConfig<T> {
     /// `(rank, flip)` with the flip's coordinates **global** (the shell
     /// holds neighbour cells, which have no brick-local address in the
     /// consumer). Only meaningful with `steps_per_exchange > 1`; the
-    /// flip fires while the named rank advances its shell after the
-    /// flip's iteration completes.
+    /// flip fires when the named rank's sweep of the flip's iteration
+    /// brings that shell cell forward in its pad.
     pub shell_flips: Vec<(usize, BitFlip)>,
 }
 

@@ -1,526 +1,517 @@
-//! Temporal tiling: the deep ghost shell, advanced by the sweep kernel.
+//! Temporal tiling over a padded rank grid: a rank's halo is memory.
 //!
-//! With `steps_per_exchange = k` a rank exchanges a halo shell of depth
-//! `k · reach` once, then sweeps `k` steps locally. The brick itself is
-//! swept in full every step; what shrinks is the part of the shell around
-//! it that can still be brought forward in time — each sweep consumes one
-//! `reach` of it, so the usable ghost depth falls from `k·r` to `r` across
-//! the epoch.
+//! A rank's [`StencilSim`] runs on its brick grown by the halo depth
+//! `h = k·r` (`k` sweeps per exchange, `r` the stencil reach) on every
+//! exchanged axis — clipped at a domain end that does not wrap, so that
+//! end *is* the grid's end and the job's own [`BoundarySpec`] applies
+//! there; unwrapped on a periodic axis, whose grid ends are then never
+//! read. [`Pad`] is that geometry. An exchange lands every halo box in
+//! the pad, one slice copy per line of the box ([`Pad::unpack`], the
+//! mirror of [`Pad::pack`]); sweep `j` of an epoch is then
+//! [`abft_stencil::sweep_region`] over the brick grown by `(k − 1 − j)·r`
+//! ([`Pad::window`]), which reads pad cells as ordinary grid memory.
 //!
-//! [`ShellBox`] keeps the shell where a stencil can sweep it: a
-//! double-buffered **extended box**, the brick's global range grown by the
-//! halo depth on every exchanged axis — clipped at the domain end on a
-//! non-periodic axis, so that end *is* the physical boundary and the
-//! global [`BoundarySpec`] applies there; unwrapped on a periodic axis,
-//! whose ends are then never consulted — with the pad's slice of the
-//! global constant field. Where a single axis is padded (a slab
-//! decomposition) the box leaves out the brick's core on it and keeps the
-//! `r`-deep rind either pad reads, so it is as small as the shell. The
-//! exchanged payload enters the pad through a list of runs built once
-//! from the [`HaloPlan`], one per box a pad line crosses. Advance `m` of
-//! an epoch (after its sweep `m − 1`) copies the brick's time-`t` rind
-//! into the centre, runs [`abft_stencil::sweep_region`] over *(brick grown
-//! by `(k − m)·r`) ∖ brick* and copies that window back into the payload,
-//! which stays the one ghost source of the brick sweep and the checksum
-//! interpolation. The kernel is the serial sweep's, so an advanced cell
-//! is bitwise what a fresh exchange would have delivered.
+//! Every read lands in valid data: the exchange fills the pad to depth
+//! `h`, and sweep `j` writes a window `r` narrower than the one sweep
+//! `j − 1` left valid, while a tap reaches at most `r` — through a
+//! boundary fold too, which lands within `r` of the domain end it folds
+//! at. The kernel is the serial sweep's, so a pad cell a sweep brings
+//! forward is bitwise what a fresh exchange would have delivered.
 //!
-//! Every read lands in valid data: the exchange fills the whole box, and
-//! advance `m` writes a window `r` narrower than the one advance `m − 1`
-//! left valid, while a tap reaches at most `r` — through a boundary fold
-//! too, which lands within `r` of the domain end it folds at.
-//!
-//! The advance is also where ghost-shell faults live: an injected flip
-//! corrupts an advanced cell, and on protected ranks a guard sweeps the
-//! same window a second time into a third buffer and compares bitwise —
-//! deterministic arithmetic means zero false positives, and a mismatch is
-//! repaired in place and folded into the rank's protector stats
-//! ([`OnlineAbft::note_shell_guard`]).
+//! The pad cells a sweep writes lie outside the brick's checksums. On a
+//! protected `k > 1` rank the [`guard`] sweeps them a second time into a
+//! twin buffer and compares bitwise — deterministic arithmetic means zero
+//! false positives — repairing a mismatch in place; the rank folds the
+//! count into its protector's stats ([`OnlineAbft::note_shell_guard`]).
 //!
 //! [`OnlineAbft::note_shell_guard`]: abft_core::OnlineAbft::note_shell_guard
+//! [`StencilSim`]: abft_stencil::StencilSim
 
-use crate::{copy_box, Brick, HaloPlan};
-use abft_grid::{Boundary, BoundarySpec, Grid3D, NoGhosts};
+use crate::{Brick, HaloBox};
+use abft_grid::{copy_box, Boundary, BoundarySpec, Grid3D, NoGhosts};
 use abft_num::Real;
-use abft_stencil::{sweep_region, ChecksumMode, Exec, NoHook, Stencil3D};
+use abft_stencil::{
+    sweep_region, ChecksumMode, Exec, InteriorWindow, NoHook, Stencil3D, StencilSim,
+};
+use std::array::from_fn;
 use std::ops::Range;
-
-/// An `x × y × z` box in extended-box coordinates.
-type Box3 = [Range<usize>; 3];
 
 /// `outer ∖ inner` as at most six disjoint slabs (z pair over the whole
 /// `outer` face, y pair within `inner`'s z, x pair within its y and z);
 /// `inner ⊆ outer`, and a pair an axis does not need comes out empty.
-fn shell_of(outer: &Box3, inner: &Box3) -> [Box3; 6] {
-    let [ox, oy, oz] = outer.clone();
-    let [ix, iy, iz] = inner.clone();
+fn shell_of(outer: &InteriorWindow, inner: &InteriorWindow) -> [InteriorWindow; 6] {
+    let (o, i) = (outer.clone(), inner.clone());
+    let boxed = |x, y, z| InteriorWindow { x, y, z };
     [
-        [ox.clone(), oy.clone(), oz.start..iz.start],
-        [ox.clone(), oy.clone(), iz.end..oz.end],
-        [ox.clone(), oy.start..iy.start, iz.clone()],
-        [ox.clone(), iy.end..oy.end, iz.clone()],
-        [ox.start..ix.start, iy.clone(), iz.clone()],
-        [ix.end..ox.end, iy, iz],
+        boxed(o.x.clone(), o.y.clone(), o.z.start..i.z.start),
+        boxed(o.x.clone(), o.y.clone(), i.z.end..o.z.end),
+        boxed(o.x.clone(), o.y.start..i.y.start, i.z.clone()),
+        boxed(o.x.clone(), i.y.end..o.y.end, i.z.clone()),
+        boxed(o.x.start..i.x.start, i.y.clone(), i.z.clone()),
+        boxed(i.x.end..o.x.end, i.y, i.z),
     ]
 }
 
-/// The cells of one pad line that one halo box holds: `len` cells from
-/// extended-box cell `at`, payload slots `slot ..`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    at: [usize; 3],
-    slot: usize,
-    len: usize,
-}
-
-impl Run {
-    /// The x-range of the run's cells that lie in `window`, if any does.
-    fn within(&self, [wx, wy, wz]: &Box3) -> Option<Range<usize>> {
-        let xs = self.at[0].max(wx.start)..(self.at[0] + self.len).min(wx.end);
-        (!xs.is_empty() && wy.contains(&self.at[1]) && wz.contains(&self.at[2])).then_some(xs)
-    }
-}
-
-/// One rank's deep ghost shell as sweepable memory (see the module docs).
+/// One rank's brick within its padded grid (see the module docs), per
+/// axis: the brick's first global cell, its length and first padded cell
+/// (the pad below it), the padded length, the global length, and the
+/// reach its windows grow by per remaining sweep (0 on an axis that does
+/// not exchange).
 #[derive(Debug, Clone)]
-pub(crate) struct ShellBox<T> {
-    /// Sweeps per exchange epoch.
-    k: usize,
-    /// Per-axis growth of the window per remaining sweep: the stencil
-    /// reach on an exchanged axis, 0 elsewhere.
+pub(crate) struct Pad {
+    b0: [usize; 3],
+    pub(crate) len: [usize; 3],
+    pub(crate) lo: [usize; 3],
+    pub(crate) dims: [usize; 3],
+    n: [usize; 3],
     reach: [usize; 3],
-    size: [usize; 3],
-    /// The brick within the extended box, and per axis how many of its
-    /// cells the box leaves out between the low and the high rind.
-    brick: Box3,
-    skip: [usize; 3],
-    /// Pad cells ↔ payload slots.
-    runs: Vec<Run>,
-    stencil: Stencil3D<T>,
-    bounds: BoundarySpec<T>,
-    constant: Option<Grid3D<T>>,
-    /// The shell at the time of the brick's `previous` buffer, and the
-    /// buffer the next advance writes.
-    src: Grid3D<T>,
-    dst: Grid3D<T>,
-    /// The guard's recompute target; protected ranks only.
-    twin: Option<Grid3D<T>>,
 }
 
-impl<T: Real> ShellBox<T> {
-    /// The extended box of the rank that owns `brick` and exchanges
-    /// `plan`, whose per-axis depth is `halo` (`k` reaches on an exchanged
-    /// axis); `None` when there is nothing to advance — at `k = 1`, and
-    /// when the plan holds no remote box: a shell the rank serves to
-    /// itself is re-packed from the brick. `constant` is the *global*
-    /// constant field.
-    #[allow(clippy::too_many_arguments)] // mirrors the sweep-setup call site: every piece is distinct rank state
-    pub(crate) fn new(
-        plan: &HaloPlan,
+impl Pad {
+    /// The padded grid of `brick` in a `dims` domain whose exchanged axes
+    /// have halo depth `halo`.
+    pub(crate) fn new<T: Real>(
         brick: &Brick,
         dims: (usize, usize, usize),
         bounds: &BoundarySpec<T>,
-        stencil: &Stencil3D<T>,
-        constant: Option<&Grid3D<T>>,
         halo: (usize, usize, usize),
-        k: usize,
-        guarded: bool,
-    ) -> Option<Self> {
-        if k == 1 || plan.traffic.remote_cells == 0 {
-            return None;
-        }
-        let (global, sides) = ([dims.0, dims.1, dims.2], [bounds.x, bounds.y, bounds.z]);
+        stencil: &Stencil3D<T>,
+    ) -> Self {
+        let n = [dims.0, dims.1, dims.2];
         let b0 = [brick.x0, brick.y0, brick.z0];
         let len = [brick.x_len, brick.y_len, brick.z_len];
         let depth = [halo.0, halo.1, halo.2];
-        // Pad cells below and above the brick: the halo depth, short of
-        // the domain end on an axis that does not wrap.
-        let pads: [_; 3] = std::array::from_fn(|a| match sides[a] {
-            Boundary::Periodic => [depth[a]; 2],
-            _ => [b0[a], global[a] - b0[a] - len[a]].map(|room| room.min(depth[a])),
-        });
-        // The brick cells each padded side reads, and those between the
-        // two that the box leaves out: with a single padded axis, no sweep
-        // of the shell crosses the brick on it.
-        let reach = depth.map(|h| h / k);
-        let rinds: [_; 3] = std::array::from_fn(|a| pads[a].map(|p| reach[a] * usize::from(p > 0)));
-        let lone = pads.iter().filter(|p| **p != [0, 0]).count() == 1;
-        let skip: [_; 3] = std::array::from_fn(|a| {
-            let read = rinds[a][0] + rinds[a][1];
-            len[a].saturating_sub(read) * usize::from(lone && read > 0)
-        });
-        let size: [_; 3] = std::array::from_fn(|a| pads[a][0] + len[a] - skip[a] + pads[a][1]);
-        // Global coordinate of extended-box coordinate `e` on axis `a`.
-        let to_global = |a: usize, e: usize| {
-            let hidden = skip[a] * usize::from(e >= pads[a][0] + rinds[a][0]);
-            let g = (b0[a] + e + hidden) as isize - pads[a][0] as isize;
-            g.rem_euclid(global[a] as isize) as usize
-        };
-        let buffer = || Grid3D::zeros(size[0], size[1], size[2]);
-        let mut shell = Self {
-            k,
-            reach,
-            size,
-            brick: std::array::from_fn(|a| pads[a][0]..pads[a][0] + len[a] - skip[a]),
-            skip,
-            runs: Vec::new(),
-            stencil: stencil.clone(),
-            bounds: *bounds,
-            constant: None,
-            src: buffer(),
-            dst: buffer(),
-            twin: guarded.then(buffer),
-        };
-        // One run per box each pad line crosses.
-        for [xs, ys, zs] in shell_of(&shell.window(k), &shell.brick) {
-            for (ez, ey) in zs.flat_map(|ez| ys.clone().map(move |ey| (ez, ey))) {
-                let mut ex = xs.start;
-                while ex < xs.end {
-                    let (gx, gy, gz) = (to_global(0, ex), to_global(1, ey), to_global(2, ez));
-                    let (slot, left) = plan
-                        .run_at(gx, gy, gz)
-                        .unwrap_or_else(|| panic!("pad cell ({gx}, {gy}, {gz}) was not planned"));
-                    let (at, len) = ([ex, ey, ez], left.min(xs.end - ex));
-                    shell.runs.push(Run { at, slot, len });
-                    ex += len;
-                }
-            }
+        let wraps = [bounds.x, bounds.y, bounds.z].map(|b| matches!(b, Boundary::Periodic));
+        let extent = [stencil.extent_x(), stencil.extent_y(), stencil.extent_z()];
+        // Pad cells on one side: the halo depth, short of the domain end
+        // on an axis that does not wrap.
+        let side = |a: usize, room: usize| depth[a].min(if wraps[a] { depth[a] } else { room });
+        let lo: [usize; 3] = from_fn(|a| side(a, b0[a]));
+        Self {
+            dims: from_fn(|a| lo[a] + len[a] + side(a, n[a] - b0[a] - len[a])),
+            reach: from_fn(|a| if depth[a] > 0 { extent[a] } else { 0 }),
+            b0,
+            len,
+            lo,
+            n,
         }
-        // Only pad cells are swept, so only they need a constant term.
-        shell.constant = constant.map(|c| {
-            let mut slice = buffer();
-            for r in &shell.runs {
-                let from = [0, 1, 2].map(|a| to_global(a, r.at[a]));
-                copy_box(c, from, &mut slice, r.at, [r.len, 1, 1]);
-            }
-            slice
-        });
-        Some(shell)
     }
 
-    /// The brick grown by `steps` reaches, within the extended box: what
-    /// is valid with `steps` sweeps of the epoch still to come.
-    fn window(&self, steps: usize) -> Box3 {
-        std::array::from_fn(|a| {
-            let (b, grow) = (&self.brick[a], steps * self.reach[a]);
-            b.start.saturating_sub(grow)..(b.end + grow).min(self.size[a])
+    /// The brick grown by `steps` reaches on every exchanged axis, within
+    /// the padded grid: what sweep `j` of an epoch writes at
+    /// `steps = k − 1 − j`, and what it leaves valid.
+    pub(crate) fn window(&self, steps: usize) -> InteriorWindow {
+        let [x, y, z] = from_fn(|a| {
+            let (start, grow) = (self.lo[a], steps * self.reach[a]);
+            start.saturating_sub(grow)..(start + self.len[a] + grow).min(self.dims[a])
+        });
+        InteriorWindow { x, y, z }
+    }
+
+    /// The overlap window: the brick shrunk by a reach on every exchanged
+    /// axis, whose sweep reads no pad cell (empty on a brick too thin).
+    pub(crate) fn inner(&self) -> InteriorWindow {
+        let [x, y, z] = from_fn(|a| {
+            let (start, end) = (self.lo[a] + self.reach[a], self.lo[a] + self.len[a]);
+            start..end.saturating_sub(self.reach[a]).max(start)
+        });
+        InteriorWindow { x, y, z }
+    }
+
+    /// The global cell padded cell `p` of axis `a` stands for.
+    fn global(&self, a: usize, p: usize) -> usize {
+        let unwrapped = (p + self.b0[a]) as isize - self.lo[a] as isize;
+        unwrapped.rem_euclid(self.n[a] as isize) as usize
+    }
+
+    /// The padded cells of global range `r` on axis `a`: one run per wrap
+    /// of the axis that meets the padded grid, each as `(first padded
+    /// cell, cells of r before it, length, whether it is the brick's)`.
+    fn runs(
+        &self,
+        a: usize,
+        r: &Range<usize>,
+    ) -> impl Iterator<Item = (usize, usize, usize, bool)> + Clone {
+        let n = self.n[a] as isize;
+        let shift = self.b0[a] as isize - self.lo[a] as isize;
+        let (brick, end) = (self.lo[a]..self.lo[a] + self.len[a], self.dims[a] as isize);
+        let (start, stop) = (r.start as isize - shift, r.end as isize - shift);
+        [-n, 0, n].into_iter().filter_map(move |wrap| {
+            let (s, e) = (start + wrap, stop + wrap);
+            let (from, to) = (s.max(0), e.min(end));
+            let first = from as usize;
+            (from < to).then(|| {
+                let run = (to - from) as usize;
+                (first, (from - s) as usize, run, brick.contains(&first))
+            })
         })
     }
 
-    /// Advance the shell from time `t` to `t + 1` after the epoch's sweep
-    /// `m − 1` (`1 ≤ m < k`).
-    ///
-    /// `payload` is the rank's halo payload — as exchanged when `m = 1`,
-    /// as the previous advance left it otherwise — and `previous` the
-    /// brick's time-`t` buffer. `flips` are ghost-shell faults to inject
-    /// into the advanced values, each a payload slot and the bit to flip.
-    /// A guarded shell recomputes the window and compares bitwise; the
-    /// returned `(detections, corrections)` count the mismatches found and
-    /// repaired.
-    pub(crate) fn advance(
-        &mut self,
-        payload: &mut [T],
-        previous: &Grid3D<T>,
-        m: usize,
-        flips: &[(usize, u32)],
-    ) -> (usize, usize) {
-        debug_assert!((1..self.k).contains(&m), "an epoch advances k − 1 times");
-        if m == 1 {
-            for r in &self.runs {
-                let at = self.src.idx(r.at[0], r.at[1], r.at[2]);
-                let cells = &payload[r.slot..r.slot + r.len];
-                self.src.as_mut_slice()[at..at + r.len].copy_from_slice(cells);
+    /// The padded grid's slice of `global`: every cell holds the global
+    /// cell it stands for.
+    pub(crate) fn fill<T: Real>(&self, global: &Grid3D<T>) -> Grid3D<T> {
+        let [nx, ny, nz] = self.dims;
+        let mut grid = Grid3D::zeros(nx, ny, nz);
+        for (z, y) in (0..nz).flat_map(|z| (0..ny).map(move |y| (z, y))) {
+            let mut x = 0;
+            while x < nx {
+                let gx = self.global(0, x);
+                let run = (nx - x).min(self.n[0] - gx);
+                let from = [gx, self.global(1, y), self.global(2, z)];
+                copy_box(global, from, &mut grid, [x, y, z], [run, 1, 1]);
+                x += run;
             }
         }
-        // The brick cells a pad cell's taps reach: its rind on the padded
-        // sides, around a core no sweep of the shell reads.
-        let core: Box3 = std::array::from_fn(|a| {
-            let (b, r) = (&self.brick[a], self.reach[a]);
-            let start = if b.start > 0 { b.start + r } else { b.start };
-            let end = if b.end < self.size[a] {
-                b.end - r
-            } else {
-                b.end
-            };
-            start.min(b.end)..end.max(start.min(b.end))
-        });
-        for rind in shell_of(&self.brick, &core) {
-            let to = [0, 1, 2].map(|a| rind[a].start);
-            let from = [0, 1, 2].map(|a| {
-                let hidden = if to[a] >= core[a].start {
-                    self.skip[a]
-                } else {
-                    0
-                };
-                to[a] - self.brick[a].start + hidden
-            });
-            copy_box(previous, from, &mut self.src, to, rind.map(|r| r.len()));
-        }
+        grid
+    }
 
-        let window = self.window(self.k - m);
-        let slabs = shell_of(&window, &self.brick);
-        let sweep = |dst: &mut Grid3D<T>| {
-            let (stencil, constant) = (&self.stencil, self.constant.as_ref());
-            for [x, y, z] in slabs.clone() {
-                #[rustfmt::skip]
-                sweep_region(
-                    &self.src, dst, stencil, &self.bounds, constant, &NoGhosts, &NoHook,
-                    ChecksumMode::None, Exec::Serial, y, x, z,
-                );
-            }
-        };
-        sweep(&mut self.dst);
-        for &(slot, bit) in flips {
-            // Only a cell this advance rewrote holds a value to corrupt;
-            // of a cell the pad holds twice, the first copy is struck.
-            let struck = self.runs.iter().find_map(|r| {
-                let x = r.at[0] + slot.checked_sub(r.slot)?;
-                let inside = r.within(&window).is_some_and(|xs| xs.contains(&x));
-                inside.then(|| self.dst.idx(x, r.at[1], r.at[2]))
-            });
-            if let Some(i) = struck {
-                let cell = &mut self.dst.as_mut_slice()[i];
-                *cell = cell.flip_bit(bit);
+    /// Append the cells of `boxes` — all of them the brick's — to `out`
+    /// in payload order, read out of the padded `grid`: one slice copy per
+    /// `(y, z)` line of a box.
+    pub(crate) fn pack<T: Real>(&self, grid: &Grid3D<T>, boxes: &[HaloBox], out: &mut Vec<T>) {
+        out.reserve_exact(boxes.iter().map(HaloBox::volume).sum());
+        let at = |a: usize, g: usize| g - self.b0[a] + self.lo[a];
+        for b in boxes {
+            for (z, y) in b.z.clone().flat_map(|z| b.y.clone().map(move |y| (z, y))) {
+                let start = grid.idx(at(0, b.x.start), at(1, y), at(2, z));
+                out.extend_from_slice(&grid.as_slice()[start..start + b.x.len()]);
             }
         }
-        let mut repaired = 0;
-        if let Some(twin) = self.twin.as_mut() {
-            sweep(twin);
-            let [nx, ny, _] = self.size;
-            for [x, y, z] in slabs {
-                for line in z.flat_map(|z| y.clone().map(move |y| (z * ny + y) * nx)) {
-                    let span = line + x.start..line + x.end;
-                    let stored = &mut self.dst.as_mut_slice()[span.clone()];
-                    for (s, v) in stored.iter_mut().zip(&twin.as_slice()[span]) {
-                        // Bitwise compare of two identical deterministic
-                        // evaluations: mismatch ⇒ the stored copy was
-                        // struck (NaN never equals itself, so NaN-ing
-                        // flips are caught too).
-                        if s.to_bits_u64() != v.to_bits_u64() {
-                            repaired += 1;
-                            *s = *v;
+    }
+
+    /// Land the cells of `boxes` — `cells`, laid out as [`Pad::pack`]
+    /// lays them — in the pad of `grid`.
+    pub(crate) fn unpack<T: Real>(&self, boxes: &[HaloBox], cells: &[T], grid: &mut Grid3D<T>) {
+        let grid = grid.as_mut_slice();
+        self.landings(boxes, |from, to, len| {
+            grid[to..to + len].copy_from_slice(&cells[from..from + len]);
+        });
+    }
+
+    /// Every line copy that lands the cells of `boxes` (laid end to end
+    /// from the first box's `base`, as a message carries them) in the pad:
+    /// `land(from, to, len)` copies `len` cells from offset `from` of the
+    /// boxes' cells to padded cell index `to`. A cell whose image is in
+    /// the brick is not landed — the brick holds it — and one the pad
+    /// holds twice (a periodic axis shorter than brick and pad) lands
+    /// twice.
+    fn landings(&self, boxes: &[HaloBox], mut land: impl FnMut(usize, usize, usize)) {
+        let first = boxes.first().map_or(0, |b| b.base);
+        let [nx, ny, _] = self.dims;
+        for b in boxes {
+            let (bx, by) = (b.x.len(), b.y.len());
+            for (pz, sz, lz, iz) in self.runs(2, &b.z) {
+                for (py, sy, ly, iy) in self.runs(1, &b.y) {
+                    for (px, sx, lx, ix) in self.runs(0, &b.x) {
+                        if ix && iy && iz {
+                            continue;
+                        }
+                        for (dz, dy) in (0..lz).flat_map(|dz| (0..ly).map(move |dy| (dz, dy))) {
+                            let from = b.base - first + ((sz + dz) * by + sy + dy) * bx + sx;
+                            land(from, ((pz + dz) * ny + py + dy) * nx + px, lx);
                         }
                     }
                 }
             }
         }
-        // Publish what this advance made valid — the window, not the
-        // stale pad beyond it — and step the buffers.
-        for (r, xs) in self
-            .runs
-            .iter()
-            .filter_map(|r| Some((r, r.within(&window)?)))
-        {
-            let at = self.dst.idx(xs.start, r.at[1], r.at[2]);
-            let slot = r.slot + (xs.start - r.at[0]);
-            let cells = &self.dst.as_slice()[at..at + xs.len()];
-            payload[slot..slot + xs.len()].copy_from_slice(cells);
-        }
-        std::mem::swap(&mut self.src, &mut self.dst);
-        (repaired, repaired)
     }
+
+    /// The pad cell global cell `g` stands for — the first, should the pad
+    /// hold it twice — or `None` when the pad holds none.
+    pub(crate) fn in_pad(&self, [x, y, z]: [usize; 3]) -> Option<[usize; 3]> {
+        let runs = |a: usize, g: usize| self.runs(a, &(g..g + 1));
+        for (pz, _, _, bz) in runs(2, z) {
+            for (py, _, _, by) in runs(1, y) {
+                let mut xs = runs(0, x).filter(|&(_, _, _, bx)| !(bx && by && bz));
+                if let Some((px, ..)) = xs.next() {
+                    return Some([px, py, pz]);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The DMR guard of a protected `k > 1` rank, right after a step that
+/// wrote `outer`: sweep `outer ∖ brick` a second time, from the time-`t`
+/// buffer into `twin`, and repair every cell of the step's result that
+/// differs bitwise — a mismatch of two identical deterministic
+/// evaluations means the stored copy was struck, and NaN never equals
+/// itself, so NaN-ing flips are caught too. Returns the cells repaired.
+pub(crate) fn guard<T: Real>(
+    sim: &mut StencilSim<T>,
+    twin: &mut Grid3D<T>,
+    outer: &InteriorWindow,
+    brick: &InteriorWindow,
+) -> usize {
+    let slabs = shell_of(outer, brick);
+    for s in &slabs {
+        #[rustfmt::skip]
+        sweep_region(
+            sim.previous(), twin, sim.stencil(), sim.bounds(), sim.constant(), &NoGhosts, &NoHook,
+            ChecksumMode::None, Exec::Serial, s.y.clone(), s.x.clone(), s.z.clone(),
+        );
+    }
+    let (nx, ny, _) = twin.dims();
+    let (stored, twin) = (sim.current_mut().as_mut_slice(), twin.as_slice());
+    let mut repaired = 0;
+    for s in slabs {
+        let lines =
+            s.z.flat_map(|z| s.y.clone().map(move |y| (z * ny + y) * nx));
+        for line in lines {
+            let span = line + s.x.start..line + s.x.end;
+            for (c, v) in stored[span.clone()].iter_mut().zip(&twin[span]) {
+                if c.to_bits_u64() != v.to_bits_u64() {
+                    repaired += 1;
+                    *c = *v;
+                }
+            }
+        }
+    }
+    repaired
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_ranks, effective_halo, validate, DistConfig};
+    use crate::{build_ranks, effective_halo, validate, DistConfig, HaloPlan, Partition3, Rank};
     use abft_core::AbftConfig;
-    use abft_stencil::{Stencil2D, StencilSim};
+    use abft_stencil::Stencil2D;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
-    impl<T: Real> ShellBox<T> {
-        /// Cells the advances of one full epoch sweep: the redundant work
-        /// the saved exchanges are paid with, as a function of the
-        /// geometry alone.
-        fn epoch_cells(&self) -> usize {
-            let volume = |b: Box3| b.iter().map(Range::len).product::<usize>();
-            let advance = |m| volume(self.window(self.k - m)) - volume(self.brick.clone());
-            (1..self.k).map(advance).sum()
-        }
-    }
-
-    /// Every rank's shell, as a job over a `dims` domain builds it.
-    fn shells(
-        dims: (usize, usize, usize),
+    /// Every rank of a job over `initial`, as the job builds them.
+    fn ranks(
+        initial: &Grid3D<f64>,
         cfg: &DistConfig<f64>,
-        boundary: Boundary<f64>,
+        bounds: BoundarySpec<f64>,
         stencil: &Stencil3D<f64>,
-    ) -> Vec<(Option<ShellBox<f64>>, Arc<HaloPlan>, Brick)> {
-        let initial = Grid3D::from_fn(dims.0, dims.1, dims.2, |x, y, z| (x + 2 * y + z) as f64);
-        let bounds = BoundarySpec::uniform(boundary);
-        let part = validate(&initial, stencil, &bounds, None, cfg).unwrap();
+    ) -> Vec<Rank<f64>> {
+        let part = validate(initial, stencil, &bounds, None, cfg).unwrap();
         let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
+        let dims = initial.dims();
         let plan = |r| Arc::new(HaloPlan::new(&part.brick(r), r, &part, halo, dims, &bounds));
         let plans: Vec<_> = (0..part.ranks()).map(plan).collect();
-        let ranks = build_ranks(&initial, stencil, &bounds, None, cfg, &part, &plans);
-        let built = ranks
-            .into_iter()
-            .map(|rank| (rank.shell, rank.plan, rank.brick));
-        built.collect()
+        build_ranks(initial, stencil, &bounds, None, cfg, &part, &plans)
     }
 
-    fn five_point() -> Stencil3D<f64> {
-        Stencil2D::five_point(0.4, 0.15, 0.1).into_3d()
-    }
-
-    /// The middle slab (rows 4..8) of three over an 8×12×1 domain.
-    fn middle_slab(
-        k: usize,
-        boundary: Boundary<f64>,
-        guarded: bool,
-    ) -> (ShellBox<f64>, Arc<HaloPlan>) {
-        let mut cfg = DistConfig::<f64>::new(3, 8).with_steps_per_exchange(k);
-        if guarded {
-            cfg = cfg.with_abft(AbftConfig::paper_defaults());
+    fn boundary(kind: usize) -> Boundary<f64> {
+        match kind {
+            0 => Boundary::Clamp,
+            1 => Boundary::Periodic,
+            2 => Boundary::Reflect,
+            3 => Boundary::Zero,
+            _ => Boundary::Constant(2.5),
         }
-        let (shell, plan, brick) = shells((8, 12, 1), &cfg, boundary, &five_point()).swap_remove(1);
-        assert_eq!((brick.y0, brick.y_len), (4, 4));
-        (shell.expect("a middle slab has remote boxes"), plan)
     }
 
-    /// The window law: with `s` sweeps of an epoch to come the brick grown
-    /// by `s` reaches is valid — at least the depth `r` the brick sweep
-    /// reads — and the sweep that gets there reads inside what the one
-    /// before left valid.
-    #[test]
-    fn sweep_read_ghosts_survive_the_whole_epoch() {
-        for k in [2, 3, 4] {
-            for b in [Boundary::Clamp, Boundary::Periodic] {
-                let (shell, _) = middle_slab(k, b, false);
-                let [nx, ny, nz] = shell.size;
-                assert_eq!(
-                    shell.window(k),
-                    [0..nx, 0..ny, 0..nz],
-                    "the exchange fills the box"
-                );
-                assert_eq!(shell.brick[1].len() + shell.skip[1], 4, "the slab's rows");
-                for m in 1..k {
-                    let (written, read) = (shell.window(k - m), shell.window(k - m + 1));
-                    let depth = shell.brick[1].start - written[1].start;
-                    assert_eq!(depth, k - m, "advance {m} of {k} covers depth (k − m)·r");
-                    assert!(depth >= shell.reach[1], "the brick sweep reads depth r");
-                    for a in 0..3 {
-                        let (w, r) = (&written[a], shell.reach[a]);
-                        let reads = w.start.saturating_sub(r)..(w.end + r).min(shell.size[a]);
-                        assert!(read[a].start <= reads.start && reads.end <= read[a].end);
-                    }
+    fn volume(b: &InteriorWindow) -> usize {
+        b.x.len() * b.y.len() * b.z.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(24))]
+
+        /// One exchange fills the pad: over the rank grids, boundary mixes
+        /// and shell depths the substrate runs, each rank packs what it
+        /// owes out of its padded grid, each consumer lands every message
+        /// (its own boxes included) in its pad, and then every pad cell
+        /// holds, bitwise, the global cell it stands for — while the brick
+        /// keeps its own.
+        #[test]
+        fn pad_cells_hold_the_global_field_after_one_exchange(
+            grid in prop_oneof![
+                Just((1usize, 2usize, 1usize)),
+                Just((2, 2, 1)),
+                Just((2, 2, 2)),
+                Just((1, 4, 1)),
+            ],
+            kinds in (0usize..5, 0usize..5, 0usize..5),
+            k in 1usize..=2,
+            reach in 1usize..=2,
+            dims in (8usize..=13, 9usize..=14, 4usize..=6),
+        ) {
+            let (rx, ry, rz) = grid;
+            let (nx, ny, nz) = dims;
+            let bounds = BoundarySpec { x: boundary(kinds.0), y: boundary(kinds.1), z: boundary(kinds.2) };
+            let r = reach as isize;
+            let stencil = Stencil3D::from_tuples(&[(r, r, r, 0.5f64), (-r, -r, -r, 0.5)]);
+            let global = Grid3D::from_fn(nx, ny, nz, |x, y, z| (x + 100 * y + 10_000 * z) as f64 + 0.25);
+            let part = Partition3::new(nx, ny, nz, rx, ry, rz);
+            // An axis exchanges only when it is decomposed (y always is),
+            // and admission keeps a shell narrower than its axis.
+            let depth = |ranks: usize, n: usize| if ranks > 1 { (k * reach).min(n - 1) } else { 0 };
+            let halo = (depth(rx, nx), (k * reach).min(ny - 1), depth(rz, nz));
+            let pads: Vec<_> = (0..part.ranks())
+                .map(|me| Pad::new(&part.brick(me), dims, &bounds, halo, &stencil))
+                .collect();
+            // Bricks only: every pad cell starts as a NaN.
+            let mut grids: Vec<_> = pads.iter().map(|pad| {
+                let [px, py, pz] = pad.dims;
+                let mut grid = Grid3D::filled(px, py, pz, f64::NAN);
+                let from = from_fn(|a| pad.b0[a]);
+                copy_box(&global, from, &mut grid, pad.lo, pad.len);
+                grid
+            }).collect();
+            for me in 0..part.ranks() {
+                let plan = HaloPlan::new(&part.brick(me), me, &part, halo, dims, &bounds);
+                for boxes in plan.owed() {
+                    let (owner, mut msg) = (boxes[0].owner, Vec::new());
+                    pads[owner].pack(&grids[owner], boxes, &mut msg);
+                    pads[me].unpack(boxes, &msg, &mut grids[me]);
+                }
+                let (pad, [px, py, pz]) = (&pads[me], pads[me].dims);
+                for (x, y, z) in (0..pz).flat_map(|z| (0..py).flat_map(move |y| (0..px).map(move |x| (x, y, z)))) {
+                    let g = [pad.global(0, x), pad.global(1, y), pad.global(2, z)];
+                    prop_assert_eq!(
+                        grids[me].at(x, y, z).to_bits(),
+                        global.at(g[0], g[1], g[2]).to_bits(),
+                        "rank {}: padded ({}, {}, {}) stands for {:?}", me, x, y, z, g
+                    );
                 }
             }
         }
     }
 
-    /// The payload of `plan` read out of `grid`, a global field.
-    fn payload_of(plan: &HaloPlan, grid: &Grid3D<f64>) -> Vec<f64> {
-        plan.cells().map(|(x, y, z)| grid.at(x, y, z)).collect()
-    }
-
-    /// Rows 4..8 of `grid` as the middle slab's own buffer.
-    fn slab_of(grid: &Grid3D<f64>) -> Grid3D<f64> {
-        Grid3D::from_fn(8, 4, 1, |x, y, _| grid.at(x, 4 + y, 0))
-    }
-
+    /// The unpack is counted per box line: on shapes whose pad holds each
+    /// cell once, landing a message costs exactly one slice copy per
+    /// `(y, z)` line of each of its boxes, and a clamp fold — a cell of
+    /// the brick itself — lands nothing.
     #[test]
-    fn advance_matches_a_serial_sweep_of_the_shell_cells() {
-        // Advance the middle slab's shell by hand through a whole k = 3
-        // epoch and compare every cell an advance made valid against a
-        // serial step of the global domain.
-        for boundary in [Boundary::Clamp, Boundary::Periodic] {
-            let (mut shell, plan) = middle_slab(3, boundary, true);
-            let global = Grid3D::from_fn(8, 12, 1, |x, y, _| ((x * 7 + y * 3) % 11) as f64 - 4.0);
-            let bounds = BoundarySpec::uniform(boundary);
-            let mut serial =
-                StencilSim::new(global.clone(), five_point(), bounds).with_exec(Exec::Serial);
-            let mut payload = payload_of(&plan, &global);
-            for m in 1..3 {
-                let previous = slab_of(serial.current());
-                serial.step();
-                let (det, corr) = shell.advance(&mut payload, &previous, m, &[]);
-                assert_eq!((det, corr), (0, 0), "clean advance must not trip the guard");
-                let mut valid = 0;
-                for (slot, (x, y, z)) in plan.cells().enumerate() {
-                    // Rows within 3 − m of the slab, across the wrap too.
-                    let away = (4 + 12 - y) % 12;
-                    if away.min((y + 12 - 7) % 12) <= 3 - m {
-                        valid += 1;
-                        assert_eq!(
-                            payload[slot].to_bits(),
-                            serial.current().at(x, y, z).to_bits(),
-                            "advanced ghost ({x}, {y}, {z}) diverged from the serial sweep"
-                        );
-                    }
+    fn unpack_copies_one_slice_per_remote_box_line() {
+        let star = Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1);
+        let box27 = Stencil3D::diffusion_27pt(0.02);
+        let shapes = [
+            ((512, 16, 8), (1, 2, 1), 1, Boundary::Clamp, &box27),
+            ((512, 16, 8), (1, 2, 1), 4, Boundary::Clamp, &box27),
+            ((12, 12, 8), (2, 2, 2), 1, Boundary::Clamp, &star),
+            ((12, 12, 8), (2, 2, 2), 2, Boundary::Periodic, &box27),
+            ((13, 17, 9), (1, 4, 1), 3, Boundary::Reflect, &star),
+        ];
+        for (dims, (rx, ry, rz), k, b, stencil) in shapes {
+            let bounds = BoundarySpec::uniform(b);
+            let part = Partition3::new(dims.0, dims.1, dims.2, rx, ry, rz);
+            let cfg = DistConfig::<f64>::new(rx * ry * rz, 4)
+                .with_grid3(rx, ry, rz)
+                .with_steps_per_exchange(k);
+            let halo = effective_halo(&cfg, stencil, (rx, ry, rz));
+            for me in 0..part.ranks() {
+                let plan = HaloPlan::new(&part.brick(me), me, &part, halo, dims, &bounds);
+                let pad = Pad::new(&part.brick(me), dims, &bounds, halo, stencil);
+                for boxes in plan.owed() {
+                    let mut copies = 0;
+                    pad.landings(boxes, |_, _, _| copies += 1);
+                    let lines: usize = boxes.iter().map(|b| b.y.len() * b.z.len()).sum();
+                    let expect = if boxes[0].owner == me && b != Boundary::Periodic {
+                        0
+                    } else {
+                        lines
+                    };
+                    assert_eq!(
+                        copies, expect,
+                        "{dims:?} {rx}x{ry}x{rz} k={k} {b:?}: rank {me}, owner {}",
+                        boxes[0].owner
+                    );
                 }
-                assert_eq!(valid, 2 * (3 - m) * 8);
             }
         }
     }
 
-    #[test]
-    fn guard_detects_and_repairs_an_injected_shell_flip() {
-        let global = Grid3D::from_fn(8, 12, 1, |x, y, _| (x + y) as f64 * 0.5 + 1.0);
-        let previous = slab_of(&global);
-        // Flip a cell the first advance rewrites: row 3, next to the slab.
-        let (mut shell, plan) = middle_slab(2, Boundary::Clamp, true);
-        let struck = plan.slot(5, 3, 0).expect("row 3 is exchanged");
-        let flip = (struck, 51);
-        let mut clean = payload_of(&plan, &global);
-        assert_eq!(shell.advance(&mut clean, &previous, 1, &[]), (0, 0));
-
-        let mut guarded = payload_of(&plan, &global);
-        let (mut again, _) = middle_slab(2, Boundary::Clamp, true);
-        let (det, corr) = again.advance(&mut guarded, &previous, 1, &[flip]);
-        assert_eq!((det, corr), (1, 1), "the guard must catch exactly the flip");
-        assert_eq!(guarded, clean, "and repair it bitwise");
-
-        // Without the guard the corruption survives in the shell.
-        let (mut bare, _) = middle_slab(2, Boundary::Clamp, false);
-        let mut unguarded = payload_of(&plan, &global);
-        assert_eq!(bare.advance(&mut unguarded, &previous, 1, &[flip]), (0, 0));
-        assert_ne!(
-            unguarded[struck].to_bits(),
-            clean[struck].to_bits(),
-            "unguarded flip must persist"
-        );
-        // A cell beyond the advance's window holds nothing to corrupt.
-        let deep = (plan.slot(5, 2, 0).expect("row 2 is exchanged"), 51);
-        let (mut shell, _) = middle_slab(2, Boundary::Clamp, true);
-        let mut payload = payload_of(&plan, &global);
-        assert_eq!(shell.advance(&mut payload, &previous, 1, &[deep]), (0, 0));
-        assert_eq!(payload, clean);
-    }
-
-    /// Redundant work as an exact count: the `dist-halo` benchmark shape
-    /// (512×16×8 over 1×2 ranks, clamp, 27-point) sweeps rows 3 + 2 + 1
-    /// deep per `k = 4` epoch and rank, and describes its pad with one run
-    /// per line — build state is boxes and buffers, nothing per cell.
+    /// The redundant work the saved exchanges are paid with, as an exact
+    /// count: the `dist-halo` benchmark shape (512×16×8 over 1×2 ranks,
+    /// clamp, 27-point) sweeps pad rows 3 + 2 + 1 deep per `k = 4` epoch
+    /// and rank, on a padded grid of the brick and its 4-row pad; at
+    /// `k = 1` every sweep writes the brick alone, out of a 1-row pad.
     #[test]
     fn an_epochs_redundant_sweeps_are_an_exact_cell_count() {
+        let initial = Grid3D::from_fn(512, 16, 8, |x, y, z| (x + y + z) as f64);
         let kernel = Stencil3D::diffusion_27pt(0.02);
-        let cfg = |ranks, k| DistConfig::<f64>::new(ranks, 8).with_steps_per_exchange(k);
-        for (shell, plan, _) in shells((512, 16, 8), &cfg(2, 4), Boundary::Clamp, &kernel) {
-            let shell = shell.expect("both slabs have a remote box");
-            assert_eq!(shell.epoch_cells(), (3 + 2 + 1) * 512 * 8);
-            assert_eq!(shell.runs.len(), 4 * 8, "one run per pad line");
-            assert_eq!(
-                shell.size,
-                [512, 4 + 1, 8],
-                "the pad and the row of the slab it reads"
-            );
-            assert!(shell.runs.len() * 100 < plan.len());
+        for (k, rows) in [(4, 3 + 2 + 1), (1, 0)] {
+            let cfg = DistConfig::<f64>::new(2, 8).with_steps_per_exchange(k);
+            for rank in ranks(&initial, &cfg, BoundarySpec::clamp(), &kernel) {
+                let (pad, brick) = (&rank.pad, rank.pad.window(0));
+                let swept: usize = (0..k)
+                    .map(|j| volume(&pad.window(k - 1 - j)) - volume(&brick))
+                    .sum();
+                assert_eq!(swept, rows * 512 * 8, "k = {k}");
+                assert_eq!(pad.dims, [512, 8 + k, 8], "k = {k}: the brick and its pad");
+                assert_eq!(
+                    pad.window(k),
+                    rank.sim.whole(),
+                    "the first sweep reads it all"
+                );
+            }
         }
-        // No epoch to advance through, or nobody to receive from: no box.
-        let swept = |shell: Option<ShellBox<f64>>| shell.map_or(0, |s| s.epoch_cells());
-        for (shell, _, _) in shells((512, 16, 8), &cfg(2, 1), Boundary::Clamp, &kernel) {
-            assert!(shell.is_none(), "k = 1 builds no box");
-            assert_eq!(swept(shell), 0);
-        }
-        for (shell, plan, _) in shells((512, 16, 8), &cfg(1, 4), Boundary::Periodic, &kernel) {
-            assert!(!plan.is_empty(), "a periodic rank wraps onto itself");
-            assert!(
-                shell.is_none(),
-                "a shell without a remote box builds no box"
-            );
-            assert_eq!(swept(shell), 0);
-        }
+    }
+
+    /// The shell guard on the padded windows: a flip into a pad cell the
+    /// sweep writes is caught and repaired bitwise, and stays without the
+    /// guard; a clean sweep and a pad cell beyond the window are no hit.
+    #[test]
+    fn guard_detects_and_repairs_an_injected_shell_flip() {
+        // The middle slab (rows 4..8) of three over 8×12×1 at k = 2: its
+        // padded grid is rows 2..10, and the epoch's first sweep writes
+        // rows 3..9.
+        let initial = Grid3D::from_fn(8, 12, 1, |x, y, _| (x + y) as f64 * 0.5 + 1.0);
+        let cfg = DistConfig::<f64>::new(3, 8)
+            .with_steps_per_exchange(2)
+            .with_abft(AbftConfig::paper_defaults());
+        let stencil = Stencil2D::five_point(0.4, 0.15, 0.1).into_3d();
+        let middle = || ranks(&initial, &cfg, BoundarySpec::clamp(), &stencil).swap_remove(1);
+        let sweep = |rank: &mut Rank<f64>,
+                     hook: &(dyn Fn(usize, usize, usize, f64) -> f64 + Sync),
+                     guarded: bool| {
+            let (inner, outer) = (rank.pad.inner(), rank.pad.window(1));
+            let hook = |x, y, z, v| hook(x, y, z, v);
+            rank.sim.sweep_interior(&hook, &inner, None);
+            rank.sim.sweep_shell_and_finish(&hook, &inner, &outer, None);
+            let twin = rank
+                .twin
+                .as_mut()
+                .expect("a protected k = 2 slab has a twin");
+            if guarded {
+                guard(&mut rank.sim, twin, &outer, &rank.pad.window(0))
+            } else {
+                0
+            }
+        };
+        let strike = |row: usize| {
+            move |x: usize, y: usize, _: usize, v: f64| {
+                if (x, y) == (5, row) {
+                    v.flip_bit(51)
+                } else {
+                    v
+                }
+            }
+        };
+        let mut clean = middle();
+        assert_eq!(clean.pad.window(1).y, 1..7);
+        assert_eq!(
+            sweep(&mut clean, &|_, _, _, v| v, true),
+            0,
+            "no false positive"
+        );
+        // Padded row 1 is global row 3, next to the brick.
+        let mut hit = middle();
+        assert_eq!(
+            sweep(&mut hit, &strike(1), true),
+            1,
+            "the guard catches the flip"
+        );
+        assert_eq!(
+            hit.sim.current(),
+            clean.sim.current(),
+            "and repairs it bitwise"
+        );
+        let mut bare = middle();
+        assert_eq!(sweep(&mut bare, &strike(1), false), 0);
+        assert_ne!(
+            bare.sim.current().at(5, 1, 0).to_bits(),
+            clean.sim.current().at(5, 1, 0).to_bits()
+        );
+        // Padded row 0 (global row 2) is beyond the window: nothing to hit.
+        let mut deep = middle();
+        assert_eq!(sweep(&mut deep, &strike(0), true), 0);
+        assert_eq!(deep.sim.current(), clean.sim.current());
     }
 }

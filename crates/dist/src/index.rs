@@ -16,17 +16,18 @@
 //!
 //! [`HaloPlan`] is that short, disjoint list — two boxes for an interior
 //! y-slab, 26 for the centre brick of a 3×3×3 grid — ordered self-owned
-//! first (boundary folds the rank serves to itself), then by ascending
-//! owner, each box's cells z-major row-major from its `base`. The list
-//! *is* the payload layout, both endpoints of a channel derive it
-//! independently, and everything else is read off it: a producer packs
-//! one slice copy per `(y, z)` line of each box it owes; a ghost read is
-//! per-axis containment plus an offset (`HaloPlan::run_at`: the plan
+//! first (boundary folds and periodic wraps the rank serves to itself),
+//! then by ascending owner, each box's cells z-major row-major from its
+//! `base`. The list *is* the payload layout, both endpoints of a channel
+//! derive it independently, and everything else is read off it: a
+//! producer packs one slice copy per `(y, z)` line of each box it owes,
+//! and the consumer lands each such line in its padded grid with one
+//! slice copy (`crate::epoch`); a cell lookup (`HaloPlan::slot`, which
+//! admission uses) is per-axis containment plus an offset — the plan
 //! keeps the per-axis intervals and which box each triple of them is, so
-//! a lookup is three short scans, not a pass over the boxes; it also says
-//! how far the box's line extends, so a ghost line is one lookup and one
-//! slice copy per box it crosses); the unique / self / remote cell counts
-//! are box volumes and the messages per epoch the distinct remote owners.
+//! a lookup is three short scans, not a pass over the boxes; the unique /
+//! self / remote cell counts are box volumes and the messages per epoch
+//! the distinct remote owners.
 //!
 //! # Traffic accounting
 //!
@@ -515,32 +516,6 @@ mod oracle {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    impl HaloPlan {
-        /// A plan over hand-built `boxes`, for tests of shapes a tensor
-        /// rank grid never produces: their distinct per-axis ranges are
-        /// the segments.
-        pub(crate) fn from_boxes(boxes: Vec<HaloBox>) -> Self {
-            let axis = |range: fn(&HaloBox) -> &Range<usize>| -> Vec<Range<usize>> {
-                let starts: BTreeSet<usize> = boxes.iter().map(|b| range(b).start).collect();
-                let of = |start| boxes.iter().map(range).find(|r| r.start == start);
-                starts.into_iter().map(|s| of(s).unwrap().clone()).collect()
-            };
-            let segments = [axis(|b| &b.x), axis(|b| &b.y), axis(|b| &b.z)];
-            let at = |a: usize, r: &Range<usize>| segments[a].iter().position(|s| s == r).unwrap();
-            let mut box_of = vec![None; segments.iter().map(Vec::len).product()];
-            for (i, b) in boxes.iter().enumerate() {
-                let (ix, iy, iz) = (at(0, &b.x), at(1, &b.y), at(2, &b.z));
-                box_of[(iz * segments[1].len() + iy) * segments[0].len() + ix] = Some(i);
-            }
-            Self {
-                boxes,
-                segments,
-                box_of,
-                traffic: HaloTraffic::default(),
-            }
-        }
-    }
 
     fn plan_for(
         brick: Brick,

@@ -15,30 +15,32 @@
 //!   an explicit `RX×RY` grid ([`DistConfig::with_grid`]), a full
 //!   `RX×RY×RZ` brick grid ([`DistConfig::with_grid3`]) or an
 //!   auto-factored near-square x×y grid ([`GridSpec::Auto`]);
-//! * each rank owns a [`StencilSim`] over its brick with every decomposed
-//!   axis set to [`Boundary::Ghost`]; out-of-brick reads are served by a
-//!   [`HaloGhost`] source holding neighbour **cells** captured at time `t`
-//!   — the full 3-D halo shell: x/y/z face strips, the edge strips where
-//!   two axis windows meet (the 2-D decomposition's corner patches are
-//!   the xy-edges) and the corner patches where all three do — exactly
-//!   the values an MPI halo exchange would have delivered. The shell is
-//!   planned as a short list of boxes ([`HaloPlan`]: one [`HaloBox`] per
-//!   producer and per-axis window segment, laid end to end in the
-//!   payload), and that list is the only description of it: producers
-//!   pack it line by line, and [`HaloGhost`] reads ghosts a line at a
-//!   time — a line's `(y, z)` resolve once, and a lookup is box
-//!   containment plus an offset, per line, not per cell (debug builds
-//!   cross-check every copied line against the single-cell path). Each
-//!   plan also records per-channel traffic volumes ([`HaloTraffic`]:
-//!   cells and bytes per face/edge/corner channel);
+//! * each rank owns a [`StencilSim`] over its brick **padded** by the halo
+//!   depth on every decomposed axis (the brick grown by
+//!   `steps_per_exchange` stencil reaches; clipped at a domain end that
+//!   does not wrap, where the job's own boundary applies, and unwrapped on
+//!   a periodic axis): the pad holds neighbour **cells** captured at time
+//!   `t` — the full 3-D halo shell: x/y/z face strips, the edge strips
+//!   where two axis windows meet (the 2-D decomposition's corner patches
+//!   are the xy-edges) and the corner patches where all three do —
+//!   exactly the values an MPI halo exchange would have delivered, in the
+//!   grid cells a sweep reads them from. The shell is planned as a short
+//!   list of boxes ([`HaloPlan`]: one [`HaloBox`] per producer and
+//!   per-axis window segment), and that list is the only description of
+//!   it: producers pack it line by line, and the consumer lands each line
+//!   in its pad with one slice copy. Each plan also records per-channel
+//!   traffic volumes ([`HaloTraffic`]: cells and bytes per
+//!   face/edge/corner channel);
 //! * every rank advances through **one step machine** (`step.rs`): each
 //!   iteration the rank posts the halo cells it owes each consumer to
-//!   per-neighbour channels and sweeps its ghost-free interior window
-//!   while the halos are in flight, then receives its ghosts, sweeps its
-//!   edge shell and verifies. A rank lost on the way (killed, bereaved of
-//!   a peer, or damaged past local correction) is recovered by **one
-//!   rollback rule**: every rank returns to the newest checkpoint epoch
-//!   they all hold and replays;
+//!   per-neighbour channels and sweeps the part of its brick that reads
+//!   no pad cell while the halos are in flight, then lands its halo in
+//!   the pad, sweeps the rest of the step's window (with
+//!   `steps_per_exchange = k`, the brick grown by a reach per sweep still
+//!   to come in the epoch) and verifies. A rank lost on the way (killed,
+//!   bereaved of a peer, or damaged past local correction) is recovered
+//!   by **one rollback rule**: every rank returns to the newest
+//!   checkpoint epoch they all hold and replays;
 //! * two drivers run that machine, selected by [`HaloMode`]. The default
 //!   [`HaloMode::Pipelined`] gives each rank a pooled thread **for the
 //!   whole run** — there is no global barrier; ordering is enforced
@@ -48,10 +50,12 @@
 //!   pool slots — the oracle of the equivalence matrices;
 //! * a rank with protection enabled drives its sweep through
 //!   [`OnlineAbft::sweep_interior`] and
-//!   [`OnlineAbft::sweep_shell_and_verify`], so checksum interpolation
-//!   sees the same halo values as the sweep — row and column checksums
-//!   cross rank boundaries in every decomposed direction, and each rank
-//!   verifies exactly the z-layers of its own brick — and single-point
+//!   [`OnlineAbft::sweep_shell_and_verify`] with a protector over the
+//!   brick's box of the padded grid ([`OnlineAbft::over_box`]), so
+//!   checksum interpolation reads the same pad cells as the sweep — row
+//!   and column checksums cross rank boundaries in every decomposed
+//!   direction, and each rank verifies exactly the z-layers of its own
+//!   brick — and single-point
 //!   corruptions are detected and corrected *locally*, inside the rank's
 //!   iteration, before the next halo post;
 //! * [`DistReport::global`] gathers the bricks back into one grid.
@@ -66,16 +70,17 @@
 //! in this crate).
 //!
 //! Global boundary conditions at the outer domain edges are honoured by
-//! resolving the rank-local out-of-range coordinate against the **global**
-//! boundary of that axis: clamp/reflect fold back into edge-brick cells,
-//! periodic wraps around the brick torus (the first column of bricks
-//! receives halos from the last), and zero/constant short-circuit to the
-//! boundary value — including at brick edges and corners, where two or
-//! all three axes resolve.
+//! the padded grid itself: a pad stops at a domain end that does not
+//! wrap, so a read past it is resolved by the **global** boundary of that
+//! axis exactly as in the serial sweep (clamp/reflect fold back into
+//! edge-brick cells, zero/constant short-circuit to the boundary value —
+//! at brick edges and corners too, where two or all three axes resolve),
+//! while a periodic pad holds the wrapped-around cells (the first column
+//! of bricks receives halos from the last).
 
 use abft_core::OnlineAbft;
 use abft_fault::BitFlip;
-use abft_grid::{Boundary, BoundarySpec, Grid3D};
+use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::{Exec, Stencil3D, StencilSim};
 use std::sync::Arc;
@@ -83,7 +88,6 @@ use std::sync::Arc;
 mod config;
 mod epoch;
 mod error;
-mod ghost;
 mod index;
 mod partition;
 mod pipeline;
@@ -95,7 +99,6 @@ mod worker;
 
 pub use config::{DistConfig, GridSpec, HaloMode};
 pub use error::DistError;
-pub use ghost::HaloGhost;
 pub use index::{HaloBox, HaloPlan, HaloTraffic};
 pub use partition::{auto_grid, decompose, Brick, Partition3};
 pub(crate) use report::gather_report;
@@ -105,49 +108,60 @@ pub use service::{
 };
 pub(crate) use validate::{effective_halo, validate};
 
-/// One simulated rank: its brick simulation, optional protector, pending
-/// faults, halo plan (boxes, traffic volumes) and accumulated phase
-/// timings.
+/// One simulated rank: its padded-brick simulation, optional protector,
+/// pending faults, halo plan (boxes, traffic volumes) and accumulated
+/// phase timings.
 pub(crate) struct Rank<T> {
+    /// The simulation of the rank's padded grid ([`epoch::Pad`]): the
+    /// brick plus its halo, swept under the job's own boundaries.
     pub(crate) sim: StencilSim<T>,
+    /// The protector of the brick's box of `sim`.
     pub(crate) abft: Option<OnlineAbft<T>>,
     pub(crate) brick: Brick,
+    pub(crate) pad: epoch::Pad,
+    /// Brick faults, in brick coordinates.
     pub(crate) flips: Vec<BitFlip>,
     /// The rank's halo plan: the global cells it needs every exchange,
-    /// as boxes (self-owned first — boundary folds the rank serves to
-    /// itself — then remote producers in ascending rank order, each box
-    /// z-major row-major). Concatenating the boxes' scalars in this order
-    /// yields the halo payload, and the plan resolves cells to payload
-    /// slots. Shared with the pool's topology cache — the plan is
-    /// immutable, so jobs with the same shape reuse one copy.
+    /// as boxes (self-owned first — boundary folds and periodic wraps the
+    /// rank serves to itself — then remote producers in ascending rank
+    /// order, each box z-major row-major). Concatenating a producer's
+    /// boxes in this order yields its message. Shared with the pool's
+    /// topology cache — the plan is immutable, so jobs with the same
+    /// shape reuse one copy.
     pub(crate) plan: Arc<HaloPlan>,
     pub(crate) timing: PhaseTimings,
-    /// Ghost-shell faults to inject while this rank decays its shell
-    /// (global coordinates; only fire with `steps_per_exchange > 1`).
+    /// Ghost-shell faults to inject into the pad cells a sweep brings
+    /// forward (global coordinates; only fire with `steps_per_exchange >
+    /// 1`).
     pub(crate) shell_flips: Vec<BitFlip>,
-    /// The deep ghost shell as sweepable memory; `Some` exactly when
-    /// `steps_per_exchange > 1` and the plan holds a remote box. Built
-    /// with the rank because shell cells live outside the brick (their
-    /// constant-field terms are not in the rank's local slice).
-    pub(crate) shell: Option<epoch::ShellBox<T>>,
+    /// The shell guard's recompute target: protected ranks with
+    /// `steps_per_exchange > 1` and a pad only ([`epoch::guard`]).
+    pub(crate) twin: Option<Grid3D<T>>,
 }
 
 impl<T: Real> Rank<T> {
-    /// The flips scheduled to fire during iteration `t`.
+    /// The flips scheduled to fire during sweep `t`, at padded-grid
+    /// coordinates: the brick's, and the shell's at the pad cell they
+    /// strike (a shell cell the sweep does not write holds nothing to
+    /// corrupt).
     pub(crate) fn flips_at(&self, t: usize) -> Vec<BitFlip> {
-        self.flips
+        let [ox, oy, oz] = self.pad.lo;
+        let brick = self
+            .flips
             .iter()
             .filter(|f| f.iteration == t)
-            .copied()
-            .collect()
-    }
-
-    /// The ghost-shell flips scheduled to fire in the shell advance that
-    /// follows sweep `t`, each as the payload slot it strikes and the bit.
-    pub(crate) fn shell_flips_at(&self, t: usize) -> Vec<(usize, u32)> {
-        let due = self.shell_flips.iter().filter(|f| f.iteration == t);
-        due.filter_map(|f| Some((self.plan.slot(f.x, f.y, f.z)?, f.bit)))
-            .collect()
+            .map(|f| BitFlip {
+                x: f.x + ox,
+                y: f.y + oy,
+                z: f.z + oz,
+                ..*f
+            });
+        let shell = self.shell_flips.iter().filter(|f| f.iteration == t);
+        let shell = shell.filter_map(|f| {
+            let [x, y, z] = self.pad.in_pad([f.x, f.y, f.z])?;
+            Some(BitFlip { x, y, z, ..*f })
+        });
+        brick.chain(shell).collect()
     }
 }
 
@@ -179,7 +193,7 @@ impl<T: Real> Rank<T> {
 /// Returns a [`DistError`] when the decomposition leaves a brick no
 /// larger than the stencil's extent on a decomposed axis, when an
 /// explicit grid does not cover the rank count, when `bounds` uses
-/// [`Boundary::Ghost`] (the outer-domain boundary must be
+/// [`abft_grid::Boundary::Ghost`] (the outer-domain boundary must be
 /// self-contained), or when a flip spec is invalid (bad rank,
 /// out-of-brick coordinates, bit width, or an iteration that never runs).
 pub fn run_distributed<T: Real>(
@@ -205,28 +219,6 @@ pub fn run_distributed<T: Real>(
     report
 }
 
-/// Copy the `size` box whose first cell is `from` in `src` to the box at
-/// `to` in `dst`, one slice copy per x-line: how a brick leaves the global
-/// grid and returns to it, and how brick cells enter a shell's box.
-pub(crate) fn copy_box<T: Real>(
-    src: &Grid3D<T>,
-    from: [usize; 3],
-    dst: &mut Grid3D<T>,
-    to: [usize; 3],
-    [lx, ly, lz]: [usize; 3],
-) {
-    if lx == 0 {
-        return;
-    }
-    for z in 0..lz {
-        for y in 0..ly {
-            let s = src.idx(from[0], from[1] + y, from[2] + z);
-            let d = dst.idx(to[0], to[1] + y, to[2] + z);
-            dst.as_mut_slice()[d..d + lx].copy_from_slice(&src.as_slice()[s..s + lx]);
-        }
-    }
-}
-
 /// Build one job's transient rank state: per-brick sims (with constant
 /// slices), per-job protectors and per-job flip lists. Everything here is
 /// job-scoped by construction — a fresh call per job is what guarantees
@@ -241,62 +233,36 @@ pub(crate) fn build_ranks<T: Real>(
     part: &Partition3,
     plans: &[Arc<HaloPlan>],
 ) -> Vec<Rank<T>> {
-    let (rx, rz) = (part.rx(), part.rz());
-    // Rank-local boundary spec: decomposed axes served by the halo, the
-    // rest as global. x and z stay global for slab grids so the 1-D path
-    // is untouched (no column/layer exchange, fused checksums, identical
-    // perf).
-    let local_bounds = BoundarySpec {
-        x: if rx > 1 { Boundary::Ghost } else { bounds.x },
-        y: Boundary::Ghost,
-        z: if rz > 1 { Boundary::Ghost } else { bounds.z },
-    };
-    let k = cfg.steps_per_exchange.max(1);
-    let halo = effective_halo(cfg, stencil, (rx, part.ry(), rz));
+    let guarded = cfg.abft.is_some() && cfg.steps_per_exchange > 1;
+    let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
     (0..part.ranks())
         .map(|r| {
             let brick = part.brick(r);
-            let carve = |global: &Grid3D<T>| {
-                let size = [brick.x_len, brick.y_len, brick.z_len];
-                let mut local = Grid3D::zeros(size[0], size[1], size[2]);
-                copy_box(
-                    global,
-                    [brick.x0, brick.y0, brick.z0],
-                    &mut local,
-                    [0; 3],
-                    size,
-                );
-                local
-            };
-            let mut sim = StencilSim::new(carve(initial), stencil.clone(), local_bounds)
+            let pad = epoch::Pad::new(&brick, initial.dims(), bounds, halo, stencil);
+            let mut sim = StencilSim::new(pad.fill(initial), stencil.clone(), *bounds)
                 .with_exec(Exec::Serial);
             if let Some(c) = constant {
-                sim = sim.with_constant(carve(c));
+                sim = sim.with_constant(pad.fill(c));
             }
-            let abft = cfg.abft.map(|acfg| OnlineAbft::new(&sim, acfg));
-            let (dims, guarded) = (initial.dims(), abft.is_some());
-            let shell = epoch::ShellBox::new(
-                &plans[r], &brick, dims, bounds, stencil, constant, halo, k, guarded,
-            );
+            let abft = cfg
+                .abft
+                .map(|acfg| OnlineAbft::over_box(&sim, acfg, pad.window(0)));
+            let [nx, ny, nz] = pad.dims;
+            let padded = pad.window(0) != sim.whole();
+            let of_rank = |faults: &[(usize, BitFlip)]| {
+                let mine = faults.iter().filter(|(fr, _)| *fr == r);
+                mine.map(|(_, f)| *f).collect()
+            };
             Rank {
-                sim,
                 abft,
                 brick,
-                flips: cfg
-                    .flips
-                    .iter()
-                    .filter(|(fr, _)| *fr == r)
-                    .map(|(_, f)| *f)
-                    .collect(),
+                flips: of_rank(&cfg.flips),
                 plan: plans[r].clone(),
                 timing: PhaseTimings::default(),
-                shell_flips: cfg
-                    .shell_flips
-                    .iter()
-                    .filter(|(fr, _)| *fr == r)
-                    .map(|(_, f)| *f)
-                    .collect(),
-                shell,
+                shell_flips: of_rank(&cfg.shell_flips),
+                twin: (guarded && padded).then(|| Grid3D::zeros(nx, ny, nz)),
+                sim,
+                pad,
             }
         })
         .collect()
@@ -306,6 +272,7 @@ pub(crate) fn build_ranks<T: Real>(
 mod tests {
     use super::*;
     use abft_core::AbftConfig;
+    use abft_grid::Boundary;
     use std::collections::BTreeSet;
 
     fn wavy(nx: usize, ny: usize, nz: usize) -> Grid3D<f64> {

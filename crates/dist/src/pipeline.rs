@@ -19,14 +19,14 @@
 //!
 //! Cells a rank needs from *itself* (clamp/reflect folding at the outer
 //! domain edges, or a single-rank periodic ring) never touch a channel;
-//! the worker snapshots them locally before sweeping.
+//! the rank lands them in its own pad before sweeping.
 //!
 //! Messages carry no cell coordinates: both endpoints derive the same
 //! cell order from the consumer's halo plan — its boxes, self-owned first,
 //! then producers ascending, each box z-major row-major. A port holds the
 //! consumer's boxes its producer owns, the producer packs them line by
 //! line out of its brick, and the message is just the flat values: the
-//! consumer's [`HaloPlan`] finds a cell by box containment and an offset.
+//! consumer lands them in its padded grid box line by box line.
 //!
 //! Progress argument (no deadlock): consider the rank at the minimum
 //! iteration `t`. Every channel holds only messages for iterations `>=

@@ -1,9 +1,9 @@
 //! What a run reports: per-rank phase timings and traffic, the gathered
 //! global grid, and the fold from finished ranks to a [`DistReport`].
 
-use crate::{copy_box, HaloTraffic, Rank};
+use crate::{HaloTraffic, Rank};
 use abft_core::ProtectorStats;
-use abft_grid::Grid3D;
+use abft_grid::{copy_box, Grid3D};
 use abft_metrics::RecoveryStats;
 use abft_num::Real;
 
@@ -15,11 +15,12 @@ use crate::{run_distributed, DistService, HaloMode};
 ///
 /// Every field is measured inside the rank's step machine, in either
 /// [`HaloMode`]: `post_s` covers packing and (possibly backpressured)
-/// channel sends — or, between the exchanges of a deep-halo epoch, the
-/// ghost shell's decay — `interior_s` the sweep that overlaps the
-/// exchange, `wait_s` the time blocked in `recv` for neighbour cells (the
-/// un-hidden halo latency), `edge_s` the ghost-dependent edge frame and
-/// `verify_s` the ABFT interpolate/detect/correct tail. In
+/// channel sends, `interior_s` the sweep that overlaps the exchange,
+/// `wait_s` the time blocked in `recv` for neighbour cells and landing
+/// them in the pad (the un-hidden halo latency), `edge_s` the rest of the
+/// step's window — the brick's edge frame and, between the exchanges of a
+/// deep-halo epoch, the pad cells it still brings forward, with their
+/// guard — and `verify_s` the ABFT interpolate/detect/correct tail. In
 /// [`HaloMode::Snapshot`] every message has been posted before any rank
 /// receives, so `wait_s` is the cost of the channel reads alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -30,7 +31,7 @@ pub struct PhaseTimings {
     pub interior_s: f64,
     /// Blocked waiting for neighbour halo cells.
     pub wait_s: f64,
-    /// Edge-frame sweep after the halo landed.
+    /// Edge-frame (and decaying pad) sweep after the halo landed.
     pub edge_s: f64,
     /// ABFT verification (interpolation, detection, correction).
     pub verify_s: f64,
@@ -204,8 +205,8 @@ pub(crate) fn gather_report<T: Real>(
     let mut global = Grid3D::zeros(nx, ny, nz);
     for rank in &ranks {
         let b = rank.brick;
-        let (to, size) = ([b.x0, b.y0, b.z0], [b.x_len, b.y_len, b.z_len]);
-        copy_box(rank.sim.current(), [0; 3], &mut global, to, size);
+        let (pad, to) = (&rank.pad, [b.x0, b.y0, b.z0]);
+        copy_box(rank.sim.current(), pad.lo, &mut global, to, pad.len);
     }
     DistReport {
         global,

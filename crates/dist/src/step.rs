@@ -12,18 +12,19 @@
 //!    **post** (first sweep of an exchange epoch: snapshot the halo boxes
 //!    this rank owes its consumers — face strips, edge strips, corner
 //!    patches — out of the time-`t` buffer and send one message per
-//!    consumer channel; self-served boxes are copied aside) or **advance**
-//!    the deep ghost shell by one sweep (later sweeps of an epoch: what
-//!    neighbours own is swept forward in the rank's extended box,
-//!    [`crate::epoch`], what the rank owns is packed afresh), and sweep
-//!    the ghost-free interior window — the overlap window in which
-//!    neighbour sends and receives complete.
+//!    consumer channel; what the rank serves itself lands in its pad
+//!    straight away), and sweep the overlap window — the brick shrunk by
+//!    a reach, which reads no pad cell — while neighbour sends and
+//!    receives complete.
 //! 2. [`RankStepper::complete`] — on an exchange sweep, block on each
-//!    producer channel and assemble the [`HaloGhost`]; sweep the edge
-//!    shell against it and finish the step; when protected, verify the
+//!    producer channel and land its boxes in the pad of the rank's
+//!    padded grid ([`crate::epoch`]); sweep the rest of the epoch's
+//!    window for this sweep (the brick grown by a reach per sweep still
+//!    to come) and finish the step; when protected, verify the brick's
 //!    checksums — every sweep, so corrections land *before* the next post
-//!    and a neighbour can never observe a known-corrupted cell — and
-//!    escalate damage Eq. 10 cannot repair.
+//!    and a neighbour can never observe a known-corrupted cell — guard
+//!    the pad cells the sweep wrote, and escalate damage Eq. 10 cannot
+//!    repair.
 //!
 //! Either half can end the rank's round with a [`RankExit`]; a half that
 //! fails commits nothing, so a rank's replay bound is simply its `t`.
@@ -37,12 +38,11 @@
 use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
 use crate::service::JobSpec;
 use crate::{
-    build_ranks, effective_halo, gather_report, validate, Brick, DistError, DistReport, HaloBox,
-    HaloGhost, Partition3, Rank,
+    build_ranks, effective_halo, epoch, gather_report, validate, DistError, DistReport, Partition3,
+    Rank,
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
 use abft_fault::MultiFlipHook;
-use abft_grid::{Boundary, Grid3D};
 use abft_metrics::RecoveryStats;
 use abft_num::Real;
 use abft_stencil::{InteriorWindow, NoHook, SweepHook};
@@ -154,23 +154,18 @@ pub(crate) struct RankStepper<T: Real> {
     pub(crate) idx: usize,
     iters: usize,
     /// Sweeps per halo exchange: 1 exchanges every iteration, `k > 1`
-    /// posts once per epoch and advances the deep ghost shell in between.
+    /// posts once per epoch and sweeps the decaying pad in between.
     k: usize,
     vault: Option<Arc<Vault<T>>>,
     /// Iterations at which a kill plan for this rank has yet to fire.
     kills: Vec<usize>,
-    /// The ghost-free overlap window: cells whose stencil support stays
-    /// in-brick (may be empty for bricks barely larger than the extent);
-    /// the complement is the edge shell. An axis only narrows when it is
-    /// actually decomposed (brick-local boundary is Ghost).
+    /// The overlap window: cells whose stencil support stays in the brick
+    /// (may be empty for bricks barely larger than the extent). An axis
+    /// only narrows when it exchanges. The pad is never checkpointed:
+    /// rollback targets are exchange-aligned, so the replay's first
+    /// exchange refills it.
     window: InteriorWindow,
-    /// This iteration's ghost source. Its payload is rebuilt by every
-    /// exchange (`post` fills the self-served prefix, `complete` appends
-    /// the received messages) and advanced in place between exchanges. It
-    /// is deliberately never checkpointed: rollback targets are
-    /// exchange-aligned, so the replay's first post rebuilds it.
-    ghost: HaloGhost<T>,
-    /// Staging for the self-served boxes re-packed between exchanges.
+    /// Staging for the boxes the rank serves itself.
     scratch: Vec<T>,
     /// Staging for a checkpoint's checksum payload.
     aux: Vec<T>,
@@ -190,24 +185,8 @@ impl<T: Real> RankStepper<T> {
         spec: &JobSpec<T>,
         vault: Option<Arc<Vault<T>>>,
     ) -> Self {
-        let brick = rank.brick;
-        let stencil = rank.sim.stencil();
-        let (ex, ey, ez) = (stencil.extent_x(), stencil.extent_y(), stencil.extent_z());
-        let inner = |ghost: bool, e: usize, len: usize| {
-            if ghost {
-                e..len.saturating_sub(e).max(e)
-            } else {
-                0..len
-            }
-        };
-        let bounds = rank.sim.bounds();
-        let window = InteriorWindow {
-            x: inner(matches!(bounds.x, Boundary::Ghost), ex, brick.x_len),
-            y: inner(true, ey, brick.y_len),
-            z: inner(matches!(bounds.z, Boundary::Ghost), ez, brick.z_len),
-        };
         Self {
-            ghost: HaloGhost::new(rank.plan.clone(), spec.bounds, brick, spec.initial.dims()),
+            window: rank.pad.inner(),
             kills: spec
                 .cfg
                 .kills
@@ -221,7 +200,6 @@ impl<T: Real> RankStepper<T> {
             iters: spec.cfg.iters,
             k: spec.cfg.steps_per_exchange,
             vault,
-            window,
             scratch: Vec::new(),
             aux: Vec::new(),
             t: 0,
@@ -253,8 +231,8 @@ impl<T: Real> RankStepper<T> {
         self.ports = Ports::empty();
     }
 
-    /// First half of iteration `t`: checkpoint, kill check, post or advance,
-    /// interior sweep.
+    /// First half of iteration `t`: checkpoint, kill check, post, overlap
+    /// sweep.
     pub(crate) fn post(&mut self) -> Result<(), RankExit> {
         match self.hook() {
             None => self.post_with(&NoHook),
@@ -262,8 +240,8 @@ impl<T: Real> RankStepper<T> {
         }
     }
 
-    /// Second half of iteration `t`: receive and assemble, edge sweep,
-    /// verify, escalate. Advances `t` when the step commits.
+    /// Second half of iteration `t`: receive and land, edge sweep, verify,
+    /// guard, escalate. Advances `t` when the step commits.
     pub(crate) fn complete(&mut self) -> Result<(), RankExit> {
         match self.hook() {
             None => self.complete_with(&NoHook),
@@ -291,10 +269,11 @@ impl<T: Real> RankStepper<T> {
                     Some(a) => a.write_checksum_payload(&mut self.aux),
                     None => self.aux.clear(),
                 }
+                let (pad, current) = (&self.rank.pad, self.rank.sim.current());
                 v.rings[self.idx]
                     .lock()
                     .expect("vault ring poisoned")
-                    .store(self.rank.sim.current(), &self.aux, t);
+                    .store_box(current, pad.lo, pad.len, &self.aux, t);
             }
         }
         if self.kills.contains(&t) {
@@ -304,39 +283,23 @@ impl<T: Real> RankStepper<T> {
         }
 
         let began = Instant::now();
-        let j = t % self.k;
-        if j == 0 {
-            let current = self.rank.sim.current();
+        if t.is_multiple_of(self.k) {
+            let (pad, current) = (&self.rank.pad, self.rank.sim.current());
             let mut sent = 0;
             for (tx, boxes) in &self.ports.sends {
                 let mut msg = Vec::new();
-                pack_boxes(current, &self.rank.brick, boxes, &mut msg);
+                pad.pack(current, boxes, &mut msg);
                 sent += msg.len();
                 if tx.send(msg).is_err() {
                     return Err(RankExit::PeerLost { iter: t });
                 }
             }
-            self.ghost.values.clear();
+            self.scratch.clear();
             let own = &self.ports.self_boxes;
-            pack_boxes(current, &self.rank.brick, own, &mut self.ghost.values);
+            pad.pack(current, own, &mut self.scratch);
+            pad.unpack(own, &self.scratch, self.rank.sim.current_mut());
             self.rank.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
             self.rank.timing.halo_msgs_sent += self.ports.sends.len() as u64;
-        } else {
-            // No exchange: bring the shell forward by one sweep — what
-            // neighbours own by sweeping it a second time here (guarded
-            // when protected), what this rank owns by packing it afresh.
-            let flips = self.rank.shell_flips_at(t - 1);
-            if let Some(shell) = self.rank.shell.as_mut() {
-                let previous = self.rank.sim.previous();
-                let (det, corr) = shell.advance(&mut self.ghost.values, previous, j, &flips);
-                if let Some(a) = self.rank.abft.as_mut() {
-                    a.note_shell_guard(det, corr);
-                }
-            }
-            self.scratch.clear();
-            let (current, own) = (self.rank.sim.current(), &self.ports.self_boxes);
-            pack_boxes(current, &self.rank.brick, own, &mut self.scratch);
-            self.ghost.values[..self.scratch.len()].copy_from_slice(&self.scratch);
         }
         let posted = Instant::now();
         match self.rank.abft.as_mut() {
@@ -351,39 +314,39 @@ impl<T: Real> RankStepper<T> {
     fn complete_with<H: SweepHook<T>>(&mut self, hook: &H) -> Result<(), RankExit> {
         let t = self.t;
         let began = Instant::now();
+        let rank = &mut self.rank;
         if t.is_multiple_of(self.k) {
-            // Wire bytes measured at assembly: everything in the payload
-            // beyond the self-served prefix arrived over a channel.
-            let self_len = self.ghost.values.len();
+            // Producers in ascending rank order, as the plan lists them.
+            let mut remote = rank.plan.owed().filter(|boxes| boxes[0].owner != self.idx);
+            let mut received = 0;
             for rx in &self.ports.recvs {
-                match rx.recv() {
-                    Ok(msg) => self.ghost.values.extend(msg),
-                    // A producer died: the step is abandoned before the
-                    // edge sweep, so the simulation still holds iteration
-                    // t intact.
-                    Err(_) => return Err(RankExit::PeerLost { iter: t }),
-                }
+                // A producer died: the step is abandoned before the edge
+                // sweep, so the simulation still holds iteration t intact.
+                let Ok(msg) = rx.recv() else {
+                    return Err(RankExit::PeerLost { iter: t });
+                };
+                received += msg.len();
+                let boxes = remote.next().unwrap_or_default();
+                rank.pad.unpack(boxes, &msg, rank.sim.current_mut());
             }
-            debug_assert_eq!(
-                self.ghost.values.len(),
-                self.rank.plan.len(),
-                "halo payload size"
-            );
-            let received = self.ghost.values.len() - self_len;
-            self.rank.timing.halo_bytes_recv += (received * std::mem::size_of::<T>()) as u64;
-            self.rank.timing.halo_msgs_recv += self.ports.recvs.len() as u64;
+            rank.timing.halo_bytes_recv += (received * std::mem::size_of::<T>()) as u64;
+            rank.timing.halo_msgs_recv += self.ports.recvs.len() as u64;
         }
         let landed = Instant::now();
-        let (uncorrectable, tail) = match self.rank.abft.as_mut() {
+        let outer = rank.pad.window(self.k - 1 - t % self.k);
+        let (uncorrectable, tail) = match rank.abft.as_mut() {
             Some(a) => {
                 let (outcome, tail) =
-                    a.sweep_shell_and_verify(&mut self.rank.sim, hook, &self.ghost, &self.window);
+                    a.sweep_shell_and_verify(&mut rank.sim, hook, &self.window, &outer);
+                if let Some(twin) = rank.twin.as_mut() {
+                    let repaired = epoch::guard(&mut rank.sim, twin, &outer, &rank.pad.window(0));
+                    a.note_shell_guard(repaired, repaired);
+                }
                 (outcome.uncorrectable, tail)
             }
             None => {
-                self.rank
-                    .sim
-                    .sweep_shell_and_finish(hook, &self.ghost, &self.window, None);
+                rank.sim
+                    .sweep_shell_and_finish(hook, &self.window, &outer, None);
                 (0, Duration::ZERO)
             }
         };
@@ -397,23 +360,6 @@ impl<T: Real> RankStepper<T> {
             return Err(RankExit::Uncorrectable { iter: t });
         }
         Ok(())
-    }
-}
-
-/// Append the cells of `boxes` to `out` in payload order, read out of
-/// `grid` — the storage of `brick`, which owns them all. A box is z-major
-/// row-major like the brick, so each of its `(y, z)` lines is one slice
-/// copy; `out` grows to its final size first.
-fn pack_boxes<T: Real>(grid: &Grid3D<T>, brick: &Brick, boxes: &[HaloBox], out: &mut Vec<T>) {
-    out.reserve_exact(boxes.iter().map(HaloBox::volume).sum());
-    for b in boxes {
-        for z in b.z.clone() {
-            for y in b.y.clone() {
-                let line = ((z - brick.z0) * brick.y_len + (y - brick.y0)) * brick.x_len;
-                let start = line + (b.x.start - brick.x0);
-                out.extend_from_slice(&grid.as_slice()[start..start + b.x.len()]);
-            }
-        }
     }
 }
 
@@ -534,7 +480,7 @@ impl<T: Real> Job<T> {
             // the first re-store (a recoverable loss turned fatal).
             ring.truncate_after(e);
             let snap = ring.restore(e);
-            s.rank.sim.restore(&snap.grid, e);
+            s.rank.sim.restore_box(&snap.grid, s.rank.pad.lo, e);
             if let Some(a) = s.rank.abft.as_mut() {
                 a.restore_checksums(&snap.aux);
             }
@@ -612,6 +558,7 @@ mod tests {
     use crate::HaloMode;
     use abft_core::AbftConfig;
     use abft_fault::RankKill;
+    use abft_grid::Grid3D;
     use abft_stencil::{Exec, Stencil3D, StencilSim};
     use proptest::prelude::*;
 

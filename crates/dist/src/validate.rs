@@ -2,7 +2,7 @@
 //! depth it implies.
 
 use crate::{auto_grid, DistConfig, DistError, GridSpec, HaloPlan, Partition3};
-use abft_grid::{Boundary, BoundarySpec, Grid3D};
+use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::Stencil3D;
 
@@ -50,10 +50,7 @@ pub(crate) fn validate<T: Real>(
     if cfg.iters == 0 {
         return Err(DistError::ZeroIterations);
     }
-    if matches!(bounds.x, Boundary::Ghost)
-        || matches!(bounds.y, Boundary::Ghost)
-        || matches!(bounds.z, Boundary::Ghost)
-    {
+    if bounds.uses_ghosts() {
         return Err(DistError::GhostBoundary);
     }
     if let Some(c) = constant {
@@ -251,6 +248,7 @@ pub(crate) fn effective_halo<T: Real>(
 mod tests {
     use super::*;
     use abft_fault::BitFlip;
+    use abft_grid::Boundary;
     use abft_stencil::Stencil2D;
 
     /// Shell-flip admission over a table of targets: rank 0 of three

@@ -181,6 +181,39 @@ impl<T: Real> Grid3D<T> {
     }
 }
 
+/// Copy the `size` box whose first cell is `from` in `src` to the box at
+/// `to` in `dst`: one slice copy per x-line, or per layer when the box
+/// spans whole x-lines of both grids.
+pub fn copy_box<T: Real>(
+    src: &Grid3D<T>,
+    from: [usize; 3],
+    dst: &mut Grid3D<T>,
+    to: [usize; 3],
+    [lx, ly, lz]: [usize; 3],
+) {
+    if lx * ly * lz == 0 {
+        return;
+    }
+    if lx == src.nx && lx == dst.nx {
+        for z in 0..lz {
+            let (s, d, n) = (
+                src.idx(0, from[1], from[2] + z),
+                dst.idx(0, to[1], to[2] + z),
+                lx * ly,
+            );
+            dst.data[d..d + n].copy_from_slice(&src.data[s..s + n]);
+        }
+        return;
+    }
+    for z in 0..lz {
+        for y in 0..ly {
+            let s = src.idx(from[0], from[1] + y, from[2] + z);
+            let d = dst.idx(to[0], to[1] + y, to[2] + z);
+            dst.data[d..d + lx].copy_from_slice(&src.data[s..s + lx]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

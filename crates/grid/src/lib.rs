@@ -30,6 +30,6 @@ mod strips;
 pub use boundary::{AxisHit, Boundary, BoundarySpec, GhostCells, NoGhosts};
 pub use buffer::DoubleBuffer;
 pub use grid2d::Grid2D;
-pub use grid3d::Grid3D;
+pub use grid3d::{copy_box, Grid3D};
 pub use layer::{LayerMut, LayerRef};
 pub use strips::BoundaryStrips;

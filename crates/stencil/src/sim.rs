@@ -2,18 +2,17 @@
 //! optional constant field + double-buffered state.
 
 use crate::{sweep, sweep_region, ChecksumMode, ConstantField, Exec, NoHook, Stencil3D, SweepHook};
-use abft_grid::{BoundarySpec, DoubleBuffer, GhostCells, Grid3D, NoGhosts};
+use abft_grid::{copy_box, BoundarySpec, DoubleBuffer, GhostCells, Grid3D, NoGhosts};
 use abft_num::Real;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The ghost-free box of a split step: the cells whose stencil support
-/// stays inside the grid on every axis that reads ghosts. The first half
-/// of the step ([`StencilSim::sweep_interior`]) sweeps it while a halo
-/// exchange is in flight; the second half
-/// ([`StencilSim::sweep_shell_and_finish`]) sweeps everything around it
-/// once the ghosts have landed. An axis that reads no ghosts spans its
-/// whole length; any range may be empty.
+/// A box of the grid, `x × y × z`. As the window of a split step it holds
+/// the cells whose stencil support needs nothing a halo exchange still
+/// has to deliver: the first half of the step
+/// ([`StencilSim::sweep_interior`]) sweeps it while the exchange is in
+/// flight, the second half ([`StencilSim::sweep_shell_and_finish`]) the
+/// box around it once the halo has landed. Any range may be empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InteriorWindow {
     pub x: Range<usize>,
@@ -189,7 +188,6 @@ impl<T: Real> StencilSim<T> {
     ) {
         self.sweep_box(
             hook,
-            &NoGhosts,
             window.y.clone(),
             window.x.clone(),
             window.z.clone(),
@@ -197,40 +195,49 @@ impl<T: Real> StencilSim<T> {
         );
     }
 
-    /// Second half of a split step: sweep the shell around `window` (the
-    /// same window the first half swept) against `ghosts` — bottom/top
-    /// z-slabs over the full cross-section, then the y-frame rows
-    /// full-width and the x-side columns of the middle box — and complete
-    /// the step (buffer swap, iteration count). The two halves together
-    /// are bitwise equal to one [`StencilSim::step_full`] with the same
-    /// ghost values.
-    pub fn sweep_shell_and_finish<H: SweepHook<T>, G: GhostCells<T>>(
+    /// Second half of a split step: sweep `outer ∖ window` (`window` the
+    /// box the first half swept, `outer ⊇ window` the box the whole step
+    /// writes) — bottom/top z-slabs over `outer`'s cross-section, then
+    /// the y-frame rows across `outer` and the x-side columns of the
+    /// middle box — and complete the step (buffer swap, iteration count).
+    /// With `outer` the whole grid the two halves together are bitwise
+    /// equal to one [`StencilSim::step`]; cells outside `outer` keep
+    /// whatever the back buffer held.
+    pub fn sweep_shell_and_finish<H: SweepHook<T>>(
         &mut self,
         hook: &H,
-        ghosts: &G,
         window: &InteriorWindow,
+        outer: &InteriorWindow,
         mut col: Option<&mut [T]>,
     ) {
-        let (nx, ny, nz) = self.dims();
-        let InteriorWindow { x, y, z } = window;
+        let (InteriorWindow { x, y, z }, o) = (window, outer);
         let mut piece = |rows: Range<usize>, xs: Range<usize>, zs: &Range<usize>| {
-            self.sweep_box(hook, ghosts, rows, xs, zs.clone(), col.as_deref_mut());
+            self.sweep_box(hook, rows, xs, zs.clone(), col.as_deref_mut());
         };
-        piece(0..ny, 0..nx, &(0..z.start));
-        piece(0..ny, 0..nx, &(z.end..nz));
-        piece(0..y.start, 0..nx, z);
-        piece(y.end..ny, 0..nx, z);
-        piece(y.clone(), 0..x.start, z);
-        piece(y.clone(), x.end..nx, z);
+        piece(o.y.clone(), o.x.clone(), &(o.z.start..z.start));
+        piece(o.y.clone(), o.x.clone(), &(z.end..o.z.end));
+        piece(o.y.start..y.start, o.x.clone(), z);
+        piece(y.end..o.y.end, o.x.clone(), z);
+        piece(y.clone(), o.x.start..x.start, z);
+        piece(y.clone(), x.end..o.x.end, z);
         self.buf.swap();
         self.iteration += 1;
     }
 
+    /// The whole grid as a box.
+    pub fn whole(&self) -> InteriorWindow {
+        let (nx, ny, nz) = self.dims();
+        InteriorWindow {
+            x: 0..nx,
+            y: 0..ny,
+            z: 0..nz,
+        }
+    }
+
     /// Sweep one box of the domain into the back buffer.
-    fn sweep_box<H: SweepHook<T>, G: GhostCells<T>>(
+    fn sweep_box<H: SweepHook<T>>(
         &mut self,
         hook: &H,
-        ghosts: &G,
         rows: Range<usize>,
         xs: Range<usize>,
         zs: Range<usize>,
@@ -250,7 +257,7 @@ impl<T: Real> StencilSim<T> {
             &self.stencil,
             &self.bounds,
             self.constant.as_deref().map(ConstantField::grid),
-            ghosts,
+            &NoGhosts,
             hook,
             mode,
             self.exec,
@@ -263,6 +270,14 @@ impl<T: Real> StencilSim<T> {
     /// Restore the simulation to a checkpointed state.
     pub fn restore(&mut self, state: &Grid3D<T>, iteration: usize) {
         self.buf.restore_current(state);
+        self.iteration = iteration;
+    }
+
+    /// Restore a checkpointed box: `state` lands at `at` of the current
+    /// grid, the rest of which is left as it is.
+    pub fn restore_box(&mut self, state: &Grid3D<T>, at: [usize; 3], iteration: usize) {
+        let (nx, ny, nz) = state.dims();
+        copy_box(state, [0; 3], self.buf.current_mut(), at, [nx, ny, nz]);
         self.iteration = iteration;
     }
 }
@@ -350,7 +365,8 @@ mod tests {
     /// One split step over `window` with no ghosts (clamped boundaries).
     fn split_step(sim: &mut StencilSim<f64>, window: &InteriorWindow, mut col: Option<&mut [f64]>) {
         sim.sweep_interior(&NoHook, window, col.as_deref_mut());
-        sim.sweep_shell_and_finish(&NoHook, &NoGhosts, window, col);
+        let whole = sim.whole();
+        sim.sweep_shell_and_finish(&NoHook, window, &whole, col);
     }
 
     #[test]
