@@ -177,7 +177,7 @@ pub fn constant_sums<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_grid::{BoundarySpec, NoGhosts};
+    use abft_grid::BoundarySpec;
     use abft_stencil::{sweep, ChecksumMode, Exec, NoHook, Stencil3D, SweepHook};
 
     fn grid() -> Grid3D<f64> {
@@ -253,7 +253,6 @@ mod tests {
                 &stencil,
                 &BoundarySpec::clamp(),
                 None,
-                &NoGhosts,
                 hook,
                 mode,
                 Exec::Serial,

@@ -537,7 +537,6 @@ mod tests {
             &stencil,
             &bounds,
             constant.as_ref(),
-            &NoGhosts,
             &NoHook,
             ChecksumMode::None,
             Exec::Serial,

@@ -74,10 +74,6 @@ impl<T: Real> OfflineAbft<T> {
     /// Create a protector, checkpointing the simulation's current state as
     /// the initial trusted snapshot.
     pub fn new(sim: &StencilSim<T>, cfg: AbftConfig<T>) -> Self {
-        assert!(
-            !sim.bounds().uses_ghosts(),
-            "offline ABFT does not support ghost boundaries (use the online protector per rank)"
-        );
         let (_, ny, nz) = sim.dims();
         let interp = Interpolator::for_sim(sim);
         let mut col_ref = vec![T::ZERO; nz * ny];

@@ -18,9 +18,9 @@ use crate::detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnos
 use crate::interpolate::Interpolator;
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
-use abft_grid::{copy_box, AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D, NoGhosts};
+use abft_grid::{copy_box, AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
 use abft_num::Real;
-use abft_stencil::{ChecksumMode, InteriorWindow, StencilSim, SweepHook};
+use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -221,30 +221,13 @@ impl<T: Real> OnlineAbft<T> {
         self.col_t.copy_from_slice(payload);
     }
 
-    /// Advance the simulation one protected iteration.
+    /// Advance the simulation one protected iteration: the split step
+    /// with the whole grid as its window, so the whole sweep runs first
+    /// and the shell is empty.
     pub fn step<H: SweepHook<T>>(&mut self, sim: &mut StencilSim<T>, hook: &H) -> StepOutcome<T> {
-        self.step_with_ghosts(sim, hook, &NoGhosts)
-    }
-
-    /// Advance one protected iteration with ghost-cell boundaries:
-    /// `ghosts` must present the **time-`t`** halo, i.e. the same values
-    /// the sweep reads. The protector must span the whole grid.
-    pub fn step_with_ghosts<H: SweepHook<T>, G: GhostCells<T>>(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        hook: &H,
-        ghosts: &G,
-    ) -> StepOutcome<T> {
-        debug_assert_eq!(
-            sim.dims(),
-            (self.nx, self.ny, self.nz),
-            "simulation/protector shape"
-        );
-        // 1. Sweep with fused checksum accumulation (§3.2, Fig. 2).
-        let col = &mut self.col_comp;
-        sim.step_full(hook, ghosts, ChecksumMode::Col { col });
-        let diagnoses = self.diagnose(sim, ghosts);
-        self.repair(sim, diagnoses)
+        let whole = sim.whole();
+        self.sweep_interior(sim, hook, &whole);
+        self.sweep_shell_and_verify(sim, hook, &whole, &whole).0
     }
 
     /// First half of a protected **split** step: sweep the ghost-free
@@ -271,8 +254,8 @@ impl<T: Real> OnlineAbft<T> {
     /// Second half of a protected split step: sweep `outer ∖ window`
     /// (`outer ⊇` the protected box), finish the step, then verify —
     /// interpolate, compare, correct — the box. Detection/correction
-    /// lands before the caller's next halo post, exactly as in the
-    /// whole-step forms; a rank's protector verifies only its own brick.
+    /// lands before the caller's next halo post; a rank's protector
+    /// verifies only its own brick.
     /// The interpolation reads the cells around the box out of the time-`t`
     /// buffer, so they must hold the halo the sweep read.
     ///
@@ -340,10 +323,10 @@ impl<T: Real> OnlineAbft<T> {
     /// Steps 2–4 of the protected iteration: interpolate the expected
     /// checksums, detect, and diagnose each flagged layer from its rows.
     /// The sweep must already have filled `self.col_comp`.
-    fn diagnose<G: GhostCells<T>>(
+    fn diagnose(
         &mut self,
         sim: &StencilSim<T>,
-        ghosts: &G,
+        ghosts: &PadGhosts<'_, T>,
     ) -> Vec<(usize, LayerDiagnosis<T>)> {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
 
@@ -809,36 +792,23 @@ mod tests {
         }
     }
 
-    /// `(per-cell, bulk)` ghost reads of one column interpolation, one
-    /// plain sweep and one protected step on a 20×6×4 brick — after
-    /// checking that protection changed no cell and raised nothing.
+    /// `(per-cell, bulk)` ghost reads of one column interpolation on a
+    /// 20×6×4 brick.
     fn ghost_read_counts<G: Counted>(
         stencil: &Stencil3D<f64>,
         bounds: BoundarySpec<f64>,
         ghosts: &G,
-    ) -> [(usize, usize); 3] {
+    ) -> (usize, usize) {
         let (nx, ny, nz) = (20usize, 6usize, 4usize);
-        let initial = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+        let brick = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
             80.0 + ((x * 7 + y * 13 + z * 3) % 11) as f64 * 0.3
         });
-        let mut plain = StencilSim::new(initial, stencil.clone(), bounds).with_exec(Exec::Serial);
-        let mut protected = plain.clone();
-        let mut abft = OnlineAbft::new(&protected, AbftConfig::<f64>::paper_defaults());
-
-        let col_t = abft.col_checksums().to_vec();
+        let interp = Interpolator::new(stencil, &bounds, None, (nx, ny, nz));
+        let mut col_t = vec![0.0; nz * ny];
+        crate::checksum::compute_col_into(&brick, &mut col_t);
         let mut col_next = vec![0.0; nz * ny];
-        let source = StripSet::Grid(protected.current());
-        abft.interp
-            .interpolate_col(&col_t, &source, ghosts, &mut col_next);
-        let interpolation = ghosts.take();
-
-        plain.step_full(&NoHook, ghosts, abft_stencil::ChecksumMode::None);
-        let sweep = ghosts.take();
-
-        let outcome = abft.step_with_ghosts(&mut protected, &NoHook, ghosts);
-        assert!(outcome.is_clean(), "false positive: {outcome:?}");
-        assert_eq!(plain.current(), protected.current());
-        [interpolation, sweep, ghosts.take()]
+        interp.interpolate_col(&col_t, &StripSet::Grid(&brick), ghosts, &mut col_next);
+        ghosts.take()
     }
 
     fn counted_stencils() -> [Stencil3D<f64>; 2] {
@@ -848,14 +818,12 @@ mod tests {
         ]
     }
 
-    /// Ghost reads are the cost the distributed edge phase is made of, and
-    /// a count is a gate this host can hold where wall time is not: on a
-    /// brick with ghost y-faces the interpolation fetches each phantom
-    /// line some tap reaches exactly once, the sweep fetches each ghost
-    /// line a row needs once — its x-end cells read the fetched line too —
-    /// and protection adds the former to the latter and nothing more. A
-    /// source that overrides the bulk read gets one call per such line and
-    /// is never read cell by cell.
+    /// Ghost reads are what a box protector's interpolation pays to look
+    /// past its box, and a count is a gate this host can hold where wall
+    /// time is not: on a brick with ghost y-faces the interpolation
+    /// fetches each phantom line some tap reaches exactly once. A source
+    /// that overrides the bulk read gets one call per such line and is
+    /// never read cell by cell.
     #[test]
     fn ghost_reads_are_once_per_line() {
         let (nx, ny, nz) = (20usize, 6isize, 4isize);
@@ -864,45 +832,30 @@ mod tests {
             ..BoundarySpec::clamp()
         };
         for stencil in counted_stencils() {
-            // The out-of-range `(yq, zq)` lines the taps reach, over the
-            // brick and per output row.
+            // The out-of-range `(yq, zq)` lines the taps reach.
             let mut phantom = BTreeSet::new();
-            let mut row_lines = 0;
             for z in 0..nz {
                 for y in 0..ny {
-                    let of_row: BTreeSet<_> = stencil
+                    let out = stencil
                         .taps()
                         .iter()
-                        .filter(|t| !(0..ny).contains(&(y + t.dj)))
-                        .map(|t| (y + t.dj, z + t.dk))
-                        .collect();
-                    row_lines += of_row.len();
-                    phantom.extend(of_row);
+                        .filter(|t| !(0..ny).contains(&(y + t.dj)));
+                    phantom.extend(out.map(|t| (y + t.dj, z + t.dk)));
                 }
             }
-            let interpolation_reads = nx * phantom.len();
-            let sweep_reads = nx * row_lines;
-
-            let [interpolation, sweep, protected] =
-                ghost_read_counts(&stencil, bounds, &CountingGhost::default());
-            assert_eq!(interpolation, (interpolation_reads, 0));
-            assert_eq!(sweep, (sweep_reads, 0));
-            assert_eq!(protected, (sweep_reads + interpolation_reads, 0));
-
-            let [interpolation, sweep, protected] =
-                ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
-            assert_eq!(interpolation, (0, phantom.len()));
-            assert_eq!(sweep, (0, row_lines));
-            assert_eq!(protected, (0, row_lines + phantom.len()));
+            let counted = ghost_read_counts(&stencil, bounds, &CountingGhost::default());
+            assert_eq!(counted, (nx * phantom.len(), 0));
+            let counted = ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
+            assert_eq!(counted, (0, phantom.len()));
         }
     }
 
     /// The twin on a brick whose **x** axis is the ghost axis: no line
     /// leaves the brick whole, so nothing is fetched in bulk, and what
-    /// still arrives cell by cell is exactly the taps that leave the brick
-    /// in x — from the `2 · extent_x` end cells of each row in the sweep,
-    /// and in the interpolation one β correction (`|di|` reads) per source
-    /// line and distinct `di`, however many taps and outputs share it.
+    /// still arrives cell by cell is one β correction (`|di|` reads) per
+    /// source line and distinct `di`, however many taps and outputs share
+    /// it — no more than one read per tap leaving the brick in x from the
+    /// `2 · extent_x` end cells of each row.
     #[test]
     fn ghost_reads_on_an_x_ghost_brick_are_the_end_taps_only() {
         let (nx, ny, nz) = (20isize, 6usize, 4usize);
@@ -932,11 +885,8 @@ mod tests {
                 beta_reads <= end_reads,
                 "{beta_reads} vs one per tap {end_reads}"
             );
-            let [interpolation, sweep, protected] =
-                ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
-            assert_eq!(interpolation, (beta_reads, 0));
-            assert_eq!(sweep, (end_reads, 0));
-            assert_eq!(protected, (end_reads + beta_reads, 0));
+            let counted = ghost_read_counts(&stencil, bounds, &LineCountingGhost::default());
+            assert_eq!(counted, (beta_reads, 0));
         }
     }
 
@@ -1034,12 +984,15 @@ mod tests {
     }
 
     /// One case: the box protector of a brick inside its one-reach-deep
-    /// padded grid, and the brick-shaped protector of the same brick with
-    /// ghost axes, stepped side by side beside a serial run of the whole
-    /// field that supplies the halo (landed in the pad, or served through
-    /// [`Around`]). Sweep 2 adds a corruption at `site` (brick-local) in
-    /// both. Every step the two must hold bitwise-equal column checksums,
-    /// observe the same outcome and leave the same brick.
+    /// padded grid, and a box protector of the same brick inside the
+    /// unpadded global field, stepped side by side beside a serial run of
+    /// the whole field that supplies the halo (landed in the pad, or set
+    /// around the global brick). Sweep 2 adds a corruption at `site`
+    /// (brick-local) in both. Every step the two must hold bitwise-equal
+    /// column checksums, observe the same outcome and leave the same
+    /// brick, and the padded one's expected checksums must be bitwise the
+    /// brick-shaped interpolation with ghost axes, served through
+    /// [`Around`].
     fn box_and_brick_step_alike<T: Real>(three_d: bool, boundary: Boundary<T>, site: [usize; 3]) {
         let w = T::from_f64;
         let (stencil, dims, b0, len) = if three_d {
@@ -1093,20 +1046,24 @@ mod tests {
         let lo: [usize; 3] = std::array::from_fn(|a| pad(a, b0[a]));
         let padded: [usize; 3] =
             std::array::from_fn(|a| lo[a] + len[a] + pad(a, dims[a] - b0[a] - len[a]));
-        let brick = InteriorWindow {
-            x: lo[0]..lo[0] + len[0],
-            y: lo[1]..lo[1] + len[1],
-            z: lo[2]..lo[2] + len[2],
+        // The brick at `o` of a grid, and the window a split step sweeps
+        // first: the brick shrunk by the reach.
+        let brick_at = |o: [usize; 3]| InteriorWindow {
+            x: o[0]..o[0] + len[0],
+            y: o[1]..o[1] + len[1],
+            z: o[2]..o[2] + len[2],
         };
-        let window = InteriorWindow {
-            x: lo[0] + 1..lo[0] + len[0] - 1,
-            y: lo[1] + 1..lo[1] + len[1] - 1,
+        let inner = |b: &InteriorWindow| InteriorWindow {
+            x: b.x.start + 1..b.x.end - 1,
+            y: b.y.start + 1..b.y.end - 1,
             z: if three_d {
-                lo[2] + 1..lo[2] + len[2] - 1
+                b.z.start + 1..b.z.end - 1
             } else {
                 0..1
             },
         };
+        let (brick, in_field) = (brick_at(lo), brick_at(b0));
+        let (window, field_window) = (inner(&brick), inner(&in_field));
         let field =
             |x: usize, y: usize, z: usize| w(40.0 + ((x * 7 + y * 13 + z * 5) % 17) as f64 * 0.6);
         let constant = |x: usize, y: usize, z: usize| w(((x + 2 * y + 3 * z) % 5) as f64 * 0.1);
@@ -1138,42 +1095,51 @@ mod tests {
             of_padded(&constant),
         )
         .with_exec(Exec::Serial);
-        let ghost = |a: usize, b: Boundary<T>| {
+        let mut global = with_constant(
+            StencilSim::new(whole(&field), stencil.clone(), bounds),
+            whole(&constant),
+        )
+        .with_exec(Exec::Serial);
+        // The brick-shaped interpolation: ghost axes where the brick is
+        // cut, its time-`t` cells as a grid of their own.
+        let ghost = |a: usize| {
             if len[a] == dims[a] {
-                b
+                boundary
             } else {
                 Boundary::Ghost
             }
         };
         let brick_bounds = BoundarySpec {
-            x: ghost(0, boundary),
-            y: ghost(1, boundary),
-            z: ghost(2, boundary),
+            x: ghost(0),
+            y: ghost(1),
+            z: ghost(2),
         };
-        let of_brick = |f: &dyn Fn(usize, usize, usize) -> T| {
-            Grid3D::from_fn(len[0], len[1], len[2], |x, y, z| {
-                f(b0[0] + x, b0[1] + y, b0[2] + z)
-            })
+        let of_brick = |g: &Grid3D<T>| {
+            let mut cells = Grid3D::zeros(len[0], len[1], len[2]);
+            copy_box(g, b0, &mut cells, [0; 3], len);
+            cells
         };
-        let mut shaped = with_constant(
-            StencilSim::new(of_brick(&field), stencil.clone(), brick_bounds),
-            of_brick(&constant),
-        )
-        .with_exec(Exec::Serial);
+        let brick_constant = three_d.then(|| of_brick(&whole(&constant)));
+        let shape = (len[0], len[1], len[2]);
+        let shaped = Interpolator::new(&stencil, &brick_bounds, brick_constant.as_ref(), shape);
         let cfg = AbftConfig::<T>::paper_defaults();
         let mut abft_box = OnlineAbft::over_box(&boxed, cfg, brick.clone());
-        let mut abft_brick = OnlineAbft::new(&shaped, cfg);
+        let mut abft_field = OnlineAbft::over_box(&global, cfg, in_field.clone());
         let ctx = format!("3-D {three_d}, {boundary:?}, site {site:?}");
         assert_eq!(
             abft_box.col_checksums(),
-            abft_brick.col_checksums(),
+            abft_field.col_checksums(),
             "initial state, {ctx}"
         );
         for t in 0..4 {
             // The exchange: the pad holds the field at time t, whose brick
-            // is the protected one (corrections included).
+            // is the protected one (corrections included), and so do the
+            // global grid's cells around its brick.
             let mut now = reference.current().clone();
-            abft_grid::copy_box(shaped.current(), [0; 3], &mut now, b0, len);
+            copy_box(boxed.current(), lo, &mut now, b0, len);
+            let mut around_brick = now.clone();
+            copy_box(global.current(), b0, &mut around_brick, b0, len);
+            global.restore(&around_brick, t);
             for (x, y, z) in (0..padded[2]).flat_map(|z| {
                 (0..padded[1]).flat_map(move |y| (0..padded[0]).map(move |x| (x, y, z)))
             }) {
@@ -1196,33 +1162,49 @@ mod tests {
                     }
                 }
             };
+            let col_t = abft_box.col_checksums().to_vec();
             abft_box.sweep_interior(&mut boxed, &strike(lo), &window);
             let (by_box, _) =
                 abft_box.sweep_shell_and_verify(&mut boxed, &strike(lo), &window, &brick);
-            let around = Around {
-                field: &now,
-                at: b0,
-                bounds,
-            };
-            let by_brick = abft_brick.step_with_ghosts(&mut shaped, &strike([0; 3]), &around);
+            let everything = global.whole();
+            abft_field.sweep_interior(&mut global, &strike(b0), &field_window);
+            let (by_field, _) = abft_field.sweep_shell_and_verify(
+                &mut global,
+                &strike(b0),
+                &field_window,
+                &everything,
+            );
             reference.step();
-            assert_eq!(by_box, by_brick, "step {t}, {ctx}");
+            assert_eq!(by_box, by_field, "step {t}, {ctx}");
             assert_eq!(
                 by_box.corrections.len(),
                 usize::from(t == 2),
                 "step {t}, {ctx}"
             );
             let bits = |v: &[T]| v.iter().map(|c| c.to_bits_u64()).collect::<Vec<_>>();
+            let around = Around {
+                field: &now,
+                at: b0,
+                bounds,
+            };
+            let mut expect = vec![T::ZERO; col_t.len()];
+            let brick_t = of_brick(&now);
+            shaped.interpolate_col(&col_t, &StripSet::Grid(&brick_t), &around, &mut expect);
+            assert_eq!(
+                bits(&abft_box.col_interp),
+                bits(&expect),
+                "interpolation, step {t}, {ctx}"
+            );
             assert_eq!(
                 bits(abft_box.col_checksums()),
-                bits(abft_brick.col_checksums()),
+                bits(abft_field.col_checksums()),
                 "step {t}, {ctx}"
             );
             let mut cells = Grid3D::zeros(len[0], len[1], len[2]);
-            abft_grid::copy_box(boxed.current(), lo, &mut cells, [0; 3], len);
+            copy_box(boxed.current(), lo, &mut cells, [0; 3], len);
             assert_eq!(
                 bits(cells.as_slice()),
-                bits(shaped.current().as_slice()),
+                bits(of_brick(global.current()).as_slice()),
                 "step {t}, {ctx}"
             );
         }

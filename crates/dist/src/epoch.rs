@@ -28,7 +28,7 @@
 //! [`StencilSim`]: abft_stencil::StencilSim
 
 use crate::{Brick, HaloBox};
-use abft_grid::{copy_box, Boundary, BoundarySpec, Grid3D, NoGhosts};
+use abft_grid::{copy_box, Boundary, BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::{
     sweep_region, ChecksumMode, Exec, InteriorWindow, NoHook, Stencil3D, StencilSim,
@@ -248,7 +248,7 @@ pub(crate) fn guard<T: Real>(
     for s in &slabs {
         #[rustfmt::skip]
         sweep_region(
-            sim.previous(), twin, sim.stencil(), sim.bounds(), sim.constant(), &NoGhosts, &NoHook,
+            sim.previous(), twin, sim.stencil(), sim.bounds(), sim.constant(), &NoHook,
             ChecksumMode::None, Exec::Serial, s.y.clone(), s.x.clone(), s.z.clone(),
         );
     }

@@ -9,8 +9,8 @@ use std::ops::Range;
 /// out-of-range neighbour index is clamped to the edge cell ("bounce-back"
 /// in the paper's wording). §3.3 additionally discusses periodic, constant
 /// and empty (zero) boundaries; [`Boundary::Reflect`] (mirror) and
-/// [`Boundary::Ghost`] (externally provided halo values, used by the
-/// distributed-memory chunks) round out the set.
+/// [`Boundary::Ghost`] (values from outside the domain, which only the
+/// checksum interpolation of a box protector reads) round out the set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Boundary<T> {
     /// Out-of-range index is clamped to the nearest valid index
@@ -25,9 +25,11 @@ pub enum Boundary<T> {
     /// Mirror reflection without edge repeat (`u[-m] == u[m]`,
     /// `u[n-1+m] == u[n-1-m]`).
     Reflect,
-    /// Out-of-range reads are satisfied by externally supplied ghost cells
-    /// (a halo received from a neighbouring rank). The sweep must be given a
-    /// [`GhostCells`] source.
+    /// Out-of-range reads are satisfied by a [`GhostCells`] source. Only
+    /// the checksum interpolation reads one: a box protector puts `Ghost`
+    /// on the axes its box cuts and serves the cells around the box from
+    /// the rest of the grid. The sweep and a simulation refuse it, since a
+    /// halo is grid memory (a rank's padded brick).
     Ghost,
 }
 
@@ -86,8 +88,7 @@ impl<T: Real> Boundary<T> {
 
 /// Per-axis boundary behaviour of a 3-D (or single-layer 2-D) domain.
 ///
-/// The same behaviour is applied at both ends of an axis; mixed ends can be
-/// modelled with `Ghost` plus a suitable [`GhostCells`] source.
+/// The same behaviour is applied at both ends of an axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundarySpec<T> {
     pub x: Boundary<T>,
@@ -124,30 +125,29 @@ impl<T: Real> BoundarySpec<T> {
     }
 }
 
-/// Source of ghost-cell values for axes declared [`Boundary::Ghost`].
+/// Source of ghost-cell values for axes declared [`Boundary::Ghost`]. Its
+/// one reader is the checksum interpolation of a box protector, which
+/// reads the cells around its box this way (the sweep reads only grid
+/// memory).
 ///
 /// Resolution precedence is x → y → z: the first `Ghost` axis hit fires
 /// the call, so axes *before* it carry already-resolved in-range indices
 /// while the firing axis and every axis *after* it keep their raw signed
 /// coordinates — which may themselves be out of range. **Up to all three
-/// axes can be out of range at once**: with a 2-D (x×y) domain
-/// decomposition a tile-corner read arrives with x and y out of range,
-/// and with a 3-D (x×y×z) brick decomposition an edge read carries two
-/// raw axes and a brick-corner read all three. The source must finish
-/// resolving every trailing axis itself, in the same x → y → z order
-/// (against the global boundaries, for the distributed substrate) —
-/// only then is the read bitwise-faithful to the undecomposed sweep.
+/// axes can be out of range at once**: on a brick cut on every axis an
+/// edge read carries two raw axes and a corner read all three. The
+/// source must finish resolving every trailing axis itself, in the same
+/// x → y → z order (against the global boundaries) — only then is the
+/// read bitwise-faithful to the undecomposed sweep.
 ///
 /// Reads come a line at a time, through [`GhostCells::ghost_line`]: for a
-/// `(y, z)` pair some tap reaches, the sweep fetches the in-range `x` its
-/// taps can touch once per output row, and the checksum interpolation
-/// sums all of `0..nx`. A source must therefore answer for every in-range
-/// `x` of such a line, and answer the same every time within one step.
-/// What still arrives one cell at a time through [`GhostCells::ghost`] is
-/// what is not an x-line: reads that leave the domain in `x` (from the
-/// x-end cells of a row whose x axis is itself a ghost axis, and in the
-/// interpolation's correction terms), and the sums along `y` of the
-/// row-checksum side, which runs only after a mismatch.
+/// `(y, z)` pair some tap reaches, the interpolation sums all of `0..nx`.
+/// A source must therefore answer for every in-range `x` of such a line,
+/// and answer the same every time within one step. What still arrives
+/// one cell at a time through [`GhostCells::ghost`] is what is not an
+/// x-line: reads that leave the domain in `x` (the interpolation's
+/// correction terms), and the sums along `y` of the row-checksum side,
+/// which runs only after a mismatch.
 pub trait GhostCells<T>: Sync {
     /// Value of the ghost cell at global-ish coordinates. Axes preceding
     /// the first ghost hit are already resolved; the firing axis and
@@ -169,8 +169,8 @@ pub trait GhostCells<T>: Sync {
     }
 }
 
-/// A [`GhostCells`] implementation that panics — used as the hook for
-/// domains whose boundary spec contains no `Ghost` axis.
+/// A [`GhostCells`] implementation that panics — the source to pass an
+/// interpolation whose boundary spec contains no `Ghost` axis.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoGhosts;
 

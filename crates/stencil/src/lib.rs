@@ -16,16 +16,18 @@
 //! stencil point has been updated and before it is stored" (§5.1).
 //!
 //! Out-of-range reads are resolved **per axis with x → y → z precedence**:
-//! the first axis whose boundary yields a concrete value (zero, constant,
-//! ghost) short-circuits the read. Index-mapping boundaries (clamp,
-//! periodic, reflect) fold the coordinate back in range and resolution
-//! continues with the next axis. The checksum-interpolation machinery in
-//! `abft-core` models exactly this ordering.
+//! the first axis whose boundary yields a concrete value (zero, constant)
+//! short-circuits the read. Index-mapping boundaries (clamp, periodic,
+//! reflect) fold the coordinate back in range and resolution continues
+//! with the next axis. The checksum-interpolation machinery in
+//! `abft-core` models exactly this ordering. The sweep reads nothing but
+//! grid memory: a rank's halo lives in its padded grid, and a ghost
+//! boundary is refused.
 //!
 //! The sweep is one pass with no per-read boundary path. Per output row
 //! it folds every tap's `(y+dj, z+dk)` through the y and z boundaries
-//! *once* — to an in-grid source row, a line of ghost cells fetched with
-//! one bulk read, or a broadcast value — and then runs one blocked kernel
+//! *once* — to an in-grid source row or a broadcast value — and then runs
+//! one blocked kernel
 //! along x: a block of 16 accumulators (4 on a run shorter than that)
 //! starts from the constant term, takes `acc += w·src` for every tap **in
 //! tap order**, and is stored. A run's remainder is one more whole block
@@ -48,4 +50,4 @@ pub use exec::Exec;
 pub use hook::{NoHook, SweepHook};
 pub use kernel::{Stencil2D, Stencil3D, Tap2, Tap3};
 pub use sim::{InteriorWindow, StencilSim};
-pub use sweep::{sweep, sweep_region, sweep_rows, ChecksumMode};
+pub use sweep::{sweep, sweep_region, ChecksumMode};

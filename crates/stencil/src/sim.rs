@@ -2,7 +2,7 @@
 //! optional constant field + double-buffered state.
 
 use crate::{sweep, sweep_region, ChecksumMode, ConstantField, Exec, NoHook, Stencil3D, SweepHook};
-use abft_grid::{copy_box, BoundarySpec, DoubleBuffer, GhostCells, Grid3D, NoGhosts};
+use abft_grid::{copy_box, BoundarySpec, DoubleBuffer, Grid3D};
 use abft_num::Real;
 use std::ops::Range;
 use std::sync::Arc;
@@ -47,11 +47,20 @@ pub struct StencilSim<T> {
 
 impl<T: Real> StencilSim<T> {
     /// Create a simulation from an initial state.
+    ///
+    /// # Panics
+    /// Panics if a stencil extent is not smaller than its axis, or on a
+    /// [`abft_grid::Boundary::Ghost`] axis: the sweep reads only grid
+    /// memory, so a halo lives in the grid (a padded brick).
     pub fn new(initial: Grid3D<T>, stencil: Stencil3D<T>, bounds: BoundarySpec<T>) -> Self {
         let (nx, ny, nz) = initial.dims();
         assert!(
             stencil.extent_x() < nx && stencil.extent_y() < ny && stencil.extent_z() < nz,
             "stencil extent must be smaller than the domain on every axis"
+        );
+        assert!(
+            !bounds.uses_ghosts(),
+            "a simulation has no ghost boundary: pad the grid with its halo instead"
         );
         Self {
             stencil,
@@ -128,32 +137,27 @@ impl<T: Real> StencilSim<T> {
 
     /// Advance one iteration (no hook, no checksums).
     pub fn step(&mut self) {
-        self.step_full(&NoHook, &NoGhosts, ChecksumMode::None);
+        self.step_full(&NoHook, ChecksumMode::None);
     }
 
     /// Advance one iteration with a hook (fault injection).
     pub fn step_hooked<H: SweepHook<T>>(&mut self, hook: &H) {
-        self.step_full(hook, &NoGhosts, ChecksumMode::None);
+        self.step_full(hook, ChecksumMode::None);
     }
 
     /// Advance one iteration, producing the fused column checksums
     /// (`col` is flat `[z][y]`, length `nz·ny`).
     pub fn step_with_col<H: SweepHook<T>>(&mut self, hook: &H, col: &mut [T]) {
-        self.step_full(hook, &NoGhosts, ChecksumMode::Col { col });
+        self.step_full(hook, ChecksumMode::Col { col });
     }
 
     /// Advance one iteration, producing both checksum vectors.
     pub fn step_with_rowcol<H: SweepHook<T>>(&mut self, hook: &H, row: &mut [T], col: &mut [T]) {
-        self.step_full(hook, &NoGhosts, ChecksumMode::RowCol { row, col });
+        self.step_full(hook, ChecksumMode::RowCol { row, col });
     }
 
-    /// Fully general step: hook, ghost source and checksum mode.
-    pub fn step_full<H: SweepHook<T>, G: GhostCells<T>>(
-        &mut self,
-        hook: &H,
-        ghosts: &G,
-        mode: ChecksumMode<'_, T>,
-    ) {
+    /// Fully general step: hook and checksum mode.
+    pub fn step_full<H: SweepHook<T>>(&mut self, hook: &H, mode: ChecksumMode<'_, T>) {
         let (src, dst) = self.buf.split();
         sweep(
             src,
@@ -161,7 +165,6 @@ impl<T: Real> StencilSim<T> {
             &self.stencil,
             &self.bounds,
             self.constant.as_deref().map(ConstantField::grid),
-            ghosts,
             hook,
             mode,
             self.exec,
@@ -170,12 +173,13 @@ impl<T: Real> StencilSim<T> {
         self.iteration += 1;
     }
 
-    /// First half of a split step: sweep the ghost-free `window` into the
-    /// back buffer **without** completing the step. Nothing in the window
-    /// may read a ghost cell ([`NoGhosts`] turns a stray access into a
-    /// panic rather than silent corruption). `col`, when given, receives
-    /// the fused column checksums of the swept `(z, y)` lines and needs a
-    /// full-width window ([`sweep_region`]'s rule).
+    /// First half of a split step: sweep `window` into the back buffer
+    /// **without** completing the step. The window's stencil support must
+    /// lie in cells whose time-`t` values are already final — on a rank,
+    /// the brick shrunk by the reach, which reads no pad cell an exchange
+    /// still has to land. `col`, when given, receives the fused column
+    /// checksums of the swept `(z, y)` lines and needs a full-width window
+    /// ([`sweep_region`]'s rule).
     ///
     /// Not calling the second half *is* the abort: the current state still
     /// holds iteration `t` (the back buffer holds a torn partial sweep,
@@ -257,7 +261,6 @@ impl<T: Real> StencilSim<T> {
             &self.stencil,
             &self.bounds,
             self.constant.as_deref().map(ConstantField::grid),
-            &NoGhosts,
             hook,
             mode,
             self.exec,
@@ -330,6 +333,20 @@ mod tests {
         }
         let total_after: f64 = sim.current().as_slice().iter().sum();
         assert!((total_before - total_after).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "no ghost boundary")]
+    fn a_ghost_boundary_is_rejected_at_construction() {
+        let bounds = BoundarySpec {
+            y: abft_grid::Boundary::Ghost,
+            ..BoundarySpec::clamp()
+        };
+        StencilSim::new(
+            Grid3D::<f64>::zeros(4, 3, 1),
+            Stencil2D::jacobi_heat(0.2).into_3d(),
+            bounds,
+        );
     }
 
     #[test]

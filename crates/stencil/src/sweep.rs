@@ -2,7 +2,7 @@
 //! with optional fused checksum accumulation and per-point hooks.
 
 use crate::{Exec, Stencil3D, SweepHook};
-use abft_grid::{AxisHit, Boundary, BoundarySpec, GhostCells, Grid3D};
+use abft_grid::{AxisHit, Boundary, BoundarySpec, Grid3D};
 use abft_num::{line_sum, Real};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -41,32 +41,25 @@ pub enum ChecksumMode<'a, T> {
 /// to a loop over this function bitwise, and the checksum interpolation
 /// in `abft-core` models it analytically.
 #[cfg(test)]
-fn read_resolved<T: Real, G: GhostCells<T>>(
-    src: &Grid3D<T>,
-    xq: isize,
-    yq: isize,
-    zq: isize,
-    bounds: &BoundarySpec<T>,
-    ghosts: &G,
-) -> T {
+fn read_resolved<T: Real>(src: &Grid3D<T>, q: [isize; 3], bounds: &BoundarySpec<T>) -> T {
     let (nx, ny, nz) = src.dims();
-    let xr = match bounds.x.resolve(xq, nx) {
-        AxisHit::In(i) => i,
-        AxisHit::Value(v) => return v,
-        AxisHit::Ghost(g) => return ghosts.ghost(g, yq, zq),
-    };
-    let yr = match bounds.y.resolve(yq, ny) {
-        AxisHit::In(i) => i,
-        AxisHit::Value(v) => return v,
-        AxisHit::Ghost(g) => return ghosts.ghost(xr as isize, g, zq),
-    };
-    let zr = match bounds.z.resolve(zq, nz) {
-        AxisHit::In(i) => i,
-        AxisHit::Value(v) => return v,
-        AxisHit::Ghost(g) => return ghosts.ghost(xr as isize, yr as isize, g),
-    };
-    src.at(xr, yr, zr)
+    let mut cell = [0; 3];
+    for (a, (b, n)) in [(bounds.x, nx), (bounds.y, ny), (bounds.z, nz)]
+        .into_iter()
+        .enumerate()
+    {
+        match b.resolve(q[a], n) {
+            AxisHit::In(i) => cell[a] = i,
+            AxisHit::Value(v) => return v,
+            AxisHit::Ghost(_) => unreachable!("{GHOSTLESS}"),
+        }
+    }
+    src.at(cell[0], cell[1], cell[2])
 }
+
+/// Why the sweep never meets [`AxisHit::Ghost`]: a simulation refuses a
+/// ghost boundary (`StencilSim::new`), and a rank's halo is grid memory.
+const GHOSTLESS: &str = "the sweep reads no ghost boundary";
 
 /// One full stencil sweep: `dst = stencil(src) [+ constant]`, optionally
 /// producing checksum vectors and passing every value through `hook`.
@@ -76,82 +69,28 @@ fn read_resolved<T: Real, G: GhostCells<T>>(
 /// dimensions too.
 ///
 /// # Panics
-/// Panics on dimension mismatches or if a stencil extent is not smaller
-/// than the corresponding axis length.
+/// Panics on dimension mismatches, on a read a [`Boundary::Ghost`] axis
+/// would have to serve, or if a stencil extent is not smaller than the
+/// corresponding axis length.
 #[allow(clippy::too_many_arguments)]
-pub fn sweep<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
+pub fn sweep<T: Real, H: SweepHook<T>>(
     src: &Grid3D<T>,
     dst: &mut Grid3D<T>,
     stencil: &Stencil3D<T>,
     bounds: &BoundarySpec<T>,
     constant: Option<&Grid3D<T>>,
-    ghosts: &G,
     hook: &H,
     mode: ChecksumMode<'_, T>,
     exec: Exec,
 ) {
-    let ny = src.dims().1;
-    sweep_rows(
-        src,
-        dst,
-        stencil,
-        bounds,
-        constant,
-        ghosts,
-        hook,
-        mode,
-        exec,
-        0..ny,
-    );
+    let (nx, ny, nz) = src.dims();
+    #[rustfmt::skip]
+    sweep_region(src, dst, stencil, bounds, constant, hook, mode, exec, 0..ny, 0..nx, 0..nz);
 }
 
-/// Sweep only the `y`-rows in `rows` (every layer, every `x`): the
-/// building block of the overlapped halo pipeline, which computes interior
-/// rows while halos are in flight and edge rows once they have landed.
-///
-/// Per-point results are identical to a full [`sweep`] restricted to those
-/// rows — each point's tap order is row-independent — so a step assembled
-/// from disjoint row ranges covering `0..ny` is bitwise equal to one full
-/// sweep. [`ChecksumMode::Col`] entries are written only for swept rows;
-/// [`ChecksumMode::RowCol`] is rejected for partial ranges because row
-/// checksums accumulate across *all* rows of a layer.
-///
-/// # Panics
-/// Panics on the same conditions as [`sweep`], if `rows` exceeds the
-/// domain, or if `mode` is `RowCol` and `rows` is not the full `0..ny`.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_rows<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
-    src: &Grid3D<T>,
-    dst: &mut Grid3D<T>,
-    stencil: &Stencil3D<T>,
-    bounds: &BoundarySpec<T>,
-    constant: Option<&Grid3D<T>>,
-    ghosts: &G,
-    hook: &H,
-    mode: ChecksumMode<'_, T>,
-    exec: Exec,
-    rows: std::ops::Range<usize>,
-) {
-    let (nx, _, nz) = src.dims();
-    sweep_region(
-        src,
-        dst,
-        stencil,
-        bounds,
-        constant,
-        ghosts,
-        hook,
-        mode,
-        exec,
-        rows,
-        0..nx,
-        0..nz,
-    );
-}
-
-/// Sweep only the box window `rows × xs × zs`: the 3-D generalisation of
-/// [`sweep_rows`] used by x×y×z-decomposed ranks, whose overlap window
-/// excludes the x-, y- *and* z-edge cells of a brick.
+/// Sweep only the box window `rows × xs × zs`: the building block of the
+/// overlapped halo pipeline, which sweeps a rank's interior while its halo
+/// is in flight and the frame around it once the halo has landed.
 ///
 /// Per-point results are identical to a full [`sweep`] restricted to the
 /// window, so a step assembled from disjoint windows tiling the whole
@@ -165,19 +104,18 @@ pub fn sweep_rows<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
 /// the domain, or on a checksum mode whose vectors the window cannot
 /// complete.
 #[allow(clippy::too_many_arguments)]
-pub fn sweep_region<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
+pub fn sweep_region<T: Real, H: SweepHook<T>>(
     src: &Grid3D<T>,
     dst: &mut Grid3D<T>,
     stencil: &Stencil3D<T>,
     bounds: &BoundarySpec<T>,
     constant: Option<&Grid3D<T>>,
-    ghosts: &G,
     hook: &H,
     mode: ChecksumMode<'_, T>,
     exec: Exec,
-    rows: std::ops::Range<usize>,
-    xs: std::ops::Range<usize>,
-    zs: std::ops::Range<usize>,
+    rows: Range<usize>,
+    xs: Range<usize>,
+    zs: Range<usize>,
 ) {
     let (nx, ny, nz) = src.dims();
     let y_rows = rows.start..rows.end.max(rows.start);
@@ -240,7 +178,6 @@ pub fn sweep_region<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
             stencil,
             bounds,
             constant,
-            ghosts,
             hook,
             y_rows.clone(),
             xs.clone(),
@@ -272,20 +209,13 @@ struct LayerTask<'a, T> {
 /// and (in a serial sweep) from layer to layer.
 struct Scratch<T> {
     /// Every tap's `z + dk` folded through the z boundary for the current
-    /// layer, in tap order (filled by [`fold_layer`]).
-    layer: Vec<LayerTap<T>>,
-    /// The rows of the current layer whose sources are `layer` shifted by
-    /// the row's line: every tap lands in range on y, and no tap of the
-    /// layer lands on a z ghost. Empty otherwise.
-    template_rows: Range<usize>,
+    /// layer, in tap order, with in-grid lines held relative to the output
+    /// row's line as if `y + dj` were in range (filled by [`fold_layer`]).
+    layer: Vec<TapSource<T>>,
     /// `layer` holds the table of a z-interior layer (every `z + dk` in
     /// range), which is the same table for all of them.
     interior_layer: bool,
     sources: Vec<TapSource<T>>,
-    /// `(y, z)` arguments of the ghost lines the current row reads, and
-    /// their values over the cells the window's taps reach, back to back.
-    ghost_keys: Vec<(isize, isize)>,
-    ghost_lines: Vec<T>,
     row_acc: Vec<f64>,
 }
 
@@ -293,64 +223,38 @@ impl<T: Real> Scratch<T> {
     fn for_stencil(stencil: &Stencil3D<T>) -> Self {
         Self {
             layer: Vec::with_capacity(stencil.len()),
-            template_rows: 0..0,
             interior_layer: false,
             sources: Vec::with_capacity(stencil.len()),
-            ghost_keys: Vec::new(),
-            ghost_lines: Vec::new(),
             row_acc: Vec::new(),
         }
     }
 }
 
-/// One tap's `z + dk` folded through the z boundary, for every row of a
-/// layer.
-#[derive(Clone, Copy)]
-enum LayerTap<T> {
-    /// An in-grid layer `zr`, held as the tap's source line relative to
-    /// the output row's line when `y + dj` is in range:
-    /// `((zr − z)·ny + dj)·nx`.
-    Row(isize),
-    /// A zero/constant boundary, already multiplied by the tap's weight.
-    Weighted(T),
-    /// A ghost layer `gz`, read along whatever row y resolves to.
-    Ghost(isize),
-}
-
 /// Where one tap reads along one output row, once its `(y+dj, z+dk)` has
-/// been folded through the y and z boundaries. A line is given by the
-/// index its cell `x = 0` has (or would have) in the slice it lives in.
+/// been folded through the y and z boundaries.
 #[derive(Clone, Copy)]
 enum TapSource<T> {
-    /// An in-grid row: its own, clamped, wrapped or reflected.
+    /// An in-grid row (its own, clamped, wrapped or reflected), given by
+    /// the index its cell `x = 0` has in the grid.
     Row(isize),
-    /// A line of ghost cells, fetched once into [`Scratch::ghost_lines`].
-    Ghost(isize),
     /// A zero/constant boundary: every read yields the same value, held
     /// here already multiplied by the tap's weight.
     Weighted(T),
 }
 
-/// The source cells of a line that the taps of window `xs` can load once
-/// x is resolved: the in-range part of `xs` widened by the x extent, and
-/// wherever the x boundary folds the rest of it (clamp, periodic and
-/// reflect land back in the line — possibly far from the window). Ghost
-/// lines are fetched over this span.
-fn x_reach<T: Real>(xs: &Range<usize>, nx: usize, ex: usize, bx: &Boundary<T>) -> Range<usize> {
-    let (lo, hi) = (xs.start as isize - ex as isize, (xs.end + ex) as isize);
-    let mut reach = lo.max(0) as usize..hi.min(nx as isize) as usize;
-    for q in (lo..0).chain(nx as isize..hi) {
-        if let AxisHit::In(i) = bx.resolve(q, nx) {
-            reach = reach.start.min(i)..reach.end.max(i + 1);
+impl<T: Copy> TapSource<T> {
+    /// The same source `by` cells further along the grid.
+    fn shifted(self, by: isize) -> Self {
+        match self {
+            TapSource::Row(first) => TapSource::Row(first + by),
+            weighted => weighted,
         }
     }
-    reach
 }
 
-/// Fold every tap's `z + dk` for layer `z` into `scratch.layer`, and
-/// mark the rows [`fold_row`] may answer by shifting it. A z-interior
-/// layer after another keeps the table as it is: relative to the output
-/// row, its sources are where the last layer's were.
+/// Fold every tap's `z + dk` for layer `z` into `scratch.layer`. A
+/// z-interior layer after another keeps the table as it is: relative to
+/// the output row, its sources are where the last layer's were.
 fn fold_layer<T: Real>(
     stencil: &Stencil3D<T>,
     z: usize,
@@ -371,88 +275,41 @@ fn fold_layer<T: Real>(
             .taps()
             .iter()
             .map(|t| match bz.resolve(zi + t.dk, nz) {
-                AxisHit::In(zr) => LayerTap::Row(((zr as isize - zi) * ny + t.dj) * nx),
-                AxisHit::Value(v) => LayerTap::Weighted(t.w * v),
-                AxisHit::Ghost(gz) => LayerTap::Ghost(gz),
+                AxisHit::In(zr) => TapSource::Row(((zr as isize - zi) * ny + t.dj) * nx),
+                AxisHit::Value(v) => TapSource::Weighted(t.w * v),
+                AxisHit::Ghost(_) => unreachable!("{GHOSTLESS}"),
             }),
     );
-    let ey = stencil.extent_y();
-    let z_ghost = scratch
-        .layer
-        .iter()
-        .any(|t| matches!(t, LayerTap::Ghost(_)));
-    scratch.template_rows = if z_ghost { 0..0 } else { ey..ny as usize - ey };
 }
 
 /// Fold every tap's `(y+dj, z+dk)` for output row `(y, z)` into
 /// `scratch.sources`, given the layer's z fold from [`fold_layer`]: y
-/// before z, the precedence of `read_resolved` once x is in range. A row
-/// of `scratch.template_rows` takes the layer table shifted by its line,
-/// with nothing to resolve; any other row resolves `y + dj` per tap.
-/// Ghost lines are fetched over `reach` (see [`x_reach`]) through the
-/// source's bulk read, each distinct line once.
-fn fold_row<T: Real, G: GhostCells<T>>(
+/// before z, the precedence of `read_resolved` once x is in range. A
+/// y-interior row (every `y + dj` in range) takes the layer table shifted
+/// by its line, with nothing to resolve; a face row resolves `y + dj` per
+/// tap.
+fn fold_row<T: Real>(
     stencil: &Stencil3D<T>,
     (y, z): (usize, usize),
     (nx, ny): (usize, usize),
     by: &Boundary<T>,
-    ghosts: &G,
-    reach: Range<usize>,
     scratch: &mut Scratch<T>,
 ) {
-    let Scratch {
-        layer,
-        template_rows,
-        sources,
-        ghost_keys,
-        ghost_lines,
-        ..
-    } = scratch;
+    let Scratch { layer, sources, .. } = scratch;
     sources.clear();
     let line = ((z * ny + y) * nx) as isize;
-    if template_rows.contains(&y) {
-        sources.extend(layer.iter().map(|tap| match *tap {
-            LayerTap::Row(rel) => TapSource::Row(line + rel),
-            LayerTap::Weighted(wv) => TapSource::Weighted(wv),
-            LayerTap::Ghost(_) => unreachable!("a z-ghost layer has no template rows"),
-        }));
+    let ey = stencil.extent_y();
+    if (ey..ny - ey).contains(&y) {
+        sources.extend(layer.iter().map(|tap| tap.shifted(line)));
         return;
     }
-    ghost_keys.clear();
-    ghost_lines.clear();
-    let mut ghost_line = |gy: isize, gz: isize| {
-        let n = ghost_keys
-            .iter()
-            .position(|&key| key == (gy, gz))
-            .unwrap_or_else(|| {
-                ghost_keys.push((gy, gz));
-                // Sized once, by the first line fetched: a row reads no
-                // more distinct lines than the (dj, dk) frame holds.
-                let frame = (2 * stencil.extent_y() + 1) * (2 * stencil.extent_z() + 1);
-                ghost_lines.reserve_exact(frame * reach.len() - ghost_lines.len());
-                ghosts.ghost_line(reach.clone(), gy, gz, ghost_lines);
-                ghost_keys.len() - 1
-            });
-        TapSource::Ghost((n * reach.len()) as isize - reach.start as isize)
-    };
     for (t, tap) in stencil.taps().iter().zip(layer.iter()) {
         let yq = y as isize + t.dj;
-        let yr = match by.resolve(yq, ny) {
-            AxisHit::In(i) => i as isize,
-            AxisHit::Value(v) => {
-                sources.push(TapSource::Weighted(t.w * v));
-                continue;
-            }
-            AxisHit::Ghost(gy) => {
-                sources.push(ghost_line(gy, z as isize + t.dk));
-                continue;
-            }
-        };
-        sources.push(match *tap {
+        sources.push(match by.resolve(yq, ny) {
             // The y fold moved the tap's row from `yq` to `yr`.
-            LayerTap::Row(rel) => TapSource::Row(line + rel + (yr - yq) * nx as isize),
-            LayerTap::Weighted(wv) => TapSource::Weighted(wv),
-            LayerTap::Ghost(gz) => ghost_line(yr, gz),
+            AxisHit::In(yr) => tap.shifted(line + (yr as isize - yq) * nx as isize),
+            AxisHit::Value(v) => TapSource::Weighted(t.w * v),
+            AxisHit::Ghost(_) => unreachable!("{GHOSTLESS}"),
         });
     }
 }
@@ -469,10 +326,8 @@ struct FoldedRow<'a, T> {
     /// The whole time-`t` grid ([`TapSource::Row`] indexes into it).
     s: &'a [T],
     stencil: &'a Stencil3D<T>,
-    /// One source per tap and the ghost lines they name, as [`fold_row`]
-    /// left them.
+    /// One source per tap, as [`fold_row`] left them.
     sources: &'a [TapSource<T>],
-    ghost_lines: &'a [T],
     constant_row: Option<&'a [T]>,
 }
 
@@ -488,20 +343,19 @@ impl<T: Real> FoldedRow<'_, T> {
             acc.copy_from_slice(&c[x..x + N]);
         }
         for (t, source) in self.stencil.taps().iter().zip(self.sources) {
-            let (line, first) = match *source {
-                TapSource::Row(first) => (self.s, first),
-                TapSource::Ghost(first) => (self.ghost_lines, first),
+            match *source {
+                TapSource::Row(first) => {
+                    let from = (first + x as isize + t.di) as usize;
+                    let run = &self.s[from..from + N];
+                    for i in 0..N {
+                        acc[i] += t.w * run[i];
+                    }
+                }
                 TapSource::Weighted(wv) => {
                     for a in &mut acc {
                         *a += wv;
                     }
-                    continue;
                 }
-            };
-            let from = (first + x as isize + t.di) as usize;
-            let run = &line[from..from + N];
-            for i in 0..N {
-                acc[i] += t.w * run[i];
             }
         }
         acc
@@ -527,35 +381,18 @@ impl<T: Real> FoldedRow<'_, T> {
 
     /// One x-end cell: some tap's `x + di` leaves the domain. Only x is
     /// resolved per tap, and it wins the precedence exactly as in
-    /// `read_resolved` — a value-like x yields its value, a ghost x asks
-    /// the source with the tap's raw `(y, z)`; an in-range x loads from
-    /// the tap's folded source, a broadcast value entering pre-multiplied
-    /// as [`FoldedRow::block`] adds it.
+    /// `read_resolved` — a value-like x yields its value; an in-range x
+    /// loads from the tap's folded source, a broadcast value entering
+    /// pre-multiplied as [`FoldedRow::block`] adds it.
     #[inline]
-    fn end_cell<G: GhostCells<T>>(
-        &self,
-        (x, y, z): (usize, usize, usize),
-        nx: usize,
-        bx: &Boundary<T>,
-        ghosts: &G,
-    ) -> T {
+    fn end_cell(&self, x: usize, nx: usize, bx: &Boundary<T>) -> T {
         let mut v = self.constant_row.map_or(T::ZERO, |c| c[x]);
         for (t, source) in self.stencil.taps().iter().zip(self.sources) {
-            let xr = match bx.resolve(x as isize + t.di, nx) {
-                AxisHit::In(i) => i as isize,
-                AxisHit::Value(vx) => {
-                    v += t.w * vx;
-                    continue;
-                }
-                AxisHit::Ghost(gx) => {
-                    v += t.w * ghosts.ghost(gx, y as isize + t.dj, z as isize + t.dk);
-                    continue;
-                }
-            };
-            v += match *source {
-                TapSource::Row(first) => t.w * self.s[(first + xr) as usize],
-                TapSource::Ghost(first) => t.w * self.ghost_lines[(first + xr) as usize],
-                TapSource::Weighted(wv) => wv,
+            v += match (bx.resolve(x as isize + t.di, nx), *source) {
+                (AxisHit::Value(vx), _) => t.w * vx,
+                (AxisHit::In(xr), TapSource::Row(first)) => t.w * self.s[first as usize + xr],
+                (AxisHit::In(_), TapSource::Weighted(wv)) => wv,
+                (AxisHit::Ghost(_), _) => unreachable!("{GHOSTLESS}"),
             };
         }
         v
@@ -568,10 +405,9 @@ impl<T: Real> FoldedRow<'_, T> {
 ///
 /// Boundaries are resolved z per layer and y per face row, never per
 /// read: [`fold_layer`] folds each tap's `z + dk` once for the layer, and
-/// [`fold_row`] maps each tap to an in-grid source row, a fetched ghost
-/// line or a broadcast value — on a row whose taps all land in range on
-/// y (and in a layer without z ghosts) by shifting the layer's table,
-/// elsewhere by resolving `y + dj`. The one blocked kernel
+/// [`fold_row`] maps each tap to an in-grid source row or a broadcast
+/// value — on a row whose taps all land in range on y by shifting the
+/// layer's table, elsewhere by resolving `y + dj`. The one blocked kernel
 /// ([`FoldedRow::block`], instantiated [`BLOCK`] wide, [`NARROW`] wide
 /// for a run shorter than that and one wide below even that) runs over
 /// the whole x-interior run whether or not the row touches a y or z
@@ -580,13 +416,12 @@ impl<T: Real> FoldedRow<'_, T> {
 /// The hook and the checksum sums (see [`ChecksumMode`]) then pass over
 /// the cache-hot row.
 #[allow(clippy::too_many_arguments)]
-fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
+fn sweep_layer<T: Real, H: SweepHook<T>>(
     src: &Grid3D<T>,
     task: LayerTask<'_, T>,
     stencil: &Stencil3D<T>,
     bounds: &BoundarySpec<T>,
     constant: Option<&Grid3D<T>>,
-    ghosts: &G,
     hook: &H,
     y_rows: Range<usize>,
     xs: Range<usize>,
@@ -604,7 +439,6 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     let ex = stencil.extent_x();
     let run_start = ex.clamp(xs.start, xs.end);
     let run_end = (nx - ex).clamp(run_start, xs.end);
-    let reach = x_reach(&xs, nx, ex, &bounds.x);
     fold_layer(stencil, z, (nx, ny, nz), &bounds.z, scratch);
 
     scratch.row_acc.clear();
@@ -615,24 +449,15 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
     for y in y_rows {
         let out = &mut dst_layer[y * nx..(y + 1) * nx];
         let line = (z * ny + y) * nx;
-        fold_row(
-            stencil,
-            (y, z),
-            (nx, ny),
-            &bounds.y,
-            ghosts,
-            reach.clone(),
-            scratch,
-        );
+        fold_row(stencil, (y, z), (nx, ny), &bounds.y, scratch);
         let folded = FoldedRow {
             s: src.as_slice(),
             stencil,
             sources: &scratch.sources,
-            ghost_lines: &scratch.ghost_lines,
             constant_row: constant.map(|c| &c.as_slice()[line..line + nx]),
         };
         for x in (xs.start..run_start).chain(run_end..xs.end) {
-            out[x] = folded.end_cell((x, y, z), nx, &bounds.x, ghosts);
+            out[x] = folded.end_cell(x, nx, &bounds.x);
         }
         match run_end - run_start {
             BLOCK.. => folded.blocks::<BLOCK>(out, run_start..run_end),
@@ -664,23 +489,21 @@ fn sweep_layer<T: Real, H: SweepHook<T>, G: GhostCells<T>>(
 mod tests {
     use super::*;
     use crate::NoHook;
-    use abft_grid::NoGhosts;
     use proptest::prelude::*;
 
     /// Naive reference sweep: resolved reads everywhere.
-    fn reference_sweep<T: Real, G: GhostCells<T>>(
+    fn reference_sweep<T: Real>(
         src: &Grid3D<T>,
         stencil: &Stencil3D<T>,
         bounds: &BoundarySpec<T>,
         constant: Option<&Grid3D<T>>,
-        ghosts: &G,
     ) -> Grid3D<T> {
         let (nx, ny, nz) = src.dims();
         Grid3D::from_fn(nx, ny, nz, |x, y, z| {
             let mut v = constant.map_or(T::ZERO, |c| c.at(x, y, z));
             for t in stencil.taps() {
-                let (xq, yq, zq) = (x as isize + t.di, y as isize + t.dj, z as isize + t.dk);
-                v += t.w * read_resolved(src, xq, yq, zq, bounds, ghosts);
+                let q = [x as isize + t.di, y as isize + t.dj, z as isize + t.dk];
+                v += t.w * read_resolved(src, q, bounds);
             }
             v
         })
@@ -704,7 +527,7 @@ mod tests {
             (0, 0, -1, 0.05),
             (0, 0, 1, 0.05),
         ]);
-        let expect = reference_sweep(&src, &stencil, &bounds, None, &NoGhosts);
+        let expect = reference_sweep(&src, &stencil, &bounds, None);
         for exec in [Exec::Serial, Exec::Parallel] {
             let mut dst = Grid3D::zeros(9, 7, 4);
             sweep(
@@ -713,7 +536,6 @@ mod tests {
                 &stencil,
                 &bounds,
                 None,
-                &NoGhosts,
                 &NoHook,
                 ChecksumMode::None,
                 exec,
@@ -746,40 +568,14 @@ mod tests {
         });
     }
 
-    /// The ghost value at `(x, y, z)`: depends on all three coordinates.
-    fn pattern<T: Real>(x: isize, y: isize, z: isize) -> T {
-        T::from_f64((x * 7 + y * 13 + z * 29).rem_euclid(31) as f64 * 0.37 - 4.0)
-    }
-
-    /// A ghost source served through the trait's default bulk read.
-    struct PatternGhost;
-    impl<T: Real> GhostCells<T> for PatternGhost {
-        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
-            pattern(x, y, z)
-        }
-    }
-
-    /// The same values from a source that overrides the bulk read.
-    struct BulkPatternGhost;
-    impl<T: Real> GhostCells<T> for BulkPatternGhost {
-        fn ghost(&self, x: isize, y: isize, z: isize) -> T {
-            pattern(x, y, z)
-        }
-
-        fn ghost_line(&self, xs: Range<usize>, y: isize, z: isize, out: &mut Vec<T>) {
-            out.extend(xs.map(|x| pattern::<T>(x as isize, y, z)));
-        }
-    }
-
-    /// Every boundary kind on every axis (and ghost y/z lines under an x
-    /// that folds far from the window), with and without a constant term,
-    /// serial and parallel, as one sweep and as a tiling of partial
+    /// Every boundary kind on every axis, with and without a constant
+    /// term, serial and parallel, as one sweep and as a tiling of partial
     /// windows — against resolved reads at every cell, bitwise. At the
     /// kernel's reach of 2 the widths give x-interior runs that are empty
     /// (4), below the narrow block (7), exactly one (8), narrow blocks
     /// only (9), narrow blocks and an overlapped one (19), whole blocks
     /// (20, 36) and whole blocks and an overlapped one (21, 25, 37).
-    fn boundary_matrix<T: Real, G: GhostCells<T>>(ghosts: &G) {
+    fn boundary_matrix<T: Real>() {
         let w = |v: f64| T::from_f64(v);
         // Reach 2 in x and y, 1 in z; weights that round in either type.
         let stencil = Stencil3D::from_tuples(&[
@@ -797,20 +593,8 @@ mod tests {
             Boundary::Zero,
             Boundary::Constant(w(2.5)),
             Boundary::Reflect,
-            Boundary::Ghost,
         ];
-        let all_ghost = BoundarySpec::uniform(Boundary::Ghost);
-        let mut specs = vec![
-            all_ghost,
-            BoundarySpec {
-                x: Boundary::Periodic,
-                ..all_ghost
-            },
-            BoundarySpec {
-                x: Boundary::Reflect,
-                ..all_ghost
-            },
-        ];
+        let mut specs = Vec::new();
         for kind in kinds {
             let clamp = BoundarySpec::clamp();
             specs.push(BoundarySpec { x: kind, ..clamp });
@@ -846,7 +630,7 @@ mod tests {
             ];
             for bounds in &specs {
                 for constant in [None, Some(&constant)] {
-                    let expect = reference_sweep(&src, &stencil, bounds, constant, ghosts);
+                    let expect = reference_sweep(&src, &stencil, bounds, constant);
                     for exec in [Exec::Serial, Exec::Parallel] {
                         let ctx = format!("{:?}, {bounds:?}, {exec:?}", (nx, ny, nz));
                         let mut whole = Grid3D::zeros(nx, ny, nz);
@@ -857,7 +641,6 @@ mod tests {
                             &stencil,
                             bounds,
                             constant,
-                            ghosts,
                             &NoHook,
                             ChecksumMode::None,
                             exec,
@@ -873,7 +656,6 @@ mod tests {
                                     &stencil,
                                     bounds,
                                     constant,
-                                    ghosts,
                                     &NoHook,
                                     ChecksumMode::None,
                                     exec,
@@ -900,14 +682,12 @@ mod tests {
 
     #[test]
     fn boundary_matrix_matches_resolved_reads_bitwise_f32() {
-        boundary_matrix::<f32, _>(&PatternGhost);
-        boundary_matrix::<f32, _>(&BulkPatternGhost);
+        boundary_matrix::<f32>();
     }
 
     #[test]
     fn boundary_matrix_matches_resolved_reads_bitwise_f64() {
-        boundary_matrix::<f64, _>(&PatternGhost);
-        boundary_matrix::<f64, _>(&BulkPatternGhost);
+        boundary_matrix::<f64>();
     }
 
     /// A window end on an axis of length `n` whose taps reach `e`: an end
@@ -925,12 +705,11 @@ mod tests {
     /// One drawn case in type `T`: `sweep_region` over a `rows × 0..nx ×
     /// zs` window, serial and parallel, against [`reference_sweep`]
     /// inside the window and untouched cells outside it, bitwise.
-    fn folded_rows_match<T: Real, G: GhostCells<T>>(
+    fn folded_rows_match<T: Real>(
         taps: &[(isize, isize, isize, f64)],
         bounds: [usize; 3],
         dims: (usize, usize, usize),
         with_constant: bool,
-        ghosts: &G,
         (rows, zs): ([usize; 4], [usize; 4]),
     ) -> Result<(), TestCaseError> {
         let w = |v: f64| T::from_f64(v);
@@ -941,8 +720,7 @@ mod tests {
             1 => Boundary::Periodic,
             2 => Boundary::Zero,
             3 => Boundary::Constant(w(2.5)),
-            4 => Boundary::Reflect,
-            _ => Boundary::Ghost,
+            _ => Boundary::Reflect,
         };
         let bounds = BoundarySpec {
             x: kind(bounds[0]),
@@ -961,7 +739,7 @@ mod tests {
         });
         let constant = with_constant
             .then(|| Grid3D::from_fn(nx, ny, nz, |x, y, z| w((x + 2 * y + 3 * z) as f64 * 0.11)));
-        let expect = reference_sweep(&src, &stencil, &bounds, constant.as_ref(), ghosts);
+        let expect = reference_sweep(&src, &stencil, &bounds, constant.as_ref());
         let untouched = w(-7777.0);
         for exec in [Exec::Serial, Exec::Parallel] {
             let mut got = Grid3D::filled(nx, ny, nz, untouched);
@@ -971,7 +749,6 @@ mod tests {
                 &stencil,
                 &bounds,
                 constant.as_ref(),
-                ghosts,
                 &NoHook,
                 ChecksumMode::None,
                 exec,
@@ -1005,32 +782,26 @@ mod tests {
         /// The sweep folds z once per layer and y only on face rows; every
         /// other row shifts its layer's template. Whatever the row, the
         /// result must be resolved reads' bits — over asymmetric kernels
-        /// of reach ≤ 2, every boundary kind per axis, ghost sources with
-        /// and without a bulk read, `f32` and `f64`, with and without a
-        /// constant field, domains whose interior band is empty, one row
-        /// or most rows, and windows that start or end on a band edge.
+        /// of reach ≤ 2, every boundary kind per axis, `f32` and `f64`,
+        /// with and without a constant field, domains whose interior band
+        /// is empty, one row or most rows, and windows that start or end
+        /// on a band edge.
         #[test]
         fn folded_rows_match_resolved_reads_bitwise(
             taps in proptest::collection::vec(
                 (-2isize..=2, -2isize..=2, -2isize..=2, -1.0f64..1.0),
                 1..=9,
             ),
-            bounds in (0usize..6, 0usize..6, 0usize..6),
+            bounds in (0usize..5, 0usize..5, 0usize..5),
             dims in (1usize..=20, 1usize..=8, 1usize..=8),
             with_constant in any::<bool>(),
-            bulk_ghosts in any::<bool>(),
             rows in (0usize..6, 0usize..6, 0usize..64, 0usize..64),
             zs in (0usize..6, 0usize..6, 0usize..64, 0usize..64),
         ) {
             let bounds = [bounds.0, bounds.1, bounds.2];
             let windows = ([rows.0, rows.1, rows.2, rows.3], [zs.0, zs.1, zs.2, zs.3]);
-            if bulk_ghosts {
-                folded_rows_match::<f32, _>(&taps, bounds, dims, with_constant, &BulkPatternGhost, windows)?;
-                folded_rows_match::<f64, _>(&taps, bounds, dims, with_constant, &BulkPatternGhost, windows)?;
-            } else {
-                folded_rows_match::<f32, _>(&taps, bounds, dims, with_constant, &PatternGhost, windows)?;
-                folded_rows_match::<f64, _>(&taps, bounds, dims, with_constant, &PatternGhost, windows)?;
-            }
+            folded_rows_match::<f32>(&taps, bounds, dims, with_constant, windows)?;
+            folded_rows_match::<f64>(&taps, bounds, dims, with_constant, windows)?;
         }
     }
 
@@ -1046,7 +817,6 @@ mod tests {
             &stencil,
             &BoundarySpec::clamp(),
             Some(&c),
-            &NoGhosts,
             &NoHook,
             ChecksumMode::None,
             Exec::Serial,
@@ -1067,7 +837,6 @@ mod tests {
             &stencil,
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::Col { col: &mut col },
             Exec::Parallel,
@@ -1092,7 +861,6 @@ mod tests {
             &stencil,
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::RowCol {
                 row: &mut row,
@@ -1122,7 +890,6 @@ mod tests {
             &stencil,
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::None,
             Exec::Serial,
@@ -1144,7 +911,6 @@ mod tests {
             &stencil,
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &hook,
             ChecksumMode::Col { col: &mut col },
             Exec::Serial,
@@ -1169,7 +935,6 @@ mod tests {
                 &stencil,
                 &BoundarySpec::periodic(),
                 None,
-                &NoGhosts,
                 &NoHook,
                 ChecksumMode::None,
                 exec,
@@ -1178,45 +943,6 @@ mod tests {
         };
         // Identical per-point operation order => bitwise equality.
         assert_eq!(run(Exec::Serial), run(Exec::Parallel));
-    }
-
-    #[test]
-    fn ghost_boundary_reads_from_source() {
-        struct FixedGhost;
-        impl GhostCells<f64> for FixedGhost {
-            fn ghost(&self, _x: isize, y: isize, _z: isize) -> f64 {
-                if y < 0 {
-                    -7.0
-                } else {
-                    7.0
-                }
-            }
-        }
-        let src = Grid3D::filled(4, 3, 1, 1.0f64);
-        let stencil = Stencil3D::from_tuples(&[(0, -1, 0, 1.0f64), (0, 1, 0, 1.0)]);
-        let bounds = BoundarySpec {
-            x: Boundary::Clamp,
-            y: Boundary::Ghost,
-            z: Boundary::Clamp,
-        };
-        let mut dst = Grid3D::zeros(4, 3, 1);
-        sweep(
-            &src,
-            &mut dst,
-            &stencil,
-            &bounds,
-            None,
-            &FixedGhost,
-            &NoHook,
-            ChecksumMode::None,
-            Exec::Serial,
-        );
-        // y = 0: north neighbour is ghost(-1) = -7, south is in-domain 1.
-        assert_eq!(dst.at(2, 0, 0), -6.0);
-        // y = 1: both neighbours in-domain.
-        assert_eq!(dst.at(2, 1, 0), 2.0);
-        // y = 2: south neighbour is ghost(3) = 7.
-        assert_eq!(dst.at(2, 2, 0), 8.0);
     }
 
     #[test]
@@ -1239,7 +965,6 @@ mod tests {
             &stencil,
             &bounds,
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::None,
             Exec::Serial,
@@ -1259,7 +984,6 @@ mod tests {
                 &stencil,
                 &bounds,
                 None,
-                &NoGhosts,
                 &NoHook,
                 ChecksumMode::None,
                 Exec::Serial,
@@ -1283,7 +1007,6 @@ mod tests {
             &Stencil3D::from_tuples(&[(0, 0, 0, 1.0f64)]),
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::Col { col: &mut col },
             Exec::Serial,
@@ -1304,7 +1027,6 @@ mod tests {
             &Stencil3D::from_tuples(&[(0, 0, 0, 1.0f64)]),
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::None,
             Exec::Serial,
@@ -1322,7 +1044,6 @@ mod tests {
             &Stencil3D::from_tuples(&[(3, 0, 0, 1.0f64)]),
             &BoundarySpec::clamp(),
             None,
-            &NoGhosts,
             &NoHook,
             ChecksumMode::None,
             Exec::Serial,

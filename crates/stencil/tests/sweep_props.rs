@@ -1,7 +1,7 @@
 //! Property-based tests of the sweep executor: linearity, locality and
 //! execution-strategy equivalence.
 
-use abft_grid::{Boundary, BoundarySpec, Grid3D, NoGhosts};
+use abft_grid::{Boundary, BoundarySpec, Grid3D};
 use abft_stencil::{sweep, ChecksumMode, Exec, NoHook, Stencil3D};
 use proptest::prelude::*;
 
@@ -34,7 +34,6 @@ fn run_sweep(
         stencil,
         bounds,
         None,
-        &NoGhosts,
         &NoHook,
         ChecksumMode::None,
         exec,

@@ -63,7 +63,7 @@ proptest! {
         let mut dst = Grid3D::zeros(nx, ny, nz);
         sweep(
             &src, &mut dst, &stencil, &bounds, constant.as_ref(),
-            &NoGhosts, &NoHook, ChecksumMode::None, Exec::Serial,
+            &NoHook, ChecksumMode::None, Exec::Serial,
         );
 
         let cs_t = ChecksumState::compute(&src, true);
@@ -109,7 +109,7 @@ proptest! {
         let mut row = vec![0.0; nz * nx];
         let mut col = vec![0.0; nz * ny];
         sweep(
-            &src, &mut dst, &stencil, &bounds, None, &NoGhosts, &NoHook,
+            &src, &mut dst, &stencil, &bounds, None, &NoHook,
             ChecksumMode::RowCol { row: &mut row, col: &mut col }, Exec::Parallel,
         );
         let direct = ChecksumState::compute(&dst, true);
@@ -130,7 +130,7 @@ proptest! {
         let bounds = BoundarySpec::<f64>::clamp();
         let run = |exec| {
             let mut dst = Grid3D::zeros(nx, ny, nz);
-            sweep(&src, &mut dst, &stencil, &bounds, None, &NoGhosts, &NoHook,
+            sweep(&src, &mut dst, &stencil, &bounds, None, &NoHook,
                   ChecksumMode::None, exec);
             dst
         };
