@@ -156,10 +156,18 @@ impl<T: Real> CheckpointStore<T> {
 /// newest epoch present in **every** rank's ring. Epochs are strictly
 /// increasing; storing the current latest epoch again overwrites it in
 /// place (the resume path re-arms without duplicating).
+///
+/// A snapshot is the paper's "lightweight memory copy" only if taking it
+/// does not allocate: the owner may [`EpochRing::seed`] the ring with
+/// grids to store into, and [`EpochRing::into_grids`] hands every grid
+/// back when the ring is done, for the next ring to be seeded with.
 #[derive(Debug, Clone)]
 pub struct EpochRing<T> {
     keep: usize,
     ring: VecDeque<Snapshot<T>>,
+    /// Grids a new epoch stores into before one is allocated: the seeded
+    /// ones, and those of epochs [`EpochRing::truncate_after`] dropped.
+    spares: Vec<Grid3D<T>>,
     stats: CheckpointStats,
 }
 
@@ -169,6 +177,7 @@ impl<T: Real> EpochRing<T> {
         Self {
             keep: keep.max(1),
             ring: VecDeque::new(),
+            spares: Vec::new(),
             stats: CheckpointStats::default(),
         }
     }
@@ -191,8 +200,29 @@ impl<T: Real> EpochRing<T> {
         self.store_box(grid, [0; 3], [nx, ny, nz], aux, iteration);
     }
 
+    /// Hand the ring grids to store new epochs into before it allocates
+    /// any. A grid whose dims differ from the stored box is replaced, not
+    /// read; one that fits is overwritten whole before anything reads it,
+    /// so no value crosses from the grid's last owner into a snapshot.
+    pub fn seed(&mut self, grids: impl IntoIterator<Item = Grid3D<T>>) {
+        self.spares.extend(grids);
+    }
+
+    /// Seeded (or truncated) grids no epoch has stored into yet.
+    pub fn spares(&self) -> usize {
+        self.spares.len()
+    }
+
+    /// Every grid the ring holds, retained epochs and spares alike, for
+    /// the owner to seed a later ring with.
+    pub fn into_grids(self) -> impl Iterator<Item = Grid3D<T>> {
+        self.ring.into_iter().map(|s| s.grid).chain(self.spares)
+    }
+
     /// [`EpochRing::store`] of the `size` box of `grid` whose first cell
-    /// is `from`: the snapshot holds the box alone, copied once.
+    /// is `from`: the snapshot holds the box alone, copied once. A new
+    /// epoch takes the oldest epoch's grid when the ring is full, else a
+    /// spare, and allocates only when it has neither.
     pub fn store_box(
         &mut self,
         grid: &Grid3D<T>,
@@ -227,8 +257,9 @@ impl<T: Real> EpochRing<T> {
             self.ring.pop_front().expect("ring is non-empty")
         } else {
             let [nx, ny, nz] = size;
+            let spare = self.spares.pop();
             Snapshot {
-                grid: Grid3D::zeros(nx, ny, nz),
+                grid: spare.unwrap_or_else(|| Grid3D::zeros(nx, ny, nz)),
                 aux: Vec::with_capacity(aux.len()),
                 iteration,
             }
@@ -272,9 +303,11 @@ impl<T: Real> EpochRing<T> {
     /// rings that ran ahead of the rollback target: the replay re-reaches
     /// those epochs and re-stores them, which must arrive as fresh
     /// in-order stores rather than collide with the stale retained ones.
+    /// The dropped grids become spares, so those re-stores allocate none.
     pub fn truncate_after(&mut self, epoch: usize) {
         while self.ring.back().is_some_and(|s| s.iteration > epoch) {
-            self.ring.pop_back();
+            let dropped = self.ring.pop_back().expect("ring is non-empty");
+            self.spares.push(dropped.grid);
         }
     }
 
@@ -428,6 +461,43 @@ mod tests {
         // Truncating past the newest epoch is a no-op.
         ring.truncate_after(9);
         assert_eq!(ring.epochs(), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn ring_stores_into_seeded_grids_without_reading_them() {
+        let bits = |g: &Grid3D<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let field = Grid3D::from_fn(6, 5, 4, |x, y, z| (x * 31 + y * 7 + z) as f64 * 0.25 - 3.0);
+        let (from, size) = ([1, 1, 1], [4, 3, 2]);
+        let mut boxed = Grid3D::zeros(4, 3, 2);
+        copy_box(&field, from, &mut boxed, [0; 3], size);
+
+        let mut ring = EpochRing::new(2);
+        ring.seed((0..2).map(|_| Grid3D::filled(4, 3, 2, f64::NAN)));
+        let mut seeded = Vec::new();
+        for t in [0, 2] {
+            ring.store_box(&field, from, size, &[1.0], t);
+            let snap = ring.restore(t);
+            assert_eq!(bits(&snap.grid), bits(&boxed), "epoch {t}");
+            seeded.push(snap.grid.as_slice().as_ptr());
+        }
+        assert_eq!(ring.spares(), 0);
+        assert_ne!(seeded[0], seeded[1]);
+
+        // The replay's re-store lands in the grid the truncation dropped.
+        ring.truncate_after(0);
+        assert_eq!(ring.spares(), 1);
+        let moved = Grid3D::from_fn(4, 3, 2, |x, y, z| (x + 10 * y + 100 * z) as f64);
+        let mut field2 = Grid3D::filled(6, 5, 4, 9.0);
+        copy_box(&moved, [0; 3], &mut field2, from, size);
+        ring.store_box(&field2, from, size, &[2.0], 2);
+        assert_eq!(ring.spares(), 0);
+        let snap = ring.get(2).unwrap();
+        assert_eq!(snap.grid.as_slice().as_ptr(), seeded[1]);
+        assert_eq!(bits(&snap.grid), bits(&moved));
+        let mut back: Vec<_> = ring.into_grids().map(|g| g.as_slice().as_ptr()).collect();
+        back.sort();
+        seeded.sort();
+        assert_eq!(back, seeded);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! rebuilds on next use.
 
 use crate::{HaloBox, HaloPlan, Partition3};
-use abft_grid::BoundarySpec;
+use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -158,8 +158,28 @@ fn build_ports<T: Real>(plans: &[Arc<HaloPlan>]) -> Vec<Ports<T>> {
 /// `Boundary::Constant(T)` value), so lookup is a linear scan over at
 /// most [`CACHE_CAP`] entries — negligible next to a single halo
 /// exchange.
+///
+/// The cache also holds the pool's **spare snapshot grids**: a clean job
+/// hands every checkpoint grid its vault held back at
+/// [`crate::step::Job::finish`], and the next checkpointing
+/// [`crate::step::Job::build`] seeds its rings with the ones that fit its
+/// bricks and drops the rest. So the list holds only the snapshots of the
+/// jobs that finished since the last checkpointing build; unprotected
+/// jobs never touch it, and the failure paths ([`Self::discard`],
+/// [`Self::clear`]) drop it.
+///
+/// The list is pool-wide, not kept per entry beside the ports, although
+/// [`TopoKey`] fixes the bricks and per-entry lists would need no dims
+/// match: an entry outlives its jobs, so per-entry lists would keep one
+/// job's snapshots resident for every cached key, up to [`CACHE_CAP`]
+/// keys' worth, where this list holds only what the last few jobs
+/// stored. A repeating batch of distinct small jobs, such as the
+/// benchmark's `served-mix` (32 keys, ≈ 6.6 MiB of snapshots in all),
+/// would hold every job's snapshots between its runs: a prototype of
+/// per-entry lists raised that workload's peak RSS from ≈ 16 to ≈ 21 MiB.
 pub(crate) struct TopologyCache<T> {
     entries: Vec<Topology<T>>,
+    spares: Vec<Grid3D<T>>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
@@ -168,6 +188,7 @@ impl<T: Real> TopologyCache<T> {
     pub(crate) fn new() -> Self {
         Self {
             entries: Vec::new(),
+            spares: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -247,18 +268,38 @@ impl<T: Real> TopologyCache<T> {
         }
     }
 
-    /// Drop the entry for `key` entirely — used after a rank panic, when
-    /// channels may hold stale mid-job messages.
+    /// Every spare snapshot grid, for a checkpointing build to seed its
+    /// rings from; what it does not take it drops.
+    pub(crate) fn take_spares(&mut self) -> Vec<Grid3D<T>> {
+        std::mem::take(&mut self.spares)
+    }
+
+    /// Keep a finished job's snapshot grids for the next checkpointing
+    /// build.
+    pub(crate) fn recycle(&mut self, grids: impl IntoIterator<Item = Grid3D<T>>) {
+        self.spares.extend(grids);
+    }
+
+    /// Drop the entry for `key` entirely, and the spares — used after a
+    /// rank panic, when channels may hold stale mid-job messages.
     pub(crate) fn discard(&mut self, key: &TopoKey<T>) {
         if let Some(i) = self.position(key) {
             self.entries.remove(i);
         }
+        self.spares.clear();
     }
 
-    /// Drop every entry (used when a job fails in a way that leaves the
-    /// pool's bookkeeping uncertain).
+    /// Drop every entry and the spares (used when a job fails in a way
+    /// that leaves the pool's bookkeeping uncertain).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.spares.clear();
+    }
+
+    /// The spare snapshot grids (test introspection).
+    #[cfg(test)]
+    pub(crate) fn spares(&self) -> &[Grid3D<T>] {
+        &self.spares
     }
 
     /// Number of cached topologies (test introspection).

@@ -43,6 +43,7 @@ use crate::{
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
 use abft_fault::MultiFlipHook;
+use abft_grid::Grid3D;
 use abft_metrics::RecoveryStats;
 use abft_num::Real;
 use abft_stencil::{InteriorWindow, NoHook, SweepHook};
@@ -54,6 +55,11 @@ use std::time::{Duration, Instant};
 /// of every iteration `t` with `t % period == 0`) and read by
 /// [`Job::rollback`], which rolls every rank back to the newest epoch
 /// present in *all* rings.
+///
+/// Its grids outlive it: [`Job::build`] seeds the rings with spare grids
+/// from the topology cache, and [`Job::finish`] hands every grid back, so
+/// a run of checkpointing jobs on the same bricks stores each snapshot
+/// into memory the previous job already faulted in.
 pub(crate) struct Vault<T> {
     /// Checkpoint period Δ in iterations.
     pub(crate) period: usize,
@@ -65,13 +71,33 @@ pub(crate) struct Vault<T> {
 }
 
 impl<T: Real> Vault<T> {
-    pub(crate) fn new(period: usize, keep: usize, ranks: usize) -> Self {
+    /// One ring per brick, each seeded with up to `seeds` of the `spares`
+    /// whose dims equal its brick's.
+    fn new<'a>(
+        period: usize,
+        keep: usize,
+        bricks: impl Iterator<Item = &'a [usize; 3]>,
+        seeds: usize,
+        spares: &mut Vec<Grid3D<T>>,
+    ) -> Self {
+        let rings = bricks.map(|&[nx, ny, nz]| {
+            let mut ring = EpochRing::new(keep);
+            ring.seed((0..seeds).map_while(|_| {
+                let i = spares.iter().position(|g| g.dims() == (nx, ny, nz))?;
+                Some(spares.swap_remove(i))
+            }));
+            Mutex::new(ring)
+        });
         Self {
             period,
-            rings: (0..ranks)
-                .map(|_| Mutex::new(EpochRing::new(keep)))
-                .collect(),
+            rings: rings.collect(),
         }
+    }
+
+    /// Every snapshot grid of every ring.
+    fn into_grids(self) -> impl Iterator<Item = Grid3D<T>> {
+        let rings = self.rings.into_iter().filter_map(|r| r.into_inner().ok());
+        rings.flat_map(EpochRing::into_grids)
     }
 
     /// Total snapshots stored across all rings.
@@ -410,10 +436,21 @@ impl<T: Real> Job<T> {
             &plans,
         );
         let k = spec.cfg.steps_per_exchange;
-        let vault = spec
-            .cfg
-            .checkpoint
-            .map(|p| Arc::new(Vault::new(p.period, ring_keep(p, grid, k), ranks.len())));
+        let vault = spec.cfg.checkpoint.map(|p| {
+            // A clean run stores ⌈iters / Δ⌉ epochs per rank, of which the
+            // ring retains `keep`. The spares this job does not take are
+            // dropped here, before it runs.
+            let keep = ring_keep(p, grid, k);
+            let seeds = keep.min(spec.cfg.iters.div_ceil(p.period));
+            let bricks = ranks.iter().map(|r| &r.pad.len);
+            Arc::new(Vault::new(
+                p.period,
+                keep,
+                bricks,
+                seeds,
+                &mut cache.take_spares(),
+            ))
+        });
         let steppers = ranks
             .into_iter()
             .zip(cache.check_out(&key))
@@ -499,19 +536,24 @@ impl<T: Real> Job<T> {
         Ok(())
     }
 
-    /// Every rank ran to the end: return the drained channel set for
-    /// reuse, gather the bricks and fold the recovery ledger in.
+    /// Every rank ran to the end: return the drained channel set and the
+    /// vault's snapshot grids for reuse, gather the bricks and fold the
+    /// recovery ledger in.
     pub(crate) fn finish(
         &mut self,
         steppers: Vec<RankStepper<T>>,
         cache: &mut TopologyCache<T>,
         wall_s: f64,
     ) -> DistReport<T> {
+        // Consuming the steppers drops their clones of the vault.
         let (ranks, ports) = steppers.into_iter().map(|s| (s.rank, s.ports)).unzip();
         cache.check_in(&self.key, ports);
-        if let Some(v) = &self.vault {
+        if let Some(v) = self.vault.take() {
             self.recovery.checkpoints_stored = v.stores();
             self.recovery.checkpoint_period = v.period;
+            if let Ok(v) = Arc::try_unwrap(v) {
+                cache.recycle(v.into_grids());
+            }
         }
         let mut report = gather_report(
             ranks,
@@ -721,6 +763,83 @@ mod tests {
             self.exits = vec![None; n];
             Ok(())
         }
+    }
+
+    /// The pool recycles snapshot grids across jobs. A repeat
+    /// checkpointing job stores into the grids the last one handed back
+    /// and allocates none; an unprotected job in between leaves them be,
+    /// and a checkpointing job on other bricks drops them at its build.
+    #[test]
+    fn a_repeat_checkpointing_job_stores_into_the_last_jobs_snapshots() {
+        let job = |ny: usize, period: Option<usize>| {
+            let spec = JobSpec::over(
+                Grid3D::from_fn(8, ny, 2, |x, y, z| 40.0 + ((x * 5 + y * 3 + z) % 17) as f64),
+                Stencil3D::seven_point(0.4f64, 0.12, 0.08, 0.1),
+            )
+            .with_ranks(2)
+            .with_grid(1, 2)
+            .with_iters(ITERS)
+            .with_mode(HaloMode::Snapshot);
+            match period {
+                Some(p) => spec
+                    .with_abft(AbftConfig::<f64>::paper_defaults())
+                    .with_checkpoint(CheckpointPolicy::every(p)),
+                None => spec,
+            }
+        };
+        let spares = |cache: &TopologyCache<f64>| {
+            let mut ptrs: Vec<_> = cache
+                .spares()
+                .iter()
+                .map(|g| g.as_slice().as_ptr())
+                .collect();
+            ptrs.sort();
+            ptrs
+        };
+        let seeded = |job: &Job<f64>| {
+            let rings = &job.vault.as_ref().expect("policy arms a vault").rings;
+            rings
+                .iter()
+                .map(|r| r.lock().unwrap().spares())
+                .sum::<usize>()
+        };
+        let mut cache = TopologyCache::new();
+        let protected = job(16, Some(2));
+
+        let (mut first, steppers) = Job::build(&protected, &mut cache).unwrap();
+        assert_eq!(seeded(&first), 0, "nothing to seed from yet");
+        let expect = run_lockstep(&mut first, steppers, &mut cache)
+            .unwrap()
+            .global;
+        // ⌈9 / 2⌉ = 5 epochs per rank, of which each ring keeps 4.
+        let keep = ring_keep(CheckpointPolicy::every(2), (1, 2, 1), 1);
+        let last = spares(&cache);
+        assert_eq!(last.len(), 2 * keep);
+
+        let (mut unprotected, steppers) = Job::build(&job(16, None), &mut cache).unwrap();
+        run_lockstep(&mut unprotected, steppers, &mut cache).unwrap();
+        assert_eq!(
+            spares(&cache),
+            last,
+            "an unprotected job touched the spares"
+        );
+
+        let (mut second, steppers) = Job::build(&protected, &mut cache).unwrap();
+        assert_eq!(seeded(&second), last.len());
+        assert!(cache.spares().is_empty());
+        let report = run_lockstep(&mut second, steppers, &mut cache).unwrap();
+        assert_eq!(report.global, expect);
+        // Every seeded grid stayed alive through the run, so a grid
+        // allocated meanwhile would show up here under a new address.
+        assert_eq!(spares(&cache), last, "the repeat job allocated a snapshot");
+
+        let (mut other, steppers) = Job::build(&job(12, Some(2)), &mut cache).unwrap();
+        assert_eq!(seeded(&other), 0);
+        assert!(cache.spares().is_empty(), "other bricks kept the spares");
+        run_lockstep(&mut other, steppers, &mut cache).unwrap();
+        assert!(cache.spares().iter().all(|g| g.dims() == (8, 6, 2)));
+        let (third, _) = Job::build(&protected, &mut cache).unwrap();
+        assert_eq!(seeded(&third), 0);
     }
 
     proptest! {

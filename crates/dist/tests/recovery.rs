@@ -9,10 +9,12 @@
 
 use abft_checkpoint::CheckpointPolicy;
 use abft_core::AbftConfig;
-use abft_dist::{run_distributed, DistConfig, DistError, DistReport, HaloMode};
+use abft_dist::{
+    run_distributed, DistConfig, DistError, DistReport, DistService, HaloMode, JobSpec,
+};
 use abft_fault::{random_flips_at_bit, random_kills, BitFlip, RankKill};
 use abft_grid::{BoundarySpec, Grid3D};
-use abft_stencil::Stencil3D;
+use abft_stencil::{Exec, Stencil3D, StencilSim};
 use proptest::prelude::*;
 
 const NX: usize = 12;
@@ -323,6 +325,48 @@ fn double_kill_in_one_iteration_is_one_rollback_round() {
         let rep = run(&cfg, &BoundarySpec::clamp());
         assert_eq!(rep.global, expect, "{mode:?}");
         assert_eq!(rep.recovery.rank_losses, 2, "{mode:?}");
+    }
+}
+
+/// A pool hands one job's snapshot grids to the next checkpointing job
+/// on the same bricks, whose rings store into them. So a twin over
+/// another field runs first through the same service, and the killed
+/// job after it must roll back to its own snapshots, never the twin's
+/// values, and end on the serial grid, bitwise. The 1×4 slabs at Δ = 1
+/// also truncate epochs that ran ahead, whose re-stores reuse the
+/// dropped grids.
+#[test]
+fn a_killed_job_after_a_differently_valued_twin_recovers_bitwise() {
+    let mut sim =
+        StencilSim::new(initial(), stencil(), BoundarySpec::clamp()).with_exec(Exec::Serial);
+    for _ in 0..ITERS {
+        sim.step();
+    }
+    let twin = Grid3D::from_fn(NX, NY, NZ, |x, y, z| {
+        -(((x * 7 + y * 13 + z) % 23) as f64) * 0.3
+    });
+    for ((rx, ry), period) in [((2, 2), 3), ((1, 4), 1)] {
+        for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
+            let job = |field| {
+                JobSpec::over(field, stencil())
+                    .with_ranks(4)
+                    .with_grid(rx, ry)
+                    .with_iters(ITERS)
+                    .with_abft(AbftConfig::<f64>::paper_defaults())
+                    .with_checkpoint(CheckpointPolicy::every(period))
+                    .with_mode(mode)
+            };
+            let ctx = format!("{rx}×{ry}, period {period}, {mode:?}");
+            let service = DistService::<f64>::new(4).unwrap();
+            let first = service.submit(job(twin.clone())).unwrap().wait().unwrap();
+            assert!(first.recovery.is_clean(), "{ctx}");
+            let killed = job(initial()).with_rank_kill(RankKill::new(2, 7));
+            let rep = service.submit(killed).unwrap().wait().unwrap();
+            assert_eq!(rep.recovery.rank_losses, 1, "{ctx}");
+            assert!(rep.recovery.rollbacks >= 1, "{ctx}");
+            assert_eq!(&rep.global, sim.current(), "inexact recovery at {ctx}");
+            service.shutdown();
+        }
     }
 }
 

@@ -8,9 +8,10 @@
 //! corrected inside job *k* and leaves zero trace in its neighbours,
 //! even while they run side by side on the same pool.
 
+use abft_checkpoint::CheckpointPolicy;
 use abft_core::AbftConfig;
 use abft_dist::{run_distributed, DistService, HaloMode, JobHandle, JobSpec};
-use abft_fault::BitFlip;
+use abft_fault::{BitFlip, RankKill};
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
 use abft_stencil::Stencil3D;
 use proptest::prelude::*;
@@ -227,7 +228,19 @@ fn sampled_job(i: usize, pick: (usize, usize, bool, usize, bool, bool, usize)) -
     }
     if faulty {
         // Protection is required to survive the flip; the site
-        // (0, 1, 1) sits inside every sampled brick.
+        // (0, 1, 1) sits inside every sampled brick. Every other job
+        // also checkpoints, so the pool carries snapshot grids across
+        // jobs, and one that runs past the first checkpoint after the
+        // flip loses a rank there. Every rank stores that epoch before
+        // any can fail, so the rollback target, and with it the grid, is
+        // the same however the pool times the ranks.
+        if i.is_multiple_of(2) {
+            spec = spec.with_checkpoint(CheckpointPolicy::every(k));
+            let kill = k.max(2);
+            if 3 + (i % 5) > kill {
+                spec = spec.with_rank_kill(RankKill::new(1, kill));
+            }
+        }
         spec = spec
             .with_abft(AbftConfig::<f64>::paper_defaults())
             .with_flip(
