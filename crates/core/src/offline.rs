@@ -75,7 +75,7 @@ impl<T: Real> OfflineAbft<T> {
     /// the initial trusted snapshot.
     pub fn new(sim: &StencilSim<T>, cfg: AbftConfig<T>) -> Self {
         let (_, ny, nz) = sim.dims();
-        let interp = Interpolator::for_sim(sim);
+        let interp = Interpolator::for_box(sim, &sim.whole());
         let mut col_ref = vec![T::ZERO; nz * ny];
         compute_col_into(sim.current(), &mut col_ref);
         let mut store = CheckpointStore::new();

@@ -7,9 +7,9 @@ use abft_num::Real;
 /// domain values from.
 ///
 /// * [`StripSet::Grid`] — the full time-`t` grid is still alive (the online
-///   protector points this at the double buffer's previous grid);
-/// * [`StripSet::Box`] — a box of a live grid whose first cell is at the
-///   given offset (the online protector of a box of its grid);
+///   protector points this at the double buffer's previous grid). It is
+///   the one source that can serve reads past a box of the grid: the
+///   interpolator places its box and reads in grid coordinates;
 /// * [`StripSet::Strips`] — only captured [`BoundaryStrips`] survive (the
 ///   offline protector records them per iteration, `O(k·(nx+ny))` each);
 /// * [`StripSet::None`] — the zero-correction fast path (Eqs. 8–9) where no
@@ -20,8 +20,6 @@ pub enum StripSet<'a, T> {
     None,
     /// Full grid access.
     Grid(&'a Grid3D<T>),
-    /// Access to the box of a grid whose first cell is at the offset.
-    Box(&'a Grid3D<T>, [usize; 3]),
     /// Captured per-layer strips (index = `z`).
     Strips(&'a [BoundaryStrips<T>]),
 }
@@ -36,7 +34,6 @@ impl<T: Real> StripSet<'_, T> {
                 panic!("boundary corrections require time-t data, but StripSet::None was supplied")
             }
             StripSet::Grid(g) => g.at(x, y, z),
-            StripSet::Box(g, [ox, oy, oz]) => g.at(x + ox, y + oy, z + oz),
             StripSet::Strips(s) => {
                 let st = &s[z];
                 let w = st.width_x();
@@ -60,7 +57,6 @@ impl<T: Real> StripSet<'_, T> {
                 panic!("boundary corrections require time-t data, but StripSet::None was supplied")
             }
             StripSet::Grid(g) => g.at(x, y, z),
-            StripSet::Box(g, [ox, oy, oz]) => g.at(x + ox, y + oy, z + oz),
             StripSet::Strips(s) => {
                 let st = &s[z];
                 let w = st.width_y();

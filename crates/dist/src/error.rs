@@ -2,8 +2,6 @@
 
 #[cfg(doc)]
 use crate::{run_distributed, DistService};
-#[cfg(doc)]
-use abft_grid::Boundary;
 
 /// A rejected distributed-run configuration.
 ///
@@ -68,8 +66,6 @@ pub enum DistError {
         layers: usize,
         extent: usize,
     },
-    /// The outer-domain boundary spec uses [`Boundary::Ghost`].
-    GhostBoundary,
     /// The constant field's dimensions differ from the domain's.
     ConstantShape {
         expected: (usize, usize, usize),
@@ -208,10 +204,6 @@ impl std::fmt::Display for DistError {
             } => write!(
                 f,
                 "rank {rank}'s brick of {layers} z-layers is not thicker than the stencil z-extent {extent}; use fewer z-ranks"
-            ),
-            Self::GhostBoundary => write!(
-                f,
-                "global boundaries must be self-contained (no Ghost axis)"
             ),
             Self::ConstantShape { expected, got } => write!(
                 f,

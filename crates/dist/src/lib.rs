@@ -192,10 +192,9 @@ impl<T: Real> Rank<T> {
 /// # Errors
 /// Returns a [`DistError`] when the decomposition leaves a brick no
 /// larger than the stencil's extent on a decomposed axis, when an
-/// explicit grid does not cover the rank count, when `bounds` uses
-/// [`abft_grid::Boundary::Ghost`] (the outer-domain boundary must be
-/// self-contained), or when a flip spec is invalid (bad rank,
-/// out-of-brick coordinates, bit width, or an iteration that never runs).
+/// explicit grid does not cover the rank count, or when a flip spec is
+/// invalid (bad rank, out-of-brick coordinates, bit width, or an
+/// iteration that never runs).
 pub fn run_distributed<T: Real>(
     initial: &Grid3D<T>,
     stencil: &Stencil3D<T>,
@@ -1187,7 +1186,7 @@ mod tests {
     }
 
     #[test]
-    fn too_many_ranks_and_ghost_bounds_rejected() {
+    fn too_many_ranks_rejected() {
         let initial = wavy(5, 6, 1);
         let stencil = Stencil3D::from_tuples(&[(0, 0, 0, 1.0f64)]);
         let err = run_distributed(
@@ -1199,21 +1198,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, DistError::TooManyRanks { rows: 6, ranks: 9 });
-
-        let ghost_bounds = BoundarySpec {
-            x: Boundary::Clamp,
-            y: Boundary::Ghost,
-            z: Boundary::Clamp,
-        };
-        let err = run_distributed(
-            &initial,
-            &stencil,
-            &ghost_bounds,
-            None,
-            &DistConfig::<f64>::new(2, 1),
-        )
-        .unwrap_err();
-        assert_eq!(err, DistError::GhostBoundary);
     }
 
     #[test]

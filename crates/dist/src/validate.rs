@@ -50,9 +50,6 @@ pub(crate) fn validate<T: Real>(
     if cfg.iters == 0 {
         return Err(DistError::ZeroIterations);
     }
-    if bounds.uses_ghosts() {
-        return Err(DistError::GhostBoundary);
-    }
     if let Some(c) = constant {
         if c.dims() != initial.dims() {
             return Err(DistError::ConstantShape {

@@ -27,7 +27,7 @@ mod grid3d;
 mod layer;
 mod strips;
 
-pub use boundary::{AxisHit, Boundary, BoundarySpec, GhostCells, NoGhosts};
+pub use boundary::{AxisHit, Boundary, BoundarySpec, NoGhosts};
 pub use buffer::DoubleBuffer;
 pub use grid2d::Grid2D;
 pub use grid3d::{copy_box, Grid3D};

@@ -10,7 +10,6 @@ fn boundaries() -> impl Strategy<Value = Boundary<f64>> {
         Just(Boundary::Zero),
         (-5.0f64..5.0).prop_map(Boundary::Constant),
         Just(Boundary::Reflect),
-        Just(Boundary::Ghost),
     ]
 }
 
@@ -97,6 +96,5 @@ proptest! {
         prop_assume!(q > -(n as isize) && q < 2 * n as isize);
         prop_assert_eq!(Boundary::Zero.resolve(q, n), AxisHit::Value(0.0));
         prop_assert_eq!(Boundary::Constant(c).resolve(q, n), AxisHit::Value(c));
-        prop_assert_eq!(Boundary::<f64>::Ghost.resolve(q, n), AxisHit::Ghost(q));
     }
 }

@@ -21,8 +21,7 @@
 //! reflect) fold the coordinate back in range and resolution continues
 //! with the next axis. The checksum-interpolation machinery in
 //! `abft-core` models exactly this ordering. The sweep reads nothing but
-//! grid memory: a rank's halo lives in its padded grid, and a ghost
-//! boundary is refused.
+//! grid memory: a rank's halo lives in its padded grid.
 //!
 //! The sweep is one pass with no per-read boundary path. Per output row
 //! it folds every tap's `(y+dj, z+dk)` through the y and z boundaries

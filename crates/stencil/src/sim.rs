@@ -49,18 +49,12 @@ impl<T: Real> StencilSim<T> {
     /// Create a simulation from an initial state.
     ///
     /// # Panics
-    /// Panics if a stencil extent is not smaller than its axis, or on a
-    /// [`abft_grid::Boundary::Ghost`] axis: the sweep reads only grid
-    /// memory, so a halo lives in the grid (a padded brick).
+    /// Panics if a stencil extent is not smaller than its axis.
     pub fn new(initial: Grid3D<T>, stencil: Stencil3D<T>, bounds: BoundarySpec<T>) -> Self {
         let (nx, ny, nz) = initial.dims();
         assert!(
             stencil.extent_x() < nx && stencil.extent_y() < ny && stencil.extent_z() < nz,
             "stencil extent must be smaller than the domain on every axis"
-        );
-        assert!(
-            !bounds.uses_ghosts(),
-            "a simulation has no ghost boundary: pad the grid with its halo instead"
         );
         Self {
             stencil,
@@ -336,20 +330,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no ghost boundary")]
-    fn a_ghost_boundary_is_rejected_at_construction() {
-        let bounds = BoundarySpec {
-            y: abft_grid::Boundary::Ghost,
-            ..BoundarySpec::clamp()
-        };
-        StencilSim::new(
-            Grid3D::<f64>::zeros(4, 3, 1),
-            Stencil2D::jacobi_heat(0.2).into_3d(),
-            bounds,
-        );
-    }
-
-    #[test]
     fn restore_rewinds_state_and_iteration() {
         let mut sim = sim_2d(8);
         sim.step();
@@ -379,7 +359,7 @@ mod tests {
         assert_eq!(sim.current().at(1, 1, 0), 6.0);
     }
 
-    /// One split step over `window` with no ghosts (clamped boundaries).
+    /// One split step over `window` (clamped boundaries).
     fn split_step(sim: &mut StencilSim<f64>, window: &InteriorWindow, mut col: Option<&mut [f64]>) {
         sim.sweep_interior(&NoHook, window, col.as_deref_mut());
         let whole = sim.whole();

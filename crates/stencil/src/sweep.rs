@@ -51,15 +51,10 @@ fn read_resolved<T: Real>(src: &Grid3D<T>, q: [isize; 3], bounds: &BoundarySpec<
         match b.resolve(q[a], n) {
             AxisHit::In(i) => cell[a] = i,
             AxisHit::Value(v) => return v,
-            AxisHit::Ghost(_) => unreachable!("{GHOSTLESS}"),
         }
     }
     src.at(cell[0], cell[1], cell[2])
 }
-
-/// Why the sweep never meets [`AxisHit::Ghost`]: a simulation refuses a
-/// ghost boundary (`StencilSim::new`), and a rank's halo is grid memory.
-const GHOSTLESS: &str = "the sweep reads no ghost boundary";
 
 /// One full stencil sweep: `dst = stencil(src) [+ constant]`, optionally
 /// producing checksum vectors and passing every value through `hook`.
@@ -69,9 +64,8 @@ const GHOSTLESS: &str = "the sweep reads no ghost boundary";
 /// dimensions too.
 ///
 /// # Panics
-/// Panics on dimension mismatches, on a read a [`Boundary::Ghost`] axis
-/// would have to serve, or if a stencil extent is not smaller than the
-/// corresponding axis length.
+/// Panics on dimension mismatches, or if a stencil extent is not smaller
+/// than the corresponding axis length.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep<T: Real, H: SweepHook<T>>(
     src: &Grid3D<T>,
@@ -277,7 +271,6 @@ fn fold_layer<T: Real>(
             .map(|t| match bz.resolve(zi + t.dk, nz) {
                 AxisHit::In(zr) => TapSource::Row(((zr as isize - zi) * ny + t.dj) * nx),
                 AxisHit::Value(v) => TapSource::Weighted(t.w * v),
-                AxisHit::Ghost(_) => unreachable!("{GHOSTLESS}"),
             }),
     );
 }
@@ -309,7 +302,6 @@ fn fold_row<T: Real>(
             // The y fold moved the tap's row from `yq` to `yr`.
             AxisHit::In(yr) => tap.shifted(line + (yr as isize - yq) * nx as isize),
             AxisHit::Value(v) => TapSource::Weighted(t.w * v),
-            AxisHit::Ghost(_) => unreachable!("{GHOSTLESS}"),
         });
     }
 }
@@ -392,7 +384,6 @@ impl<T: Real> FoldedRow<'_, T> {
                 (AxisHit::Value(vx), _) => t.w * vx,
                 (AxisHit::In(xr), TapSource::Row(first)) => t.w * self.s[first as usize + xr],
                 (AxisHit::In(_), TapSource::Weighted(wv)) => wv,
-                (AxisHit::Ghost(_), _) => unreachable!("{GHOSTLESS}"),
             };
         }
         v

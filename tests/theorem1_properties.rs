@@ -82,7 +82,7 @@ proptest! {
         let mut col_i = vec![0.0; nz * ny];
         interp.interpolate_col(&cs_t.col, &source, &NoGhosts, &mut col_i);
         let mut row_i = vec![0.0; nz * nx];
-        interp.interpolate_row(cs_t.row.as_ref().unwrap(), &source, &NoGhosts, &mut row_i);
+        interp.interpolate_row(cs_t.row.as_ref().unwrap(), &source, &mut row_i);
 
         // Tolerance: values are O(1), vectors sum O(10) entries with up to
         // 9 taps; 1e-9 leaves ~1e5 ulps of headroom while catching any
