@@ -381,10 +381,10 @@ impl<T: Real> Interpolator<T> {
     /// through the grid's boundary on the grid's length.
     ///
     /// A read leaves the box by at most the stencil's extent on that
-    /// axis, and leaves the grid only through a face the box shares with
-    /// it: a box inside a padded grid reads its pad and never resolves
-    /// past it, so the far ends of an unwrapped periodic pad are never
-    /// read (debug builds check both).
+    /// axis, and leaves a periodic grid only through a face the box
+    /// shares with it, so the far ends of an unwrapped periodic pad are
+    /// never read (debug builds check both). A pad that does not wrap
+    /// ends only at a domain end, whose boundary resolves what lies past.
     #[inline]
     fn resolve(&self, a: usize, q: isize) -> AxisHit<T> {
         let (o, n, g) = (self.origin[a], self.n[a], self.grid[a]);
@@ -397,8 +397,9 @@ impl<T: Real> Interpolator<T> {
                     self.stencil.extent_z(),
                 ][a];
                 let leaves_through_a_shared_face = if p < 0 { o == 0 } else { o + n == g };
+                let wraps = matches!(self.bounds[a], Boundary::Periodic);
                 (-(e as isize)..(n + e) as isize).contains(&q)
-                    && ((0..g as isize).contains(&p) || leaves_through_a_shared_face)
+                    && ((0..g as isize).contains(&p) || leaves_through_a_shared_face || !wraps)
             },
             "read {q} on axis {a} of the box {o}..{} leaves its grid of {g} past the pad",
             o + n

@@ -6,10 +6,14 @@
 //! live buffers when a mismatch needs them (§3.4).
 //!
 //! What is protected is a box of the simulation's grid: the whole grid
-//! ([`OnlineAbft::new`]), or a rank's brick inside its padded grid
-//! ([`OnlineAbft::over_box`]). A box's checksum lines are its slices of
-//! the grid's x-lines, and its interpolation reads the cells around it
-//! out of the grid's time-`t` buffer.
+//! ([`OnlineAbft::new`]), a rank's brick inside its padded grid
+//! ([`OnlineAbft::over_box`]), or also every window a `k > 1` epoch's
+//! sweeps write around it ([`OnlineAbft::over_windows`]). A box's
+//! checksum lines are its slices of the grid's x-lines, and its
+//! interpolation reads the cells around it out of the grid's time-`t`
+//! buffer. The trusted vector is the brick's `b(t)`; a step over a
+//! window widens it to the window's lines and narrows the verified
+//! vector back.
 
 use crate::checksum::{box_col_into, box_row_layer_into};
 use crate::config::{AbftConfig, MultiErrorPolicy};
@@ -18,8 +22,8 @@ use crate::detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnos
 use crate::interpolate::Interpolator;
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
-use abft_grid::NoGhosts;
-use abft_num::Real;
+use abft_grid::{Grid3D, NoGhosts};
+use abft_num::{line_sum, Real};
 use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
 use std::time::{Duration, Instant};
 
@@ -82,27 +86,37 @@ impl<T: Real> StepOutcome<T> {
 #[derive(Debug, Clone)]
 pub struct OnlineAbft<T> {
     cfg: AbftConfig<T>,
-    interp: Interpolator<T>,
-    /// The simulation's whole grid, and the protected box of it.
+    /// The boxes a step may verify, each with its interpolator, smallest
+    /// first: the brick, then the windows around it.
+    boxes: Vec<(InteriorWindow, Interpolator<T>)>,
+    /// The simulation's whole grid.
     grid: InteriorWindow,
-    domain: InteriorWindow,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    /// Trusted column checksums of the current iteration (`b(t)`).
+    /// Trusted column checksums of the brick's current iteration (`b(t)`).
     col_t: Vec<T>,
-    // Scratch buffers (allocated once).
+    // Scratch buffers (allocated once, for the largest box).
+    /// `b(t)` widened to a window (empty with one box).
+    col_w: Vec<T>,
     col_comp: Vec<T>,
     col_interp: Vec<T>,
-    /// The whole grid's column vector a fused sweep writes, when the box
-    /// spans the grid's x-lines but not all of them (empty otherwise); its
-    /// block for the box is copied into `col_comp`.
+    /// The whole grid's column vector a fused sweep writes, when the boxes
+    /// span the grid's x-lines but are not the grid (empty otherwise); the
+    /// verified box's block is copied into `col_comp`.
     col_grid: Vec<T>,
     /// Time-`t` rows of the layers a flagged layer's interpolation reads.
     row_t: Vec<T>,
     row_comp: Vec<T>,
     row_interp: Vec<T>,
     stats: ProtectorStats,
+}
+
+/// Copy the column checksums of box `inner` out of `from`, those of a box
+/// `outer` that holds it (flat `[z][y]` both).
+fn lines_of<T: Real>(from: &[T], outer: &InteriorWindow, inner: &InteriorWindow, out: &mut [T]) {
+    let ny = inner.y.len();
+    let first = |z: usize| (z - outer.z.start) * outer.y.len() + inner.y.start - outer.y.start;
+    for (o, z) in out.chunks_exact_mut(ny).zip(inner.z.clone()) {
+        o.copy_from_slice(&from[first(z)..][..ny]);
+    }
 }
 
 impl<T: Real> OnlineAbft<T> {
@@ -113,38 +127,54 @@ impl<T: Real> OnlineAbft<T> {
         Self::over_box(sim, cfg, sim.whole())
     }
 
-    /// A protector of the `domain` box of `sim`'s grid. Its
-    /// interpolation reads what lies past the box out of the grid's
-    /// time-`t` buffer, resolved through the grid's boundaries
-    /// ([`Interpolator::for_box`]). It steps through the split step
-    /// ([`OnlineAbft::sweep_interior`], then
-    /// [`OnlineAbft::sweep_shell_and_verify`]).
+    /// A protector of the `domain` box of `sim`'s grid: a brick with no
+    /// windows around it ([`OnlineAbft::over_windows`]).
     pub fn over_box(sim: &StencilSim<T>, cfg: AbftConfig<T>, domain: InteriorWindow) -> Self {
+        Self::over_windows(sim, cfg, [domain])
+    }
+
+    /// A protector of nested boxes of `sim`'s grid, smallest first: the
+    /// brick its trusted checksums describe, then the windows a `k > 1`
+    /// epoch's sweeps write around it (the brick grown by each reach still
+    /// to come). A step that writes one of them verifies all of it, pad
+    /// cells by Theorem 1 and Eq. 10 like brick cells. Each box's
+    /// interpolation reads what lies past it out of the grid's time-`t`
+    /// buffer, resolved through the grid's boundaries
+    /// ([`Interpolator::for_box`]); the scratch is sized for the largest.
+    /// It steps through the split step ([`OnlineAbft::sweep_interior`],
+    /// then [`OnlineAbft::sweep_shell_and_verify`]).
+    pub fn over_windows(
+        sim: &StencilSim<T>,
+        cfg: AbftConfig<T>,
+        windows: impl IntoIterator<Item = InteriorWindow>,
+    ) -> Self {
         let grid = sim.whole();
-        let (nx, ny, nz) = (domain.x.len(), domain.y.len(), domain.z.len());
-        let interp = Interpolator::for_box(sim, &domain);
-        let mut col_t = vec![T::ZERO; nz * ny];
-        box_col_into(sim.current(), &domain, &mut col_t);
-        let col_grid = if domain != grid && domain.x == grid.x {
-            vec![T::ZERO; grid.z.len() * grid.y.len()]
-        } else {
-            Vec::new()
-        };
+        let mut windows: Vec<_> = windows.into_iter().collect();
+        windows.dedup();
+        let brick = windows.first().expect("a protector needs a box");
+        let largest = windows.last().expect("a box");
+        let lines = |d: &InteriorWindow| d.z.len() * d.y.len();
+        let rows = |d: &InteriorWindow| d.z.len() * d.x.len();
+        let mut col_t = vec![T::ZERO; lines(brick)];
+        box_col_into(sim.current(), brick, &mut col_t);
+        let fused_in_grid = brick.x == grid.x && windows != [grid.clone()];
+        let grid_lines = usize::from(fused_in_grid) * lines(&grid);
+        let widened = usize::from(windows.len() > 1) * lines(largest);
         Self {
             cfg,
-            interp,
+            boxes: windows
+                .iter()
+                .map(|d| (d.clone(), Interpolator::for_box(sim, d)))
+                .collect(),
             grid,
-            domain,
-            nx,
-            ny,
-            nz,
             col_t,
-            col_comp: vec![T::ZERO; nz * ny],
-            col_interp: vec![T::ZERO; nz * ny],
-            col_grid,
-            row_t: vec![T::ZERO; nz * nx],
-            row_comp: vec![T::ZERO; nz * nx],
-            row_interp: vec![T::ZERO; nz * nx],
+            col_w: vec![T::ZERO; widened],
+            col_comp: vec![T::ZERO; lines(largest)],
+            col_interp: vec![T::ZERO; lines(largest)],
+            col_grid: vec![T::ZERO; grid_lines],
+            row_t: vec![T::ZERO; rows(largest)],
+            row_comp: vec![T::ZERO; rows(largest)],
+            row_interp: vec![T::ZERO; rows(largest)],
             stats: ProtectorStats::default(),
         }
     }
@@ -152,16 +182,6 @@ impl<T: Real> OnlineAbft<T> {
     /// Cumulative statistics.
     pub fn stats(&self) -> ProtectorStats {
         self.stats
-    }
-
-    /// Fold an external duplicate-execution guard's events into this
-    /// protector's statistics. The distributed deep-halo mode sweeps
-    /// ghost-shell cells locally between exchanges; those cells live
-    /// outside the brick the checksums span, so their redundant-recompute
-    /// guard reports detections/corrections through this hook instead.
-    pub fn note_shell_guard(&mut self, detections: usize, corrections: usize) {
-        self.stats.detections += detections;
-        self.stats.corrections += corrections;
     }
 
     /// Trusted column checksums of the current iteration.
@@ -175,8 +195,12 @@ impl<T: Real> OnlineAbft<T> {
     /// diagnose this as a checksum corruption (mismatch on one side only)
     /// and repair the state from data without touching the domain.
     pub fn inject_checksum_corruption(&mut self, z: usize, y: usize, delta: T) {
-        assert!(z < self.nz && y < self.ny, "checksum index out of range");
-        self.col_t[z * self.ny + y] += delta;
+        let brick = &self.boxes[0].0;
+        assert!(
+            z < brick.z.len() && y < brick.y.len(),
+            "checksum index out of range"
+        );
+        self.col_t[z * brick.y.len() + y] += delta;
     }
 
     /// Serialise the trusted checksum state `b(t)` into `out`. Together
@@ -216,7 +240,7 @@ impl<T: Real> OnlineAbft<T> {
 
     /// First half of a protected **split** step: sweep the `window`,
     /// which reads no halo, while the halo exchange is still in flight.
-    /// When the window spans the box's x-lines and those are the grid's,
+    /// When the window spans the brick's x-lines and those are the grid's,
     /// the column checksums ride the sweep (§3.2, Fig. 2).
     ///
     /// Not calling the second half *is* the clean abort (a peer rank died
@@ -236,14 +260,13 @@ impl<T: Real> OnlineAbft<T> {
     }
 
     /// Second half of a protected split step: sweep `outer ∖ window`
-    /// (`outer ⊇` the protected box), finish the step, then verify —
-    /// interpolate, compare, correct — the box. Detection/correction
-    /// lands before the caller's next halo post; a rank's protector
-    /// verifies only its own brick.
-    /// The interpolation reads the cells around the box out of the time-`t`
-    /// buffer, so they must hold the halo the sweep read.
+    /// (`outer ⊇` the brick), finish the step, then verify — interpolate,
+    /// compare, correct — `outer` when it is one of the protector's boxes,
+    /// else the brick. Detection/correction lands before the caller's next
+    /// halo post. The interpolation reads the cells around the box out of
+    /// the time-`t` buffer, so they must hold the halo the sweep read.
     ///
-    /// A window that does not span the box's x-lines cannot complete
+    /// A window that does not span the grid's x-lines cannot complete
     /// every column checksum line, so the vectors are recomputed from the
     /// finished step — the same `f64` line reduction the fused sweep
     /// performs, hence bitwise-identical.
@@ -261,24 +284,29 @@ impl<T: Real> OnlineAbft<T> {
         let col = fused.then(|| self.fused_target());
         sim.sweep_shell_and_finish(hook, window, outer, col);
         let tail = Instant::now();
+        let b = self.boxes.iter().position(|(d, _)| d == outer);
+        let b = b.unwrap_or(0);
+        let d = self.boxes[b].0.clone();
+        let n = d.z.len() * d.y.len();
         if !fused {
-            box_col_into(sim.current(), &self.domain, &mut self.col_comp);
+            box_col_into(sim.current(), &d, &mut self.col_comp[..n]);
         } else if !self.col_grid.is_empty() {
-            let (gny, d) = (self.grid.y.len(), &self.domain);
-            let lines = d.z.clone().map(|z| z * gny + d.y.start);
-            for (out, line) in self.col_comp.chunks_exact_mut(self.ny).zip(lines) {
-                out.copy_from_slice(&self.col_grid[line..line + self.ny]);
-            }
+            lines_of(&self.col_grid, &self.grid, &d, &mut self.col_comp[..n]);
         }
-        let diagnoses = self.diagnose(sim);
-        let outcome = self.repair(sim, diagnoses);
+        if b > 0 {
+            self.widen(sim.previous(), &d);
+        }
+        let diagnoses = self.diagnose(sim, b);
+        let outcome = self.repair(sim, b, diagnoses);
+        self.narrow(sim.current(), &d);
         (outcome, tail.elapsed())
     }
 
     /// Whether a split step over `window` fuses the column checksums into
     /// its sweeps: only whole x-lines of the grid can be summed in flight.
     fn fuses(&self, window: &InteriorWindow) -> bool {
-        window.x == self.domain.x && self.domain.x == self.grid.x
+        let brick = &self.boxes[0].0;
+        window.x == brick.x && brick.x == self.grid.x
     }
 
     /// Where a fused sweep writes its column vector.
@@ -290,34 +318,68 @@ impl<T: Real> OnlineAbft<T> {
         }
     }
 
-    /// The grid cell of the box's first cell.
-    fn origin(&self) -> [usize; 3] {
-        [
-            self.domain.x.start,
-            self.domain.y.start,
-            self.domain.z.start,
-        ]
+    /// `b(t)` of the window `d` from the brick's: a line that meets the
+    /// brick is its brick entry plus the [`line_sum`]s of its time-`t` pad
+    /// cells, summed once in `f64` (on slabs there are none, and the entry
+    /// stands), and any other line is the `line_sum` of its time-`t` cells.
+    fn widen(&mut self, previous: &Grid3D<T>, d: &InteriorWindow) {
+        let brick = &self.boxes[0].0;
+        let (gnx, gny, _) = previous.dims();
+        let cells = previous.as_slice();
+        let lines = d.z.clone().flat_map(|z| d.y.clone().map(move |y| (z, y)));
+        for (out, (z, y)) in self.col_w.iter_mut().zip(lines) {
+            let line = &cells[(z * gny + y) * gnx..][..gnx];
+            *out = if !(brick.y.contains(&y) && brick.z.contains(&z)) {
+                T::from_f64(line_sum(&line[d.x.clone()]))
+            } else {
+                let at = (z - brick.z.start) * brick.y.len() + y - brick.y.start;
+                let (below, above) = (d.x.start..brick.x.start, brick.x.end..d.x.end);
+                let pad = line_sum(&line[below]) + line_sum(&line[above]);
+                T::from_f64(self.col_t[at].to_f64() + pad)
+            };
+        }
     }
 
-    /// Steps 2–4 of the protected iteration: interpolate the expected
-    /// checksums, detect, and diagnose each flagged layer from its rows.
-    /// The sweep must already have filled `self.col_comp`.
-    fn diagnose(&mut self, sim: &StencilSim<T>) -> Vec<(usize, LayerDiagnosis<T>)> {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+    /// The brick's `b(t+1)` out of the verified vector of box `d`: the
+    /// vector itself with one box, its lines' entries when `d` spans the
+    /// brick's x-range, else the `line_sum`s of the just-verified brick.
+    fn narrow(&mut self, current: &Grid3D<T>, d: &InteriorWindow) {
+        let brick = &self.boxes[0].0;
+        if self.boxes.len() == 1 {
+            // The verified vector is the brick's, and shaped like it.
+            std::mem::swap(&mut self.col_t, &mut self.col_comp);
+        } else if d.x == brick.x {
+            lines_of(&self.col_comp, d, brick, &mut self.col_t);
+        } else {
+            box_col_into(current, brick, &mut self.col_t);
+        }
+    }
+
+    /// Steps 2–4 of the protected iteration over box `b`: interpolate the
+    /// expected checksums, detect, and diagnose each flagged layer from
+    /// its rows. The sweep must already have filled `self.col_comp`.
+    fn diagnose(&mut self, sim: &StencilSim<T>, b: usize) -> Vec<(usize, LayerDiagnosis<T>)> {
+        let (domain, interp) = &self.boxes[b];
+        let (nx, ny, nz) = (domain.x.len(), domain.y.len(), domain.z.len());
+        let (col_comp, col_interp) = (&self.col_comp[..nz * ny], &mut self.col_interp[..nz * ny]);
 
         // 2. Interpolate the expected column checksums from time t
         //    (Theorem 1). The previous buffer *is* the time-t grid, so
         //    boundary corrections and reads past the box read it directly.
         let source = StripSet::Grid(sim.previous());
-        self.interp
-            .interpolate_col(&self.col_t, &source, &NoGhosts, &mut self.col_interp);
+        let col_t = if b == 0 {
+            &self.col_t
+        } else {
+            &self.col_w[..nz * ny]
+        };
+        interp.interpolate_col(col_t, &source, &NoGhosts, col_interp);
 
         // 3. Detect (Theorem 2): compare per layer.
         let mut flagged = Vec::new();
         for z in 0..nz {
             let mms = compare_vectors(
-                &self.col_interp[z * ny..(z + 1) * ny],
-                &self.col_comp[z * ny..(z + 1) * ny],
+                &col_interp[z * ny..(z + 1) * ny],
+                &col_comp[z * ny..(z + 1) * ny],
                 self.cfg.epsilon,
                 self.cfg.abs_floor,
             );
@@ -336,20 +398,19 @@ impl<T: Real> OnlineAbft<T> {
         //    rows of the layers their interpolation reads.
         let mut sources: Vec<usize> = flagged
             .iter()
-            .flat_map(|&(z, _)| self.interp.row_source_layers(z))
+            .flat_map(|&(z, _)| interp.row_source_layers(z))
             .collect();
         sources.sort_unstable();
         sources.dedup();
+        let row_t = &mut self.row_t[..nz * nx];
         for z in sources {
-            let layer = &mut self.row_t[z * nx..(z + 1) * nx];
-            box_row_layer_into(sim.previous(), &self.domain, z, layer);
+            box_row_layer_into(sim.previous(), domain, z, &mut row_t[z * nx..(z + 1) * nx]);
         }
         for &(z, _) in &flagged {
             let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
-            box_row_layer_into(sim.current(), &self.domain, z, layer);
+            box_row_layer_into(sim.current(), domain, z, layer);
             let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
-            self.interp
-                .interpolate_row_layer(z, &self.row_t, &source, layer);
+            interp.interpolate_row_layer(z, row_t, &source, layer);
         }
         let diagnose = |(z, col_mms)| {
             let row_mms = compare_vectors(
@@ -363,12 +424,13 @@ impl<T: Real> OnlineAbft<T> {
         flagged.into_iter().map(diagnose).collect()
     }
 
-    /// Step 5: correct or refresh each diagnosed layer, then commit the
-    /// (possibly repaired) computed checksums as the trusted state for the
-    /// next iteration.
+    /// Step 5: correct or refresh each diagnosed layer of box `b`, leaving
+    /// its (possibly repaired) computed checksums in `col_comp` for the
+    /// narrowing to the next iteration's trusted state.
     fn repair(
         &mut self,
         sim: &mut StencilSim<T>,
+        b: usize,
         diagnoses: Vec<(usize, LayerDiagnosis<T>)>,
     ) -> StepOutcome<T> {
         self.stats.steps += 1;
@@ -377,26 +439,26 @@ impl<T: Real> OnlineAbft<T> {
         for (z, diag) in diagnoses {
             self.stats.detections += 1;
             outcome.detections += 1;
-            self.handle_layer(sim, z, diag, &mut outcome);
+            self.handle_layer(sim, b, z, diag, &mut outcome);
         }
-        std::mem::swap(&mut self.col_t, &mut self.col_comp);
         outcome
     }
 
     fn handle_layer(
         &mut self,
         sim: &mut StencilSim<T>,
+        b: usize,
         z: usize,
         diag: LayerDiagnosis<T>,
         outcome: &mut StepOutcome<T>,
     ) {
         match diag {
             LayerDiagnosis::Clean => {}
-            LayerDiagnosis::SingleError { x, y, .. } => self.correct(sim, x, y, z, outcome),
+            LayerDiagnosis::SingleError { x, y, .. } => self.correct(sim, b, [x, y, z], outcome),
             LayerDiagnosis::ChecksumCorruption { .. } => {
                 // Fig. 5b: the domain is consistent, one of the checksum
                 // vectors is not — recompute from data and move on.
-                self.refresh_layer(sim, z);
+                self.refresh_layer(sim, b, z);
                 self.stats.checksum_refreshes += 1;
                 outcome.checksum_refreshes += 1;
             }
@@ -408,31 +470,30 @@ impl<T: Real> OnlineAbft<T> {
                     MultiErrorPolicy::Strict => Vec::new(),
                 };
                 for (r, c) in &pairs {
-                    self.correct(sim, r.index, c.index, z, outcome);
+                    self.correct(sim, b, [r.index, c.index, z], outcome);
                 }
                 if pairs.len() < rows.len().max(cols.len()) {
                     self.stats.uncorrectable += 1;
                     outcome.uncorrectable += 1;
-                    self.refresh_layer(sim, z);
+                    self.refresh_layer(sim, b, z);
                 }
             }
         }
     }
 
-    /// Eq. 10 at `(x, y)` of layer `z` of the box, repairing the computed
+    /// Eq. 10 at `(x, y)` of layer `z` of box `b`, repairing the computed
     /// vectors too.
     fn correct(
         &mut self,
         sim: &mut StencilSim<T>,
-        x: usize,
-        y: usize,
-        z: usize,
+        b: usize,
+        [x, y, z]: [usize; 3],
         outcome: &mut StepOutcome<T>,
     ) {
-        let (nx, ny) = (self.nx, self.ny);
-        let [ox, oy, oz] = self.origin();
+        let d = &self.boxes[b].0;
+        let (nx, ny) = (d.x.len(), d.y.len());
         let ev = correct_layer(
-            &mut sim.current_mut().layer_mut(oz + z),
+            &mut sim.current_mut().layer_mut(d.z.start + z),
             &mut self.row_comp[z * nx..(z + 1) * nx],
             &mut self.col_comp[z * ny..(z + 1) * ny],
             &self.row_interp[z * nx..(z + 1) * nx],
@@ -440,19 +501,20 @@ impl<T: Real> OnlineAbft<T> {
             x,
             y,
             z,
-            (ox, oy),
+            (d.x.start, d.y.start),
         );
         self.stats.corrections += 1;
         outcome.corrections.push(ev);
     }
 
-    /// Recompute one layer's column checksums directly from the swept data.
-    fn refresh_layer(&mut self, sim: &StencilSim<T>, z: usize) {
-        let ny = self.ny;
-        let oz = self.domain.z.start;
+    /// Recompute one layer's column checksums of box `b` directly from the
+    /// swept data.
+    fn refresh_layer(&mut self, sim: &StencilSim<T>, b: usize, z: usize) {
+        let d = &self.boxes[b].0;
+        let ny = d.y.len();
         let layer = InteriorWindow {
-            z: oz + z..oz + z + 1,
-            ..self.domain.clone()
+            z: d.z.start + z..d.z.start + z + 1,
+            ..d.clone()
         };
         box_col_into(
             sim.current(),
@@ -663,15 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn shell_guard_events_fold_into_stats() {
-        let sim = make_sim();
-        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
-        abft.note_shell_guard(2, 1);
-        assert_eq!(abft.stats().detections, 2);
-        assert_eq!(abft.stats().corrections, 1);
-    }
-
-    #[test]
     fn two_errors_in_one_layer_strict_reports_uncorrectable() {
         let mut sim = make_sim();
         let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
@@ -721,6 +774,174 @@ mod tests {
         assert_eq!(out.detections, 2);
         assert_eq!(out.corrections.len(), 2);
         assert!(sim.current().max_abs_diff(reference.current()) < 1e-8);
+    }
+
+    /// Where [`epoch_run`]'s brick sits in the 14×16×3 field, how long it
+    /// is, and how deep its pad is below it, per axis.
+    fn padded_brick(x_cut: bool, k: usize) -> [[usize; 3]; 3] {
+        let b0 = [if x_cut { 4 } else { 0 }, 5, 0];
+        let len = [if x_cut { 6 } else { 14 }, 5, 3];
+        [b0, len, [if x_cut { k } else { 0 }, k, 0]]
+    }
+
+    /// One padded-rank run: a brick of a 14×16×3 field inside its grid
+    /// padded `k` reaches deep on the axes the brick is cut on (y for a
+    /// slab; x and y otherwise), stepped `3·k` sweeps the way a rank steps
+    /// it. Every `k` sweeps an exchange lands the reference run's time-`t`
+    /// field in the pad, and sweep `j` of an epoch writes the brick grown
+    /// by `k − 1 − j` reaches. `strike` raises one padded cell by 40 as
+    /// one sweep writes it. Every clean step's trusted checksums must be
+    /// bitwise the brick's. Returns each step's outcome, how often the
+    /// strike fired, the final padded grid and the brick's worst error
+    /// against the reference run.
+    fn epoch_run(
+        x_cut: bool,
+        k: usize,
+        strike: Option<(usize, [usize; 3])>,
+    ) -> (Vec<StepOutcome<f64>>, usize, Grid3D<f64>, f64) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let stencil = Stencil3D::from_tuples(&[
+            (0, 0, 0, 0.28),
+            (-1, 0, 0, 0.16),
+            (1, 0, 0, 0.07),
+            (0, -1, 0, 0.13),
+            (0, 1, 0, 0.06),
+            (0, 0, -1, 0.12),
+            (0, 0, 1, 0.05),
+            (1, 1, 1, 0.05),
+            (-1, 0, -1, 0.08),
+        ]);
+        let [b0, len, lo] = padded_brick(x_cut, k);
+        let dims: [usize; 3] = std::array::from_fn(|a| len[a] + 2 * lo[a]);
+        // The brick grown by `g` reaches on the cut axes.
+        let grown = |g: isize| {
+            let [x, y, z] = std::array::from_fn(|a| {
+                let g = if lo[a] > 0 { g } else { 0 };
+                (lo[a] as isize - g) as usize..((lo[a] + len[a]) as isize + g) as usize
+            });
+            InteriorWindow { x, y, z }
+        };
+        let (brick, inner) = (grown(0), grown(-1));
+        let field =
+            |x: usize, y: usize, z: usize| 80.0 + ((x * 3 + y * 5 + z * 7) % 13) as f64 * 0.6;
+        let bounds = BoundarySpec::clamp();
+        let mut reference =
+            StencilSim::new(Grid3D::from_fn(14, 16, 3, field), stencil.clone(), bounds)
+                .with_exec(Exec::Serial);
+        let global =
+            |p: [usize; 3]| -> [usize; 3] { std::array::from_fn(|a| p[a] + b0[a] - lo[a]) };
+        let padded = Grid3D::from_fn(dims[0], dims[1], dims[2], |x, y, z| {
+            let [gx, gy, gz] = global([x, y, z]);
+            field(gx, gy, gz)
+        });
+        let mut sim = StencilSim::new(padded, stencil, bounds).with_exec(Exec::Serial);
+        let cfg = AbftConfig::<f64>::paper_defaults();
+        let mut abft = OnlineAbft::over_windows(&sim, cfg, (0..k).map(|g| grown(g as isize)));
+        let hits = AtomicUsize::new(0);
+        let mut outcomes = Vec::new();
+        for t in 0..3 * k {
+            if t % k == 0 {
+                for (x, y, z) in (0..dims[2]).flat_map(|z| {
+                    (0..dims[1]).flat_map(move |y| (0..dims[0]).map(move |x| (x, y, z)))
+                }) {
+                    if !(brick.x.contains(&x) && brick.y.contains(&y)) {
+                        let [gx, gy, gz] = global([x, y, z]);
+                        let v = reference.current().at(gx, gy, gz);
+                        sim.current_mut().set(x, y, z, v);
+                    }
+                }
+            }
+            let hook = |x: usize, y: usize, z: usize, v: f64| {
+                if strike == Some((t, [x, y, z])) {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    v + 40.0
+                } else {
+                    v
+                }
+            };
+            let outer = grown((k - 1 - t % k) as isize);
+            abft.sweep_interior(&mut sim, &hook, &inner);
+            let (outcome, _) = abft.sweep_shell_and_verify(&mut sim, &hook, &inner, &outer);
+            reference.step();
+            if outcome.is_clean() {
+                let mut expect = vec![0.0; len[2] * len[1]];
+                box_col_into(sim.current(), &brick, &mut expect);
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(abft.col_checksums()),
+                    bits(&expect),
+                    "step {t}, k = {k}, x cut {x_cut}"
+                );
+            }
+            outcomes.push(outcome);
+        }
+        let mut err = 0.0f64;
+        for (x, y, z) in brick.z.clone().flat_map(|z| {
+            let xs = brick.x.clone();
+            brick
+                .y
+                .clone()
+                .flat_map(move |y| xs.clone().map(move |x| (x, y, z)))
+        }) {
+            let [gx, gy, gz] = global([x, y, z]);
+            err = err.max((sim.current().at(x, y, z) - reference.current().at(gx, gy, gz)).abs());
+        }
+        (outcomes, hits.into_inner(), sim.current().clone(), err)
+    }
+
+    /// A rank that sweeps `k` steps per exchange verifies every cell each
+    /// sweep writes, pad cells included, as one box per window, on slab
+    /// and x-cut padded grids at `k ∈ {1, 2, 3}`. Clean runs are bitwise
+    /// the reference with zero detections. A flip at every depth of the
+    /// window a sweep writes — the brick's face cell, and each pad cell
+    /// out to the window's edge, on both sides of each cut axis and at
+    /// every sweep offset of an epoch — is one detection and one Eq. 10
+    /// correction, and the brick ends within rounding of the reference.
+    /// A pad cell just beyond the window is never written, so a strike
+    /// there never fires and the run stays bitwise clean.
+    #[test]
+    fn a_window_protector_verifies_every_cell_an_epoch_writes() {
+        for x_cut in [false, true] {
+            for k in 1..=3 {
+                let (outcomes, _, clean, err) = epoch_run(x_cut, k, None);
+                assert!(
+                    outcomes.iter().all(StepOutcome::is_clean),
+                    "k = {k}, x cut {x_cut}"
+                );
+                assert_eq!(err, 0.0, "a clean run, k = {k}, x cut {x_cut}");
+                let [_, len, lo] = padded_brick(x_cut, k);
+                let axes = if x_cut { vec![0, 1] } else { vec![1] };
+                for j in 0..k {
+                    let (t, g) = (k + j, k - 1 - j);
+                    for (a, depth, high) in axes
+                        .iter()
+                        .flat_map(|&a| (0..=g + 1).flat_map(move |d| [(a, d, false), (a, d, true)]))
+                    {
+                        let mut at = [lo[0] + 2, lo[1] + 2, 1];
+                        at[a] = if high {
+                            lo[a] + len[a] - 1 + depth
+                        } else {
+                            lo[a] - depth
+                        };
+                        let ctx = format!("k = {k}, x cut {x_cut}, sweep {t}, cell {at:?}");
+                        let (outcomes, hits, grid, err) = epoch_run(x_cut, k, Some((t, at)));
+                        if depth > g {
+                            assert_eq!(hits, 0, "beyond the window: {ctx}");
+                            assert!(outcomes.iter().all(StepOutcome::is_clean), "{ctx}");
+                            assert_eq!(grid, clean, "{ctx}");
+                            continue;
+                        }
+                        assert_eq!(hits, 1, "{ctx}");
+                        for (s, out) in outcomes.iter().enumerate() {
+                            let struck = usize::from(s == t);
+                            assert_eq!(out.detections, struck, "step {s}: {ctx}");
+                            assert_eq!(out.corrections.len(), struck, "step {s}: {ctx}");
+                        }
+                        assert!(err < 1e-9, "residual {err:.3e}: {ctx}");
+                    }
+                }
+            }
+        }
     }
 
     /// The global cell a padded cell `p` of one axis stands for, given

@@ -18,39 +18,19 @@
 //! at. The kernel is the serial sweep's, so a pad cell a sweep brings
 //! forward is bitwise what a fresh exchange would have delivered.
 //!
-//! The pad cells a sweep writes lie outside the brick's checksums. On a
-//! protected `k > 1` rank the [`guard`] sweeps them a second time into a
-//! twin buffer and compares bitwise — deterministic arithmetic means zero
-//! false positives — repairing a mismatch in place; the rank folds the
-//! count into its protector's stats ([`OnlineAbft::note_shell_guard`]).
+//! A protected rank verifies each window as its sweep writes it, pad
+//! cells included, as one box of its protector
+//! ([`OnlineAbft::over_windows`]).
 //!
-//! [`OnlineAbft::note_shell_guard`]: abft_core::OnlineAbft::note_shell_guard
+//! [`OnlineAbft::over_windows`]: abft_core::OnlineAbft::over_windows
 //! [`StencilSim`]: abft_stencil::StencilSim
 
 use crate::{Brick, HaloBox};
 use abft_grid::{copy_box, Boundary, BoundarySpec, Grid3D};
 use abft_num::Real;
-use abft_stencil::{
-    sweep_region, ChecksumMode, Exec, InteriorWindow, NoHook, Stencil3D, StencilSim,
-};
+use abft_stencil::{InteriorWindow, Stencil3D};
 use std::array::from_fn;
 use std::ops::Range;
-
-/// `outer ∖ inner` as at most six disjoint slabs (z pair over the whole
-/// `outer` face, y pair within `inner`'s z, x pair within its y and z);
-/// `inner ⊆ outer`, and a pair an axis does not need comes out empty.
-fn shell_of(outer: &InteriorWindow, inner: &InteriorWindow) -> [InteriorWindow; 6] {
-    let (o, i) = (outer.clone(), inner.clone());
-    let boxed = |x, y, z| InteriorWindow { x, y, z };
-    [
-        boxed(o.x.clone(), o.y.clone(), o.z.start..i.z.start),
-        boxed(o.x.clone(), o.y.clone(), i.z.end..o.z.end),
-        boxed(o.x.clone(), o.y.start..i.y.start, i.z.clone()),
-        boxed(o.x.clone(), i.y.end..o.y.end, i.z.clone()),
-        boxed(o.x.start..i.x.start, i.y.clone(), i.z.clone()),
-        boxed(i.x.end..o.x.end, i.y, i.z),
-    ]
-}
 
 /// One rank's brick within its padded grid (see the module docs), per
 /// axis: the brick's first global cell, its length and first padded cell
@@ -232,51 +212,10 @@ impl Pad {
     }
 }
 
-/// The DMR guard of a protected `k > 1` rank, right after a step that
-/// wrote `outer`: sweep `outer ∖ brick` a second time, from the time-`t`
-/// buffer into `twin`, and repair every cell of the step's result that
-/// differs bitwise — a mismatch of two identical deterministic
-/// evaluations means the stored copy was struck, and NaN never equals
-/// itself, so NaN-ing flips are caught too. Returns the cells repaired.
-pub(crate) fn guard<T: Real>(
-    sim: &mut StencilSim<T>,
-    twin: &mut Grid3D<T>,
-    outer: &InteriorWindow,
-    brick: &InteriorWindow,
-) -> usize {
-    let slabs = shell_of(outer, brick);
-    for s in &slabs {
-        #[rustfmt::skip]
-        sweep_region(
-            sim.previous(), twin, sim.stencil(), sim.bounds(), sim.constant(), &NoHook,
-            ChecksumMode::None, Exec::Serial, s.y.clone(), s.x.clone(), s.z.clone(),
-        );
-    }
-    let (nx, ny, _) = twin.dims();
-    let (stored, twin) = (sim.current_mut().as_mut_slice(), twin.as_slice());
-    let mut repaired = 0;
-    for s in slabs {
-        let lines =
-            s.z.flat_map(|z| s.y.clone().map(move |y| (z * ny + y) * nx));
-        for line in lines {
-            let span = line + s.x.start..line + s.x.end;
-            for (c, v) in stored[span.clone()].iter_mut().zip(&twin[span]) {
-                if c.to_bits_u64() != v.to_bits_u64() {
-                    repaired += 1;
-                    *c = *v;
-                }
-            }
-        }
-    }
-    repaired
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{build_ranks, effective_halo, validate, DistConfig, HaloPlan, Partition3, Rank};
-    use abft_core::AbftConfig;
-    use abft_stencil::Stencil2D;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -442,76 +381,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The shell guard on the padded windows: a flip into a pad cell the
-    /// sweep writes is caught and repaired bitwise, and stays without the
-    /// guard; a clean sweep and a pad cell beyond the window are no hit.
-    #[test]
-    fn guard_detects_and_repairs_an_injected_shell_flip() {
-        // The middle slab (rows 4..8) of three over 8×12×1 at k = 2: its
-        // padded grid is rows 2..10, and the epoch's first sweep writes
-        // rows 3..9.
-        let initial = Grid3D::from_fn(8, 12, 1, |x, y, _| (x + y) as f64 * 0.5 + 1.0);
-        let cfg = DistConfig::<f64>::new(3, 8)
-            .with_steps_per_exchange(2)
-            .with_abft(AbftConfig::paper_defaults());
-        let stencil = Stencil2D::five_point(0.4, 0.15, 0.1).into_3d();
-        let middle = || ranks(&initial, &cfg, BoundarySpec::clamp(), &stencil).swap_remove(1);
-        let sweep = |rank: &mut Rank<f64>,
-                     hook: &(dyn Fn(usize, usize, usize, f64) -> f64 + Sync),
-                     guarded: bool| {
-            let (inner, outer) = (rank.pad.inner(), rank.pad.window(1));
-            let hook = |x, y, z, v| hook(x, y, z, v);
-            rank.sim.sweep_interior(&hook, &inner, None);
-            rank.sim.sweep_shell_and_finish(&hook, &inner, &outer, None);
-            let twin = rank
-                .twin
-                .as_mut()
-                .expect("a protected k = 2 slab has a twin");
-            if guarded {
-                guard(&mut rank.sim, twin, &outer, &rank.pad.window(0))
-            } else {
-                0
-            }
-        };
-        let strike = |row: usize| {
-            move |x: usize, y: usize, _: usize, v: f64| {
-                if (x, y) == (5, row) {
-                    v.flip_bit(51)
-                } else {
-                    v
-                }
-            }
-        };
-        let mut clean = middle();
-        assert_eq!(clean.pad.window(1).y, 1..7);
-        assert_eq!(
-            sweep(&mut clean, &|_, _, _, v| v, true),
-            0,
-            "no false positive"
-        );
-        // Padded row 1 is global row 3, next to the brick.
-        let mut hit = middle();
-        assert_eq!(
-            sweep(&mut hit, &strike(1), true),
-            1,
-            "the guard catches the flip"
-        );
-        assert_eq!(
-            hit.sim.current(),
-            clean.sim.current(),
-            "and repairs it bitwise"
-        );
-        let mut bare = middle();
-        assert_eq!(sweep(&mut bare, &strike(1), false), 0);
-        assert_ne!(
-            bare.sim.current().at(5, 1, 0).to_bits(),
-            clean.sim.current().at(5, 1, 0).to_bits()
-        );
-        // Padded row 0 (global row 2) is beyond the window: nothing to hit.
-        let mut deep = middle();
-        assert_eq!(sweep(&mut deep, &strike(0), true), 0);
-        assert_eq!(deep.sim.current(), clean.sim.current());
     }
 }

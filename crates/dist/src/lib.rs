@@ -51,11 +51,12 @@
 //! * a rank with protection enabled drives its sweep through
 //!   [`OnlineAbft::sweep_interior`] and
 //!   [`OnlineAbft::sweep_shell_and_verify`] with a protector over the
-//!   brick's box of the padded grid ([`OnlineAbft::over_box`]), so
-//!   checksum interpolation reads the same pad cells as the sweep — row
-//!   and column checksums cross rank boundaries in every decomposed
-//!   direction, and each rank verifies exactly the z-layers of its own
-//!   brick — and single-point
+//!   boxes of the padded grid its sweeps write — the brick, and with
+//!   `steps_per_exchange = k` the brick grown by each reach still to
+//!   come ([`OnlineAbft::over_windows`]) — so checksum interpolation
+//!   reads the same pad cells as the sweep, row and column checksums
+//!   cross rank boundaries in every decomposed direction, and every cell
+//!   a rank's sweep writes, pad cells included, is verified; single-point
 //!   corruptions are detected and corrected *locally*, inside the rank's
 //!   iteration, before the next halo post;
 //! * [`DistReport::global`] gathers the bricks back into one grid.
@@ -115,7 +116,9 @@ pub(crate) struct Rank<T> {
     /// The simulation of the rank's padded grid ([`epoch::Pad`]): the
     /// brick plus its halo, swept under the job's own boundaries.
     pub(crate) sim: StencilSim<T>,
-    /// The protector of the brick's box of `sim`.
+    /// The protector of the boxes of `sim` the sweeps write: the brick,
+    /// and the brick grown by each reach an epoch's later sweeps still
+    /// consume.
     pub(crate) abft: Option<OnlineAbft<T>>,
     pub(crate) brick: Brick,
     pub(crate) pad: epoch::Pad,
@@ -134,9 +137,6 @@ pub(crate) struct Rank<T> {
     /// forward (global coordinates; only fire with `steps_per_exchange >
     /// 1`).
     pub(crate) shell_flips: Vec<BitFlip>,
-    /// The shell guard's recompute target: protected ranks with
-    /// `steps_per_exchange > 1` and a pad only ([`epoch::guard`]).
-    pub(crate) twin: Option<Grid3D<T>>,
 }
 
 impl<T: Real> Rank<T> {
@@ -232,7 +232,6 @@ pub(crate) fn build_ranks<T: Real>(
     part: &Partition3,
     plans: &[Arc<HaloPlan>],
 ) -> Vec<Rank<T>> {
-    let guarded = cfg.abft.is_some() && cfg.steps_per_exchange > 1;
     let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
     (0..part.ranks())
         .map(|r| {
@@ -243,11 +242,12 @@ pub(crate) fn build_ranks<T: Real>(
             if let Some(c) = constant {
                 sim = sim.with_constant(pad.fill(c));
             }
+            // Sweep `j` of an epoch writes the brick grown by `k − 1 − j`
+            // reaches, and the protector verifies what it wrote.
+            let windows = (0..cfg.steps_per_exchange).map(|g| pad.window(g));
             let abft = cfg
                 .abft
-                .map(|acfg| OnlineAbft::over_box(&sim, acfg, pad.window(0)));
-            let [nx, ny, nz] = pad.dims;
-            let padded = pad.window(0) != sim.whole();
+                .map(|acfg| OnlineAbft::over_windows(&sim, acfg, windows));
             let of_rank = |faults: &[(usize, BitFlip)]| {
                 let mine = faults.iter().filter(|(fr, _)| *fr == r);
                 mine.map(|(_, f)| *f).collect()
@@ -259,7 +259,6 @@ pub(crate) fn build_ranks<T: Real>(
                 plan: plans[r].clone(),
                 timing: PhaseTimings::default(),
                 shell_flips: of_rank(&cfg.shell_flips),
-                twin: (guarded && padded).then(|| Grid3D::zeros(nx, ny, nz)),
                 sim,
                 pad,
             }

@@ -19,8 +19,8 @@ use crate::{run_distributed, DistService, HaloMode};
 /// `wait_s` the time blocked in `recv` for neighbour cells and landing
 /// them in the pad (the un-hidden halo latency), `edge_s` the rest of the
 /// step's window — the brick's edge frame and, between the exchanges of a
-/// deep-halo epoch, the pad cells it still brings forward, with their
-/// guard — and `verify_s` the ABFT interpolate/detect/correct tail. In
+/// deep-halo epoch, the pad cells it still brings forward — and
+/// `verify_s` the ABFT interpolate/detect/correct tail over both. In
 /// [`HaloMode::Snapshot`] every message has been posted before any rank
 /// receives, so `wait_s` is the cost of the channel reads alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

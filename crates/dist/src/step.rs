@@ -20,11 +20,11 @@
 //!    producer channel and land its boxes in the pad of the rank's
 //!    padded grid ([`crate::epoch`]); sweep the rest of the epoch's
 //!    window for this sweep (the brick grown by a reach per sweep still
-//!    to come) and finish the step; when protected, verify the brick's
-//!    checksums — every sweep, so corrections land *before* the next post
-//!    and a neighbour can never observe a known-corrupted cell — guard
-//!    the pad cells the sweep wrote, and escalate damage Eq. 10 cannot
-//!    repair.
+//!    to come) and finish the step; when protected, verify that window's
+//!    checksums — the brick and the pad cells the sweep wrote, every
+//!    sweep, so corrections land *before* the next post and a neighbour
+//!    can never observe a known-corrupted cell — and escalate damage
+//!    Eq. 10 cannot repair.
 //!
 //! Either half can end the rank's round with a [`RankExit`]; a half that
 //! fails commits nothing, so a rank's replay bound is simply its `t`.
@@ -38,8 +38,7 @@
 use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
 use crate::service::JobSpec;
 use crate::{
-    build_ranks, effective_halo, epoch, gather_report, validate, DistError, DistReport, Partition3,
-    Rank,
+    build_ranks, effective_halo, gather_report, validate, DistError, DistReport, Partition3, Rank,
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
 use abft_fault::MultiFlipHook;
@@ -267,7 +266,7 @@ impl<T: Real> RankStepper<T> {
     }
 
     /// Second half of iteration `t`: receive and land, edge sweep, verify,
-    /// guard, escalate. Advances `t` when the step commits.
+    /// escalate. Advances `t` when the step commits.
     pub(crate) fn complete(&mut self) -> Result<(), RankExit> {
         match self.hook() {
             None => self.complete_with(&NoHook),
@@ -364,10 +363,6 @@ impl<T: Real> RankStepper<T> {
             Some(a) => {
                 let (outcome, tail) =
                     a.sweep_shell_and_verify(&mut rank.sim, hook, &self.window, &outer);
-                if let Some(twin) = rank.twin.as_mut() {
-                    let repaired = epoch::guard(&mut rank.sim, twin, &outer, &rank.pad.window(0));
-                    a.note_shell_guard(repaired, repaired);
-                }
                 (outcome.uncorrectable, tail)
             }
             None => {

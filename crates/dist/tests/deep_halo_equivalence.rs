@@ -11,7 +11,7 @@
 //! story: flips at every sweep offset inside an epoch — interior and
 //! interpolation-boundary-strip brick cells alike — and flips into
 //! mid-decay ghost-shell cells are detected and corrected exactly once,
-//! in the right rank.
+//! in the right rank, by the protector of the window the sweep wrote.
 //!
 //! A property test then draws what the matrix does not enumerate — every
 //! boundary kind per axis, a reach-2 kernel, `k = 4`, bricks thinner than
@@ -165,7 +165,8 @@ fn halo_messages_scale_inversely_with_epoch_length() {
 }
 
 /// Clean protected runs: bitwise-exact results and zero detections (no
-/// false positives from the brick verification or the shell guard).
+/// false positives from verifying the brick or the pad cells a sweep
+/// writes).
 #[test]
 fn protected_clean_runs_are_exact_with_zero_false_positives() {
     let initial = Grid3D::from_fn(13, 13, 5, |x, y, z| {
@@ -296,70 +297,75 @@ fn intra_epoch_brick_flips_are_corrected_at_every_sweep_offset() {
     }
 }
 
-/// Flips into **ghost-shell cells mid-decay**: the shell lives outside
-/// the brick's checksums, so its duplicated-execution guard must catch
-/// the hit — exactly one detection and correction in the consuming
-/// rank, exact recovery, zero survivor false positives. Unprotected,
-/// the same flip propagates into the answer.
+/// Flips into **ghost-shell cells mid-decay**: sweep `j` of an epoch
+/// writes the brick grown by `k − 1 − j` reaches, and the struck rank's
+/// protector verifies that whole window as one box, so a pad cell is
+/// detected, located and corrected by Eq. 10 like a brick cell. Rank 2 of
+/// the 2×2×1 grid owns the brick at (0..6, 6..12, 0..2); the flips strike
+/// its y-low face, its x-high face and the corner pad cell where the two
+/// meet, at every depth the sweep writes, at both sweep offsets of the
+/// middle epoch that write pad cells (iterations 3 and 4). Each is one
+/// detection and one correction, in rank 2 alone, and the answer is
+/// within rounding of serial (Eq. 10 is exact only to rounding).
+/// Unprotected, the same flip propagates into the answer. The kernel is
+/// the 27-point one: under a star, a corner pad cell feeds no brick
+/// cell, so its strike could not show in the unprotected answer.
 #[test]
-fn mid_decay_shell_flips_are_caught_by_the_guard_and_propagate_unprotected() {
-    let expect = matrix_serial();
-    // Rank 2 of the 2×2×1 grid owns the brick at (0..6, 6..12, 0..2);
-    // (3, 5, 1) sits in its y-low ghost shell. The flip fires in the
-    // advance after sweep 3 (epoch offset j = 0 → not a boundary).
-    let flip = BitFlip {
-        iteration: 3,
-        x: 3,
-        y: 5,
-        z: 1,
-        bit: 51,
-    };
-    for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
-        let base = DistConfig::new(4, ITERS)
-            .with_grid3(2, 2, 1)
-            .with_steps_per_exchange(K)
-            .with_shell_flip(2, flip)
-            .with_mode(mode);
-        let protected = run(
-            &matrix_initial(),
-            &matrix_stencil(),
-            &BoundarySpec::clamp(),
-            &base.clone().with_abft(AbftConfig::<f64>::paper_defaults()),
-        );
-        let total = protected.total_stats();
-        assert_eq!(
-            total.detections, 1,
-            "shell guard missed the flip ({mode:?})"
-        );
-        assert_eq!(
-            total.corrections, 1,
-            "shell guard failed to repair ({mode:?})"
-        );
-        assert_eq!(
-            protected.ranks[2].stats.detections, 1,
-            "shell detection landed in the wrong rank ({mode:?})"
-        );
-        for r in [0usize, 1, 3] {
-            assert_eq!(
-                protected.ranks[r].stats.detections, 0,
-                "false positive in rank {r} ({mode:?})"
-            );
-        }
-        assert_eq!(
-            protected.global, expect,
-            "guarded shell flip must not reach the answer ({mode:?})"
-        );
+fn mid_decay_shell_flips_are_corrected_once_in_the_struck_rank() {
+    let stencil = Stencil3D::diffusion_27pt(0.21);
+    let expect = serial(&matrix_initial(), &stencil, &BoundarySpec::clamp(), ITERS);
+    for j in 0..K - 1 {
+        // The window of sweep `j` reaches `g` cells past each cut face.
+        let g = K - 1 - j;
+        for depth in 1..=g {
+            let (below, beside) = (NY / 2 - depth, NX / 2 - 1 + depth);
+            let cells = [(3, below), (beside, 8), (beside, below)];
+            for ((x, y), mode) in cells
+                .into_iter()
+                .flat_map(|c| [(c, HaloMode::Pipelined), (c, HaloMode::Snapshot)])
+            {
+                let flip = BitFlip {
+                    iteration: K + j,
+                    x,
+                    y,
+                    z: 1,
+                    bit: 51,
+                };
+                let base = DistConfig::new(4, ITERS)
+                    .with_grid3(2, 2, 1)
+                    .with_steps_per_exchange(K)
+                    .with_shell_flip(2, flip)
+                    .with_mode(mode);
+                let protected = run(
+                    &matrix_initial(),
+                    &stencil,
+                    &BoundarySpec::clamp(),
+                    &base.clone().with_abft(AbftConfig::<f64>::paper_defaults()),
+                );
+                let ctx = format!("({x}, {y}, 1) at iteration {}, {mode:?}", K + j);
+                let total = protected.total_stats();
+                assert_eq!(total.detections, 1, "missed detection at {ctx}");
+                assert_eq!(total.corrections, 1, "missed correction at {ctx}");
+                assert_eq!(
+                    protected.ranks[2].stats.corrections, 1,
+                    "correction landed in the wrong rank at {ctx}"
+                );
+                for r in [0usize, 1, 3] {
+                    assert_eq!(
+                        protected.ranks[r].stats.detections, 0,
+                        "false positive in rank {r} at {ctx}"
+                    );
+                }
+                let diff = protected.global.max_abs_diff(&expect);
+                assert!(diff < 1e-9, "residual error {diff:.3e} at {ctx}");
 
-        let unprotected = run(
-            &matrix_initial(),
-            &matrix_stencil(),
-            &BoundarySpec::clamp(),
-            &base,
-        );
-        assert_ne!(
-            unprotected.global, expect,
-            "unguarded shell corruption must propagate ({mode:?})"
-        );
+                let unprotected = run(&matrix_initial(), &stencil, &BoundarySpec::clamp(), &base);
+                assert_ne!(
+                    unprotected.global, expect,
+                    "unprotected shell corruption must propagate at {ctx}"
+                );
+            }
+        }
     }
 }
 
