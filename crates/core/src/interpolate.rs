@@ -33,18 +33,23 @@
 //!
 //! The column interpolation runs like the sweep runs Eq. 1: the source
 //! lines `b(t)[y+j]` — phantom ones included, and with `β` added on one
-//! plane per distinct `i` — are laid out once per call in a frame
-//! `2·extent` wider than the vector on the y and z axes, and then each
-//! tap adds `w · frame[…]` to a contiguous run of outputs (taps outer,
-//! outputs inner). Each output still sees its constant term and then the
-//! taps in tap order, so the frame changes no bit of the result; the
-//! oracle is `tests::shared_corrections_equal_per_tap_evaluation_bitwise`,
-//! a per-output, per-tap loop drawn over every boundary kind.
+//! plane per distinct `i` — are laid out in a frame `2·extent` wider than
+//! the vector on the y and z axes, and then each tap adds `w · frame[…]`
+//! to a contiguous run of outputs (taps outer, outputs inner). What the
+//! frame's lines are depends on geometry alone, so it is resolved once
+//! per box into a [`ColPlan`] — a serving pool builds one per protected
+//! box of a topology and kernel shape and shares it across jobs — and a
+//! call only copies, sums and accumulates. Each output still sees its
+//! constant term and then the taps in tap order, so the frame changes no
+//! bit of the result; the oracle is
+//! `tests::shared_corrections_equal_per_tap_evaluation_bitwise`, a
+//! per-output, per-tap loop drawn over every boundary kind.
 
 use crate::phantom::StripSet;
 use abft_grid::{copy_box, AxisHit, Boundary, BoundarySpec, Grid3D, NoGhosts};
 use abft_num::{line_sum, Real};
 use abft_stencil::{InteriorWindow, LineSums, Stencil3D, StencilSim};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// True when the α/β corrections along the `x` axis (affecting the column
@@ -63,6 +68,223 @@ pub fn needs_strips_y<T: Real>(stencil: &Stencil3D<T>, by: &Boundary<T>) -> bool
         || (matches!(by, Boundary::Clamp) && stencil.extent_y() <= 1 && stencil.symmetric_y()))
 }
 
+/// The taps' `(di, dj, dk)` offsets, in tap order.
+fn offsets<T: Real>(stencil: &Stencil3D<T>) -> impl Iterator<Item = [isize; 3]> + '_ {
+    stencil.taps().iter().map(|t| [t.di, t.dj, t.dk])
+}
+
+/// What [`Interpolator::interpolate_col`] reads for one box, resolved
+/// once: built from the taps' offsets (never their weights), the grid's
+/// boundaries, the box and the grid's dims, and shared by `Arc` between
+/// every interpolator of that box ([`Interpolator::planned`]).
+///
+/// The frame has `(ny + 2·ey) × (nz + 2·ez)` lines per plane. For each
+/// line past the box some tap reaches, the plan records what the line is:
+/// a `b(t)` entry by index, a grid line by its first cell (time-`t` data,
+/// [`line_sum`]-med on every call), or the value a zero/constant end
+/// yields. For each distinct non-zero `di` it records the x-end reads of
+/// `β(di)` once and the runs of lines a tap with that `di` reaches; it
+/// holds them whether or not the kernel's weights make the corrections
+/// cancel, which the interpolator decides.
+#[derive(Debug)]
+pub struct ColPlan<T> {
+    /// The taps' offsets, in tap order, and their reach per axis.
+    offsets: Vec<[isize; 3]>,
+    extent: [usize; 3],
+    /// The grid's boundaries.
+    bounds: [Boundary<T>; 3],
+    /// The box's dims, its first cell in the grid, and the grid's dims.
+    n: [usize; 3],
+    origin: [usize; 3],
+    grid: [usize; 3],
+    /// Plane 0's lines past the box, by frame position: `b(t)` entries by
+    /// index, grid lines by their first cell, and values, widened.
+    cols: Vec<(usize, usize)>,
+    pads: Vec<(usize, usize)>,
+    values: Vec<(usize, f64)>,
+    /// Box-local `y` from `−ey` and `z` from `−ez`, resolved where a tap
+    /// reaches them.
+    ys: Vec<AxisHit<T>>,
+    zs: Vec<AxisHit<T>>,
+    /// One per distinct non-zero `di`, in tap order.
+    betas: Vec<Beta<T>>,
+}
+
+/// `β(di)` (paper Theorem 1): per box cell the shifted sum loses, the
+/// x-end read it gains instead, as `[lost, gained]` x-reads in order; and
+/// the runs `(zq, yq range)` of frame lines it is added to.
+#[derive(Debug)]
+struct Beta<T> {
+    di: isize,
+    ends: Vec<[AxisHit<T>; 2]>,
+    runs: Vec<(isize, Range<isize>)>,
+}
+
+impl<T: Real> ColPlan<T> {
+    /// The plan of the `domain` box of a `grid`-sized grid under `bounds`,
+    /// for `stencil`'s tap offsets.
+    pub fn new(
+        stencil: &Stencil3D<T>,
+        bounds: &BoundarySpec<T>,
+        domain: &InteriorWindow,
+        grid: [usize; 3],
+    ) -> Self {
+        let mut plan = Self {
+            offsets: offsets(stencil).collect(),
+            extent: [stencil.extent_x(), stencil.extent_y(), stencil.extent_z()],
+            bounds: [bounds.x, bounds.y, bounds.z],
+            n: [domain.x.len(), domain.y.len(), domain.z.len()],
+            origin: [domain.x.start, domain.y.start, domain.z.start],
+            grid,
+            cols: Vec::new(),
+            pads: Vec::new(),
+            values: Vec::new(),
+            ys: Vec::new(),
+            zs: Vec::new(),
+            betas: Vec::new(),
+        };
+        let [nx, ny, nz] = plan.n;
+        let (nyi, nzi) = (ny as isize, nz as isize);
+        // Axis `a` from `−extent`, resolved where some tap reaches; the
+        // rest is never read.
+        let axis = |a: usize| -> Vec<_> {
+            let (n, e) = (plan.n[a] as isize, plan.extent[a] as isize);
+            let reached = |q: &isize| plan.offsets.iter().any(|o| (o[a]..o[a] + n).contains(q));
+            let hit = |q| match reached(&q) {
+                true => plan.resolve(a, q),
+                false => AxisHit::Value(T::ZERO),
+            };
+            (-e..n + e).map(hit).collect()
+        };
+        (plan.ys, plan.zs) = (axis(1), axis(2));
+
+        // Plane 0, past the box: every line some tap reaches.
+        for (zq, yqs) in plan.runs(|_| true) {
+            for yq in yqs.filter(|yq| !(0..nyi).contains(yq) || !(0..nzi).contains(&zq)) {
+                let i = plan.at(yq, zq);
+                match plan.line(yq, zq) {
+                    Err(v) => plan.values.push((i, (T::from_usize(nx) * v).to_f64())),
+                    Ok([y, z]) => match (plan.local(1, y), plan.local(2, z)) {
+                        (Some(yl), Some(zl)) => plan.cols.push((i, zl * ny + yl)),
+                        _ => plan
+                            .pads
+                            .push((i, (z * grid[1] + y) * grid[0] + plan.origin[0])),
+                    },
+                }
+            }
+        }
+
+        // The β planes, one per distinct non-zero `di`.
+        for &[di, ..] in &plan.offsets {
+            if di == 0 || plan.betas.iter().any(|b| b.di == di) {
+                continue;
+            }
+            let n = nx as isize;
+            let end = |m| match di > 0 {
+                true => [plan.resolve(0, m), plan.resolve(0, n + m)],
+                false => [plan.resolve(0, n - 1 - m), plan.resolve(0, -m - 1)],
+            };
+            let ends = (0..di.abs()).map(end).collect();
+            let runs = plan.runs(|o| o[0] == di);
+            plan.betas.push(Beta { di, ends, runs });
+        }
+        plan
+    }
+
+    /// The frame lines the taps `tap` picks read, as runs `(zq, yq range)`
+    /// in frame order, merged per frame layer.
+    fn runs(&self, tap: impl Fn(&[isize; 3]) -> bool) -> Vec<(isize, Range<isize>)> {
+        let (ny, nz, ez) = (
+            self.n[1] as isize,
+            self.n[2] as isize,
+            self.extent[2] as isize,
+        );
+        let mut reads: Vec<[isize; 2]> = (self.offsets.iter())
+            .filter(|o| tap(o))
+            .map(|o| [o[1], o[2]])
+            .collect();
+        reads.sort_unstable();
+        let mut runs: Vec<(isize, Range<isize>)> = Vec::new();
+        for zq in -ez..nz + ez {
+            for &[dj, dk] in &reads {
+                if !(dk..dk + nz).contains(&zq) {
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some((z, r)) if *z == zq && dj <= r.end => r.end = Ord::max(r.end, dj + ny),
+                    _ => runs.push((zq, dj..dj + ny)),
+                }
+            }
+        }
+        runs
+    }
+
+    /// The box the plan covers.
+    pub fn window(&self) -> InteriorWindow {
+        let [x, y, z] = std::array::from_fn(|a| self.origin[a]..self.origin[a] + self.n[a]);
+        InteriorWindow { x, y, z }
+    }
+
+    /// Lines per frame plane.
+    fn area(&self) -> usize {
+        (self.n[1] + 2 * self.extent[1]) * (self.n[2] + 2 * self.extent[2])
+    }
+
+    /// Frame position of box-local line `(yq, zq)` on plane 0.
+    fn at(&self, yq: isize, zq: isize) -> usize {
+        let [_, ey, ez] = self.extent;
+        (zq + ez as isize) as usize * (self.n[1] + 2 * ey) + (yq + ey as isize) as usize
+    }
+
+    /// Box-local `q` on axis `a` as a grid read: `origin + q` resolved
+    /// through the grid's boundary on the grid's length.
+    ///
+    /// A read leaves the box by at most the stencil's extent on that
+    /// axis, and leaves a periodic grid only through a face the box
+    /// shares with it, so the far ends of an unwrapped periodic pad are
+    /// never read (debug builds check both). A pad that does not wrap
+    /// ends only at a domain end, whose boundary resolves what lies past.
+    #[inline]
+    fn resolve(&self, a: usize, q: isize) -> AxisHit<T> {
+        let (o, n, g) = (self.origin[a], self.n[a], self.grid[a]);
+        let p = o as isize + q;
+        debug_assert!(
+            {
+                let e = self.extent[a];
+                let leaves_through_a_shared_face = if p < 0 { o == 0 } else { o + n == g };
+                let wraps = matches!(self.bounds[a], Boundary::Periodic);
+                (-(e as isize)..(n + e) as isize).contains(&q)
+                    && ((0..g as isize).contains(&p) || leaves_through_a_shared_face || !wraps)
+            },
+            "read {q} on axis {a} of the box {o}..{} leaves its grid of {g} past the pad",
+            o + n
+        );
+        self.bounds[a].resolve(p, g)
+    }
+
+    /// Grid coordinate `i` on axis `a` as a box-local one, if in the box.
+    #[inline]
+    fn local(&self, a: usize, i: usize) -> Option<usize> {
+        i.checked_sub(self.origin[a]).filter(|&l| l < self.n[a])
+    }
+
+    /// Box-local line `(yq, zq)` as a grid line, y before z: its grid
+    /// `[y, z]`, or the value a zero/constant end yields.
+    fn line(&self, yq: isize, zq: isize) -> Result<[usize; 2], T> {
+        joined(self.resolve(1, yq), self.resolve(2, zq))
+    }
+}
+
+/// A line's resolved `y` and `z`, y before z: its grid `[y, z]`, or the
+/// value a zero/constant end yields.
+#[inline]
+fn joined<T>(y: AxisHit<T>, z: AxisHit<T>) -> Result<[usize; 2], T> {
+    match (y, z) {
+        (AxisHit::Value(v), _) | (AxisHit::In(_), AxisHit::Value(v)) => Err(v),
+        (AxisHit::In(y), AxisHit::In(z)) => Ok([y, z]),
+    }
+}
+
 /// The checksum interpolator for one (stencil, boundary, constant-field,
 /// box) combination. It holds the constant-term sums `c_x`/`c_y` of
 /// Theorem 1; each call then runs in `O(nz · n · k²)` time for vectors
@@ -77,22 +299,18 @@ pub fn needs_strips_y<T: Real>(stencil: &Stencil3D<T>, by: &Boundary<T>) -> bool
 #[derive(Debug, Clone)]
 pub struct Interpolator<T> {
     stencil: Stencil3D<T>,
-    /// The grid's boundaries.
-    bounds: [Boundary<T>; 3],
     /// Constant sums `c_x` (`row`, flat `[z][x]`) and `c_y` (`col`, flat
     /// `[z][y]`) over the box; `None` without a constant field.
     constant_sums: Option<Arc<LineSums<T>>>,
-    /// The box's dims, its first cell in the grid, and the grid's dims.
-    n: [usize; 3],
-    origin: [usize; 3],
-    grid: [usize; 3],
+    /// The box's geometry, resolved.
+    plan: Arc<ColPlan<T>>,
     fast_x: bool,
     fast_y: bool,
-    /// Per tap, the plane of `interpolate_col`'s frame it reads: 0 for the
-    /// plain source lines, or — off the x fast path, for a non-zero `di` —
-    /// `1 +` the place of that `di` among the distinct ones, whose plane
-    /// holds each line plus its β. And how many planes there are.
-    tap_plane: Vec<usize>,
+    /// Per tap, its weight widened and the frame position it reads for
+    /// layer 0: on plane 0 for the plain source lines, or — off the x fast
+    /// path, for a non-zero `di` — on that `di`'s β plane. And how many
+    /// planes a call fills.
+    taps: Vec<(f64, usize)>,
     planes: usize,
 }
 
@@ -110,62 +328,78 @@ impl<T: Real> Interpolator<T> {
         }
         let sums = constant.map(|c| Arc::new(LineSums::of(c)));
         let n = [dims.0, dims.1, dims.2];
-        Self::placed(stencil, bounds, sums, n, [0; 3], n)
+        let whole = InteriorWindow {
+            x: 0..n[0],
+            y: 0..n[1],
+            z: 0..n[2],
+        };
+        let plan = ColPlan::new(stencil, bounds, &whole, n);
+        Self::placed(stencil, sums, Arc::new(plan))
     }
 
-    /// Build the interpolator of the `domain` box of `sim`'s grid. For the
-    /// whole grid the constant field's sums are computed once per field
-    /// and shared by every clone of `sim`, so this costs no pass over the
-    /// domain; a smaller box sums its slice of the field.
+    /// Build the interpolator of the `domain` box of `sim`'s grid, with a
+    /// plan of its own ([`Interpolator::planned`]).
     pub fn for_box(sim: &StencilSim<T>, domain: &InteriorWindow) -> Self {
-        let n = [domain.x.len(), domain.y.len(), domain.z.len()];
-        let origin = [domain.x.start, domain.y.start, domain.z.start];
-        let sums = if *domain == sim.whole() {
+        let (gx, gy, gz) = sim.dims();
+        let plan = ColPlan::new(sim.stencil(), sim.bounds(), domain, [gx, gy, gz]);
+        Self::planned(sim, Arc::new(plan))
+    }
+
+    /// Build the interpolator of `plan`'s box of `sim`'s grid; the plan
+    /// must have been built for `sim`'s grid, boundaries and tap offsets.
+    /// For the whole grid the constant field's sums are computed once per
+    /// field and shared by every clone of `sim`, so this costs no pass
+    /// over the domain; a smaller box sums its slice of the field.
+    pub fn planned(sim: &StencilSim<T>, plan: Arc<ColPlan<T>>) -> Self {
+        let (gx, gy, gz) = sim.dims();
+        let b = sim.bounds();
+        debug_assert!(
+            plan.grid == [gx, gy, gz] && plan.bounds == [b.x, b.y, b.z],
+            "the plan was built for another grid"
+        );
+        let domain = plan.window();
+        let sums = if domain == sim.whole() {
             sim.constant_field().map(|c| c.line_sums().clone())
         } else {
             sim.constant().map(|c| {
-                let mut slice = Grid3D::zeros(n[0], n[1], n[2]);
-                copy_box(c, origin, &mut slice, [0; 3], n);
+                let [nx, ny, nz] = plan.n;
+                let mut slice = Grid3D::zeros(nx, ny, nz);
+                copy_box(c, plan.origin, &mut slice, [0; 3], plan.n);
                 Arc::new(LineSums::of(&slice))
             })
         };
-        let (gx, gy, gz) = sim.dims();
-        Self::placed(sim.stencil(), sim.bounds(), sums, n, origin, [gx, gy, gz])
+        Self::placed(sim.stencil(), sums, plan)
     }
 
     fn placed(
         stencil: &Stencil3D<T>,
-        bounds: &BoundarySpec<T>,
         constant_sums: Option<Arc<LineSums<T>>>,
-        n: [usize; 3],
-        origin: [usize; 3],
-        grid: [usize; 3],
+        plan: Arc<ColPlan<T>>,
     ) -> Self {
+        assert!(
+            plan.offsets.iter().copied().eq(offsets(stencil)),
+            "the plan was built for other tap offsets"
+        );
+        let (n, grid) = (plan.n, plan.grid);
         // The corrections cancel only where the box spans its grid: past a
         // cut face lies the pad, not the box's own cells.
         let fast_x =
-            stencil.extent_x() == 0 || n[0] == grid[0] && !needs_strips_x(stencil, &bounds.x);
+            stencil.extent_x() == 0 || n[0] == grid[0] && !needs_strips_x(stencil, &plan.bounds[0]);
         let fast_y =
-            stencil.extent_y() == 0 || n[1] == grid[1] && !needs_strips_y(stencil, &bounds.y);
-        let mut x_shifts: Vec<isize> = Vec::new();
-        let tap_plane = stencil.taps().iter().map(|t| {
-            if fast_x || t.di == 0 {
-                return 0;
-            }
-            1 + x_shifts.iter().position(|&i| i == t.di).unwrap_or_else(|| {
-                x_shifts.push(t.di);
-                x_shifts.len() - 1
-            })
+            stencil.extent_y() == 0 || n[1] == grid[1] && !needs_strips_y(stencil, &plan.bounds[1]);
+        let taps = stencil.taps().iter().map(|t| {
+            let plane = match fast_x || t.di == 0 {
+                true => 0,
+                false => 1 + plan.betas.iter().position(|b| b.di == t.di).expect("β(di)"),
+            };
+            (t.w.to_f64(), plane * plan.area() + plan.at(t.dj, t.dk))
         });
         Self {
-            tap_plane: tap_plane.collect(),
-            planes: 1 + x_shifts.len(),
+            taps: taps.collect(),
+            planes: if fast_x { 1 } else { 1 + plan.betas.len() },
             stencil: stencil.clone(),
-            bounds: [bounds.x, bounds.y, bounds.z],
             constant_sums,
-            n,
-            origin,
-            grid,
+            plan,
             fast_x,
             fast_y,
         }
@@ -194,7 +428,14 @@ impl<T: Real> Interpolator<T> {
 
     /// `(nx, ny, nz)` of the box this interpolator was built for.
     pub fn dims(&self) -> (usize, usize, usize) {
-        (self.n[0], self.n[1], self.n[2])
+        let [nx, ny, nz] = self.plan.n;
+        (nx, ny, nz)
+    }
+
+    /// The length of the frame [`Interpolator::interpolate_col_with`]
+    /// works in: its planes, and the accumulator.
+    pub fn frame_len(&self) -> usize {
+        self.planes * self.plan.area() + self.plan.n[1]
     }
 
     /// Interpolate the column checksums of iteration `t+1` from those of
@@ -204,21 +445,8 @@ impl<T: Real> Interpolator<T> {
     /// domain data in grid coordinates (may be [`StripSet::None`] iff
     /// [`Interpolator::col_strip_width`] is 0 and no read leaves the box;
     /// a read that does needs [`StripSet::Grid`]). The [`NoGhosts`]
-    /// argument carries nothing.
-    ///
-    /// Evaluated the way the sweep evaluates Eq. 1. First a *frame* of
-    /// source lines `(yq, zq)`, `(ny + 2·ey) × (nz + 2·ez)` of them in
-    /// `f64`, is filled once: in-box lines from `col_t`, and every line
-    /// past the box some tap reaches (a grid line outside the box is
-    /// summed once however many taps read it). Off the fast path, each
-    /// distinct tap `di` adds one plane holding `line + β(di)`, filled
-    /// only on the lines a tap with that `di` reaches, so each β is
-    /// evaluated once too. Then, per layer, the taps run outer and the
-    /// outputs inner: `acc[y] += w · s[y + dj]` over a contiguous run of
-    /// the tap's plane and layer `z + dk`. Every entry still starts from
-    /// `c_y` and takes `+= w·s` in tap order, with `s` widened and
-    /// corrected exactly as one tap at a time would, so the result is
-    /// bitwise the per-output evaluation's.
+    /// argument carries nothing. The call works in a frame of its own;
+    /// [`Interpolator::interpolate_col_with`] lends it one.
     pub fn interpolate_col(
         &self,
         col_t: &[T],
@@ -226,67 +454,79 @@ impl<T: Real> Interpolator<T> {
         _: &NoGhosts,
         out: &mut [T],
     ) {
-        let [_, ny, nz] = self.n;
-        assert_eq!(col_t.len(), nz * ny, "col_t length");
-        assert_eq!(out.len(), nz * ny, "out length");
-        let (nyi, nzi) = (ny as isize, nz as isize);
-        let (ey, ez) = (self.stencil.extent_y(), self.stencil.extent_z());
-        let frame_ny = ny + 2 * ey;
-        let area = frame_ny * (nz + 2 * ez);
-        // Frame position of source line `(yq, zq)`.
-        let at = |yq: isize, zq: isize| {
-            (zq + ez as isize) as usize * frame_ny + (yq + ey as isize) as usize
-        };
-        let mut frame = vec![0.0f64; self.planes * area];
-        let mut filled = vec![false; self.planes * area];
+        self.interpolate_col_with(col_t, source, &mut Vec::new(), out);
+    }
 
-        // Plane 0, in the box: the checksum vector itself.
+    /// [`Interpolator::interpolate_col`] in the caller's `frame`, which it
+    /// grows once to the size this box needs and then only overwrites.
+    ///
+    /// Evaluated the way the sweep evaluates Eq. 1, from the box's
+    /// [`ColPlan`]. First the frame's plane 0 gets the box's lines from
+    /// `col_t` and every line past it some tap reaches, as the plan says
+    /// what each is (a grid line is summed once however many taps read
+    /// it). Off the fast path, each β plane then holds `line + β(di)` on
+    /// the lines a tap with that `di` reaches, each β summed once from the
+    /// plan's x-end reads through `source`. Then, per layer, the taps run
+    /// outer and the outputs inner: `acc[y] += w · s[y + dj]` over a
+    /// contiguous run of the tap's plane and layer `z + dk`. Every entry
+    /// still starts from `c_y` and takes `+= w·s` in tap order, with `s`
+    /// widened and corrected exactly as one tap at a time would, so the
+    /// result is bitwise the per-output evaluation's.
+    pub fn interpolate_col_with(
+        &self,
+        col_t: &[T],
+        source: &StripSet<'_, T>,
+        frame: &mut Vec<f64>,
+        out: &mut [T],
+    ) {
+        let p = &*self.plan;
+        let [nx, ny, _] = p.n;
+        assert_eq!(col_t.len(), p.n[2] * ny, "col_t length");
+        assert_eq!(out.len(), p.n[2] * ny, "out length");
+        let (area, frame_ny) = (p.area(), ny + 2 * p.extent[1]);
+        if frame.len() < self.frame_len() {
+            frame.resize(self.frame_len(), 0.0);
+        }
+        let (frame, acc) = frame.split_at_mut(self.planes * area);
+        let acc = &mut acc[..ny];
+
+        // Plane 0: the box's lines, then those past it.
         for (z, layer) in col_t.chunks_exact(ny).enumerate() {
-            let to = at(0, z as isize);
+            let to = p.at(0, z as isize);
             for (s, &c) in frame[to..to + ny].iter_mut().zip(layer) {
                 *s = c.to_f64();
             }
         }
-        // Plane 0, past the box: the phantom lines some tap reaches — all
-        // of a tap's lines on a layer past the box, and on one in it those
-        // past the y face its `dj` crosses.
-        for tap in self.stencil.taps() {
-            let (dj, dk) = (tap.dj, tap.dk);
-            let y_edge = if dj < 0 {
-                dj..(dj + nyi).min(0)
-            } else {
-                nyi.max(dj)..dj + nyi
-            };
-            for zq in dk..dk + nzi {
-                let yqs = if (0..nzi).contains(&zq) {
-                    y_edge.clone()
-                } else {
-                    dj..dj + nyi
-                };
-                for yq in yqs {
-                    let i = at(yq, zq);
-                    if !filled[i] {
-                        filled[i] = true;
-                        frame[i] = self.phantom_col(col_t, yq, zq, source).to_f64();
-                    }
-                }
+        for &(i, c) in &p.cols {
+            frame[i] = col_t[c].to_f64();
+        }
+        if !p.pads.is_empty() {
+            let cells = pad(source).as_slice();
+            for &(i, first) in &p.pads {
+                frame[i] = T::from_f64(line_sum(&cells[first..first + nx])).to_f64();
             }
         }
-        // The β planes: `line + β(di)` on every line a tap with that `di`
-        // reaches, each evaluated once.
-        for (tap, &plane) in self.stencil.taps().iter().zip(&self.tap_plane) {
-            if plane == 0 {
-                continue;
-            }
-            let base = plane * area;
-            for zq in tap.dk..tap.dk + nzi {
-                for yq in tap.dj..tap.dj + nyi {
-                    let i = at(yq, zq);
-                    if !filled[base + i] {
-                        filled[base + i] = true;
-                        let corr = self.corr_x(tap.di, yq, zq, source);
-                        frame[base + i] = frame[i] + corr.to_f64();
-                    }
+        for &(i, v) in &p.values {
+            frame[i] = v;
+        }
+        // The β planes: `line + β(di)`, the x-end reads taken in order.
+        let (plane0, betas) = frame.split_at_mut(area);
+        let (ey, ez) = (p.extent[1] as isize, p.extent[2] as isize);
+        let planned = &p.betas[..self.planes - 1];
+        for (beta, plane) in planned.iter().zip(betas.chunks_exact_mut(area)) {
+            for (zq, yqs) in &beta.runs {
+                let z = p.zs[(zq + ez) as usize];
+                for yq in yqs.clone() {
+                    let line = joined(p.ys[(yq + ey) as usize], z);
+                    let point = |end| match (end, line) {
+                        (AxisHit::Value(v), _) | (AxisHit::In(_), Err(v)) => v,
+                        (AxisHit::In(x), Ok([y, z])) => source.near_x(x, y, z, p.grid[0]),
+                    };
+                    let corr = (beta.ends.iter()).fold(T::ZERO, |c, &[lost, gained]| {
+                        c - point(lost) + point(gained)
+                    });
+                    let i = p.at(yq, *zq);
+                    plane[i] = plane0[i] + corr.to_f64();
                 }
             }
         }
@@ -295,7 +535,6 @@ impl<T: Real> Interpolator<T> {
         // checksum computation (see `abft_core::checksum`): keeps the
         // comparison margin at ~1 ulp of T instead of O(k) ulps.
         let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
-        let mut acc = vec![0.0f64; ny];
         for (z, out_layer) in out.chunks_exact_mut(ny).enumerate() {
             match cb {
                 Some(c) => {
@@ -305,14 +544,13 @@ impl<T: Real> Interpolator<T> {
                 }
                 None => acc.fill(0.0),
             }
-            for (tap, &plane) in self.stencil.taps().iter().zip(&self.tap_plane) {
-                let w = tap.w.to_f64();
-                let from = plane * area + at(tap.dj, z as isize + tap.dk);
+            for &(w, first) in &self.taps {
+                let from = first + z * frame_ny;
                 for (a, &s) in acc.iter_mut().zip(&frame[from..from + ny]) {
                     *a += w * s;
                 }
             }
-            for (o, &a) in out_layer.iter_mut().zip(&acc) {
+            for (o, &a) in out_layer.iter_mut().zip(acc.iter()) {
                 *o = T::from_f64(a);
             }
         }
@@ -323,8 +561,8 @@ impl<T: Real> Interpolator<T> {
     ///
     /// `row_t`/`out` are flat `[z][x]` buffers.
     pub fn interpolate_row(&self, row_t: &[T], source: &StripSet<'_, T>, out: &mut [T]) {
-        let nx = self.n[0];
-        assert_eq!(out.len(), self.n[2] * nx, "out length");
+        let nx = self.plan.n[0];
+        assert_eq!(out.len(), self.plan.n[2] * nx, "out length");
         for (z, out_layer) in out.chunks_exact_mut(nx).enumerate() {
             self.interpolate_row_layer(z, row_t, source, out_layer);
         }
@@ -340,7 +578,7 @@ impl<T: Real> Interpolator<T> {
         source: &StripSet<'_, T>,
         out: &mut [T],
     ) {
-        let [nx, ny, nz] = self.n;
+        let [nx, ny, nz] = self.plan.n;
         assert_eq!(row_t.len(), nz * nx, "row_t length");
         assert_eq!(out.len(), nx, "out layer length");
         let ca = self.constant_sums.as_deref().map(|s| &s.row[..]);
@@ -348,7 +586,7 @@ impl<T: Real> Interpolator<T> {
             let mut acc = ca.map_or(0.0, |c| c[z * nx + x].to_f64());
             for tap in self.stencil.taps() {
                 let zq = z as isize + tap.dk;
-                let s = match self.resolve(0, x as isize + tap.di) {
+                let s = match self.plan.resolve(0, x as isize + tap.di) {
                     // The x axis wins the precedence: a value-like x
                     // boundary short-circuits the whole y-sum.
                     AxisHit::Value(vx) => T::from_usize(ny) * vx,
@@ -370,76 +608,11 @@ impl<T: Real> Interpolator<T> {
     /// reads (`z + dk` resolved into the box; may repeat).
     pub fn row_source_layers(&self, z: usize) -> impl Iterator<Item = usize> + '_ {
         self.stencil.taps().iter().filter_map(move |tap| {
-            match self.resolve(2, z as isize + tap.dk) {
-                AxisHit::In(zr) => self.local(2, zr),
+            match self.plan.resolve(2, z as isize + tap.dk) {
+                AxisHit::In(zr) => self.plan.local(2, zr),
                 AxisHit::Value(_) => None,
             }
         })
-    }
-
-    /// Box-local `q` on axis `a` as a grid read: `origin + q` resolved
-    /// through the grid's boundary on the grid's length.
-    ///
-    /// A read leaves the box by at most the stencil's extent on that
-    /// axis, and leaves a periodic grid only through a face the box
-    /// shares with it, so the far ends of an unwrapped periodic pad are
-    /// never read (debug builds check both). A pad that does not wrap
-    /// ends only at a domain end, whose boundary resolves what lies past.
-    #[inline]
-    fn resolve(&self, a: usize, q: isize) -> AxisHit<T> {
-        let (o, n, g) = (self.origin[a], self.n[a], self.grid[a]);
-        let p = o as isize + q;
-        debug_assert!(
-            {
-                let e = [
-                    self.stencil.extent_x(),
-                    self.stencil.extent_y(),
-                    self.stencil.extent_z(),
-                ][a];
-                let leaves_through_a_shared_face = if p < 0 { o == 0 } else { o + n == g };
-                let wraps = matches!(self.bounds[a], Boundary::Periodic);
-                (-(e as isize)..(n + e) as isize).contains(&q)
-                    && ((0..g as isize).contains(&p) || leaves_through_a_shared_face || !wraps)
-            },
-            "read {q} on axis {a} of the box {o}..{} leaves its grid of {g} past the pad",
-            o + n
-        );
-        self.bounds[a].resolve(p, g)
-    }
-
-    /// Grid coordinate `i` on axis `a` as a box-local one, if in the box.
-    #[inline]
-    fn local(&self, a: usize, i: usize) -> Option<usize> {
-        i.checked_sub(self.origin[a]).filter(|&l| l < self.n[a])
-    }
-
-    /// Box-local line `(yq, zq)` as a grid line, y before z: its grid
-    /// `[y, z]`, or the value a zero/constant end yields.
-    fn line(&self, yq: isize, zq: isize) -> Result<[usize; 2], T> {
-        match (self.resolve(1, yq), self.resolve(2, zq)) {
-            (AxisHit::Value(v), _) | (AxisHit::In(_), AxisHit::Value(v)) => Err(v),
-            (AxisHit::In(y), AxisHit::In(z)) => Ok([y, z]),
-        }
-    }
-
-    /// Phantom column-checksum entry `Σ_x u[x, yq, zq]` over the box's
-    /// x-range for a line `(yq, zq)` past the box. A line that resolves
-    /// into the box is its `b(t)` entry. One that lands outside is the
-    /// grid line's [`line_sum`] over the box's x-range — *the* order of
-    /// every checksum line, so the entry is bitwise what the line's owner
-    /// holds for it in its own `b(t)`.
-    fn phantom_col(&self, col_t: &[T], yq: isize, zq: isize, source: &StripSet<'_, T>) -> T {
-        let [nx, ny, _] = self.n;
-        match self.line(yq, zq) {
-            Err(v) => T::from_usize(nx) * v,
-            Ok([y, z]) => match (self.local(1, y), self.local(2, z)) {
-                (Some(yl), Some(zl)) => col_t[zl * ny + yl],
-                _ => {
-                    let start = (z * self.grid[1] + y) * self.grid[0] + self.origin[0];
-                    T::from_f64(line_sum(&pad(source).as_slice()[start..start + nx]))
-                }
-            },
-        }
     }
 
     /// Phantom row-checksum entry `Σ_y u[x, y, zq]` over the box's
@@ -447,13 +620,14 @@ impl<T: Real> Interpolator<T> {
     /// resolves into the box, else the grid's cells summed in `f64` in
     /// `y` order, as the box's own rows are.
     fn phantom_row(&self, row_t: &[T], x: usize, zq: isize, source: &StripSet<'_, T>) -> T {
-        let [nx, ny, _] = self.n;
-        match self.resolve(2, zq) {
+        let p = &*self.plan;
+        let [nx, ny, _] = p.n;
+        match p.resolve(2, zq) {
             AxisHit::Value(vz) => T::from_usize(ny) * vz,
-            AxisHit::In(z) => match (self.local(0, x), self.local(2, z)) {
+            AxisHit::In(z) => match (p.local(0, x), p.local(2, z)) {
                 (Some(xl), Some(zl)) => row_t[zl * nx + xl],
                 _ => {
-                    let ys = self.origin[1]..self.origin[1] + ny;
+                    let ys = p.origin[1]..p.origin[1] + ny;
                     let g = pad(source);
                     T::from_f64(ys.fold(0.0, |acc, y| acc + g.at(x, y, z).to_f64()))
                 }
@@ -461,26 +635,15 @@ impl<T: Real> Interpolator<T> {
         }
     }
 
-    /// β correction for one tap's `x` offset `i` (paper Theorem 1):
-    /// `Σ_x u[resolve(x+i), ·] − Σ_x u[x, ·]` over the box's x-range,
-    /// evaluated in `O(|i|)` reads of the line `(yq, zq)`, which resolves
-    /// once, y before z (x is resolved per term and wins the precedence).
-    fn corr_x(&self, i: isize, yq: isize, zq: isize, source: &StripSet<'_, T>) -> T {
-        let line = self.line(yq, zq);
-        self.correction(0, i, |xq| match (self.resolve(0, xq), line) {
-            (AxisHit::Value(v), _) | (AxisHit::In(_), Err(v)) => v,
-            (AxisHit::In(x), Ok([y, z])) => source.near_x(x, y, z, self.grid[0]),
-        })
-    }
-
-    /// α correction for one tap's `y` offset `j` at grid column `x`,
-    /// symmetric to [`Interpolator::corr_x`]: y is resolved per term, and
-    /// `zq` once.
+    /// α correction for one tap's `y` offset `j` at grid column `x`
+    /// (paper Theorem 1): `Σ_y u[·, resolve(y+j)] − Σ_y u[·, y]` over the
+    /// box's y-range, y resolved per term and `zq` once.
     fn corr_y(&self, j: isize, x: usize, zq: isize, source: &StripSet<'_, T>) -> T {
-        let z = self.resolve(2, zq);
-        self.correction(1, j, |yq| match (self.resolve(1, yq), z) {
+        let p = &*self.plan;
+        let z = p.resolve(2, zq);
+        self.correction(1, j, |yq| match (p.resolve(1, yq), z) {
             (AxisHit::Value(v), _) | (AxisHit::In(_), AxisHit::Value(v)) => v,
-            (AxisHit::In(y), AxisHit::In(z)) => source.near_y(x, y, z, self.grid[1]),
+            (AxisHit::In(y), AxisHit::In(z)) => source.near_y(x, y, z, p.grid[1]),
         })
     }
 
@@ -488,7 +651,7 @@ impl<T: Real> Interpolator<T> {
     /// cell the shifted sum loses, the read past the box's face it gains
     /// instead.
     fn correction(&self, a: usize, i: isize, point: impl Fn(isize) -> T) -> T {
-        let n = self.n[a] as isize;
+        let n = self.plan.n[a] as isize;
         let mut corr = T::ZERO;
         for m in 0..i.abs() {
             let lost = if i > 0 { m } else { n - 1 - m };
@@ -695,13 +858,51 @@ mod tests {
         );
     }
 
-    /// The per-output evaluation of Eq. 5 that `interpolate_col`'s frame
+    /// The oracle's reads, resolved per call rather than planned.
+    impl<T: Real> Interpolator<T> {
+        /// Phantom column-checksum entry `Σ_x u[x, yq, zq]` over the box's
+        /// x-range for a line `(yq, zq)` past the box. A line that
+        /// resolves into the box is its `b(t)` entry. One that lands
+        /// outside is the grid line's [`line_sum`] over the box's x-range
+        /// — *the* order of every checksum line, so the entry is bitwise
+        /// what the line's owner holds for it in its own `b(t)`.
+        fn phantom_col(&self, col_t: &[T], yq: isize, zq: isize, source: &StripSet<'_, T>) -> T {
+            let p = &*self.plan;
+            let [nx, ny, _] = p.n;
+            match p.line(yq, zq) {
+                Err(v) => T::from_usize(nx) * v,
+                Ok([y, z]) => match (p.local(1, y), p.local(2, z)) {
+                    (Some(yl), Some(zl)) => col_t[zl * ny + yl],
+                    _ => {
+                        let start = (z * p.grid[1] + y) * p.grid[0] + p.origin[0];
+                        T::from_f64(line_sum(&pad(source).as_slice()[start..start + nx]))
+                    }
+                },
+            }
+        }
+
+        /// β correction for one tap's `x` offset `i`:
+        /// `Σ_x u[resolve(x+i), ·] − Σ_x u[x, ·]` over the box's x-range,
+        /// evaluated in `O(|i|)` reads of the line `(yq, zq)`, which
+        /// resolves once, y before z (x is resolved per term and wins the
+        /// precedence).
+        fn corr_x(&self, i: isize, yq: isize, zq: isize, source: &StripSet<'_, T>) -> T {
+            let p = &*self.plan;
+            let line = p.line(yq, zq);
+            self.correction(0, i, |xq| match (p.resolve(0, xq), line) {
+                (AxisHit::Value(v), _) | (AxisHit::In(_), Err(v)) => v,
+                (AxisHit::In(x), Ok([y, z])) => source.near_x(x, y, z, p.grid[0]),
+            })
+        }
+    }
+
+    /// The per-output evaluation of Eq. 5 that `interpolate_col`'s plan
     /// replaces: for each entry, its constant term, then tap by tap the
     /// source line (phantom through the grid's boundaries, or the grid
     /// line past the box) widened to `f64`, plus its β off the fast path,
     /// times the weight.
     fn per_tap<T: Real>(interp: &Interpolator<T>, col_t: &[T], source: &StripSet<'_, T>) -> Vec<T> {
-        let [_, ny, nz] = interp.n;
+        let [_, ny, nz] = interp.plan.n;
         let cb = interp.constant_sums.as_deref().map(|s| &s.col[..]);
         let mut out = Vec::with_capacity(nz * ny);
         for z in 0..nz {

@@ -66,7 +66,7 @@ pub use checksum::{
 pub use config::{AbftConfig, MultiErrorPolicy};
 pub use correct::{correct_layer, CorrectionEvent};
 pub use detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis, Mismatch};
-pub use interpolate::{needs_strips_x, needs_strips_y, Interpolator};
+pub use interpolate::{needs_strips_x, needs_strips_y, ColPlan, Interpolator};
 pub use offline::{OfflineAbft, OfflineOutcome};
 pub use online::{OnlineAbft, StepOutcome};
 pub use phantom::{capture_all_layers, StripSet};

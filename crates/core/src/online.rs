@@ -18,13 +18,16 @@
 use crate::checksum::{box_col_into, box_row_layer_into};
 use crate::config::{AbftConfig, MultiErrorPolicy};
 use crate::correct::{correct_layer, CorrectionEvent};
-use crate::detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis};
-use crate::interpolate::Interpolator;
+use crate::detect::{
+    any_deviating, classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis,
+};
+use crate::interpolate::{ColPlan, Interpolator};
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
-use abft_grid::{Grid3D, NoGhosts};
+use abft_grid::Grid3D;
 use abft_num::{line_sum, Real};
 use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one protected step observed and did.
@@ -98,6 +101,9 @@ pub struct OnlineAbft<T> {
     col_w: Vec<T>,
     col_comp: Vec<T>,
     col_interp: Vec<T>,
+    /// The interpolation's frame ([`Interpolator::interpolate_col_with`]),
+    /// sized for the largest box.
+    frame: Vec<f64>,
     /// The whole grid's column vector a fused sweep writes, when the boxes
     /// span the grid's x-lines but are not the grid (empty otherwise); the
     /// verified box's block is copied into `col_comp`.
@@ -148,9 +154,27 @@ impl<T: Real> OnlineAbft<T> {
         cfg: AbftConfig<T>,
         windows: impl IntoIterator<Item = InteriorWindow>,
     ) -> Self {
-        let grid = sim.whole();
         let mut windows: Vec<_> = windows.into_iter().collect();
         windows.dedup();
+        let (gx, gy, gz) = sim.dims();
+        let plan = |d: &InteriorWindow| ColPlan::new(sim.stencil(), sim.bounds(), d, [gx, gy, gz]);
+        Self::over_plans(sim, cfg, windows.iter().map(|d| Arc::new(plan(d))))
+    }
+
+    /// [`OnlineAbft::over_windows`] over the boxes of prebuilt, distinct
+    /// interpolation plans, smallest first ([`Interpolator::planned`]): a
+    /// serving pool builds them once per topology and kernel shape.
+    pub fn over_plans(
+        sim: &StencilSim<T>,
+        cfg: AbftConfig<T>,
+        plans: impl IntoIterator<Item = Arc<ColPlan<T>>>,
+    ) -> Self {
+        let grid = sim.whole();
+        let boxes: Vec<_> = plans
+            .into_iter()
+            .map(|p| (p.window(), Interpolator::planned(sim, p)))
+            .collect();
+        let windows: Vec<_> = boxes.iter().map(|(d, _)| d.clone()).collect();
         let brick = windows.first().expect("a protector needs a box");
         let largest = windows.last().expect("a box");
         let lines = |d: &InteriorWindow| d.z.len() * d.y.len();
@@ -160,17 +184,17 @@ impl<T: Real> OnlineAbft<T> {
         let fused_in_grid = brick.x == grid.x && windows != [grid.clone()];
         let grid_lines = usize::from(fused_in_grid) * lines(&grid);
         let widened = usize::from(windows.len() > 1) * lines(largest);
+        let frame_len = boxes.iter().map(|(_, i)| i.frame_len()).max();
+        let frame_len = frame_len.expect("a box");
         Self {
             cfg,
-            boxes: windows
-                .iter()
-                .map(|d| (d.clone(), Interpolator::for_box(sim, d)))
-                .collect(),
+            boxes,
             grid,
             col_t,
             col_w: vec![T::ZERO; widened],
             col_comp: vec![T::ZERO; lines(largest)],
             col_interp: vec![T::ZERO; lines(largest)],
+            frame: vec![0.0; frame_len],
             col_grid: vec![T::ZERO; grid_lines],
             row_t: vec![T::ZERO; rows(largest)],
             row_comp: vec![T::ZERO; rows(largest)],
@@ -372,23 +396,21 @@ impl<T: Real> OnlineAbft<T> {
         } else {
             &self.col_w[..nz * ny]
         };
-        interp.interpolate_col(col_t, &source, &NoGhosts, col_interp);
+        interp.interpolate_col_with(col_t, &source, &mut self.frame, col_interp);
 
-        // 3. Detect (Theorem 2): compare per layer.
+        // 3. Detect (Theorem 2): compare per layer, once some entry of the
+        //    whole vector deviates.
+        let (epsilon, floor) = (self.cfg.epsilon, self.cfg.abs_floor);
+        if !any_deviating(col_interp, col_comp, epsilon, floor) {
+            return Vec::new();
+        }
         let mut flagged = Vec::new();
         for z in 0..nz {
-            let mms = compare_vectors(
-                &col_interp[z * ny..(z + 1) * ny],
-                &col_comp[z * ny..(z + 1) * ny],
-                self.cfg.epsilon,
-                self.cfg.abs_floor,
-            );
+            let layer = z * ny..(z + 1) * ny;
+            let mms = compare_vectors(&col_interp[layer.clone()], &col_comp[layer], epsilon, floor);
             if !mms.is_empty() {
                 flagged.push((z, mms));
             }
-        }
-        if flagged.is_empty() {
-            return Vec::new();
         }
 
         // 4. Materialise the row side (only now — §3.4: "it is only

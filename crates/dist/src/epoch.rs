@@ -20,9 +20,9 @@
 //!
 //! A protected rank verifies each window as its sweep writes it, pad
 //! cells included, as one box of its protector
-//! ([`OnlineAbft::over_windows`]).
+//! ([`OnlineAbft::over_plans`], over plans the pool keeps per topology).
 //!
-//! [`OnlineAbft::over_windows`]: abft_core::OnlineAbft::over_windows
+//! [`OnlineAbft::over_plans`]: abft_core::OnlineAbft::over_plans
 //! [`StencilSim`]: abft_stencil::StencilSim
 
 use crate::{Brick, HaloBox};
@@ -215,7 +215,9 @@ impl Pad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_ranks, effective_halo, validate, DistConfig, HaloPlan, Partition3, Rank};
+    use crate::{
+        build_ranks, col_plans, effective_halo, validate, DistConfig, HaloPlan, Partition3, Rank,
+    };
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -231,7 +233,8 @@ mod tests {
         let dims = initial.dims();
         let plan = |r| Arc::new(HaloPlan::new(&part.brick(r), r, &part, halo, dims, &bounds));
         let plans: Vec<_> = (0..part.ranks()).map(plan).collect();
-        build_ranks(initial, stencil, &bounds, None, cfg, &part, &plans)
+        let col = col_plans(dims, stencil, &bounds, cfg, &part);
+        build_ranks(initial, stencil, &bounds, None, cfg, &part, &plans, &col)
     }
 
     fn boundary(kind: usize) -> Boundary<f64> {

@@ -53,7 +53,7 @@
 //!   [`OnlineAbft::sweep_shell_and_verify`] with a protector over the
 //!   boxes of the padded grid its sweeps write — the brick, and with
 //!   `steps_per_exchange = k` the brick grown by each reach still to
-//!   come ([`OnlineAbft::over_windows`]) — so checksum interpolation
+//!   come ([`OnlineAbft::over_plans`]) — so checksum interpolation
 //!   reads the same pad cells as the sweep, row and column checksums
 //!   cross rank boundaries in every decomposed direction, and every cell
 //!   a rank's sweep writes, pad cells included, is verified; single-point
@@ -79,7 +79,7 @@
 //! while a periodic pad holds the wrapped-around cells (the first column
 //! of bricks receives halos from the last).
 
-use abft_core::OnlineAbft;
+use abft_core::{ColPlan, OnlineAbft};
 use abft_fault::BitFlip;
 use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
@@ -102,6 +102,7 @@ pub use config::{DistConfig, GridSpec, HaloMode};
 pub use error::DistError;
 pub use index::{HaloBox, HaloPlan, HaloTraffic};
 pub use partition::{auto_grid, decompose, Brick, Partition3};
+pub(crate) use pipeline::RankPlans;
 pub(crate) use report::gather_report;
 pub use report::{DistReport, PhaseTimings, RankReport};
 pub use service::{
@@ -218,11 +219,39 @@ pub fn run_distributed<T: Real>(
     report
 }
 
+/// Every rank's column-interpolation plans: per rank, one per distinct
+/// window its protector verifies, smallest first — sweep `j` of an epoch
+/// writes the brick grown by `k − 1 − j` reaches, and the protector
+/// verifies what it wrote. They
+/// depend on the job's topology and its kernel's tap offsets only, so the
+/// pool builds them once per pair ([`pipeline::TopologyCache::col_plans`]).
+pub(crate) fn col_plans<T: Real>(
+    dims: (usize, usize, usize),
+    stencil: &Stencil3D<T>,
+    bounds: &BoundarySpec<T>,
+    cfg: &DistConfig<T>,
+    part: &Partition3,
+) -> RankPlans<T> {
+    let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
+    (0..part.ranks())
+        .map(|r| {
+            let pad = epoch::Pad::new(&part.brick(r), dims, bounds, halo, stencil);
+            let mut windows: Vec<_> = (0..cfg.steps_per_exchange).map(|g| pad.window(g)).collect();
+            windows.dedup();
+            let plan = |d: &_| Arc::new(ColPlan::new(stencil, bounds, d, pad.dims));
+            windows.iter().map(plan).collect()
+        })
+        .collect()
+}
+
 /// Build one job's transient rank state: per-brick sims (with constant
 /// slices), per-job protectors and per-job flip lists. Everything here is
 /// job-scoped by construction — a fresh call per job is what guarantees
 /// one job's faults and protector counters can never leak into the next —
-/// while the immutable halo `plans` are shared with the topology cache.
+/// while the immutable halo `plans` and, for a protected job, the
+/// interpolation plans `col` ([`col_plans`]) are shared with the topology
+/// cache.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_ranks<T: Real>(
     initial: &Grid3D<T>,
     stencil: &Stencil3D<T>,
@@ -231,6 +260,7 @@ pub(crate) fn build_ranks<T: Real>(
     cfg: &DistConfig<T>,
     part: &Partition3,
     plans: &[Arc<HaloPlan>],
+    col: &[Vec<Arc<ColPlan<T>>>],
 ) -> Vec<Rank<T>> {
     let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
     (0..part.ranks())
@@ -242,12 +272,9 @@ pub(crate) fn build_ranks<T: Real>(
             if let Some(c) = constant {
                 sim = sim.with_constant(pad.fill(c));
             }
-            // Sweep `j` of an epoch writes the brick grown by `k − 1 − j`
-            // reaches, and the protector verifies what it wrote.
-            let windows = (0..cfg.steps_per_exchange).map(|g| pad.window(g));
             let abft = cfg
                 .abft
-                .map(|acfg| OnlineAbft::over_windows(&sim, acfg, windows));
+                .map(|acfg| OnlineAbft::over_plans(&sim, acfg, col[r].iter().cloned()));
             let of_rank = |faults: &[(usize, BitFlip)]| {
                 let mine = faults.iter().filter(|(fr, _)| *fr == r);
                 mine.map(|(_, f)| *f).collect()

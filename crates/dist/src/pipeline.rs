@@ -47,10 +47,18 @@
 //! and only a job that *panicked* mid-flight poisons its entry (channels
 //! may hold stale messages), so the scheduler discards that one entry and
 //! rebuilds on next use.
+//!
+//! An entry also holds the column-interpolation plans of the protected
+//! jobs that ran over it, one set per kernel tap-offset signature
+//! ([`TopologyCache::col_plans`]): what a protector's Theorem 1 reads is
+//! fixed by the topology and the offsets, so a repeat job's protectors
+//! resolve nothing.
 
 use crate::{HaloBox, HaloPlan, Partition3};
+use abft_core::ColPlan;
 use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
+use abft_stencil::Stencil3D;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
@@ -70,6 +78,13 @@ pub(crate) const CHANNEL_DEPTH: usize = 2;
 /// streams rarely rotate through more than a handful of job shapes; the
 /// cap only bounds memory for adversarial shape churn.
 const CACHE_CAP: usize = 32;
+
+/// A job's column-interpolation plans: per rank, one per window its
+/// protector verifies ([`crate::col_plans`]).
+pub(crate) type RankPlans<T> = Vec<Vec<Arc<ColPlan<T>>>>;
+
+/// A kernel's taps' `(di, dj, dk)`, in tap order.
+type TapOffsets = Vec<[isize; 3]>;
 
 /// One rank's endpoints in the pipeline.
 pub(crate) struct Ports<T> {
@@ -127,6 +142,10 @@ pub(crate) struct Topology<T> {
     /// a clean run, so the stack depth converges to the key's observed
     /// concurrency — bounded by the pool size.
     idle_ports: Vec<Vec<Ports<T>>>,
+    /// The interpolation plans of the protected jobs run over it, one set
+    /// per tap-offset signature `(di, dj, dk)…`: on a `1 × R × 1` grid
+    /// every reach-1 kernel shares one key, but not one plan.
+    col_plans: Vec<(TapOffsets, Arc<RankPlans<T>>)>,
 }
 
 /// Wire up per-rank halo channels from the ranks' halo plans. Channels
@@ -152,7 +171,9 @@ fn build_ports<T: Real>(plans: &[Arc<HaloPlan>]) -> Vec<Ports<T>> {
 
 /// The pool's topology store: a small keyed set of reusable topologies
 /// with hit/miss accounting (surfaced through
-/// [`crate::ServeStats`]).
+/// [`crate::ServeStats`]), each with the interpolation plans of the
+/// kernels protected over it ([`Self::col_plans`]), which leave with
+/// their entry.
 ///
 /// `BoundarySpec` is `PartialEq` but not `Hash` (it can carry a
 /// `Boundary::Constant(T)` value), so lookup is a linear scan over at
@@ -226,8 +247,31 @@ impl<T: Real> TopologyCache<T> {
             key: *key,
             plans: plans.clone(),
             idle_ports: Vec::new(),
+            col_plans: Vec::new(),
         });
         plans
+    }
+
+    /// The column-interpolation plans of a protected job over `key` with
+    /// `stencil`'s tap offsets, built by `build` the first time the pair
+    /// is seen. The key's entry must exist ([`Self::plans`] first).
+    pub(crate) fn col_plans(
+        &mut self,
+        key: &TopoKey<T>,
+        stencil: &Stencil3D<T>,
+        build: impl FnOnce() -> RankPlans<T>,
+    ) -> Arc<RankPlans<T>> {
+        let i = self
+            .position(key)
+            .expect("interpolation plans looked up before the topology");
+        let offsets = || stencil.taps().iter().map(|t| [t.di, t.dj, t.dk]);
+        let sets = &mut self.entries[i].col_plans;
+        if let Some((_, set)) = sets.iter().find(|(o, _)| o.iter().copied().eq(offsets())) {
+            return set.clone();
+        }
+        let set = Arc::new(build());
+        sets.push((offsets().collect(), set.clone()));
+        set
     }
 
     /// Check a channel-endpoint set for `key` out for one pipelined job,
@@ -307,6 +351,13 @@ impl<T: Real> TopologyCache<T> {
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
+
+    /// Number of interpolation plan sets `key`'s entry holds, if cached
+    /// (test introspection).
+    #[cfg(test)]
+    pub(crate) fn plan_sets(&self, key: &TopoKey<T>) -> Option<usize> {
+        self.position(key).map(|i| self.entries[i].col_plans.len())
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +389,44 @@ mod tests {
         let (k2, part2) = key(BoundarySpec::uniform(Boundary::Periodic));
         cache.plans(&k2, &part2, &k2.bounds);
         assert_eq!((cache.hits, cache.misses, cache.len()), (1, 2, 2));
+    }
+
+    /// One plan set per tap-offset signature under one key: a repeat
+    /// kernel shape is a hit on its set, another shape with the same
+    /// reach (same key) builds its own, and evicting the entry drops both.
+    #[test]
+    fn an_entry_holds_one_plan_set_per_offset_signature_until_evicted() {
+        use abft_stencil::Stencil2D;
+        let mut cache: TopologyCache<f64> = TopologyCache::new();
+        let (k, part) = key(BoundarySpec::clamp());
+        cache.plans(&k, &part, &k.bounds);
+        let cfg = crate::DistConfig::new(3, 1).with_grid(1, 3);
+        let mut builds = 0;
+        let mut set = |cache: &mut TopologyCache<f64>, stencil: &Stencil3D<f64>| {
+            cache.col_plans(&k, stencil, || {
+                builds += 1;
+                crate::col_plans(k.dims, stencil, &k.bounds, &cfg, &part)
+            })
+        };
+        let star = Stencil3D::diffusion_7pt(0.1);
+        let conv = Stencil2D::convection_9pt(0.18, 0.08, -0.05).into_3d();
+        let first = set(&mut cache, &star);
+        let again = set(&mut cache, &star);
+        let other = set(&mut cache, &conv);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!((builds, cache.plan_sets(&k)), (2, Some(2)));
+        // One plan per rank and window, over the rank's brick.
+        assert_eq!(first.len(), 3);
+        assert_eq!(first[1][0].window().y, 1..5);
+        let (star_set, conv_set) = (Arc::downgrade(&first), Arc::downgrade(&other));
+        drop((first, again, other));
+        for v in 0..CACHE_CAP {
+            let (k2, part2) = key(BoundarySpec::uniform(Boundary::Constant(v as f64)));
+            cache.plans(&k2, &part2, &k2.bounds);
+        }
+        assert_eq!((cache.len(), cache.plan_sets(&k)), (CACHE_CAP, None));
+        assert!(star_set.upgrade().is_none() && conv_set.upgrade().is_none());
     }
 
     #[test]

@@ -38,7 +38,8 @@
 use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
 use crate::service::JobSpec;
 use crate::{
-    build_ranks, effective_halo, gather_report, validate, DistError, DistReport, Partition3, Rank,
+    build_ranks, col_plans, effective_halo, gather_report, validate, DistError, DistReport,
+    Partition3, Rank,
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
 use abft_fault::MultiFlipHook;
@@ -421,6 +422,12 @@ impl<T: Real> Job<T> {
             bounds: spec.bounds,
         };
         let plans = cache.plans(&key, &part, &spec.bounds);
+        let col = spec.cfg.abft.map(|_| {
+            cache.col_plans(&key, &spec.stencil, || {
+                let dims = spec.initial.dims();
+                col_plans(dims, &spec.stencil, &spec.bounds, &spec.cfg, &part)
+            })
+        });
         let ranks = build_ranks(
             &spec.initial,
             &spec.stencil,
@@ -429,6 +436,7 @@ impl<T: Real> Job<T> {
             &spec.cfg,
             &part,
             &plans,
+            col.as_deref().map_or(&[], |c| c),
         );
         let k = spec.cfg.steps_per_exchange;
         let vault = spec.cfg.checkpoint.map(|p| {

@@ -13,7 +13,7 @@ use abft_core::AbftConfig;
 use abft_dist::{run_distributed, DistService, HaloMode, JobHandle, JobSpec};
 use abft_fault::{BitFlip, RankKill};
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
-use abft_stencil::Stencil3D;
+use abft_stencil::{Stencil2D, Stencil3D};
 use proptest::prelude::*;
 
 fn wavy(nx: usize, ny: usize, nz: usize, seed: usize) -> Grid3D<f64> {
@@ -202,6 +202,63 @@ fn faults_in_one_job_leave_no_trace_in_neighbours() {
         }
         assert_eq!(reports[k].global, fresh(spec).global, "`{name}` diverged");
     }
+}
+
+/// Kernels of one reach share a topology key on a `1 × 2 × 1` grid (the
+/// halo is `k` rows either way), but not a Theorem 1 plan: the 7-point
+/// star reads the z neighbours' checksums, the 9-point convection the
+/// diagonal lines and, being asymmetric in x under clamp, β corrections.
+/// Interleaved on one pool, over `k = 1` and `k = 2`, each with one
+/// flip, every job must come back bitwise its dedicated run.
+#[test]
+fn kernels_sharing_a_topology_keep_their_own_interpolation_plans() {
+    let kernels = [
+        Stencil3D::diffusion_7pt(0.1f64),
+        Stencil2D::convection_9pt(0.18f64, 0.08, -0.05).into_3d(),
+    ];
+    let flip = BitFlip {
+        iteration: 2,
+        x: 3,
+        y: 2,
+        z: 1,
+        bit: 51,
+    };
+    let specs: Vec<JobSpec<f64>> = (0..2)
+        .flat_map(|_| [1, 2])
+        .flat_map(|k| kernels.iter().map(move |s| (k, s.clone())))
+        .enumerate()
+        .map(|(i, (k, stencil))| {
+            JobSpec::over(wavy(12, 16, 3, i), stencil)
+                .with_ranks(2)
+                .with_grid(1, 2)
+                .with_iters(5)
+                .with_steps_per_exchange(k)
+                .with_abft(AbftConfig::<f64>::paper_defaults())
+                .with_flip(i % 2, flip)
+        })
+        .collect();
+    let service = DistService::<f64>::new(2).unwrap();
+    let handles: Vec<_> = specs
+        .iter()
+        .map(|spec| service.submit(spec.clone()).unwrap())
+        .collect();
+    let served: Vec<_> = handles.into_iter().map(JobHandle::wait).collect();
+    let stats = service.stats();
+    service.shutdown();
+    for (i, (spec, served)) in specs.iter().zip(served).enumerate() {
+        let served = served.unwrap_or_else(|e| panic!("job {i} failed: {e}"));
+        let expect = fresh(spec);
+        assert_eq!(served.global, expect.global, "job {i} diverged");
+        assert_eq!(served.total_stats().corrections, 1, "job {i}");
+        for (s, e) in served.ranks.iter().zip(&expect.ranks) {
+            assert_eq!(s.stats, e.stats, "job {i} changed its outcome");
+        }
+    }
+    assert_eq!(
+        (stats.topology_misses, stats.topology_hits),
+        (2, 6),
+        "{stats:?}"
+    );
 }
 
 /// Build the sampled job for one `(shape, kernel, periodic, ranks,
