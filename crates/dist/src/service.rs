@@ -834,56 +834,67 @@ impl<T: Real> Scheduler<T> {
     /// (running jobs drain back into the free list, so it always
     /// eventually fits — its demand was capped at the pool size when the
     /// job was first admitted).
+    ///
+    /// A picked job whose build fails takes none of the slots the pass
+    /// set aside for it, and no event may follow to return them, so the
+    /// pass repeats until every job it starts has been built.
     fn admit_ready(&mut self) {
-        while let Some(&id) = self.pending_recovery.front() {
-            let need = self
-                .running
-                .get(&id)
-                .expect("recovering job is in flight")
-                .steppers
-                .len();
-            if need > self.free.len() {
+        loop {
+            while let Some(&id) = self.pending_recovery.front() {
+                let need = self
+                    .running
+                    .get(&id)
+                    .expect("recovering job is in flight")
+                    .steppers
+                    .len();
+                if need > self.free.len() {
+                    return;
+                }
+                self.pending_recovery.pop_front();
+                self.respawn(id);
+            }
+            let mut demands: Vec<(usize, u32)> = self
+                .queue
+                .iter()
+                .map(|q| (slots_needed(&q.adm.spec), q.overtaken))
+                .collect();
+            let picks = plan_admissions(&mut demands, self.free.len(), MAX_OVERTAKES);
+            for (q, &(_, overtaken)) in self.queue.iter_mut().zip(&demands) {
+                q.overtaken = overtaken;
+            }
+            let mut started: Vec<Admitted<T>> = Vec::with_capacity(picks.len());
+            for &i in picks.iter().rev() {
+                started.push(self.queue.remove(i).expect("planned index in range").adm);
+            }
+            let mut all_built = true;
+            while let Some(adm) = started.pop() {
+                all_built &= self.start_job(adm);
+            }
+            if all_built {
                 return;
             }
-            self.pending_recovery.pop_front();
-            self.respawn(id);
-        }
-        let mut demands: Vec<(usize, u32)> = self
-            .queue
-            .iter()
-            .map(|q| (slots_needed(&q.adm.spec), q.overtaken))
-            .collect();
-        let picks = plan_admissions(&mut demands, self.free.len(), MAX_OVERTAKES);
-        for (q, &(_, overtaken)) in self.queue.iter_mut().zip(&demands) {
-            q.overtaken = overtaken;
-        }
-        let mut started: Vec<Admitted<T>> = Vec::with_capacity(picks.len());
-        for &i in picks.iter().rev() {
-            started.push(self.queue.remove(i).expect("planned index in range").adm);
-        }
-        while let Some(adm) = started.pop() {
-            self.start_job(adm);
         }
     }
 
     /// Build one admitted job under a panic guard and either dispatch
     /// its ranks onto free slots (pipelined) or drive it in lock-step on
-    /// this thread (snapshot).
-    fn start_job(&mut self, adm: Admitted<T>) {
+    /// this thread (snapshot). Returns `false` when the build failed, in
+    /// which case the job's result is already published.
+    fn start_job(&mut self, adm: Admitted<T>) -> bool {
         let started = Instant::now();
         let built = catch_unwind(AssertUnwindSafe(|| Job::build(&adm.spec, &mut self.cache)));
         let (job, steppers) = match built {
             Ok(Ok(built)) => built,
             Ok(Err(e)) => {
                 self.publish(adm.id, Err(e));
-                return;
+                return false;
             }
             Err(payload) => {
                 // A panic in validate/plan/build: nothing reached the
                 // pool, but the cache may hold a half-built entry.
                 self.cache.clear();
                 self.publish(adm.id, Err(panicked(payload)));
-                return;
+                return false;
             }
         };
         match adm.spec.cfg.mode {
@@ -908,6 +919,7 @@ impl<T: Real> Scheduler<T> {
                 self.peak = self.peak.max(self.running.len() as u64);
             }
         }
+        true
     }
 
     /// Run a built job to its end in lock-step on this thread, under a
@@ -1725,6 +1737,72 @@ mod tests {
         assert_eq!(stats.topology_misses, 1);
         assert_eq!(stats.topology_hits, 2);
         service.shutdown();
+    }
+
+    /// A picked job whose build panics sets aside slots it never takes,
+    /// and nothing else is in flight to send the event that would run the
+    /// next admission pass: the pass itself must hand them on. The first
+    /// job's build panics on interpolation plans built for another kernel
+    /// under its key (as if the plan set were looked up by key alone); the
+    /// second, held back for the same two slots, must be running when the
+    /// pass returns, not wait forever.
+    #[test]
+    fn a_job_that_fails_to_build_hands_its_slots_on_in_the_same_pass() {
+        use abft_stencil::Stencil2D;
+        let (events_tx, events_rx) = channel();
+        let workers = (0..2)
+            .map(|_| {
+                let (tx, rx) = channel();
+                let events = events_tx.clone();
+                let handle = std::thread::spawn(move || worker::pool_worker(rx, events));
+                WorkerHandle { tx, handle }
+            })
+            .collect();
+        let shared = Arc::new(Shared {
+            state: Mutex::new(ServeState::default()),
+            cv: Condvar::new(),
+        });
+        let mut sched = Scheduler::new(Arc::clone(&shared), workers);
+        let spec = JobSpec::over(field(12, 16, 3), Stencil3D::diffusion_7pt(0.1))
+            .with_ranks(2)
+            .with_grid(1, 2)
+            .with_iters(3)
+            .with_abft(AbftConfig::paper_defaults());
+        let part = validate(&spec.initial, &spec.stencil, &spec.bounds, None, &spec.cfg).unwrap();
+        let grid = (part.rx(), part.ry(), part.rz());
+        let key = crate::pipeline::TopoKey {
+            dims: spec.initial.dims(),
+            grid,
+            halo: crate::effective_halo(&spec.cfg, &spec.stencil, grid),
+            bounds: spec.bounds,
+        };
+        let other = Stencil2D::convection_9pt(0.18, 0.08, -0.05).into_3d();
+        sched.cache.plans(&key, &part, &spec.bounds);
+        sched.cache.col_plans(&key, &spec.stencil, || {
+            crate::col_plans(key.dims, &other, &spec.bounds, &spec.cfg, &part)
+        });
+        for id in [1, 2] {
+            shared.state.lock().unwrap().pending.insert(id);
+            let adm = Admitted {
+                id,
+                spec: spec.clone(),
+                submitted: Instant::now(),
+            };
+            sched.queue.push_back(QueuedJob { adm, overtaken: 0 });
+        }
+        sched.admit_ready();
+        let first = shared.state.lock().unwrap().done.remove(&1);
+        assert!(
+            matches!(first, Some(Err(DistError::RankPanicked { rank: None, .. }))),
+            "{first:?}"
+        );
+        assert!(sched.queue.is_empty() && sched.running.contains_key(&2));
+        // Let the second job finish, then shut the pool down.
+        events_tx.send(SchedEvent::Drain).unwrap();
+        drop(events_tx);
+        sched.run(events_rx);
+        let second = shared.state.lock().unwrap().done.remove(&2);
+        assert!(matches!(second, Some(Ok(_))), "{second:?}");
     }
 
     #[test]

@@ -16,7 +16,11 @@ const LANES: usize = 16;
 /// Accumulating in `f64` keeps an `f32` line's sum within one rounding of
 /// exact whatever its length; splitting it into lanes shortens every
 /// dependent add chain 16-fold, which only tightens that further.
-#[inline]
+///
+/// Always inlined, so that the sweep's AVX2 instance sums its rows in
+/// AVX2 code too; the order is in the source, so any instance gives the
+/// same bits.
+#[inline(always)]
 pub fn line_sum<T: Real>(line: &[T]) -> f64 {
     let mut lanes = [0.0f64; LANES];
     let mut blocks = line.chunks_exact(LANES);

@@ -26,15 +26,18 @@
 //! The sweep is one pass with no per-read boundary path. Per output row
 //! it folds every tap's `(y+dj, z+dk)` through the y and z boundaries
 //! *once* — to an in-grid source row or a broadcast value — and then runs
-//! one blocked kernel
-//! along x: a block of 16 accumulators (4 on a run shorter than that)
-//! starts from the constant term, takes `acc += w·src` for every tap **in
-//! tap order**, and is stored. A run's remainder is one more whole block
-//! that overlaps the previous one, not a scalar tail, and the `extent_x`
-//! cells at each end of a row read through the same folded sources,
-//! resolving only x per tap. Every cell therefore sees the same operations
-//! in the same order whichever route computes it, which is what makes
-//! serial, parallel, row-split and region-tiled sweeps agree bitwise.
+//! one blocked kernel along x: a block of accumulators as wide as eight
+//! vector registers (16 `f64` / 32 `f32` at baseline x86-64, 32 / 64 in
+//! the AVX2 instance the sweep picks at run time; 16 and then 4 on
+//! shorter runs) starts from the constant term, takes `acc += w·src` for
+//! every tap **in tap order**, and is stored. No instance contracts a
+//! multiply and an add, so both give the same bits. A run's remainder is
+//! one more whole block that overlaps the previous one, not a scalar
+//! tail, and the `extent_x` cells at each end of a row read through the
+//! same folded sources, resolving only x per tap. Every cell therefore
+//! sees the same operations in the same order whichever route computes
+//! it, which is what makes serial, parallel, row-split and region-tiled
+//! sweeps agree bitwise.
 
 mod constant;
 mod exec;

@@ -111,6 +111,49 @@ pub fn sweep_region<T: Real, H: SweepHook<T>>(
     xs: Range<usize>,
     zs: Range<usize>,
 ) {
+    #[rustfmt::skip]
+    sweep_region_on(Isa::detect(), src, dst, stencil, bounds, constant, hook, mode, exec, rows, xs, zs);
+}
+
+/// Which compiled instance of the layer loop a sweep runs: both are
+/// [`Layers::sweep_layer`], at the block width of their register file.
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    /// The target's baseline; on x86-64, SSE2's sixteen 128-bit registers.
+    Baseline,
+    /// x86-64 with AVX2's 256-bit registers, found at run time.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instance this CPU runs. The only place an
+    /// [`Isa::Avx2`] is made.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+}
+
+/// [`sweep_region`] on the `isa` instance of the layer loop.
+#[allow(clippy::too_many_arguments)]
+fn sweep_region_on<T: Real, H: SweepHook<T>>(
+    isa: Isa,
+    src: &Grid3D<T>,
+    dst: &mut Grid3D<T>,
+    stencil: &Stencil3D<T>,
+    bounds: &BoundarySpec<T>,
+    constant: Option<&Grid3D<T>>,
+    hook: &H,
+    mode: ChecksumMode<'_, T>,
+    exec: Exec,
+    rows: Range<usize>,
+    xs: Range<usize>,
+    zs: Range<usize>,
+) {
     let (nx, ny, nz) = src.dims();
     let y_rows = rows.start..rows.end.max(rows.start);
     let xs = xs.start..xs.end.max(xs.start);
@@ -165,18 +208,22 @@ pub fn sweep_region<T: Real, H: SweepHook<T>>(
             col: col_layers.as_mut().and_then(Iterator::next),
         })
         .filter(|task| zs.contains(&task.z));
-    let run = |task, scratch: &mut Scratch<T>| {
-        sweep_layer(
-            src,
-            task,
-            stencil,
-            bounds,
-            constant,
-            hook,
-            y_rows.clone(),
-            xs.clone(),
-            scratch,
-        );
+    let layers = Layers {
+        src,
+        stencil,
+        bounds,
+        constant,
+        hook,
+        y_rows,
+        xs,
+    };
+    let run = |task, scratch: &mut Scratch<T>| match isa {
+        Isa::Baseline => layers.baseline(task, scratch),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::detect` alone makes `Isa::Avx2`, and only once
+        // `is_x86_feature_detected!("avx2")` has found that this CPU runs
+        // AVX2, the one feature the instance is compiled for.
+        Isa::Avx2 => unsafe { layers.avx2(task, scratch) },
     };
     match exec {
         Exec::Serial => {
@@ -199,7 +246,7 @@ struct LayerTask<'a, T> {
     col: Option<&'a mut [T]>,
 }
 
-/// Per-thread working storage of [`sweep_layer`], reused from row to row
+/// Per-thread working storage of [`Layers::sweep_layer`], reused from row to row
 /// and (in a serial sweep) from layer to layer.
 struct Scratch<T> {
     /// Every tap's `z + dk` folded through the z boundary for the current
@@ -306,8 +353,9 @@ fn fold_row<T: Real>(
     }
 }
 
-/// Outputs per step of the blocked kernel: 16 accumulators fill the
-/// vector registers of baseline x86-64 in `f64` and half of them in `f32`.
+/// Outputs per step of the blocked kernel on an x-interior run shorter
+/// than its instance's wide block ([`Layers::sweep_layer`]'s `WIDE`): 16
+/// accumulators, eight 128-bit registers in `f64`.
 const BLOCK: usize = 16;
 
 /// Outputs per step on an x-interior run shorter than [`BLOCK`].
@@ -390,88 +438,138 @@ impl<T: Real> FoldedRow<'_, T> {
     }
 }
 
-/// Sweep the `y_rows × xs` window of a single `z`-layer, writing every
-/// output cell once (bar the few an overlapped last block rewrites with
-/// the same bits, see [`FoldedRow::blocks`]).
-///
-/// Boundaries are resolved z per layer and y per face row, never per
-/// read: [`fold_layer`] folds each tap's `z + dk` once for the layer, and
-/// [`fold_row`] maps each tap to an in-grid source row or a broadcast
-/// value — on a row whose taps all land in range on y by shifting the
-/// layer's table, elsewhere by resolving `y + dj`. The one blocked kernel
-/// ([`FoldedRow::block`], instantiated [`BLOCK`] wide, [`NARROW`] wide
-/// for a run shorter than that and one wide below even that) runs over
-/// the whole x-interior run whether or not the row touches a y or z
-/// boundary. The ≤ `extent_x` cells at each x end read through the same
-/// folded sources and resolve only x per tap ([`FoldedRow::end_cell`]).
-/// The hook and the checksum sums (see [`ChecksumMode`]) then pass over
-/// the cache-hot row.
-#[allow(clippy::too_many_arguments)]
-fn sweep_layer<T: Real, H: SweepHook<T>>(
-    src: &Grid3D<T>,
-    task: LayerTask<'_, T>,
-    stencil: &Stencil3D<T>,
-    bounds: &BoundarySpec<T>,
-    constant: Option<&Grid3D<T>>,
-    hook: &H,
+/// Everything the layers of one sweep share: the arguments of
+/// [`sweep_region`] that [`Layers::sweep_layer`] reads.
+struct Layers<'a, T, H> {
+    src: &'a Grid3D<T>,
+    stencil: &'a Stencil3D<T>,
+    bounds: &'a BoundarySpec<T>,
+    constant: Option<&'a Grid3D<T>>,
+    hook: &'a H,
     y_rows: Range<usize>,
     xs: Range<usize>,
-    scratch: &mut Scratch<T>,
-) {
-    let (nx, ny, nz) = src.dims();
-    let LayerTask {
-        z,
-        dst_layer,
-        row,
-        mut col,
-    } = task;
-    // The x-interior run (every tap's x+di in range), clipped to the
-    // swept window; empty on narrow domains and edge-only windows.
-    let ex = stencil.extent_x();
-    let run_start = ex.clamp(xs.start, xs.end);
-    let run_end = (nx - ex).clamp(run_start, xs.end);
-    fold_layer(stencil, z, (nx, ny, nz), &bounds.z, scratch);
+}
 
-    scratch.row_acc.clear();
-    if row.is_some() {
-        scratch.row_acc.resize(nx, 0.0);
+impl<T: Real, H: SweepHook<T>> Layers<'_, T, H> {
+    /// The baseline instance: eight 128-bit registers of accumulators,
+    /// 16 `f64` or 32 `f32` outputs a block.
+    fn baseline(&self, task: LayerTask<'_, T>, scratch: &mut Scratch<T>) {
+        if T::BITS == 32 {
+            self.sweep_layer::<32>(task, scratch);
+        } else {
+            self.sweep_layer::<16>(task, scratch);
+        }
     }
 
-    for y in y_rows {
-        let out = &mut dst_layer[y * nx..(y + 1) * nx];
-        let line = (z * ny + y) * nx;
-        fold_row(stencil, (y, z), (nx, ny), &bounds.y, scratch);
-        let folded = FoldedRow {
-            s: src.as_slice(),
-            stencil,
-            sources: &scratch.sources,
-            constant_row: constant.map(|c| &c.as_slice()[line..line + nx]),
-        };
-        for x in (xs.start..run_start).chain(run_end..xs.end) {
-            out[x] = folded.end_cell(x, nx, &bounds.x);
+    /// The AVX2 instance: eight 256-bit registers of accumulators, 32
+    /// `f64` or 64 `f32` outputs a block. Everything the row loop runs
+    /// per cell is `#[inline(always)]`, so it compiles here with AVX2;
+    /// FMA is not enabled, and Rust never contracts a multiply and an add,
+    /// so each cell takes the baseline's operations and gets its bits.
+    ///
+    /// Calling it outside AVX2 code is `unsafe`: the CPU must run AVX2,
+    /// which [`Isa::detect`] checks before it returns [`Isa::Avx2`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2(&self, task: LayerTask<'_, T>, scratch: &mut Scratch<T>) {
+        if T::BITS == 32 {
+            self.sweep_layer::<64>(task, scratch);
+        } else {
+            self.sweep_layer::<32>(task, scratch);
         }
-        match run_end - run_start {
-            BLOCK.. => folded.blocks::<BLOCK>(out, run_start..run_end),
-            NARROW.. => folded.blocks::<NARROW>(out, run_start..run_end),
-            _ => folded.blocks::<1>(out, run_start..run_end),
+    }
+
+    /// Sweep the `y_rows × xs` window of a single `z`-layer, writing every
+    /// output cell once (bar the few an overlapped last block rewrites
+    /// with the same bits, see [`FoldedRow::blocks`]).
+    ///
+    /// Boundaries are resolved z per layer and y per face row, never per
+    /// read: [`fold_layer`] folds each tap's `z + dk` once for the layer,
+    /// and [`fold_row`] maps each tap to an in-grid source row or a
+    /// broadcast value — on a row whose taps all land in range on y by
+    /// shifting the layer's table, elsewhere by resolving `y + dj`. The
+    /// one blocked kernel ([`FoldedRow::block`], instantiated `WIDE`
+    /// wide, [`BLOCK`] and then [`NARROW`] wide for a run shorter than
+    /// that, and one wide below even that) runs over the whole x-interior
+    /// run whether or not the row touches a y or z boundary. The ≤
+    /// `extent_x` cells at each x end read through the same folded
+    /// sources and resolve only x per tap ([`FoldedRow::end_cell`]). The
+    /// hook and the checksum sums (see [`ChecksumMode`]) then pass over
+    /// the cache-hot row.
+    ///
+    /// On a cache-resident grid, latency rather than memory bounds the
+    /// kernel: each output is a chain of dependent adds in tap order, so
+    /// the block is as wide as eight vector registers of the instance
+    /// ([`Layers::baseline`], [`Layers::avx2`]) to keep that many chains
+    /// in flight.
+    #[inline(always)]
+    fn sweep_layer<const WIDE: usize>(&self, task: LayerTask<'_, T>, scratch: &mut Scratch<T>) {
+        let Layers {
+            src,
+            stencil,
+            bounds,
+            constant,
+            hook,
+            ..
+        } = *self;
+        let (nx, ny, nz) = src.dims();
+        let LayerTask {
+            z,
+            dst_layer,
+            row,
+            mut col,
+        } = task;
+        let xs = self.xs.clone();
+        // The x-interior run (every tap's x+di in range), clipped to the
+        // swept window; empty on narrow domains and edge-only windows.
+        let ex = stencil.extent_x();
+        let run_start = ex.clamp(xs.start, xs.end);
+        let run_end = (nx - ex).clamp(run_start, xs.end);
+        fold_layer(stencil, z, (nx, ny, nz), &bounds.z, scratch);
+
+        scratch.row_acc.clear();
+        if row.is_some() {
+            scratch.row_acc.resize(nx, 0.0);
         }
 
-        if H::ACTIVE {
-            for x in xs.clone() {
-                out[x] = hook.transform(x, y, z, out[x]);
+        for y in self.y_rows.clone() {
+            let out = &mut dst_layer[y * nx..(y + 1) * nx];
+            let line = (z * ny + y) * nx;
+            fold_row(stencil, (y, z), (nx, ny), &bounds.y, scratch);
+            let folded = FoldedRow {
+                s: src.as_slice(),
+                stencil,
+                sources: &scratch.sources,
+                constant_row: constant.map(|c| &c.as_slice()[line..line + nx]),
+            };
+            for x in (xs.start..run_start).chain(run_end..xs.end) {
+                out[x] = folded.end_cell(x, nx, &bounds.x);
+            }
+            let run = run_start..run_end;
+            match run.len() {
+                n if n >= WIDE => folded.blocks::<WIDE>(out, run),
+                BLOCK.. => folded.blocks::<BLOCK>(out, run),
+                NARROW.. => folded.blocks::<NARROW>(out, run),
+                _ => folded.blocks::<1>(out, run),
+            }
+
+            if H::ACTIVE {
+                for x in xs.clone() {
+                    out[x] = hook.transform(x, y, z, out[x]);
+                }
+            }
+            // Checksum modes require a full x-line, enforced up front.
+            if let Some(c) = col.as_deref_mut() {
+                c[y] = T::from_f64(line_sum(out));
+            }
+            for (a, &v) in scratch.row_acc.iter_mut().zip(out.iter()) {
+                *a += v.to_f64();
             }
         }
-        // Checksum modes require a full x-line, enforced up front.
-        if let Some(c) = col.as_deref_mut() {
-            c[y] = T::from_f64(line_sum(out));
-        }
-        for (a, &v) in scratch.row_acc.iter_mut().zip(out.iter()) {
-            *a += v.to_f64();
-        }
-    }
-    if let Some(r) = row {
-        for (o, &a) in r.iter_mut().zip(&scratch.row_acc) {
-            *o = T::from_f64(a);
+        if let Some(r) = row {
+            for (o, &a) in r.iter_mut().zip(&scratch.row_acc) {
+                *o = T::from_f64(a);
+            }
         }
     }
 }
@@ -560,12 +658,19 @@ mod tests {
     }
 
     /// Every boundary kind on every axis, with and without a constant
-    /// term, serial and parallel, as one sweep and as a tiling of partial
-    /// windows — against resolved reads at every cell, bitwise. At the
-    /// kernel's reach of 2 the widths give x-interior runs that are empty
-    /// (4), below the narrow block (7), exactly one (8), narrow blocks
-    /// only (9), narrow blocks and an overlapped one (19), whole blocks
-    /// (20, 36) and whole blocks and an overlapped one (21, 25, 37).
+    /// term, serial and parallel, on the baseline instance of the layer
+    /// loop and on the one this CPU dispatches to, as one sweep with fused
+    /// column checksums and as a tiling of partial windows — against
+    /// resolved reads at every cell and `line_sum` of every resolved row,
+    /// and the two instances against each other, bitwise. At the kernel's
+    /// reach of 2 the widths give x-interior runs that are empty (4),
+    /// below the narrow block (7), exactly one (8), narrow blocks only
+    /// (9), narrow blocks and an overlapped one (19), 16-wide blocks (20,
+    /// 36) and 16-wide blocks and an overlapped one (21, 25, 37), and on
+    /// the AVX2 instance one 64-wide `f32` block (68), one and an
+    /// overlapped one (69), two (132) and two and an overlapped one (133)
+    /// — whole 32-wide `f64` blocks at 36, 68 and 132, and an overlapped
+    /// one after them at 37, 69 and 133.
     fn boundary_matrix<T: Real>() {
         let w = |v: f64| T::from_f64(v);
         // Reach 2 in x and y, 1 in z; weights that round in either type.
@@ -593,9 +698,10 @@ mod tests {
             specs.push(BoundarySpec { z: kind, ..clamp });
         }
         let untouched = w(-7777.0);
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
         // (6, 3) has two y-interior rows in one z-interior layer; (11, 6)
         // has seven in four, so most rows shift their layer's template.
-        let shapes = [4, 7, 8, 9, 19, 20, 21, 25, 36, 37]
+        let shapes = [4, 7, 8, 9, 19, 20, 21, 25, 36, 37, 68, 69, 132, 133]
             .into_iter()
             .flat_map(|nx| [(nx, 6, 3), (nx, 11, 6)]);
         for (nx, ny, nz) in shapes {
@@ -606,9 +712,9 @@ mod tests {
                 Grid3D::from_fn(nx, ny, nz, |x, y, z| w((x + 2 * y + 3 * z) as f64 * 0.11));
             // Windows that isolate each x end (cells whose folded x lands
             // far away), split y and z, and cut the run — the last one so
-            // that on the widest grid its 15 cells end in a block that,
-            // laid out from the row's run instead of the window's, would
-            // start left of the window.
+            // that on every grid 20 or wider its 15 cells end in a block
+            // that, laid out from the row's run instead of the window's,
+            // would start left of the window.
             let cut = nx.saturating_sub(17).max(3);
             let tiles = [
                 (0..4, 0..1, 0..nz),
@@ -622,49 +728,68 @@ mod tests {
             for bounds in &specs {
                 for constant in [None, Some(&constant)] {
                     let expect = reference_sweep(&src, &stencil, bounds, constant);
+                    let mut expect_col = vec![T::ZERO; nz * ny];
+                    for (z, c) in expect_col.chunks_exact_mut(ny).enumerate() {
+                        expect.layer(z).col_checksums_into(c);
+                    }
                     for exec in [Exec::Serial, Exec::Parallel] {
-                        let ctx = format!("{:?}, {bounds:?}, {exec:?}", (nx, ny, nz));
-                        let mut whole = Grid3D::zeros(nx, ny, nz);
-                        let mut tiled = Grid3D::zeros(nx, ny, nz);
-                        sweep(
-                            &src,
-                            &mut whole,
-                            &stencil,
-                            bounds,
-                            constant,
-                            &NoHook,
-                            ChecksumMode::None,
-                            exec,
-                        );
-                        assert_eq!(whole, expect, "whole sweep, {ctx}");
-                        for (rows, xs, zs) in tiles.clone() {
-                            // A window writes its own cells and no others.
-                            let mut alone = Grid3D::filled(nx, ny, nz, untouched);
-                            for dst in [&mut tiled, &mut alone] {
-                                sweep_region(
-                                    &src,
-                                    dst,
-                                    &stencil,
-                                    bounds,
-                                    constant,
-                                    &NoHook,
-                                    ChecksumMode::None,
-                                    exec,
-                                    rows.clone(),
-                                    xs.clone(),
-                                    zs.clone(),
-                                );
-                            }
-                            let window = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
-                                if rows.contains(&y) && xs.contains(&x) && zs.contains(&z) {
-                                    expect.at(x, y, z)
-                                } else {
-                                    untouched
+                        let mut first = None;
+                        for isa in [Isa::Baseline, Isa::detect()] {
+                            let ctx = format!("{:?}, {bounds:?}, {exec:?}, {isa:?}", (nx, ny, nz));
+                            let mut whole = Grid3D::zeros(nx, ny, nz);
+                            let mut col = vec![T::ZERO; nz * ny];
+                            let mut tiled = Grid3D::zeros(nx, ny, nz);
+                            sweep_region_on(
+                                isa,
+                                &src,
+                                &mut whole,
+                                &stencil,
+                                bounds,
+                                constant,
+                                &NoHook,
+                                ChecksumMode::Col { col: &mut col },
+                                exec,
+                                0..ny,
+                                0..nx,
+                                0..nz,
+                            );
+                            assert_eq!(whole, expect, "whole sweep, {ctx}");
+                            assert_eq!(bits(&col), bits(&expect_col), "fused col, {ctx}");
+                            let (grid, col) = (bits(whole.as_slice()), bits(&col));
+                            let (base_grid, base_col) =
+                                first.get_or_insert((grid.clone(), col.clone()));
+                            assert_eq!(grid, *base_grid, "whole sweep against the baseline, {ctx}");
+                            assert_eq!(col, *base_col, "fused col against the baseline, {ctx}");
+                            for (rows, xs, zs) in tiles.clone() {
+                                // A window writes its own cells and no others.
+                                let mut alone = Grid3D::filled(nx, ny, nz, untouched);
+                                for dst in [&mut tiled, &mut alone] {
+                                    sweep_region_on(
+                                        isa,
+                                        &src,
+                                        dst,
+                                        &stencil,
+                                        bounds,
+                                        constant,
+                                        &NoHook,
+                                        ChecksumMode::None,
+                                        exec,
+                                        rows.clone(),
+                                        xs.clone(),
+                                        zs.clone(),
+                                    );
                                 }
-                            });
-                            assert_eq!(alone, window, "window {rows:?}×{xs:?}×{zs:?}, {ctx}");
+                                let window = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+                                    if rows.contains(&y) && xs.contains(&x) && zs.contains(&z) {
+                                        expect.at(x, y, z)
+                                    } else {
+                                        untouched
+                                    }
+                                });
+                                assert_eq!(alone, window, "window {rows:?}×{xs:?}×{zs:?}, {ctx}");
+                            }
+                            assert_eq!(tiled, expect, "tiled sweep, {ctx}");
                         }
-                        assert_eq!(tiled, expect, "tiled sweep, {ctx}");
                     }
                 }
             }
