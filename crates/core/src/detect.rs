@@ -137,7 +137,10 @@ pub fn classify_layer<T: Real>(
 /// `DeltaMatch` policy): a single corrupted point shifts its row and its
 /// column checksum by the *same* delta, so sorting both sides by delta
 /// aligns genuine pairs. Pairs whose deltas disagree by more than
-/// `tolerance` (relative) are dropped as unmatchable.
+/// `tolerance` (relative) are dropped as unmatchable. A NaN delta (from a
+/// NaN entry, or infinite ones on both sides, which [`compare_vectors`]
+/// flags) sorts after every number whatever its sign bit, and matches
+/// nothing.
 pub fn pair_by_delta<T: Real>(
     rows: &[Mismatch<T>],
     cols: &[Mismatch<T>],
@@ -145,9 +148,12 @@ pub fn pair_by_delta<T: Real>(
 ) -> Vec<(Mismatch<T>, Mismatch<T>)> {
     let mut rs: Vec<Mismatch<T>> = rows.to_vec();
     let mut cs: Vec<Mismatch<T>> = cols.to_vec();
-    let key = |m: &Mismatch<T>| m.delta().to_f64();
-    rs.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
-    cs.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
+    let order = |a: &Mismatch<T>, b: &Mismatch<T>| {
+        let (a, b) = (a.delta().to_f64(), b.delta().to_f64());
+        (a.is_nan().cmp(&b.is_nan())).then(a.total_cmp(&b))
+    };
+    rs.sort_by(order);
+    cs.sort_by(order);
     rs.iter()
         .zip(cs.iter())
         .filter(|(r, c)| {
@@ -345,5 +351,20 @@ mod tests {
         let rows = vec![mm(1, 5.0, 0.0)];
         let cols = vec![mm(2, -50.0, 0.0)];
         assert!(pair_by_delta(&rows, &cols, 0.01).is_empty());
+    }
+
+    /// `compare_vectors` flags NaN and infinite entries, so a layer can
+    /// hand `DeltaMatch` a NaN delta: the finite pair is kept and the NaN
+    /// one dropped as unmatchable (the layer is then uncorrectable),
+    /// whatever the NaNs' sign bits.
+    #[test]
+    fn delta_match_keeps_the_finite_pair_beside_a_nan_delta() {
+        for (row_nan, col_nan) in [(f64::NAN, f64::NAN), (-f64::NAN, f64::NAN)] {
+            let rows = vec![mm(1, row_nan, 0.0), mm(4, 2.0, 0.0)];
+            let cols = vec![mm(2, 2.0, 0.0), mm(9, col_nan, 0.0)];
+            let pairs = pair_by_delta(&rows, &cols, 0.01);
+            let locs: Vec<(usize, usize)> = pairs.iter().map(|(r, c)| (r.index, c.index)).collect();
+            assert_eq!(locs, [(4, 2)], "row NaN {:#x}", row_nan.to_bits());
+        }
     }
 }

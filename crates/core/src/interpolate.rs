@@ -31,24 +31,25 @@
 //! not merely close; floating point leaves `O(n·eps)` rounding noise,
 //! absorbed by the detection threshold ε.
 //!
-//! The column interpolation runs like the sweep runs Eq. 1: the source
-//! lines `b(t)[y+j]` — phantom ones included, and with `β` added on one
-//! plane per distinct `i` — are laid out in a frame `2·extent` wider than
-//! the vector on the y and z axes, and then each tap adds `w · frame[…]`
-//! to a contiguous run of outputs (taps outer, outputs inner). What the
-//! frame's lines are depends on geometry alone, so it is resolved once
-//! per box into a [`ColPlan`] — a serving pool builds one per protected
-//! box of a topology and kernel shape and shares it across jobs — and a
-//! call only copies, sums and accumulates. Each output still sees its
-//! constant term and then the taps in tap order, so the frame changes no
-//! bit of the result; the oracle is
+//! The column interpolation *is* a sweep on the sweep's own kernel: the
+//! source lines `b(t)[y+j]` — phantom ones included, and with `β` added on
+//! one plane per distinct `i` — fill a [`Frame`] `2·extent` wider than the
+//! vector on the y and z axes, and [`abft_stencil::sweep_region`] sweeps
+//! the box's window of it. What the frame's lines are depends on geometry
+//! alone, so it is resolved once per box into a [`ColPlan`] — a serving
+//! pool shares one per protected box of a topology and kernel shape — and
+//! a call only copies, sums and sweeps. Each output starts from its
+//! constant term and takes the taps in tap order, as every swept cell
+//! does, so the frame changes no bit of the result; the oracle is
 //! `tests::shared_corrections_equal_per_tap_evaluation_bitwise`, a
 //! per-output, per-tap loop drawn over every boundary kind.
 
 use crate::phantom::StripSet;
 use abft_grid::{copy_box, AxisHit, Boundary, BoundarySpec, Grid3D, NoGhosts};
 use abft_num::{line_sum, Real};
-use abft_stencil::{InteriorWindow, LineSums, Stencil3D, StencilSim};
+use abft_stencil::{
+    sweep_region, ChecksumMode, Exec, InteriorWindow, LineSums, NoHook, Stencil3D, StencilSim,
+};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -306,12 +307,19 @@ pub struct Interpolator<T> {
     plan: Arc<ColPlan<T>>,
     fast_x: bool,
     fast_y: bool,
-    /// Per tap, its weight widened and the frame position it reads for
-    /// layer 0: on plane 0 for the plain source lines, or — off the x fast
-    /// path, for a non-zero `di` — on that `di`'s β plane. And how many
-    /// planes a call fills.
-    taps: Vec<(f64, usize)>,
+    /// Eq. 5 over the [`Frame`], in tap order: weights widened, offsets
+    /// `(dj, dk, plane − last plane)`, where a tap's plane is 0, or its β
+    /// plane off the x fast path. And how many source planes a call fills.
+    sweep: Stencil3D<f64>,
     planes: usize,
+}
+
+/// What [`Interpolator::interpolate_col_with`] sweeps: Eq. 5's source
+/// lines (x a layer's `y`, y its `z`, z the plane) and the swept grid.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame {
+    lines: Grid3D<f64>,
+    swept: Grid3D<f64>,
 }
 
 impl<T: Real> Interpolator<T> {
@@ -387,16 +395,18 @@ impl<T: Real> Interpolator<T> {
             stencil.extent_x() == 0 || n[0] == grid[0] && !needs_strips_x(stencil, &plan.bounds[0]);
         let fast_y =
             stencil.extent_y() == 0 || n[1] == grid[1] && !needs_strips_y(stencil, &plan.bounds[1]);
+        let planes = if fast_x { 1 } else { 1 + plan.betas.len() };
+        let top = (planes + usize::from(constant_sums.is_some()) - 1) as isize;
         let taps = stencil.taps().iter().map(|t| {
             let plane = match fast_x || t.di == 0 {
                 true => 0,
                 false => 1 + plan.betas.iter().position(|b| b.di == t.di).expect("β(di)"),
             };
-            (t.w.to_f64(), plane * plan.area() + plan.at(t.dj, t.dk))
+            (t.dj, t.dk, plane as isize - top, t.w.to_f64())
         });
         Self {
-            taps: taps.collect(),
-            planes: if fast_x { 1 } else { 1 + plan.betas.len() },
+            sweep: Stencil3D::from_tuples(&taps.collect::<Vec<_>>()),
+            planes,
             stencil: stencil.clone(),
             constant_sums,
             plan,
@@ -432,10 +442,15 @@ impl<T: Real> Interpolator<T> {
         (nx, ny, nz)
     }
 
-    /// The length of the frame [`Interpolator::interpolate_col_with`]
-    /// works in: its planes, and the accumulator.
-    pub fn frame_len(&self) -> usize {
-        self.planes * self.plan.area() + self.plan.n[1]
+    /// A [`Frame`] for this box: its source planes, then `c_y`'s if any.
+    pub(crate) fn frame(&self) -> Frame {
+        let ([_, ny, nz], [_, ey, ez]) = (self.plan.n, self.plan.extent);
+        let planes = self.planes + usize::from(self.constant_sums.is_some());
+        let lines = Grid3D::zeros(ny + 2 * ey, nz + 2 * ez, planes);
+        Frame {
+            swept: lines.clone(),
+            lines,
+        }
     }
 
     /// Interpolate the column checksums of iteration `t+1` from those of
@@ -445,8 +460,7 @@ impl<T: Real> Interpolator<T> {
     /// domain data in grid coordinates (may be [`StripSet::None`] iff
     /// [`Interpolator::col_strip_width`] is 0 and no read leaves the box;
     /// a read that does needs [`StripSet::Grid`]). The [`NoGhosts`]
-    /// argument carries nothing. The call works in a frame of its own;
-    /// [`Interpolator::interpolate_col_with`] lends it one.
+    /// argument carries nothing. The call works in a frame of its own.
     pub fn interpolate_col(
         &self,
         col_t: &[T],
@@ -454,47 +468,45 @@ impl<T: Real> Interpolator<T> {
         _: &NoGhosts,
         out: &mut [T],
     ) {
-        self.interpolate_col_with(col_t, source, &mut Vec::new(), out);
+        self.interpolate_col_with(col_t, source, &mut self.frame(), out);
     }
 
-    /// [`Interpolator::interpolate_col`] in the caller's `frame`, which it
-    /// grows once to the size this box needs and then only overwrites.
+    /// [`Interpolator::interpolate_col`] in the caller's `frame`, which
+    /// this box's [`Interpolator::frame`] made; it only overwrites it.
     ///
-    /// Evaluated the way the sweep evaluates Eq. 1, from the box's
-    /// [`ColPlan`]. First the frame's plane 0 gets the box's lines from
-    /// `col_t` and every line past it some tap reaches, as the plan says
-    /// what each is (a grid line is summed once however many taps read
-    /// it). Off the fast path, each β plane then holds `line + β(di)` on
-    /// the lines a tap with that `di` reaches, each β summed once from the
-    /// plan's x-end reads through `source`. Then, per layer, the taps run
-    /// outer and the outputs inner: `acc[y] += w · s[y + dj]` over a
-    /// contiguous run of the tap's plane and layer `z + dk`. Every entry
-    /// still starts from `c_y` and takes `+= w·s` in tap order, with `s`
-    /// widened and corrected exactly as one tap at a time would, so the
-    /// result is bitwise the per-output evaluation's.
-    pub fn interpolate_col_with(
+    /// Theorem 1 on the sweep's kernel, from the box's [`ColPlan`]. Plane 0
+    /// of the frame gets the box's lines from `col_t` and every line past
+    /// it some tap reaches (a grid line summed once however many taps read
+    /// it); off the fast path each β plane holds `line + β(di)` on the
+    /// lines a tap with that `di` reaches, β summed once from the plan's
+    /// x-end reads through `source`; the last plane holds `c_y`. Then one
+    /// [`sweep_region`] with the frame as its constant computes each entry
+    /// as a cell, `c_y` (or `+0.0`) and `+= w·s` in tap order, resolving
+    /// nothing (no read leaves the frame): bitwise the per-tap evaluation's.
+    pub(crate) fn interpolate_col_with(
         &self,
         col_t: &[T],
         source: &StripSet<'_, T>,
-        frame: &mut Vec<f64>,
+        frame: &mut Frame,
         out: &mut [T],
     ) {
         let p = &*self.plan;
-        let [nx, ny, _] = p.n;
-        assert_eq!(col_t.len(), p.n[2] * ny, "col_t length");
-        assert_eq!(out.len(), p.n[2] * ny, "out length");
-        let (area, frame_ny) = (p.area(), ny + 2 * p.extent[1]);
-        if frame.len() < self.frame_len() {
-            frame.resize(self.frame_len(), 0.0);
-        }
-        let (frame, acc) = frame.split_at_mut(self.planes * area);
-        let acc = &mut acc[..ny];
+        let ([nx, ny, nz], [_, ey, ez]) = (p.n, p.extent);
+        assert_eq!(col_t.len(), nz * ny, "col_t length");
+        assert_eq!(out.len(), nz * ny, "out length");
+        let Frame { lines, swept } = frame;
+        let (area, top) = (p.area(), lines.nz() - 1);
+        assert_eq!(lines.len(), (top + 1) * area, "a frame of another box");
+        let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
+        let frame = lines.as_mut_slice();
 
-        // Plane 0: the box's lines, then those past it.
-        for (z, layer) in col_t.chunks_exact(ny).enumerate() {
-            let to = p.at(0, z as isize);
-            for (s, &c) in frame[to..to + ny].iter_mut().zip(layer) {
-                *s = c.to_f64();
+        // Plane 0: the box's lines, then those past it; `c_y` on the last.
+        for (plane, vector) in [(0, col_t), (top, cb.unwrap_or_default())] {
+            for (z, layer) in vector.chunks_exact(ny).enumerate() {
+                let to = plane * area + p.at(0, z as isize);
+                for (s, &c) in frame[to..to + ny].iter_mut().zip(layer) {
+                    *s = c.to_f64();
+                }
             }
         }
         for &(i, c) in &p.cols {
@@ -511,13 +523,12 @@ impl<T: Real> Interpolator<T> {
         }
         // The β planes: `line + β(di)`, the x-end reads taken in order.
         let (plane0, betas) = frame.split_at_mut(area);
-        let (ey, ez) = (p.extent[1] as isize, p.extent[2] as isize);
         let planned = &p.betas[..self.planes - 1];
         for (beta, plane) in planned.iter().zip(betas.chunks_exact_mut(area)) {
             for (zq, yqs) in &beta.runs {
-                let z = p.zs[(zq + ez) as usize];
+                let z = p.zs[(zq + ez as isize) as usize];
                 for yq in yqs.clone() {
-                    let line = joined(p.ys[(yq + ey) as usize], z);
+                    let line = joined(p.ys[(yq + ey as isize) as usize], z);
                     let point = |end| match (end, line) {
                         (AxisHit::Value(v), _) | (AxisHit::In(_), Err(v)) => v,
                         (AxisHit::In(x), Ok([y, z])) => source.near_x(x, y, z, p.grid[0]),
@@ -531,27 +542,16 @@ impl<T: Real> Interpolator<T> {
             }
         }
 
-        // Taps outer, outputs inner. f64 accumulation mirrors the fused
-        // checksum computation (see `abft_core::checksum`): keeps the
-        // comparison margin at ~1 ulp of T instead of O(k) ulps.
-        let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
+        // The taps, over the box's window of the last plane. f64 mirrors
+        // the fused checksum computation (see `abft_core::checksum`):
+        // keeps the comparison margin at ~1 ulp of T instead of O(k) ulps.
+        #[rustfmt::skip]
+        sweep_region(lines, swept, &self.sweep, &BoundarySpec::clamp(), cb.map(|_| &*lines), &NoHook,
+            ChecksumMode::None, Exec::Serial, ez..ez + nz, ey..ey + ny, top..top + 1);
         for (z, out_layer) in out.chunks_exact_mut(ny).enumerate() {
-            match cb {
-                Some(c) => {
-                    for (a, &c) in acc.iter_mut().zip(&c[z * ny..(z + 1) * ny]) {
-                        *a = c.to_f64();
-                    }
-                }
-                None => acc.fill(0.0),
-            }
-            for &(w, first) in &self.taps {
-                let from = first + z * frame_ny;
-                for (a, &s) in acc.iter_mut().zip(&frame[from..from + ny]) {
-                    *a += w * s;
-                }
-            }
-            for (o, &a) in out_layer.iter_mut().zip(acc.iter()) {
-                *o = T::from_f64(a);
+            let from = top * area + p.at(0, z as isize);
+            for (o, &s) in out_layer.iter_mut().zip(&swept.as_slice()[from..]) {
+                *o = T::from_f64(s);
             }
         }
     }
@@ -1014,14 +1014,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases_env(64))]
 
         /// `interpolate_col` fills each source line, and each line's β
-        /// per distinct `di`, once into a frame and runs taps outer; the
-        /// per-output, per-tap evaluation must give the same bits — over
-        /// every boundary kind per axis, boxes that span their grid or
-        /// are cut with a pad on one or both sides per axis, `f32` and
-        /// `f64`, with and without a constant field, and boxes as short as
-        /// the stencil's reach plus one, where the frame is wider than
-        /// the box. Theorem 1 must hold too: the result is the box's
-        /// checksums after one sweep of the grid, to within rounding.
+        /// per distinct `di`, once into a frame and sweeps it with the
+        /// sweep's own kernel; the per-output, per-tap evaluation must
+        /// give the same bits — over every boundary kind per axis, boxes
+        /// that span their grid or are cut with a pad on one or both sides
+        /// per axis, `f32` and `f64`, with and without a constant field,
+        /// and boxes as short as the stencil's reach plus one, where the
+        /// frame is wider than the box. Box widths in y of 12–41 run the
+        /// sweep's 16- and 32-wide `f64` blocks, whole and overlapped, as
+        /// well as its 4- and 1-wide ones. Theorem 1 must hold too: the
+        /// result is the box's checksums after one sweep of the grid, to
+        /// within rounding.
         #[test]
         fn shared_corrections_equal_per_tap_evaluation_bitwise(
             taps in proptest::collection::vec(
@@ -1031,7 +1034,7 @@ mod tests {
             mirror_x in any::<bool>(),
             bounds in (0usize..5, 0usize..5, 0usize..5),
             cuts in (0usize..4, 0usize..4, 0usize..4),
-            dims in (1usize..8, 1usize..6, 1usize..4),
+            dims in (1usize..8, prop_oneof![1usize..6, 12usize..40], 1usize..4),
             with_constant in any::<bool>(),
         ) {
             // Mirroring every tap in x makes the stencil x-symmetric, so a

@@ -4,11 +4,11 @@
 use crate::checksum::compute_col_into;
 use crate::config::AbftConfig;
 use crate::detect::compare_vectors;
-use crate::interpolate::Interpolator;
+use crate::interpolate::{Frame, Interpolator};
 use crate::phantom::{capture_all_layers, StripSet};
 use crate::report::ProtectorStats;
 use abft_checkpoint::CheckpointStore;
-use abft_grid::{BoundaryStrips, NoGhosts};
+use abft_grid::BoundaryStrips;
 use abft_num::Real;
 use abft_stencil::{NoHook, StencilSim, SweepHook};
 
@@ -61,6 +61,8 @@ pub struct OfflineAbft<T> {
     // Rollforward scratch.
     col_roll: Vec<T>,
     col_roll2: Vec<T>,
+    /// The interpolation's frame, sized once.
+    frame: Frame,
     /// Per-iteration boundary strips since the checkpoint (empty on the
     /// zero-correction fast path).
     strips_history: Vec<Vec<BoundaryStrips<T>>>,
@@ -76,6 +78,7 @@ impl<T: Real> OfflineAbft<T> {
     pub fn new(sim: &StencilSim<T>, cfg: AbftConfig<T>) -> Self {
         let (_, ny, nz) = sim.dims();
         let interp = Interpolator::for_box(sim, &sim.whole());
+        let frame = interp.frame();
         let mut col_ref = vec![T::ZERO; nz * ny];
         compute_col_into(sim.current(), &mut col_ref);
         let mut store = CheckpointStore::new();
@@ -88,6 +91,7 @@ impl<T: Real> OfflineAbft<T> {
             col_comp: vec![T::ZERO; nz * ny],
             col_roll: vec![T::ZERO; nz * ny],
             col_roll2: vec![T::ZERO; nz * ny],
+            frame,
             col_ref,
             strips_history: Vec::new(),
             store,
@@ -223,8 +227,9 @@ impl<T: Real> OfflineAbft<T> {
             } else {
                 StripSet::None
             };
+            let frame = &mut self.frame;
             self.interp
-                .interpolate_col(&self.col_roll, &source, &NoGhosts, &mut self.col_roll2);
+                .interpolate_col_with(&self.col_roll, &source, frame, &mut self.col_roll2);
             std::mem::swap(&mut self.col_roll, &mut self.col_roll2);
         }
         let eps = self.effective_epsilon();

@@ -21,7 +21,7 @@ use crate::correct::{correct_layer, CorrectionEvent};
 use crate::detect::{
     any_deviating, classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis,
 };
-use crate::interpolate::{ColPlan, Interpolator};
+use crate::interpolate::{ColPlan, Frame, Interpolator};
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
 use abft_grid::Grid3D;
@@ -101,9 +101,9 @@ pub struct OnlineAbft<T> {
     col_w: Vec<T>,
     col_comp: Vec<T>,
     col_interp: Vec<T>,
-    /// The interpolation's frame ([`Interpolator::interpolate_col_with`]),
-    /// sized for the largest box.
-    frame: Vec<f64>,
+    /// Per box, the frame Theorem 1 runs on with the sweep's own kernel
+    /// ([`Interpolator::interpolate_col_with`]), sized once.
+    frames: Vec<Frame>,
     /// The whole grid's column vector a fused sweep writes, when the boxes
     /// span the grid's x-lines but are not the grid (empty otherwise); the
     /// verified box's block is copied into `col_comp`.
@@ -184,8 +184,7 @@ impl<T: Real> OnlineAbft<T> {
         let fused_in_grid = brick.x == grid.x && windows != [grid.clone()];
         let grid_lines = usize::from(fused_in_grid) * lines(&grid);
         let widened = usize::from(windows.len() > 1) * lines(largest);
-        let frame_len = boxes.iter().map(|(_, i)| i.frame_len()).max();
-        let frame_len = frame_len.expect("a box");
+        let frames = boxes.iter().map(|(_, i)| i.frame()).collect();
         Self {
             cfg,
             boxes,
@@ -194,7 +193,7 @@ impl<T: Real> OnlineAbft<T> {
             col_w: vec![T::ZERO; widened],
             col_comp: vec![T::ZERO; lines(largest)],
             col_interp: vec![T::ZERO; lines(largest)],
-            frame: vec![0.0; frame_len],
+            frames,
             col_grid: vec![T::ZERO; grid_lines],
             row_t: vec![T::ZERO; rows(largest)],
             row_comp: vec![T::ZERO; rows(largest)],
@@ -396,7 +395,7 @@ impl<T: Real> OnlineAbft<T> {
         } else {
             &self.col_w[..nz * ny]
         };
-        interp.interpolate_col_with(col_t, &source, &mut self.frame, col_interp);
+        interp.interpolate_col_with(col_t, &source, &mut self.frames[b], col_interp);
 
         // 3. Detect (Theorem 2): compare per layer, once some entry of the
         //    whole vector deviates.
