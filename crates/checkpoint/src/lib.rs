@@ -1,11 +1,16 @@
 //! In-memory checkpointing with rollback — the recovery substrate of the
 //! offline ABFT scheme (paper §4.2: "we conduct experiments using the
-//! standard checkpoint and recovery method").
+//! standard checkpoint and recovery method") and of a distributed rank's
+//! recovery from a lost peer.
 //!
 //! The paper checkpoints "the current state of the grid and of the
-//! checksums" every Δ iterations as "a lightweight memory copy" (§5.4).
-//! [`CheckpointStore`] holds exactly that: one snapshot of the domain, an
-//! auxiliary float payload (the checksum vectors) and the iteration number.
+//! checksums" every Δ iterations as "a lightweight memory copy" (§5.4)
+//! that each process takes of its own state. [`EpochRing`] holds exactly
+//! that for one writer: its last few snapshots, each a domain grid, an
+//! auxiliary float payload (the checksum vectors) and the iteration
+//! number. The offline protector keeps a one-deep ring; each distributed
+//! rank keeps its own ring, deep enough that every rank of a job still
+//! shares an epoch with the others.
 
 use std::collections::VecDeque;
 
@@ -68,91 +73,13 @@ pub struct CheckpointStats {
     pub restores: usize,
 }
 
-/// Single-slot in-memory checkpoint store.
-///
-/// The offline scheme only ever needs the *last verified* state: verifying
-/// at `t0 + Δ` either commits a new snapshot or rolls back to `t0`, so a
-/// one-deep store is sufficient and keeps the memory overhead at one domain
-/// copy (plus checksums).
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointStore<T> {
-    slot: Option<Snapshot<T>>,
-    stats: CheckpointStats,
-}
-
-impl<T: Real> CheckpointStore<T> {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self {
-            slot: None,
-            stats: CheckpointStats::default(),
-        }
-    }
-
-    /// Save a snapshot, replacing any previous one. The grid is cloned;
-    /// when a previous snapshot with matching dimensions exists its
-    /// allocation is reused.
-    pub fn store(&mut self, grid: &Grid3D<T>, aux: &[T], iteration: usize) {
-        self.stats.stores += 1;
-        match &mut self.slot {
-            Some(s) if s.grid.dims() == grid.dims() && s.aux.len() == aux.len() => {
-                s.grid.copy_from(grid);
-                s.aux.copy_from_slice(aux);
-                s.iteration = iteration;
-            }
-            slot => {
-                *slot = Some(Snapshot {
-                    grid: grid.clone(),
-                    aux: aux.to_vec(),
-                    iteration,
-                });
-            }
-        }
-    }
-
-    /// Borrow the stored snapshot, if any.
-    pub fn peek(&self) -> Option<&Snapshot<T>> {
-        self.slot.as_ref()
-    }
-
-    /// Serve a rollback: borrow the snapshot and count the restore.
-    ///
-    /// # Panics
-    /// Panics if no snapshot was ever stored (the protectors always store
-    /// the initial state first).
-    pub fn restore(&mut self) -> &Snapshot<T> {
-        self.stats.restores += 1;
-        self.slot
-            .as_ref()
-            .expect("rollback requested but no checkpoint stored")
-    }
-
-    /// True when a snapshot is available.
-    pub fn has_snapshot(&self) -> bool {
-        self.slot.is_some()
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> CheckpointStats {
-        self.stats
-    }
-
-    /// Approximate heap footprint of the stored snapshot in bytes.
-    pub fn bytes(&self) -> usize {
-        self.slot
-            .as_ref()
-            .map(|s| s.grid.bytes() + s.aux.len() * std::mem::size_of::<T>())
-            .unwrap_or(0)
-    }
-}
-
 /// Bounded multi-epoch checkpoint ring.
 ///
 /// The pipelined distributed runtime has no global barrier, so when a rank
 /// dies its peers may have drifted a few iterations apart — each holding a
 /// *different* most-recent snapshot. Rolling everyone back to one common
-/// epoch therefore needs more than [`CheckpointStore`]'s single slot: the
-/// ring retains the last `keep` epochs so that the scheduler can pick the
+/// epoch therefore needs more than one snapshot per rank: the ring
+/// retains the last `keep` epochs so that the scheduler can pick the
 /// newest epoch present in **every** rank's ring. Epochs are strictly
 /// increasing; storing the current latest epoch again overwrites it in
 /// place (the resume path re-arms without duplicating).
@@ -344,53 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn store_and_restore_roundtrip() {
-        let mut cp = CheckpointStore::new();
-        assert!(!cp.has_snapshot());
-        cp.store(&grid(1.5), &[10.0, 20.0], 7);
-        assert!(cp.has_snapshot());
-        let s = cp.restore();
-        assert_eq!(s.grid.at(0, 0, 0), 1.5);
-        assert_eq!(s.aux, vec![10.0, 20.0]);
-        assert_eq!(s.iteration, 7);
-    }
-
-    #[test]
-    fn second_store_replaces_first() {
-        let mut cp = CheckpointStore::new();
-        cp.store(&grid(1.0), &[1.0], 1);
-        cp.store(&grid(2.0), &[2.0], 2);
-        let s = cp.peek().unwrap();
-        assert_eq!(s.grid.at(1, 1, 1), 2.0);
-        assert_eq!(s.iteration, 2);
-        assert_eq!(cp.stats().stores, 2);
-    }
-
-    #[test]
-    fn stats_count_restores() {
-        let mut cp = CheckpointStore::new();
-        cp.store(&grid(1.0), &[], 0);
-        let _ = cp.restore();
-        let _ = cp.restore();
-        assert_eq!(cp.stats().restores, 2);
-    }
-
-    #[test]
-    fn bytes_accounting() {
-        let mut cp = CheckpointStore::<f64>::new();
-        assert_eq!(cp.bytes(), 0);
-        cp.store(&grid(0.0), &[0.0; 10], 0);
-        assert_eq!(cp.bytes(), 24 * 8 + 10 * 8);
-    }
-
-    #[test]
-    #[should_panic]
-    fn restore_without_store_panics() {
-        let mut cp = CheckpointStore::<f64>::new();
-        let _ = cp.restore();
-    }
-
-    #[test]
     fn policy_fires_on_multiples_of_the_period() {
         let p = CheckpointPolicy::every(4);
         assert!(p.due(0) && p.due(4) && p.due(8));
@@ -407,30 +287,42 @@ mod tests {
 
     #[test]
     fn ring_retains_the_last_keep_epochs() {
-        let mut ring = EpochRing::new(3);
-        assert!(ring.is_empty());
-        for (i, t) in [0usize, 4, 8, 12, 16].iter().enumerate() {
-            ring.store(&grid(i as f64), &[i as f64], *t);
+        // `keep = 1` is the offline protector's single slot: each store
+        // replaces the last one.
+        for keep in [3, 1] {
+            let mut ring = EpochRing::new(keep);
+            assert!(ring.is_empty());
+            assert_eq!(ring.bytes(), 0);
+            let mut grids = Vec::new();
+            for (i, t) in [0usize, 4, 8, 12, 16].iter().enumerate() {
+                ring.store(&grid(i as f64), &[i as f64], *t);
+                grids.push(ring.get(*t).unwrap().grid.as_slice().as_ptr());
+            }
+            assert_eq!(ring.len(), keep);
+            assert_eq!(ring.epochs(), [8, 12, 16][3 - keep..]);
+            assert_eq!(ring.latest_epoch(), Some(16));
+            assert!(ring.get(4).is_none());
+            let latest = ring.get(16).unwrap();
+            assert_eq!((latest.grid.at(1, 1, 1), latest.aux[0]), (4.0, 4.0));
+            assert_eq!(ring.stats().stores, 5);
+            // Each snapshot is its 4×3×2 grid and one aux value.
+            assert_eq!(ring.bytes(), keep * (24 + 1) * 8);
+            // A full ring stores a new epoch into the evicted one's grid.
+            assert_eq!(grids[keep..], grids[..5 - keep]);
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.epochs(), vec![8, 12, 16]);
-        assert_eq!(ring.latest_epoch(), Some(16));
-        assert!(ring.get(4).is_none());
-        assert_eq!(ring.get(12).unwrap().grid.at(0, 0, 0), 3.0);
-        assert_eq!(ring.stats().stores, 5);
     }
 
     #[test]
     fn ring_restore_is_bitwise_and_keeps_the_epoch() {
         let mut ring = EpochRing::new(2);
         let g = grid(1.25);
-        ring.store(&g, &[7.0, 9.0], 0);
-        let s = ring.restore(0);
+        ring.store(&g, &[7.0, 9.0], 6);
+        let s = ring.restore(6);
         assert_eq!(s.grid, g);
         assert_eq!(s.aux, vec![7.0, 9.0]);
         // still there for a second rollback
-        let s = ring.restore(0);
-        assert_eq!(s.iteration, 0);
+        let s = ring.restore(6);
+        assert_eq!(s.iteration, 6);
         assert_eq!(ring.stats().restores, 2);
     }
 
@@ -509,8 +401,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "ring retains none such")]
     fn ring_rollback_to_evicted_epoch_panics() {
+        // An empty ring has no epoch to roll back to either.
+        let empty = std::panic::catch_unwind(|| EpochRing::<f64>::new(1).restore(0).iteration);
+        assert!(empty.is_err(), "an empty ring served a rollback");
         let mut ring = EpochRing::new(1);
         ring.store(&grid(1.0), &[], 0);
         ring.store(&grid(1.0), &[], 4);

@@ -7,7 +7,7 @@ use crate::detect::compare_vectors;
 use crate::interpolate::{Frame, Interpolator};
 use crate::phantom::{capture_all_layers, StripSet};
 use crate::report::ProtectorStats;
-use abft_checkpoint::CheckpointStore;
+use abft_checkpoint::EpochRing;
 use abft_grid::BoundaryStrips;
 use abft_num::Real;
 use abft_stencil::{NoHook, StencilSim, SweepHook};
@@ -66,7 +66,9 @@ pub struct OfflineAbft<T> {
     /// Per-iteration boundary strips since the checkpoint (empty on the
     /// zero-correction fast path).
     strips_history: Vec<Vec<BoundaryStrips<T>>>,
-    store: CheckpointStore<T>,
+    /// The last verified state: a one-deep ring, since verifying at
+    /// `t0 + Δ` either commits a new snapshot or rolls back to `t0`.
+    ring: EpochRing<T>,
     /// Iterations since the last verification.
     pending: usize,
     stats: ProtectorStats,
@@ -81,8 +83,8 @@ impl<T: Real> OfflineAbft<T> {
         let frame = interp.frame();
         let mut col_ref = vec![T::ZERO; nz * ny];
         compute_col_into(sim.current(), &mut col_ref);
-        let mut store = CheckpointStore::new();
-        store.store(sim.current(), &col_ref, sim.iteration());
+        let mut ring = EpochRing::new(1);
+        ring.store(sim.current(), &col_ref, sim.iteration());
         Self {
             cfg,
             interp,
@@ -94,7 +96,7 @@ impl<T: Real> OfflineAbft<T> {
             frame,
             col_ref,
             strips_history: Vec::new(),
-            store,
+            ring,
             pending: 0,
             stats: ProtectorStats::default(),
         }
@@ -107,7 +109,7 @@ impl<T: Real> OfflineAbft<T> {
 
     /// Checkpoint memory footprint in bytes.
     pub fn checkpoint_bytes(&self) -> usize {
-        self.store.bytes()
+        self.ring.bytes()
     }
 
     fn needs_strips(&self) -> bool {
@@ -166,7 +168,7 @@ impl<T: Real> OfflineAbft<T> {
         loop {
             if self.rollforward_matches() {
                 // Commit: checkpoint the verified state (§4.2).
-                self.store
+                self.ring
                     .store(sim.current(), &self.col_comp, sim.iteration());
                 std::mem::swap(&mut self.col_ref, &mut self.col_comp);
                 self.strips_history.clear();
@@ -182,7 +184,7 @@ impl<T: Real> OfflineAbft<T> {
                 // the run can proceed, and report it.
                 self.stats.uncorrectable += 1;
                 compute_col_into(sim.current(), &mut self.col_comp);
-                self.store
+                self.ring
                     .store(sim.current(), &self.col_comp, sim.iteration());
                 std::mem::swap(&mut self.col_ref, &mut self.col_comp);
                 self.strips_history.clear();
@@ -192,13 +194,11 @@ impl<T: Real> OfflineAbft<T> {
             attempts += 1;
 
             // Rollback to the last verified checkpoint…
-            let steps_to_redo;
-            {
-                let snap = self.store.restore();
-                sim.restore(&snap.grid, snap.iteration);
-                self.col_ref.copy_from_slice(&snap.aux);
-                steps_to_redo = self.pending;
-            }
+            let epoch = self.ring.latest_epoch().expect("`new` stores a snapshot");
+            let snap = self.ring.restore(epoch);
+            sim.restore(&snap.grid, snap.iteration);
+            self.col_ref.copy_from_slice(&snap.aux);
+            let steps_to_redo = self.pending;
             self.stats.rollbacks += 1;
             out.rollbacks += 1;
             self.strips_history.clear();

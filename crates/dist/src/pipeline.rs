@@ -181,7 +181,7 @@ fn build_ports<T: Real>(plans: &[Arc<HaloPlan>]) -> Vec<Ports<T>> {
 /// exchange.
 ///
 /// The cache also holds the pool's **spare snapshot grids**: a clean job
-/// hands every checkpoint grid its vault held back at
+/// hands every checkpoint grid its ranks' rings held back at
 /// [`crate::step::Job::finish`], and the next checkpointing
 /// [`crate::step::Job::build`] seeds its rings with the ones that fit its
 /// bricks and drops the rest. So the list holds only the snapshots of the

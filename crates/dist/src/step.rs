@@ -43,89 +43,24 @@ use crate::{
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
 use abft_fault::MultiFlipHook;
-use abft_grid::Grid3D;
 use abft_metrics::RecoveryStats;
 use abft_num::Real;
 use abft_stencil::{InteriorWindow, NoHook, SweepHook};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One job's shared checkpoint vault: a per-rank [`EpochRing`] written by
-/// the steppers (each rank stores a snapshot of its own brick at the start
-/// of every iteration `t` with `t % period == 0`) and read by
-/// [`Job::rollback`], which rolls every rank back to the newest epoch
-/// present in *all* rings.
-///
-/// Its grids outlive it: [`Job::build`] seeds the rings with spare grids
-/// from the topology cache, and [`Job::finish`] hands every grid back, so
-/// a run of checkpointing jobs on the same bricks stores each snapshot
-/// into memory the previous job already faulted in.
-pub(crate) struct Vault<T> {
-    /// Checkpoint period Δ in iterations.
-    pub(crate) period: usize,
-    /// One ring per rank index. A `Mutex` rather than sharded ownership so
-    /// the rollback can read the rings while the steppers are parked —
-    /// there is never contention (a rank only writes its own ring, and the
-    /// rollback only runs after every rank of the job has stopped).
-    pub(crate) rings: Vec<Mutex<EpochRing<T>>>,
-}
-
-impl<T: Real> Vault<T> {
-    /// One ring per brick, each seeded with up to `seeds` of the `spares`
-    /// whose dims equal its brick's.
-    fn new<'a>(
-        period: usize,
-        keep: usize,
-        bricks: impl Iterator<Item = &'a [usize; 3]>,
-        seeds: usize,
-        spares: &mut Vec<Grid3D<T>>,
-    ) -> Self {
-        let rings = bricks.map(|&[nx, ny, nz]| {
-            let mut ring = EpochRing::new(keep);
-            ring.seed((0..seeds).map_while(|_| {
-                let i = spares.iter().position(|g| g.dims() == (nx, ny, nz))?;
-                Some(spares.swap_remove(i))
-            }));
-            Mutex::new(ring)
-        });
-        Self {
-            period,
-            rings: rings.collect(),
-        }
-    }
-
-    /// Every snapshot grid of every ring.
-    fn into_grids(self) -> impl Iterator<Item = Grid3D<T>> {
-        let rings = self.rings.into_iter().filter_map(|r| r.into_inner().ok());
-        rings.flat_map(EpochRing::into_grids)
-    }
-
-    /// Total snapshots stored across all rings.
-    fn stores(&self) -> usize {
-        self.rings
-            .iter()
-            .map(|r| r.lock().expect("vault ring poisoned").stats().stores)
-            .sum()
-    }
-
-    /// The newest epoch present in every ring — the common rollback
-    /// target. `None` if the rings share no epoch (cannot happen when the
-    /// ring depth covers the pipeline's maximum skew: every rank stores
-    /// epoch 0 before its first post, and eviction only trims epochs
-    /// older than `keep` periods behind that rank's own progress).
-    pub(crate) fn common_epoch(&self) -> Option<usize> {
-        let rings: Vec<_> = self
-            .rings
-            .iter()
-            .map(|r| r.lock().expect("vault ring poisoned"))
-            .collect();
-        let first = rings.first()?;
-        first
-            .epochs()
-            .into_iter()
-            .rev()
-            .find(|&e| rings[1..].iter().all(|r| r.get(e).is_some()))
-    }
+/// The newest epoch present in every stepper's ring — the common
+/// rollback target. `None` if the job does not checkpoint, or if the
+/// rings share no epoch (cannot happen when the ring depth covers the
+/// pipeline's maximum skew: every rank stores epoch 0 before its first
+/// post, and eviction only trims epochs older than `keep` periods behind
+/// that rank's own progress).
+pub(crate) fn common_epoch<T: Real>(steppers: &[RankStepper<T>]) -> Option<usize> {
+    let holds = |e| {
+        let mut rings = steppers.iter().map(|s| s.ring.as_ref());
+        rings.all(|r| r.is_some_and(|r| r.get(e).is_some()))
+    };
+    let first = steppers.first()?.ring.as_ref()?;
+    first.epochs().into_iter().rev().find(|&e| holds(e))
 }
 
 /// Ring depth covering the pipeline's maximum epoch skew, so the newest
@@ -159,9 +94,10 @@ pub(crate) enum RankExit {
     /// iteration and no verification ran on torn data.
     PeerLost { iter: usize },
     /// ABFT verification of iteration `iter` found damage Eq. 10 cannot
-    /// repair, and a checkpoint vault is armed: escalate to rollback
-    /// instead of carrying a known-wrong grid forward. (Without a vault
-    /// the rank keeps running and the damage is reported in its stats.)
+    /// repair, and the rank holds a checkpoint ring: escalate to rollback
+    /// instead of carrying a known-wrong grid forward. (A job without a
+    /// checkpoint policy keeps running, and the damage is reported in the
+    /// rank's stats.)
     /// The step *was* committed, so the rank's `t` is `iter + 1`: replay
     /// must restart past the fault.
     Uncorrectable { iter: usize },
@@ -176,13 +112,18 @@ pub(crate) struct RankStepper<T: Real> {
     /// every channel (one send and one recv per channel per exchange), so
     /// the same endpoints carry the pool's next job.
     pub(crate) ports: Ports<T>,
-    /// Rank index within the job (its vault ring, its topology position).
+    /// Rank index within the job (its topology position).
     pub(crate) idx: usize,
     iters: usize,
     /// Sweeps per halo exchange: 1 exchanges every iteration, `k > 1`
     /// posts once per epoch and sweeps the decaying pad in between.
     k: usize,
-    vault: Option<Arc<Vault<T>>>,
+    /// The job's checkpoint policy, if it has one.
+    policy: Option<CheckpointPolicy>,
+    /// This rank's own snapshots of its brick, stored at the start of
+    /// every iteration the policy says is due and read by
+    /// [`Job::rollback`]; `Some` exactly when `policy` is.
+    pub(crate) ring: Option<EpochRing<T>>,
     /// Iterations at which a kill plan for this rank has yet to fire.
     kills: Vec<usize>,
     /// The overlap window: cells whose stencil support stays in the brick
@@ -199,7 +140,7 @@ pub(crate) struct RankStepper<T: Real> {
     /// has *not* durably executed.
     pub(crate) t: usize,
     /// Rewind target of the latest rollback (0 for a fresh job): the
-    /// vault already holds that epoch.
+    /// ring already holds that epoch.
     start: usize,
 }
 
@@ -209,7 +150,7 @@ impl<T: Real> RankStepper<T> {
         ports: Ports<T>,
         idx: usize,
         spec: &JobSpec<T>,
-        vault: Option<Arc<Vault<T>>>,
+        ring: Option<EpochRing<T>>,
     ) -> Self {
         Self {
             window: rank.pad.inner(),
@@ -225,7 +166,8 @@ impl<T: Real> RankStepper<T> {
             idx,
             iters: spec.cfg.iters,
             k: spec.cfg.steps_per_exchange,
-            vault,
+            policy: spec.cfg.checkpoint,
+            ring,
             scratch: Vec::new(),
             aux: Vec::new(),
             t: 0,
@@ -289,17 +231,14 @@ impl<T: Real> RankStepper<T> {
         // guarantees every rank — even one killed at t = 0 — leaves at
         // least one recoverable epoch in its ring. Skipped at the first
         // step after a rollback: the ring already holds that epoch.
-        if let Some(v) = &self.vault {
-            if t.is_multiple_of(v.period) && (t == 0 || t != self.start) {
+        if let (Some(policy), Some(ring)) = (self.policy, &mut self.ring) {
+            if policy.due(t) && (t == 0 || t != self.start) {
                 match &self.rank.abft {
                     Some(a) => a.write_checksum_payload(&mut self.aux),
                     None => self.aux.clear(),
                 }
                 let (pad, current) = (&self.rank.pad, self.rank.sim.current());
-                v.rings[self.idx]
-                    .lock()
-                    .expect("vault ring poisoned")
-                    .store_box(current, pad.lo, pad.len, &self.aux, t);
+                ring.store_box(current, pad.lo, pad.len, &self.aux, t);
             }
         }
         if self.kills.contains(&t) {
@@ -376,9 +315,9 @@ impl<T: Real> RankStepper<T> {
         self.rank.timing.edge_s += landed.elapsed().saturating_sub(tail).as_secs_f64();
         self.rank.timing.verify_s += tail.as_secs_f64();
         self.t += 1;
-        // Eq. 10 was defeated (multi-point damage). With a vault armed,
-        // escalate to rollback instead of carrying a wrong grid forward.
-        if uncorrectable > 0 && self.vault.is_some() {
+        // Eq. 10 was defeated (multi-point damage). With a ring to roll
+        // back to, escalate instead of carrying a wrong grid forward.
+        if uncorrectable > 0 && self.ring.is_some() {
             return Err(RankExit::Uncorrectable { iter: t });
         }
         Ok(())
@@ -387,13 +326,14 @@ impl<T: Real> RankStepper<T> {
 
 /// What the ranks of one job share beside their steppers: the topology
 /// identity its channel sets are checked in and out under, and the
-/// cross-rank recovery state.
+/// cross-rank recovery state (each rank's checkpoints are its stepper's
+/// own ring).
 pub(crate) struct Job<T: Real> {
     pub(crate) key: TopoKey<T>,
     pub(crate) part: Partition3,
     steps_per_exchange: usize,
     /// `None` means a rank loss is unrecoverable.
-    pub(crate) vault: Option<Arc<Vault<T>>>,
+    checkpoint: Option<CheckpointPolicy>,
     pub(crate) recovery: RecoveryStats,
 }
 
@@ -439,40 +379,48 @@ impl<T: Real> Job<T> {
             col.as_deref().map_or(&[], |c| c),
         );
         let k = spec.cfg.steps_per_exchange;
-        let vault = spec.cfg.checkpoint.map(|p| {
-            // A clean run stores ⌈iters / Δ⌉ epochs per rank, of which the
-            // ring retains `keep`. The spares this job does not take are
-            // dropped here, before it runs.
-            let keep = ring_keep(p, grid, k);
-            let seeds = keep.min(spec.cfg.iters.div_ceil(p.period));
-            let bricks = ranks.iter().map(|r| &r.pad.len);
-            Arc::new(Vault::new(
-                p.period,
-                keep,
-                bricks,
-                seeds,
-                &mut cache.take_spares(),
-            ))
-        });
+        let checkpoint = spec.cfg.checkpoint;
+        let rings: Vec<_> = match checkpoint {
+            None => ranks.iter().map(|_| None).collect(),
+            Some(p) => {
+                // A clean run stores ⌈iters / Δ⌉ epochs per rank, of which
+                // the ring retains `keep`: each ring is seeded with up to
+                // that many spare grids of its brick's dims, and the spares
+                // this job does not take are dropped here, before it runs.
+                let keep = ring_keep(p, grid, k);
+                let seeds = keep.min(spec.cfg.iters.div_ceil(p.period));
+                let mut spares = cache.take_spares();
+                let seeded = |&[nx, ny, nz]: &[usize; 3]| {
+                    let mut ring = EpochRing::new(keep);
+                    ring.seed((0..seeds).map_while(|_| {
+                        let i = spares.iter().position(|g| g.dims() == (nx, ny, nz))?;
+                        Some(spares.swap_remove(i))
+                    }));
+                    Some(ring)
+                };
+                ranks.iter().map(|r| &r.pad.len).map(seeded).collect()
+            }
+        };
         let steppers = ranks
             .into_iter()
+            .zip(rings)
             .zip(cache.check_out(&key))
             .enumerate()
-            .map(|(idx, (rank, ports))| RankStepper::new(rank, ports, idx, spec, vault.clone()))
+            .map(|(idx, ((rank, ring), ports))| RankStepper::new(rank, ports, idx, spec, ring))
             .collect();
         let job = Self {
             key,
             part,
             steps_per_exchange: k,
-            vault,
+            checkpoint,
             recovery: RecoveryStats::default(),
         };
         Ok((job, steppers))
     }
 
     /// One recovery round, after every rank has stopped and at least one
-    /// did not finish: roll every rank back to the vault's newest common
-    /// epoch, consume the faults that already fired, and re-arm the
+    /// did not finish: roll every rank back to the newest epoch all their
+    /// rings hold, consume the faults that already fired, and re-arm the
     /// steppers over the fresh channel set `ports` (the lost round's
     /// channels may hold stale messages). The replayed run's final grid is
     /// bitwise what the fault-free run produces: snapshots capture exactly
@@ -497,14 +445,14 @@ impl<T: Real> Job<T> {
             _ => None,
         });
         self.recovery.rank_losses += killed.clone().count();
-        let Some(vault) = &self.vault else {
+        let Some(policy) = self.checkpoint else {
             let (rank, iter) = killed
                 .next()
-                .expect("without a vault only a kill ends a round early");
+                .expect("without checkpoints only a kill ends a round early");
             return Err(DistError::RankLost { rank, iter });
         };
-        let Some(e) = vault.common_epoch() else {
-            let keep = vault.rings[0].lock().expect("vault ring poisoned").keep();
+        let Some(e) = common_epoch(steppers) else {
+            let keep = ring_keep(policy, self.key.grid, self.steps_per_exchange);
             return Err(DistError::NoCommonEpoch { keep });
         };
         debug_assert!(
@@ -512,7 +460,7 @@ impl<T: Real> Job<T> {
             "rollback must land on an exchange boundary (validate pins period % k == 0)"
         );
         for (s, ports) in steppers.iter_mut().zip(ports) {
-            let mut ring = vault.rings[s.idx].lock().expect("vault ring poisoned");
+            let ring = s.ring.as_mut().expect("every ring holds epoch `e`");
             // Ranks that ran ahead of the rollback target still retain
             // epochs newer than `e`. The replay re-reaches those epochs
             // and stores them again, so drop the stale copies now — the
@@ -540,24 +488,23 @@ impl<T: Real> Job<T> {
     }
 
     /// Every rank ran to the end: return the drained channel set and the
-    /// vault's snapshot grids for reuse, gather the bricks and fold the
+    /// rings' snapshot grids for reuse, gather the bricks and fold the
     /// recovery ledger in.
     pub(crate) fn finish(
         &mut self,
-        steppers: Vec<RankStepper<T>>,
+        mut steppers: Vec<RankStepper<T>>,
         cache: &mut TopologyCache<T>,
         wall_s: f64,
     ) -> DistReport<T> {
-        // Consuming the steppers drops their clones of the vault.
+        for ring in steppers.iter_mut().filter_map(|s| s.ring.take()) {
+            self.recovery.checkpoints_stored += ring.stats().stores;
+            cache.recycle(ring.into_grids());
+        }
+        if let Some(p) = self.checkpoint {
+            self.recovery.checkpoint_period = p.period;
+        }
         let (ranks, ports) = steppers.into_iter().map(|s| (s.rank, s.ports)).unzip();
         cache.check_in(&self.key, ports);
-        if let Some(v) = self.vault.take() {
-            self.recovery.checkpoints_stored = v.stores();
-            self.recovery.checkpoint_period = v.period;
-            if let Ok(v) = Arc::try_unwrap(v) {
-                cache.recycle(v.into_grids());
-            }
-        }
         let mut report = gather_report(
             ranks,
             self.key.grid,
@@ -753,9 +700,8 @@ mod tests {
                 .rollback(&mut self.steppers, &exits, ports, Instant::now())
                 .expect("auto-sized rings share an epoch");
             self.rollbacks += 1;
-            let vault = self.job.vault.as_ref().expect("policy arms a vault");
-            for (ring, s) in vault.rings.iter().zip(&self.steppers) {
-                let epochs = ring.lock().unwrap().epochs();
+            for s in &self.steppers {
+                let epochs = s.ring.as_ref().expect("policy arms a ring").epochs();
                 prop_assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{epochs:?}");
                 prop_assert_eq!(epochs.last(), Some(&s.t));
             }
@@ -799,18 +745,17 @@ mod tests {
             ptrs.sort();
             ptrs
         };
-        let seeded = |job: &Job<f64>| {
-            let rings = &job.vault.as_ref().expect("policy arms a vault").rings;
+        let seeded = |steppers: &[RankStepper<f64>]| {
+            let rings = steppers.iter().map(|s| s.ring.as_ref());
             rings
-                .iter()
-                .map(|r| r.lock().unwrap().spares())
+                .map(|r| r.expect("policy arms a ring").spares())
                 .sum::<usize>()
         };
         let mut cache = TopologyCache::new();
         let protected = job(16, Some(2));
 
         let (mut first, steppers) = Job::build(&protected, &mut cache).unwrap();
-        assert_eq!(seeded(&first), 0, "nothing to seed from yet");
+        assert_eq!(seeded(&steppers), 0, "nothing to seed from yet");
         let expect = run_lockstep(&mut first, steppers, &mut cache)
             .unwrap()
             .global;
@@ -828,7 +773,7 @@ mod tests {
         );
 
         let (mut second, steppers) = Job::build(&protected, &mut cache).unwrap();
-        assert_eq!(seeded(&second), last.len());
+        assert_eq!(seeded(&steppers), last.len());
         assert!(cache.spares().is_empty());
         let report = run_lockstep(&mut second, steppers, &mut cache).unwrap();
         assert_eq!(report.global, expect);
@@ -837,12 +782,12 @@ mod tests {
         assert_eq!(spares(&cache), last, "the repeat job allocated a snapshot");
 
         let (mut other, steppers) = Job::build(&job(12, Some(2)), &mut cache).unwrap();
-        assert_eq!(seeded(&other), 0);
+        assert_eq!(seeded(&steppers), 0);
         assert!(cache.spares().is_empty(), "other bricks kept the spares");
         run_lockstep(&mut other, steppers, &mut cache).unwrap();
         assert!(cache.spares().iter().all(|g| g.dims() == (8, 6, 2)));
-        let (third, _) = Job::build(&protected, &mut cache).unwrap();
-        assert_eq!(seeded(&third), 0);
+        let (_, steppers) = Job::build(&protected, &mut cache).unwrap();
+        assert_eq!(seeded(&steppers), 0);
     }
 
     proptest! {

@@ -89,7 +89,7 @@ pub(crate) fn pool_worker<T: Real>(tasks: Receiver<RankTask<T>>, events: Sender<
 mod tests {
     use super::*;
     use crate::pipeline::{HaloMsg, TopologyCache};
-    use crate::step::Job;
+    use crate::step::{common_epoch, Job};
     use crate::JobSpec;
     use abft_checkpoint::CheckpointPolicy;
     use abft_core::AbftConfig;
@@ -214,20 +214,20 @@ mod tests {
     }
 
     /// A kill plan fires at the start of its iteration: the rank exits
-    /// with `Killed` having committed exactly `iter` steps, and its
-    /// vault ring holds every due epoch (including 0).
+    /// with `Killed` having committed exactly `iter` steps, and its own
+    /// ring holds every due epoch (including 0).
     #[test]
     fn kill_plan_fires_at_iteration_start_after_checkpointing() {
         let spec = one_rank_spec(6)
             .with_rank_kill(RankKill::new(0, 4))
             .with_checkpoint(CheckpointPolicy::every(2).with_keep(8));
-        let (job, mut steppers) = Job::build(&spec, &mut TopologyCache::new()).unwrap();
+        let (_, mut steppers) = Job::build(&spec, &mut TopologyCache::new()).unwrap();
         assert_eq!(steppers[0].run(), Err(RankExit::Killed { iter: 4 }));
         assert_eq!(steppers[0].rank.sim.iteration(), 4);
         // epochs 0, 2 and 4: the snapshot at t=4 lands before the kill
-        let vault = job.vault.expect("policy arms a vault");
-        assert_eq!(vault.rings[0].lock().unwrap().epochs(), vec![0, 2, 4]);
-        assert_eq!(vault.common_epoch(), Some(4));
+        let ring = steppers[0].ring.as_ref().expect("policy arms a ring");
+        assert_eq!(ring.epochs(), vec![0, 2, 4]);
+        assert_eq!(common_epoch(&steppers), Some(4));
     }
 
     /// A rank's replay bound is its stepper's `t` — the first iteration

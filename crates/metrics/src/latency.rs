@@ -51,7 +51,7 @@ impl P2Quantile {
             self.q[self.count as usize] = x;
             self.count += 1;
             let filled = self.count as usize;
-            self.q[..filled].sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            self.q[..filled].sort_by(crate::stats::nan_last);
             return;
         }
         self.count += 1;

@@ -1,5 +1,7 @@
 //! Summary statistics for experiment campaigns.
 
+use std::cmp::Ordering;
+
 /// Welford's online mean/variance accumulator — numerically stable for
 /// long campaigns.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,9 +56,10 @@ pub struct Quantiles {
 }
 
 impl Quantiles {
-    /// Build from a sample; non-finite values sort to the ends as ±∞.
+    /// Build from a sample: numbers sort ascending with ±∞ at the ends,
+    /// and every NaN sorts after every number.
     pub fn new(mut data: Vec<f64>) -> Self {
-        data.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        data.sort_by(nan_last);
         Self { sorted: data }
     }
 
@@ -96,6 +99,14 @@ impl Quantiles {
     pub fn max(&self) -> f64 {
         self.sorted.last().copied().unwrap_or(f64::NAN)
     }
+}
+
+/// Ascending order with ±∞ at the ends and every NaN after every number,
+/// whatever its sign bit. ±0 compare equal, so a sample without NaN sorts
+/// as `partial_cmp` sorts it.
+pub(crate) fn nan_last(a: &f64, b: &f64) -> Ordering {
+    let numbers = a.partial_cmp(b).unwrap_or(Ordering::Equal);
+    a.is_nan().cmp(&b.is_nan()).then(numbers)
 }
 
 /// Boxplot statistics as drawn in the paper's Fig. 10: box = interquartile
@@ -196,6 +207,24 @@ mod tests {
     fn quantiles_empty_is_nan() {
         let q = Quantiles::new(vec![]);
         assert!(q.median().is_nan());
+    }
+
+    #[test]
+    fn quantiles_sort_nan_after_every_number() {
+        let q = Quantiles::new(vec![5.0, 4.0, f64::NAN, 2.0, 1.0]);
+        assert_eq!((q.min(), q.median(), q.quantile(0.75)), (1.0, 4.0, 5.0));
+        assert!(q.max().is_nan());
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let q = Quantiles::new(vec![inf, -nan, 3.0, -inf, nan, -0.0, 0.0]);
+        assert_eq!(q.sorted[..5], [-inf, -0.0, 0.0, 3.0, inf]);
+        assert!(q.sorted[1].is_sign_negative(), "±0 keep their order");
+        assert!(q.sorted[5..].iter().all(|v| v.is_nan()));
+        // P² sorts its first five observations the same way.
+        let mut p2 = crate::P2Quantile::new(0.5);
+        for x in [3.0, nan, 1.0] {
+            p2.push(x);
+        }
+        assert_eq!(p2.estimate(), 3.0);
     }
 
     #[test]
