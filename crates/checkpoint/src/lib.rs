@@ -353,8 +353,12 @@ mod tests {
             assert_eq!(ring.epochs(), [8, 12, 16][3 - keep..]);
             assert_eq!(ring.latest_epoch(), Some(16));
             assert!(ring.get(4).is_none());
-            let latest = ring.get(16).unwrap();
-            assert_eq!((latest.grid.at(1, 1, 1), latest.aux[0]), (4.0, 4.0));
+            // Every retained epoch, not only the newest, holds its own store.
+            for e in ring.epochs() {
+                let s = ring.get(e).unwrap();
+                let v = (e / 4) as f64;
+                assert_eq!((s.grid.at(0, 0, 0), s.aux[0]), (v, v));
+            }
             assert_eq!(ring.stats().stores, 5);
             // Each snapshot is its 4×3×2 grid and one aux value.
             assert_eq!(ring.bytes(), keep * (24 + 1) * 8);

@@ -56,10 +56,10 @@ use std::time::{Duration, Instant};
 /// that rank's own progress).
 pub(crate) fn common_epoch<T: Real>(steppers: &[RankStepper<T>]) -> Option<usize> {
     let holds = |e| {
-        let mut rings = steppers.iter().map(|s| s.ring.as_ref());
+        let mut rings = steppers.iter().map(|s| s.ring());
         rings.all(|r| r.is_some_and(|r| r.get(e).is_some()))
     };
-    let first = steppers.first()?.ring.as_ref()?;
+    let first = steppers.first()?.ring()?;
     first.epochs().into_iter().rev().find(|&e| holds(e))
 }
 
@@ -118,12 +118,10 @@ pub(crate) struct RankStepper<T: Real> {
     /// Sweeps per halo exchange: 1 exchanges every iteration, `k > 1`
     /// posts once per epoch and sweeps the decaying pad in between.
     k: usize,
-    /// The job's checkpoint policy, if it has one.
-    policy: Option<CheckpointPolicy>,
-    /// This rank's own snapshots of its brick, stored at the start of
-    /// every iteration the policy says is due and read by
-    /// [`Job::rollback`]; `Some` exactly when `policy` is.
-    pub(crate) ring: Option<EpochRing<T>>,
+    /// The job's checkpoint policy, if it has one, and this rank's own
+    /// snapshots of its brick, stored at the start of every iteration the
+    /// policy says is due and read by [`Job::rollback`].
+    checkpoint: Option<(CheckpointPolicy, EpochRing<T>)>,
     /// Iterations at which a kill plan for this rank has yet to fire.
     kills: Vec<usize>,
     /// The overlap window: cells whose stencil support stays in the brick
@@ -150,7 +148,7 @@ impl<T: Real> RankStepper<T> {
         ports: Ports<T>,
         idx: usize,
         spec: &JobSpec<T>,
-        ring: Option<EpochRing<T>>,
+        checkpoint: Option<(CheckpointPolicy, EpochRing<T>)>,
     ) -> Self {
         Self {
             window: rank.pad.inner(),
@@ -166,8 +164,7 @@ impl<T: Real> RankStepper<T> {
             idx,
             iters: spec.cfg.iters,
             k: spec.cfg.steps_per_exchange,
-            policy: spec.cfg.checkpoint,
-            ring,
+            checkpoint,
             scratch: Vec::new(),
             aux: Vec::new(),
             t: 0,
@@ -183,6 +180,11 @@ impl<T: Real> RankStepper<T> {
             self.complete()?;
         }
         Ok(())
+    }
+
+    /// This rank's checkpoint ring, if the job checkpoints.
+    pub(crate) fn ring(&self) -> Option<&EpochRing<T>> {
+        self.checkpoint.as_ref().map(|(_, ring)| ring)
     }
 
     /// Whether this rank has executed the job's last iteration.
@@ -231,7 +233,7 @@ impl<T: Real> RankStepper<T> {
         // guarantees every rank — even one killed at t = 0 — leaves at
         // least one recoverable epoch in its ring. Skipped at the first
         // step after a rollback: the ring already holds that epoch.
-        if let (Some(policy), Some(ring)) = (self.policy, &mut self.ring) {
+        if let Some((policy, ring)) = &mut self.checkpoint {
             if policy.due(t) && (t == 0 || t != self.start) {
                 match &self.rank.abft {
                     Some(a) => a.write_checksum_payload(&mut self.aux),
@@ -317,7 +319,7 @@ impl<T: Real> RankStepper<T> {
         self.t += 1;
         // Eq. 10 was defeated (multi-point damage). With a ring to roll
         // back to, escalate instead of carrying a wrong grid forward.
-        if uncorrectable > 0 && self.ring.is_some() {
+        if uncorrectable > 0 && self.checkpoint.is_some() {
             return Err(RankExit::Uncorrectable { iter: t });
         }
         Ok(())
@@ -380,7 +382,7 @@ impl<T: Real> Job<T> {
         );
         let k = spec.cfg.steps_per_exchange;
         let checkpoint = spec.cfg.checkpoint;
-        let rings: Vec<_> = match checkpoint {
+        let checkpoints: Vec<_> = match checkpoint {
             None => ranks.iter().map(|_| None).collect(),
             Some(p) => {
                 // A clean run stores ⌈iters / Δ⌉ epochs per rank, of which
@@ -396,17 +398,17 @@ impl<T: Real> Job<T> {
                         let i = spares.iter().position(|g| g.dims() == (nx, ny, nz))?;
                         Some(spares.swap_remove(i))
                     }));
-                    Some(ring)
+                    Some((p, ring))
                 };
                 ranks.iter().map(|r| &r.pad.len).map(seeded).collect()
             }
         };
         let steppers = ranks
             .into_iter()
-            .zip(rings)
+            .zip(checkpoints)
             .zip(cache.check_out(&key))
             .enumerate()
-            .map(|(idx, ((rank, ring), ports))| RankStepper::new(rank, ports, idx, spec, ring))
+            .map(|(idx, ((rank, cp), ports))| RankStepper::new(rank, ports, idx, spec, cp))
             .collect();
         let job = Self {
             key,
@@ -460,7 +462,7 @@ impl<T: Real> Job<T> {
             "rollback must land on an exchange boundary (validate pins period % k == 0)"
         );
         for (s, ports) in steppers.iter_mut().zip(ports) {
-            let ring = s.ring.as_mut().expect("every ring holds epoch `e`");
+            let (_, ring) = s.checkpoint.as_mut().expect("every ring holds epoch `e`");
             // Ranks that ran ahead of the rollback target still retain
             // epochs newer than `e`. The replay re-reaches those epochs
             // and stores them again, so drop the stale copies now — the
@@ -496,7 +498,7 @@ impl<T: Real> Job<T> {
         cache: &mut TopologyCache<T>,
         wall_s: f64,
     ) -> DistReport<T> {
-        for ring in steppers.iter_mut().filter_map(|s| s.ring.take()) {
+        for (_, ring) in steppers.iter_mut().filter_map(|s| s.checkpoint.take()) {
             self.recovery.checkpoints_stored += ring.stats().stores;
             cache.recycle(ring.into_grids());
         }
@@ -701,7 +703,7 @@ mod tests {
                 .expect("auto-sized rings share an epoch");
             self.rollbacks += 1;
             for s in &self.steppers {
-                let epochs = s.ring.as_ref().expect("policy arms a ring").epochs();
+                let epochs = s.ring().expect("policy arms a ring").epochs();
                 prop_assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{epochs:?}");
                 prop_assert_eq!(epochs.last(), Some(&s.t));
             }
@@ -746,7 +748,7 @@ mod tests {
             ptrs
         };
         let seeded = |steppers: &[RankStepper<f64>]| {
-            let rings = steppers.iter().map(|s| s.ring.as_ref());
+            let rings = steppers.iter().map(|s| s.ring());
             rings
                 .map(|r| r.expect("policy arms a ring").spares())
                 .sum::<usize>()

@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(steppers[0].run(), Err(RankExit::Killed { iter: 4 }));
         assert_eq!(steppers[0].rank.sim.iteration(), 4);
         // epochs 0, 2 and 4: the snapshot at t=4 lands before the kill
-        let ring = steppers[0].ring.as_ref().expect("policy arms a ring");
+        let ring = steppers[0].ring().expect("policy arms a ring");
         assert_eq!(ring.epochs(), vec![0, 2, 4]);
         assert_eq!(common_epoch(&steppers), Some(4));
     }
