@@ -93,6 +93,7 @@ mod index;
 mod partition;
 mod pipeline;
 mod report;
+mod sched;
 mod service;
 mod step;
 mod validate;
@@ -105,9 +106,8 @@ pub use partition::{auto_grid, decompose, Brick, Partition3};
 pub(crate) use pipeline::RankPlans;
 pub(crate) use report::gather_report;
 pub use report::{DistReport, PhaseTimings, RankReport};
-pub use service::{
-    DistService, JobHandle, JobId, JobSpec, ServeStats, ServiceConfig, MAX_OVERTAKES,
-};
+pub use sched::{ServeStats, MAX_OVERTAKES};
+pub use service::{DistService, JobHandle, JobId, JobSpec, ServiceConfig};
 pub(crate) use validate::{effective_halo, validate};
 
 /// One simulated rank: its padded-brick simulation, optional protector,

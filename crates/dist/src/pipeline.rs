@@ -221,12 +221,7 @@ impl<T: Real> TopologyCache<T> {
 
     /// Find or build the topology for `key`, returning its per-rank halo
     /// plans (the job's ranks share them by `Arc`).
-    pub(crate) fn plans(
-        &mut self,
-        key: &TopoKey<T>,
-        part: &Partition3,
-        bounds: &BoundarySpec<T>,
-    ) -> Vec<Arc<HaloPlan>> {
+    pub(crate) fn plans(&mut self, key: &TopoKey<T>, part: &Partition3) -> Vec<Arc<HaloPlan>> {
         if let Some(i) = self.position(key) {
             self.hits += 1;
             return self.entries[i].plans.clone();
@@ -235,6 +230,7 @@ impl<T: Real> TopologyCache<T> {
         let plans: Vec<Arc<HaloPlan>> = (0..part.ranks())
             .map(|r| {
                 let brick = part.brick(r);
+                let bounds = &key.bounds;
                 Arc::new(HaloPlan::new::<T>(
                     &brick, r, part, key.halo, key.dims, bounds,
                 ))
@@ -289,19 +285,6 @@ impl<T: Real> TopologyCache<T> {
         }
     }
 
-    /// A replacement set for a job already in flight, whose channels a lost
-    /// round left unusable (the victims dropped their endpoints
-    /// mid-iteration, survivors may hold stale messages). Re-registers the
-    /// key first if a concurrent panic discarded the entry meanwhile.
-    pub(crate) fn check_out_replacement(
-        &mut self,
-        key: &TopoKey<T>,
-        part: &Partition3,
-    ) -> Vec<Ports<T>> {
-        let _ = self.plans(key, part, &key.bounds);
-        self.check_out(key)
-    }
-
     /// Return a drained channel-endpoint set for reuse by a later job. A
     /// no-op when the entry was evicted (or discarded after a concurrent
     /// same-key job panicked) while this job ran — the set is simply
@@ -352,6 +335,13 @@ impl<T: Real> TopologyCache<T> {
         self.entries.len()
     }
 
+    /// Number of idle channel-endpoint sets `key`'s entry holds, if
+    /// cached (test introspection).
+    #[cfg(test)]
+    pub(crate) fn idle_ports(&self, key: &TopoKey<T>) -> Option<usize> {
+        self.position(key).map(|i| self.entries[i].idle_ports.len())
+    }
+
     /// Number of interpolation plan sets `key`'s entry holds, if cached
     /// (test introspection).
     #[cfg(test)]
@@ -380,14 +370,14 @@ mod tests {
     fn cache_hits_on_repeat_keys_and_misses_on_new_ones() {
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
-        let first = cache.plans(&k, &part, &k.bounds);
-        let again = cache.plans(&k, &part, &k.bounds);
+        let first = cache.plans(&k, &part);
+        let again = cache.plans(&k, &part);
         assert_eq!((cache.hits, cache.misses, cache.len()), (1, 1, 1));
         // Same entry, shared by Arc — not a rebuild.
         assert!(Arc::ptr_eq(&first[0], &again[0]));
         // A different boundary spec rewires the halo → distinct entry.
         let (k2, part2) = key(BoundarySpec::uniform(Boundary::Periodic));
-        cache.plans(&k2, &part2, &k2.bounds);
+        cache.plans(&k2, &part2);
         assert_eq!((cache.hits, cache.misses, cache.len()), (1, 2, 2));
     }
 
@@ -399,7 +389,7 @@ mod tests {
         use abft_stencil::Stencil2D;
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
-        cache.plans(&k, &part, &k.bounds);
+        cache.plans(&k, &part);
         let cfg = crate::DistConfig::new(3, 1).with_grid(1, 3);
         let mut builds = 0;
         let mut set = |cache: &mut TopologyCache<f64>, stencil: &Stencil3D<f64>| {
@@ -423,7 +413,7 @@ mod tests {
         drop((first, again, other));
         for v in 0..CACHE_CAP {
             let (k2, part2) = key(BoundarySpec::uniform(Boundary::Constant(v as f64)));
-            cache.plans(&k2, &part2, &k2.bounds);
+            cache.plans(&k2, &part2);
         }
         assert_eq!((cache.len(), cache.plan_sets(&k)), (CACHE_CAP, None));
         assert!(star_set.upgrade().is_none() && conv_set.upgrade().is_none());
@@ -433,7 +423,7 @@ mod tests {
     fn ports_check_out_lazily_and_survive_round_trips() {
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
-        cache.plans(&k, &part, &k.bounds);
+        cache.plans(&k, &part);
         let ports = cache.check_out(&k);
         assert_eq!(ports.len(), 3);
         // 3 y-slabs: the middle rank owes both neighbours, ends owe one.

@@ -1,61 +1,39 @@
-//! The serving layer: a pool-scoped [`DistService`] that executes a
-//! stream of independent protected simulations on one persistent rank
-//! pool, **concurrently** when their rank demands fit.
+//! The serving layer: a pool-scoped [`DistService`] that runs a stream of
+//! independent protected simulations on one persistent rank pool,
+//! **concurrently** when their rank demands fit. Rank lifetime is
+//! decoupled from job lifetime, and job order from slot order:
 //!
-//! `run_distributed` pays thread start/join and channel-topology
-//! construction on every call — fine for one experiment, wrong for the
-//! ROADMAP's serving deployment where many small jobs arrive back to
-//! back. The service decouples **rank lifetime from job lifetime** and
-//! **job order from slot order**:
+//! * [`DistService::new`] spawns `pool` worker threads (one rank slot
+//!   each, parked between tasks) plus one scheduler thread.
+//! * [`DistService::submit`] validates a [`JobSpec`] synchronously, so a
+//!   malformed job is rejected with a [`DistError`](crate::DistError)
+//!   before it can reach (and panic inside) a worker; a full admission
+//!   queue rejects with `QueueFull`, and [`DistService::submit_wait`]
+//!   blocks for room instead.
+//! * Every scheduling decision is made by a thread-free core
+//!   ([`crate::sched`]): admission onto free slots with bounded
+//!   overtaking, the recovery barrier, retirement. The scheduler thread
+//!   is its shell: it owns the workers, the topology cache, the handles'
+//!   shared state and each job's spec, `Job` and steppers, runs the
+//!   core's actions on them and feeds their outcomes back. A
+//!   [`HaloMode::Snapshot`] job takes no slots: the scheduler thread runs
+//!   its ranks in lock-step.
+//! * The returned [`JobHandle`] streams the result (`wait`, `try_result`,
+//!   `on_complete`); [`DistService::shutdown`] (or drop) drains the queue,
+//!   finishes in-flight jobs and joins the pool.
 //!
-//! * [`DistService::new`] spawns `pool` long-lived worker threads (one
-//!   rank slot each) plus one scheduler thread; workers park on their
-//!   task channel between tasks. [`DistService::with_config`] additionally
-//!   sets the admission-queue capacity.
-//! * [`DistService::submit`] validates a [`JobSpec`] *synchronously* —
-//!   malformed jobs are rejected with a structured
-//!   [`DistError`](crate::DistError) at admission, before they can reach
-//!   (and panic inside) a pooled worker. The admission queue is
-//!   **bounded**: when `queue_capacity` jobs are already admitted and
-//!   unfinished, `submit` returns
-//!   [`DistError::QueueFull`](crate::DistError::QueueFull) and
-//!   [`DistService::submit_wait`] blocks for a slot instead.
-//! * The scheduler tracks **free pool slots** and admits every queued
-//!   job whose rank demand fits, running multiple jobs' rank workers
-//!   side by side. A larger job that does not fit is skipped at most
-//!   [`MAX_OVERTAKES`] times; after that it becomes a head-of-line
-//!   barrier until enough slots drain back — so small jobs exploit
-//!   spare slots without starving big ones. A [`HaloMode::Snapshot`] job
-//!   takes no slots at all: the scheduler thread itself advances its
-//!   ranks in lock-step.
-//! * `submit` returns a [`JobHandle`] that **streams** the result:
-//!   [`JobHandle::wait`] blocks, [`JobHandle::try_result`] polls without
-//!   blocking, and [`JobHandle::on_complete`] registers a callback run
-//!   by the scheduler the moment the report is gathered. The handle is
-//!   the only claimant; dropping it unclaimed discards the report.
-//! * [`DistService::shutdown`] (or drop) drains the queue, finishes
-//!   in-flight jobs and joins the pool.
-//!
-//! **Determinism invariant**: co-scheduling changes *when* a job runs,
-//! never *what* it computes. Every job gets freshly built rank state —
-//! its own `StencilSim`s, its own `OnlineAbft` protectors, its own
-//! pending flip list — and its own checked-out channel-endpoint set, so
-//! concurrent jobs share no mutable state at all; only the immutable
-//! halo plans are shared through the topology cache. An injected fault
-//! in job *k* is detected, corrected and *forgotten* inside job *k*
-//! regardless of what ran beside it (`serve_equivalence.rs` proves this
-//! bitwise under randomized concurrent mixes).
-//!
-//! **Panic containment**: a rank that panics mid-job is caught in its
-//! pool worker (a lock-step job's, in the scheduler); dropping its channel
-//! endpoints cascades the failure to the job's other ranks (also caught),
-//! the job fails with
-//! [`DistError::RankPanicked`](crate::DistError::RankPanicked), the
-//! possibly-stale topology entry is discarded, and the pool itself
-//! survives to serve the next job — including jobs that were running
-//! concurrently with the one that died.
+//! Co-scheduling changes *when* a job runs, never *what* it computes:
+//! every job gets fresh rank state and its own checked-out channel set,
+//! and only immutable halo plans are shared between concurrent jobs
+//! (`serve_equivalence.rs` holds results bitwise under randomized
+//! concurrent mixes). A rank panic is caught in its worker (a lock-step
+//! job's, in the scheduler) and cascades through the dropped channels to
+//! the job's other ranks; the job fails with
+//! [`DistError::RankPanicked`](crate::DistError::RankPanicked), its
+//! possibly-stale topology entry is discarded, and the pool serves on.
 
 use crate::pipeline::TopologyCache;
+use crate::sched::{Action, Event, SchedCore, ServeStats};
 use crate::step::{self, Job, RankExit, RankStepper};
 use crate::worker::{self, RankTask, TaskDone};
 use crate::{validate, DistConfig, DistError, DistReport, GridSpec, HaloMode};
@@ -72,14 +50,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// How many times a queued job may be overtaken by later, smaller jobs
-/// before it becomes a head-of-line barrier (nothing behind it is
-/// admitted until it starts). Bounds the worst-case queue delay of a
-/// pool-sized job to `MAX_OVERTAKES` small-job executions plus one
-/// pool drain, which is what makes the bounded-skip policy
-/// starvation-free.
-pub const MAX_OVERTAKES: u32 = 8;
 
 /// Identifier of one submitted job; the raw form behind a [`JobHandle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -298,40 +268,20 @@ impl<T: Real> JobSpec<T> {
     }
 }
 
-/// Service counters: completed/failed/rejected jobs, topology-cache
-/// traffic and the high-water mark of concurrent jobs.
-///
-/// `topology_hits` counting up while `topology_misses` stays flat is the
-/// pool-reuse signal: repeat jobs skip halo-plan and channel construction
-/// entirely. `peak_concurrent` above 1 is the slot-allocation signal: the
-/// scheduler actually ran jobs side by side.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Jobs that produced a report.
-    pub jobs_completed: u64,
-    /// Jobs that failed after admission (rank panic).
-    pub jobs_failed: u64,
-    /// Jobs bounced at admission with
-    /// [`DistError::QueueFull`](crate::DistError::QueueFull).
-    pub jobs_rejected: u64,
-    /// Jobs that reused a cached channel topology.
-    pub topology_hits: u64,
-    /// Jobs that had to build their topology.
-    pub topology_misses: u64,
-    /// Most jobs ever in flight at once (lock-step jobs included).
-    pub peak_concurrent: u64,
-    /// Simulated ranks lost to kill injections, across all jobs.
-    pub rank_losses: u64,
-    /// Rollback-and-respawn recovery rounds completed (pipelined
-    /// respawns and lock-step rollbacks alike).
-    pub recoveries: u64,
-}
-
-/// An admitted job on its way to the scheduler.
-pub(crate) struct Admitted<T: Real> {
-    id: u64,
-    spec: JobSpec<T>,
+/// One job as the scheduler thread holds it from submission to
+/// publication: what the core's actions run on, which the core never sees.
+pub(crate) struct Payload<T: Real> {
+    /// Dropped once the job's ranks are out (or with the payload): its
+    /// grids are freed off the path to the ranks' start.
+    spec: Option<JobSpec<T>>,
     submitted: Instant,
+    started: Instant,
+    job: Option<Job<T>>,
+    /// Each rank's stepper while it is home (`None` while it is on a
+    /// worker, or after a panic dropped it).
+    steppers: Vec<Option<RankStepper<T>>>,
+    /// The outcome, once an action has decided it.
+    result: Option<Result<DistReport<T>, DistError>>,
 }
 
 /// Everything that rides the scheduler's single event channel. The
@@ -339,14 +289,13 @@ pub(crate) struct Admitted<T: Real> {
 /// threads, completions from pool workers and the shutdown signal are
 /// serialized into one deterministic event order.
 //
-// `Done` dwarfs the other variants (it carries a rank's full state
-// home), but every event is moved exactly once into the channel and
-// once out — boxing would add a per-rank-completion allocation to
-// save nothing.
+// `Done` carries a rank's whole state home; boxing it would add an
+// allocation per rank completion to save nothing.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum SchedEvent<T: Real> {
-    /// A validated job from [`DistService::submit`].
-    Submit(Admitted<T>),
+    /// A validated job from [`DistService::submit`]: its id, slot demand
+    /// and payload.
+    Submit(u64, usize, Payload<T>),
     /// One rank's completion from a pool worker.
     Done(TaskDone<T>),
     /// Shutdown: finish the queue and in-flight jobs, then exit.
@@ -427,13 +376,13 @@ impl<T: Real> JobHandle<T> {
         if let Some(result) = self.taken.take() {
             return result;
         }
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.done.remove(&self.id) {
-                return result;
-            }
-            state = self.shared.cv.wait(state).unwrap();
-        }
+        let state = self.shared.state.lock().unwrap();
+        let unfinished = |state: &mut ServeState<T>| !state.done.contains_key(&self.id);
+        let mut state = self.shared.cv.wait_while(state, unfinished).unwrap();
+        state
+            .done
+            .remove(&self.id)
+            .expect("woken by the job's result")
     }
 
     /// Non-blocking poll: `None` while the job is still queued or
@@ -457,19 +406,13 @@ impl<T: Real> JobHandle<T> {
     where
         F: FnOnce(Result<DistReport<T>, DistError>) + Send + 'static,
     {
-        if let Some(result) = self.taken.take() {
-            f(result);
-            return;
-        }
         let mut state = self.shared.state.lock().unwrap();
-        match state.done.remove(&self.id) {
+        match self.taken.take().or_else(|| state.done.remove(&self.id)) {
             Some(result) => {
                 drop(state);
                 f(result);
             }
-            None => {
-                state.callbacks.insert(self.id, Box::new(f));
-            }
+            None => drop(state.callbacks.insert(self.id, Box::new(f))),
         }
     }
 }
@@ -485,10 +428,8 @@ impl<T: Real> Drop for JobHandle<T> {
             return;
         };
         if state.done.remove(&self.id).is_none() && state.pending.contains(&self.id) {
-            state
-                .callbacks
-                .entry(self.id)
-                .or_insert_with(|| Box::new(drop));
+            let callbacks = &mut state.callbacks;
+            callbacks.entry(self.id).or_insert_with(|| Box::new(drop));
         }
     }
 }
@@ -621,37 +562,38 @@ impl<T: Real> DistService<T> {
             spec.constant.as_ref(),
             &spec.cfg,
         )?;
-        if spec.cfg.mode == HaloMode::Pipelined && spec.cfg.ranks > self.pool {
-            return Err(DistError::PoolTooSmall {
-                ranks: spec.cfg.ranks,
-                pool: self.pool,
-            });
+        // A pipelined job takes a pool slot per rank, a lock-step one none.
+        let pipelined = spec.cfg.mode == HaloMode::Pipelined;
+        let demand = if pipelined { spec.cfg.ranks } else { 0 };
+        if demand > self.pool {
+            let (ranks, pool) = (demand, self.pool);
+            return Err(DistError::PoolTooSmall { ranks, pool });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         {
             let mut state = self.shared.state.lock().unwrap();
+            let full = |state: &mut ServeState<T>| state.pending.len() >= self.capacity;
             if block {
-                while state.pending.len() >= self.capacity {
-                    state = self.shared.cv.wait(state).unwrap();
-                }
-            } else if state.pending.len() >= self.capacity {
+                state = self.shared.cv.wait_while(state, full).unwrap();
+            } else if full(&mut state) {
                 state.stats.jobs_rejected += 1;
-                return Err(DistError::QueueFull {
-                    capacity: self.capacity,
-                });
+                let capacity = self.capacity;
+                return Err(DistError::QueueFull { capacity });
             }
             state.pending.insert(id);
         }
-        let admitted = Admitted {
-            id,
-            spec,
-            submitted: Instant::now(),
+        let now = Instant::now();
+        let job = Payload {
+            spec: Some(spec),
+            submitted: now,
+            started: now,
+            job: None,
+            steppers: Vec::new(),
+            result: None,
         };
-        let sender = self
-            .to_scheduler
-            .as_ref()
-            .expect("service already shut down");
-        if sender.send(SchedEvent::Submit(admitted)).is_err() {
+        let sender = self.to_scheduler.as_ref();
+        let sender = sender.expect("service already shut down");
+        if sender.send(SchedEvent::Submit(id, demand, job)).is_err() {
             // Scheduler already gone — only reachable mid-teardown.
             self.shared.state.lock().unwrap().pending.remove(&id);
             return Err(DistError::UnknownJob { id });
@@ -690,398 +632,182 @@ impl<T: Real> Drop for DistService<T> {
     }
 }
 
-/// How many pool slots `spec` occupies while running: one per rank in
-/// pipelined mode, none in snapshot mode (the lock-step driver advances
-/// every rank inline on the scheduler thread).
-fn slots_needed<T: Real>(spec: &JobSpec<T>) -> usize {
-    match spec.cfg.mode {
-        HaloMode::Pipelined => spec.cfg.ranks,
-        HaloMode::Snapshot => 0,
-    }
-}
-
-/// The bounded-skip admission plan, as a pure function so the starvation
-/// properties are unit-testable: given the queued jobs' `(slot demand,
-/// times overtaken)` in submit order and the number of free slots,
-/// return the indices to start now (ascending).
-///
-/// A job is admitted when its demand fits what is left after every
-/// earlier admission in this pass. Each admission bumps the overtaken
-/// count of every still-blocked job ahead of it; scanning **stops** at
-/// the first blocked job that has already been overtaken
-/// `max_overtakes` times, making it a head-of-line barrier — later jobs
-/// cannot pass it again, slots drain back as running jobs finish, and
-/// since admission capped its demand at the pool size it eventually
-/// fits. That is the starvation-freedom argument, and
-/// `overtaking_stops_at_the_barrier` pins it.
-fn plan_admissions(queue: &mut [(usize, u32)], mut free: usize, max_overtakes: u32) -> Vec<usize> {
-    let mut admitted = vec![false; queue.len()];
-    let mut picks = Vec::new();
-    for i in 0..queue.len() {
-        let (need, overtaken) = queue[i];
-        if need <= free {
-            free -= need;
-            admitted[i] = true;
-            picks.push(i);
-            for j in 0..i {
-                if !admitted[j] {
-                    queue[j].1 += 1;
-                }
-            }
-        } else if overtaken >= max_overtakes {
-            break;
-        }
-    }
-    picks
-}
-
-/// A queued job plus its bounded-skip bookkeeping.
-struct QueuedJob<T: Real> {
-    adm: Admitted<T>,
-    overtaken: u32,
-}
-
-/// One in-flight pipelined job: its ranks' steppers as they come home from
-/// the workers, and the context needed to roll it back or to gather and
-/// stamp its report.
-struct Running<T: Real> {
-    submitted: Instant,
-    started: Instant,
-    job: Job<T>,
-    /// Each rank's stepper once its task has ended (`None` while it is on
-    /// a worker, or after a panic dropped it).
-    steppers: Vec<Option<RankStepper<T>>>,
-    /// How each rank's latest round ended.
-    exits: Vec<Result<(), RankExit>>,
-    remaining: usize,
-    /// Lowest failing rank and its panic message (the cascade's
-    /// "producer/consumer hung up" echoes from higher ranks are noise).
-    failure: Option<(usize, String)>,
-}
-
-impl<T: Real> Running<T> {
-    /// Every stepper that has come home, in rank order.
-    fn take_steppers(&mut self) -> Vec<RankStepper<T>> {
-        self.steppers.iter_mut().flat_map(Option::take).collect()
-    }
-}
-
-/// The scheduler thread's whole world: free-slot accounting, the
-/// admission queue, in-flight jobs and the topology cache, driven by the
-/// unified event channel.
+/// The scheduler thread, the core's shell: it runs the [`SchedCore`]'s
+/// actions on what they act on and feeds their outcomes back.
 struct Scheduler<T: Real> {
+    core: SchedCore,
     shared: Arc<Shared<T>>,
     workers: Vec<WorkerHandle<T>>,
     cache: TopologyCache<T>,
-    queue: VecDeque<QueuedJob<T>>,
-    running: HashMap<u64, Running<T>>,
-    /// Rolled-back jobs waiting for enough free slots to respawn. Served
-    /// before any queued admission — a waiting recovery is a head-of-line
-    /// barrier, so the slots its job just released (plus any that drain
-    /// back) cannot be stolen from under it indefinitely.
-    pending_recovery: VecDeque<u64>,
-    /// Free pool-slot indices (a worker is free again the moment its
-    /// completion event arrives — not when its whole job finishes).
-    free: Vec<usize>,
-    peak: u64,
-    rank_losses: u64,
-    recoveries: u64,
+    jobs: HashMap<u64, Payload<T>>,
 }
 
 impl<T: Real> Scheduler<T> {
     fn new(shared: Arc<Shared<T>>, workers: Vec<WorkerHandle<T>>) -> Self {
-        let free = (0..workers.len()).collect();
         Self {
+            core: SchedCore::new(workers.len()),
             shared,
             workers,
             cache: TopologyCache::new(),
-            queue: VecDeque::new(),
-            running: HashMap::new(),
-            pending_recovery: VecDeque::new(),
-            free,
-            peak: 0,
-            rank_losses: 0,
-            recoveries: 0,
+            jobs: HashMap::new(),
         }
     }
 
     fn run(mut self, events: Receiver<SchedEvent<T>>) {
-        let mut draining = false;
-        while let Ok(event) = events.recv() {
-            match event {
-                SchedEvent::Submit(adm) => self.queue.push_back(QueuedJob { adm, overtaken: 0 }),
-                SchedEvent::Done(done) => self.handle_done(done),
-                SchedEvent::Drain => draining = true,
-            }
-            self.admit_ready();
-            if draining && self.queue.is_empty() && self.running.is_empty() {
-                break;
-            }
-        }
-        // Service shut down: release the workers and join them.
-        let (senders, handles): (Vec<_>, Vec<_>) =
-            self.workers.into_iter().map(|w| (w.tx, w.handle)).unzip();
-        drop(senders);
-        for handle in handles {
-            let _ = handle.join();
+        while events.recv().is_ok_and(|event| self.handle(event)) {}
+        // Service shut down: release each worker and join it.
+        for worker in self.workers {
+            drop(worker.tx);
+            let _ = worker.handle.join();
         }
     }
 
-    /// Plan one admission pass over the queue and start every picked job
-    /// in submit order. Pending recoveries go first: a recovering job
-    /// already *had* its slots, so its respawn outranks new admissions,
-    /// and while one waits for slots nothing new is admitted past it
-    /// (running jobs drain back into the free list, so it always
-    /// eventually fits — its demand was capped at the pool size when the
-    /// job was first admitted).
-    ///
-    /// A picked job whose build fails takes none of the slots the pass
-    /// set aside for it, and no event may follow to return them, so the
-    /// pass repeats until every job it starts has been built.
-    fn admit_ready(&mut self) {
-        loop {
-            while let Some(&id) = self.pending_recovery.front() {
-                let need = self
-                    .running
-                    .get(&id)
-                    .expect("recovering job is in flight")
-                    .steppers
-                    .len();
-                if need > self.free.len() {
-                    return;
-                }
-                self.pending_recovery.pop_front();
-                self.respawn(id);
+    /// Take one event's payload in and run the core's actions, each
+    /// outcome's own first (a built job is dispatched before the next one
+    /// is built). `false` once the core says exit.
+    fn handle(&mut self, event: SchedEvent<T>) -> bool {
+        let event = match event {
+            SchedEvent::Submit(id, demand, job) => {
+                self.jobs.insert(id, job);
+                Event::Submit { id, demand }
             }
-            let mut demands: Vec<(usize, u32)> = self
-                .queue
-                .iter()
-                .map(|q| (slots_needed(&q.adm.spec), q.overtaken))
-                .collect();
-            let picks = plan_admissions(&mut demands, self.free.len(), MAX_OVERTAKES);
-            for (q, &(_, overtaken)) in self.queue.iter_mut().zip(&demands) {
-                q.overtaken = overtaken;
+            SchedEvent::Done(done) => {
+                let (id, slot, idx) = (done.job, done.slot, done.idx);
+                let end = done.result.map(|(stepper, exit)| {
+                    if let Some(job) = self.jobs.get_mut(&id) {
+                        job.steppers[idx] = Some(stepper);
+                    }
+                    exit
+                });
+                Event::RankDone { id, slot, idx, end }
             }
-            let mut started: Vec<Admitted<T>> = Vec::with_capacity(picks.len());
-            for &i in picks.iter().rev() {
-                started.push(self.queue.remove(i).expect("planned index in range").adm);
-            }
-            let mut all_built = true;
-            while let Some(adm) = started.pop() {
-                all_built &= self.start_job(adm);
-            }
-            if all_built {
-                return;
-            }
-        }
-    }
-
-    /// Build one admitted job under a panic guard and either dispatch
-    /// its ranks onto free slots (pipelined) or drive it in lock-step on
-    /// this thread (snapshot). Returns `false` when the build failed, in
-    /// which case the job's result is already published.
-    fn start_job(&mut self, adm: Admitted<T>) -> bool {
-        let started = Instant::now();
-        let built = catch_unwind(AssertUnwindSafe(|| Job::build(&adm.spec, &mut self.cache)));
-        let (job, steppers) = match built {
-            Ok(Ok(built)) => built,
-            Ok(Err(e)) => {
-                self.publish(adm.id, Err(e));
-                return false;
-            }
-            Err(payload) => {
-                // A panic in validate/plan/build: nothing reached the
-                // pool, but the cache may hold a half-built entry.
-                self.cache.clear();
-                self.publish(adm.id, Err(panicked(payload)));
-                return false;
-            }
+            SchedEvent::Drain => Event::Drain,
         };
-        match adm.spec.cfg.mode {
-            HaloMode::Snapshot => {
-                self.drive_lockstep(adm.id, job, steppers, adm.submitted, started)
+        let mut todo = VecDeque::from(self.core.on(event));
+        while let Some(action) = todo.pop_front() {
+            if action == Action::Exit {
+                return false;
             }
-            HaloMode::Pipelined => {
-                let count = steppers.len();
-                self.dispatch(adm.id, steppers);
-                self.running.insert(
-                    adm.id,
-                    Running {
-                        submitted: adm.submitted,
-                        started,
-                        job,
-                        steppers: (0..count).map(|_| None).collect(),
-                        exits: vec![Ok(()); count],
-                        remaining: count,
-                        failure: None,
-                    },
-                );
-                self.peak = self.peak.max(self.running.len() as u64);
+            if let Some(outcome) = self.perform(action) {
+                for action in self.core.on(outcome).into_iter().rev() {
+                    todo.push_front(action);
+                }
             }
         }
         true
     }
 
-    /// Run a built job to its end in lock-step on this thread, under a
-    /// panic guard. It occupies no pool slots (concurrent pipelined jobs
-    /// keep computing meanwhile; only scheduling decisions pause).
-    fn drive_lockstep(
-        &mut self,
-        id: u64,
-        mut job: Job<T>,
-        steppers: Vec<RankStepper<T>>,
-        submitted: Instant,
-        started: Instant,
-    ) {
-        self.peak = self.peak.max(self.running.len() as u64 + 1);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            step::run_lockstep(&mut job, steppers, &mut self.cache)
-        }))
-        .unwrap_or_else(|payload| {
-            // Same hygiene as after a pipelined job's panic: do not reuse
-            // the topology entry the dead job's channels came from.
-            self.cache.discard(&job.key);
+    /// Run one action; a build or a rollback answers with its outcome.
+    fn perform(&mut self, action: Action) -> Option<Event> {
+        match action {
+            Action::Build(id) => return Some(self.build(id)),
+            Action::Dispatch(job, slots) => {
+                let p = self.jobs.get_mut(&job).expect("job is known");
+                for (stepper, slot) in p.steppers.iter_mut().map(Option::take).zip(slots) {
+                    let stepper = stepper.expect("a dispatched rank is home");
+                    let sent = self.workers[slot].tx.send(RankTask { job, slot, stepper });
+                    sent.expect("pool worker hung up");
+                }
+                p.spec = None;
+            }
+            Action::RunLockstep(id) => self.conclude(id, true),
+            Action::RollBack(id, exits) => return Some(self.roll_back(id, &exits)),
+            Action::Finish(id) => self.conclude(id, false),
+            Action::Publish(id, failure) => self.publish(id, failure),
+            Action::Exit => {}
+        }
+        None
+    }
+
+    /// Build job `id` under a panic guard; a failed build decides its
+    /// result.
+    fn build(&mut self, id: u64) -> Event {
+        let job = self.jobs.get_mut(&id).expect("job is known");
+        job.started = Instant::now();
+        let spec = job.spec.as_ref().expect("an unbuilt job holds its spec");
+        let built = catch_unwind(AssertUnwindSafe(|| Job::build(spec, &mut self.cache)));
+        let built = built.unwrap_or_else(|payload| {
+            // Nothing reached the pool, but the cache may hold a
+            // half-built entry.
+            self.cache.clear();
             Err(panicked(payload))
         });
-        self.retire(id, &job, result, submitted, started);
-    }
-
-    /// Send each stepper of job `id` to a free pool worker.
-    fn dispatch(&mut self, id: u64, steppers: Vec<RankStepper<T>>) {
-        for stepper in steppers {
-            let slot = self.free.pop().expect("admission guaranteed free slots");
-            let task = RankTask {
-                job: id,
-                slot,
-                stepper,
-            };
-            self.workers[slot]
-                .tx
-                .send(task)
-                .expect("pool worker hung up");
+        match built {
+            Ok((built, steppers)) => {
+                job.job = Some(built);
+                job.steppers = steppers.into_iter().map(Some).collect();
+            }
+            Err(e) => job.result = Some(Err(e)),
         }
+        let ok = job.result.is_none();
+        Event::Built { id, ok }
     }
 
-    /// Fold one rank completion into its job; when it is the job's last,
-    /// either gather and publish, or — when some rank stopped early —
-    /// queue a rollback-and-respawn round instead.
-    fn handle_done(&mut self, done: TaskDone<T>) {
-        // The worker parked the moment it sent this event: its slot is
-        // free even though the job may still be waiting on siblings.
-        self.free.push(done.slot);
-        let Some(run) = self.running.get_mut(&done.job) else {
-            // A completion for a job the scheduler no longer tracks —
-            // unreachable under the no-dispatch-before-build rule, but
-            // the recycled slot keeps even a bug from leaking capacity.
-            return;
+    /// Run job `id` to its end in lock-step on this thread (pipelined jobs
+    /// keep computing meanwhile; only scheduling decisions pause), or
+    /// gather the report of ranks that all ran to the end on the pool. A
+    /// panic fails the job and discards its topology entry.
+    fn conclude(&mut self, id: u64, lockstep: bool) {
+        let p = self.jobs.get_mut(&id).expect("job is known");
+        let job = p.job.as_mut().expect("a concluded job was built");
+        let steppers: Vec<_> = p.steppers.drain(..).flatten().collect();
+        let (cache, wall_s) = (&mut self.cache, p.started.elapsed().as_secs_f64());
+        let result = catch_unwind(AssertUnwindSafe(|| match lockstep {
+            true => step::run_lockstep(job, steppers, cache),
+            false => Ok(job.finish(steppers, cache, wall_s)),
+        }));
+        p.result = Some(result.unwrap_or_else(|payload| {
+            self.cache.discard(&job.key);
+            Err(panicked(payload))
+        }));
+    }
+
+    /// One recovery round of job `id`, every rank home ([`Job::rollback`]);
+    /// a failed round decides the job's result.
+    fn roll_back(&mut self, id: u64, exits: &[Result<(), RankExit>]) -> Event {
+        let p = self.jobs.get_mut(&id).expect("job is known");
+        let job = p.job.as_mut().expect("a rolled-back job was built");
+        let mut steppers: Vec<_> = p.steppers.drain(..).flatten().collect();
+        let rolled = job.rollback(&mut steppers, exits, &mut self.cache);
+        p.result = rolled.err().map(Err);
+        p.steppers = steppers.into_iter().map(Some).collect();
+        let ok = p.result.is_none();
+        Event::RolledBack { id, ok }
+    }
+
+    /// Job `id` has left the core: stamp its result with the serving-layer
+    /// timing split (or take the core's verdict), count it, hand it to a
+    /// registered callback (outside the lock, panic-contained) or park it
+    /// for the job's handle, and wake every waiter.
+    fn publish(&mut self, id: u64, failure: Option<DistError>) {
+        let p = self.jobs.remove(&id).expect("job is known");
+        let mut result = match failure {
+            // A rank died mid-exchange: the job's channels may hold stale
+            // messages, so its topology entry cannot be reused.
+            Some(e) => {
+                let job = p.job.as_ref().expect("a dispatched job was built");
+                self.cache.discard(&job.key);
+                Err(e)
+            }
+            None => p.result.expect("an action decided the result"),
         };
-        match done.result {
-            Ok((stepper, exit)) => {
-                run.steppers[done.idx] = Some(stepper);
-                run.exits[done.idx] = exit;
-            }
-            Err(message) => {
-                if run.failure.as_ref().is_none_or(|(r, _)| done.idx < *r) {
-                    run.failure = Some((done.idx, message));
-                }
-            }
+        if let Ok(report) = result.as_mut() {
+            report.queue_wait_s = p.started.duration_since(p.submitted).as_secs_f64();
+            report.exec_s = p.started.elapsed().as_secs_f64();
+            report.latency_s = p.submitted.elapsed().as_secs_f64();
         }
-        run.remaining -= 1;
-        if run.remaining > 0 {
-            return;
+        let stats = &mut self.core.stats;
+        if let Some(job) = &p.job {
+            stats.rank_losses += job.recovery.rank_losses as u64;
+            stats.recoveries += job.recovery.rollbacks as u64;
         }
-        // Every rank has exited. A panic anywhere is fatal for the job
-        // (a panicked rank's state is gone — there is nothing to roll
-        // back); any other early exit starts a recovery round.
-        if run.failure.is_none() && run.exits.iter().any(Result::is_err) {
-            self.recover(done.job);
-            return;
-        }
-        let mut run = self.running.remove(&done.job).expect("job is in flight");
-        let result = match run.failure.take() {
-            Some((rank, message)) => Err(DistError::RankPanicked {
-                rank: Some(rank),
-                message,
-            }),
-            None => {
-                let steppers = run.take_steppers();
-                let wall_s = run.started.elapsed().as_secs_f64();
-                catch_unwind(AssertUnwindSafe(|| {
-                    run.job.finish(steppers, &mut self.cache, wall_s)
-                }))
-                .map_err(panicked)
-            }
-        };
-        if result.is_err() {
-            // The job died mid-exchange: its channels may hold stale
-            // messages, so the topology entry cannot be reused.
-            self.cache.discard(&run.job.key);
-        }
-        self.retire(done.job, &run.job, result, run.submitted, run.started);
-    }
-
-    /// One recovery round of a fully-exited job: roll every rank back
-    /// ([`Job::rollback`]) over a fresh channel set and queue the
-    /// re-dispatch, which admit_ready (run after every event) performs as
-    /// soon as enough slots are free.
-    fn recover(&mut self, id: u64) {
-        let began = Instant::now();
-        let run = self.running.get_mut(&id).expect("job is in flight");
-        let mut steppers = run.take_steppers();
-        let ports = self
-            .cache
-            .check_out_replacement(&run.job.key, &run.job.part);
-        match run.job.rollback(&mut steppers, &run.exits, ports, began) {
-            Ok(()) => {
-                run.steppers = steppers.into_iter().map(Some).collect();
-                self.pending_recovery.push_back(id);
-            }
-            Err(e) => {
-                let run = self.running.remove(&id).expect("job is in flight");
-                self.retire(id, &run.job, Err(e), run.submitted, run.started);
-            }
-        }
-    }
-
-    /// Send the rolled-back ranks of job `id` out again.
-    fn respawn(&mut self, id: u64) {
-        let run = self.running.get_mut(&id).expect("job is in flight");
-        let steppers = run.take_steppers();
-        run.remaining = steppers.len();
-        run.exits.fill(Ok(()));
-        self.dispatch(id, steppers);
-    }
-
-    /// A job has left the scheduler, one way or the other: fold its
-    /// recovery ledger into the service counters, stamp and publish.
-    fn retire(
-        &mut self,
-        id: u64,
-        job: &Job<T>,
-        result: Result<DistReport<T>, DistError>,
-        submitted: Instant,
-        started: Instant,
-    ) {
-        self.rank_losses += job.recovery.rank_losses as u64;
-        self.recoveries += job.recovery.rollbacks as u64;
-        self.publish(id, stamp(result, submitted, started));
-    }
-
-    /// Record one job's outcome: update the counters, hand the result to
-    /// a registered callback (outside the lock, panic-contained) or park
-    /// it for the job's handle, and wake every waiter.
-    fn publish(&mut self, id: u64, result: Result<DistReport<T>, DistError>) {
+        stats.jobs_completed += u64::from(result.is_ok());
+        stats.jobs_failed += u64::from(result.is_err());
+        (stats.topology_hits, stats.topology_misses) = (self.cache.hits, self.cache.misses);
         let mut state = self.shared.state.lock().unwrap();
-        state.stats.topology_hits = self.cache.hits;
-        state.stats.topology_misses = self.cache.misses;
-        state.stats.peak_concurrent = state.stats.peak_concurrent.max(self.peak);
-        state.stats.rank_losses = self.rank_losses;
-        state.stats.recoveries = self.recoveries;
-        if result.is_ok() {
-            state.stats.jobs_completed += 1;
-        } else {
-            state.stats.jobs_failed += 1;
-        }
+        // Rejections are counted by the submitting threads, under the lock.
+        let rejected = std::mem::replace(&mut state.stats, *stats).jobs_rejected;
+        state.stats.jobs_rejected = rejected;
         state.pending.remove(&id);
         match state.callbacks.remove(&id) {
             Some(callback) => {
@@ -1107,25 +833,10 @@ fn panicked(payload: Box<dyn std::any::Any + Send>) -> DistError {
     }
 }
 
-/// Stamp the serving-layer timing split onto a finished report:
-/// `queue_wait_s` (admission to dispatch), `exec_s` (dispatch to
-/// gathered) and their sum `latency_s`.
-fn stamp<T: Real>(
-    mut result: Result<DistReport<T>, DistError>,
-    submitted: Instant,
-    started: Instant,
-) -> Result<DistReport<T>, DistError> {
-    if let Ok(report) = result.as_mut() {
-        report.queue_wait_s = started.duration_since(submitted).as_secs_f64();
-        report.exec_s = started.elapsed().as_secs_f64();
-        report.latency_s = submitted.elapsed().as_secs_f64();
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{plan_admissions, MAX_OVERTAKES};
     use abft_core::AbftConfig;
     use abft_fault::BitFlip;
     use abft_stencil::{Exec, StencilSim};
@@ -1207,6 +918,11 @@ mod tests {
             .with_iters(5);
         service.submit(other).unwrap().wait().unwrap();
         assert_eq!(service.stats().topology_misses, 2);
+        // A loss with no checkpoint to roll back to fails its job.
+        let lost = job(4, 5).with_rank_kill(RankKill::new(1, 2));
+        let err = service.submit(lost).unwrap().wait().unwrap_err();
+        assert_eq!(err, DistError::RankLost { rank: 1, iter: 2 });
+        assert_eq!(service.stats().jobs_failed, 1);
         service.shutdown();
     }
 
@@ -1640,12 +1356,22 @@ mod tests {
             bit: 64,
         });
         let now = Instant::now();
-        scheduler.drive_lockstep(7, poisoned, steppers, now, now);
-        scheduler.start_job(Admitted {
-            id: 8,
-            spec: spec.clone(),
+        let payload = |spec, job, steppers| Payload {
+            spec,
             submitted: now,
-        });
+            started: now,
+            job,
+            steppers,
+            result: None,
+        };
+        let steppers = steppers.into_iter().map(Some).collect();
+        scheduler
+            .jobs
+            .insert(7, payload(None, Some(poisoned), steppers));
+        scheduler.perform(Action::RunLockstep(7));
+        scheduler.perform(Action::Publish(7, None));
+        let fresh = payload(Some(spec.clone()), None, Vec::new());
+        scheduler.handle(SchedEvent::Submit(8, 0, fresh));
         let mut state = shared.state.lock().unwrap();
         match state.done.remove(&7) {
             Some(Err(DistError::RankPanicked {
@@ -1739,35 +1465,42 @@ mod tests {
         service.shutdown();
     }
 
-    /// A picked job whose build panics sets aside slots it never takes,
-    /// and nothing else is in flight to send the event that would run the
-    /// next admission pass: the pass itself must hand them on. The first
-    /// job's build panics on interpolation plans built for another kernel
-    /// under its key (as if the plan set were looked up by key alone); the
-    /// second, held back for the same two slots, must be running when the
-    /// pass returns, not wait forever.
+    /// A picked job whose build fails takes none of the slots set aside
+    /// for it, and none of its ranks will ever come home to free them:
+    /// the event of the failed build must itself start the job held back
+    /// for the same slots, not leave it waiting for an event that never
+    /// comes. Two 2-slot jobs on a pool of 2, against the core; then a
+    /// shell with no pool contains a build that panics.
     #[test]
     fn a_job_that_fails_to_build_hands_its_slots_on_in_the_same_pass() {
+        let mut core = SchedCore::new(2);
+        let submit = |id| Event::Submit { id, demand: 2 };
+        assert_eq!(core.on(submit(1)), [Action::Build(1)]);
+        assert_eq!(core.on(submit(2)), []);
+        assert_eq!(
+            core.on(Event::Built { id: 1, ok: false }),
+            [Action::Publish(1, None), Action::Build(2)]
+        );
+        assert_eq!(
+            core.on(Event::Built { id: 2, ok: true }),
+            [Action::Dispatch(2, vec![1, 0])]
+        );
+
+        // The build panics on interpolation plans built for another
+        // kernel under its key, as if plan sets were looked up by key
+        // alone: the job fails, and the cache keeps no entry it touched.
         use abft_stencil::Stencil2D;
-        let (events_tx, events_rx) = channel();
-        let workers = (0..2)
-            .map(|_| {
-                let (tx, rx) = channel();
-                let events = events_tx.clone();
-                let handle = std::thread::spawn(move || worker::pool_worker(rx, events));
-                WorkerHandle { tx, handle }
-            })
-            .collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(ServeState::default()),
             cv: Condvar::new(),
         });
-        let mut sched = Scheduler::new(Arc::clone(&shared), workers);
+        let mut shell = Scheduler::<f64>::new(Arc::clone(&shared), Vec::new());
         let spec = JobSpec::over(field(12, 16, 3), Stencil3D::diffusion_7pt(0.1))
             .with_ranks(2)
             .with_grid(1, 2)
             .with_iters(3)
-            .with_abft(AbftConfig::paper_defaults());
+            .with_abft(AbftConfig::paper_defaults())
+            .with_mode(HaloMode::Snapshot);
         let part = validate(&spec.initial, &spec.stencil, &spec.bounds, None, &spec.cfg).unwrap();
         let grid = (part.rx(), part.ry(), part.rz());
         let key = crate::pipeline::TopoKey {
@@ -1777,32 +1510,27 @@ mod tests {
             bounds: spec.bounds,
         };
         let other = Stencil2D::convection_9pt(0.18, 0.08, -0.05).into_3d();
-        sched.cache.plans(&key, &part, &spec.bounds);
-        sched.cache.col_plans(&key, &spec.stencil, || {
+        shell.cache.plans(&key, &part);
+        shell.cache.col_plans(&key, &spec.stencil, || {
             crate::col_plans(key.dims, &other, &spec.bounds, &spec.cfg, &part)
         });
-        for id in [1, 2] {
-            shared.state.lock().unwrap().pending.insert(id);
-            let adm = Admitted {
-                id,
-                spec: spec.clone(),
-                submitted: Instant::now(),
-            };
-            sched.queue.push_back(QueuedJob { adm, overtaken: 0 });
-        }
-        sched.admit_ready();
+        let now = Instant::now();
+        let job = Payload {
+            spec: Some(spec),
+            submitted: now,
+            started: now,
+            job: None,
+            steppers: Vec::new(),
+            result: None,
+        };
+        shared.state.lock().unwrap().pending.insert(1);
+        shell.handle(SchedEvent::Submit(1, 0, job));
         let first = shared.state.lock().unwrap().done.remove(&1);
         assert!(
             matches!(first, Some(Err(DistError::RankPanicked { rank: None, .. }))),
             "{first:?}"
         );
-        assert!(sched.queue.is_empty() && sched.running.contains_key(&2));
-        // Let the second job finish, then shut the pool down.
-        events_tx.send(SchedEvent::Drain).unwrap();
-        drop(events_tx);
-        sched.run(events_rx);
-        let second = shared.state.lock().unwrap().done.remove(&2);
-        assert!(matches!(second, Some(Ok(_))), "{second:?}");
+        assert_eq!(shell.cache.len(), 0);
     }
 
     #[test]

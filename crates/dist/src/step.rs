@@ -363,7 +363,7 @@ impl<T: Real> Job<T> {
             halo: effective_halo(&spec.cfg, &spec.stencil, grid),
             bounds: spec.bounds,
         };
-        let plans = cache.plans(&key, &part, &spec.bounds);
+        let plans = cache.plans(&key, &part);
         let col = spec.cfg.abft.map(|_| {
             cache.col_plans(&key, &spec.stencil, || {
                 let dims = spec.initial.dims();
@@ -423,7 +423,7 @@ impl<T: Real> Job<T> {
     /// One recovery round, after every rank has stopped and at least one
     /// did not finish: roll every rank back to the newest epoch all their
     /// rings hold, consume the faults that already fired, and re-arm the
-    /// steppers over the fresh channel set `ports` (the lost round's
+    /// steppers over a fresh channel set from `cache` (the lost round's
     /// channels may hold stale messages). The replayed run's final grid is
     /// bitwise what the fault-free run produces: snapshots capture exactly
     /// the committed state (grid + trusted checksums), and the replay
@@ -434,14 +434,15 @@ impl<T: Real> Job<T> {
     /// [`DistError::NoCommonEpoch`] when an explicit `with_keep` shallower
     /// than the pipeline's epoch skew evicted the overlap — the auto-sized
     /// ring depth makes that unreachable, but a user-pinned depth must
-    /// fail the job, not panic its driver.
+    /// fail the job, not panic its driver. Either way no channel set is
+    /// checked out.
     pub(crate) fn rollback(
         &mut self,
         steppers: &mut [RankStepper<T>],
         exits: &[Result<(), RankExit>],
-        ports: Vec<Ports<T>>,
-        began: Instant,
+        cache: &mut TopologyCache<T>,
     ) -> Result<(), DistError> {
+        let began = Instant::now();
         let mut killed = exits.iter().enumerate().filter_map(|(rank, x)| match x {
             Err(RankExit::Killed { iter }) => Some((rank, *iter)),
             _ => None,
@@ -461,6 +462,10 @@ impl<T: Real> Job<T> {
             e.is_multiple_of(self.steps_per_exchange),
             "rollback must land on an exchange boundary (validate pins period % k == 0)"
         );
+        // Re-register the key first, in case a concurrent job's panic
+        // discarded its entry meanwhile.
+        cache.plans(&self.key, &self.part);
+        let ports = cache.check_out(&self.key);
         for (s, ports) in steppers.iter_mut().zip(ports) {
             let (_, ring) = s.checkpoint.as_mut().expect("every ring holds epoch `e`");
             // Ranks that ran ahead of the rollback target still retain
@@ -538,9 +543,7 @@ pub(crate) fn run_lockstep<T: Real>(
             exits = steppers.iter_mut().map(RankStepper::complete).collect();
         }
         if exits.iter().any(Result::is_err) {
-            let began = Instant::now();
-            let ports = cache.check_out_replacement(&job.key, &job.part);
-            job.rollback(&mut steppers, &exits, ports, began)?;
+            job.rollback(&mut steppers, &exits, cache)?;
         }
     }
     Ok(job.finish(steppers, cache, wall.elapsed().as_secs_f64()))
@@ -695,11 +698,8 @@ mod tests {
         /// or past the rollback target.
         fn roll_back(&mut self) -> Result<(), TestCaseError> {
             let exits: Vec<_> = self.exits.iter().map(|x| x.expect("stopped")).collect();
-            let ports = self
-                .cache
-                .check_out_replacement(&self.job.key, &self.job.part);
             self.job
-                .rollback(&mut self.steppers, &exits, ports, Instant::now())
+                .rollback(&mut self.steppers, &exits, &mut self.cache)
                 .expect("auto-sized rings share an epoch");
             self.rollbacks += 1;
             for s in &self.steppers {
@@ -790,6 +790,31 @@ mod tests {
         assert!(cache.spares().iter().all(|g| g.dims() == (8, 6, 2)));
         let (_, steppers) = Job::build(&protected, &mut cache).unwrap();
         assert_eq!(seeded(&steppers), 0);
+    }
+
+    /// A loss with nothing to roll back to fails its job before any
+    /// replacement channel set is checked out: the key's idle sets stay
+    /// as they were.
+    #[test]
+    fn an_unrecoverable_loss_checks_out_no_replacement_ports() {
+        let spec = JobSpec::over(
+            Grid3D::from_fn(8, 16, 2, |x, y, z| (x * 5 + y * 3 + z) as f64),
+            Stencil3D::seven_point(0.4f64, 0.12, 0.08, 0.1),
+        )
+        .with_ranks(2)
+        .with_grid(1, 2)
+        .with_iters(ITERS)
+        .with_mode(HaloMode::Snapshot);
+        let mut cache = TopologyCache::new();
+        let lost = spec.clone().with_rank_kill(RankKill::new(1, 3));
+        let (mut lost, steppers) = Job::build(&lost, &mut cache).unwrap();
+        // A clean job over the same key checks its own set in.
+        let (mut clean, clean_steppers) = Job::build(&spec, &mut cache).unwrap();
+        run_lockstep(&mut clean, clean_steppers, &mut cache).unwrap();
+        assert_eq!(cache.idle_ports(&lost.key), Some(1));
+        let err = run_lockstep(&mut lost, steppers, &mut cache).unwrap_err();
+        assert_eq!(err, DistError::RankLost { rank: 1, iter: 3 });
+        assert_eq!(cache.idle_ports(&lost.key), Some(1));
     }
 
     proptest! {
