@@ -76,14 +76,6 @@ impl<T: Real> AbftConfig<T> {
         self.policy = policy;
         self
     }
-
-    /// Heuristic ε for a Δ-step offline rollforward: rounding error grows
-    /// roughly with the number of accumulated kernel applications, so the
-    /// threshold is scaled by `sqrt(Δ)` (§4.1 suggests raising ε to avoid
-    /// false positives for long periods).
-    pub fn epsilon_for_period(&self) -> T {
-        self.epsilon * T::from_f64((self.period as f64).sqrt())
-    }
 }
 
 impl<T: Real> Default for AbftConfig<T> {
@@ -119,12 +111,6 @@ mod tests {
         assert_eq!(c.epsilon, 1e-4);
         assert_eq!(c.period, 8);
         assert_eq!(c.policy, MultiErrorPolicy::DeltaMatch);
-    }
-
-    #[test]
-    fn period_epsilon_scales() {
-        let c = AbftConfig::<f32>::paper_defaults().with_period(16);
-        assert!((c.epsilon_for_period() - 4e-5).abs() < 1e-9);
     }
 
     #[test]

@@ -215,11 +215,10 @@ impl Pad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        build_ranks, col_plans, effective_halo, validate, DistConfig, HaloPlan, Partition3, Rank,
-    };
+    use crate::pipeline::TopologyCache;
+    use crate::step::{Job, RankStepper};
+    use crate::{effective_halo, DistConfig, HaloPlan, JobSpec, Partition3};
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     /// Every rank of a job over `initial`, as the job builds them.
     fn ranks(
@@ -227,14 +226,11 @@ mod tests {
         cfg: &DistConfig<f64>,
         bounds: BoundarySpec<f64>,
         stencil: &Stencil3D<f64>,
-    ) -> Vec<Rank<f64>> {
-        let part = validate(initial, stencil, &bounds, None, cfg).unwrap();
-        let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
-        let dims = initial.dims();
-        let plan = |r| Arc::new(HaloPlan::new(&part.brick(r), r, &part, halo, dims, &bounds));
-        let plans: Vec<_> = (0..part.ranks()).map(plan).collect();
-        let col = col_plans(dims, stencil, &bounds, cfg, &part);
-        build_ranks(initial, stencil, &bounds, None, cfg, &part, &plans, &col)
+    ) -> Vec<RankStepper<f64>> {
+        let spec = JobSpec::over(initial.clone(), stencil.clone())
+            .with_bounds(bounds)
+            .with_dist(cfg.clone());
+        Job::build(&spec, &mut TopologyCache::new()).unwrap().1
     }
 
     fn boundary(kind: usize) -> Boundary<f64> {

@@ -79,12 +79,14 @@
 //! while a periodic pad holds the wrapped-around cells (the first column
 //! of bricks receives halos from the last).
 
-use abft_core::{ColPlan, OnlineAbft};
-use abft_fault::BitFlip;
+use abft_core::ColPlan;
 use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
-use abft_stencil::{Exec, Stencil3D, StencilSim};
+use abft_stencil::Stencil3D;
 use std::sync::Arc;
+
+#[cfg(doc)]
+use {abft_core::OnlineAbft, abft_stencil::StencilSim};
 
 mod config;
 mod epoch;
@@ -109,62 +111,6 @@ pub use report::{DistReport, PhaseTimings, RankReport};
 pub use sched::{ServeStats, MAX_OVERTAKES};
 pub use service::{DistService, JobHandle, JobId, JobSpec, ServiceConfig};
 pub(crate) use validate::{effective_halo, validate};
-
-/// One simulated rank: its padded-brick simulation, optional protector,
-/// pending faults, halo plan (boxes, traffic volumes) and accumulated
-/// phase timings.
-pub(crate) struct Rank<T> {
-    /// The simulation of the rank's padded grid ([`epoch::Pad`]): the
-    /// brick plus its halo, swept under the job's own boundaries.
-    pub(crate) sim: StencilSim<T>,
-    /// The protector of the boxes of `sim` the sweeps write: the brick,
-    /// and the brick grown by each reach an epoch's later sweeps still
-    /// consume.
-    pub(crate) abft: Option<OnlineAbft<T>>,
-    pub(crate) brick: Brick,
-    pub(crate) pad: epoch::Pad,
-    /// Brick faults, in brick coordinates.
-    pub(crate) flips: Vec<BitFlip>,
-    /// The rank's halo plan: the global cells it needs every exchange,
-    /// as boxes (self-owned first — boundary folds and periodic wraps the
-    /// rank serves to itself — then remote producers in ascending rank
-    /// order, each box z-major row-major). Concatenating a producer's
-    /// boxes in this order yields its message. Shared with the pool's
-    /// topology cache — the plan is immutable, so jobs with the same
-    /// shape reuse one copy.
-    pub(crate) plan: Arc<HaloPlan>,
-    pub(crate) timing: PhaseTimings,
-    /// Ghost-shell faults to inject into the pad cells a sweep brings
-    /// forward (global coordinates; only fire with `steps_per_exchange >
-    /// 1`).
-    pub(crate) shell_flips: Vec<BitFlip>,
-}
-
-impl<T: Real> Rank<T> {
-    /// The flips scheduled to fire during sweep `t`, at padded-grid
-    /// coordinates: the brick's, and the shell's at the pad cell they
-    /// strike (a shell cell the sweep does not write holds nothing to
-    /// corrupt).
-    pub(crate) fn flips_at(&self, t: usize) -> Vec<BitFlip> {
-        let [ox, oy, oz] = self.pad.lo;
-        let brick = self
-            .flips
-            .iter()
-            .filter(|f| f.iteration == t)
-            .map(|f| BitFlip {
-                x: f.x + ox,
-                y: f.y + oy,
-                z: f.z + oz,
-                ..*f
-            });
-        let shell = self.shell_flips.iter().filter(|f| f.iteration == t);
-        let shell = shell.filter_map(|f| {
-            let [x, y, z] = self.pad.in_pad([f.x, f.y, f.z])?;
-            Some(BitFlip { x, y, z, ..*f })
-        });
-        brick.chain(shell).collect()
-    }
-}
 
 /// Run the distributed simulation and gather the result.
 ///
@@ -244,60 +190,13 @@ pub(crate) fn col_plans<T: Real>(
         .collect()
 }
 
-/// Build one job's transient rank state: per-brick sims (with constant
-/// slices), per-job protectors and per-job flip lists. Everything here is
-/// job-scoped by construction — a fresh call per job is what guarantees
-/// one job's faults and protector counters can never leak into the next —
-/// while the immutable halo `plans` and, for a protected job, the
-/// interpolation plans `col` ([`col_plans`]) are shared with the topology
-/// cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_ranks<T: Real>(
-    initial: &Grid3D<T>,
-    stencil: &Stencil3D<T>,
-    bounds: &BoundarySpec<T>,
-    constant: Option<&Grid3D<T>>,
-    cfg: &DistConfig<T>,
-    part: &Partition3,
-    plans: &[Arc<HaloPlan>],
-    col: &[Vec<Arc<ColPlan<T>>>],
-) -> Vec<Rank<T>> {
-    let halo = effective_halo(cfg, stencil, (part.rx(), part.ry(), part.rz()));
-    (0..part.ranks())
-        .map(|r| {
-            let brick = part.brick(r);
-            let pad = epoch::Pad::new(&brick, initial.dims(), bounds, halo, stencil);
-            let mut sim = StencilSim::new(pad.fill(initial), stencil.clone(), *bounds)
-                .with_exec(Exec::Serial);
-            if let Some(c) = constant {
-                sim = sim.with_constant(pad.fill(c));
-            }
-            let abft = cfg
-                .abft
-                .map(|acfg| OnlineAbft::over_plans(&sim, acfg, col[r].iter().cloned()));
-            let of_rank = |faults: &[(usize, BitFlip)]| {
-                let mine = faults.iter().filter(|(fr, _)| *fr == r);
-                mine.map(|(_, f)| *f).collect()
-            };
-            Rank {
-                abft,
-                brick,
-                flips: of_rank(&cfg.flips),
-                plan: plans[r].clone(),
-                timing: PhaseTimings::default(),
-                shell_flips: of_rank(&cfg.shell_flips),
-                sim,
-                pad,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use abft_core::AbftConfig;
+    use abft_fault::BitFlip;
     use abft_grid::Boundary;
+    use abft_stencil::{Exec, StencilSim};
     use std::collections::BTreeSet;
 
     fn wavy(nx: usize, ny: usize, nz: usize) -> Grid3D<f64> {

@@ -66,10 +66,6 @@ use std::sync::Arc;
 /// consumer's boxes.
 pub(crate) type HaloMsg<T> = Vec<T>;
 
-/// An outgoing halo channel: the sender plus the consumer's boxes this
-/// producer owns, owed every exchange.
-pub(crate) type SendPort<T> = (SyncSender<HaloMsg<T>>, Vec<HaloBox>);
-
 /// Double-buffering depth of each halo channel: a producer can run at
 /// most this many iterations ahead of a consumer before its send blocks.
 pub(crate) const CHANNEL_DEPTH: usize = 2;
@@ -88,12 +84,14 @@ type TapOffsets = Vec<[isize; 3]>;
 
 /// One rank's endpoints in the pipeline.
 pub(crate) struct Ports<T> {
-    /// Outgoing halo channels, one per consumer this rank owes cells to.
-    pub(crate) sends: Vec<SendPort<T>>,
+    /// Outgoing halo channels, one per consumer this rank owes cells to,
+    /// each with the consumer's boxes this rank owns.
+    pub(crate) sends: Vec<(SyncSender<HaloMsg<T>>, Vec<HaloBox>)>,
     /// Incoming halo channels, one per producer in ascending rank order
-    /// (matching the consumer's payload layout); exactly one message per
-    /// producer per iteration, in iteration order.
-    pub(crate) recvs: Vec<Receiver<HaloMsg<T>>>,
+    /// (matching the consumer's payload layout), each with the boxes of
+    /// this rank's halo it lands; exactly one message per producer per
+    /// exchange, in iteration order.
+    pub(crate) recvs: Vec<(Receiver<HaloMsg<T>>, Vec<HaloBox>)>,
     /// The boxes this rank serves to itself.
     pub(crate) self_boxes: Vec<HaloBox>,
 }
@@ -131,8 +129,8 @@ pub(crate) struct TopoKey<T> {
 /// channel endpoints, reusable across every job that shares the key.
 pub(crate) struct Topology<T> {
     pub(crate) key: TopoKey<T>,
-    /// Per-rank halo plans (boxes and traffic volumes), shared with each
-    /// job's transient [`crate::Rank`] values.
+    /// Per-rank halo plans (boxes and traffic volumes): what the ports
+    /// are wired from, and each rank's traffic report.
     pub(crate) plans: Vec<Arc<HaloPlan>>,
     /// Idle channel-endpoint sets, built lazily on first use (by either
     /// driver: both run over channels). A *stack* rather than a
@@ -162,7 +160,7 @@ fn build_ports<T: Real>(plans: &[Arc<HaloPlan>]) -> Vec<Ports<T>> {
             } else {
                 let (tx, rx) = sync_channel(CHANNEL_DEPTH);
                 ports[p].sends.push((tx, owed.to_vec()));
-                ports[c].recvs.push(rx);
+                ports[c].recvs.push((rx, owed.to_vec()));
             }
         }
     }
@@ -219,14 +217,22 @@ impl<T: Real> TopologyCache<T> {
         self.entries.iter().position(|e| e.key == *key)
     }
 
-    /// Find or build the topology for `key`, returning its per-rank halo
-    /// plans (the job's ranks share them by `Arc`).
+    /// Find or build the topology for `key`, counting the lookup as a hit
+    /// or a miss, and return its per-rank halo plans.
     pub(crate) fn plans(&mut self, key: &TopoKey<T>, part: &Partition3) -> Vec<Arc<HaloPlan>> {
-        if let Some(i) = self.position(key) {
-            self.hits += 1;
-            return self.entries[i].plans.clone();
+        match self.position(key) {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        self.misses += 1;
+        let i = self.entry(key, part);
+        self.entries[i].plans.clone()
+    }
+
+    /// The index of `key`'s entry, built if it is missing; uncounted.
+    fn entry(&mut self, key: &TopoKey<T>, part: &Partition3) -> usize {
+        if let Some(i) = self.position(key) {
+            return i;
+        }
         let plans: Vec<Arc<HaloPlan>> = (0..part.ranks())
             .map(|r| {
                 let brick = part.brick(r);
@@ -241,11 +247,11 @@ impl<T: Real> TopologyCache<T> {
         }
         self.entries.push(Topology {
             key: *key,
-            plans: plans.clone(),
+            plans,
             idle_ports: Vec::new(),
             col_plans: Vec::new(),
         });
-        plans
+        self.entries.len() - 1
     }
 
     /// The column-interpolation plans of a protected job over `key` with
@@ -270,15 +276,14 @@ impl<T: Real> TopologyCache<T> {
         set
     }
 
-    /// Check a channel-endpoint set for `key` out for one pipelined job,
-    /// popping an idle set or building a fresh one when every cached set
-    /// is already carrying a concurrent same-key job. The caller must
-    /// [`Self::check_in`] the set after a clean job, or [`Self::discard`]
-    /// the entry after a panicked one.
-    pub(crate) fn check_out(&mut self, key: &TopoKey<T>) -> Vec<Ports<T>> {
-        let i = self
-            .position(key)
-            .expect("ports checked out before plans were built");
+    /// Check a channel-endpoint set for `key` out for one job, popping an
+    /// idle set or building a fresh one when every cached set is already
+    /// carrying a concurrent same-key job. The entry is rebuilt, uncounted,
+    /// should a concurrent job's panic have discarded it since the job's
+    /// lookup. The caller must [`Self::check_in`] the set after a clean
+    /// job, or [`Self::discard`] the entry after a panicked one.
+    pub(crate) fn check_out(&mut self, key: &TopoKey<T>, part: &Partition3) -> Vec<Ports<T>> {
+        let i = self.entry(key, part);
         match self.entries[i].idle_ports.pop() {
             Some(ports) => ports,
             None => build_ports(&self.entries[i].plans),
@@ -424,7 +429,7 @@ mod tests {
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
         cache.plans(&k, &part);
-        let ports = cache.check_out(&k);
+        let ports = cache.check_out(&k, &part);
         assert_eq!(ports.len(), 3);
         // 3 y-slabs: the middle rank owes both neighbours, ends owe one.
         assert_eq!(ports[1].sends.len(), 2);

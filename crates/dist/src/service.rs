@@ -1236,6 +1236,26 @@ mod tests {
         service.shutdown();
     }
 
+    /// A recovery round checks a fresh channel set out of the job's own
+    /// entry: it is no second lookup, so a lone killed job counts one
+    /// miss and no hit.
+    #[test]
+    fn a_recovered_job_counts_one_topology_lookup() {
+        let service = DistService::<f64>::new(2).unwrap();
+        let spec = job(2, 6)
+            .with_checkpoint(CheckpointPolicy::every(2))
+            .with_rank_kill(RankKill::new(1, 3));
+        service.submit(spec).unwrap().wait().unwrap();
+        let stats = service.stats();
+        service.shutdown();
+        assert_eq!(stats.recoveries, 1, "{stats:?}");
+        assert_eq!(
+            (stats.topology_hits, stats.topology_misses),
+            (0, 1),
+            "{stats:?}"
+        );
+    }
+
     #[test]
     fn zero_checkpoint_period_is_rejected_and_spares_the_topology_cache() {
         let service = DistService::<f64>::new(2).unwrap();
@@ -1348,7 +1368,7 @@ mod tests {
         let (poisoned, mut steppers) = Job::build(&spec, &mut scheduler.cache).unwrap();
         // An impossible bit position blows the hook constructor's assert
         // in rank 1's second iteration.
-        steppers[1].rank.flips.push(BitFlip {
+        steppers[1].flips.push(BitFlip {
             iteration: 1,
             x: 0,
             y: 0,

@@ -35,17 +35,21 @@
 //! with the scheduler rolling back between rounds, and [`run_lockstep`]
 //! advances every rank of a job from one thread.
 
+use crate::epoch::Pad;
 use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
 use crate::service::JobSpec;
 use crate::{
-    build_ranks, col_plans, effective_halo, gather_report, validate, DistError, DistReport,
-    Partition3, Rank,
+    col_plans, effective_halo, gather_report, validate, Brick, DistError, DistReport, HaloTraffic,
+    Partition3, PhaseTimings,
 };
 use abft_checkpoint::{CheckpointPolicy, EpochRing};
-use abft_fault::MultiFlipHook;
+use abft_core::{ColPlan, OnlineAbft};
+use abft_fault::{BitFlip, MultiFlipHook};
+use abft_grid::Grid3D;
 use abft_metrics::RecoveryStats;
 use abft_num::Real;
-use abft_stencil::{InteriorWindow, NoHook, SweepHook};
+use abft_stencil::{Exec, InteriorWindow, NoHook, StencilSim, SweepHook};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The newest epoch present in every stepper's ring — the common
@@ -103,11 +107,28 @@ pub(crate) enum RankExit {
     Uncorrectable { iter: usize },
 }
 
-/// One rank of one job as a resumable step machine: the rank's state, its
-/// channel endpoints for its slot in the topology, the job's sweep
-/// parameters and the rank's own position `t`.
+/// One rank of one job as a resumable step machine, and everything the
+/// rank owns: its padded-brick simulation and protector, its faults, its
+/// checkpoint ring, its channel endpoints for its slot in the topology,
+/// its phase timings and its own position `t`.
 pub(crate) struct RankStepper<T: Real> {
-    pub(crate) rank: Rank<T>,
+    /// The simulation of the rank's padded grid ([`crate::epoch::Pad`]):
+    /// the brick plus its halo, swept under the job's own boundaries.
+    pub(crate) sim: StencilSim<T>,
+    /// The protector of the boxes of `sim` the sweeps write: the brick,
+    /// and the brick grown by each reach an epoch's later sweeps still
+    /// consume.
+    pub(crate) abft: Option<OnlineAbft<T>>,
+    pub(crate) brick: Brick,
+    pub(crate) pad: Pad,
+    /// Every flip planned for this rank, at its padded-grid coordinate:
+    /// the brick's, then the shell's at the pad cell they strike (a shell
+    /// target the pad does not hold is dropped at build). One-shot: a
+    /// rollback drops the ones that fired.
+    pub(crate) flips: Vec<BitFlip>,
+    /// The rank's halo-traffic volumes, for its report.
+    pub(crate) traffic: HaloTraffic,
+    pub(crate) timing: PhaseTimings,
     /// Borrowed from the topology cache for the job: a clean job drains
     /// every channel (one send and one recv per channel per exchange), so
     /// the same endpoints carry the pool's next job.
@@ -143,27 +164,71 @@ pub(crate) struct RankStepper<T: Real> {
 }
 
 impl<T: Real> RankStepper<T> {
+    /// Rank `idx` of the job `spec` over `part`, fresh: its slice of the
+    /// initial field (and constant) on its padded grid, its protector over
+    /// the cached interpolation plans `col`, its faults and kills, and —
+    /// when the job checkpoints — its ring, seeded with the `spares` of
+    /// its brick's dims that a clean run's stores will fill. Everything
+    /// here is job-scoped, so one job's faults and protector counters can
+    /// never leak into the next.
     fn new(
-        rank: Rank<T>,
-        ports: Ports<T>,
         idx: usize,
         spec: &JobSpec<T>,
-        checkpoint: Option<(CheckpointPolicy, EpochRing<T>)>,
+        part: &Partition3,
+        traffic: HaloTraffic,
+        col: Option<&[Arc<ColPlan<T>>]>,
+        ports: Ports<T>,
+        spares: &mut Vec<Grid3D<T>>,
     ) -> Self {
+        let (cfg, stencil, bounds) = (&spec.cfg, &spec.stencil, spec.bounds);
+        let (brick, grid) = (part.brick(idx), (part.rx(), part.ry(), part.rz()));
+        let halo = effective_halo(cfg, stencil, grid);
+        let pad = Pad::new(&brick, spec.initial.dims(), &bounds, halo, stencil);
+        let sim = StencilSim::new(pad.fill(&spec.initial), stencil.clone(), bounds);
+        let mut sim = sim.with_exec(Exec::Serial);
+        if let Some(c) = &spec.constant {
+            sim = sim.with_constant(pad.fill(c));
+        }
+        let abft = cfg
+            .abft
+            .zip(col)
+            .map(|(acfg, col)| OnlineAbft::over_plans(&sim, acfg, col.iter().cloned()));
+        let mine = |(r, _): &&(usize, BitFlip)| *r == idx;
+        let at = |[x, y, z]: [usize; 3], f| BitFlip { x, y, z, ..f };
+        let [ox, oy, oz] = pad.lo;
+        let brick_flips = cfg.flips.iter().filter(mine);
+        let brick_flips = brick_flips.map(|&(_, f)| at([f.x + ox, f.y + oy, f.z + oz], f));
+        let shell_flips = cfg.shell_flips.iter().filter(mine);
+        let shell_flips =
+            shell_flips.filter_map(|&(_, f)| Some(at(pad.in_pad([f.x, f.y, f.z])?, f)));
+        let checkpoint = cfg.checkpoint.map(|p| {
+            // A clean run stores ⌈iters / Δ⌉ epochs, of which the ring
+            // retains `keep`: seed up to that many spares of the brick's
+            // dims.
+            let keep = ring_keep(p, grid, cfg.steps_per_exchange);
+            let [nx, ny, nz] = pad.len;
+            let mut ring = EpochRing::new(keep);
+            ring.seed((0..keep.min(cfg.iters.div_ceil(p.period))).map_while(|_| {
+                let i = spares.iter().position(|g| g.dims() == (nx, ny, nz))?;
+                Some(spares.swap_remove(i))
+            }));
+            (p, ring)
+        });
+        let kills = cfg.kills.iter().filter(|k| k.rank == idx);
         Self {
-            window: rank.pad.inner(),
-            kills: spec
-                .cfg
-                .kills
-                .iter()
-                .filter(|k| k.rank == idx)
-                .map(|k| k.iter)
-                .collect(),
-            rank,
+            window: pad.inner(),
+            flips: brick_flips.chain(shell_flips).collect(),
+            kills: kills.map(|k| k.iter).collect(),
+            sim,
+            abft,
+            brick,
+            pad,
+            traffic,
+            timing: PhaseTimings::default(),
             ports,
             idx,
-            iters: spec.cfg.iters,
-            k: spec.cfg.steps_per_exchange,
+            iters: cfg.iters,
+            k: cfg.steps_per_exchange,
             checkpoint,
             scratch: Vec::new(),
             aux: Vec::new(),
@@ -221,7 +286,8 @@ impl<T: Real> RankStepper<T> {
 
     /// The fault-injection hook for iteration `t`, if any flip is due.
     fn hook(&self) -> Option<MultiFlipHook<T>> {
-        let flips = self.rank.flips_at(self.t);
+        let due = self.flips.iter().filter(|f| f.iteration == self.t);
+        let flips: Vec<_> = due.copied().collect();
         (!flips.is_empty()).then(|| MultiFlipHook::new(flips))
     }
 
@@ -235,11 +301,11 @@ impl<T: Real> RankStepper<T> {
         // step after a rollback: the ring already holds that epoch.
         if let Some((policy, ring)) = &mut self.checkpoint {
             if policy.due(t) && (t == 0 || t != self.start) {
-                match &self.rank.abft {
+                match &self.abft {
                     Some(a) => a.write_checksum_payload(&mut self.aux),
                     None => self.aux.clear(),
                 }
-                let (pad, current) = (&self.rank.pad, self.rank.sim.current());
+                let (pad, current) = (&self.pad, self.sim.current());
                 ring.store_box(current, pad.lo, pad.len, &self.aux, t);
             }
         }
@@ -251,7 +317,7 @@ impl<T: Real> RankStepper<T> {
 
         let began = Instant::now();
         if t.is_multiple_of(self.k) {
-            let (pad, current) = (&self.rank.pad, self.rank.sim.current());
+            let (pad, current) = (&self.pad, self.sim.current());
             let mut sent = 0;
             for (tx, boxes) in &self.ports.sends {
                 let mut msg = Vec::new();
@@ -264,58 +330,54 @@ impl<T: Real> RankStepper<T> {
             self.scratch.clear();
             let own = &self.ports.self_boxes;
             pad.pack(current, own, &mut self.scratch);
-            pad.unpack(own, &self.scratch, self.rank.sim.current_mut());
-            self.rank.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
-            self.rank.timing.halo_msgs_sent += self.ports.sends.len() as u64;
+            pad.unpack(own, &self.scratch, self.sim.current_mut());
+            self.timing.halo_bytes_sent += (sent * std::mem::size_of::<T>()) as u64;
+            self.timing.halo_msgs_sent += self.ports.sends.len() as u64;
         }
         let posted = Instant::now();
-        match self.rank.abft.as_mut() {
-            Some(a) => a.sweep_interior(&mut self.rank.sim, hook, &self.window),
-            None => self.rank.sim.sweep_interior(hook, &self.window, None),
+        match self.abft.as_mut() {
+            Some(a) => a.sweep_interior(&mut self.sim, hook, &self.window),
+            None => self.sim.sweep_interior(hook, &self.window, None),
         }
-        self.rank.timing.post_s += (posted - began).as_secs_f64();
-        self.rank.timing.interior_s += posted.elapsed().as_secs_f64();
+        self.timing.post_s += (posted - began).as_secs_f64();
+        self.timing.interior_s += posted.elapsed().as_secs_f64();
         Ok(())
     }
 
     fn complete_with<H: SweepHook<T>>(&mut self, hook: &H) -> Result<(), RankExit> {
         let t = self.t;
         let began = Instant::now();
-        let rank = &mut self.rank;
         if t.is_multiple_of(self.k) {
-            // Producers in ascending rank order, as the plan lists them.
-            let mut remote = rank.plan.owed().filter(|boxes| boxes[0].owner != self.idx);
             let mut received = 0;
-            for rx in &self.ports.recvs {
+            for (rx, boxes) in &self.ports.recvs {
                 // A producer died: the step is abandoned before the edge
                 // sweep, so the simulation still holds iteration t intact.
                 let Ok(msg) = rx.recv() else {
                     return Err(RankExit::PeerLost { iter: t });
                 };
                 received += msg.len();
-                let boxes = remote.next().unwrap_or_default();
-                rank.pad.unpack(boxes, &msg, rank.sim.current_mut());
+                self.pad.unpack(boxes, &msg, self.sim.current_mut());
             }
-            rank.timing.halo_bytes_recv += (received * std::mem::size_of::<T>()) as u64;
-            rank.timing.halo_msgs_recv += self.ports.recvs.len() as u64;
+            self.timing.halo_bytes_recv += (received * std::mem::size_of::<T>()) as u64;
+            self.timing.halo_msgs_recv += self.ports.recvs.len() as u64;
         }
         let landed = Instant::now();
-        let outer = rank.pad.window(self.k - 1 - t % self.k);
-        let (uncorrectable, tail) = match rank.abft.as_mut() {
+        let outer = self.pad.window(self.k - 1 - t % self.k);
+        let (uncorrectable, tail) = match self.abft.as_mut() {
             Some(a) => {
                 let (outcome, tail) =
-                    a.sweep_shell_and_verify(&mut rank.sim, hook, &self.window, &outer);
+                    a.sweep_shell_and_verify(&mut self.sim, hook, &self.window, &outer);
                 (outcome.uncorrectable, tail)
             }
             None => {
-                rank.sim
+                self.sim
                     .sweep_shell_and_finish(hook, &self.window, &outer, None);
                 (0, Duration::ZERO)
             }
         };
-        self.rank.timing.wait_s += (landed - began).as_secs_f64();
-        self.rank.timing.edge_s += landed.elapsed().saturating_sub(tail).as_secs_f64();
-        self.rank.timing.verify_s += tail.as_secs_f64();
+        self.timing.wait_s += (landed - began).as_secs_f64();
+        self.timing.edge_s += landed.elapsed().saturating_sub(tail).as_secs_f64();
+        self.timing.verify_s += tail.as_secs_f64();
         self.t += 1;
         // Eq. 10 was defeated (multi-point damage). With a ring to roll
         // back to, escalate instead of carrying a wrong grid forward.
@@ -370,51 +432,25 @@ impl<T: Real> Job<T> {
                 col_plans(dims, &spec.stencil, &spec.bounds, &spec.cfg, &part)
             })
         });
-        let ranks = build_ranks(
-            &spec.initial,
-            &spec.stencil,
-            &spec.bounds,
-            spec.constant.as_ref(),
-            &spec.cfg,
-            &part,
-            &plans,
-            col.as_deref().map_or(&[], |c| c),
-        );
-        let k = spec.cfg.steps_per_exchange;
-        let checkpoint = spec.cfg.checkpoint;
-        let checkpoints: Vec<_> = match checkpoint {
-            None => ranks.iter().map(|_| None).collect(),
-            Some(p) => {
-                // A clean run stores ⌈iters / Δ⌉ epochs per rank, of which
-                // the ring retains `keep`: each ring is seeded with up to
-                // that many spare grids of its brick's dims, and the spares
-                // this job does not take are dropped here, before it runs.
-                let keep = ring_keep(p, grid, k);
-                let seeds = keep.min(spec.cfg.iters.div_ceil(p.period));
-                let mut spares = cache.take_spares();
-                let seeded = |&[nx, ny, nz]: &[usize; 3]| {
-                    let mut ring = EpochRing::new(keep);
-                    ring.seed((0..seeds).map_while(|_| {
-                        let i = spares.iter().position(|g| g.dims() == (nx, ny, nz))?;
-                        Some(spares.swap_remove(i))
-                    }));
-                    Some((p, ring))
-                };
-                ranks.iter().map(|r| &r.pad.len).map(seeded).collect()
-            }
+        // The spares this job's rings do not take are dropped here, before
+        // it runs; a job that does not checkpoint leaves them be.
+        let mut spares = match spec.cfg.checkpoint {
+            Some(_) => cache.take_spares(),
+            None => Vec::new(),
         };
-        let steppers = ranks
-            .into_iter()
-            .zip(checkpoints)
-            .zip(cache.check_out(&key))
-            .enumerate()
-            .map(|(idx, ((rank, cp), ports))| RankStepper::new(rank, ports, idx, spec, cp))
+        let ports = cache.check_out(&key, &part).into_iter().enumerate();
+        let steppers = ports
+            .map(|(idx, ports)| {
+                let col = col.as_ref().map(|c| c[idx].as_slice());
+                let traffic = plans[idx].traffic;
+                RankStepper::new(idx, spec, &part, traffic, col, ports, &mut spares)
+            })
             .collect();
         let job = Self {
             key,
             part,
-            steps_per_exchange: k,
-            checkpoint,
+            steps_per_exchange: spec.cfg.steps_per_exchange,
+            checkpoint: spec.cfg.checkpoint,
             recovery: RecoveryStats::default(),
         };
         Ok((job, steppers))
@@ -462,10 +498,7 @@ impl<T: Real> Job<T> {
             e.is_multiple_of(self.steps_per_exchange),
             "rollback must land on an exchange boundary (validate pins period % k == 0)"
         );
-        // Re-register the key first, in case a concurrent job's panic
-        // discarded its entry meanwhile.
-        cache.plans(&self.key, &self.part);
-        let ports = cache.check_out(&self.key);
+        let ports = cache.check_out(&self.key, &self.part);
         for (s, ports) in steppers.iter_mut().zip(ports) {
             let (_, ring) = s.checkpoint.as_mut().expect("every ring holds epoch `e`");
             // Ranks that ran ahead of the rollback target still retain
@@ -475,15 +508,14 @@ impl<T: Real> Job<T> {
             // the first re-store (a recoverable loss turned fatal).
             ring.truncate_after(e);
             let snap = ring.restore(e);
-            s.rank.sim.restore_box(&snap.grid, s.rank.pad.lo, e);
-            if let Some(a) = s.rank.abft.as_mut() {
+            s.sim.restore_box(&snap.grid, s.pad.lo, e);
+            if let Some(a) = s.abft.as_mut() {
                 a.restore_checksums(&snap.aux);
             }
             // One-shot fault semantics: flips below this rank's `t` fired
             // (and were committed) on the lost attempt; only the rest may
             // fire again during replay.
-            s.rank.flips.retain(|f| f.iteration >= s.t);
-            s.rank.shell_flips.retain(|f| f.iteration >= s.t);
+            s.flips.retain(|f| f.iteration >= s.t);
             self.recovery.steps_lost += s.t - e;
             s.t = e;
             s.start = e;
@@ -510,10 +542,11 @@ impl<T: Real> Job<T> {
         if let Some(p) = self.checkpoint {
             self.recovery.checkpoint_period = p.period;
         }
-        let (ranks, ports) = steppers.into_iter().map(|s| (s.rank, s.ports)).unzip();
-        cache.check_in(&self.key, ports);
+        let ports = steppers.iter_mut();
+        let ports = ports.map(|s| std::mem::replace(&mut s.ports, Ports::empty()));
+        cache.check_in(&self.key, ports.collect());
         let mut report = gather_report(
-            ranks,
+            &steppers,
             self.key.grid,
             self.key.dims,
             wall_s,
@@ -555,8 +588,8 @@ mod tests {
     use crate::HaloMode;
     use abft_core::AbftConfig;
     use abft_fault::RankKill;
-    use abft_grid::Grid3D;
-    use abft_stencil::{Exec, Stencil3D, StencilSim};
+    use abft_grid::{Boundary, BoundarySpec};
+    use abft_stencil::Stencil3D;
     use proptest::prelude::*;
 
     const ITERS: usize = 9;
@@ -616,8 +649,8 @@ mod tests {
             let producers: Vec<Vec<usize>> = steppers
                 .iter()
                 .map(|s| {
-                    let owners = s.rank.plan.owed().map(|owed| owed[0].owner);
-                    owners.filter(|&p| p != s.idx).collect()
+                    let recvs = s.ports.recvs.iter();
+                    recvs.map(|(_, boxes)| boxes[0].owner).collect()
                 })
                 .collect();
             let consumers = (0..n)
@@ -815,6 +848,98 @@ mod tests {
         let err = run_lockstep(&mut lost, steppers, &mut cache).unwrap_err();
         assert_eq!(err, DistError::RankLost { rank: 1, iter: 3 });
         assert_eq!(cache.idle_ports(&lost.key), Some(1));
+    }
+
+    fn boundary(kind: usize) -> Boundary<f64> {
+        match kind {
+            0 => Boundary::Clamp,
+            1 => Boundary::Periodic,
+            2 => Boundary::Reflect,
+            3 => Boundary::Zero,
+            _ => Boundary::Constant(2.5),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(64))]
+
+        /// Admission and firing agree on shell flips: `validate` admits a
+        /// shell flip on a cell outside the rank's brick exactly when the
+        /// stepper built from it resolves the flip, and it resolves it to
+        /// a pad cell standing for the flip's global cell. Targets are
+        /// drawn per axis from a shell and one cell past it around the
+        /// brick, wrapped into the domain; a brick cell is the brick's own
+        /// flip kind, never a shell target.
+        #[test]
+        fn shell_flip_admission_matches_the_resolved_flips(
+            grid in prop_oneof![
+                Just((1usize, 2usize, 1usize)),
+                Just((2, 2, 1)),
+                Just((2, 2, 2)),
+                Just((1, 4, 1)),
+            ],
+            kinds in (0usize..5, 0usize..5, 0usize..5),
+            k in 2usize..=3,
+            reach in 1usize..=2,
+            dims in (8usize..=13, 12usize..=20, 7usize..=9),
+            pick in (0usize..8, 0usize..1000, 0usize..1000, 0usize..1000),
+        ) {
+            let (rx, ry, rz) = grid;
+            let bounds = BoundarySpec { x: boundary(kinds.0), y: boundary(kinds.1), z: boundary(kinds.2) };
+            let r = reach as isize;
+            let stencil = Stencil3D::from_tuples(&[(r, r, r, 0.5f64), (-r, -r, -r, 0.5)]);
+            let initial = Grid3D::from_fn(dims.0, dims.1, dims.2, |x, y, z| {
+                (x + 100 * y + 10_000 * z) as f64 + 0.25
+            });
+            let clean = JobSpec::over(initial.clone(), stencil)
+                .with_bounds(bounds)
+                .with_ranks(rx * ry * rz)
+                .with_grid3(rx, ry, rz)
+                .with_iters(k)
+                .with_steps_per_exchange(k);
+            let part = validate(&initial, &clean.stencil, &bounds, None, &clean.cfg);
+            prop_assume!(part.is_ok(), "bricks too thin for the kernel");
+            let part = part.unwrap();
+            let rank = pick.0 % part.ranks();
+            let brick = part.brick(rank);
+            let (hx, hy, hz) = effective_halo(&clean.cfg, &clean.stencil, grid);
+            let n = [dims.0, dims.1, dims.2];
+            let target: [usize; 3] = std::array::from_fn(|a| {
+                let (b0, len, h) = [
+                    (brick.x0, brick.x_len, hx),
+                    (brick.y0, brick.y_len, hy),
+                    (brick.z0, brick.z_len, hz),
+                ][a];
+                let d = [pick.1, pick.2, pick.3][a] % (len + 2 * h + 2);
+                (b0 + n[a] + d).checked_sub(h + 1).unwrap() % n[a]
+            });
+            let [x, y, z] = target;
+            let flip = BitFlip { iteration: 0, x, y, z, bit: 51 };
+            let spec = clean.with_shell_flip(rank, flip);
+            let admitted = validate(&initial, &spec.stencil, &bounds, None, &spec.cfg);
+            let mut spares = Vec::new();
+            let traffic = HaloTraffic::default();
+            let stepper = RankStepper::new(rank, &spec, &part, traffic, None, Ports::empty(), &mut spares);
+            let ctx = format!("rank {rank} of {grid:?}, {bounds:?}, k = {k}, reach {reach}, target {target:?}");
+            if brick.contains(x, y, z) {
+                prop_assert!(admitted.is_err(), "{}", ctx);
+                return Ok(());
+            }
+            match stepper.flips[..] {
+                [f] => {
+                    prop_assert!(admitted.is_ok(), "{}: resolved but rejected: {:?}", ctx, admitted);
+                    prop_assert_eq!((f.iteration, f.bit), (0, 51));
+                    let struck = stepper.sim.current().at(f.x, f.y, f.z);
+                    prop_assert_eq!(struck.to_bits(), initial.at(x, y, z).to_bits(), "{}", ctx);
+                }
+                [] => prop_assert_eq!(
+                    admitted,
+                    Err(DistError::ShellFlipOutsideHalo { rank, x, y, z }),
+                    "{}: admitted but never fires", ctx
+                ),
+                _ => prop_assert!(false, "{}: resolved twice", ctx),
+            }
+        }
     }
 
     proptest! {

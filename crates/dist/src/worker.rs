@@ -153,7 +153,7 @@ mod tests {
         // blows the hook constructor's assert mid-job, inside the worker
         // thread.
         let mut poisoned = one_rank_task(3);
-        poisoned.stepper.rank.flips.push(flip(1, 0, 0, 64));
+        poisoned.stepper.flips.push(flip(1, 0, 0, 64));
         poisoned.job = 9;
         poisoned.slot = 5;
         task_tx.send(poisoned).unwrap();
@@ -193,17 +193,13 @@ mod tests {
         let mut task = one_rank_task(3);
         let (dead_tx, dead_rx) = sync_channel::<HaloMsg<f64>>(2);
         drop(dead_tx);
-        task.stepper.ports.recvs.push(dead_rx);
+        task.stepper.ports.recvs.push((dead_rx, Vec::new()));
         task_tx.send(task).unwrap();
         let done = done_event(done_rx.recv().unwrap());
         match done.result {
             Ok((stepper, exit)) => {
                 assert_eq!(exit, Err(RankExit::PeerLost { iter: 0 }));
-                assert_eq!(
-                    stepper.rank.sim.iteration(),
-                    0,
-                    "aborted step must not commit"
-                );
+                assert_eq!(stepper.sim.iteration(), 0, "aborted step must not commit");
                 assert!(stepper.ports.recvs.is_empty(), "worker must hang up");
             }
             Err(message) => panic!("dead producer must abort, not panic: {message}"),
@@ -223,7 +219,7 @@ mod tests {
             .with_checkpoint(CheckpointPolicy::every(2).with_keep(8));
         let (_, mut steppers) = Job::build(&spec, &mut TopologyCache::new()).unwrap();
         assert_eq!(steppers[0].run(), Err(RankExit::Killed { iter: 4 }));
-        assert_eq!(steppers[0].rank.sim.iteration(), 4);
+        assert_eq!(steppers[0].sim.iteration(), 4);
         // epochs 0, 2 and 4: the snapshot at t=4 lands before the kill
         let ring = steppers[0].ring().expect("policy arms a ring");
         assert_eq!(ring.epochs(), vec![0, 2, 4]);
@@ -246,7 +242,7 @@ mod tests {
         let mut bereaved = one_stepper(&one_rank_spec(7));
         let (dead_tx, dead_rx) = sync_channel::<HaloMsg<f64>>(2);
         drop(dead_tx);
-        bereaved.ports.recvs.push(dead_rx);
+        bereaved.ports.recvs.push((dead_rx, Vec::new()));
         assert_eq!(bereaved.run(), Err(RankExit::PeerLost { iter: 0 }));
         assert_eq!(bereaved.t, 0);
 

@@ -1,176 +1,65 @@
-//! Owned dense 2-D grid.
-
-use crate::Grid3D;
-use abft_num::Real;
-
-/// A dense `nx × ny` grid stored row-major with `x` contiguous
-/// (`idx = x + y*nx`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid2D<T> {
-    nx: usize,
-    ny: usize,
-    data: Vec<T>,
-}
-
-impl<T: Real> Grid2D<T> {
-    /// Grid filled with a single value.
-    pub fn filled(nx: usize, ny: usize, value: T) -> Self {
-        assert!(nx > 0 && ny > 0, "grid dimensions must be positive");
-        Self {
-            nx,
-            ny,
-            data: vec![value; nx * ny],
-        }
-    }
-
-    /// Zero-filled grid.
-    pub fn zeros(nx: usize, ny: usize) -> Self {
-        Self::filled(nx, ny, T::ZERO)
-    }
-
-    /// Build from a function of the coordinates.
-    pub fn from_fn(nx: usize, ny: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        assert!(nx > 0 && ny > 0, "grid dimensions must be positive");
-        let mut data = Vec::with_capacity(nx * ny);
-        for y in 0..ny {
-            for x in 0..nx {
-                data.push(f(x, y));
-            }
-        }
-        Self { nx, ny, data }
-    }
-
-    /// Wrap an existing row-major buffer (`len == nx*ny`).
-    pub fn from_vec(nx: usize, ny: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), nx * ny, "buffer length mismatch");
-        Self { nx, ny, data }
-    }
-
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    #[inline(always)]
-    pub fn idx(&self, x: usize, y: usize) -> usize {
-        debug_assert!(x < self.nx && y < self.ny);
-        x + y * self.nx
-    }
-
-    #[inline(always)]
-    pub fn at(&self, x: usize, y: usize) -> T {
-        self.data[self.idx(x, y)]
-    }
-
-    #[inline(always)]
-    pub fn set(&mut self, x: usize, y: usize, v: T) {
-        let i = self.idx(x, y);
-        self.data[i] = v;
-    }
-
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Contiguous line at fixed `y` (all `x`).
-    pub fn line_y(&self, y: usize) -> &[T] {
-        assert!(y < self.ny);
-        &self.data[y * self.nx..(y + 1) * self.nx]
-    }
-
-    /// Promote to a single-layer 3-D grid (no copy of semantics, one move).
-    pub fn into_grid3d(self) -> Grid3D<T> {
-        Grid3D::from_vec(self.nx, self.ny, 1, self.data)
-    }
-
-    /// Iterate `(x, y, value)` in storage order.
-    pub fn iter_coords(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        let nx = self.nx;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (i % nx, i / nx, v))
-    }
-}
-
-impl<T: Real> From<Grid2D<T>> for Grid3D<T> {
-    fn from(g: Grid2D<T>) -> Self {
-        g.into_grid3d()
-    }
-}
+//! A 2-D field is a one-layer [`Grid3D`]: `nz = 1`, `x` contiguous, then
+//! `y` (`idx = x + y*nx`). These pin that layout, which every 2-D caller
+//! (`Stencil2D::into_3d` kernels, the 2-D examples) relies on.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Grid3D;
 
     #[test]
     fn construction_and_indexing() {
-        let g = Grid2D::from_fn(3, 2, |x, y| (x + 10 * y) as f64);
-        assert_eq!(g.nx(), 3);
-        assert_eq!(g.ny(), 2);
-        assert_eq!(g.at(0, 0), 0.0);
-        assert_eq!(g.at(2, 0), 2.0);
-        assert_eq!(g.at(0, 1), 10.0);
-        assert_eq!(g.at(2, 1), 12.0);
+        let g = Grid3D::from_fn(3, 2, 1, |x, y, _| (x + 10 * y) as f64);
+        assert_eq!(g.dims(), (3, 2, 1));
+        assert_eq!(g.at(0, 0, 0), 0.0);
+        assert_eq!(g.at(2, 0, 0), 2.0);
+        assert_eq!(g.at(0, 1, 0), 10.0);
+        assert_eq!(g.at(2, 1, 0), 12.0);
     }
 
     #[test]
     fn x_is_contiguous() {
-        let g = Grid2D::from_fn(4, 3, |x, y| (x + 100 * y) as f32);
-        assert_eq!(g.line_y(1), &[100.0, 101.0, 102.0, 103.0]);
+        let g = Grid3D::from_fn(4, 3, 1, |x, y, _| (x + 100 * y) as f32);
+        assert_eq!(g.as_slice()[4..8], [100.0, 101.0, 102.0, 103.0]);
         // storage order: y-major
         assert_eq!(g.as_slice()[0..4], [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn set_and_get() {
-        let mut g = Grid2D::zeros(3, 3);
-        g.set(1, 2, 5.0f64);
-        assert_eq!(g.at(1, 2), 5.0);
+        let mut g = Grid3D::zeros(3, 3, 1);
+        g.set(1, 2, 0, 5.0f64);
+        assert_eq!(g.at(1, 2, 0), 5.0);
         assert_eq!(g.as_slice()[1 + 2 * 3], 5.0);
     }
 
     #[test]
     fn into_grid3d_preserves_layout() {
-        let g = Grid2D::from_fn(3, 2, |x, y| (x + 10 * y) as f64);
-        let expect = g.as_slice().to_vec();
-        let g3 = g.into_grid3d();
-        assert_eq!(g3.nz(), 1);
-        assert_eq!(g3.as_slice(), &expect[..]);
-        assert_eq!(g3.at(2, 1, 0), 12.0);
+        let rows: Vec<f64> = (0..2)
+            .flat_map(|y| (0..3).map(move |x| (x + 10 * y) as f64))
+            .collect();
+        let g = Grid3D::from_vec(3, 2, 1, rows.clone());
+        assert_eq!(g.as_slice(), &rows[..]);
+        assert_eq!(g.at(2, 1, 0), 12.0);
     }
 
     #[test]
     fn iter_coords_order() {
-        let g = Grid2D::from_fn(2, 2, |x, y| (x + 2 * y) as f64);
-        let v: Vec<_> = g.iter_coords().collect();
+        let g = Grid3D::from_fn(2, 2, 1, |x, y, _| (x + 2 * y) as f64);
+        let v: Vec<_> = (0..g.len())
+            .map(|i| (i % 2, i / 2, g.as_slice()[i]))
+            .collect();
         assert_eq!(v, vec![(0, 0, 0.0), (1, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
     }
 
     #[test]
     #[should_panic]
     fn from_vec_length_mismatch() {
-        let _ = Grid2D::from_vec(2, 2, vec![0.0f64; 3]);
+        let _ = Grid3D::from_vec(2, 2, 1, vec![0.0f64; 3]);
     }
 
     #[test]
     #[should_panic]
     fn zero_dimension_rejected() {
-        let _ = Grid2D::<f64>::zeros(0, 4);
+        let _ = Grid3D::<f64>::zeros(0, 4, 1);
     }
 }

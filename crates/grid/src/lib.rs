@@ -10,8 +10,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`Grid2D`] / [`Grid3D`] — owned dense grids (a 2-D grid is exactly a
-//!   single-layer 3-D grid and converts losslessly);
+//! * [`Grid3D`] — the owned dense grid (a 2-D field is a single-layer
+//!   one, `nz = 1`);
 //! * [`LayerRef`] / [`LayerMut`] — borrowed views of one `z`-layer, the unit
 //!   of parallelism ("each thread handles one of the 2-D layers", §5.1);
 //! * [`DoubleBuffer`] — the classic ping-pong time-stepping pair;
@@ -22,6 +22,7 @@
 
 mod boundary;
 mod buffer;
+#[cfg(test)]
 mod grid2d;
 mod grid3d;
 mod layer;
@@ -29,7 +30,6 @@ mod strips;
 
 pub use boundary::{AxisHit, Boundary, BoundarySpec, NoGhosts};
 pub use buffer::DoubleBuffer;
-pub use grid2d::Grid2D;
 pub use grid3d::{copy_box, Grid3D};
 pub use layer::{LayerMut, LayerRef};
 pub use strips::BoundaryStrips;

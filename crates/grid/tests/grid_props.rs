@@ -1,6 +1,6 @@
 //! Property-based tests of the grid substrate.
 
-use abft_grid::{BoundaryStrips, DoubleBuffer, Grid2D, Grid3D};
+use abft_grid::{BoundaryStrips, DoubleBuffer, Grid3D};
 use proptest::prelude::*;
 
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -101,21 +101,18 @@ proptest! {
         }
     }
 
+    /// A 2-D field is a single-layer `Grid3D`: built cell by cell or
+    /// from its row-major values, it is the same grid.
     #[test]
     fn grid2d_matches_single_layer_grid3d(
         nx in 1usize..12,
         ny in 1usize..12,
         seed in any::<u64>(),
     ) {
-        let g2 = Grid2D::from_fn(nx, ny, |x, y| {
-            (seed.wrapping_add((x + 100 * y) as u64) % 37) as f64
-        });
-        let g3: Grid3D<f64> = g2.clone().into();
+        let f = |x: usize, y: usize| (seed.wrapping_add((x + 100 * y) as u64) % 37) as f64;
+        let rows = (0..ny).flat_map(|y| (0..nx).map(move |x| f(x, y))).collect();
+        let g3 = Grid3D::from_fn(nx, ny, 1, |x, y, _| f(x, y));
         prop_assert_eq!(g3.dims(), (nx, ny, 1));
-        for y in 0..ny {
-            for x in 0..nx {
-                prop_assert_eq!(g2.at(x, y), g3.at(x, y, 0));
-            }
-        }
+        prop_assert_eq!(g3, Grid3D::from_vec(nx, ny, 1, rows));
     }
 }

@@ -1,22 +1,32 @@
-//! Streaming latency summary for serving workloads: exact min/max plus
-//! P²-estimated p50/p99 in O(1) memory per quantile.
+//! A streaming quantile estimator for long latency streams, in O(1)
+//! memory per quantile.
 //!
-//! The serving runtime (`DistService`) observes an unbounded stream of
-//! per-job latencies; storing every sample to sort later (the
-//! [`crate::Quantiles`] approach) does not fit a long-lived pool. The P²
-//! algorithm (Jain & Chlamtác, CACM 1985) tracks one quantile with five
-//! markers whose positions are nudged toward their ideal rank after every
-//! observation, interpolating marker heights with a piecewise-parabolic
-//! fit — constant memory, one pass, no buffering. Below five samples the
-//! estimate is exact (the markers are still the sorted sample).
-
-use std::fmt;
+//! Storing every sample to sort later (the [`crate::Quantiles`] approach)
+//! does not fit an unbounded stream. The P² algorithm (Jain & Chlamtác,
+//! CACM 1985) tracks one quantile with five markers whose positions are
+//! nudged toward their ideal rank after every observation, interpolating
+//! marker heights with a piecewise-parabolic fit — constant memory, one
+//! pass, no buffering. Below five samples the estimate is exact (the
+//! markers are still the sorted sample).
 
 /// A single streaming quantile estimator (the P² algorithm).
 ///
 /// Exact for the first five observations, then a constant-memory
 /// approximation whose error shrinks as the stream grows (see the unit
-/// tests for observed bounds on known distributions).
+/// tests for observed bounds on known distributions). From the fifth
+/// observation on it returns its middle marker, which only approaches
+/// quantile `p` as the stream grows: summarise a handful of samples with
+/// [`crate::Quantiles`].
+///
+/// ```
+/// use abft_metrics::P2Quantile;
+/// let mut p99 = P2Quantile::new(0.99);
+/// for ms in 1..=1000 {
+///     p99.push(ms as f64 * 1e-3);
+/// }
+/// assert_eq!(p99.count(), 1000);
+/// assert!((p99.estimate() - 0.99).abs() < 0.05);
+/// ```
 #[derive(Debug, Clone)]
 pub struct P2Quantile {
     /// The tracked quantile, in `[0, 1]`.
@@ -130,116 +140,6 @@ impl P2Quantile {
     }
 }
 
-/// Streaming latency summary: count, exact min/mean/max, P²-estimated
-/// p50/p99 — the landmark set a serving report needs, in constant memory.
-///
-/// ```
-/// use abft_metrics::LatencySummary;
-/// let mut lat = LatencySummary::new();
-/// for ms in 1..=1000 {
-///     lat.push(ms as f64 * 1e-3);
-/// }
-/// assert_eq!(lat.count(), 1000);
-/// assert_eq!(lat.min(), 1e-3);
-/// assert_eq!(lat.max(), 1.0);
-/// assert!((lat.p50() - 0.5).abs() < 0.05);
-/// assert!((lat.p99() - 0.99).abs() < 0.05);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LatencySummary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    p50: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl Default for LatencySummary {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencySummary {
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            p50: P2Quantile::new(0.50),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    /// Fold one latency observation (seconds) in.
-    pub fn push(&mut self, secs: f64) {
-        self.count += 1;
-        self.sum += secs;
-        self.min = self.min.min(secs);
-        self.max = self.max.max(secs);
-        self.p50.push(secs);
-        self.p99.push(secs);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest observation (NaN when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Arithmetic mean (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Median estimate (exact below five observations).
-    pub fn p50(&self) -> f64 {
-        self.p50.estimate()
-    }
-
-    /// 99th-percentile estimate (exact below five observations).
-    pub fn p99(&self) -> f64 {
-        self.p99.estimate()
-    }
-}
-
-impl fmt::Display for LatencySummary {
-    /// `n=…: min/p50/p99/max = a/b/c/d s` — the one-line serving summary.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={}: min/p50/p99/max = {:.6}/{:.6}/{:.6}/{:.6} s",
-            self.count,
-            self.min(),
-            self.p50(),
-            self.p99(),
-            self.max()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,45 +160,40 @@ mod tests {
         .take(n as usize)
     }
 
+    /// A median and a 99th-percentile estimator fed the same stream.
+    fn p50_p99(stream: impl IntoIterator<Item = f64>) -> (P2Quantile, P2Quantile) {
+        let (mut p50, mut p99) = (P2Quantile::new(0.50), P2Quantile::new(0.99));
+        for x in stream {
+            p50.push(x);
+            p99.push(x);
+        }
+        (p50, p99)
+    }
+
     #[test]
     fn empty_summary_is_nan() {
-        let lat = LatencySummary::new();
-        assert_eq!(lat.count(), 0);
-        assert!(lat.min().is_nan());
-        assert!(lat.p50().is_nan());
-        assert!(lat.p99().is_nan());
-        assert!(lat.max().is_nan());
-        assert!(lat.mean().is_nan());
+        let (p50, p99) = p50_p99([]);
+        assert_eq!(p50.count(), 0);
+        assert!(p50.estimate().is_nan());
+        assert!(p99.estimate().is_nan());
     }
 
     #[test]
     fn small_samples_are_exact() {
-        let mut lat = LatencySummary::new();
-        for x in [3.0, 1.0, 2.0] {
-            lat.push(x);
-        }
-        assert_eq!(lat.p50(), 2.0);
-        assert_eq!(lat.min(), 1.0);
-        assert_eq!(lat.max(), 3.0);
-        assert_eq!(lat.mean(), 2.0);
+        let (mut p50, _) = p50_p99([3.0, 1.0, 2.0]);
+        assert_eq!(p50.estimate(), 2.0);
         // Four samples: type-7 interpolation like `Quantiles`.
-        lat.push(4.0);
-        assert_eq!(lat.p50(), 2.5);
+        p50.push(4.0);
+        assert_eq!(p50.estimate(), 2.5);
         let exact = crate::Quantiles::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(lat.p50(), exact.median());
+        assert_eq!(p50.estimate(), exact.median());
     }
 
     #[test]
     fn constant_stream_collapses_to_the_constant() {
-        let mut lat = LatencySummary::new();
-        for _ in 0..1000 {
-            lat.push(0.25);
-        }
-        assert_eq!(lat.min(), 0.25);
-        assert_eq!(lat.p50(), 0.25);
-        assert_eq!(lat.p99(), 0.25);
-        assert_eq!(lat.max(), 0.25);
-        assert_eq!(lat.mean(), 0.25);
+        let (p50, p99) = p50_p99(std::iter::repeat_n(0.25, 1000));
+        assert_eq!(p50.estimate(), 0.25);
+        assert_eq!(p99.estimate(), 0.25);
     }
 
     #[test]
@@ -307,28 +202,14 @@ mod tests {
         // P² must land within 2 % of the range on this adversarial
         // (integer, shuffled) stream.
         let n = 10_000u64;
-        let mut lat = LatencySummary::new();
-        for x in permuted(n) {
-            lat.push(x);
-        }
-        assert_eq!(lat.count(), n);
-        assert_eq!(lat.min(), 1.0);
-        assert_eq!(lat.max(), n as f64);
+        let (p50, p99) = p50_p99(permuted(n));
+        assert_eq!(p50.count(), n);
         let range = n as f64;
-        assert!(
-            (lat.p50() - 0.5 * range).abs() < 0.02 * range,
-            "p50 = {}",
-            lat.p50()
-        );
-        assert!(
-            (lat.p99() - 0.99 * range).abs() < 0.02 * range,
-            "p99 = {}",
-            lat.p99()
-        );
+        let (p50, p99) = (p50.estimate(), p99.estimate());
+        assert!((p50 - 0.5 * range).abs() < 0.02 * range, "p50 = {p50}");
+        assert!((p99 - 0.99 * range).abs() < 0.02 * range, "p99 = {p99}");
         // The landmark ordering always holds.
-        assert!(lat.min() <= lat.p50());
-        assert!(lat.p50() <= lat.p99());
-        assert!(lat.p99() <= lat.max());
+        assert!(1.0 <= p50 && p50 <= p99 && p99 <= range);
     }
 
     #[test]
@@ -336,23 +217,11 @@ mod tests {
         // 95 % fast (1 ms), 5 % slow (100 ms) — p50 must sit on the fast
         // mode, p99 on the slow one: the shape a tail-latency summary
         // exists to expose.
-        let mut lat = LatencySummary::new();
-        for i in 0..2000 {
-            lat.push(if i % 20 == 19 { 0.100 } else { 0.001 });
-        }
-        assert!((lat.p50() - 0.001).abs() < 0.005, "p50 = {}", lat.p50());
-        assert!(lat.p99() > 0.05, "p99 = {} missed the slow mode", lat.p99());
-    }
-
-    #[test]
-    fn display_carries_all_landmarks() {
-        let mut lat = LatencySummary::new();
-        for x in permuted(100) {
-            lat.push(x / 100.0);
-        }
-        let text = lat.to_string();
-        assert!(text.contains("n=100"), "{text}");
-        assert!(text.contains("min/p50/p99/max"), "{text}");
+        let stream = (0..2000).map(|i| if i % 20 == 19 { 0.100 } else { 0.001 });
+        let (p50, p99) = p50_p99(stream);
+        let (p50, p99) = (p50.estimate(), p99.estimate());
+        assert!((p50 - 0.001).abs() < 0.005, "p50 = {p50}");
+        assert!(p99 > 0.05, "p99 = {p99} missed the slow mode");
     }
 
     #[test]

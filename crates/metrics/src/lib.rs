@@ -10,7 +10,7 @@ mod table;
 mod timer;
 
 pub use l2::{l2_error, l2_error_slices};
-pub use latency::{LatencySummary, P2Quantile};
+pub use latency::P2Quantile;
 pub use recovery::RecoveryStats;
 pub use stats::{BoxStats, Quantiles, Summary, Welford};
 pub use table::{write_csv, Table};

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`num`] | `abft-num` | the [`num::Real`] float abstraction (f32/f64, bit flips) |
-//! | [`grid`] | `abft-grid` | dense 2-D/3-D grids, boundary conditions, double buffering |
+//! | [`grid`] | `abft-grid` | dense 3-D grids (a 2-D field is one layer), boundary conditions, double buffering |
 //! | [`stencil`] | `abft-stencil` | stencil kernels, serial/rayon sweeps, fused checksums, hooks |
 //! | [`core`] | `abft-core` | **the paper's contribution**: checksum interpolation (Thm. 1), detection (Thm. 2), correction (Eq. 10), online/offline protectors |
 //! | [`checkpoint`] | `abft-checkpoint` | in-memory checkpoint/rollback |
@@ -59,7 +59,7 @@ pub use abft_stencil as stencil;
 pub mod prelude {
     pub use abft_core::{AbftConfig, MultiErrorPolicy, OfflineAbft, OnlineAbft, ProtectorStats};
     pub use abft_fault::{BitFlip, Campaign, FlipHook, Method};
-    pub use abft_grid::{Boundary, BoundarySpec, Grid2D, Grid3D};
+    pub use abft_grid::{Boundary, BoundarySpec, Grid3D};
     pub use abft_metrics::{l2_error, Summary, Timer};
     pub use abft_num::Real;
     pub use abft_stencil::{Exec, NoHook, Stencil2D, Stencil3D, StencilSim, SweepHook};

@@ -54,7 +54,7 @@ fn prelude_covers_offline_and_campaign_types() {
 fn submodules_are_reachable() {
     // Spot-check each re-exported crate through the facade paths.
     let _ = stencil_abft::num::relative_error(1.0f64, 1.0);
-    let g = stencil_abft::grid::Grid2D::<f32>::zeros(2, 2);
+    let g = stencil_abft::grid::Grid3D::<f32>::zeros(2, 2, 1);
     assert_eq!(g.len(), 4);
     let s = stencil_abft::stencil::Stencil2D::<f64>::four_point_average();
     assert_eq!(s.len(), 4);
