@@ -2,12 +2,15 @@
 //!
 //! A rank's [`StencilSim`] runs on its brick grown by the halo depth
 //! `h = k·r` (`k` sweeps per exchange, `r` the stencil reach) on every
-//! exchanged axis — clipped at a domain end that does not wrap, so that
-//! end *is* the grid's end and the job's own [`BoundarySpec`] applies
-//! there; unwrapped on a periodic axis, whose grid ends are then never
-//! read. [`Pad`] is that geometry. An exchange lands every halo box in
-//! the pad, one slice copy per line of the box ([`Pad::unpack`], the
-//! mirror of [`Pad::pack`]); sweep `j` of an epoch is then
+//! axis split across ranks — clipped at a domain end that does not wrap,
+//! so that end *is* the grid's end and the job's own [`BoundarySpec`]
+//! applies there; unwrapped on a periodic axis, whose grid ends are then
+//! never read. [`Pad`] is that geometry, and the one the exchange is
+//! planned from: its cells outside the brick, cut per axis where the
+//! owner changes or the axis wraps ([`Pad::cuts`]), are the halo boxes
+//! (`crate::index`). An exchange lands each box in the pad, one slice
+//! copy per line of the box ([`Pad::unpack`], the mirror of
+//! [`Pad::pack`]); sweep `j` of an epoch is then
 //! [`abft_stencil::sweep_region`] over the brick grown by `(k − 1 − j)·r`
 //! ([`Pad::window`]), which reads pad cells as ordinary grid memory.
 //!
@@ -25,12 +28,13 @@
 //! [`OnlineAbft::over_plans`]: abft_core::OnlineAbft::over_plans
 //! [`StencilSim`]: abft_stencil::StencilSim
 
-use crate::{Brick, HaloBox};
+use crate::index::HaloBox;
+use crate::partition::axis_owner;
+use crate::Brick;
 use abft_grid::{copy_box, Boundary, BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::{InteriorWindow, Stencil3D};
 use std::array::from_fn;
-use std::ops::Range;
 
 /// One rank's brick within its padded grid (see the module docs), per
 /// axis: the brick's first global cell, its length and first padded cell
@@ -99,32 +103,37 @@ impl Pad {
     }
 
     /// The global cell padded cell `p` of axis `a` stands for.
-    fn global(&self, a: usize, p: usize) -> usize {
+    pub(crate) fn global(&self, a: usize, p: usize) -> usize {
         let unwrapped = (p + self.b0[a]) as isize - self.lo[a] as isize;
         unwrapped.rem_euclid(self.n[a] as isize) as usize
     }
 
-    /// The padded cells of global range `r` on axis `a`: one run per wrap
-    /// of the axis that meets the padded grid, each as `(first padded
-    /// cell, cells of r before it, length, whether it is the brick's)`.
-    fn runs(
-        &self,
-        a: usize,
-        r: &Range<usize>,
-    ) -> impl Iterator<Item = (usize, usize, usize, bool)> + Clone {
-        let n = self.n[a] as isize;
-        let shift = self.b0[a] as isize - self.lo[a] as isize;
-        let (brick, end) = (self.lo[a]..self.lo[a] + self.len[a], self.dims[a] as isize);
-        let (start, stop) = (r.start as isize - shift, r.end as isize - shift);
-        [-n, 0, n].into_iter().filter_map(move |wrap| {
-            let (s, e) = (start + wrap, stop + wrap);
-            let (from, to) = (s.max(0), e.min(end));
-            let first = from as usize;
-            (from < to).then(|| {
-                let run = (to - from) as usize;
-                (first, (from - s) as usize, run, brick.contains(&first))
+    /// Axis `a` of the padded grid, cut where the brick begins or ends,
+    /// where the owning rank coordinate changes (`parts`: the axis split)
+    /// and where the axis wraps; ascending.
+    pub(crate) fn cuts(&self, a: usize, parts: &[(usize, usize)]) -> Vec<Cut> {
+        let brick = self.lo[a]..self.lo[a] + self.len[a];
+        let cells: Vec<Cut> = (0..self.dims[a])
+            .map(|p| {
+                let g = self.global(a, p);
+                let (owner, brick) = (axis_owner(parts, g), brick.contains(&p));
+                Cut {
+                    to: p,
+                    from: g,
+                    len: 1,
+                    owner,
+                    brick,
+                }
             })
+            .collect();
+        let same =
+            |c: &Cut, d: &Cut| d.from == c.from + 1 && (c.owner, c.brick) == (d.owner, d.brick);
+        let runs = cells.chunk_by(same);
+        runs.map(|run| Cut {
+            len: run.len(),
+            ..run[0]
         })
+        .collect()
     }
 
     /// The padded grid's slice of `global`: every cell holds the global
@@ -152,72 +161,60 @@ impl Pad {
         out.reserve_exact(boxes.iter().map(HaloBox::volume).sum());
         let at = |a: usize, g: usize| g - self.b0[a] + self.lo[a];
         for b in boxes {
-            for (z, y) in b.z.clone().flat_map(|z| b.y.clone().map(move |y| (z, y))) {
-                let start = grid.idx(at(0, b.x.start), at(1, y), at(2, z));
-                out.extend_from_slice(&grid.as_slice()[start..start + b.x.len()]);
+            for (dy, dz) in b.lines() {
+                let start = grid.idx(
+                    at(0, b.from[0]),
+                    at(1, b.from[1] + dy),
+                    at(2, b.from[2] + dz),
+                );
+                out.extend_from_slice(&grid.as_slice()[start..start + b.len[0]]);
             }
         }
     }
 
-    /// Land the cells of `boxes` — `cells`, laid out as [`Pad::pack`]
-    /// lays them — in the pad of `grid`.
+    /// Land `cells`, laid out as [`Pad::pack`] lays out `boxes`, in the
+    /// pad of `grid`: one slice copy per `(y, z)` line of a box.
     pub(crate) fn unpack<T: Real>(&self, boxes: &[HaloBox], cells: &[T], grid: &mut Grid3D<T>) {
-        let grid = grid.as_mut_slice();
-        self.landings(boxes, |from, to, len| {
-            grid[to..to + len].copy_from_slice(&cells[from..from + len]);
-        });
-    }
-
-    /// Every line copy that lands the cells of `boxes` (laid end to end
-    /// from the first box's `base`, as a message carries them) in the pad:
-    /// `land(from, to, len)` copies `len` cells from offset `from` of the
-    /// boxes' cells to padded cell index `to`. A cell whose image is in
-    /// the brick is not landed — the brick holds it — and one the pad
-    /// holds twice (a periodic axis shorter than brick and pad) lands
-    /// twice.
-    fn landings(&self, boxes: &[HaloBox], mut land: impl FnMut(usize, usize, usize)) {
-        let first = boxes.first().map_or(0, |b| b.base);
-        let [nx, ny, _] = self.dims;
+        let mut cells = cells;
         for b in boxes {
-            let (bx, by) = (b.x.len(), b.y.len());
-            for (pz, sz, lz, iz) in self.runs(2, &b.z) {
-                for (py, sy, ly, iy) in self.runs(1, &b.y) {
-                    for (px, sx, lx, ix) in self.runs(0, &b.x) {
-                        if ix && iy && iz {
-                            continue;
-                        }
-                        for (dz, dy) in (0..lz).flat_map(|dz| (0..ly).map(move |dy| (dz, dy))) {
-                            let from = b.base - first + ((sz + dz) * by + sy + dy) * bx + sx;
-                            land(from, ((pz + dz) * ny + py + dy) * nx + px, lx);
-                        }
-                    }
-                }
+            for (dy, dz) in b.lines() {
+                let (line, rest) = cells.split_at(b.len[0]);
+                let start = grid.idx(b.to[0], b.to[1] + dy, b.to[2] + dz);
+                grid.as_mut_slice()[start..start + line.len()].copy_from_slice(line);
+                cells = rest;
             }
         }
     }
 
     /// The pad cell global cell `g` stands for — the first, should the pad
     /// hold it twice — or `None` when the pad holds none.
-    pub(crate) fn in_pad(&self, [x, y, z]: [usize; 3]) -> Option<[usize; 3]> {
-        let runs = |a: usize, g: usize| self.runs(a, &(g..g + 1));
-        for (pz, _, _, bz) in runs(2, z) {
-            for (py, _, _, by) in runs(1, y) {
-                let mut xs = runs(0, x).filter(|&(_, _, _, bx)| !(bx && by && bz));
-                if let Some((px, ..)) = xs.next() {
-                    return Some([px, py, pz]);
-                }
-            }
-        }
-        None
+    pub(crate) fn in_pad(&self, g: [usize; 3]) -> Option<[usize; 3]> {
+        let at = |a: usize| (0..self.dims[a]).filter(move |&p| self.global(a, p) == g[a]);
+        let brick = |a: usize, p: usize| (self.lo[a]..self.lo[a] + self.len[a]).contains(&p);
+        let mut cells = at(2).flat_map(|z| at(1).flat_map(move |y| at(0).map(move |x| [x, y, z])));
+        cells.find(|p| !(0..3).all(|a| brick(a, p[a])))
     }
+}
+
+/// One cut of a padded axis ([`Pad::cuts`]): padded cells
+/// `to .. to + len`, standing for global cells `from .. from + len` of the
+/// rank coordinate `owner`, and whether they are the brick's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    pub(crate) to: usize,
+    pub(crate) from: usize,
+    pub(crate) len: usize,
+    pub(crate) owner: usize,
+    pub(crate) brick: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::HaloPlan;
     use crate::pipeline::TopologyCache;
     use crate::step::{Job, RankStepper};
-    use crate::{effective_halo, DistConfig, HaloPlan, JobSpec, Partition3};
+    use crate::{effective_halo, DistConfig, JobSpec, Partition3};
     use proptest::prelude::*;
 
     /// Every rank of a job over `initial`, as the job builds them.
@@ -276,10 +273,10 @@ mod tests {
             let stencil = Stencil3D::from_tuples(&[(r, r, r, 0.5f64), (-r, -r, -r, 0.5)]);
             let global = Grid3D::from_fn(nx, ny, nz, |x, y, z| (x + 100 * y + 10_000 * z) as f64 + 0.25);
             let part = Partition3::new(nx, ny, nz, rx, ry, rz);
-            // An axis exchanges only when it is decomposed (y always is),
-            // and admission keeps a shell narrower than its axis.
+            // An axis exchanges only when it is split, and admission keeps
+            // a shell narrower than its axis.
             let depth = |ranks: usize, n: usize| if ranks > 1 { (k * reach).min(n - 1) } else { 0 };
-            let halo = (depth(rx, nx), (k * reach).min(ny - 1), depth(rz, nz));
+            let halo = (depth(rx, nx), depth(ry, ny), depth(rz, nz));
             let pads: Vec<_> = (0..part.ranks())
                 .map(|me| Pad::new(&part.brick(me), dims, &bounds, halo, &stencil))
                 .collect();
@@ -292,7 +289,7 @@ mod tests {
                 grid
             }).collect();
             for me in 0..part.ranks() {
-                let plan = HaloPlan::new(&part.brick(me), me, &part, halo, dims, &bounds);
+                let plan = HaloPlan::new::<f64>(&pads[me], me, &part);
                 for boxes in plan.owed() {
                     let (owner, mut msg) = (boxes[0].owner, Vec::new());
                     pads[owner].pack(&grids[owner], boxes, &mut msg);
@@ -311,10 +308,10 @@ mod tests {
         }
     }
 
-    /// The unpack is counted per box line: on shapes whose pad holds each
-    /// cell once, landing a message costs exactly one slice copy per
-    /// `(y, z)` line of each of its boxes, and a clamp fold — a cell of
-    /// the brick itself — lands nothing.
+    /// A packed line lands as exactly one pad line: on shapes whose pad
+    /// holds each cell once, landing a message writes each of its cells
+    /// once, box line by box line, and nothing else; and a rank serves
+    /// itself nothing unless a periodic pad wraps onto its brick.
     #[test]
     fn unpack_copies_one_slice_per_remote_box_line() {
         let star = Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1);
@@ -334,22 +331,31 @@ mod tests {
                 .with_steps_per_exchange(k);
             let halo = effective_halo(&cfg, stencil, (rx, ry, rz));
             for me in 0..part.ranks() {
-                let plan = HaloPlan::new(&part.brick(me), me, &part, halo, dims, &bounds);
                 let pad = Pad::new(&part.brick(me), dims, &bounds, halo, stencil);
+                let plan = HaloPlan::new::<f64>(&pad, me, &part);
+                let [px, py, pz] = pad.dims;
                 for boxes in plan.owed() {
-                    let mut copies = 0;
-                    pad.landings(boxes, |_, _, _| copies += 1);
-                    let lines: usize = boxes.iter().map(|b| b.y.len() * b.z.len()).sum();
-                    let expect = if boxes[0].owner == me && b != Boundary::Periodic {
-                        0
-                    } else {
-                        lines
-                    };
-                    assert_eq!(
-                        copies, expect,
+                    let at = format!(
                         "{dims:?} {rx}x{ry}x{rz} k={k} {b:?}: rank {me}, owner {}",
                         boxes[0].owner
                     );
+                    assert!(boxes[0].owner != me || b == Boundary::Periodic, "{at}");
+                    let volume: usize = boxes.iter().map(HaloBox::volume).sum();
+                    let cells: Vec<f64> = (0..volume).map(|i| i as f64).collect();
+                    let mut grid = Grid3D::filled(px, py, pz, f64::NAN);
+                    pad.unpack(boxes, &cells, &mut grid);
+                    let landed = grid.as_slice().iter().filter(|v| !v.is_nan()).count();
+                    assert_eq!(landed, volume, "{at}");
+                    let mut slot = 0;
+                    for b in boxes {
+                        for (dy, dz) in b.lines() {
+                            for dx in 0..b.len[0] {
+                                let [x, y, z] = b.to;
+                                assert_eq!(grid.at(x + dx, y + dy, z + dz), slot as f64, "{at}");
+                                slot += 1;
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -187,7 +187,7 @@ impl std::fmt::Display for DistError {
                 extent,
             } => write!(
                 f,
-                "rank {rank}'s brick of {rows} rows is not taller than the stencil y-extent {extent}; use fewer y-ranks"
+                "rank {rank}'s brick of {rows} rows is not taller than the stencil y-extent {extent}; a brick must outgrow the stencil on every axis"
             ),
             Self::TileTooNarrow {
                 rank,
@@ -195,7 +195,7 @@ impl std::fmt::Display for DistError {
                 extent,
             } => write!(
                 f,
-                "rank {rank}'s brick of {cols} columns is not wider than the stencil x-extent {extent}; use fewer x-ranks"
+                "rank {rank}'s brick of {cols} columns is not wider than the stencil x-extent {extent}; a brick must outgrow the stencil on every axis"
             ),
             Self::BrickTooThin {
                 rank,
@@ -203,7 +203,7 @@ impl std::fmt::Display for DistError {
                 extent,
             } => write!(
                 f,
-                "rank {rank}'s brick of {layers} z-layers is not thicker than the stencil z-extent {extent}; use fewer z-ranks"
+                "rank {rank}'s brick of {layers} z-layers is not thicker than the stencil z-extent {extent}; a brick must outgrow the stencil on every axis"
             ),
             Self::ConstantShape { expected, got } => write!(
                 f,

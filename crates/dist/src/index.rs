@@ -1,100 +1,93 @@
-//! Halo planning: which cells a rank needs, as **boxes** — the one
+//! Halo planning: the boxes a rank's exchange moves — the one
 //! representation every later stage reads, from the plan to the payload —
 //! and how much traffic each halo channel carries.
 //!
 //! # Boxes
 //!
-//! A rank's halo is the full 3-D shell around its brick: x/y/z **faces**,
-//! the **edges** where two axis windows meet and the **corners** where all
-//! three do — a product of three per-axis windows, so it is planned per
-//! axis. Along each axis, `brick ∪ window` (the window being what the
-//! `halo` out-of-brick coordinates on either side resolve to through the
-//! global boundary) is cut into maximal intervals of constant owning rank
-//! coordinate and window membership. Every combination of an x, a y and a
-//! z interval with at least one window interval is one [`HaloBox`]: a
-//! global `x × y × z` range with a single owner.
+//! A rank's halo is its pad ([`Pad`]): the cells of its padded grid
+//! outside its brick, and nothing else. Along each axis the padded grid is
+//! cut where the brick begins or ends, where the owning rank coordinate
+//! changes and where a periodic axis wraps ([`Pad::cuts`]). Every product
+//! of an x, a y and a z cut with at least one pad cut is one [`HaloBox`]:
+//! a global `x × y × z` range of one owner's brick and the padded cell its
+//! first cell lands on. So the shell's faces, edges and corners are boxes
+//! of one construction, and a box exists only where a pad does: a domain
+//! end that does not wrap has no pad (the grid's own boundary resolves
+//! reads past it), nor has an axis on one rank, so no box folds a cell
+//! through a boundary.
 //!
-//! [`HaloPlan`] is that short, disjoint list — two boxes for an interior
-//! y-slab, 26 for the centre brick of a 3×3×3 grid — ordered self-owned
-//! first (boundary folds and periodic wraps the rank serves to itself),
-//! then by ascending owner, each box's cells z-major row-major from its
-//! `base`. The list *is* the payload layout, both endpoints of a channel
-//! derive it independently, and everything else is read off it: a
-//! producer packs one slice copy per `(y, z)` line of each box it owes,
-//! and the consumer lands each such line in its padded grid with one
-//! slice copy (`crate::epoch`); a cell lookup (`HaloPlan::slot`, which
-//! admission uses) is per-axis containment plus an offset — the plan
-//! keeps the per-axis intervals and which box each triple of them is, so
-//! a lookup is three short scans, not a pass over the boxes; the unique /
-//! self / remote cell counts are box volumes and the messages per epoch
-//! the distinct remote owners.
+//! [`HaloPlan`] is that short list — one box for a y-slab at a domain end,
+//! two for an interior one, 26 for the centre brick of a 3×3×3 grid —
+//! ordered self-owned first (a deep periodic pad that wraps onto the
+//! rank's own brick), then by ascending owner, each box's cells z-major
+//! row-major. The list *is* the payload layout: both endpoints of a
+//! channel read it off the consumer's plan, the producer packs one slice
+//! copy per `(y, z)` line of each box it owes, and the consumer lands each
+//! such line in its pad with one slice copy ([`Pad::unpack`]). The
+//! landed, self and remote cell counts are box volumes and the messages
+//! per epoch the distinct remote owners.
 //!
 //! # Traffic accounting
 //!
-//! [`HaloPlan`] also records the analytic per-channel halo volume
+//! [`HaloPlan`] also records the per-channel halo volume
 //! ([`HaloTraffic`]): cells per x-face/y-face/z-face channel, the xy-edge
 //! ("corner patch" of the 2-D decomposition), xz/yz-edge and xyz-corner
-//! channels, the unique cells actually exchanged after boundary
-//! folding/deduplication, and the wire bytes per iteration.
+//! channels, the cells landed, and the wire bytes per iteration.
 //! [`crate::RankReport`] surfaces it per rank;
 //! [`crate::DistReport::total_traffic`] aggregates it.
 
-use crate::partition::axis_owner;
-use crate::{Brick, Partition3};
-use abft_grid::{AxisHit, Boundary, BoundarySpec};
+use crate::epoch::Pad;
+use crate::pipeline::TopoKey;
+use crate::Partition3;
 use abft_num::Real;
-use std::collections::BTreeSet;
-use std::ops::Range;
+use abft_stencil::Stencil3D;
+use std::array::from_fn;
+use std::sync::Arc;
 
-/// One box of a rank's halo: the global cells `x × y × z`, all owned by
-/// rank `owner`, occupying payload slots `base .. base + volume()` in
-/// z-major row-major order (so every `(y, z)` line of the box is one
-/// contiguous run of slots, and of the owner's brick).
+/// One box of a rank's halo: the global cells `from + [0, len)` per axis,
+/// all in rank `owner`'s brick, landing on the consumer's padded cells
+/// `to + [0, len)`. Its cells travel z-major row-major, so every `(y, z)`
+/// line is one contiguous run of the payload, of the owner's brick and of
+/// the consumer's pad.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HaloBox {
-    /// The rank whose brick holds these cells (the consumer itself for a
-    /// boundary fold).
-    pub owner: usize,
-    /// Global `x` range.
-    pub x: Range<usize>,
-    /// Global `y` range.
-    pub y: Range<usize>,
-    /// Global `z` range.
-    pub z: Range<usize>,
-    /// Payload slot of the box's first cell.
-    pub base: usize,
+pub(crate) struct HaloBox {
+    /// The rank whose brick holds these cells.
+    pub(crate) owner: usize,
+    /// The global cell of the box's first cell.
+    pub(crate) from: [usize; 3],
+    /// The consumer's padded cell the box's first cell lands on.
+    pub(crate) to: [usize; 3],
+    /// Cells per axis.
+    pub(crate) len: [usize; 3],
 }
 
 impl HaloBox {
     /// Number of cells (payload slots) in the box.
-    pub fn volume(&self) -> usize {
-        self.x.len() * self.y.len() * self.z.len()
+    pub(crate) fn volume(&self) -> usize {
+        self.len.iter().product()
     }
 
-    /// The box's cells in payload order.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.z.clone().flat_map(move |z| {
-            self.y
-                .clone()
-                .flat_map(move |y| self.x.clone().map(move |x| (x, y, z)))
-        })
+    /// The box's `(y, z)` lines in payload order, as offsets from its
+    /// first cell.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = (usize, usize)> {
+        let [_, ly, lz] = self.len;
+        (0..lz).flat_map(move |dz| (0..ly).map(move |dy| (dy, dz)))
     }
 }
 
-/// Analytic per-channel halo volume of one rank, per iteration, in
-/// **cells** (single `(x, y, z)` points; `cell_bytes` is the scalar
-/// width).
+/// Per-channel halo volume of one rank, per iteration, in **cells**
+/// (single `(x, y, z)` points; `cell_bytes` is the scalar width).
 ///
-/// The channel counts are the *channel volumes* — the products of the
-/// brick extents with the resolved out-of-brick windows — so they match
-/// the textbook halo-surface formulas (y-face ≈ `x_len·|wy|·z_len`,
-/// x-face ≈ `|wx|·y_len·z_len`, z-face ≈ `x_len·y_len·|wz|`, edges and
-/// corners the corresponding two- and three-window products). Under
-/// clamp/reflect the windows fold onto in-domain cells, so a cell can
-/// appear in more than one channel and even inside the rank's own brick;
-/// `unique_cells` counts the deduplicated exchange set, split into
-/// `self_cells` (served locally, never on the wire) and `remote_cells`
-/// (received from other ranks).
+/// The channel counts are the volumes of the landed boxes per channel:
+/// the products of the brick extents with the pad widths `|wx|`, `|wy|`,
+/// `|wz|` (the padded cells on either side of the brick), so they match
+/// the textbook halo-surface formulas (y-face `x_len·|wy|·z_len`, x-face
+/// `|wx|·y_len·z_len`, z-face `x_len·y_len·|wz|`, edges and corners the
+/// corresponding two- and three-width products). A domain end that does
+/// not wrap and an axis on one rank have no pad, and count 0.
+/// `unique_cells` counts every landed cell, split into `self_cells`
+/// (served locally, never on the wire) and `remote_cells` (received from
+/// other ranks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HaloTraffic {
     /// Cells in y-face channels (row strips from y-neighbours:
@@ -114,9 +107,10 @@ pub struct HaloTraffic {
     pub zedge_cells: usize,
     /// Cells in xyz-corner channels (`|wx|·|wy|·|wz|`), per iteration.
     pub zcorner_cells: usize,
-    /// Unique cells in the exchange set after folding/deduplication.
+    /// Cells landed per exchange: every pad cell once.
     pub unique_cells: usize,
-    /// Unique cells the rank serves to itself (boundary folds; no wire).
+    /// Landed cells the rank serves to itself (a deep periodic pad that
+    /// wraps onto its own brick; no wire).
     pub self_cells: usize,
     /// Unique cells received from other ranks (actual wire traffic).
     pub remote_cells: usize,
@@ -238,109 +232,77 @@ impl std::fmt::Display for HaloTraffic {
     }
 }
 
-/// Everything one rank needs to exchange halos: the boxes of its halo
-/// shell in payload order, and the per-channel traffic volumes.
+/// Everything one rank needs to exchange halos: the boxes of its pad in
+/// payload order, and the per-channel traffic volumes.
 #[derive(Debug, Clone)]
-pub struct HaloPlan {
-    /// Disjoint boxes, self-owned first, then ascending owner; `base`
-    /// runs on from box to box.
+pub(crate) struct HaloPlan {
+    /// Self-owned first, then ascending owner.
     boxes: Vec<HaloBox>,
-    /// The x, y and z intervals the boxes are products of, each ascending.
-    segments: [Vec<Range<usize>>; 3],
-    /// Per `(z, y, x)` triple of `segments`, its box's index in `boxes`;
-    /// `None` where no axis is a window (brick cells: not halo).
-    box_of: Vec<Option<usize>>,
-    /// Analytic per-channel traffic volumes.
-    pub traffic: HaloTraffic,
-}
-
-/// A maximal interval of `brick ∪ window` along one axis on which the
-/// owning rank coordinate and window membership are both constant.
-struct Segment {
-    range: Range<usize>,
-    owner: usize,
-    window: bool,
+    /// Per-channel traffic volumes.
+    pub(crate) traffic: HaloTraffic,
 }
 
 impl HaloPlan {
-    /// Plan rank `me`'s halo: cut each axis into segments through the
-    /// global boundaries, take their product as boxes and tally the
-    /// per-channel volumes. `halo = (hx, hy, hz)` is the per-axis halo
-    /// depth (0 disables the axis) and `dims` the global domain.
-    pub fn new<T: Real>(
-        brick: &Brick,
-        me: usize,
-        part: &Partition3,
-        halo: (usize, usize, usize),
-        dims: (usize, usize, usize),
-        bounds: &BoundarySpec<T>,
-    ) -> Self {
-        let [cols, rows, layers] = part.axes();
-        let xs = axis_segments(brick.x0, brick.x_len, halo.0, dims.0, &bounds.x, cols);
-        let ys = axis_segments(brick.y0, brick.y_len, halo.1, dims.1, &bounds.y, rows);
-        let zs = axis_segments(brick.z0, brick.z_len, halo.2, dims.2, &bounds.z, layers);
-        // The shell is every combination with at least one window axis:
-        // faces, edges and corners, so diagonal taps and the checksum
-        // interpolation's cross-axis terms need no extra message kind.
+    /// Plan rank `me`'s exchange from its padded grid: cut each axis of
+    /// `pad`, take the products with a pad cut as boxes and tally the
+    /// per-channel volumes.
+    pub(crate) fn new<T: Real>(pad: &Pad, me: usize, part: &Partition3) -> Self {
+        let [xs, ys, zs] = from_fn(|a| pad.cuts(a, part.axes()[a]));
         let mut boxes = Vec::new();
-        for (iz, sz) in zs.iter().enumerate() {
-            for (iy, sy) in ys.iter().enumerate() {
-                for (ix, sx) in xs.iter().enumerate() {
-                    if sx.window || sy.window || sz.window {
-                        let triple = (iz * ys.len() + iy) * xs.len() + ix;
-                        let halo_box = HaloBox {
-                            owner: (sz.owner * part.ry() + sy.owner) * part.rx() + sx.owner,
-                            x: sx.range.clone(),
-                            y: sy.range.clone(),
-                            z: sz.range.clone(),
-                            base: 0,
-                        };
-                        boxes.push((triple, halo_box));
+        for sz in &zs {
+            for sy in &ys {
+                for sx in &xs {
+                    if sx.brick && sy.brick && sz.brick {
+                        continue;
                     }
+                    boxes.push(HaloBox {
+                        owner: (sz.owner * part.ry() + sy.owner) * part.rx() + sx.owner,
+                        from: [sx.from, sy.from, sz.from],
+                        to: [sx.to, sy.to, sz.to],
+                        len: [sx.len, sy.len, sz.len],
+                    });
                 }
             }
         }
-        // Stable, so an owner's boxes keep their (z, y, x) segment order.
-        boxes.sort_by_key(|(_, b)| (b.owner != me, b.owner));
-        let mut box_of = vec![None; xs.len() * ys.len() * zs.len()];
-        let (mut unique_cells, mut self_cells) = (0, 0);
-        for (i, (triple, b)) in boxes.iter_mut().enumerate() {
-            box_of[*triple] = Some(i);
-            b.base = unique_cells;
-            unique_cells += b.volume();
-            self_cells += if b.owner == me { b.volume() } else { 0 };
-        }
-        let boxes: Vec<HaloBox> = boxes.into_iter().map(|(_, b)| b).collect();
+        // Stable, so an owner's boxes keep their padded (z, y, x) order.
+        boxes.sort_by_key(|b| (b.owner != me, b.owner));
+        let volume = |mine: bool| -> usize {
+            let owned = boxes.iter().filter(|b| (b.owner == me) == mine);
+            owned.map(HaloBox::volume).sum()
+        };
         let mut producers: Vec<usize> = boxes.iter().map(|b| b.owner).collect();
         producers.dedup();
-        let window = |segs: &[Segment]| -> usize {
-            let in_window = segs.iter().filter(|s| s.window);
-            in_window.map(|s| s.range.len()).sum()
-        };
-        let (wx, wy, wz) = (window(&xs), window(&ys), window(&zs));
+        let [lx, ly, lz] = pad.len;
+        let [wx, wy, wz] = from_fn(|a| pad.dims[a] - pad.len[a]);
+        let (self_cells, remote_cells) = (volume(true), volume(false));
         Self {
             traffic: HaloTraffic {
-                row_cells: brick.x_len * wy * brick.z_len,
-                col_cells: wx * brick.y_len * brick.z_len,
-                corner_cells: wx * wy * brick.z_len,
-                zface_cells: brick.x_len * brick.y_len * wz,
-                zedge_cells: (wx * brick.y_len + brick.x_len * wy) * wz,
+                row_cells: lx * wy * lz,
+                col_cells: wx * ly * lz,
+                corner_cells: wx * wy * lz,
+                zface_cells: lx * ly * wz,
+                zedge_cells: (wx * ly + lx * wy) * wz,
                 zcorner_cells: wx * wy * wz,
-                unique_cells,
+                unique_cells: self_cells + remote_cells,
                 self_cells,
-                remote_cells: unique_cells - self_cells,
+                remote_cells,
                 cell_bytes: std::mem::size_of::<T>(),
                 epoch_messages: producers.iter().filter(|&&p| p != me).count(),
             },
             boxes,
-            segments: [xs, ys, zs].map(|segs| segs.into_iter().map(|s| s.range).collect()),
-            box_of,
         }
     }
 
-    /// The boxes, in payload order.
-    pub fn boxes(&self) -> &[HaloBox] {
-        &self.boxes
+    /// The plans of every rank of a job over `key`'s topology, in rank
+    /// order, each from the rank's padded grid.
+    pub(crate) fn of_job<T: Real>(
+        key: &TopoKey<T>,
+        part: &Partition3,
+        stencil: &Stencil3D<T>,
+    ) -> Vec<Arc<Self>> {
+        let pad = |r| Pad::new(&part.brick(r), key.dims, &key.bounds, key.halo, stencil);
+        let plan = |r| Arc::new(Self::new::<T>(&pad(r), r, part));
+        (0..part.ranks()).map(plan).collect()
     }
 
     /// The boxes grouped by owner: one slice per producer, the rank's own
@@ -348,184 +310,67 @@ impl HaloPlan {
     pub(crate) fn owed(&self) -> impl Iterator<Item = &[HaloBox]> {
         self.boxes.chunk_by(|a, b| a.owner == b.owner)
     }
-
-    /// Every halo cell, in payload order: the `i`-th cell occupies slot `i`.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.boxes.iter().flat_map(HaloBox::cells)
-    }
-
-    /// Number of halo cells (payload slots).
-    pub fn len(&self) -> usize {
-        self.boxes.last().map_or(0, |b| b.base + b.volume())
-    }
-
-    /// Whether the halo is empty (value-like boundaries everywhere).
-    pub fn is_empty(&self) -> bool {
-        self.boxes.is_empty()
-    }
-
-    /// Payload slot of global halo cell `(x, y, z)`, or `None` when the
-    /// cell is not exchanged.
-    #[inline]
-    pub fn slot(&self, x: usize, y: usize, z: usize) -> Option<usize> {
-        self.run_at(x, y, z).map(|(slot, _)| slot)
-    }
-
-    /// The plan's one lookup: find each coordinate's segment, then the
-    /// triple's box, and offset into it. Returns the payload slot of
-    /// `(x, y, z)` and how many cells of its box's line start there —
-    /// cells `(x .. x + left, y, z)` occupy slots `slot .. slot + left`.
-    #[inline]
-    pub(crate) fn run_at(&self, x: usize, y: usize, z: usize) -> Option<(usize, usize)> {
-        let [xs, ys, zs] = &self.segments;
-        let at = |segs: &[Range<usize>], q: usize| segs.iter().position(|s| s.contains(&q));
-        let (ix, iy, iz) = (at(xs, x)?, at(ys, y)?, at(zs, z)?);
-        let b = &self.boxes[self.box_of[(iz * ys.len() + iy) * xs.len() + ix]?];
-        let line = (z - b.z.start) * b.y.len() + (y - b.y.start);
-        Some((b.base + line * b.x.len() + (x - b.x.start), b.x.end - x))
-    }
 }
 
-/// Cut `brick ∪ window` along one axis into [`Segment`]s. The window is
-/// what the `halo` coordinates on either side of `start .. start + len`
-/// resolve to through the global boundary.
-fn axis_segments<T: Real>(
-    start: usize,
-    len: usize,
-    halo: usize,
-    n: usize,
-    b: &Boundary<T>,
-    parts: &[(usize, usize)],
-) -> Vec<Segment> {
-    let window = resolved_window(start, len, halo, n, b);
-    let coords: BTreeSet<usize> = (start..start + len).chain(window.iter().copied()).collect();
-    let tagged: Vec<(usize, usize, bool)> = coords
-        .into_iter()
-        .map(|q| (q, axis_owner(parts, q), window.contains(&q)))
-        .collect();
-    let runs = tagged.chunk_by(|a, b| a.0 + 1 == b.0 && (a.1, a.2) == (b.1, b.2));
-    runs.map(|run| Segment {
-        range: run[0].0..run[0].0 + run.len(),
-        owner: run[0].1,
-        window: run[0].2,
-    })
-    .collect()
-}
-
-/// The in-domain cells one axis window `start-halo..start+len+halo`
-/// resolves to through the global boundary. Value-like boundaries
-/// contribute nothing; clamp/reflect at the outer edges fold into
-/// in-domain cells (possibly the brick's own), periodic wraps around the
-/// torus.
-fn resolved_window<T: Real>(
-    start: usize,
-    len: usize,
-    halo: usize,
-    n: usize,
-    b: &Boundary<T>,
-) -> BTreeSet<usize> {
-    let mut set = BTreeSet::new();
-    let local_range = (-(halo as isize)..0).chain(len as isize..(len + halo) as isize);
-    for l in local_range {
-        if let AxisHit::In(i) = b.resolve(start as isize + l, n) {
-            set.insert(i);
-        }
-    }
-    set
-}
-
-/// The per-cell construction the boxes replaced, kept as the reference
-/// the box product is proven against (`tests::boxes_equal_cell_lists`).
 #[cfg(test)]
-mod oracle {
+mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use crate::{run_distributed, Brick, DistConfig, HaloMode};
+    use abft_grid::{Boundary, BoundarySpec, Grid3D};
+    use abft_stencil::Stencil3D;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    /// A rank's halo cells grouped by producing rank: self first, then
-    /// ascending producers.
-    pub(super) type OwedCells = Vec<(usize, Vec<(usize, usize, usize)>)>;
+    type Cell = (usize, usize, usize);
 
-    /// The set of global cells a brick needs to satisfy every possible
-    /// out-of-brick read: every combination of `(Wx ∪ brick-x) ×
-    /// (Wy ∪ brick-y) × (Wz ∪ brick-z)` with at least one window axis.
-    pub(super) fn needed_halo_cells<T: Real>(
-        brick: &Brick,
+    /// Rank `me`'s padded grid at halo depth `halo` (the kernel's reach
+    /// only shapes the sweep windows, which planning never reads).
+    fn pad_for(
+        part: &Partition3,
+        me: usize,
         halo: (usize, usize, usize),
         dims: (usize, usize, usize),
-        bounds: &BoundarySpec<T>,
-    ) -> BTreeSet<(usize, usize, usize)> {
-        let wx = resolved_window(brick.x0, brick.x_len, halo.0, dims.0, &bounds.x);
-        let wy = resolved_window(brick.y0, brick.y_len, halo.1, dims.1, &bounds.y);
-        let wz = resolved_window(brick.z0, brick.z_len, halo.2, dims.2, &bounds.z);
-        let bx = || brick.x0..brick.x0 + brick.x_len;
-        let by = || brick.y0..brick.y0 + brick.y_len;
-        let bz = || brick.z0..brick.z0 + brick.z_len;
-        let mut cells = BTreeSet::new();
-        // y-faces + xy-edges (all brick z-layers).
-        for &gy in &wy {
-            for gz in bz() {
-                for gx in bx() {
-                    cells.insert((gx, gy, gz));
-                }
-                for &gx in &wx {
-                    cells.insert((gx, gy, gz));
-                }
-            }
-        }
-        // x-faces (all brick z-layers).
-        for &gx in &wx {
-            for gz in bz() {
-                for gy in by() {
-                    cells.insert((gx, gy, gz));
-                }
-            }
-        }
-        // z-faces + xz/yz-edges + xyz-corners.
-        for &gz in &wz {
-            for gy in by().chain(wy.iter().copied()) {
-                for gx in bx().chain(wx.iter().copied()) {
-                    cells.insert((gx, gy, gz));
+        bounds: &BoundarySpec<f64>,
+    ) -> Pad {
+        let stencil = Stencil3D::diffusion_27pt(0.02);
+        Pad::new(&part.brick(me), dims, bounds, halo, &stencil)
+    }
+
+    fn plan_for(
+        part: &Partition3,
+        me: usize,
+        halo: (usize, usize, usize),
+        dims: (usize, usize, usize),
+        bounds: &BoundarySpec<f64>,
+    ) -> HaloPlan {
+        HaloPlan::new::<f64>(&pad_for(part, me, halo, dims, bounds), me, part)
+    }
+
+    /// Every cell of the plan in payload order: its box's owner, the
+    /// global cell it is read from and the padded cell it lands on.
+    fn payload(plan: &HaloPlan) -> Vec<(usize, Cell, Cell)> {
+        let mut cells = Vec::new();
+        for b in &plan.boxes {
+            for (dy, dz) in b.lines() {
+                for dx in 0..b.len[0] {
+                    let at = |c: [usize; 3]| (c[0] + dx, c[1] + dy, c[2] + dz);
+                    cells.push((b.owner, at(b.from), at(b.to)));
                 }
             }
         }
         cells
     }
 
-    /// Group a rank's needed cells by producing rank — self-owned first,
-    /// then ascending rank.
-    pub(super) fn group_cells(
-        cells: BTreeSet<(usize, usize, usize)>,
+    /// The global cells the plan reads.
+    fn planned_cells(
         part: &Partition3,
-        me: usize,
-    ) -> OwedCells {
-        let mut by_owner: BTreeMap<usize, Vec<(usize, usize, usize)>> = BTreeMap::new();
-        for (gx, gy, gz) in cells {
-            let (owner, _, _, _) = part.owner(gx, gy, gz);
-            by_owner.entry(owner).or_default().push((gx, gy, gz));
-        }
-        let mut groups: OwedCells = Vec::with_capacity(by_owner.len());
-        if let Some(own) = by_owner.remove(&me) {
-            groups.push((me, own));
-        }
-        groups.extend(by_owner);
-        groups
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn plan_for(
-        brick: Brick,
-        me: usize,
-        part: &Partition3,
+        rank: usize,
         halo: (usize, usize, usize),
         dims: (usize, usize, usize),
         bounds: &BoundarySpec<f64>,
-    ) -> HaloPlan {
-        HaloPlan::new(&brick, me, part, halo, dims, bounds)
+    ) -> BTreeSet<Cell> {
+        let plan = plan_for(part, rank, halo, dims, bounds);
+        payload(&plan).into_iter().map(|(_, g, _)| g).collect()
     }
 
     fn boundary(kind: usize) -> Boundary<f64> {
@@ -538,15 +383,20 @@ mod tests {
         }
     }
 
+    fn in_brick(brick: &Brick, (x, y, z): Cell) -> bool {
+        brick.contains(x, y, z)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases_env(24))]
 
-        /// The box product is the per-cell construction: over the rank
-        /// grids, boundary mixes and shell depths the substrate runs, every
-        /// rank's boxes hold the same cells with the same owner, each in
-        /// exactly one payload slot, `slot()` is a bijection onto
-        /// `0..len`, each producer owes the same cells (so no message
-        /// changes size), and everything else misses.
+        /// The boxes are the pad, cell by cell: over the rank grids,
+        /// boundary mixes and shell depths the substrate runs, every
+        /// padded cell outside the brick is in exactly one box, at one
+        /// payload slot, read from the global cell it stands for in the
+        /// brick of the rank that owns that cell; no box lands in the
+        /// brick; every box line is one run of its owner's brick; and the
+        /// owners come self first, then ascending, one message each.
         #[test]
         fn boxes_equal_cell_lists(
             grid in prop_oneof![
@@ -569,49 +419,46 @@ mod tests {
                 z: boundary(kinds.2),
             };
             let part = Partition3::new(nx, ny, nz, rx, ry, rz);
-            // An axis exchanges only when it is decomposed (y always is),
-            // and admission keeps a shell narrower than its axis.
+            // An axis exchanges only when it is split, and admission
+            // keeps a shell narrower than its axis.
             let depth = |ranks: usize, n: usize| if ranks > 1 { (k * reach).min(n - 1) } else { 0 };
-            let halo = (depth(rx, nx), (k * reach).min(ny - 1), depth(rz, nz));
+            let halo = (depth(rx, nx), depth(ry, ny), depth(rz, nz));
             for me in 0..part.ranks() {
-                let brick = part.brick(me);
-                let plan = plan_for(brick, me, &part, halo, dims, &bounds);
-                let cells = oracle::needed_halo_cells(&brick, halo, dims, &bounds);
-                let groups = oracle::group_cells(cells.clone(), &part, me);
-
-                prop_assert_eq!(plan.len(), cells.len(), "rank {}: a cell twice or missing", me);
-                prop_assert_eq!(plan.is_empty(), cells.is_empty());
-                for (slot, (x, y, z)) in plan.cells().enumerate() {
-                    prop_assert!(cells.contains(&(x, y, z)), "rank {}: ({}, {}, {}) not needed", me, x, y, z);
-                    prop_assert_eq!(plan.slot(x, y, z), Some(slot), "rank {}: slot of ({}, {}, {})", me, x, y, z);
-                }
-                // Producer by producer, in message order: the same owner
-                // and the same cells.
-                let owed: Vec<_> = plan.owed().collect();
-                prop_assert_eq!(owed.len(), groups.len(), "rank {}: producers", me);
-                for (boxes, (owner, group)) in owed.iter().zip(&groups) {
-                    let mut boxed: Vec<_> = boxes.iter().flat_map(HaloBox::cells).collect();
-                    for b in boxes.iter() {
-                        prop_assert_eq!(b.owner, *owner);
-                        for (x, y, z) in b.cells() {
-                            prop_assert_eq!(part.owner(x, y, z).0, *owner);
-                        }
-                    }
-                    boxed.sort_unstable();
-                    prop_assert_eq!(&boxed, group, "rank {}: cells owed by {}", me, owner);
-                }
-                // Misses miss, over the domain plus a guard band.
-                for z in 0..nz + 2 {
-                    for y in 0..ny + 2 {
-                        for x in 0..nx + 2 {
-                            prop_assert_eq!(
-                                plan.slot(x, y, z).is_some(),
-                                cells.contains(&(x, y, z)),
-                                "rank {}: ({}, {}, {})", me, x, y, z
-                            );
+                let pad = pad_for(&part, me, halo, dims, &bounds);
+                let plan = HaloPlan::new::<f64>(&pad, me, &part);
+                // The oracle, from the pad alone: padded cell → the global
+                // cell it stands for and that cell's owner.
+                let [px, py, pz] = pad.dims;
+                let brick = |(x, y, z): Cell| {
+                    let inside = |a: usize, p: usize| (pad.lo[a]..pad.lo[a] + pad.len[a]).contains(&p);
+                    inside(0, x) && inside(1, y) && inside(2, z)
+                };
+                let mut oracle = BTreeMap::new();
+                for z in 0..pz {
+                    for y in 0..py {
+                        for x in 0..px {
+                            if !brick((x, y, z)) {
+                                let g = (pad.global(0, x), pad.global(1, y), pad.global(2, z));
+                                oracle.insert((x, y, z), (g, part.owner(g.0, g.1, g.2).0));
+                            }
                         }
                     }
                 }
+                let cells = payload(&plan);
+                prop_assert_eq!(cells.len(), oracle.len(), "rank {}: a pad cell twice or missing", me);
+                prop_assert_eq!(plan.traffic.unique_cells, oracle.len());
+                let mut landed = BTreeSet::new();
+                for (slot, (owner, g, p)) in cells.into_iter().enumerate() {
+                    prop_assert!(landed.insert(p), "rank {}: slot {} lands on {:?} twice", me, slot, p);
+                    prop_assert_eq!(oracle.get(&p), Some(&(g, owner)), "rank {}: slot {}", me, slot);
+                    prop_assert!(in_brick(&part.brick(owner), g));
+                }
+                // Producer by producer, in message order.
+                let owners: Vec<usize> = plan.owed().map(|boxes| boxes[0].owner).collect();
+                let remote: Vec<usize> = owners.iter().copied().filter(|&o| o != me).collect();
+                prop_assert!(remote.windows(2).all(|w| w[0] < w[1]), "rank {}: {:?}", me, owners);
+                prop_assert_eq!(owners.len() - remote.len(), usize::from(owners.first() == Some(&me)));
+                prop_assert_eq!(plan.traffic.epoch_messages, remote.len());
             }
         }
     }
@@ -620,47 +467,24 @@ mod tests {
     fn slab_halo_rows_are_one_run_per_line() {
         // Interior slab of a 1×3×1 split over 6×12×2: two full-width halo
         // rows on two z-layers — one box per neighbour, each of its
-        // (y, z) lines one contiguous run.
+        // (y, z) lines one contiguous run of the neighbour's brick and of
+        // the pad.
         let part = Partition3::new(6, 12, 2, 1, 3, 1);
-        let brick = part.brick(1);
-        let plan = plan_for(
-            brick,
-            1,
-            &part,
-            (0, 1, 0),
-            (6, 12, 2),
-            &BoundarySpec::clamp(),
+        let plan = plan_for(&part, 1, (0, 1, 0), (6, 12, 2), &BoundarySpec::clamp());
+        assert_eq!(plan.traffic.unique_cells, 6 * 2 * 2);
+        let boxes: Vec<_> = plan
+            .boxes
+            .iter()
+            .map(|b| (b.owner, b.from, b.to, b.len))
+            .collect();
+        assert_eq!(
+            boxes,
+            [
+                (0, [0, 3, 0], [0, 0, 0], [6, 1, 2]),
+                (2, [0, 8, 0], [0, 5, 0], [6, 1, 2])
+            ],
+            "one box per halo row"
         );
-        assert_eq!(plan.len(), 6 * 2 * 2);
-        assert_eq!(plan.boxes().len(), 2, "one box per halo row");
-        for b in plan.boxes() {
-            assert_eq!((b.x.clone(), b.y.len(), b.z.clone()), (0..6, 1, 0..2));
-        }
-        for (slot, (x, y, z)) in plan.cells().enumerate() {
-            assert_eq!(plan.slot(x, y, z), Some(slot));
-            assert_eq!(plan.run_at(x, y, z), Some((slot, 6 - x)));
-        }
-    }
-
-    #[test]
-    fn strip_lookup_misses_return_none() {
-        let part = Partition3::new(6, 12, 2, 1, 3, 1);
-        let brick = part.brick(1);
-        let plan = plan_for(
-            brick,
-            1,
-            &part,
-            (0, 1, 0),
-            (6, 12, 2),
-            &BoundarySpec::clamp(),
-        );
-        // In-brick interior cells, out-of-window rows, far columns and
-        // out-of-shell z all miss without panicking.
-        assert_eq!(plan.slot(2, 5, 0), None);
-        assert_eq!(plan.slot(0, 0, 0), None);
-        assert_eq!(plan.slot(99, 3, 0), None);
-        assert_eq!(plan.slot(2, 99, 0), None);
-        assert_eq!(plan.slot(2, 3, 99), None);
     }
 
     #[test]
@@ -670,23 +494,11 @@ mod tests {
         // is 8 boxes: one cell per corner patch (4), a 3-cell row per row
         // strip (2) and a 3-cell column per column strip (2).
         let part = Partition3::new(9, 9, 1, 3, 3, 1);
-        let brick = part.brick(4);
-        let plan = plan_for(
-            brick,
-            4,
-            &part,
-            (1, 1, 0),
-            (9, 9, 1),
-            &BoundarySpec::clamp(),
-        );
-        assert_eq!(plan.len(), 16);
-        let owners: Vec<usize> = plan.boxes().iter().map(|b| b.owner).collect();
+        let plan = plan_for(&part, 4, (1, 1, 0), (9, 9, 1), &BoundarySpec::clamp());
+        assert_eq!(plan.traffic.unique_cells, 16);
+        let owners: Vec<usize> = plan.boxes.iter().map(|b| b.owner).collect();
         assert_eq!(owners, [0, 1, 2, 3, 5, 6, 7, 8]);
-        let shapes: Vec<_> = plan
-            .boxes()
-            .iter()
-            .map(|b| (b.x.len(), b.y.len()))
-            .collect();
+        let shapes: Vec<_> = plan.boxes.iter().map(|b| (b.len[0], b.len[1])).collect();
         assert_eq!(
             shapes,
             [
@@ -700,10 +512,11 @@ mod tests {
                 (1, 1)
             ]
         );
+        let cells = planned_cells(&part, 4, (1, 1, 0), (9, 9, 1), &BoundarySpec::clamp());
         for corner in [(2, 2), (6, 2), (2, 6), (6, 6)] {
-            assert!(plan.slot(corner.0, corner.1, 0).is_some());
+            assert!(cells.contains(&(corner.0, corner.1, 0)));
         }
-        assert_eq!(plan.slot(4, 4, 0), None, "brick interior not planned");
+        assert!(!cells.contains(&(4, 4, 0)), "brick interior not planned");
     }
 
     #[test]
@@ -711,31 +524,22 @@ mod tests {
         // Interior brick of a 3×3×3 grid over 9×9×9, halo 1: the shell is
         // the full 5×5×5 box minus the 3×3×3 brick = 98 cells.
         let part = Partition3::new(9, 9, 9, 3, 3, 3);
-        let brick = part.brick(13); // grid position (1, 1, 1)
-        let plan = plan_for(
-            brick,
-            13,
-            &part,
-            (1, 1, 1),
-            (9, 9, 9),
-            &BoundarySpec::clamp(),
-        );
-        assert_eq!(plan.len(), 5 * 5 * 5 - 3 * 3 * 3);
+        let (halo, dims, bounds) = ((1, 1, 1), (9, 9, 9), BoundarySpec::clamp());
+        let plan = plan_for(&part, 13, halo, dims, &bounds); // grid position (1, 1, 1)
         let t = plan.traffic;
+        assert_eq!(t.unique_cells, 5 * 5 * 5 - 3 * 3 * 3);
         assert_eq!(t.row_cells, 3 * 2 * 3);
         assert_eq!(t.col_cells, 2 * 3 * 3);
         assert_eq!(t.corner_cells, 2 * 2 * 3);
         assert_eq!(t.zface_cells, 3 * 3 * 2);
         assert_eq!(t.zedge_cells, (2 * 3 + 3 * 2) * 2);
         assert_eq!(t.zcorner_cells, 2 * 2 * 2);
-        // z-face, z-edge and z-corner cells all resolve through the plan.
+        // z-face, z-edge and z-corner cells are all planned.
+        let cells = planned_cells(&part, 13, halo, dims, &bounds);
         for cell in [(4, 4, 2), (2, 4, 2), (2, 2, 2), (4, 4, 6), (6, 6, 6)] {
-            assert!(
-                plan.slot(cell.0, cell.1, cell.2).is_some(),
-                "missing shell cell {cell:?}"
-            );
+            assert!(cells.contains(&cell), "missing shell cell {cell:?}");
         }
-        assert_eq!(plan.slot(4, 4, 4), None, "brick interior excluded");
+        assert!(!cells.contains(&(4, 4, 4)), "brick interior excluded");
         // 26 producers: every face/edge/corner neighbour of the centre.
         assert_eq!(plan.owed().count(), 26);
         assert_eq!(t.epoch_messages, 26);
@@ -744,90 +548,57 @@ mod tests {
     #[test]
     fn centre_brick_of_3x3x3_plans_one_box_per_producer() {
         let part = Partition3::new(9, 9, 9, 3, 3, 3);
-        let plan = plan_for(
-            part.brick(13),
-            13,
-            &part,
-            (1, 1, 1),
-            (9, 9, 9),
-            &BoundarySpec::clamp(),
-        );
-        assert_eq!(plan.boxes().len(), 26);
-        let owners: Vec<usize> = plan.boxes().iter().map(|b| b.owner).collect();
+        let plan = plan_for(&part, 13, (1, 1, 1), (9, 9, 9), &BoundarySpec::clamp());
+        assert_eq!(plan.boxes.len(), 26);
+        let owners: Vec<usize> = plan.boxes.iter().map(|b| b.owner).collect();
         let expect: Vec<usize> = (0..27).filter(|&r| r != 13).collect();
         assert_eq!(owners, expect);
     }
 
     #[test]
-    fn dist_halo_shape_plans_two_boxes_per_rank() {
+    fn dist_halo_shape_plans_one_box_per_rank() {
         // The benchmark's `dist-halo` job: 512×16×8 over 1×2 ranks, clamp,
-        // halo (0, 1, 0). Each rank needs one row of its neighbour and
-        // folds the clamped domain edge onto one row of its own: 8 192
-        // cells, two boxes.
+        // halo (0, 1, 0). Each rank's pad is one row of its neighbour, on
+        // the side away from the domain end: 4 096 cells, one box.
         let part = Partition3::new(512, 16, 8, 1, 2, 1);
         for me in 0..2 {
-            let plan = plan_for(
-                part.brick(me),
-                me,
-                &part,
-                (0, 1, 0),
-                (512, 16, 8),
-                &BoundarySpec::clamp(),
-            );
-            assert_eq!(plan.len(), 2 * 512 * 8);
+            let plan = plan_for(&part, me, (0, 1, 0), (512, 16, 8), &BoundarySpec::clamp());
             let boxes: Vec<_> = plan
-                .boxes()
+                .boxes
                 .iter()
-                .map(|b| (b.owner, b.x.clone(), b.y.clone(), b.z.clone(), b.base))
+                .map(|b| (b.owner, b.from, b.to, b.len))
                 .collect();
-            let (own_row, their_row) = [(0, 8), (15, 7)][me];
+            let (their_row, pad_row) = [(8, 8), (7, 0)][me];
             assert_eq!(
                 boxes,
-                [
-                    (me, 0..512, own_row..own_row + 1, 0..8, 0),
-                    (1 - me, 0..512, their_row..their_row + 1, 0..8, 4096),
-                ]
+                [(1 - me, [0, their_row, 0], [0, pad_row, 0], [512, 1, 8])]
             );
+            assert_eq!(plan.traffic.unique_cells, 4096);
             assert_eq!(plan.traffic.epoch_messages, 1);
         }
     }
 
     #[test]
     fn slots_enumerate_payload_order() {
+        // The payload is the boxes laid end to end, line by line: its
+        // slots land on every pad cell of the brick's padded grid once.
         let part = Partition3::new(10, 10, 4, 2, 2, 2);
-        let brick = part.brick(7);
-        let plan = plan_for(
-            brick,
-            7,
-            &part,
-            (1, 1, 1),
-            (10, 10, 4),
-            &BoundarySpec::periodic(),
-        );
-        let mut seen = vec![false; plan.len()];
-        for (expected, (x, y, z)) in plan.cells().enumerate() {
-            let slot = plan.slot(x, y, z).expect("planned cell must resolve");
-            assert_eq!(slot, expected, "payload order broken at ({x}, {y}, {z})");
-            assert!(!seen[slot]);
-            seen[slot] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "slots must cover 0..len");
+        let pad = pad_for(&part, 7, (1, 1, 1), (10, 10, 4), &BoundarySpec::periodic());
+        let plan = HaloPlan::new::<f64>(&pad, 7, &part);
+        let landed: Vec<Cell> = payload(&plan).into_iter().map(|(_, _, p)| p).collect();
+        let distinct: BTreeSet<Cell> = landed.iter().copied().collect();
+        let [px, py, pz] = pad.dims;
+        assert_eq!(landed.len(), distinct.len(), "a slot lands twice");
+        assert_eq!(distinct.len(), px * py * pz - 5 * 5 * 2);
+        assert_eq!(landed.len(), plan.traffic.unique_cells);
     }
 
     #[test]
     fn traffic_volumes_match_window_products() {
         // Interior tile of a 3×3×1 grid over 9×9×2, halo 1 under clamp:
-        // both x/y windows have 2 cells, tile is 3×3 over 2 layers.
+        // both x/y pads have 2 cells, tile is 3×3 over 2 layers.
         let part = Partition3::new(9, 9, 2, 3, 3, 1);
-        let brick = part.brick(4);
-        let plan = plan_for(
-            brick,
-            4,
-            &part,
-            (1, 1, 0),
-            (9, 9, 2),
-            &BoundarySpec::clamp(),
-        );
+        let plan = plan_for(&part, 4, (1, 1, 0), (9, 9, 2), &BoundarySpec::clamp());
         let t = plan.traffic;
         assert_eq!(t.row_cells, 3 * 2 * 2);
         assert_eq!(t.col_cells, 2 * 3 * 2);
@@ -836,29 +607,21 @@ mod tests {
         assert_eq!(t.zedge_cells, 0);
         assert_eq!(t.zcorner_cells, 0);
         assert_eq!(t.unique_cells, 16 * 2);
-        assert_eq!(t.self_cells, 0, "interior tile folds nothing onto itself");
+        assert_eq!(t.self_cells, 0, "interior tile serves itself nothing");
         assert_eq!(t.remote_cells, 16 * 2);
         assert_eq!(t.cell_bytes, std::mem::size_of::<f64>());
         assert_eq!(t.wire_bytes(), 32 * 8);
         assert!((t.corner_share() - 8.0 / 32.0).abs() < 1e-12);
         assert_eq!(t.z_share(), 0.0);
 
-        // Domain-corner tile under clamp: each window folds one extra
-        // in-tile cell, and the fold cells are self-served.
-        let brick = part.brick(0);
-        let plan = plan_for(
-            brick,
-            0,
-            &part,
-            (1, 1, 0),
-            (9, 9, 2),
-            &BoundarySpec::clamp(),
-        );
+        // Domain-corner tile under clamp: the pad stops at both domain
+        // ends, so each pad has 1 cell and nothing is self-served.
+        let plan = plan_for(&part, 0, (1, 1, 0), (9, 9, 2), &BoundarySpec::clamp());
         let t = plan.traffic;
-        assert_eq!(t.row_cells, 3 * 2 * 2);
-        assert_eq!(t.col_cells, 2 * 3 * 2);
-        assert_eq!(t.corner_cells, 2 * 2 * 2);
-        assert!(t.self_cells > 0, "clamp folds serve the tile's own cells");
+        assert_eq!(t.row_cells, 3 * 2);
+        assert_eq!(t.col_cells, 3 * 2);
+        assert_eq!(t.corner_cells, 2);
+        assert_eq!(t.self_cells, 0, "a clamp end has no pad to fold into");
         assert_eq!(t.unique_cells, t.self_cells + t.remote_cells);
     }
 
@@ -894,14 +657,152 @@ mod tests {
 
     #[test]
     fn empty_halo_is_safe() {
-        // A single rank with value-like boundaries needs no halo cells.
+        // A single rank has no pad on any axis: nothing to exchange.
         let part = Partition3::new(5, 5, 1, 1, 1, 1);
-        let brick = part.brick(0);
-        let plan = plan_for(brick, 0, &part, (0, 1, 0), (5, 5, 1), &BoundarySpec::zero());
-        assert!(plan.is_empty());
-        assert_eq!(plan.len(), 0);
-        assert_eq!(plan.slot(0, 0, 0), None);
+        let plan = plan_for(&part, 0, (0, 0, 0), (5, 5, 1), &BoundarySpec::zero());
+        assert!(plan.boxes.is_empty());
+        assert_eq!(plan.owed().count(), 0);
         assert_eq!(plan.traffic.unique_cells, 0);
         assert_eq!(plan.traffic.corner_share(), 0.0);
+    }
+
+    #[test]
+    fn needed_cells_slab_tile_are_full_rows() {
+        let by = BoundarySpec::<f64>::clamp();
+        // Interior slab of a 1×3×1 split over 6×12×1: needs global rows 3
+        // and 8 across the full width, no columns or layers.
+        let part = Partition3::new(6, 12, 1, 1, 3, 1);
+        let cells = planned_cells(&part, 1, (0, 1, 0), (6, 12, 1), &by);
+        let expect: BTreeSet<Cell> = (0..6).flat_map(|x| [(x, 3, 0), (x, 8, 0)]).collect();
+        assert_eq!(cells, expect);
+        // Top slab: its pad stops at the clamped domain end, so it needs
+        // its neighbour's row 4 alone.
+        let cells = planned_cells(&part, 0, (0, 1, 0), (6, 12, 1), &by);
+        let expect: BTreeSet<Cell> = (0..6).map(|x| (x, 4, 0)).collect();
+        assert_eq!(cells, expect);
+    }
+
+    #[test]
+    fn needed_cells_2d_tile_include_corners() {
+        let by = BoundarySpec::<f64>::clamp();
+        // Interior tile of a 3×3×1 grid over 9×9: full ring incl. corners.
+        let part = Partition3::new(9, 9, 1, 3, 3, 1);
+        let cells = planned_cells(&part, 4, (1, 1, 0), (9, 9, 1), &by);
+        // Ring of width 1 around a 3×3 tile: 16 cells.
+        assert_eq!(cells.len(), 16);
+        for corner in [(2, 2, 0), (6, 2, 0), (2, 6, 0), (6, 6, 0)] {
+            assert!(cells.contains(&corner), "missing corner {corner:?}");
+        }
+        assert!(
+            !cells.contains(&(4, 4, 0)),
+            "tile interior must not be needed"
+        );
+
+        // Domain-corner tile under clamp: the grid's own boundary resolves
+        // out-of-domain reads, so none of its own cells is planned.
+        let cells = planned_cells(&part, 0, (1, 1, 0), (9, 9, 1), &by);
+        assert!(!cells.contains(&(0, 0, 0)), "no clamp fold onto own corner");
+        assert!(cells.contains(&(3, 3, 0)), "outer corner neighbour");
+
+        // Periodic wraps to the opposite side of the torus.
+        let per = BoundarySpec::<f64>::periodic();
+        let cells = planned_cells(&part, 0, (1, 1, 0), (9, 9, 1), &per);
+        assert!(cells.contains(&(8, 8, 0)), "periodic corner wrap");
+        assert!(cells.contains(&(8, 0, 0)), "periodic column wrap");
+        assert!(cells.contains(&(0, 8, 0)), "periodic row wrap");
+    }
+
+    #[test]
+    fn needed_cells_3d_brick_include_z_faces_edges_and_corners() {
+        // Centre brick of a 3×3×3 grid over 9×9×9, halo 1: the shell is
+        // the 5×5×5 box minus the 3×3×3 brick.
+        let by = BoundarySpec::<f64>::clamp();
+        let part = Partition3::new(9, 9, 9, 3, 3, 3);
+        let cells = planned_cells(&part, 13, (1, 1, 1), (9, 9, 9), &by);
+        assert_eq!(cells.len(), 5 * 5 * 5 - 27);
+        assert!(cells.contains(&(4, 4, 2)), "z-face below");
+        assert!(cells.contains(&(4, 4, 6)), "z-face above");
+        assert!(cells.contains(&(2, 4, 2)), "xz-edge");
+        assert!(cells.contains(&(4, 2, 2)), "yz-edge");
+        assert!(cells.contains(&(2, 2, 2)), "xyz-corner");
+        assert!(cells.contains(&(6, 6, 6)), "far xyz-corner");
+        assert!(!cells.contains(&(4, 4, 4)), "brick interior excluded");
+
+        // Periodic z wraps the torus: the bottom-corner brick needs the
+        // top layer.
+        let per = BoundarySpec::<f64>::periodic();
+        let cells = planned_cells(&part, 0, (1, 1, 1), (9, 9, 9), &per);
+        assert!(cells.contains(&(0, 0, 8)), "periodic z-face wrap");
+        assert!(cells.contains(&(8, 8, 8)), "periodic xyz-corner wrap");
+    }
+
+    #[test]
+    fn cell_groups_put_self_first_then_ascending_producers() {
+        // A periodic 1×2 split of 4×6×2 at halo depth 4: rank 0's pad
+        // (rows 2..6 below its brick 0..3, rows 3..6 and 0 above) wraps
+        // onto its own rows 2 and 0, so its plan has a self group — which
+        // must come first.
+        let part = Partition3::new(4, 6, 2, 1, 2, 1);
+        let bounds = BoundarySpec::<f64>::periodic();
+        let plan = plan_for(&part, 0, (0, 4, 0), (4, 6, 2), &bounds);
+        assert_eq!(plan.boxes[0].owner, 0, "self boxes must come first");
+        let owners: Vec<usize> = plan.boxes.iter().map(|b| b.owner).collect();
+        assert_eq!(owners, [0, 0, 1, 1], "self, then producers ascending");
+        assert_eq!(plan.traffic.self_cells, 2 * 4 * 2);
+        // The payload is the boxes laid end to end, each z-major
+        // row-major so every line of a box is one run of slots.
+        let cells = payload(&plan);
+        assert_eq!(cells.len(), plan.traffic.unique_cells);
+        for b in &plan.boxes {
+            let lines: Vec<_> = b.lines().map(|(dy, dz)| (dz, dy)).collect();
+            assert!(
+                lines.windows(2).all(|w| w[0] < w[1]),
+                "a box must enumerate z-major row-major"
+            );
+        }
+    }
+
+    #[test]
+    fn traffic_is_reported_per_channel_and_in_totals() {
+        let initial = Grid3D::from_fn(12, 12, 2, |x, y, z| {
+            ((x * 13 + y * 31 + z * 7) % 23) as f64 * 0.75 - 4.0
+        });
+        let stencil = Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1);
+        let clamp = BoundarySpec::clamp();
+        let cfg = DistConfig::<f64>::new(4, 3).with_grid(2, 2);
+        let rep = run_distributed(&initial, &stencil, &clamp, None, &cfg).unwrap();
+        // 2×2 over 12×12×2, halo 1 under clamp: per tile both pads have 1
+        // (neighbour) cell — none at the domain end — over 2 layers.
+        for r in &rep.ranks {
+            assert_eq!(r.traffic.row_cells, 6 * 2, "rank {}", r.rank);
+            assert_eq!(r.traffic.col_cells, 6 * 2, "rank {}", r.rank);
+            assert_eq!(r.traffic.corner_cells, 2, "rank {}", r.rank);
+            assert_eq!(r.traffic.z_cells(), 0, "undecomposed z has no z-channels");
+            assert_eq!(r.traffic.cell_bytes, std::mem::size_of::<f64>());
+            assert_eq!(
+                r.traffic.unique_cells,
+                r.traffic.self_cells + r.traffic.remote_cells
+            );
+        }
+        let total = rep.total_traffic();
+        assert_eq!(total.row_cells, 4 * 6 * 2);
+        assert_eq!(total.corner_cells, 8);
+        // The Display summary carries the traffic line.
+        let text = rep.to_string();
+        assert!(text.contains("halo traffic"), "{text}");
+        assert!(text.contains("corner share"), "{text}");
+
+        // The lock-step driver moves the same wire bytes as the threaded
+        // one, and both match the plan.
+        let snap = cfg.with_mode(HaloMode::Snapshot);
+        let snap = run_distributed(&initial, &stencil, &clamp, None, &snap).unwrap();
+        for (p, s) in rep.ranks.iter().zip(&snap.ranks) {
+            assert_eq!(p.timing.halo_bytes_sent, s.timing.halo_bytes_sent);
+            assert_eq!(p.timing.halo_bytes_recv, s.timing.halo_bytes_recv);
+            assert_eq!(
+                s.timing.halo_bytes_recv,
+                (s.traffic.remote_cells * s.traffic.cell_bytes * 3) as u64
+            );
+        }
     }
 }

@@ -16,20 +16,20 @@
 //!   `RX×RY×RZ` brick grid ([`DistConfig::with_grid3`]) or an
 //!   auto-factored near-square x×y grid ([`GridSpec::Auto`]);
 //! * each rank owns a [`StencilSim`] over its brick **padded** by the halo
-//!   depth on every decomposed axis (the brick grown by
+//!   depth on every axis split across ranks (the brick grown by
 //!   `steps_per_exchange` stencil reaches; clipped at a domain end that
 //!   does not wrap, where the job's own boundary applies, and unwrapped on
 //!   a periodic axis): the pad holds neighbour **cells** captured at time
 //!   `t` — the full 3-D halo shell: x/y/z face strips, the edge strips
-//!   where two axis windows meet (the 2-D decomposition's corner patches
-//!   are the xy-edges) and the corner patches where all three do —
-//!   exactly the values an MPI halo exchange would have delivered, in the
-//!   grid cells a sweep reads them from. The shell is planned as a short
-//!   list of boxes ([`HaloPlan`]: one [`HaloBox`] per producer and
-//!   per-axis window segment), and that list is the only description of
-//!   it: producers pack it line by line, and the consumer lands each line
-//!   in its pad with one slice copy. Each plan also records per-channel
-//!   traffic volumes ([`HaloTraffic`]: cells and bytes per
+//!   where two pads meet (the 2-D decomposition's corner patches are the
+//!   xy-edges) and the corner patches where all three do — exactly the
+//!   values an MPI halo exchange would have delivered, in the grid cells a
+//!   sweep reads them from. The pad is the only description of the halo:
+//!   the exchange is planned from it as a short list of boxes (its cells
+//!   outside the brick, cut per axis where the owner changes or the axis
+//!   wraps), producers pack each box line by line, and the consumer lands
+//!   each line in its pad with one slice copy. Each plan also records
+//!   per-channel traffic volumes ([`HaloTraffic`]: cells and bytes per
 //!   face/edge/corner channel);
 //! * every rank advances through **one step machine** (`step.rs`): each
 //!   iteration the rank posts the halo cells it owes each consumer to
@@ -77,7 +77,9 @@
 //! edge-brick cells, zero/constant short-circuit to the boundary value —
 //! at brick edges and corners too, where two or all three axes resolve),
 //! while a periodic pad holds the wrapped-around cells (the first column
-//! of bricks receives halos from the last).
+//! of bricks receives halos from the last). An axis on one rank has no
+//! pad at all: the rank's grid spans it, and its own boundary, a periodic
+//! wrap included, resolves every read past its ends.
 
 use abft_core::ColPlan;
 use abft_grid::{BoundarySpec, Grid3D};
@@ -103,7 +105,7 @@ mod worker;
 
 pub use config::{DistConfig, GridSpec, HaloMode};
 pub use error::DistError;
-pub use index::{HaloBox, HaloPlan, HaloTraffic};
+pub use index::HaloTraffic;
 pub use partition::{auto_grid, decompose, Brick, Partition3};
 pub(crate) use pipeline::RankPlans;
 pub(crate) use report::gather_report;
@@ -197,7 +199,6 @@ mod tests {
     use abft_fault::BitFlip;
     use abft_grid::Boundary;
     use abft_stencil::{Exec, StencilSim};
-    use std::collections::BTreeSet;
 
     fn wavy(nx: usize, ny: usize, nz: usize) -> Grid3D<f64> {
         Grid3D::from_fn(nx, ny, nz, |x, y, z| {
@@ -534,125 +535,6 @@ mod tests {
             .unwrap();
             assert_eq!(rep.global, expect, "{mode:?}");
         }
-    }
-
-    /// Needed halo cells for one brick of an `rx×ry×rz` split, through
-    /// [`HaloPlan`] (the API both halo modes consume).
-    fn planned_cells(
-        part: &Partition3,
-        rank: usize,
-        halo: (usize, usize, usize),
-        dims: (usize, usize, usize),
-        bounds: &BoundarySpec<f64>,
-    ) -> BTreeSet<(usize, usize, usize)> {
-        let brick = part.brick(rank);
-        let plan = HaloPlan::new(&brick, rank, part, halo, dims, bounds);
-        plan.cells().collect()
-    }
-
-    #[test]
-    fn needed_cells_slab_tile_are_full_rows() {
-        let by = BoundarySpec::<f64>::clamp();
-        // Interior slab of a 1×3×1 split over 6×12×1: needs global rows 3
-        // and 8 across the full width, no columns or layers.
-        let part = Partition3::new(6, 12, 1, 1, 3, 1);
-        let cells = planned_cells(&part, 1, (0, 1, 0), (6, 12, 1), &by);
-        let expect: BTreeSet<(usize, usize, usize)> =
-            (0..6).flat_map(|x| [(x, 3, 0), (x, 8, 0)]).collect();
-        assert_eq!(cells, expect);
-        // Top slab: y = -1 clamps onto its own row 0 (a self-served fold).
-        let cells = planned_cells(&part, 0, (0, 1, 0), (6, 12, 1), &by);
-        let expect: BTreeSet<(usize, usize, usize)> =
-            (0..6).flat_map(|x| [(x, 0, 0), (x, 4, 0)]).collect();
-        assert_eq!(cells, expect);
-    }
-
-    #[test]
-    fn needed_cells_2d_tile_include_corners() {
-        let by = BoundarySpec::<f64>::clamp();
-        // Interior tile of a 3×3×1 grid over 9×9: full ring incl. corners.
-        let part = Partition3::new(9, 9, 1, 3, 3, 1);
-        let cells = planned_cells(&part, 4, (1, 1, 0), (9, 9, 1), &by);
-        // Ring of width 1 around a 3×3 tile: 16 cells.
-        assert_eq!(cells.len(), 16);
-        for corner in [(2, 2, 0), (6, 2, 0), (2, 6, 0), (6, 6, 0)] {
-            assert!(cells.contains(&corner), "missing corner {corner:?}");
-        }
-        assert!(
-            !cells.contains(&(4, 4, 0)),
-            "tile interior must not be needed"
-        );
-
-        // Domain-corner tile under clamp: out-of-domain reads fold onto
-        // its own edge cells — they must still be in the needed set (the
-        // rank serves them to itself).
-        let cells = planned_cells(&part, 0, (1, 1, 0), (9, 9, 1), &by);
-        assert!(cells.contains(&(0, 0, 0)), "clamp fold onto own corner");
-        assert!(cells.contains(&(3, 3, 0)), "outer corner neighbour");
-
-        // Periodic wraps to the opposite side of the torus.
-        let per = BoundarySpec::<f64>::periodic();
-        let cells = planned_cells(&part, 0, (1, 1, 0), (9, 9, 1), &per);
-        assert!(cells.contains(&(8, 8, 0)), "periodic corner wrap");
-        assert!(cells.contains(&(8, 0, 0)), "periodic column wrap");
-        assert!(cells.contains(&(0, 8, 0)), "periodic row wrap");
-    }
-
-    #[test]
-    fn needed_cells_3d_brick_include_z_faces_edges_and_corners() {
-        // Centre brick of a 3×3×3 grid over 9×9×9, halo 1: the shell is
-        // the 5×5×5 box minus the 3×3×3 brick.
-        let by = BoundarySpec::<f64>::clamp();
-        let part = Partition3::new(9, 9, 9, 3, 3, 3);
-        let cells = planned_cells(&part, 13, (1, 1, 1), (9, 9, 9), &by);
-        assert_eq!(cells.len(), 5 * 5 * 5 - 27);
-        assert!(cells.contains(&(4, 4, 2)), "z-face below");
-        assert!(cells.contains(&(4, 4, 6)), "z-face above");
-        assert!(cells.contains(&(2, 4, 2)), "xz-edge");
-        assert!(cells.contains(&(4, 2, 2)), "yz-edge");
-        assert!(cells.contains(&(2, 2, 2)), "xyz-corner");
-        assert!(cells.contains(&(6, 6, 6)), "far xyz-corner");
-        assert!(!cells.contains(&(4, 4, 4)), "brick interior excluded");
-
-        // Periodic z wraps the torus: the bottom-corner brick needs the
-        // top layer.
-        let per = BoundarySpec::<f64>::periodic();
-        let cells = planned_cells(&part, 0, (1, 1, 1), (9, 9, 9), &per);
-        assert!(cells.contains(&(0, 0, 8)), "periodic z-face wrap");
-        assert!(cells.contains(&(8, 8, 8)), "periodic xyz-corner wrap");
-    }
-
-    #[test]
-    fn cell_groups_put_self_first_then_ascending_producers() {
-        let part = Partition3::new(6, 6, 4, 2, 2, 2);
-        // Rank 0's brick under clamp folds out-of-domain reads onto its
-        // own cells, so its plan has a self group — which must come first.
-        let bounds = BoundarySpec::<f64>::clamp();
-        let brick = part.brick(0);
-        let plan = HaloPlan::new(&brick, 0, &part, (1, 1, 1), (6, 6, 4), &bounds);
-        assert_eq!(plan.boxes()[0].owner, 0, "self boxes must come first");
-        let owners: Vec<usize> = plan.boxes().iter().map(|b| b.owner).collect();
-        let mut sorted = owners.clone();
-        sorted.sort_unstable();
-        assert_eq!(owners[1..], sorted[1..], "producers ascending");
-        // The payload is the boxes laid end to end, each z-major
-        // row-major so every line of a box is one run of slots.
-        let mut expected_slot = 0;
-        for b in plan.boxes() {
-            assert_eq!(b.base, expected_slot, "boxes must tile the payload");
-            let cells: Vec<_> = b.cells().collect();
-            assert!(
-                cells
-                    .windows(2)
-                    .all(|w| (w[0].2, w[0].1, w[0].0) < (w[1].2, w[1].1, w[1].0)),
-                "a box must enumerate z-major row-major"
-            );
-            for (x, y, z) in cells {
-                assert_eq!(plan.slot(x, y, z), Some(expected_slot));
-                expected_slot += 1;
-            }
-        }
-        assert_eq!(expected_slot, plan.len());
     }
 
     #[test]
@@ -1157,61 +1039,6 @@ mod tests {
         let sent: u64 = rep.ranks.iter().map(|r| r.timing.halo_bytes_sent).sum();
         let recv: u64 = rep.ranks.iter().map(|r| r.timing.halo_bytes_recv).sum();
         assert_eq!(sent, recv);
-    }
-
-    #[test]
-    fn traffic_is_reported_per_channel_and_in_totals() {
-        let initial = wavy(12, 12, 2);
-        let stencil = Stencil3D::seven_point(0.4f64, 0.1, 0.1, 0.1);
-        let rep = run_distributed(
-            &initial,
-            &stencil,
-            &BoundarySpec::clamp(),
-            None,
-            &DistConfig::<f64>::new(4, 3).with_grid(2, 2),
-        )
-        .unwrap();
-        // 2×2 over 12×12×2, halo 1 under clamp: per tile both windows
-        // have 1 (neighbour) + 1 (clamp fold) = 2 cells, over 2 layers.
-        for r in &rep.ranks {
-            assert_eq!(r.traffic.row_cells, 6 * 2 * 2, "rank {}", r.rank);
-            assert_eq!(r.traffic.col_cells, 2 * 6 * 2, "rank {}", r.rank);
-            assert_eq!(r.traffic.corner_cells, 2 * 2 * 2, "rank {}", r.rank);
-            assert_eq!(r.traffic.z_cells(), 0, "undecomposed z has no z-channels");
-            assert_eq!(r.traffic.cell_bytes, std::mem::size_of::<f64>());
-            assert_eq!(
-                r.traffic.unique_cells,
-                r.traffic.self_cells + r.traffic.remote_cells
-            );
-        }
-        let total = rep.total_traffic();
-        assert_eq!(total.row_cells, 4 * 12 * 2);
-        assert_eq!(total.corner_cells, 32);
-        // The Display summary carries the traffic line.
-        let text = rep.to_string();
-        assert!(text.contains("halo traffic"), "{text}");
-        assert!(text.contains("corner share"), "{text}");
-
-        // The lock-step driver moves the same wire bytes as the threaded
-        // one, and both match the analytic plan.
-        let snap = run_distributed(
-            &initial,
-            &stencil,
-            &BoundarySpec::clamp(),
-            None,
-            &DistConfig::<f64>::new(4, 3)
-                .with_grid(2, 2)
-                .with_mode(HaloMode::Snapshot),
-        )
-        .unwrap();
-        for (p, s) in rep.ranks.iter().zip(&snap.ranks) {
-            assert_eq!(p.timing.halo_bytes_sent, s.timing.halo_bytes_sent);
-            assert_eq!(p.timing.halo_bytes_recv, s.timing.halo_bytes_recv);
-            assert_eq!(
-                s.timing.halo_bytes_recv,
-                (s.traffic.remote_cells * s.traffic.cell_bytes * 3) as u64
-            );
-        }
     }
 
     #[test]

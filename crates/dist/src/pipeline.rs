@@ -17,16 +17,18 @@
 //! two iterations ahead of a consumer before its send blocks
 //! (backpressure), which caps skew and memory without any global barrier.
 //!
-//! Cells a rank needs from *itself* (clamp/reflect folding at the outer
-//! domain edges, or a single-rank periodic ring) never touch a channel;
-//! the rank lands them in its own pad before sweeping.
+//! A rank plans only what its pad holds: a domain end that does not wrap
+//! has no pad and an axis on one rank none at all, so no cell is folded
+//! through a boundary onto a brick. Cells a rank owes *itself* exist only
+//! where a deep periodic pad wraps onto its own brick; they never touch a
+//! channel, the rank lands them in its own pad before sweeping.
 //!
-//! Messages carry no cell coordinates: both endpoints derive the same
-//! cell order from the consumer's halo plan — its boxes, self-owned first,
-//! then producers ascending, each box z-major row-major. A port holds the
+//! Messages carry no cell coordinates: both endpoints read the same cell
+//! order off the consumer's halo plan — its boxes, self-owned first, then
+//! producers ascending, each box z-major row-major. A port holds the
 //! consumer's boxes its producer owns, the producer packs them line by
 //! line out of its brick, and the message is just the flat values: the
-//! consumer lands them in its padded grid box line by box line.
+//! consumer lands each box line in its pad with one slice copy.
 //!
 //! Progress argument (no deadlock): consider the rank at the minimum
 //! iteration `t`. Every channel holds only messages for iterations `>=
@@ -54,7 +56,7 @@
 //! fixed by the topology and the offsets, so a repeat job's protectors
 //! resolve nothing.
 
-use crate::{HaloBox, HaloPlan, Partition3};
+use crate::index::{HaloBox, HaloPlan};
 use abft_core::ColPlan;
 use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
@@ -79,6 +81,9 @@ const CACHE_CAP: usize = 32;
 /// protector verifies ([`crate::col_plans`]).
 pub(crate) type RankPlans<T> = Vec<Vec<Arc<ColPlan<T>>>>;
 
+/// A topology's per-rank halo plans, in rank order.
+pub(crate) type HaloPlans = Vec<Arc<HaloPlan>>;
+
 /// A kernel's taps' `(di, dj, dk)`, in tap order.
 type TapOffsets = Vec<[isize; 3]>;
 
@@ -92,7 +97,8 @@ pub(crate) struct Ports<T> {
     /// this rank's halo it lands; exactly one message per producer per
     /// exchange, in iteration order.
     pub(crate) recvs: Vec<(Receiver<HaloMsg<T>>, Vec<HaloBox>)>,
-    /// The boxes this rank serves to itself.
+    /// The boxes this rank serves to itself: empty unless a deep periodic
+    /// pad wraps onto its own brick.
     pub(crate) self_boxes: Vec<HaloBox>,
 }
 
@@ -131,7 +137,7 @@ pub(crate) struct Topology<T> {
     pub(crate) key: TopoKey<T>,
     /// Per-rank halo plans (boxes and traffic volumes): what the ports
     /// are wired from, and each rank's traffic report.
-    pub(crate) plans: Vec<Arc<HaloPlan>>,
+    pub(crate) plans: HaloPlans,
     /// Idle channel-endpoint sets, built lazily on first use (by either
     /// driver: both run over channels). A *stack* rather than a
     /// single slot because the concurrent scheduler can run several
@@ -217,31 +223,29 @@ impl<T: Real> TopologyCache<T> {
         self.entries.iter().position(|e| e.key == *key)
     }
 
-    /// Find or build the topology for `key`, counting the lookup as a hit
-    /// or a miss, and return its per-rank halo plans.
-    pub(crate) fn plans(&mut self, key: &TopoKey<T>, part: &Partition3) -> Vec<Arc<HaloPlan>> {
+    /// Find the topology for `key` or build it from the per-rank halo
+    /// plans `build` makes, counting the lookup as a hit or a miss, and
+    /// return its plans.
+    pub(crate) fn plans(
+        &mut self,
+        key: &TopoKey<T>,
+        build: impl FnOnce() -> HaloPlans,
+    ) -> HaloPlans {
         match self.position(key) {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
-        let i = self.entry(key, part);
+        let i = self.entry(key, build);
         self.entries[i].plans.clone()
     }
 
-    /// The index of `key`'s entry, built if it is missing; uncounted.
-    fn entry(&mut self, key: &TopoKey<T>, part: &Partition3) -> usize {
+    /// The index of `key`'s entry, built from `build`'s plans if it is
+    /// missing; uncounted.
+    fn entry(&mut self, key: &TopoKey<T>, build: impl FnOnce() -> HaloPlans) -> usize {
         if let Some(i) = self.position(key) {
             return i;
         }
-        let plans: Vec<Arc<HaloPlan>> = (0..part.ranks())
-            .map(|r| {
-                let brick = part.brick(r);
-                let bounds = &key.bounds;
-                Arc::new(HaloPlan::new::<T>(
-                    &brick, r, part, key.halo, key.dims, bounds,
-                ))
-            })
-            .collect();
+        let plans = build();
         if self.entries.len() >= CACHE_CAP {
             self.entries.remove(0);
         }
@@ -282,8 +286,12 @@ impl<T: Real> TopologyCache<T> {
     /// should a concurrent job's panic have discarded it since the job's
     /// lookup. The caller must [`Self::check_in`] the set after a clean
     /// job, or [`Self::discard`] the entry after a panicked one.
-    pub(crate) fn check_out(&mut self, key: &TopoKey<T>, part: &Partition3) -> Vec<Ports<T>> {
-        let i = self.entry(key, part);
+    pub(crate) fn check_out(
+        &mut self,
+        key: &TopoKey<T>,
+        build: impl FnOnce() -> HaloPlans,
+    ) -> Vec<Ports<T>> {
+        let i = self.entry(key, build);
         match self.entries[i].idle_ports.pop() {
             Some(ports) => ports,
             None => build_ports(&self.entries[i].plans),
@@ -358,6 +366,7 @@ impl<T: Real> TopologyCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Partition3;
     use abft_grid::Boundary;
 
     fn key(bounds: BoundarySpec<f64>) -> (TopoKey<f64>, Partition3) {
@@ -371,18 +380,23 @@ mod tests {
         (key, part)
     }
 
+    /// The plans of `key`'s ranks, for a reach-1 kernel.
+    fn plans<'a>(key: &'a TopoKey<f64>, part: &'a Partition3) -> impl FnOnce() -> HaloPlans + 'a {
+        || HaloPlan::of_job(key, part, &Stencil3D::diffusion_7pt(0.1))
+    }
+
     #[test]
     fn cache_hits_on_repeat_keys_and_misses_on_new_ones() {
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
-        let first = cache.plans(&k, &part);
-        let again = cache.plans(&k, &part);
+        let first = cache.plans(&k, plans(&k, &part));
+        let again = cache.plans(&k, plans(&k, &part));
         assert_eq!((cache.hits, cache.misses, cache.len()), (1, 1, 1));
         // Same entry, shared by Arc — not a rebuild.
         assert!(Arc::ptr_eq(&first[0], &again[0]));
         // A different boundary spec rewires the halo → distinct entry.
         let (k2, part2) = key(BoundarySpec::uniform(Boundary::Periodic));
-        cache.plans(&k2, &part2);
+        cache.plans(&k2, plans(&k2, &part2));
         assert_eq!((cache.hits, cache.misses, cache.len()), (1, 2, 2));
     }
 
@@ -394,7 +408,7 @@ mod tests {
         use abft_stencil::Stencil2D;
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
-        cache.plans(&k, &part);
+        cache.plans(&k, plans(&k, &part));
         let cfg = crate::DistConfig::new(3, 1).with_grid(1, 3);
         let mut builds = 0;
         let mut set = |cache: &mut TopologyCache<f64>, stencil: &Stencil3D<f64>| {
@@ -418,7 +432,7 @@ mod tests {
         drop((first, again, other));
         for v in 0..CACHE_CAP {
             let (k2, part2) = key(BoundarySpec::uniform(Boundary::Constant(v as f64)));
-            cache.plans(&k2, &part2);
+            cache.plans(&k2, plans(&k2, &part2));
         }
         assert_eq!((cache.len(), cache.plan_sets(&k)), (CACHE_CAP, None));
         assert!(star_set.upgrade().is_none() && conv_set.upgrade().is_none());
@@ -428,26 +442,25 @@ mod tests {
     fn ports_check_out_lazily_and_survive_round_trips() {
         let mut cache: TopologyCache<f64> = TopologyCache::new();
         let (k, part) = key(BoundarySpec::clamp());
-        cache.plans(&k, &part);
-        let ports = cache.check_out(&k, &part);
+        cache.plans(&k, plans(&k, &part));
+        let ports = cache.check_out(&k, plans(&k, &part));
         assert_eq!(ports.len(), 3);
         // 3 y-slabs: the middle rank owes both neighbours, ends owe one.
         assert_eq!(ports[1].sends.len(), 2);
         assert_eq!(ports[1].recvs.len(), 2);
         // The middle 8×4×2 slab (rows 4..8) owes each neighbour one whole
-        // row over both layers: one box, not a tuple per cell. The last
-        // slab folds the clamped edge onto its own last row. `base` is the
-        // box's place in its *consumer's* payload.
-        let owed = |owner, y: usize, base| HaloBox {
-            owner,
-            x: 0..8,
-            y: y..y + 1,
-            z: 0..2,
-            base,
+        // row over both layers: one box, not a tuple per cell, landing in
+        // the *consumer's* pad. The last slab's pad stops at the clamped
+        // domain end: it serves itself nothing.
+        let owed = |y: usize, to: usize| HaloBox {
+            owner: 1,
+            from: [0, y, 0],
+            to: [0, to, 0],
+            len: [8, 1, 2],
         };
-        assert_eq!(ports[1].sends[0].1, [owed(1, 4, 16)]);
-        assert_eq!(ports[1].sends[1].1, [owed(1, 7, 16)]);
-        assert_eq!(ports[2].self_boxes, [owed(2, 11, 0)]);
+        assert_eq!(ports[1].sends[0].1, [owed(4, 4)]);
+        assert_eq!(ports[1].sends[1].1, [owed(7, 0)]);
+        assert!(ports[2].self_boxes.is_empty());
         cache.check_in(&k, ports);
         // Discard drops the entry (post-panic hygiene).
         cache.discard(&k);

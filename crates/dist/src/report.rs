@@ -37,8 +37,8 @@ pub struct PhaseTimings {
     /// ABFT verification (interpolation, detection, correction).
     pub verify_s: f64,
     /// Halo payload bytes this rank sent to other ranks over the whole
-    /// run, **measured at the pack/copy site** (self-served boundary
-    /// folds are excluded; both modes move the same cells, so the modes
+    /// run, **measured at the pack/copy site** (self-served boxes are
+    /// excluded; both modes move the same cells, so the modes
     /// report identical totals — and they match the analytic plan,
     /// `HaloTraffic::remote_cells · cell_bytes · iters`, which the unit
     /// tests assert).

@@ -1140,6 +1140,32 @@ mod tests {
         [one_shot, pooled].map(|verdict| verdict.map(|report| report.global))
     }
 
+    /// A kernel that reaches across an axis on one rank is refused at
+    /// admission with a typed error, as one across a split axis is, and
+    /// the refusal leaves the pool's cached topologies be.
+    #[test]
+    fn a_kernel_deeper_than_an_undecomposed_axis_is_refused_and_the_cache_survives() {
+        let service = DistService::<f64>::new(2).unwrap();
+        service.submit(job(2, 3)).unwrap().wait().unwrap();
+        // 8×8×1 over two y-slabs: the 27-point kernel reaches a layer in z.
+        let flat = JobSpec::over(field(8, 8, 1), Stencil3D::diffusion_27pt(0.02))
+            .with_ranks(2)
+            .with_iters(3);
+        let err = service.submit(flat).and_then(JobHandle::wait).unwrap_err();
+        let thin = DistError::BrickTooThin {
+            rank: 0,
+            layers: 1,
+            extent: 1,
+        };
+        assert_eq!(err, thin);
+        assert!(!err.to_string().contains("z-ranks"), "{err}");
+        service.submit(job(2, 3)).unwrap().wait().unwrap();
+        let stats = service.stats();
+        let lookups = (stats.topology_misses, stats.topology_hits);
+        assert_eq!(lookups, (1, 1), "{stats:?}");
+        service.shutdown();
+    }
+
     #[test]
     fn one_shot_and_pooled_admission_agree() {
         let service = DistService::<f64>::new(4).unwrap();
@@ -1530,7 +1556,8 @@ mod tests {
             bounds: spec.bounds,
         };
         let other = Stencil2D::convection_9pt(0.18, 0.08, -0.05).into_3d();
-        shell.cache.plans(&key, &part);
+        let plans = || crate::index::HaloPlan::of_job(&key, &part, &spec.stencil);
+        shell.cache.plans(&key, plans);
         shell.cache.col_plans(&key, &spec.stencil, || {
             crate::col_plans(key.dims, &other, &spec.bounds, &spec.cfg, &part)
         });

@@ -36,6 +36,7 @@
 //! advances every rank of a job from one thread.
 
 use crate::epoch::Pad;
+use crate::index::HaloPlan;
 use crate::pipeline::{Ports, TopoKey, TopologyCache, CHANNEL_DEPTH};
 use crate::service::JobSpec;
 use crate::{
@@ -151,7 +152,8 @@ pub(crate) struct RankStepper<T: Real> {
     /// rollback targets are exchange-aligned, so the replay's first
     /// exchange refills it.
     window: InteriorWindow,
-    /// Staging for the boxes the rank serves itself.
+    /// Staging for the boxes the rank serves itself (a deep periodic pad
+    /// that wraps onto its own brick).
     scratch: Vec<T>,
     /// Staging for a checkpoint's checksum payload.
     aux: Vec<T>,
@@ -425,11 +427,11 @@ impl<T: Real> Job<T> {
             halo: effective_halo(&spec.cfg, &spec.stencil, grid),
             bounds: spec.bounds,
         };
-        let plans = cache.plans(&key, &part);
+        let build = || HaloPlan::of_job(&key, &part, &spec.stencil);
+        let plans = cache.plans(&key, build);
         let col = spec.cfg.abft.map(|_| {
             cache.col_plans(&key, &spec.stencil, || {
-                let dims = spec.initial.dims();
-                col_plans(dims, &spec.stencil, &spec.bounds, &spec.cfg, &part)
+                col_plans(key.dims, &spec.stencil, &spec.bounds, &spec.cfg, &part)
             })
         });
         // The spares this job's rings do not take are dropped here, before
@@ -438,7 +440,7 @@ impl<T: Real> Job<T> {
             Some(_) => cache.take_spares(),
             None => Vec::new(),
         };
-        let ports = cache.check_out(&key, &part).into_iter().enumerate();
+        let ports = cache.check_out(&key, build).into_iter().enumerate();
         let steppers = ports
             .map(|(idx, ports)| {
                 let col = col.as_ref().map(|c| c[idx].as_slice());
@@ -498,7 +500,9 @@ impl<T: Real> Job<T> {
             e.is_multiple_of(self.steps_per_exchange),
             "rollback must land on an exchange boundary (validate pins period % k == 0)"
         );
-        let ports = cache.check_out(&self.key, &self.part);
+        let stencil = steppers[0].sim.stencil();
+        let build = || HaloPlan::of_job(&self.key, &self.part, stencil);
+        let ports = cache.check_out(&self.key, build);
         for (s, ports) in steppers.iter_mut().zip(ports) {
             let (_, ring) = s.checkpoint.as_mut().expect("every ring holds epoch `e`");
             // Ranks that ran ahead of the rollback target still retain
@@ -848,6 +852,42 @@ mod tests {
         let err = run_lockstep(&mut lost, steppers, &mut cache).unwrap_err();
         assert_eq!(err, DistError::RankLost { rank: 1, iter: 3 });
         assert_eq!(cache.idle_ports(&lost.key), Some(1));
+    }
+
+    /// No rank packs what it cannot land: a one-rank job, clamp or
+    /// periodic, has no pad and serves itself nothing, and on the
+    /// `dist-halo` shape (512×16×8 over 1×2 ranks, clamp, 27-point) each
+    /// rank packs its neighbour's one row alone: one 4 096-cell message
+    /// per exchange, and nothing for itself.
+    #[test]
+    fn no_rank_packs_what_it_cannot_land() {
+        let kernel = Stencil3D::diffusion_27pt(0.02);
+        let periodic = BoundarySpec::uniform(Boundary::Periodic);
+        let shapes = [
+            ((16, 12, 4), 1, BoundarySpec::clamp(), 0),
+            ((16, 12, 4), 1, periodic, 0),
+            ((512, 16, 8), 2, BoundarySpec::clamp(), 4096),
+        ];
+        for (dims, ranks, bounds, cells) in shapes {
+            let initial = Grid3D::from_fn(dims.0, dims.1, dims.2, |x, y, z| (x + y + z) as f64);
+            let spec = JobSpec::over(initial, kernel.clone())
+                .with_bounds(bounds)
+                .with_ranks(ranks)
+                .with_iters(3)
+                .with_mode(HaloMode::Snapshot);
+            let mut cache = TopologyCache::new();
+            let (mut job, steppers) = Job::build(&spec, &mut cache).unwrap();
+            for s in &steppers {
+                assert!(s.ports.self_boxes.is_empty(), "{dims:?}, {bounds:?}");
+                assert_eq!(s.traffic.self_cells, 0, "{dims:?}, {bounds:?}");
+            }
+            let report = run_lockstep(&mut job, steppers, &mut cache).unwrap();
+            for r in &report.ranks {
+                let sent = (r.timing.halo_msgs_sent, r.timing.halo_bytes_sent);
+                let msgs = if cells > 0 { 3 } else { 0 };
+                assert_eq!(sent, (msgs, 3 * cells as u64 * 8), "{dims:?}, {bounds:?}");
+            }
+        }
     }
 
     fn boundary(kind: usize) -> Boundary<f64> {

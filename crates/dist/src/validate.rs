@@ -1,7 +1,8 @@
 //! Admission checks: a configuration against its domain, and the halo
 //! depth it implies.
 
-use crate::{auto_grid, DistConfig, DistError, GridSpec, HaloPlan, Partition3};
+use crate::epoch::Pad;
+use crate::{auto_grid, DistConfig, DistError, GridSpec, Partition3};
 use abft_grid::{BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::Stencil3D;
@@ -81,28 +82,25 @@ pub(crate) fn validate<T: Real>(
         });
     }
     let part = Partition3::new(nx, ny, nz, rx, ry, rz);
+    // A brick must outgrow the stencil on every axis, split or not: the
+    // rank's grid is swept as a domain of its own. Checked y, x, z.
+    let too_short: [fn(usize, usize, usize) -> DistError; 3] = [
+        |rank, cols, extent| DistError::TileTooNarrow { rank, cols, extent },
+        |rank, rows, extent| DistError::SlabTooShort { rank, rows, extent },
+        |rank, layers, extent| DistError::BrickTooThin {
+            rank,
+            layers,
+            extent,
+        },
+    ];
+    let extents = [stencil.extent_x(), stencil.extent_y(), stencil.extent_z()];
     for rank in 0..part.ranks() {
-        let brick = part.brick(rank);
-        if brick.y_len <= stencil.extent_y() {
-            return Err(DistError::SlabTooShort {
-                rank,
-                rows: brick.y_len,
-                extent: stencil.extent_y(),
-            });
-        }
-        if rx > 1 && brick.x_len <= stencil.extent_x() {
-            return Err(DistError::TileTooNarrow {
-                rank,
-                cols: brick.x_len,
-                extent: stencil.extent_x(),
-            });
-        }
-        if rz > 1 && brick.z_len <= stencil.extent_z() {
-            return Err(DistError::BrickTooThin {
-                rank,
-                layers: brick.z_len,
-                extent: stencil.extent_z(),
-            });
+        let b = part.brick(rank);
+        for a in [1, 0, 2] {
+            let len = [b.x_len, b.y_len, b.z_len][a];
+            if len <= extents[a] {
+                return Err(too_short[a](rank, len, extents[a]));
+            }
         }
     }
     for (rank, flip) in &cfg.flips {
@@ -152,8 +150,8 @@ pub(crate) fn validate<T: Real>(
         return Err(DistError::ZeroStepsPerExchange);
     }
     if k > 1 {
-        // Deep shells fold through the boundary at most once: the
-        // effective halo must stay narrower than each exchanged axis.
+        // A deep pad wraps a periodic axis at most once: the effective
+        // halo must stay narrower than each exchanged axis.
         let (hx, hy, hz) = effective_halo(cfg, stencil, (rx, ry, rz));
         for (axis, h, n) in [('x', hx, nx), ('y', hy, ny), ('z', hz, nz)] {
             if h > 0 && h >= n {
@@ -207,12 +205,13 @@ pub(crate) fn validate<T: Real>(
                 steps_per_exchange: k,
             });
         }
-        // The target must be a shell cell the rank receives: in one of its
-        // halo boxes, and not a boundary fold onto its own brick.
+        // The target must be a pad cell: outside the brick, and held by
+        // the pad the stepper fires it in.
         let halo = effective_halo(cfg, stencil, (rx, ry, rz));
         let brick = part.brick(*rank);
-        let shell = HaloPlan::new(&brick, *rank, &part, halo, (nx, ny, nz), bounds);
-        if shell.slot(flip.x, flip.y, flip.z).is_none() || brick.contains(flip.x, flip.y, flip.z) {
+        let pad = Pad::new(&brick, (nx, ny, nz), bounds, halo, stencil);
+        let g = [flip.x, flip.y, flip.z];
+        if brick.contains(flip.x, flip.y, flip.z) || pad.in_pad(g).is_none() {
             return Err(DistError::ShellFlipOutsideHalo {
                 rank: *rank,
                 x: flip.x,
@@ -226,18 +225,19 @@ pub(crate) fn validate<T: Real>(
 
 /// The per-axis halo depth `(hx, hy, hz)`: `k` stencil reaches — one per
 /// sweep of an exchange epoch, the shell decaying by a reach per sweep —
-/// on the axes that exchange (y always — it is always ghost-decomposed —
-/// x and z only when actually split).
+/// on each axis split across ranks, and 0 on an axis with one rank, whose
+/// own grid resolves its boundary.
 pub(crate) fn effective_halo<T: Real>(
     cfg: &DistConfig<T>,
     stencil: &Stencil3D<T>,
-    (rx, _ry, rz): (usize, usize, usize),
+    (rx, ry, rz): (usize, usize, usize),
 ) -> (usize, usize, usize) {
     let k = cfg.steps_per_exchange;
+    let depth = |ranks: usize, extent: usize| if ranks > 1 { k * extent } else { 0 };
     (
-        if rx > 1 { k * stencil.extent_x() } else { 0 },
-        k * stencil.extent_y(),
-        if rz > 1 { k * stencil.extent_z() } else { 0 },
+        depth(rx, stencil.extent_x()),
+        depth(ry, stencil.extent_y()),
+        depth(rz, stencil.extent_z()),
     )
 }
 
@@ -251,22 +251,22 @@ mod tests {
     /// Shell-flip admission over a table of targets: rank 0 of three
     /// y-slabs (rows 0..4 of 8×12×2) with a reach-1 kernel, so the shell
     /// is `k` rows deep. A target is admitted exactly when the rank
-    /// receives it — a fold onto its own brick, a brick cell and anything
-    /// beyond the shell are `ShellFlipOutsideHalo`.
+    /// holds it in its pad — a brick cell, a cell past a clamped domain
+    /// end and anything beyond the shell are `ShellFlipOutsideHalo`.
     #[test]
     fn shell_flip_admission_follows_the_halo_boxes() {
         let initial = Grid3D::from_fn(8, 12, 2, |x, y, z| (x + y + z) as f64);
         let stencil = Stencil2D::five_point(0.4, 0.15, 0.1).into_3d();
         // (boundary, k, target (x, y, z), admitted)
         let table = [
-            // Clamp: rows -1.. fold onto the rank's own row 0; rows 4.. are
-            // the neighbour's.
+            // Clamp: the pad stops at the domain end; rows 4.. are the
+            // neighbour's.
             (Boundary::Clamp, 2, (3, 4, 0), true),
             (Boundary::Clamp, 2, (7, 5, 1), true),
             (Boundary::Clamp, 2, (3, 6, 0), false), // one row past a 2-deep shell
             (Boundary::Clamp, 3, (3, 6, 0), true),
             (Boundary::Clamp, 3, (3, 7, 0), false),
-            (Boundary::Clamp, 2, (3, 0, 0), false), // folded into the brick
+            (Boundary::Clamp, 2, (3, 0, 0), false), // the brick's own row
             (Boundary::Clamp, 3, (0, 0, 1), false),
             (Boundary::Clamp, 2, (3, 2, 0), false), // brick interior
             (Boundary::Clamp, 2, (3, 11, 0), false), // far side of the domain
@@ -280,7 +280,7 @@ mod tests {
             (Boundary::Periodic, 3, (3, 8, 0), false),
             (Boundary::Periodic, 2, (3, 5, 0), true),
             (Boundary::Periodic, 3, (3, 6, 1), true),
-            (Boundary::Periodic, 2, (3, 0, 0), false), // its own row: no fold under periodic
+            (Boundary::Periodic, 2, (3, 0, 0), false), // its own row
             (Boundary::Periodic, 3, (3, 3, 0), false),
         ];
         for (boundary, k, (x, y, z), admitted) in table {

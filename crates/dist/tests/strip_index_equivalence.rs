@@ -2,9 +2,12 @@
 //! part of the halo shell: 9- and 27-point stencils, whose diagonal taps
 //! read edge and corner boxes, stay bitwise equal to the serial reference
 //! over slab, auto-factored, 2×2 and 2×2×2 rank grids in both halo modes.
-//! That the boxes hold exactly the cells the shell needs, one slot each,
-//! is `index::tests::boxes_equal_cell_lists`; debug builds additionally
-//! compare every bulk ghost line of this run with the per-cell read.
+//! That the boxes are exactly the rank's pad cells, one slot each, is
+//! `index::tests::boxes_equal_cell_lists`; that one exchange fills the
+//! pad with the global field is
+//! `epoch::tests::pad_cells_hold_the_global_field_after_one_exchange`.
+//! Debug builds run every pad landing under the grid's index bounds
+//! checks.
 
 use abft_dist::{run_distributed, DistConfig, GridSpec, HaloMode};
 use abft_grid::{Boundary, BoundarySpec, Grid3D};

@@ -1,6 +1,6 @@
 //! The halo-traffic accounting, checked from outside: for every library
 //! kernel × epoch length `k` on a 2-D and a 3-D rank grid, each rank's
-//! reported per-channel cell counts equal the window products computed
+//! reported per-channel cell counts equal the pad-width products computed
 //! here, independently, from the clamp-boundary geometry. `k` sweeps the
 //! shell depth (`k` kernel reaches per decomposed axis) through shallow,
 //! brick-deep and clipped windows. Every run is also pinned bitwise to a
@@ -14,19 +14,13 @@ use abft_stencil::{Exec, Stencil2D, Stencil3D, StencilSim};
 const DIMS: (usize, usize, usize) = (16, 14, 8);
 const ITERS: usize = 6;
 
-/// Distinct in-domain cells the two side windows of depth `h` around
-/// `t0..t0 + t_len` resolve to under a **clamp** boundary: a domain-edge
-/// side folds every read onto the edge cell (1 distinct); an interior
-/// side needs `h` neighbour cells, clipped to what the domain holds on
-/// that side (the overhang clamps onto the far edge cell, which the
-/// in-range part already covers).
+/// Pad cells on the two sides of depth `h` around `t0..t0 + t_len` under
+/// a **clamp** boundary: a domain-edge side has no pad (the grid's own
+/// boundary resolves reads past it, 0 cells); an interior side pads `h`
+/// neighbour cells, clipped to what the domain holds on that side.
 fn clamp_window_len(t0: usize, t_len: usize, n: usize, h: usize) -> usize {
-    if h == 0 {
-        return 0;
-    }
-    let low = if t0 == 0 { 1 } else { h.min(t0) };
-    let end = t0 + t_len;
-    let high = if end == n { 1 } else { h.min(n - end) };
+    let low = h.min(t0);
+    let high = h.min(n - t0 - t_len);
     low + high
 }
 
