@@ -16,6 +16,11 @@ pub struct CorrectionEvent<T> {
     pub old: T,
     /// Recovered value written back.
     pub new: T,
+    /// Eq. 10's value for the point. [`correct_layer`] writes it, so it
+    /// is `new` there; the online protector writes the recomputed cell
+    /// instead, and `estimate − new` is the error Eq. 10 alone would have
+    /// left (the paper's Fig. 9).
+    pub estimate: T,
 }
 
 impl<T: Real> CorrectionEvent<T> {
@@ -37,7 +42,9 @@ impl<T: Real> CorrectionEvent<T> {
 /// domain point is overwritten, and the *computed* checksum entries are
 /// repaired in place so that they describe the corrected data — "checksums
 /// also need to be updated to maintain stencil correctness for the next
-/// iterations".
+/// iterations". The value is exact only to the rounding of the checksum
+/// lines; the online protector keeps it as the estimate and writes the
+/// recomputed cell over it.
 #[allow(clippy::too_many_arguments)]
 pub fn correct_layer<T: Real>(
     layer: &mut LayerMut<'_, T>,
@@ -63,6 +70,7 @@ pub fn correct_layer<T: Real>(
         y: ey,
         old,
         new,
+        estimate: new,
     }
 }
 
@@ -145,6 +153,7 @@ mod tests {
             y: 0,
             old: 5.0f64,
             new: 2.0,
+            estimate: 2.0,
         };
         assert_eq!(ev.magnitude(), 3.0);
     }

@@ -920,7 +920,7 @@ mod tests {
                     if !interp.fast_x && tap.di != 0 {
                         s += interp.corr_x(tap.di, yq, zq, source).to_f64();
                     }
-                    acc += tap.w.to_f64() * s;
+                    acc = tap.w.to_f64().mul_add(s, acc);
                 }
                 out.push(T::from_f64(acc));
             }

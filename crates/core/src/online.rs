@@ -1,7 +1,8 @@
 //! The online ABFT protector (§3): verify and correct after every sweep.
 //!
 //! One path runs on every sweep: fused column checksums → interpolate →
-//! detect → build rows for the flagged layers only → correct. Only the
+//! detect → build rows for the flagged layers only → locate by Eq. 10 and
+//! repair by recomputing the cell. Only the
 //! column vector is trusted state; rows are materialised from the two
 //! live buffers when a mismatch needs them (§3.4).
 //!
@@ -37,7 +38,7 @@ pub struct StepOutcome<T> {
     pub iteration: usize,
     /// Layers whose column checksums mismatched.
     pub detections: usize,
-    /// Domain points corrected via Eq. 10.
+    /// Domain points located by Eq. 10 and repaired by recomputation.
     pub corrections: Vec<CorrectionEvent<T>>,
     /// Layers whose checksum state was refreshed (Fig. 5b scenario).
     pub checksum_refreshes: usize,
@@ -475,7 +476,11 @@ impl<T: Real> OnlineAbft<T> {
     ) {
         match diag {
             LayerDiagnosis::Clean => {}
-            LayerDiagnosis::SingleError { x, y, .. } => self.correct(sim, b, [x, y, z], outcome),
+            LayerDiagnosis::SingleError { x, y, .. } => {
+                if !self.correct(sim, b, [x, y, z], outcome) {
+                    self.give_up(sim, b, z, outcome);
+                }
+            }
             LayerDiagnosis::ChecksumCorruption { .. } => {
                 // Fig. 5b: the domain is consistent, one of the checksum
                 // vectors is not — recompute from data and move on.
@@ -490,30 +495,54 @@ impl<T: Real> OnlineAbft<T> {
                     // stays consistent for subsequent iterations.
                     MultiErrorPolicy::Strict => Vec::new(),
                 };
+                let mut repaired = 0;
                 for (r, c) in &pairs {
-                    self.correct(sim, b, [r.index, c.index, z], outcome);
+                    repaired += usize::from(self.correct(sim, b, [r.index, c.index, z], outcome));
                 }
-                if pairs.len() < rows.len().max(cols.len()) {
-                    self.stats.uncorrectable += 1;
-                    outcome.uncorrectable += 1;
-                    self.refresh_layer(sim, b, z);
+                if repaired < rows.len().max(cols.len()) {
+                    self.give_up(sim, b, z, outcome);
                 }
             }
         }
     }
 
-    /// Eq. 10 at `(x, y)` of layer `z` of box `b`, repairing the computed
-    /// vectors too.
+    /// Report layer `z` of box `b` uncorrectable, and adopt its data as it
+    /// is so the detection state stays consistent for the next step.
+    fn give_up(&mut self, sim: &StencilSim<T>, b: usize, z: usize, outcome: &mut StepOutcome<T>) {
+        self.stats.uncorrectable += 1;
+        outcome.uncorrectable += 1;
+        self.refresh_layer(sim, b, z);
+    }
+
+    /// Repair the cell Eq. 10 locates at `(x, y)` of layer `z` of box `b`
+    /// by recomputing it. Eq. 10 ([`correct_layer`]) gives the estimate;
+    /// the repair then sweeps the cell again from the time-`t` grid, which
+    /// gives bitwise the value a clean sweep writes there, and re-sums its
+    /// column line with [`line_sum`] and its row as the row side sums it,
+    /// so the vectors describe the repaired data exactly (a second repair
+    /// in the layer reads them).
+    ///
+    /// The location is checked against the recomputed value: each of
+    /// Eq. 10's two recoveries, through the row and through the column,
+    /// misses it by exactly what that line still deviates from its
+    /// interpolation once the cell is repaired. So the check is that both
+    /// repaired lines pass the detection that flagged them, made on the
+    /// lines, where it is exact even when the flip left the estimate no
+    /// significant bits. At the right cell both pass; at a wrong one (two
+    /// errors aligned to fake one, or a strike at rest) the errors stay
+    /// on the lines, and the repair is not counted. Returns whether it was
+    /// confirmed.
     fn correct(
         &mut self,
         sim: &mut StencilSim<T>,
         b: usize,
         [x, y, z]: [usize; 3],
         outcome: &mut StepOutcome<T>,
-    ) {
+    ) -> bool {
         let d = &self.boxes[b].0;
         let (nx, ny) = (d.x.len(), d.y.len());
-        let ev = correct_layer(
+        let (row, col) = (z * nx + x, z * ny + y);
+        let mut ev = correct_layer(
             &mut sim.current_mut().layer_mut(d.z.start + z),
             &mut self.row_comp[z * nx..(z + 1) * nx],
             &mut self.col_comp[z * ny..(z + 1) * ny],
@@ -524,8 +553,36 @@ impl<T: Real> OnlineAbft<T> {
             z,
             (d.x.start, d.y.start),
         );
+        let [cx, cy, cz] = [d.x.start + x, d.y.start + y, d.z.start + z];
+        let cell = InteriorWindow {
+            x: cx..cx + 1,
+            y: cy..cy + 1,
+            z: cz..cz + 1,
+        };
+        sim.sweep_again(&cell);
+        ev.new = sim.current().at(cx, cy, cz);
+        let line = InteriorWindow {
+            x: d.x.clone(),
+            ..cell.clone()
+        };
+        box_col_into(sim.current(), &line, &mut self.col_comp[col..=col]);
+        let column = InteriorWindow {
+            y: d.y.clone(),
+            ..cell
+        };
+        box_row_layer_into(sim.current(), &column, 0, &mut self.row_comp[row..=row]);
+        let (epsilon, floor) = (self.cfg.epsilon, self.cfg.abs_floor);
+        let passes = |interp: &[T], comp: &[T], i: usize| {
+            compare_vectors(&interp[i..=i], &comp[i..=i], epsilon, floor).is_empty()
+        };
+        if !(passes(&self.col_interp, &self.col_comp, col)
+            && passes(&self.row_interp, &self.row_comp, row))
+        {
+            return false;
+        }
         self.stats.corrections += 1;
         outcome.corrections.push(ev);
+        true
     }
 
     /// Recompute one layer's column checksums of box `b` directly from the
@@ -644,8 +701,12 @@ mod tests {
         let ev = out.corrections[0];
         assert_eq!((ev.x, ev.y, ev.z), (5, 4, 1));
         assert!((ev.old - ev.new - 50.0).abs() < 1e-9);
+        // Eq. 10's estimate is within rounding of the value written, which
+        // is the clean cell itself.
+        assert!((ev.estimate - ev.new).abs() < 1e-9);
+        assert_eq!(ev.new, reference.current().at(5, 4, 1));
         // Domain restored to the reference trajectory (exact recovery).
-        assert!(sim.current().max_abs_diff(reference.current()) < 1e-9);
+        assert_eq!(sim.current(), reference.current());
 
         // Subsequent steps stay clean.
         for _ in 0..5 {
@@ -653,7 +714,7 @@ mod tests {
             reference.step();
             assert!(out.is_clean());
         }
-        assert!(sim.current().max_abs_diff(reference.current()) < 1e-9);
+        assert_eq!(sim.current(), reference.current());
     }
 
     #[test]
@@ -694,7 +755,7 @@ mod tests {
             reference.step();
             assert_eq!(out.detections, 1, "flip at ({x},{y},{z}) missed");
             assert_eq!(out.corrections.len(), 1);
-            assert!(sim.current().max_abs_diff(reference.current()) < 1e-9);
+            assert_eq!(sim.current(), reference.current());
         }
     }
 
@@ -763,6 +824,44 @@ mod tests {
         assert!(out.is_clean());
     }
 
+    /// A 16×16 layer of values near 1 with one hot cell at (4, 11), whose
+    /// heat keeps the sums of row x = 4 and column y = 11 near 1e5–1e6 for
+    /// the first sweeps, while row 12 and column 2 stay near 16.
+    fn hot_spot_sim() -> StencilSim<f64> {
+        let g = Grid3D::from_fn(16, 16, 1, |x, y, _| match (x, y) {
+            (4, 11) => 1e6,
+            _ => 1.0 + ((x * 7 + y * 13) % 11) as f64 * 0.01,
+        });
+        let stencil = abft_stencil::Stencil2D::jacobi_heat(0.1).into_3d();
+        StencilSim::new(g, stencil, BoundarySpec::clamp()).with_exec(Exec::Serial)
+    }
+
+    /// Two flips in one layer aligned to fake one. The flip at (4, 2) hides
+    /// in the hot row's sum and shows only in column 2; the one at (12, 11)
+    /// hides in the hot column's sum and shows only in row 12. Eq. 10 so
+    /// locates one error where row 12 meets column 2, at a clean cell, and
+    /// with opposite deltas its averaged estimate is even that cell's clean
+    /// value. The repaired lines still deviate, so under `Strict` the layer
+    /// is uncorrectable and no correction is counted.
+    #[test]
+    fn two_aligned_flips_that_fake_one_are_uncorrectable() {
+        let mut sim = hot_spot_sim();
+        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
+        for _ in 0..2 {
+            let out = abft.step(&mut sim, &NoHook);
+            assert!(out.is_clean(), "{out:?}");
+        }
+        let hook = |x: usize, y: usize, _: usize, v: f64| match (x, y) {
+            (4, 2) => v + 1e-7,
+            (12, 11) => v - 1e-7,
+            _ => v,
+        };
+        let out = abft.step(&mut sim, &hook);
+        assert_eq!((out.detections, out.uncorrectable), (1, 1), "{out:?}");
+        assert!(out.corrections.is_empty(), "{out:?}");
+        assert_eq!(abft.stats().corrections, 0);
+    }
+
     #[test]
     fn two_errors_delta_match_corrects_both() {
         let mut sim = make_sim();
@@ -777,7 +876,7 @@ mod tests {
         let out = abft.step(&mut sim, &hook);
         reference.step();
         assert_eq!(out.corrections.len(), 2);
-        assert!(sim.current().max_abs_diff(reference.current()) < 1e-8);
+        assert_eq!(sim.current(), reference.current());
     }
 
     #[test]
@@ -794,7 +893,7 @@ mod tests {
         reference.step();
         assert_eq!(out.detections, 2);
         assert_eq!(out.corrections.len(), 2);
-        assert!(sim.current().max_abs_diff(reference.current()) < 1e-8);
+        assert_eq!(sim.current(), reference.current());
     }
 
     /// Where [`epoch_run`]'s brick sits in the 14×16×3 field, how long it
@@ -958,7 +1057,7 @@ mod tests {
                             assert_eq!(out.detections, struck, "step {s}: {ctx}");
                             assert_eq!(out.corrections.len(), struck, "step {s}: {ctx}");
                         }
-                        assert!(err < 1e-9, "residual {err:.3e}: {ctx}");
+                        assert_eq!(err, 0.0, "residual {err:.3e}: {ctx}");
                     }
                 }
             }

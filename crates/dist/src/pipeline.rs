@@ -190,8 +190,8 @@ fn build_ports<T: Real>(plans: &[Arc<HaloPlan>]) -> Vec<Ports<T>> {
 /// [`crate::step::Job::build`] seeds its rings with the ones that fit its
 /// bricks and drops the rest. So the list holds only the snapshots of the
 /// jobs that finished since the last checkpointing build; unprotected
-/// jobs never touch it, and the failure paths ([`Self::discard`],
-/// [`Self::clear`]) drop it.
+/// jobs never touch it, and the failure path ([`Self::discard`]) drops
+/// it.
 ///
 /// The list is pool-wide, not kept per entry beside the ports, although
 /// [`TopoKey`] fixes the bricks and per-entry lists would need no dims
@@ -326,13 +326,6 @@ impl<T: Real> TopologyCache<T> {
         if let Some(i) = self.position(key) {
             self.entries.remove(i);
         }
-        self.spares.clear();
-    }
-
-    /// Drop every entry and the spares (used when a job fails in a way
-    /// that leaves the pool's bookkeeping uncertain).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
         self.spares.clear();
     }
 

@@ -728,8 +728,11 @@ impl<T: Real> Scheduler<T> {
         let built = catch_unwind(AssertUnwindSafe(|| Job::build(spec, &mut self.cache)));
         let built = built.unwrap_or_else(|payload| {
             // Nothing reached the pool, but the cache may hold a
-            // half-built entry.
-            self.cache.clear();
+            // half-built entry under this job's key; other keys' entries
+            // are whole.
+            if let Ok(Ok((key, _))) = catch_unwind(AssertUnwindSafe(|| Job::key(spec))) {
+                self.cache.discard(&key);
+            }
             Err(panicked(payload))
         });
         match built {
@@ -1494,16 +1497,11 @@ mod tests {
             "fault leaked backwards"
         );
         assert_eq!(r_after.total_stats().detections, 0, "fault leaked forwards");
-        // Clean jobs track the serial trajectory bitwise; the faulty job
-        // recovers to it within the correction residual (same bound the
-        // fault-matrix suites use).
+        // Clean jobs track the serial trajectory bitwise, and so does the
+        // faulty job: its repair recomputes the cell.
         assert_eq!(r_before.global, *serial.current(), "diverged from serial");
         assert_eq!(r_after.global, *serial.current(), "diverged from serial");
-        let residual = r_hit.global.max_abs_diff(serial.current());
-        assert!(
-            residual < 1e-9,
-            "residual error {residual:.3e} after correction"
-        );
+        assert_eq!(r_hit.global, *serial.current(), "repair diverged");
         // All three shared one cached topology.
         let stats = service.stats();
         assert_eq!(stats.topology_misses, 1);
@@ -1578,6 +1576,64 @@ mod tests {
             "{first:?}"
         );
         assert_eq!(shell.cache.len(), 0);
+    }
+
+    /// A build that panics discards its own key's cache entry and no
+    /// other: a different key cached before it keeps its entry, and the
+    /// next build of that key is a hit.
+    #[test]
+    fn a_build_that_panics_leaves_other_keys_cached() {
+        use abft_stencil::Stencil2D;
+        let shared = Arc::new(Shared {
+            state: Mutex::new(ServeState::default()),
+            cv: Condvar::new(),
+        });
+        let mut shell = Scheduler::<f64>::new(Arc::clone(&shared), Vec::new());
+        let protected = |nx| {
+            JobSpec::over(field(nx, 16, 3), Stencil3D::diffusion_7pt(0.1))
+                .with_ranks(2)
+                .with_grid(1, 2)
+                .with_iters(3)
+                .with_abft(AbftConfig::paper_defaults())
+                .with_mode(HaloMode::Snapshot)
+        };
+        let (kept, poisoned) = (protected(10), protected(12));
+        Job::build(&kept, &mut shell.cache).unwrap();
+        // Poison the second key's interpolation plans with another
+        // kernel's, so its build panics.
+        let (key, part) = Job::key(&poisoned).unwrap();
+        let other = Stencil2D::convection_9pt(0.18, 0.08, -0.05).into_3d();
+        let plans = || crate::index::HaloPlan::of_job(&key, &part, &poisoned.stencil);
+        shell.cache.plans(&key, plans);
+        shell.cache.col_plans(&key, &poisoned.stencil, || {
+            crate::col_plans(key.dims, &other, &poisoned.bounds, &poisoned.cfg, &part)
+        });
+        assert_eq!(shell.cache.len(), 2);
+        let now = Instant::now();
+        let job = Payload {
+            spec: Some(poisoned),
+            submitted: now,
+            started: now,
+            job: None,
+            steppers: Vec::new(),
+            result: None,
+        };
+        shared.state.lock().unwrap().pending.insert(1);
+        shell.handle(SchedEvent::Submit(1, 0, job));
+        let failed = shared.state.lock().unwrap().done.remove(&1);
+        assert!(
+            matches!(
+                failed,
+                Some(Err(DistError::RankPanicked { rank: None, .. }))
+            ),
+            "{failed:?}"
+        );
+        assert_eq!(shell.cache.len(), 1, "only the panicked key is discarded");
+        let (kept_key, _) = Job::key(&kept).unwrap();
+        assert_eq!(shell.cache.plan_sets(&kept_key), Some(1));
+        let hits = shell.cache.hits;
+        Job::build(&kept, &mut shell.cache).unwrap();
+        assert_eq!(shell.cache.hits, hits + 1, "the kept key's next build hits");
     }
 
     #[test]

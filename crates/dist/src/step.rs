@@ -411,22 +411,7 @@ impl<T: Real> Job<T> {
         spec: &JobSpec<T>,
         cache: &mut TopologyCache<T>,
     ) -> Result<(Self, Vec<RankStepper<T>>), DistError> {
-        // Re-validate: admission already did, but a handed-over spec must
-        // never be trusted enough to panic a pooled worker.
-        let part = validate(
-            &spec.initial,
-            &spec.stencil,
-            &spec.bounds,
-            spec.constant.as_ref(),
-            &spec.cfg,
-        )?;
-        let grid = (part.rx(), part.ry(), part.rz());
-        let key = TopoKey {
-            dims: spec.initial.dims(),
-            grid,
-            halo: effective_halo(&spec.cfg, &spec.stencil, grid),
-            bounds: spec.bounds,
-        };
+        let (key, part) = Self::key(spec)?;
         let build = || HaloPlan::of_job(&key, &part, &spec.stencil);
         let plans = cache.plans(&key, build);
         let col = spec.cfg.abft.map(|_| {
@@ -456,6 +441,30 @@ impl<T: Real> Job<T> {
             recovery: RecoveryStats::default(),
         };
         Ok((job, steppers))
+    }
+
+    /// The topology key of `spec` and its rank partition.
+    ///
+    /// # Errors
+    /// Whatever admission rejects the spec with: admission already ran,
+    /// but a handed-over spec must never be trusted enough to panic a
+    /// pooled worker.
+    pub(crate) fn key(spec: &JobSpec<T>) -> Result<(TopoKey<T>, Partition3), DistError> {
+        let part = validate(
+            &spec.initial,
+            &spec.stencil,
+            &spec.bounds,
+            spec.constant.as_ref(),
+            &spec.cfg,
+        )?;
+        let grid = (part.rx(), part.ry(), part.rz());
+        let key = TopoKey {
+            dims: spec.initial.dims(),
+            grid,
+            halo: effective_halo(&spec.cfg, &spec.stencil, grid),
+            bounds: spec.bounds,
+        };
+        Ok((key, part))
     }
 
     /// One recovery round, after every rank has stopped and at least one

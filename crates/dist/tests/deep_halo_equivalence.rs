@@ -290,8 +290,7 @@ fn intra_epoch_brick_flips_are_corrected_at_every_sweep_offset() {
                         );
                     }
                 }
-                let diff = rep.global.max_abs_diff(&expect);
-                assert!(diff < 1e-9, "residual error {diff:.3e} at {ctx}");
+                assert_eq!(rep.global, expect, "repaired grid at {ctx}");
             }
         }
     }
@@ -356,8 +355,7 @@ fn mid_decay_shell_flips_are_corrected_once_in_the_struck_rank() {
                         "false positive in rank {r} at {ctx}"
                     );
                 }
-                let diff = protected.global.max_abs_diff(&expect);
-                assert!(diff < 1e-9, "residual error {diff:.3e} at {ctx}");
+                assert_eq!(protected.global, expect, "repaired grid at {ctx}");
 
                 let unprotected = run(&matrix_initial(), &stencil, &BoundarySpec::clamp(), &base);
                 assert_ne!(

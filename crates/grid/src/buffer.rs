@@ -67,10 +67,14 @@ impl<T: Real> DoubleBuffer<T> {
         }
     }
 
-    /// Disjoint `(src, dst)` pair where `dst` may also be inspected and
-    /// corrected after the sweep; identical to [`DoubleBuffer::split`].
-    pub fn split_mut(&mut self) -> (&Grid3D<T>, &mut Grid3D<T>) {
-        self.split()
+    /// The last sweep's `(src, dst)` pair after its [`DoubleBuffer::swap`]:
+    /// the previous grid, and the current one to sweep part of again.
+    pub fn last_sweep(&mut self) -> (&Grid3D<T>, &mut Grid3D<T>) {
+        if self.a_is_current {
+            (&self.b, &mut self.a)
+        } else {
+            (&self.a, &mut self.b)
+        }
     }
 
     /// Make the scratch buffer (the last sweep's destination) current.

@@ -222,6 +222,28 @@ impl<T: Real> StencilSim<T> {
         self.iteration += 1;
     }
 
+    /// Sweep `window` of the current grid again from the previous one,
+    /// with no hook and no checksums: the kernel does not depend on the
+    /// window it sweeps, so each cell gets bitwise the value a clean step
+    /// writes there. The repair of a located error; on a rank the previous
+    /// grid still holds the pad the step read.
+    pub fn sweep_again(&mut self, window: &InteriorWindow) {
+        let (src, dst) = self.buf.last_sweep();
+        sweep_region(
+            src,
+            dst,
+            &self.stencil,
+            &self.bounds,
+            self.constant.as_deref().map(ConstantField::grid),
+            &NoHook,
+            ChecksumMode::None,
+            Exec::Serial,
+            window.y.clone(),
+            window.x.clone(),
+            window.z.clone(),
+        );
+    }
+
     /// The whole grid as a box.
     pub fn whole(&self) -> InteriorWindow {
         let (nx, ny, nz) = self.dims();

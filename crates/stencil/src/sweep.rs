@@ -121,17 +121,20 @@ pub fn sweep_region<T: Real, H: SweepHook<T>>(
 enum Isa {
     /// The target's baseline; on x86-64, SSE2's sixteen 128-bit registers.
     Baseline,
-    /// x86-64 with AVX2's 256-bit registers, found at run time.
+    /// x86-64 with AVX2's 256-bit registers and FMA's fused
+    /// multiply-add, both found at run time.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
 impl Isa {
-    /// The widest instance this CPU runs. The only place an
-    /// [`Isa::Avx2`] is made.
+    /// The widest instance this CPU runs: [`Isa::Avx2`] where it has both
+    /// AVX2 and FMA, else the baseline, whose software `fma` gives the
+    /// same bits. The only place an [`Isa::Avx2`] is made.
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             return Isa::Avx2;
         }
         Isa::Baseline
@@ -221,8 +224,8 @@ fn sweep_region_on<T: Real, H: SweepHook<T>>(
         Isa::Baseline => layers.baseline(task, scratch),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::detect` alone makes `Isa::Avx2`, and only once
-        // `is_x86_feature_detected!("avx2")` has found that this CPU runs
-        // AVX2, the one feature the instance is compiled for.
+        // `is_x86_feature_detected!` has found that this CPU runs AVX2 and
+        // FMA, the two features the instance is compiled for.
         Isa::Avx2 => unsafe { layers.avx2(task, scratch) },
     };
     match exec {
@@ -278,9 +281,9 @@ enum TapSource<T> {
     /// An in-grid row (its own, clamped, wrapped or reflected), given by
     /// the index its cell `x = 0` has in the grid.
     Row(isize),
-    /// A zero/constant boundary: every read yields the same value, held
-    /// here already multiplied by the tap's weight.
-    Weighted(T),
+    /// A zero/constant boundary: every read yields this value, which the
+    /// tap takes like any other read, by one fused multiply-add.
+    Value(T),
 }
 
 impl<T: Copy> TapSource<T> {
@@ -288,7 +291,7 @@ impl<T: Copy> TapSource<T> {
     fn shifted(self, by: isize) -> Self {
         match self {
             TapSource::Row(first) => TapSource::Row(first + by),
-            weighted => weighted,
+            value => value,
         }
     }
 }
@@ -317,7 +320,7 @@ fn fold_layer<T: Real>(
             .iter()
             .map(|t| match bz.resolve(zi + t.dk, nz) {
                 AxisHit::In(zr) => TapSource::Row(((zr as isize - zi) * ny + t.dj) * nx),
-                AxisHit::Value(v) => TapSource::Weighted(t.w * v),
+                AxisHit::Value(v) => TapSource::Value(v),
             }),
     );
 }
@@ -348,7 +351,7 @@ fn fold_row<T: Real>(
         sources.push(match by.resolve(yq, ny) {
             // The y fold moved the tap's row from `yq` to `yr`.
             AxisHit::In(yr) => tap.shifted(line + (yr as isize - yq) * nx as isize),
-            AxisHit::Value(v) => TapSource::Weighted(t.w * v),
+            AxisHit::Value(v) => TapSource::Value(v),
         });
     }
 }
@@ -373,9 +376,11 @@ struct FoldedRow<'a, T> {
 
 impl<T: Real> FoldedRow<'_, T> {
     /// `N` adjacent outputs starting at x-interior cell `x`: each
-    /// accumulator starts from the constant term and takes `acc += w·src`
-    /// tap by tap **in tap order** — per cell the very operation sequence
-    /// of a loop over `read_resolved`, so the result is bitwise the same.
+    /// accumulator starts from the constant term and takes one fused
+    /// multiply-add `acc = w·src + acc` per tap **in tap order** — per
+    /// cell the very operation sequence of a loop over `read_resolved`,
+    /// and each `fma` rounds once and correctly on either instance, so the
+    /// result is bitwise the same.
     #[inline(always)]
     fn block<const N: usize>(&self, x: usize) -> [T; N] {
         let mut acc = [T::ZERO; N];
@@ -388,12 +393,12 @@ impl<T: Real> FoldedRow<'_, T> {
                     let from = (first + x as isize + t.di) as usize;
                     let run = &self.s[from..from + N];
                     for i in 0..N {
-                        acc[i] += t.w * run[i];
+                        acc[i] = t.w.mul_add_r(run[i], acc[i]);
                     }
                 }
-                TapSource::Weighted(wv) => {
+                TapSource::Value(v) => {
                     for a in &mut acc {
-                        *a += wv;
+                        *a = t.w.mul_add_r(v, *a);
                     }
                 }
             }
@@ -422,17 +427,17 @@ impl<T: Real> FoldedRow<'_, T> {
     /// One x-end cell: some tap's `x + di` leaves the domain. Only x is
     /// resolved per tap, and it wins the precedence exactly as in
     /// `read_resolved` — a value-like x yields its value; an in-range x
-    /// loads from the tap's folded source, a broadcast value entering
-    /// pre-multiplied as [`FoldedRow::block`] adds it.
-    #[inline]
+    /// loads from the tap's folded source. Each read then takes the one
+    /// fused multiply-add [`FoldedRow::block`] gives it.
+    #[inline(always)]
     fn end_cell(&self, x: usize, nx: usize, bx: &Boundary<T>) -> T {
         let mut v = self.constant_row.map_or(T::ZERO, |c| c[x]);
         for (t, source) in self.stencil.taps().iter().zip(self.sources) {
-            v += match (bx.resolve(x as isize + t.di, nx), *source) {
-                (AxisHit::Value(vx), _) => t.w * vx,
-                (AxisHit::In(xr), TapSource::Row(first)) => t.w * self.s[first as usize + xr],
-                (AxisHit::In(_), TapSource::Weighted(wv)) => wv,
+            let read = match (bx.resolve(x as isize + t.di, nx), *source) {
+                (AxisHit::Value(vx), _) | (AxisHit::In(_), TapSource::Value(vx)) => vx,
+                (AxisHit::In(xr), TapSource::Row(first)) => self.s[first as usize + xr],
             };
+            v = t.w.mul_add_r(read, v);
         }
         v
     }
@@ -452,7 +457,10 @@ struct Layers<'a, T, H> {
 
 impl<T: Real, H: SweepHook<T>> Layers<'_, T, H> {
     /// The baseline instance: eight 128-bit registers of accumulators,
-    /// 16 `f64` or 32 `f32` outputs a block.
+    /// 16 `f64` or 32 `f32` outputs a block. Without FMA in its target
+    /// each tap's `mul_add_r` is a call to the software `fma`, which is
+    /// correctly rounded, so it gets the AVX2 instance's bits, slowly. On
+    /// an x86-64 CPU with AVX2 and FMA it runs only when a test asks.
     fn baseline(&self, task: LayerTask<'_, T>, scratch: &mut Scratch<T>) {
         if T::BITS == 32 {
             self.sweep_layer::<32>(task, scratch);
@@ -463,14 +471,15 @@ impl<T: Real, H: SweepHook<T>> Layers<'_, T, H> {
 
     /// The AVX2 instance: eight 256-bit registers of accumulators, 32
     /// `f64` or 64 `f32` outputs a block. Everything the row loop runs
-    /// per cell is `#[inline(always)]`, so it compiles here with AVX2;
-    /// FMA is not enabled, and Rust never contracts a multiply and an add,
-    /// so each cell takes the baseline's operations and gets its bits.
+    /// per cell is `#[inline(always)]`, so it compiles here with AVX2 and
+    /// FMA: each tap's `mul_add_r` is one `vfmadd` on a `ymm` register,
+    /// rounded once and correctly like the baseline's software `fma`, so
+    /// each cell gets the baseline's bits.
     ///
-    /// Calling it outside AVX2 code is `unsafe`: the CPU must run AVX2,
-    /// which [`Isa::detect`] checks before it returns [`Isa::Avx2`].
+    /// Calling it outside AVX2 code is `unsafe`: the CPU must run AVX2 and
+    /// FMA, which [`Isa::detect`] checks before it returns [`Isa::Avx2`].
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     fn avx2(&self, task: LayerTask<'_, T>, scratch: &mut Scratch<T>) {
         if T::BITS == 32 {
             self.sweep_layer::<64>(task, scratch);
@@ -497,11 +506,16 @@ impl<T: Real, H: SweepHook<T>> Layers<'_, T, H> {
     /// hook and the checksum sums (see [`ChecksumMode`]) then pass over
     /// the cache-hot row.
     ///
-    /// On a cache-resident grid, latency rather than memory bounds the
-    /// kernel: each output is a chain of dependent adds in tap order, so
-    /// the block is as wide as eight vector registers of the instance
-    /// ([`Layers::baseline`], [`Layers::avx2`]) to keep that many chains
-    /// in flight.
+    /// Every tap of every output is one fused multiply-add,
+    /// `acc = fma(w, src, acc)` in tap order, on both instances; an `fma`
+    /// is correctly rounded wherever it runs, so the instances agree
+    /// bitwise.
+    ///
+    /// On a cache-resident grid, the FP ports rather than memory bound the
+    /// kernel: each output is a chain of dependent fused multiply-adds in
+    /// tap order, so the block is as wide as eight vector registers of the
+    /// instance ([`Layers::baseline`], [`Layers::avx2`]) to keep that many
+    /// chains in flight.
     #[inline(always)]
     fn sweep_layer<const WIDE: usize>(&self, task: LayerTask<'_, T>, scratch: &mut Scratch<T>) {
         let Layers {
@@ -592,7 +606,7 @@ mod tests {
             let mut v = constant.map_or(T::ZERO, |c| c.at(x, y, z));
             for t in stencil.taps() {
                 let q = [x as isize + t.di, y as isize + t.dj, z as isize + t.dk];
-                v += t.w * read_resolved(src, q, bounds);
+                v = t.w.mul_add_r(read_resolved(src, q, bounds), v);
             }
             v
         })

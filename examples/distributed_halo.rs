@@ -95,7 +95,10 @@ fn main() {
         total.detections, total.corrections
     );
     assert_eq!(total.corrections, 1);
-    assert!(l2 < 1e-8, "corrected distributed run must match serial");
+    assert_eq!(
+        l2, 0.0,
+        "corrected distributed run must be bitwise the serial one"
+    );
 
     // --- 2. 2×2 rank grid, fault at a tile corner. ---------------------
     // Rank 3's tile origin is the domain centre; its local (0, 0) corner
@@ -125,7 +128,7 @@ fn main() {
     assert_eq!(report.grid, (2, 2, 1));
     assert_eq!(total.corrections, 1);
     assert_eq!(report.ranks[3].stats.corrections, 1);
-    assert!(l2 < 1e-8, "corrected 2-D run must match serial");
+    assert_eq!(l2, 0.0, "corrected 2-D run must be bitwise the serial one");
 
     // --- 3. 2×2 rank grid, 9-point kernel, fault at a tile corner. -----
     // The convection kernel's diagonal taps make the corner patches
@@ -168,7 +171,10 @@ fn main() {
     );
     assert_eq!(total.corrections, 1);
     assert_eq!(report.ranks[0].stats.corrections, 1);
-    assert!(l2 < 1e-8, "corrected 9-point run must match serial");
+    assert_eq!(
+        l2, 0.0,
+        "corrected 9-point run must be bitwise the serial one"
+    );
 
     // --- 4. 2×2×2 brick grid, 27-point kernel, fault at a brick corner. -
     // The z axis is decomposed too: rank 7's brick origin is the domain
@@ -211,6 +217,9 @@ fn main() {
     );
     assert_eq!(total.corrections, 1);
     assert_eq!(report.ranks[7].stats.corrections, 1);
-    assert!(l2 < 1e-8, "corrected 27-point brick run must match serial");
+    assert_eq!(
+        l2, 0.0,
+        "corrected 27-point brick run must be bitwise the serial one"
+    );
     println!("\ndistributed + per-rank ABFT matches the serial reference in all four runs");
 }
