@@ -1,239 +1,73 @@
-//! Checksum state: the per-layer row (`a`) and column (`b`) vectors of
-//! Eqs. 2–3.
+//! The column checksums `b` of Eq. 3 of a whole grid. Both vectors of any
+//! box are built by `abft_grid`'s two builders, [`box_col_sums`] and
+//! [`abft_grid::box_row_sums`], each in its vector's one summation order.
 
-use abft_grid::Grid3D;
-use abft_num::{line_sum, Real};
-use abft_stencil::{InteriorWindow, LineSums};
+use abft_grid::{box_col_sums, Grid3D};
+use abft_num::Real;
 
-/// Per-layer checksum vectors of a 3-D domain at one time step.
-///
-/// Stored flat: `col` is `[z][y]` (length `nz·ny`, the paper's `b`), `row`
-/// is `[z][x]` (length `nz·nx`, the paper's `a`). Following §3.2 the row
-/// side is optional — the online protector keeps only the column side
-/// and builds rows for the layers whose columns mismatch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChecksumState<T> {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    /// Column checksums `b[z][y] = Σ_x u[x,y,z]`.
-    pub col: Vec<T>,
-    /// Row checksums `a[z][x] = Σ_y u[x,y,z]`, if maintained.
-    pub row: Option<Vec<T>>,
-}
-
-impl<T: Real> ChecksumState<T> {
-    /// Compute the column checksums (and optionally the row checksums)
-    /// directly from a grid (Eqs. 2–3).
-    pub fn compute(grid: &Grid3D<T>, with_row: bool) -> Self {
-        let (nx, ny, nz) = grid.dims();
-        let mut col = vec![T::ZERO; nz * ny];
-        compute_col_into(grid, &mut col);
-        let row = with_row.then(|| {
-            let mut r = vec![T::ZERO; nz * nx];
-            compute_row_into(grid, &mut r);
-            r
-        });
-        Self {
-            nx,
-            ny,
-            nz,
-            col,
-            row,
-        }
-    }
-
-    /// Zero-initialised state with the given dimensions.
-    pub fn zeros(nx: usize, ny: usize, nz: usize, with_row: bool) -> Self {
-        Self {
-            nx,
-            ny,
-            nz,
-            col: vec![T::ZERO; nz * ny],
-            row: with_row.then(|| vec![T::ZERO; nz * nx]),
-        }
-    }
-
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    pub fn nz(&self) -> usize {
-        self.nz
-    }
-
-    /// Column checksum vector of one layer.
-    pub fn col_layer(&self, z: usize) -> &[T] {
-        &self.col[z * self.ny..(z + 1) * self.ny]
-    }
-
-    /// Row checksum vector of one layer (panics if not maintained).
-    pub fn row_layer(&self, z: usize) -> &[T] {
-        let row = self.row.as_ref().expect("row checksums not maintained");
-        &row[z * self.nx..(z + 1) * self.nx]
-    }
-}
-
-/// Compute all column checksums into a flat `[z][y]` buffer.
+/// Compute all column checksums into a flat `[z][y]` buffer: the column
+/// builder over the whole grid.
 ///
 /// Every line is summed by [`abft_num::line_sum`] — in `f64`, so that f32
 /// checksums over long lines keep their full ε = 1e-5 detection margin
 /// (§3.4 notes the approximation error grows with the domain size), and
 /// in the very order the fused sweep uses, so the two agree bitwise.
 pub fn compute_col_into<T: Real>(grid: &Grid3D<T>, out: &mut [T]) {
-    let (_, ny, nz) = grid.dims();
-    assert_eq!(out.len(), nz * ny, "column checksum buffer size");
-    for (layer, o) in grid.layers().zip(out.chunks_exact_mut(ny)) {
-        layer.col_checksums_into(o);
-    }
-}
-
-/// Compute all row checksums into a flat `[z][x]` buffer (f64-accumulated,
-/// see [`compute_col_into`]).
-pub fn compute_row_into<T: Real>(grid: &Grid3D<T>, out: &mut [T]) {
-    let (nx, _, nz) = grid.dims();
-    assert_eq!(out.len(), nz * nx, "row checksum buffer size");
-    for (layer, o) in grid.layers().zip(out.chunks_exact_mut(nx)) {
-        layer.row_checksums_into(o);
-    }
-}
-
-/// Compute the row checksums of a **single layer** into `out` (length `nx`).
-pub fn compute_row_layer_into<T: Real>(grid: &Grid3D<T>, z: usize, out: &mut [T]) {
-    grid.layer(z).row_checksums_into(out);
-}
-
-/// Compute the column checksums of a **single layer** into `out`
-/// (length `ny`).
-pub fn compute_col_layer_into<T: Real>(grid: &Grid3D<T>, z: usize, out: &mut [T]) {
-    grid.layer(z).col_checksums_into(out);
-}
-
-/// The column checksums of the `domain` box of `grid`, flat `[z][y]` over
-/// the box: each line's slice is summed by [`line_sum`] from its first
-/// cell, exactly as a grid of the box's own shape sums its lines.
-pub(crate) fn box_col_into<T: Real>(grid: &Grid3D<T>, domain: &InteriorWindow, out: &mut [T]) {
-    let (nx, ny, _) = grid.dims();
-    assert_eq!(
-        out.len(),
-        domain.z.len() * domain.y.len(),
-        "box checksum size"
-    );
-    let (ys, xs) = (&domain.y, &domain.x);
-    let lines = domain
-        .z
-        .clone()
-        .flat_map(|z| ys.clone().map(move |y| (z * ny + y) * nx));
-    for (o, line) in out.iter_mut().zip(lines) {
-        *o = T::from_f64(line_sum(&grid.as_slice()[line + xs.start..line + xs.end]));
-    }
-}
-
-/// The row checksums of layer `z` (counted within the box) of the
-/// `domain` box of `grid`, accumulated in `f64` in `y` order like
-/// [`compute_row_layer_into`].
-pub(crate) fn box_row_layer_into<T: Real>(
-    grid: &Grid3D<T>,
-    domain: &InteriorWindow,
-    z: usize,
-    out: &mut [T],
-) {
-    let (nx, ny, _) = grid.dims();
-    let mut acc = vec![0.0f64; domain.x.len()];
-    for y in domain.y.clone() {
-        let line = ((domain.z.start + z) * ny + y) * nx;
-        let cells = &grid.as_slice()[line + domain.x.start..line + domain.x.end];
-        for (a, &v) in acc.iter_mut().zip(cells) {
-            *a += v.to_f64();
-        }
-    }
-    for (o, &a) in out.iter_mut().zip(&acc) {
-        *o = T::from_f64(a);
-    }
-}
-
-/// Per-layer sums of the constant field: `c_x` and `c_y` of Theorem 1
-/// (`cb[z][y] = Σ_x C[x,y,z]`, `ca[z][x] = Σ_y C[x,y,z]`).
-pub fn constant_sums<T: Real>(
-    constant: Option<&Grid3D<T>>,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-) -> (Vec<T>, Vec<T>) {
-    match constant {
-        None => (vec![T::ZERO; nz * nx], vec![T::ZERO; nz * ny]),
-        Some(c) => {
-            assert_eq!(c.dims(), (nx, ny, nz), "constant-field dimension mismatch");
-            let LineSums { row, col } = LineSums::of(c);
-            (row, col)
-        }
-    }
+    let (nx, ny, nz) = grid.dims();
+    box_col_sums(grid, [0, 0, 0], [nx, ny, nz], out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_grid::BoundarySpec;
+    use abft_grid::{box_row_sums, BoundarySpec};
+    use abft_num::line_sum;
     use abft_stencil::{sweep, ChecksumMode, Exec, NoHook, Stencil3D, SweepHook};
+    use proptest::prelude::*;
 
     fn grid() -> Grid3D<f64> {
         Grid3D::from_fn(3, 2, 2, |x, y, z| (x + 10 * y + 100 * z) as f64)
     }
 
+    /// Every layer's row vector of the whole grid, flat `[z][x]`.
+    fn rows_of<T: Real>(g: &Grid3D<T>) -> Vec<T> {
+        let (nx, ny, nz) = g.dims();
+        let (mut lanes, mut row) = (vec![0.0; nx], vec![T::ZERO; nz * nx]);
+        for (z, r) in row.chunks_exact_mut(nx).enumerate() {
+            box_row_sums(g, [0, 0, z], [nx, ny], &mut lanes, r);
+        }
+        row
+    }
+
     #[test]
     fn column_checksums_match_eq3() {
-        let g = grid();
-        let cs = ChecksumState::compute(&g, false);
-        // b[z=0][y=0] = 0+1+2 = 3, b[0][1] = 10+11+12 = 33
-        assert_eq!(cs.col_layer(0), &[3.0, 33.0]);
-        // z=1 adds 100 per point: 303, 333
-        assert_eq!(cs.col_layer(1), &[303.0, 333.0]);
-        assert!(cs.row.is_none());
+        let mut col = [0.0; 4];
+        compute_col_into(&grid(), &mut col);
+        // b[z=0][y=0] = 0+1+2 = 3, b[0][1] = 10+11+12 = 33; z=1 adds 100
+        // per point: 303, 333
+        assert_eq!(col, [3.0, 33.0, 303.0, 333.0]);
     }
 
     #[test]
     fn row_checksums_match_eq2() {
-        let g = grid();
-        let cs = ChecksumState::compute(&g, true);
         // a[0][x] = u[x,0,0] + u[x,1,0] = x + (x+10)
-        assert_eq!(cs.row_layer(0), &[10.0, 12.0, 14.0]);
-        assert_eq!(cs.row_layer(1), &[210.0, 212.0, 214.0]);
+        assert_eq!(rows_of(&grid()), [10.0, 12.0, 14.0, 210.0, 212.0, 214.0]);
     }
 
     #[test]
     fn single_layer_helpers_agree_with_full() {
         let g = grid();
-        let cs = ChecksumState::compute(&g, true);
-        let mut row = vec![0.0; 3];
-        let mut col = vec![0.0; 2];
-        compute_row_layer_into(&g, 1, &mut row);
-        compute_col_layer_into(&g, 1, &mut col);
-        assert_eq!(&row[..], cs.row_layer(1));
-        assert_eq!(&col[..], cs.col_layer(1));
-    }
-
-    #[test]
-    fn constant_sums_zero_when_absent() {
-        let (ca, cb) = constant_sums::<f64>(None, 3, 2, 2);
-        assert!(ca.iter().all(|&v| v == 0.0));
-        assert_eq!(ca.len(), 6);
-        assert_eq!(cb.len(), 4);
-    }
-
-    #[test]
-    fn constant_sums_match_direct() {
-        let c = grid();
-        let (ca, cb) = constant_sums(Some(&c), 3, 2, 2);
-        assert_eq!(&ca[0..3], &[10.0, 12.0, 14.0]);
-        assert_eq!(&cb[2..4], &[303.0, 333.0]);
+        let mut col = [0.0; 4];
+        compute_col_into(&g, &mut col);
+        let (mut lanes, mut row_1, mut col_1) = ([0.0; 3], [0.0; 3], [0.0; 2]);
+        box_row_sums(&g, [0, 0, 1], [3, 2], &mut lanes, &mut row_1);
+        box_col_sums(&g, [0, 0, 1], [3, 2, 1], &mut col_1);
+        assert_eq!(&row_1[..], &rows_of(&g)[3..6]);
+        assert_eq!(&col_1[..], &col[2..4]);
     }
 
     /// One sweep of a `nx × 3 × 2` grid under `hook`, fused both ways,
-    /// against every way of recomputing the vectors from the result.
+    /// against the builders' vectors recomputed from the result.
     fn assert_fused_equals_recomputed<T: Real, H: SweepHook<T>>(nx: usize, hook: &H) {
         let (ny, nz) = (3, 2);
         let w = T::from_f64;
@@ -268,17 +102,15 @@ mod tests {
         });
         assert_eq!(dst, dst2, "nx {nx}: checksum mode changed the data");
 
-        let direct = ChecksumState::compute(&dst, true);
-        assert_eq!(col, direct.col, "nx {nx}: fused Col vs compute_col_into");
-        assert_eq!(
-            col2, direct.col,
-            "nx {nx}: fused RowCol vs compute_col_into"
-        );
-        assert_eq!(Some(row), direct.row, "nx {nx}: fused vs compute_row_into");
+        let mut direct = vec![T::ZERO; nz * ny];
+        compute_col_into(&dst, &mut direct);
+        assert_eq!(col, direct, "nx {nx}: fused Col vs compute_col_into");
+        assert_eq!(col2, direct, "nx {nx}: fused RowCol vs compute_col_into");
+        assert_eq!(row, rows_of(&dst), "nx {nx}: fused vs box_row_sums");
         for z in 0..nz {
             let mut layer = vec![T::ZERO; ny];
-            compute_col_layer_into(&dst, z, &mut layer);
-            assert_eq!(layer, direct.col_layer(z), "nx {nx}, layer {z}");
+            box_col_sums(&dst, [0, 0, z], [nx, ny, 1], &mut layer);
+            assert_eq!(layer, direct[z * ny..(z + 1) * ny], "nx {nx}, layer {z}");
         }
     }
 
@@ -310,10 +142,108 @@ mod tests {
         fused_equals_recomputed_at_every_width::<f64>();
     }
 
-    #[test]
-    #[should_panic]
-    fn row_layer_panics_when_not_maintained() {
-        let cs = ChecksumState::<f64>::compute(&grid(), false);
-        let _ = cs.row_layer(0);
+    /// `[start, len]` on axis `a` of `n` cells for box `shape` (0 the
+    /// whole grid, 1 one x-line, 2 one column along y, else any box),
+    /// drawn from `seed`.
+    fn axis(shape: usize, a: usize, n: usize, seed: u64) -> [usize; 2] {
+        let h = seed
+            .rotate_left(17 * a as u32)
+            .wrapping_mul(0xD6E8FEB86659FD93)
+            >> 8;
+        let start = (h % n as u64) as usize;
+        let len = 1 + ((h >> 20) % (n - start) as u64) as usize;
+        match (shape, a) {
+            (0, _) => [0, n],
+            (1, 1 | 2) | (2, 0 | 2) => [start, 1],
+            _ => [start, len],
+        }
+    }
+
+    fn bits<T: Real>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|c| c.to_f64().to_bits()).collect()
+    }
+
+    /// The builders over box `shape` of a drawn grid, bitwise against
+    /// their definitions; then both over the whole swept grid against the
+    /// sweep's fused `RowCol` vectors.
+    fn builders_match_definitions<T: Real>(
+        n: [usize; 3],
+        shape: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let w = T::from_f64;
+        let src = Grid3D::from_fn(n[0], n[1], n[2], |x, y, z| {
+            let h = seed.wrapping_add((x + 71 * y + 997 * z) as u64);
+            w((h.wrapping_mul(0x9E3779B97F4A7C15) >> 11) as f64 / (1u64 << 40) as f64 - 2.0e3)
+        });
+        let [[x0, lx], [y0, ly], [z0, lz]] = std::array::from_fn(|a| axis(shape, a, n[a], seed));
+        let ctx = format!("box {:?} at {:?} of {n:?}", [lx, ly, lz], [x0, y0, z0]);
+
+        let mut col = vec![T::ZERO; lz * ly];
+        box_col_sums(&src, [x0, y0, z0], [lx, ly, lz], &mut col);
+        let g = &src;
+        let lines = (z0..z0 + lz).flat_map(|z| (y0..y0 + ly).map(move |y| g.idx(x0, y, z)));
+        let expect: Vec<T> = lines
+            .map(|l| T::from_f64(line_sum(&src.as_slice()[l..l + lx])))
+            .collect();
+        prop_assert_eq!(bits(&col), bits(&expect), "column vector; {}", ctx);
+
+        let (mut lanes, mut row) = (vec![0.0; lx], vec![T::ZERO; lx]);
+        for z in z0..z0 + lz {
+            box_row_sums(&src, [x0, y0, z], [lx, ly], &mut lanes, &mut row);
+            let fold = |x| (y0..y0 + ly).fold(0.0, |a, y| a + src.at(x, y, z).to_f64());
+            let expect: Vec<T> = (x0..x0 + lx).map(|x| T::from_f64(fold(x))).collect();
+            prop_assert_eq!(
+                bits(&row),
+                bits(&expect),
+                "layer {}'s row vector; {}",
+                z,
+                ctx
+            );
+        }
+
+        let mut dst = Grid3D::zeros(n[0], n[1], n[2]);
+        let mut fused_row = vec![T::ZERO; n[2] * n[0]];
+        let mut fused_col = vec![T::ZERO; n[2] * n[1]];
+        sweep(
+            &src,
+            &mut dst,
+            &Stencil3D::seven_point(w(0.4), w(0.11), w(0.09), w(0.1)),
+            &BoundarySpec::clamp(),
+            None,
+            &NoHook,
+            ChecksumMode::RowCol {
+                row: &mut fused_row,
+                col: &mut fused_col,
+            },
+            Exec::Serial,
+        );
+        let mut direct = vec![T::ZERO; n[2] * n[1]];
+        compute_col_into(&dst, &mut direct);
+        prop_assert_eq!(bits(&direct), bits(&fused_col), "whole column vector");
+        prop_assert_eq!(bits(&rows_of(&dst)), bits(&fused_row), "whole row vectors");
+        Ok(())
+    }
+
+    proptest! {
+        /// Random grids and boxes (the whole grid, one x-line, one column
+        /// along y, any box), `f32` and `f64`: each column entry is the
+        /// `line_sum` of its box line, each row entry the `y`-order `f64`
+        /// fold of its box column, and over a swept whole grid both are
+        /// the sweep's fused vectors, all bitwise.
+        #[test]
+        fn box_builders_match_their_definitions_bitwise(
+            dims in (2usize..70, 2usize..10, 2usize..5),
+            shape in 0usize..4,
+            seed in any::<u64>(),
+            wide in any::<bool>(),
+        ) {
+            let dims = [dims.0, dims.1, dims.2];
+            if wide {
+                builders_match_definitions::<f64>(dims, shape, seed)?;
+            } else {
+                builders_match_definitions::<f32>(dims, shape, seed)?;
+            }
+        }
     }
 }

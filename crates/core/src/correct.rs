@@ -77,7 +77,16 @@ pub fn correct_layer<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_grid::Grid3D;
+    use abft_grid::{box_col_sums, box_row_sums, Grid3D};
+
+    /// The row and column checksum vectors of a one-layer grid.
+    fn sums(g: &Grid3D<f64>) -> (Vec<f64>, Vec<f64>) {
+        let (nx, ny, _) = g.dims();
+        let (mut lanes, mut row, mut col) = (vec![0.0; nx], vec![0.0; nx], vec![0.0; ny]);
+        box_row_sums(g, [0, 0, 0], [nx, ny], &mut lanes, &mut row);
+        box_col_sums(g, [0, 0, 0], [nx, ny, 1], &mut col);
+        (row, col)
+    }
 
     /// Build a layer, corrupt one point, run Eq. 10, and check exact
     /// recovery (both recoveries agree, so the average is exact).
@@ -87,16 +96,14 @@ mod tests {
         // True checksums of the *clean* data play the role of the
         // interpolated vectors (Theorem 2: interpolation reproduces the
         // clean checksums).
-        let interp_row: Vec<f64> = (0..4).map(|x| g.layer(0).sum_along_y(x)).collect();
-        let interp_col: Vec<f64> = (0..3).map(|y| g.layer(0).sum_along_x(y)).collect();
+        let (interp_row, interp_col) = sums(&g);
 
         // Corrupt (2, 1): 12 -> 512.
         let truth = g.at(2, 1, 0);
         g.set(2, 1, 0, 512.0);
 
         // Computed checksums over the corrupted data.
-        let mut comp_row: Vec<f64> = (0..4).map(|x| g.layer(0).sum_along_y(x)).collect();
-        let mut comp_col: Vec<f64> = (0..3).map(|y| g.layer(0).sum_along_x(y)).collect();
+        let (mut comp_row, mut comp_col) = sums(&g);
 
         let mut layer = g.layer_mut(0);
         let ev = correct_layer(
@@ -118,11 +125,9 @@ mod tests {
     #[test]
     fn checksums_are_repaired() {
         let mut g = Grid3D::from_fn(4, 3, 1, |x, y, _| (x + y) as f64);
-        let interp_row: Vec<f64> = (0..4).map(|x| g.layer(0).sum_along_y(x)).collect();
-        let interp_col: Vec<f64> = (0..3).map(|y| g.layer(0).sum_along_x(y)).collect();
+        let (interp_row, interp_col) = sums(&g);
         g.set(1, 2, 0, -100.0);
-        let mut comp_row: Vec<f64> = (0..4).map(|x| g.layer(0).sum_along_y(x)).collect();
-        let mut comp_col: Vec<f64> = (0..3).map(|y| g.layer(0).sum_along_x(y)).collect();
+        let (mut comp_row, mut comp_col) = sums(&g);
 
         let mut layer = g.layer_mut(0);
         let _ = correct_layer(

@@ -45,7 +45,7 @@
 //! per-output, per-tap loop drawn over every boundary kind.
 
 use crate::phantom::StripSet;
-use abft_grid::{copy_box, AxisHit, Boundary, BoundarySpec, Grid3D, NoGhosts};
+use abft_grid::{box_row_sums, copy_box, AxisHit, Boundary, BoundarySpec, Grid3D, NoGhosts};
 use abft_num::{line_sum, Real};
 use abft_stencil::{
     sweep_region, ChecksumMode, Exec, InteriorWindow, LineSums, NoHook, Stencil3D, StencilSim,
@@ -302,7 +302,7 @@ pub struct Interpolator<T> {
     stencil: Stencil3D<T>,
     /// Constant sums `c_x` (`row`, flat `[z][x]`) and `c_y` (`col`, flat
     /// `[z][y]`) over the box; `None` without a constant field.
-    constant_sums: Option<Arc<LineSums<T>>>,
+    c_sums: Option<Arc<LineSums<T>>>,
     /// The box's geometry, resolved.
     plan: Arc<ColPlan<T>>,
     fast_x: bool,
@@ -381,7 +381,7 @@ impl<T: Real> Interpolator<T> {
 
     fn placed(
         stencil: &Stencil3D<T>,
-        constant_sums: Option<Arc<LineSums<T>>>,
+        c_sums: Option<Arc<LineSums<T>>>,
         plan: Arc<ColPlan<T>>,
     ) -> Self {
         assert!(
@@ -396,7 +396,7 @@ impl<T: Real> Interpolator<T> {
         let fast_y =
             stencil.extent_y() == 0 || n[1] == grid[1] && !needs_strips_y(stencil, &plan.bounds[1]);
         let planes = if fast_x { 1 } else { 1 + plan.betas.len() };
-        let top = (planes + usize::from(constant_sums.is_some()) - 1) as isize;
+        let top = (planes + usize::from(c_sums.is_some()) - 1) as isize;
         let taps = stencil.taps().iter().map(|t| {
             let plane = match fast_x || t.di == 0 {
                 true => 0,
@@ -408,7 +408,7 @@ impl<T: Real> Interpolator<T> {
             sweep: Stencil3D::from_tuples(&taps.collect::<Vec<_>>()),
             planes,
             stencil: stencil.clone(),
-            constant_sums,
+            c_sums,
             plan,
             fast_x,
             fast_y,
@@ -445,7 +445,7 @@ impl<T: Real> Interpolator<T> {
     /// A [`Frame`] for this box: its source planes, then `c_y`'s if any.
     pub(crate) fn frame(&self) -> Frame {
         let ([_, ny, nz], [_, ey, ez]) = (self.plan.n, self.plan.extent);
-        let planes = self.planes + usize::from(self.constant_sums.is_some());
+        let planes = self.planes + usize::from(self.c_sums.is_some());
         let lines = Grid3D::zeros(ny + 2 * ey, nz + 2 * ez, planes);
         Frame {
             swept: lines.clone(),
@@ -497,7 +497,7 @@ impl<T: Real> Interpolator<T> {
         let Frame { lines, swept } = frame;
         let (area, top) = (p.area(), lines.nz() - 1);
         assert_eq!(lines.len(), (top + 1) * area, "a frame of another box");
-        let cb = self.constant_sums.as_deref().map(|s| &s.col[..]);
+        let cb = self.c_sums.as_deref().map(|s| &s.col[..]);
         let frame = lines.as_mut_slice();
 
         // Plane 0: the box's lines, then those past it; `c_y` on the last.
@@ -581,7 +581,7 @@ impl<T: Real> Interpolator<T> {
         let [nx, ny, nz] = self.plan.n;
         assert_eq!(row_t.len(), nz * nx, "row_t length");
         assert_eq!(out.len(), nx, "out layer length");
-        let ca = self.constant_sums.as_deref().map(|s| &s.row[..]);
+        let ca = self.c_sums.as_deref().map(|s| &s.row[..]);
         for (x, o) in out.iter_mut().enumerate() {
             let mut acc = ca.map_or(0.0, |c| c[z * nx + x].to_f64());
             for tap in self.stencil.taps() {
@@ -617,8 +617,8 @@ impl<T: Real> Interpolator<T> {
 
     /// Phantom row-checksum entry `Σ_y u[x, y, zq]` over the box's
     /// y-range for grid column `x`: its `row_t` entry when `(x, zq)`
-    /// resolves into the box, else the grid's cells summed in `f64` in
-    /// `y` order, as the box's own rows are.
+    /// resolves into the box, else the row builder's entry for that grid
+    /// column, as the box's own rows are summed.
     fn phantom_row(&self, row_t: &[T], x: usize, zq: isize, source: &StripSet<'_, T>) -> T {
         let p = &*self.plan;
         let [nx, ny, _] = p.n;
@@ -627,9 +627,10 @@ impl<T: Real> Interpolator<T> {
             AxisHit::In(z) => match (p.local(0, x), p.local(2, z)) {
                 (Some(xl), Some(zl)) => row_t[zl * nx + xl],
                 _ => {
-                    let ys = p.origin[1]..p.origin[1] + ny;
-                    let g = pad(source);
-                    T::from_f64(ys.fold(0.0, |acc, y| acc + g.at(x, y, z).to_f64()))
+                    let (mut lane, mut sum) = ([0.0], [T::ZERO]);
+                    let column = [x, p.origin[1], z];
+                    box_row_sums(pad(source), column, [1, ny], &mut lane, &mut sum);
+                    sum[0]
                 }
             },
         }
@@ -673,9 +674,8 @@ fn pad<'a, T>(source: &StripSet<'a, T>) -> &'a Grid3D<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::box_col_into;
-    use crate::checksum::ChecksumState;
     use crate::phantom::capture_all_layers;
+    use abft_grid::box_col_sums;
     use abft_stencil::{sweep, ChecksumMode, Exec, NoHook};
     use proptest::prelude::*;
 
@@ -710,8 +710,8 @@ mod tests {
             Exec::Serial,
         );
 
-        let cs_t = ChecksumState::compute(&src, true);
-        let cs_t1 = ChecksumState::compute(&dst, true);
+        let cs_t = LineSums::of(&src);
+        let cs_t1 = LineSums::of(&dst);
 
         let interp = Interpolator::new(&stencil, &bounds, constant.as_ref(), dims);
         let strips;
@@ -726,8 +726,7 @@ mod tests {
         let mut col_i = vec![0.0; nz * ny];
         let mut row_i = vec![0.0; nz * nx];
         interp.interpolate_col(&cs_t.col, &source, &NoGhosts, &mut col_i);
-        let row_t = cs_t.row.as_ref().unwrap();
-        interp.interpolate_row(row_t, &source, &mut row_i);
+        interp.interpolate_row(&cs_t.row, &source, &mut row_i);
 
         for (k, (&a, &b)) in col_i.iter().zip(&cs_t1.col).enumerate() {
             assert!(
@@ -735,8 +734,7 @@ mod tests {
                 "col mismatch at {k}: interpolated {a} vs computed {b} ({bounds:?})"
             );
         }
-        let row_t1 = cs_t1.row.as_ref().unwrap();
-        for (k, (&a, &b)) in row_i.iter().zip(row_t1).enumerate() {
+        for (k, (&a, &b)) in row_i.iter().zip(&cs_t1.row).enumerate() {
             assert!(
                 (a - b).abs() < 1e-9,
                 "row mismatch at {k}: interpolated {a} vs computed {b} ({bounds:?})"
@@ -903,7 +901,7 @@ mod tests {
     /// times the weight.
     fn per_tap<T: Real>(interp: &Interpolator<T>, col_t: &[T], source: &StripSet<'_, T>) -> Vec<T> {
         let [_, ny, nz] = interp.plan.n;
-        let cb = interp.constant_sums.as_deref().map(|s| &s.col[..]);
+        let cb = interp.c_sums.as_deref().map(|s| &s.col[..]);
         let mut out = Vec::with_capacity(nz * ny);
         for z in 0..nz {
             for y in 0..ny {
@@ -980,7 +978,7 @@ mod tests {
         };
         let interp = Interpolator::for_box(&sim, &window);
         let mut col_t = vec![T::ZERO; n[2] * n[1]];
-        box_col_into(sim.current(), &window, &mut col_t);
+        box_col_sums(sim.current(), origin, n, &mut col_t);
         let source = StripSet::Grid(sim.current());
         let mut got = vec![T::ZERO; n[2] * n[1]];
         interp.interpolate_col(&col_t, &source, &NoGhosts, &mut got);
@@ -996,7 +994,7 @@ mod tests {
         }
         sim.step();
         let mut swept = vec![T::ZERO; n[2] * n[1]];
-        box_col_into(sim.current(), &window, &mut swept);
+        box_col_sums(sim.current(), origin, n, &mut swept);
         let weights: f64 = taps.iter().map(|t| t.3.to_f64().abs()).sum();
         let tol = 64.0 * T::EPS.to_f64() * n[0] as f64 * 10.0 * (1.0 + weights);
         for (i, (g, s)) in got.iter().zip(&swept).enumerate() {

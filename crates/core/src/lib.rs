@@ -59,10 +59,7 @@ mod online;
 mod phantom;
 mod report;
 
-pub use checksum::{
-    compute_col_into, compute_col_layer_into, compute_row_into, compute_row_layer_into,
-    constant_sums, ChecksumState,
-};
+pub use checksum::compute_col_into;
 pub use config::{AbftConfig, MultiErrorPolicy};
 pub use correct::{correct_layer, CorrectionEvent};
 pub use detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis, Mismatch};

@@ -16,7 +16,6 @@
 //! window widens it to the window's lines and narrows the verified
 //! vector back.
 
-use crate::checksum::{box_col_into, box_row_layer_into};
 use crate::config::{AbftConfig, MultiErrorPolicy};
 use crate::correct::{correct_layer, CorrectionEvent};
 use crate::detect::{
@@ -25,7 +24,7 @@ use crate::detect::{
 use crate::interpolate::{ColPlan, Frame, Interpolator};
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
-use abft_grid::Grid3D;
+use abft_grid::{box_col_sums, box_row_sums, Grid3D};
 use abft_num::{line_sum, Real};
 use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
 use std::sync::Arc;
@@ -113,6 +112,9 @@ pub struct OnlineAbft<T> {
     row_t: Vec<T>,
     row_comp: Vec<T>,
     row_interp: Vec<T>,
+    /// The row builder's `f64` lanes, sized for the largest box on the
+    /// first flagged layer (a clean run never builds a row).
+    row_lanes: Vec<f64>,
     stats: ProtectorStats,
 }
 
@@ -181,7 +183,7 @@ impl<T: Real> OnlineAbft<T> {
         let lines = |d: &InteriorWindow| d.z.len() * d.y.len();
         let rows = |d: &InteriorWindow| d.z.len() * d.x.len();
         let mut col_t = vec![T::ZERO; lines(brick)];
-        box_col_into(sim.current(), brick, &mut col_t);
+        box_col_sums(sim.current(), brick.origin(), brick.dims(), &mut col_t);
         let fused_in_grid = brick.x == grid.x && windows != [grid.clone()];
         let grid_lines = usize::from(fused_in_grid) * lines(&grid);
         let widened = usize::from(windows.len() > 1) * lines(largest);
@@ -199,6 +201,7 @@ impl<T: Real> OnlineAbft<T> {
             row_t: vec![T::ZERO; rows(largest)],
             row_comp: vec![T::ZERO; rows(largest)],
             row_interp: vec![T::ZERO; rows(largest)],
+            row_lanes: Vec::new(),
             stats: ProtectorStats::default(),
         }
     }
@@ -313,7 +316,7 @@ impl<T: Real> OnlineAbft<T> {
         let d = self.boxes[b].0.clone();
         let n = d.z.len() * d.y.len();
         if !fused {
-            box_col_into(sim.current(), &d, &mut self.col_comp[..n]);
+            box_col_sums(sim.current(), d.origin(), d.dims(), &mut self.col_comp[..n]);
         } else if !self.col_grid.is_empty() {
             lines_of(&self.col_grid, &self.grid, &d, &mut self.col_comp[..n]);
         }
@@ -375,7 +378,7 @@ impl<T: Real> OnlineAbft<T> {
         } else if d.x == brick.x {
             lines_of(&self.col_comp, d, brick, &mut self.col_t);
         } else {
-            box_col_into(current, brick, &mut self.col_t);
+            box_col_sums(current, brick.origin(), brick.dims(), &mut self.col_t);
         }
     }
 
@@ -424,13 +427,18 @@ impl<T: Real> OnlineAbft<T> {
             .collect();
         sources.sort_unstable();
         sources.dedup();
+        let largest = &self.boxes.last().expect("a box").0;
+        self.row_lanes.resize(largest.x.len(), 0.0);
+        let lanes = &mut self.row_lanes[..nx];
+        let [x0, y0, z0] = domain.origin();
         let row_t = &mut self.row_t[..nz * nx];
         for z in sources {
-            box_row_layer_into(sim.previous(), domain, z, &mut row_t[z * nx..(z + 1) * nx]);
+            let out = &mut row_t[z * nx..(z + 1) * nx];
+            box_row_sums(sim.previous(), [x0, y0, z0 + z], [nx, ny], lanes, out);
         }
         for &(z, _) in &flagged {
             let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
-            box_row_layer_into(sim.current(), domain, z, layer);
+            box_row_sums(sim.current(), [x0, y0, z0 + z], [nx, ny], lanes, layer);
             let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
             interp.interpolate_row_layer(z, row_t, &source, layer);
         }
@@ -518,9 +526,9 @@ impl<T: Real> OnlineAbft<T> {
     /// by recomputing it. Eq. 10 ([`correct_layer`]) gives the estimate;
     /// the repair then sweeps the cell again from the time-`t` grid, which
     /// gives bitwise the value a clean sweep writes there, and re-sums its
-    /// column line with [`line_sum`] and its row as the row side sums it,
-    /// so the vectors describe the repaired data exactly (a second repair
-    /// in the layer reads them).
+    /// box line and box column with the builders ([`box_col_sums`],
+    /// [`box_row_sums`]), so the vectors describe the repaired data
+    /// exactly (a second repair in the layer reads them).
     ///
     /// The location is checked against the recomputed value: each of
     /// Eq. 10's two recoveries, through the row and through the column,
@@ -560,17 +568,12 @@ impl<T: Real> OnlineAbft<T> {
             z: cz..cz + 1,
         };
         sim.sweep_again(&cell);
-        ev.new = sim.current().at(cx, cy, cz);
-        let line = InteriorWindow {
-            x: d.x.clone(),
-            ..cell.clone()
-        };
-        box_col_into(sim.current(), &line, &mut self.col_comp[col..=col]);
-        let column = InteriorWindow {
-            y: d.y.clone(),
-            ..cell
-        };
-        box_row_layer_into(sim.current(), &column, 0, &mut self.row_comp[row..=row]);
+        let grid = sim.current();
+        ev.new = grid.at(cx, cy, cz);
+        let line = &mut self.col_comp[col..=col];
+        box_col_sums(grid, [d.x.start, cy, cz], [nx, 1, 1], line);
+        let (lane, column) = (&mut self.row_lanes[..1], &mut self.row_comp[row..=row]);
+        box_row_sums(grid, [cx, d.y.start, cz], [1, ny], lane, column);
         let (epsilon, floor) = (self.cfg.epsilon, self.cfg.abs_floor);
         let passes = |interp: &[T], comp: &[T], i: usize| {
             compare_vectors(&interp[i..=i], &comp[i..=i], epsilon, floor).is_empty()
@@ -589,16 +592,10 @@ impl<T: Real> OnlineAbft<T> {
     /// swept data.
     fn refresh_layer(&mut self, sim: &StencilSim<T>, b: usize, z: usize) {
         let d = &self.boxes[b].0;
-        let ny = d.y.len();
-        let layer = InteriorWindow {
-            z: d.z.start + z..d.z.start + z + 1,
-            ..d.clone()
-        };
-        box_col_into(
-            sim.current(),
-            &layer,
-            &mut self.col_comp[z * ny..(z + 1) * ny],
-        );
+        let [nx, ny, _] = d.dims();
+        let [x0, y0, z0] = d.origin();
+        let out = &mut self.col_comp[z * ny..(z + 1) * ny];
+        box_col_sums(sim.current(), [x0, y0, z0 + z], [nx, ny, 1], out);
     }
 }
 
@@ -985,7 +982,7 @@ mod tests {
             reference.step();
             if outcome.is_clean() {
                 let mut expect = vec![0.0; len[2] * len[1]];
-                box_col_into(sim.current(), &brick, &mut expect);
+                box_col_sums(sim.current(), brick.origin(), brick.dims(), &mut expect);
                 let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(abft.col_checksums()),

@@ -401,7 +401,7 @@ fn kill_specs_are_validated_up_front() {
 /// on a mid-epoch sweep of one rank plus a later kill of another. The
 /// flip is repaired in place before the kill's rollback, the rollback
 /// lands on an exchange-aligned epoch (so the decayed shells rebuild
-/// cleanly), and the job converges to the fault-free trajectory.
+/// cleanly), and the job ends bitwise on the fault-free grid.
 #[test]
 fn mixed_flip_and_kill_recover_with_deep_halos() {
     for mode in [HaloMode::Pipelined, HaloMode::Snapshot] {
@@ -425,8 +425,7 @@ fn mixed_flip_and_kill_recover_with_deep_halos() {
             .with_mode(mode);
         let rep = run(&cfg, &BoundarySpec::clamp());
         let ctx = format!("{mode:?}");
-        let diff = rep.global.max_abs_diff(&expect);
-        assert!(diff < 1e-9, "residual error {diff:.3e} at {ctx}");
+        assert_eq!(rep.global, expect, "{ctx}");
         assert_eq!(rep.recovery.rank_losses, 1, "{ctx}");
         assert!(rep.recovery.rollbacks >= 1, "{ctx}");
         // The flip fired exactly once: it was repaired at t = 3, and the
@@ -487,10 +486,10 @@ proptest! {
     /// skew cross checkpoint boundaries under tight periods. Every sweep
     /// is verified, and at `k > 1` the rollback lands on an exchange
     /// boundary, whose first post rebuilds the ghost shell the snapshot
-    /// does not hold. Kill-only storms must replay to the fault-free grid
-    /// **bitwise**; mixed storms, whose flips Eq. 10 repairs in place
-    /// mid-epoch, stay within its reconstruction residual. A storm that
-    /// ends in any `DistError` fails the test.
+    /// does not hold. Every storm must replay to the fault-free grid
+    /// **bitwise**, mixed ones too: a flip is located by Eq. 10 and
+    /// repaired by recomputing the cell. A storm that ends in any
+    /// `DistError` fails the test.
     #[test]
     fn seeded_flip_and_kill_storms_always_recover(
         slabs in any::<bool>(),
@@ -519,12 +518,7 @@ proptest! {
         }
         let rep = run(&cfg, &BoundarySpec::clamp());
         let expect = reference((rx, ry, 1), &BoundarySpec::clamp(), mode);
-        if mixed {
-            let diff = rep.global.max_abs_diff(&expect);
-            prop_assert!(diff < 1e-9, "residual {:.3e}", diff);
-        } else {
-            prop_assert_eq!(&rep.global, &expect);
-        }
+        prop_assert_eq!(&rep.global, &expect);
         prop_assert_eq!(rep.recovery.rank_losses, 1);
         prop_assert!(rep.recovery.rollbacks >= 1);
     }

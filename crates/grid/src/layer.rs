@@ -1,6 +1,6 @@
 //! Borrowed views of a single `z`-layer.
 
-use abft_num::{line_sum, Real};
+use abft_num::Real;
 
 /// Shared view of one `nx × ny` layer (`x` contiguous).
 #[derive(Debug, Clone, Copy)]
@@ -50,41 +50,6 @@ impl<'a, T: Real> LayerRef<'a, T> {
     pub fn column_x(&self, x: usize) -> Vec<T> {
         assert!(x < self.nx);
         (0..self.ny).map(|y| self.at(x, y)).collect()
-    }
-
-    /// Row checksum entry: `a_x = Σ_y u[x,y]` (paper Eq. 2).
-    pub fn sum_along_y(&self, x: usize) -> T {
-        (0..self.ny).map(|y| self.at(x, y)).sum()
-    }
-
-    /// Column checksum entry: `b_y = Σ_x u[x,y]` (paper Eq. 3).
-    pub fn sum_along_x(&self, y: usize) -> T {
-        self.line_y(y).iter().copied().sum()
-    }
-
-    /// The layer's column checksum vector `b` (length `ny`), each line
-    /// summed by [`abft_num::line_sum`] — the summation the fused sweep
-    /// uses, so a recomputed vector equals a fused one bitwise.
-    pub fn col_checksums_into(&self, out: &mut [T]) {
-        assert_eq!(out.len(), self.ny, "column checksum layer buffer size");
-        for (o, line) in out.iter_mut().zip(self.data.chunks_exact(self.nx)) {
-            *o = T::from_f64(line_sum(line));
-        }
-    }
-
-    /// The layer's row checksum vector `a` (length `nx`), accumulated in
-    /// `f64` line by line in `y` order, as the fused sweep does.
-    pub fn row_checksums_into(&self, out: &mut [T]) {
-        assert_eq!(out.len(), self.nx, "row checksum layer buffer size");
-        let mut acc = vec![0.0f64; self.nx];
-        for line in self.data.chunks_exact(self.nx) {
-            for (a, &v) in acc.iter_mut().zip(line) {
-                *a += v.to_f64();
-            }
-        }
-        for (o, &a) in out.iter_mut().zip(&acc) {
-            *o = T::from_f64(a);
-        }
     }
 }
 
@@ -151,6 +116,7 @@ impl<'a, T: Real> LayerMut<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{box_col_sums, box_row_sums, Grid3D};
 
     fn layer_data() -> Vec<f64> {
         // 3 × 2 layer: values x + 10y
@@ -168,23 +134,26 @@ mod tests {
 
     #[test]
     fn checksum_sums_match_paper_equations() {
-        let d = layer_data();
-        let l = LayerRef::from_slice(&d, 3, 2);
-        // a_x = Σ_y u[x,y]
-        assert_eq!(l.sum_along_y(0), 10.0);
-        assert_eq!(l.sum_along_y(2), 14.0);
-        // b_y = Σ_x u[x,y]
-        assert_eq!(l.sum_along_x(0), 3.0);
-        assert_eq!(l.sum_along_x(1), 33.0);
+        let g = Grid3D::from_vec(3, 2, 1, layer_data());
+        let (mut lane, mut a, mut b) = ([0.0], [0.0], [0.0]);
+        // a_x = Σ_y u[x,y]: the row vector of the one-column box at x
+        box_row_sums(&g, [0, 0, 0], [1, 2], &mut lane, &mut a);
+        assert_eq!(a, [10.0]);
+        box_row_sums(&g, [2, 0, 0], [1, 2], &mut lane, &mut a);
+        assert_eq!(a, [14.0]);
+        // b_y = Σ_x u[x,y]: the column vector of the one-line box at y
+        box_col_sums(&g, [0, 0, 0], [3, 1, 1], &mut b);
+        assert_eq!(b, [3.0]);
+        box_col_sums(&g, [0, 1, 0], [3, 1, 1], &mut b);
+        assert_eq!(b, [33.0]);
     }
 
     #[test]
     fn checksum_vectors_match_the_entry_sums() {
-        let d = layer_data();
-        let l = LayerRef::from_slice(&d, 3, 2);
-        let (mut row, mut col) = ([0.0; 3], [0.0; 2]);
-        l.row_checksums_into(&mut row);
-        l.col_checksums_into(&mut col);
+        let g = Grid3D::from_vec(3, 2, 1, layer_data());
+        let (mut lanes, mut row, mut col) = ([0.0; 3], [0.0; 3], [0.0; 2]);
+        box_row_sums(&g, [0, 0, 0], [3, 2], &mut lanes, &mut row);
+        box_col_sums(&g, [0, 0, 0], [3, 2, 1], &mut col);
         assert_eq!(row, [10.0, 12.0, 14.0]);
         assert_eq!(col, [3.0, 33.0]);
     }
@@ -195,7 +164,7 @@ mod tests {
         let mut l = LayerMut::from_slice(&mut d, 3, 2);
         l.set(0, 1, -1.0);
         assert_eq!(l.at(0, 1), -1.0);
-        assert_eq!(l.as_ref().sum_along_x(1), 22.0);
+        assert_eq!(l.as_ref().line_y(1), &[-1.0, 11.0, 12.0]);
         l.line_y_mut(0).fill(5.0);
         assert_eq!(l.at(2, 0), 5.0);
     }

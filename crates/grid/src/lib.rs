@@ -18,7 +18,9 @@
 //! * [`Boundary`] / [`BoundarySpec`] — per-axis boundary behaviour with
 //!   pure index resolution ([`Boundary::resolve`]);
 //! * [`BoundaryStrips`] — copies of the near-boundary lines of a layer that
-//!   feed the α/β correction terms of Theorem 1.
+//!   feed the α/β correction terms of Theorem 1;
+//! * [`box_col_sums`] / [`box_row_sums`] — the checksum vectors `b` and `a`
+//!   of a box of a grid, each in its one summation order.
 
 mod boundary;
 mod buffer;
@@ -27,9 +29,11 @@ mod grid2d;
 mod grid3d;
 mod layer;
 mod strips;
+mod sums;
 
 pub use boundary::{AxisHit, Boundary, BoundarySpec, NoGhosts};
 pub use buffer::DoubleBuffer;
 pub use grid3d::{copy_box, Grid3D};
 pub use layer::{LayerMut, LayerRef};
 pub use strips::BoundaryStrips;
+pub use sums::{box_col_sums, box_row_sums};

@@ -13,7 +13,7 @@ mod sum;
 mod ulp;
 
 pub use real::Real;
-pub use sum::line_sum;
+pub use sum::{add_line, line_sum};
 pub use ulp::{max_abs, relative_error, ulp_distance};
 
 #[cfg(test)]

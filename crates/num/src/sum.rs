@@ -1,4 +1,9 @@
-//! The one summation order of every checksum line in the workspace.
+//! The one summation order of every checksum line in the workspace: a
+//! column entry `b` (Eq. 3) is the [`line_sum`] of its x-line, and a row
+//! vector `a` (Eq. 2) adds its layer's x-lines into `f64` lanes one by
+//! one in `y` order with [`add_line`]. The fused sweep, the box builders
+//! in `abft-grid` and the interpolation's phantom lines all sum through
+//! these two, so "fused ≡ recomputed" holds bitwise by construction.
 
 use crate::Real;
 
@@ -10,12 +15,10 @@ const LANES: usize = 16;
 /// into 16 partial sums, which are folded pairwise, and the remaining
 /// `len % 16` elements are then added one by one.
 ///
-/// This is *the* definition of a checksum line sum: the fused sweep, the
-/// direct recomputation in `abft-core` and the constant-field sums all
-/// call it, so "fused ≡ recomputed" holds bitwise by construction.
-/// Accumulating in `f64` keeps an `f32` line's sum within one rounding of
-/// exact whatever its length; splitting it into lanes shortens every
-/// dependent add chain 16-fold, which only tightens that further.
+/// This is *the* definition of a column checksum entry. Accumulating in
+/// `f64` keeps an `f32` line's sum within one rounding of exact whatever
+/// its length; splitting it into lanes shortens every dependent add chain
+/// 16-fold, which only tightens that further.
 ///
 /// Always inlined, so that the sweep's AVX2 instance sums its rows in
 /// AVX2 code too; the order is in the source, so any instance gives the
@@ -40,4 +43,20 @@ pub fn line_sum<T: Real>(line: &[T]) -> f64 {
         .remainder()
         .iter()
         .fold(lanes[0], |sum, &v| sum + v.to_f64())
+}
+
+/// Add one line element-wise into per-element `f64` lanes:
+/// `acc[i] += line[i]`.
+///
+/// This is *the* definition of a row checksum vector's order: the lanes
+/// start at zero and take a layer's x-lines one call each, in `y` order,
+/// so each lane is the sequential `f64` sum of its column. Always
+/// inlined, like [`line_sum`], because the sweep's AVX2 instance calls it
+/// per output row.
+#[inline(always)]
+pub fn add_line<T: Real>(acc: &mut [f64], line: &[T]) {
+    debug_assert_eq!(acc.len(), line.len(), "one lane per element");
+    for (a, &v) in acc.iter_mut().zip(line) {
+        *a += v.to_f64();
+    }
 }

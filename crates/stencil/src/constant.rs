@@ -1,7 +1,7 @@
 //! The per-cell constant term `C` of Eq. 1, shared between the clones of a
 //! simulation together with its Theorem 1 line sums.
 
-use abft_grid::Grid3D;
+use abft_grid::{box_col_sums, box_row_sums, Grid3D};
 use abft_num::Real;
 use std::sync::{Arc, OnceLock};
 
@@ -15,19 +15,17 @@ pub struct LineSums<T> {
 }
 
 impl<T: Real> LineSums<T> {
-    /// Sum every line of `grid`.
+    /// Sum every line of `grid` with the box builders, the whole grid
+    /// as the box.
     pub fn of(grid: &Grid3D<T>) -> Self {
         let (nx, ny, nz) = grid.dims();
         let mut row = vec![T::ZERO; nz * nx];
         let mut col = vec![T::ZERO; nz * ny];
-        for ((layer, r), c) in grid
-            .layers()
-            .zip(row.chunks_exact_mut(nx))
-            .zip(col.chunks_exact_mut(ny))
-        {
-            layer.row_checksums_into(r);
-            layer.col_checksums_into(c);
+        let mut lanes = vec![0.0; nx];
+        for (z, r) in row.chunks_exact_mut(nx).enumerate() {
+            box_row_sums(grid, [0, 0, z], [nx, ny], &mut lanes, r);
         }
+        box_col_sums(grid, [0, 0, 0], [nx, ny, nz], &mut col);
         Self { row, col }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::{Exec, Stencil3D, SweepHook};
 use abft_grid::{AxisHit, Boundary, BoundarySpec, Grid3D};
-use abft_num::{line_sum, Real};
+use abft_num::{add_line, line_sum, Real};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -16,13 +16,14 @@ use std::ops::Range;
 ///
 /// Each finished output row is summed while still in cache, after the
 /// hook has seen it: a `col` entry is [`abft_num::line_sum`] of the row,
-/// a `row` entry accumulates its column of the layer in `y` order — both
-/// in `f64` whatever `T` is, because a sequential `f32` sum over a
-/// 512-wide line drifts by up to ~n/2 ulps and would eat into the paper's
-/// ε = 1e-5 detection margin (§3.4 notes the approximation error grows
-/// with the domain size). `LayerRef::col_checksums_into` /
-/// `row_checksums_into` sum a stored grid the same way, so recomputed
-/// vectors equal fused ones bitwise.
+/// and the row joins the layer's `row` lanes by [`abft_num::add_line`] in
+/// `y` order — both in `f64` whatever `T` is, because a sequential `f32`
+/// sum over a 512-wide line drifts by up to ~n/2 ulps and would eat into
+/// the paper's ε = 1e-5 detection margin (§3.4 notes the approximation
+/// error grows with the domain size). The box builders
+/// [`abft_grid::box_col_sums`] / [`abft_grid::box_row_sums`] sum a stored
+/// grid through the same two, so recomputed vectors equal fused ones
+/// bitwise.
 pub enum ChecksumMode<'a, T> {
     /// Plain sweep, no checksums.
     None,
@@ -576,8 +577,8 @@ impl<T: Real, H: SweepHook<T>> Layers<'_, T, H> {
             if let Some(c) = col.as_deref_mut() {
                 c[y] = T::from_f64(line_sum(out));
             }
-            for (a, &v) in scratch.row_acc.iter_mut().zip(out.iter()) {
-                *a += v.to_f64();
+            if row.is_some() {
+                add_line(&mut scratch.row_acc, out);
             }
         }
         if let Some(r) = row {
@@ -592,6 +593,7 @@ impl<T: Real, H: SweepHook<T>> Layers<'_, T, H> {
 mod tests {
     use super::*;
     use crate::NoHook;
+    use abft_grid::{box_col_sums, box_row_sums};
     use proptest::prelude::*;
 
     /// Naive reference sweep: resolved reads everywhere.
@@ -743,9 +745,7 @@ mod tests {
                 for constant in [None, Some(&constant)] {
                     let expect = reference_sweep(&src, &stencil, bounds, constant);
                     let mut expect_col = vec![T::ZERO; nz * ny];
-                    for (z, c) in expect_col.chunks_exact_mut(ny).enumerate() {
-                        expect.layer(z).col_checksums_into(c);
-                    }
+                    box_col_sums(&expect, [0, 0, 0], [nx, ny, nz], &mut expect_col);
                     for exec in [Exec::Serial, Exec::Parallel] {
                         let mut first = None;
                         for isa in [Isa::Baseline, Isa::detect()] {
@@ -971,11 +971,9 @@ mod tests {
             ChecksumMode::Col { col: &mut col },
             Exec::Parallel,
         );
-        for z in 0..3 {
-            let mut direct = [0.0; 6];
-            dst.layer(z).col_checksums_into(&mut direct);
-            assert_eq!(direct, col[z * 6..(z + 1) * 6]);
-        }
+        let mut direct = [0.0; 3 * 6];
+        box_col_sums(&dst, [0, 0, 0], [8, 6, 3], &mut direct);
+        assert_eq!(direct, col[..]);
     }
 
     #[test]
@@ -998,10 +996,11 @@ mod tests {
             },
             Exec::Serial,
         );
+        let mut lanes = [0.0; 8];
         for z in 0..2 {
             let (mut direct_row, mut direct_col) = ([0.0; 8], [0.0; 6]);
-            dst.layer(z).row_checksums_into(&mut direct_row);
-            dst.layer(z).col_checksums_into(&mut direct_col);
+            box_row_sums(&dst, [0, 0, z], [8, 6], &mut lanes, &mut direct_row);
+            box_col_sums(&dst, [0, 0, z], [8, 6, 1], &mut direct_col);
             assert_eq!(direct_row, row[z * 8..(z + 1) * 8]);
             assert_eq!(direct_col, col[z * 6..(z + 1) * 6]);
         }
@@ -1049,7 +1048,7 @@ mod tests {
         assert_eq!(dirty.at(0, 0, 0), clean.at(0, 0, 0));
         // The fused checksum must reflect the corrupted stored value.
         let mut direct = [0.0; 5];
-        dirty.layer(1).col_checksums_into(&mut direct);
+        box_col_sums(&dirty, [0, 0, 1], [6, 5, 1], &mut direct);
         assert_eq!(direct, col[5..10]);
     }
 

@@ -6,9 +6,9 @@
 //! (detection, location, correction) rests on it.
 
 use proptest::prelude::*;
-use stencil_abft::core::{capture_all_layers, ChecksumState, Interpolator, StripSet};
+use stencil_abft::core::{capture_all_layers, Interpolator, StripSet};
 use stencil_abft::grid::{Boundary, BoundarySpec, Grid3D, NoGhosts};
-use stencil_abft::stencil::{sweep, ChecksumMode, Exec, NoHook, Stencil3D};
+use stencil_abft::stencil::{sweep, ChecksumMode, Exec, LineSums, NoHook, Stencil3D};
 
 /// Strategy: a random stencil with 1..=9 taps, offsets in [-2, 2], and
 /// weights in [-1, 1].
@@ -66,8 +66,8 @@ proptest! {
             &NoHook, ChecksumMode::None, Exec::Serial,
         );
 
-        let cs_t = ChecksumState::compute(&src, true);
-        let cs_t1 = ChecksumState::compute(&dst, true);
+        let cs_t = LineSums::of(&src);
+        let cs_t1 = LineSums::of(&dst);
         let interp = Interpolator::new(&stencil, &bounds, constant.as_ref(), (nx, ny, nz));
 
         let strips;
@@ -82,7 +82,7 @@ proptest! {
         let mut col_i = vec![0.0; nz * ny];
         interp.interpolate_col(&cs_t.col, &source, &NoGhosts, &mut col_i);
         let mut row_i = vec![0.0; nz * nx];
-        interp.interpolate_row(cs_t.row.as_ref().unwrap(), &source, &mut row_i);
+        interp.interpolate_row(&cs_t.row, &source, &mut row_i);
 
         // Tolerance: values are O(1), vectors sum O(10) entries with up to
         // 9 taps; 1e-9 leaves ~1e5 ulps of headroom while catching any
@@ -91,7 +91,7 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-9,
                 "col[{k}]: interpolated {a} vs computed {b} (bounds {bounds:?})");
         }
-        for (k, (&a, &b)) in row_i.iter().zip(cs_t1.row.as_ref().unwrap()).enumerate() {
+        for (k, (&a, &b)) in row_i.iter().zip(&cs_t1.row).enumerate() {
             prop_assert!((a - b).abs() < 1e-9,
                 "row[{k}]: interpolated {a} vs computed {b} (bounds {bounds:?})");
         }
@@ -112,13 +112,10 @@ proptest! {
             &src, &mut dst, &stencil, &bounds, None, &NoHook,
             ChecksumMode::RowCol { row: &mut row, col: &mut col }, Exec::Parallel,
         );
-        let direct = ChecksumState::compute(&dst, true);
-        for (a, b) in col.iter().zip(&direct.col) {
-            prop_assert!((a - b).abs() < 1e-10);
-        }
-        for (a, b) in row.iter().zip(direct.row.as_ref().unwrap()) {
-            prop_assert!((a - b).abs() < 1e-10);
-        }
+        // The builders sum in the sweep's own orders: equal bitwise.
+        let direct = LineSums::of(&dst);
+        prop_assert_eq!(&col, &direct.col);
+        prop_assert_eq!(&row, &direct.row);
     }
 
     #[test]
