@@ -2,23 +2,6 @@
 
 use abft_num::Real;
 
-/// Policy for the ambiguous multi-error case (more than one row *and*
-/// column checksum mismatch in a layer — the pairing of rows to columns is
-/// no longer unique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MultiErrorPolicy {
-    /// Correct only the unambiguous single-error case; report anything else
-    /// as uncorrectable (the offline protector escalates to rollback).
-    #[default]
-    Strict,
-    /// Pair row and column mismatches by the magnitude of their checksum
-    /// deltas: a single corrupted point offsets its row and its column sum
-    /// by the *same* amount, so matching `|Δa| ≈ |Δb|` recovers the pairing
-    /// for multiple simultaneous errors (an extension over the paper's
-    /// positional pairing in Fig. 6).
-    DeltaMatch,
-}
-
 /// Configuration shared by the online and offline protectors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbftConfig<T> {
@@ -35,8 +18,6 @@ pub struct AbftConfig<T> {
     /// Offline verification period Δ in iterations (§4; the paper's
     /// default is 16). Ignored by the online protector.
     pub period: usize,
-    /// Multi-error handling.
-    pub policy: MultiErrorPolicy,
     /// Offline: maximum rollback/recompute attempts per verification
     /// window before giving up (a second fault during recomputation is
     /// possible in an error-prone environment).
@@ -46,14 +27,13 @@ pub struct AbftConfig<T> {
 impl<T: Real> AbftConfig<T> {
     /// Paper-faithful defaults for the float type: ε = 1e-5 for `f32`
     /// (Table 1), ε = 1e-11 for `f64` (same headroom relative to the
-    /// machine epsilon), Δ = 16, strict policy.
+    /// machine epsilon), Δ = 16.
     pub fn paper_defaults() -> Self {
         let epsilon = if T::BITS == 32 { 1e-5 } else { 1e-11 };
         AbftConfig {
             epsilon: T::from_f64(epsilon),
             abs_floor: T::ONE,
             period: 16,
-            policy: MultiErrorPolicy::default(),
             max_rollback_retries: 3,
         }
     }
@@ -68,12 +48,6 @@ impl<T: Real> AbftConfig<T> {
     pub fn with_period(mut self, period: usize) -> Self {
         assert!(period > 0, "detection period must be at least 1");
         self.period = period;
-        self
-    }
-
-    /// Select the multi-error policy.
-    pub fn with_policy(mut self, policy: MultiErrorPolicy) -> Self {
-        self.policy = policy;
         self
     }
 }
@@ -93,7 +67,6 @@ mod tests {
         let c = AbftConfig::<f32>::paper_defaults();
         assert_eq!(c.epsilon, 1e-5);
         assert_eq!(c.period, 16);
-        assert_eq!(c.policy, MultiErrorPolicy::Strict);
     }
 
     #[test]
@@ -106,11 +79,9 @@ mod tests {
     fn builder_methods() {
         let c = AbftConfig::<f32>::paper_defaults()
             .with_epsilon(1e-4)
-            .with_period(8)
-            .with_policy(MultiErrorPolicy::DeltaMatch);
+            .with_period(8);
         assert_eq!(c.epsilon, 1e-4);
         assert_eq!(c.period, 8);
-        assert_eq!(c.policy, MultiErrorPolicy::DeltaMatch);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Theorem 2: error detection by comparing interpolated against computed
-//! checksum vectors (§3.4), and the Fig. 5 scenario classification.
+//! checksum vectors (§3.4).
 
 use abft_num::Real;
 
@@ -87,96 +87,10 @@ pub(crate) fn any_deviating<T: Real>(
     !all_cleared && !compare_vectors(interpolated, computed, epsilon, floor).is_empty()
 }
 
-/// Diagnosis of one layer after both checksum vectors were compared —
-/// the scenarios of the paper's Fig. 5.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LayerDiagnosis<T> {
-    /// No mismatches anywhere.
-    Clean,
-    /// Exactly one row and one column mismatch: a single corrupted point
-    /// at `(x, y)` (Fig. 5a) — correctable by Eq. 10.
-    SingleError {
-        x: usize,
-        y: usize,
-        row: Mismatch<T>,
-        col: Mismatch<T>,
-    },
-    /// Mismatches on one side only: the corruption hit a checksum vector,
-    /// not the domain (Fig. 5b) — refresh checksums from data.
-    ChecksumCorruption {
-        rows: Vec<Mismatch<T>>,
-        cols: Vec<Mismatch<T>>,
-    },
-    /// Multiple rows *and* columns mismatch: several corrupted points;
-    /// pairing is ambiguous (handled per [`crate::MultiErrorPolicy`]).
-    MultiError {
-        rows: Vec<Mismatch<T>>,
-        cols: Vec<Mismatch<T>>,
-    },
-}
-
-/// Classify one layer from its row-side and column-side mismatch lists.
-pub fn classify_layer<T: Real>(
-    rows: Vec<Mismatch<T>>,
-    cols: Vec<Mismatch<T>>,
-) -> LayerDiagnosis<T> {
-    match (rows.len(), cols.len()) {
-        (0, 0) => LayerDiagnosis::Clean,
-        (1, 1) => LayerDiagnosis::SingleError {
-            x: rows[0].index,
-            y: cols[0].index,
-            row: rows[0],
-            col: cols[0],
-        },
-        (_, 0) | (0, _) => LayerDiagnosis::ChecksumCorruption { rows, cols },
-        _ => LayerDiagnosis::MultiError { rows, cols },
-    }
-}
-
-/// Pair row and column mismatches by checksum-delta magnitude (the
-/// `DeltaMatch` policy): a single corrupted point shifts its row and its
-/// column checksum by the *same* delta, so sorting both sides by delta
-/// aligns genuine pairs. Pairs whose deltas disagree by more than
-/// `tolerance` (relative) are dropped as unmatchable. A NaN delta (from a
-/// NaN entry, or infinite ones on both sides, which [`compare_vectors`]
-/// flags) sorts after every number whatever its sign bit, and matches
-/// nothing.
-pub fn pair_by_delta<T: Real>(
-    rows: &[Mismatch<T>],
-    cols: &[Mismatch<T>],
-    tolerance: T,
-) -> Vec<(Mismatch<T>, Mismatch<T>)> {
-    let mut rs: Vec<Mismatch<T>> = rows.to_vec();
-    let mut cs: Vec<Mismatch<T>> = cols.to_vec();
-    let order = |a: &Mismatch<T>, b: &Mismatch<T>| {
-        let (a, b) = (a.delta().to_f64(), b.delta().to_f64());
-        (a.is_nan().cmp(&b.is_nan())).then(a.total_cmp(&b))
-    };
-    rs.sort_by(order);
-    cs.sort_by(order);
-    rs.iter()
-        .zip(cs.iter())
-        .filter(|(r, c)| {
-            let (dr, dc) = (r.delta(), c.delta());
-            let scale = dr.abs_r().max_r(dc.abs_r()).max_r(T::MIN_POSITIVE);
-            (dr - dc).abs_r() <= tolerance * scale
-        })
-        .map(|(r, c)| (*r, *c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn mm(index: usize, computed: f64, interpolated: f64) -> Mismatch<f64> {
-        Mismatch {
-            index,
-            computed,
-            interpolated,
-        }
-    }
 
     #[test]
     fn compare_flags_only_deviations() {
@@ -298,73 +212,6 @@ mod tests {
         ) {
             pre_pass_equals_compare::<f32>(&kinds, epsilon, floor)?;
             pre_pass_equals_compare::<f64>(&kinds, epsilon, floor)?;
-        }
-    }
-
-    #[test]
-    fn classify_clean() {
-        assert_eq!(classify_layer::<f64>(vec![], vec![]), LayerDiagnosis::Clean);
-    }
-
-    #[test]
-    fn classify_single() {
-        let d = classify_layer(vec![mm(3, 10.0, 4.0)], vec![mm(7, 11.0, 5.0)]);
-        match d {
-            LayerDiagnosis::SingleError { x, y, .. } => {
-                assert_eq!((x, y), (3, 7));
-            }
-            other => panic!("expected SingleError, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn classify_checksum_corruption() {
-        let d = classify_layer::<f64>(vec![], vec![mm(2, 1.0, 9.0)]);
-        assert!(matches!(d, LayerDiagnosis::ChecksumCorruption { .. }));
-        let d = classify_layer::<f64>(vec![mm(2, 1.0, 9.0)], vec![]);
-        assert!(matches!(d, LayerDiagnosis::ChecksumCorruption { .. }));
-    }
-
-    #[test]
-    fn classify_multi() {
-        let d = classify_layer(
-            vec![mm(1, 1.0, 0.0), mm(2, 2.0, 0.0)],
-            vec![mm(3, 1.0, 0.0), mm(4, 2.0, 0.0)],
-        );
-        assert!(matches!(d, LayerDiagnosis::MultiError { .. }));
-    }
-
-    #[test]
-    fn delta_match_pairs_correctly() {
-        // two errors: deltas +5 (row 1 / col 9) and -3 (row 4 / col 2)
-        let rows = vec![mm(1, 5.0, 0.0), mm(4, -3.0, 0.0)];
-        let cols = vec![mm(2, -3.0, 0.0), mm(9, 5.0, 0.0)];
-        let pairs = pair_by_delta(&rows, &cols, 0.01);
-        assert_eq!(pairs.len(), 2);
-        let locs: Vec<(usize, usize)> = pairs.iter().map(|(r, c)| (r.index, c.index)).collect();
-        assert!(locs.contains(&(1, 9)));
-        assert!(locs.contains(&(4, 2)));
-    }
-
-    #[test]
-    fn delta_match_drops_unmatched() {
-        let rows = vec![mm(1, 5.0, 0.0)];
-        let cols = vec![mm(2, -50.0, 0.0)];
-        assert!(pair_by_delta(&rows, &cols, 0.01).is_empty());
-    }
-
-    /// `compare_vectors` flags NaN and infinite entries, so a layer can
-    /// hand `DeltaMatch` a NaN delta: the finite pair is kept and the NaN
-    /// one dropped as unmatchable (the layer is then uncorrectable),
-    /// whatever the NaNs' sign bits.
-    #[test]
-    fn delta_match_keeps_the_finite_pair_beside_a_nan_delta() {
-        for (row_nan, col_nan) in [(f64::NAN, f64::NAN), (-f64::NAN, f64::NAN)] {
-            let rows = vec![mm(1, row_nan, 0.0), mm(4, 2.0, 0.0)];
-            let cols = vec![mm(2, 2.0, 0.0), mm(9, col_nan, 0.0)];
-            let pairs = pair_by_delta(&rows, &cols, 0.01);
-            let locs: Vec<(usize, usize)> = pairs.iter().map(|(r, c)| (r.index, c.index)).collect();
-            assert_eq!(locs, [(4, 2)], "row NaN {:#x}", row_nan.to_bits());
         }
     }
 }

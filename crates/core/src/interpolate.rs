@@ -13,7 +13,8 @@
 //! correction `β` accounts for the summed (`x`) axis boundary: it is the
 //! difference between `Σ_x u[resolve(x+i), ·]` and the plain checksum
 //! `Σ_x u[x, ·]`, which only involves the `O(|i|)` grid points nearest the
-//! `x` edges. The row checksum `a` is symmetric with `x` and `y` swapped.
+//! `x` edges. (The row checksum `a` is symmetric with `x` and `y`
+//! swapped; the protectors keep only the column side.)
 //!
 //! In 3-D, a tap's `k` offset simply selects the *neighbouring layer's*
 //! checksum vector (resolved through the `z` boundary), which is the exact
@@ -45,10 +46,10 @@
 //! per-output, per-tap loop drawn over every boundary kind.
 
 use crate::phantom::StripSet;
-use abft_grid::{box_row_sums, copy_box, AxisHit, Boundary, BoundarySpec, Grid3D, NoGhosts};
+use abft_grid::{box_col_sums, AxisHit, Boundary, BoundarySpec, Grid3D, NoGhosts};
 use abft_num::{line_sum, Real};
 use abft_stencil::{
-    sweep_region, ChecksumMode, Exec, InteriorWindow, LineSums, NoHook, Stencil3D, StencilSim,
+    sweep_region, ChecksumMode, Exec, InteriorWindow, NoHook, Stencil3D, StencilSim,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -59,14 +60,6 @@ pub fn needs_strips_x<T: Real>(stencil: &Stencil3D<T>, bx: &Boundary<T>) -> bool
     !(stencil.extent_x() == 0
         || matches!(bx, Boundary::Periodic)
         || (matches!(bx, Boundary::Clamp) && stencil.extent_x() <= 1 && stencil.symmetric_x()))
-}
-
-/// True when the corrections along the `y` axis (affecting the row
-/// checksum `a`) are identically zero for this stencil/boundary pair.
-pub fn needs_strips_y<T: Real>(stencil: &Stencil3D<T>, by: &Boundary<T>) -> bool {
-    !(stencil.extent_y() == 0
-        || matches!(by, Boundary::Periodic)
-        || (matches!(by, Boundary::Clamp) && stencil.extent_y() <= 1 && stencil.symmetric_y()))
 }
 
 /// The taps' `(di, dj, dk)` offsets, in tap order.
@@ -287,8 +280,7 @@ fn joined<T>(y: AxisHit<T>, z: AxisHit<T>) -> Result<[usize; 2], T> {
 }
 
 /// The checksum interpolator for one (stencil, boundary, constant-field,
-/// box) combination. It holds the constant-term sums `c_x`/`c_y` of
-/// Theorem 1; each call then runs in `O(nz · n · k²)` time for vectors
+/// box) combination. It holds the constant-term sums `c_y` of Theorem 1; each call then runs in `O(nz · n · k²)` time for vectors
 /// of length `n`, independent of the domain volume.
 ///
 /// It covers a box of a grid, and every read resolves one way: box-local
@@ -300,13 +292,12 @@ fn joined<T>(y: AxisHit<T>, z: AxisHit<T>) -> Result<[usize; 2], T> {
 #[derive(Debug, Clone)]
 pub struct Interpolator<T> {
     stencil: Stencil3D<T>,
-    /// Constant sums `c_x` (`row`, flat `[z][x]`) and `c_y` (`col`, flat
-    /// `[z][y]`) over the box; `None` without a constant field.
-    c_sums: Option<Arc<LineSums<T>>>,
+    /// Constant sums `c_y` over the box (flat `[z][y]`); `None` without a
+    /// constant field.
+    c_sums: Option<Arc<[T]>>,
     /// The box's geometry, resolved.
     plan: Arc<ColPlan<T>>,
     fast_x: bool,
-    fast_y: bool,
     /// Eq. 5 over the [`Frame`], in tap order: weights widened, offsets
     /// `(dj, dk, plane − last plane)`, where a tap's plane is 0, or its β
     /// plane off the x fast path. And how many source planes a call fills.
@@ -334,8 +325,8 @@ impl<T: Real> Interpolator<T> {
         if let Some(c) = constant {
             assert_eq!(c.dims(), dims, "constant-field dimension mismatch");
         }
-        let sums = constant.map(|c| Arc::new(LineSums::of(c)));
         let n = [dims.0, dims.1, dims.2];
+        let sums = constant.map(|c| col_sums(c, [0; 3], n));
         let whole = InteriorWindow {
             x: 0..n[0],
             y: 0..n[1],
@@ -357,7 +348,8 @@ impl<T: Real> Interpolator<T> {
     /// must have been built for `sim`'s grid, boundaries and tap offsets.
     /// For the whole grid the constant field's sums are computed once per
     /// field and shared by every clone of `sim`, so this costs no pass
-    /// over the domain; a smaller box sums its slice of the field.
+    /// over the domain; a smaller box sums its slice of the field in
+    /// place.
     pub fn planned(sim: &StencilSim<T>, plan: Arc<ColPlan<T>>) -> Self {
         let (gx, gy, gz) = sim.dims();
         let b = sim.bounds();
@@ -369,21 +361,12 @@ impl<T: Real> Interpolator<T> {
         let sums = if domain == sim.whole() {
             sim.constant_field().map(|c| c.line_sums().clone())
         } else {
-            sim.constant().map(|c| {
-                let [nx, ny, nz] = plan.n;
-                let mut slice = Grid3D::zeros(nx, ny, nz);
-                copy_box(c, plan.origin, &mut slice, [0; 3], plan.n);
-                Arc::new(LineSums::of(&slice))
-            })
+            sim.constant().map(|c| col_sums(c, plan.origin, plan.n))
         };
         Self::placed(sim.stencil(), sums, plan)
     }
 
-    fn placed(
-        stencil: &Stencil3D<T>,
-        c_sums: Option<Arc<LineSums<T>>>,
-        plan: Arc<ColPlan<T>>,
-    ) -> Self {
+    fn placed(stencil: &Stencil3D<T>, c_sums: Option<Arc<[T]>>, plan: Arc<ColPlan<T>>) -> Self {
         assert!(
             plan.offsets.iter().copied().eq(offsets(stencil)),
             "the plan was built for other tap offsets"
@@ -393,8 +376,6 @@ impl<T: Real> Interpolator<T> {
         // cut face lies the pad, not the box's own cells.
         let fast_x =
             stencil.extent_x() == 0 || n[0] == grid[0] && !needs_strips_x(stencil, &plan.bounds[0]);
-        let fast_y =
-            stencil.extent_y() == 0 || n[1] == grid[1] && !needs_strips_y(stencil, &plan.bounds[1]);
         let planes = if fast_x { 1 } else { 1 + plan.betas.len() };
         let top = (planes + usize::from(c_sums.is_some()) - 1) as isize;
         let taps = stencil.taps().iter().map(|t| {
@@ -411,7 +392,6 @@ impl<T: Real> Interpolator<T> {
             c_sums,
             plan,
             fast_x,
-            fast_y,
         }
     }
 
@@ -423,16 +403,6 @@ impl<T: Real> Interpolator<T> {
             0
         } else {
             self.stencil.extent_x() + 1
-        }
-    }
-
-    /// Width of the `y`-side boundary strips the **row** interpolation
-    /// needs (0 on the fast path).
-    pub fn row_strip_width(&self) -> usize {
-        if self.fast_y {
-            0
-        } else {
-            self.stencil.extent_y() + 1
         }
     }
 
@@ -497,7 +467,7 @@ impl<T: Real> Interpolator<T> {
         let Frame { lines, swept } = frame;
         let (area, top) = (p.area(), lines.nz() - 1);
         assert_eq!(lines.len(), (top + 1) * area, "a frame of another box");
-        let cb = self.c_sums.as_deref().map(|s| &s.col[..]);
+        let cb = self.c_sums.as_deref();
         let frame = lines.as_mut_slice();
 
         // Plane 0: the box's lines, then those past it; `c_y` on the last.
@@ -555,112 +525,14 @@ impl<T: Real> Interpolator<T> {
             }
         }
     }
+}
 
-    /// Interpolate the row checksums of iteration `t+1` from those of
-    /// iteration `t` (Eq. 4 and its 3-D generalisation).
-    ///
-    /// `row_t`/`out` are flat `[z][x]` buffers.
-    pub fn interpolate_row(&self, row_t: &[T], source: &StripSet<'_, T>, out: &mut [T]) {
-        let nx = self.plan.n[0];
-        assert_eq!(out.len(), self.plan.n[2] * nx, "out length");
-        for (z, out_layer) in out.chunks_exact_mut(nx).enumerate() {
-            self.interpolate_row_layer(z, row_t, source, out_layer);
-        }
-    }
-
-    /// Layer `z` of [`Interpolator::interpolate_row`]: `out` is that
-    /// layer's `[x]` vector. Of `row_t` (still the flat `[z][x]` buffer)
-    /// only the layers [`Interpolator::row_source_layers`] names are read.
-    pub fn interpolate_row_layer(
-        &self,
-        z: usize,
-        row_t: &[T],
-        source: &StripSet<'_, T>,
-        out: &mut [T],
-    ) {
-        let [nx, ny, nz] = self.plan.n;
-        assert_eq!(row_t.len(), nz * nx, "row_t length");
-        assert_eq!(out.len(), nx, "out layer length");
-        let ca = self.c_sums.as_deref().map(|s| &s.row[..]);
-        for (x, o) in out.iter_mut().enumerate() {
-            let mut acc = ca.map_or(0.0, |c| c[z * nx + x].to_f64());
-            for tap in self.stencil.taps() {
-                let zq = z as isize + tap.dk;
-                let s = match self.plan.resolve(0, x as isize + tap.di) {
-                    // The x axis wins the precedence: a value-like x
-                    // boundary short-circuits the whole y-sum.
-                    AxisHit::Value(vx) => T::from_usize(ny) * vx,
-                    AxisHit::In(xr) => {
-                        let mut s = self.phantom_row(row_t, xr, zq, source);
-                        if !self.fast_y && tap.dj != 0 {
-                            s += self.corr_y(tap.dj, xr, zq, source);
-                        }
-                        s
-                    }
-                };
-                acc += tap.w.to_f64() * s.to_f64();
-            }
-            *o = T::from_f64(acc);
-        }
-    }
-
-    /// The layers of `row_t` that interpolating layer `z`'s row checksums
-    /// reads (`z + dk` resolved into the box; may repeat).
-    pub fn row_source_layers(&self, z: usize) -> impl Iterator<Item = usize> + '_ {
-        self.stencil.taps().iter().filter_map(move |tap| {
-            match self.plan.resolve(2, z as isize + tap.dk) {
-                AxisHit::In(zr) => self.plan.local(2, zr),
-                AxisHit::Value(_) => None,
-            }
-        })
-    }
-
-    /// Phantom row-checksum entry `Σ_y u[x, y, zq]` over the box's
-    /// y-range for grid column `x`: its `row_t` entry when `(x, zq)`
-    /// resolves into the box, else the row builder's entry for that grid
-    /// column, as the box's own rows are summed.
-    fn phantom_row(&self, row_t: &[T], x: usize, zq: isize, source: &StripSet<'_, T>) -> T {
-        let p = &*self.plan;
-        let [nx, ny, _] = p.n;
-        match p.resolve(2, zq) {
-            AxisHit::Value(vz) => T::from_usize(ny) * vz,
-            AxisHit::In(z) => match (p.local(0, x), p.local(2, z)) {
-                (Some(xl), Some(zl)) => row_t[zl * nx + xl],
-                _ => {
-                    let (mut lane, mut sum) = ([0.0], [T::ZERO]);
-                    let column = [x, p.origin[1], z];
-                    box_row_sums(pad(source), column, [1, ny], &mut lane, &mut sum);
-                    sum[0]
-                }
-            },
-        }
-    }
-
-    /// α correction for one tap's `y` offset `j` at grid column `x`
-    /// (paper Theorem 1): `Σ_y u[·, resolve(y+j)] − Σ_y u[·, y]` over the
-    /// box's y-range, y resolved per term and `zq` once.
-    fn corr_y(&self, j: isize, x: usize, zq: isize, source: &StripSet<'_, T>) -> T {
-        let p = &*self.plan;
-        let z = p.resolve(2, zq);
-        self.correction(1, j, |yq| match (p.resolve(1, yq), z) {
-            (AxisHit::Value(v), _) | (AxisHit::In(_), AxisHit::Value(v)) => v,
-            (AxisHit::In(y), AxisHit::In(z)) => source.near_y(x, y, z, p.grid[1]),
-        })
-    }
-
-    /// `Σ point(q + i) − Σ point(q)` along axis `a` of the box: per box
-    /// cell the shifted sum loses, the read past the box's face it gains
-    /// instead.
-    fn correction(&self, a: usize, i: isize, point: impl Fn(isize) -> T) -> T {
-        let n = self.plan.n[a] as isize;
-        let mut corr = T::ZERO;
-        for m in 0..i.abs() {
-            let lost = if i > 0 { m } else { n - 1 - m };
-            corr -= point(lost);
-            corr += point(if i > 0 { n + m } else { -m - 1 });
-        }
-        corr
-    }
+/// The sums of the x-lines of the box `n` at `origin` of `c`, flat
+/// `[z][y]`: its `c_y`, summed in place by the column builder.
+fn col_sums<T: Real>(c: &Grid3D<T>, origin: [usize; 3], n: [usize; 3]) -> Arc<[T]> {
+    let mut sums = vec![T::ZERO; n[2] * n[1]];
+    box_col_sums(c, origin, n, &mut sums);
+    sums.into()
 }
 
 /// The grid a read past the box lands in.
@@ -710,34 +582,25 @@ mod tests {
             Exec::Serial,
         );
 
-        let cs_t = LineSums::of(&src);
-        let cs_t1 = LineSums::of(&dst);
+        let sums = |g: &Grid3D<f64>| col_sums(g, [0; 3], [nx, ny, nz]);
+        let (cs_t, cs_t1) = (sums(&src), sums(&dst));
 
         let interp = Interpolator::new(&stencil, &bounds, constant.as_ref(), dims);
         let strips;
         let source = if use_strips {
-            let w = interp.col_strip_width().max(interp.row_strip_width());
-            strips = capture_all_layers(&src, w, w);
+            strips = capture_all_layers(&src, interp.col_strip_width(), 0);
             StripSet::Strips(&strips)
         } else {
             StripSet::Grid(&src)
         };
 
         let mut col_i = vec![0.0; nz * ny];
-        let mut row_i = vec![0.0; nz * nx];
-        interp.interpolate_col(&cs_t.col, &source, &NoGhosts, &mut col_i);
-        interp.interpolate_row(&cs_t.row, &source, &mut row_i);
+        interp.interpolate_col(&cs_t, &source, &NoGhosts, &mut col_i);
 
-        for (k, (&a, &b)) in col_i.iter().zip(&cs_t1.col).enumerate() {
+        for (k, (&a, &b)) in col_i.iter().zip(cs_t1.iter()).enumerate() {
             assert!(
                 (a - b).abs() < 1e-9,
                 "col mismatch at {k}: interpolated {a} vs computed {b} ({bounds:?})"
-            );
-        }
-        for (k, (&a, &b)) in row_i.iter().zip(&cs_t1.row).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-9,
-                "row mismatch at {k}: interpolated {a} vs computed {b} ({bounds:?})"
             );
         }
     }
@@ -774,7 +637,7 @@ mod tests {
         let s = hotspot_like();
         // symmetric width-1 + clamp => fast
         assert!(!needs_strips_x(&s, &Boundary::Clamp));
-        assert!(!needs_strips_y(&s, &Boundary::Periodic));
+        assert!(!needs_strips_x(&s, &Boundary::Periodic));
         // zero/constant/reflect need strips
         assert!(needs_strips_x(&s, &Boundary::Zero));
         assert!(needs_strips_x(&s, &Boundary::Constant(1.0)));
@@ -883,13 +746,23 @@ mod tests {
         /// `Σ_x u[resolve(x+i), ·] − Σ_x u[x, ·]` over the box's x-range,
         /// evaluated in `O(|i|)` reads of the line `(yq, zq)`, which
         /// resolves once, y before z (x is resolved per term and wins the
-        /// precedence).
+        /// precedence): per box cell the shifted sum loses, the read past
+        /// the box's face it gains instead.
         fn corr_x(&self, i: isize, yq: isize, zq: isize, source: &StripSet<'_, T>) -> T {
             let p = &*self.plan;
             let line = p.line(yq, zq);
-            self.correction(0, i, |xq| match (p.resolve(0, xq), line) {
+            let point = |xq| match (p.resolve(0, xq), line) {
                 (AxisHit::Value(v), _) | (AxisHit::In(_), Err(v)) => v,
                 (AxisHit::In(x), Ok([y, z])) => source.near_x(x, y, z, p.grid[0]),
+            };
+            let n = p.n[0] as isize;
+            (0..i.abs()).fold(T::ZERO, |corr, m| {
+                let (lost, gained) = if i > 0 {
+                    (m, n + m)
+                } else {
+                    (n - 1 - m, -m - 1)
+                };
+                corr - point(lost) + point(gained)
             })
         }
     }
@@ -901,7 +774,7 @@ mod tests {
     /// times the weight.
     fn per_tap<T: Real>(interp: &Interpolator<T>, col_t: &[T], source: &StripSet<'_, T>) -> Vec<T> {
         let [_, ny, nz] = interp.plan.n;
-        let cb = interp.c_sums.as_deref().map(|s| &s.col[..]);
+        let cb = interp.c_sums.as_deref();
         let mut out = Vec::with_capacity(nz * ny);
         for z in 0..nz {
             for y in 0..ny {

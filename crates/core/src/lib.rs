@@ -11,13 +11,16 @@
 //! checksum vectors of iteration `t`, plus cheap boundary-correction terms
 //! `α`/`β`, reproduces the checksum vectors of iteration `t+1` exactly.
 //! Comparing the *interpolated* checksums against checksums *computed from
-//! the swept data* detects silent data corruption (**Theorem 2**); the
-//! intersection of the mismatching row and column locates a single
-//! corrupted point, and Eq. 10 recovers its correct value.
+//! the swept data* detects silent data corruption (**Theorem 2**). The
+//! paper then locates a single corrupted point at the intersection of the
+//! mismatching row and column and recovers it by Eq. 10; here the online
+//! protector needs only the column side, and repairs a flagged layer by
+//! sweeping it again from the time-`t` grid, which gives every struck cell
+//! bitwise its clean value.
 //!
 //! Two protectors are provided:
 //!
-//! * [`OnlineAbft`] — verify and correct after **every** sweep (§3);
+//! * [`OnlineAbft`] — verify and repair after **every** sweep (§3);
 //! * [`OfflineAbft`] — verify every `Δ` iterations (or only at the end),
 //!   recover by checkpoint rollback + recomputation (§4).
 //!
@@ -60,10 +63,10 @@ mod phantom;
 mod report;
 
 pub use checksum::compute_col_into;
-pub use config::{AbftConfig, MultiErrorPolicy};
-pub use correct::{correct_layer, CorrectionEvent};
-pub use detect::{classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis, Mismatch};
-pub use interpolate::{needs_strips_x, needs_strips_y, ColPlan, Interpolator};
+pub use config::AbftConfig;
+pub use correct::CorrectionEvent;
+pub use detect::{compare_vectors, Mismatch};
+pub use interpolate::{needs_strips_x, ColPlan, Interpolator};
 pub use offline::{OfflineAbft, OfflineOutcome};
 pub use online::{OnlineAbft, StepOutcome};
 pub use phantom::{capture_all_layers, StripSet};

@@ -1,10 +1,9 @@
 //! The online ABFT protector (§3): verify and correct after every sweep.
 //!
 //! One path runs on every sweep: fused column checksums → interpolate →
-//! detect → build rows for the flagged layers only → locate by Eq. 10 and
-//! repair by recomputing the cell. Only the
-//! column vector is trusted state; rows are materialised from the two
-//! live buffers when a mismatch needs them (§3.4).
+//! detect → sweep each flagged layer again from the time-`t` grid, re-sum
+//! it and compare it again. Only the column vector is trusted state; the
+//! checksums find the damage, and re-execution repairs it.
 //!
 //! What is protected is a box of the simulation's grid: the whole grid
 //! ([`OnlineAbft::new`]), a rank's brick inside its padded grid
@@ -16,15 +15,13 @@
 //! window widens it to the window's lines and narrows the verified
 //! vector back.
 
-use crate::config::{AbftConfig, MultiErrorPolicy};
-use crate::correct::{correct_layer, CorrectionEvent};
-use crate::detect::{
-    any_deviating, classify_layer, compare_vectors, pair_by_delta, LayerDiagnosis,
-};
+use crate::config::AbftConfig;
+use crate::correct::CorrectionEvent;
+use crate::detect::{any_deviating, compare_vectors};
 use crate::interpolate::{ColPlan, Frame, Interpolator};
 use crate::phantom::StripSet;
 use crate::report::ProtectorStats;
-use abft_grid::{box_col_sums, box_row_sums, Grid3D};
+use abft_grid::{box_col_sums, Grid3D};
 use abft_num::{line_sum, Real};
 use abft_stencil::{InteriorWindow, StencilSim, SweepHook};
 use std::sync::Arc;
@@ -37,11 +34,15 @@ pub struct StepOutcome<T> {
     pub iteration: usize,
     /// Layers whose column checksums mismatched.
     pub detections: usize,
-    /// Domain points located by Eq. 10 and repaired by recomputation.
+    /// Cells that sweeping a flagged layer again changed: each was struck
+    /// as the sweep wrote it, and now holds its clean value.
     pub corrections: Vec<CorrectionEvent<T>>,
-    /// Layers whose checksum state was refreshed (Fig. 5b scenario).
+    /// Flagged layers that a second sweep left unchanged and passing: this
+    /// step's computed vector was struck (Fig. 5b), and the re-sum
+    /// refreshed it.
     pub checksum_refreshes: usize,
-    /// Layers the configured policy could not correct.
+    /// Flagged layers that still mismatch once swept again: the time-`t`
+    /// data or the trusted checksums were struck at rest.
     pub uncorrectable: usize,
 }
 
@@ -65,12 +66,12 @@ impl<T: Real> StepOutcome<T> {
 /// Online ABFT protector: drives a [`StencilSim`] one sweep at a time,
 /// fusing the column-checksum computation into the sweep, interpolating
 /// the expected checksums from the previous iteration (Theorem 1),
-/// comparing (Theorem 2) and correcting single corrupted points in place
-/// (Eq. 10).
+/// comparing (Theorem 2), and repairing a flagged layer in place by
+/// sweeping it again from the still-live time-`t` buffer.
 ///
 /// Per §3.2 only the column vector `b` is maintained every iteration; the
-/// row side is materialised on demand from the still-live time-`t` buffer
-/// for the layers whose columns mismatched.
+/// repair needs no location finer than the layer, so no row vector is
+/// ever built.
 ///
 /// ```
 /// use abft_core::{AbftConfig, OnlineAbft};
@@ -108,13 +109,9 @@ pub struct OnlineAbft<T> {
     /// span the grid's x-lines but are not the grid (empty otherwise); the
     /// verified box's block is copied into `col_comp`.
     col_grid: Vec<T>,
-    /// Time-`t` rows of the layers a flagged layer's interpolation reads.
-    row_t: Vec<T>,
-    row_comp: Vec<T>,
-    row_interp: Vec<T>,
-    /// The row builder's `f64` lanes, sized for the largest box on the
-    /// first flagged layer (a clean run never builds a row).
-    row_lanes: Vec<f64>,
+    /// A flagged layer's cells before it is swept again, sized for the
+    /// largest box on the first detection (a clean run never fills it).
+    layer: Vec<T>,
     stats: ProtectorStats,
 }
 
@@ -145,8 +142,8 @@ impl<T: Real> OnlineAbft<T> {
     /// A protector of nested boxes of `sim`'s grid, smallest first: the
     /// brick its trusted checksums describe, then the windows a `k > 1`
     /// epoch's sweeps write around it (the brick grown by each reach still
-    /// to come). A step that writes one of them verifies all of it, pad
-    /// cells by Theorem 1 and Eq. 10 like brick cells. Each box's
+    /// to come). A step that writes one of them verifies and repairs all
+    /// of it, pad cells like brick cells. Each box's
     /// interpolation reads what lies past it out of the grid's time-`t`
     /// buffer, resolved through the grid's boundaries
     /// ([`Interpolator::for_box`]); the scratch is sized for the largest.
@@ -181,7 +178,6 @@ impl<T: Real> OnlineAbft<T> {
         let brick = windows.first().expect("a protector needs a box");
         let largest = windows.last().expect("a box");
         let lines = |d: &InteriorWindow| d.z.len() * d.y.len();
-        let rows = |d: &InteriorWindow| d.z.len() * d.x.len();
         let mut col_t = vec![T::ZERO; lines(brick)];
         box_col_sums(sim.current(), brick.origin(), brick.dims(), &mut col_t);
         let fused_in_grid = brick.x == grid.x && windows != [grid.clone()];
@@ -198,10 +194,7 @@ impl<T: Real> OnlineAbft<T> {
             col_interp: vec![T::ZERO; lines(largest)],
             frames,
             col_grid: vec![T::ZERO; grid_lines],
-            row_t: vec![T::ZERO; rows(largest)],
-            row_comp: vec![T::ZERO; rows(largest)],
-            row_interp: vec![T::ZERO; rows(largest)],
-            row_lanes: Vec::new(),
+            layer: Vec::new(),
             stats: ProtectorStats::default(),
         }
     }
@@ -214,20 +207,6 @@ impl<T: Real> OnlineAbft<T> {
     /// Trusted column checksums of the current iteration.
     pub fn col_checksums(&self) -> &[T] {
         &self.col_t
-    }
-
-    /// Corrupt one entry of the **stored** checksum state — the
-    /// fault-injection surface for the paper's Fig. 5b scenario ("error
-    /// strikes a checksum vector"). The next [`OnlineAbft::step`] must
-    /// diagnose this as a checksum corruption (mismatch on one side only)
-    /// and repair the state from data without touching the domain.
-    pub fn inject_checksum_corruption(&mut self, z: usize, y: usize, delta: T) {
-        let brick = &self.boxes[0].0;
-        assert!(
-            z < brick.z.len() && y < brick.y.len(),
-            "checksum index out of range"
-        );
-        self.col_t[z * brick.y.len() + y] += delta;
     }
 
     /// Serialise the trusted checksum state `b(t)` into `out`. Together
@@ -288,9 +267,9 @@ impl<T: Real> OnlineAbft<T> {
 
     /// Second half of a protected split step: sweep `outer ∖ window`
     /// (`outer ⊇` the brick), finish the step, then verify — interpolate,
-    /// compare, correct — `outer` when it is one of the protector's boxes,
-    /// else the brick. Detection/correction lands before the caller's next
-    /// halo post. The interpolation reads the cells around the box out of
+    /// compare, sweep each flagged layer again — `outer` when it is one of
+    /// the protector's boxes, else the brick. Detection and repair land
+    /// before the caller's next halo post. The interpolation reads the cells around the box out of
     /// the time-`t` buffer, so they must hold the halo the sweep read.
     ///
     /// A window that does not span the grid's x-lines cannot complete
@@ -323,8 +302,8 @@ impl<T: Real> OnlineAbft<T> {
         if b > 0 {
             self.widen(sim.previous(), &d);
         }
-        let diagnoses = self.diagnose(sim, b);
-        let outcome = self.repair(sim, b, diagnoses);
+        let flagged = self.diagnose(sim, b);
+        let outcome = self.repair(sim, b, flagged);
         self.narrow(sim.current(), &d);
         (outcome, tail.elapsed())
     }
@@ -382,12 +361,13 @@ impl<T: Real> OnlineAbft<T> {
         }
     }
 
-    /// Steps 2–4 of the protected iteration over box `b`: interpolate the
-    /// expected checksums, detect, and diagnose each flagged layer from
-    /// its rows. The sweep must already have filled `self.col_comp`.
-    fn diagnose(&mut self, sim: &StencilSim<T>, b: usize) -> Vec<(usize, LayerDiagnosis<T>)> {
+    /// Steps 2–3 of the protected iteration over box `b`: interpolate the
+    /// expected checksums and detect. Returns the layers some of whose
+    /// column entries deviate. The sweep must already have filled
+    /// `self.col_comp`.
+    fn diagnose(&mut self, sim: &StencilSim<T>, b: usize) -> Vec<usize> {
         let (domain, interp) = &self.boxes[b];
-        let (nx, ny, nz) = (domain.x.len(), domain.y.len(), domain.z.len());
+        let (ny, nz) = (domain.y.len(), domain.z.len());
         let (col_comp, col_interp) = (&self.col_comp[..nz * ny], &mut self.col_interp[..nz * ny]);
 
         // 2. Interpolate the expected column checksums from time t
@@ -407,195 +387,94 @@ impl<T: Real> OnlineAbft<T> {
         if !any_deviating(col_interp, col_comp, epsilon, floor) {
             return Vec::new();
         }
-        let mut flagged = Vec::new();
-        for z in 0..nz {
-            let layer = z * ny..(z + 1) * ny;
-            let mms = compare_vectors(&col_interp[layer.clone()], &col_comp[layer], epsilon, floor);
-            if !mms.is_empty() {
-                flagged.push((z, mms));
-            }
-        }
-
-        // 4. Materialise the row side (only now — §3.4: "it is only
-        //    necessary to perform the detection on one of the two
-        //    checksums […] only then interpolate the other"), and only for
-        //    the flagged layers: their own rows at t+1, and at time t the
-        //    rows of the layers their interpolation reads.
-        let mut sources: Vec<usize> = flagged
-            .iter()
-            .flat_map(|&(z, _)| interp.row_source_layers(z))
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let largest = &self.boxes.last().expect("a box").0;
-        self.row_lanes.resize(largest.x.len(), 0.0);
-        let lanes = &mut self.row_lanes[..nx];
-        let [x0, y0, z0] = domain.origin();
-        let row_t = &mut self.row_t[..nz * nx];
-        for z in sources {
-            let out = &mut row_t[z * nx..(z + 1) * nx];
-            box_row_sums(sim.previous(), [x0, y0, z0 + z], [nx, ny], lanes, out);
-        }
-        for &(z, _) in &flagged {
-            let layer = &mut self.row_comp[z * nx..(z + 1) * nx];
-            box_row_sums(sim.current(), [x0, y0, z0 + z], [nx, ny], lanes, layer);
-            let layer = &mut self.row_interp[z * nx..(z + 1) * nx];
-            interp.interpolate_row_layer(z, row_t, &source, layer);
-        }
-        let diagnose = |(z, col_mms)| {
-            let row_mms = compare_vectors(
-                &self.row_interp[z * nx..(z + 1) * nx],
-                &self.row_comp[z * nx..(z + 1) * nx],
-                self.cfg.epsilon,
-                self.cfg.abs_floor,
-            );
-            (z, classify_layer(row_mms, col_mms))
-        };
-        flagged.into_iter().map(diagnose).collect()
+        let layers = col_interp.chunks_exact(ny).zip(col_comp.chunks_exact(ny));
+        let deviates = |(interp, comp)| !compare_vectors(interp, comp, epsilon, floor).is_empty();
+        (0..nz)
+            .zip(layers)
+            .filter(|(_, l)| deviates(*l))
+            .map(|(z, _)| z)
+            .collect()
     }
 
-    /// Step 5: correct or refresh each diagnosed layer of box `b`, leaving
-    /// its (possibly repaired) computed checksums in `col_comp` for the
-    /// narrowing to the next iteration's trusted state.
-    fn repair(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        b: usize,
-        diagnoses: Vec<(usize, LayerDiagnosis<T>)>,
-    ) -> StepOutcome<T> {
+    /// Step 4: repair each flagged layer of box `b`
+    /// ([`OnlineAbft::sweep_layer_again`]), leaving the box's computed checksums
+    /// in `col_comp` for the narrowing to the next iteration's trusted
+    /// state.
+    fn repair(&mut self, sim: &mut StencilSim<T>, b: usize, flagged: Vec<usize>) -> StepOutcome<T> {
         self.stats.steps += 1;
         self.stats.verifications += 1;
         let mut outcome = StepOutcome::new(sim.iteration());
-        for (z, diag) in diagnoses {
+        for z in flagged {
             self.stats.detections += 1;
             outcome.detections += 1;
-            self.handle_layer(sim, b, z, diag, &mut outcome);
+            self.sweep_layer_again(sim, b, z, &mut outcome);
         }
         outcome
     }
 
-    fn handle_layer(
+    /// Sweep layer `z` of box `b` again from the time-`t` grid
+    /// ([`StencilSim::sweep_again`]), re-sum its column entries with the
+    /// builder ([`box_col_sums`]) and compare them again. The kernel does
+    /// not depend on the window it sweeps, so the layer now holds bitwise
+    /// what a clean sweep of the time-`t` grid writes there.
+    /// - It passes, and cells changed: each changed cell was struck as the
+    ///   sweep wrote it, and is one correction, however many the layer
+    ///   held (one below ε against a hot line included).
+    /// - It passes, and no cell changed: this step's computed vector was
+    ///   struck (the paper's Fig. 5b), and the re-sum is its refresh.
+    /// - It still deviates: the data are what the time-`t` grid gives, so
+    ///   the time-`t` data or the trusted `b(t)` was struck at rest. The
+    ///   layer is uncorrectable; its data are adopted as they are (the
+    ///   re-sum describes them), so the detection state stays consistent
+    ///   for the next step.
+    fn sweep_layer_again(
         &mut self,
         sim: &mut StencilSim<T>,
         b: usize,
         z: usize,
-        diag: LayerDiagnosis<T>,
         outcome: &mut StepOutcome<T>,
     ) {
-        match diag {
-            LayerDiagnosis::Clean => {}
-            LayerDiagnosis::SingleError { x, y, .. } => {
-                if !self.correct(sim, b, [x, y, z], outcome) {
-                    self.give_up(sim, b, z, outcome);
-                }
-            }
-            LayerDiagnosis::ChecksumCorruption { .. } => {
-                // Fig. 5b: the domain is consistent, one of the checksum
-                // vectors is not — recompute from data and move on.
-                self.refresh_layer(sim, b, z);
-                self.stats.checksum_refreshes += 1;
-                outcome.checksum_refreshes += 1;
-            }
-            LayerDiagnosis::MultiError { rows, cols } => {
-                let pairs = match self.cfg.policy {
-                    MultiErrorPolicy::DeltaMatch => pair_by_delta(&rows, &cols, T::from_f64(0.05)),
-                    // Report, and adopt the data as-is so detection state
-                    // stays consistent for subsequent iterations.
-                    MultiErrorPolicy::Strict => Vec::new(),
-                };
-                let mut repaired = 0;
-                for (r, c) in &pairs {
-                    repaired += usize::from(self.correct(sim, b, [r.index, c.index, z], outcome));
-                }
-                if repaired < rows.len().max(cols.len()) {
-                    self.give_up(sim, b, z, outcome);
-                }
+        let d = &self.boxes[b].0;
+        let ([nx, ny, _], [x0, y0, z0]) = (d.dims(), d.origin());
+        if self.layer.is_empty() {
+            let largest = &self.boxes.last().expect("a box").0;
+            self.layer = vec![T::ZERO; largest.x.len() * largest.y.len()];
+        }
+        let before = &mut self.layer[..nx * ny];
+        let cells = sim.current();
+        for (row, y) in before.chunks_exact_mut(nx).zip(d.y.clone()) {
+            let first = cells.idx(x0, y, z0 + z);
+            row.copy_from_slice(&cells.as_slice()[first..first + nx]);
+        }
+        sim.sweep_again(&InteriorWindow {
+            z: z0 + z..z0 + z + 1,
+            ..d.clone()
+        });
+        let cells = sim.current();
+        let col = &mut self.col_comp[z * ny..(z + 1) * ny];
+        box_col_sums(cells, [x0, y0, z0 + z], [nx, ny, 1], col);
+        let interp = &self.col_interp[z * ny..(z + 1) * ny];
+        if !compare_vectors(interp, col, self.cfg.epsilon, self.cfg.abs_floor).is_empty() {
+            self.stats.uncorrectable += 1;
+            outcome.uncorrectable += 1;
+            return;
+        }
+        let repaired = outcome.corrections.len();
+        for (i, &old) in before.iter().enumerate() {
+            let (x, y) = (i % nx, i / nx);
+            let new = cells.at(x0 + x, y0 + y, z0 + z);
+            if new.to_bits_u64() != old.to_bits_u64() {
+                outcome
+                    .corrections
+                    .push(CorrectionEvent { z, x, y, old, new });
             }
         }
-    }
-
-    /// Report layer `z` of box `b` uncorrectable, and adopt its data as it
-    /// is so the detection state stays consistent for the next step.
-    fn give_up(&mut self, sim: &StencilSim<T>, b: usize, z: usize, outcome: &mut StepOutcome<T>) {
-        self.stats.uncorrectable += 1;
-        outcome.uncorrectable += 1;
-        self.refresh_layer(sim, b, z);
-    }
-
-    /// Repair the cell Eq. 10 locates at `(x, y)` of layer `z` of box `b`
-    /// by recomputing it. Eq. 10 ([`correct_layer`]) gives the estimate;
-    /// the repair then sweeps the cell again from the time-`t` grid, which
-    /// gives bitwise the value a clean sweep writes there, and re-sums its
-    /// box line and box column with the builders ([`box_col_sums`],
-    /// [`box_row_sums`]), so the vectors describe the repaired data
-    /// exactly (a second repair in the layer reads them).
-    ///
-    /// The location is checked against the recomputed value: each of
-    /// Eq. 10's two recoveries, through the row and through the column,
-    /// misses it by exactly what that line still deviates from its
-    /// interpolation once the cell is repaired. So the check is that both
-    /// repaired lines pass the detection that flagged them, made on the
-    /// lines, where it is exact even when the flip left the estimate no
-    /// significant bits. At the right cell both pass; at a wrong one (two
-    /// errors aligned to fake one, or a strike at rest) the errors stay
-    /// on the lines, and the repair is not counted. Returns whether it was
-    /// confirmed.
-    fn correct(
-        &mut self,
-        sim: &mut StencilSim<T>,
-        b: usize,
-        [x, y, z]: [usize; 3],
-        outcome: &mut StepOutcome<T>,
-    ) -> bool {
-        let d = &self.boxes[b].0;
-        let (nx, ny) = (d.x.len(), d.y.len());
-        let (row, col) = (z * nx + x, z * ny + y);
-        let mut ev = correct_layer(
-            &mut sim.current_mut().layer_mut(d.z.start + z),
-            &mut self.row_comp[z * nx..(z + 1) * nx],
-            &mut self.col_comp[z * ny..(z + 1) * ny],
-            &self.row_interp[z * nx..(z + 1) * nx],
-            &self.col_interp[z * ny..(z + 1) * ny],
-            x,
-            y,
-            z,
-            (d.x.start, d.y.start),
-        );
-        let [cx, cy, cz] = [d.x.start + x, d.y.start + y, d.z.start + z];
-        let cell = InteriorWindow {
-            x: cx..cx + 1,
-            y: cy..cy + 1,
-            z: cz..cz + 1,
-        };
-        sim.sweep_again(&cell);
-        let grid = sim.current();
-        ev.new = grid.at(cx, cy, cz);
-        let line = &mut self.col_comp[col..=col];
-        box_col_sums(grid, [d.x.start, cy, cz], [nx, 1, 1], line);
-        let (lane, column) = (&mut self.row_lanes[..1], &mut self.row_comp[row..=row]);
-        box_row_sums(grid, [cx, d.y.start, cz], [1, ny], lane, column);
-        let (epsilon, floor) = (self.cfg.epsilon, self.cfg.abs_floor);
-        let passes = |interp: &[T], comp: &[T], i: usize| {
-            compare_vectors(&interp[i..=i], &comp[i..=i], epsilon, floor).is_empty()
-        };
-        if !(passes(&self.col_interp, &self.col_comp, col)
-            && passes(&self.row_interp, &self.row_comp, row))
-        {
-            return false;
+        let repaired = outcome.corrections.len() - repaired;
+        self.stats.corrections += repaired;
+        if repaired == 0 {
+            self.stats.checksum_refreshes += 1;
+            outcome.checksum_refreshes += 1;
         }
-        self.stats.corrections += 1;
-        outcome.corrections.push(ev);
-        true
-    }
-
-    /// Recompute one layer's column checksums of box `b` directly from the
-    /// swept data.
-    fn refresh_layer(&mut self, sim: &StencilSim<T>, b: usize, z: usize) {
-        let d = &self.boxes[b].0;
-        let [nx, ny, _] = d.dims();
-        let [x0, y0, z0] = d.origin();
-        let out = &mut self.col_comp[z * ny..(z + 1) * ny];
-        box_col_sums(sim.current(), [x0, y0, z0 + z], [nx, ny, 1], out);
     }
 }
 
@@ -698,9 +577,6 @@ mod tests {
         let ev = out.corrections[0];
         assert_eq!((ev.x, ev.y, ev.z), (5, 4, 1));
         assert!((ev.old - ev.new - 50.0).abs() < 1e-9);
-        // Eq. 10's estimate is within rounding of the value written, which
-        // is the clean cell itself.
-        assert!((ev.estimate - ev.new).abs() < 1e-9);
         assert_eq!(ev.new, reference.current().at(5, 4, 1));
         // Domain restored to the reference trajectory (exact recovery).
         assert_eq!(sim.current(), reference.current());
@@ -773,6 +649,11 @@ mod tests {
         assert!(out.is_clean());
     }
 
+    /// Fig. 5b: the fault strikes this step's computed vector, not the
+    /// domain. The entry is struck between the two halves of a fused
+    /// split step, after the interior sweep summed its line. Only its
+    /// layer is flagged; sweeping it again changes no cell, and the
+    /// re-sum passes and is the refresh.
     #[test]
     fn corrupted_checksum_state_is_diagnosed_and_refreshed_fig5b() {
         let mut sim = make_sim();
@@ -781,17 +662,14 @@ mod tests {
         abft.step(&mut sim, &NoHook);
         reference.step();
 
-        // Fig. 5b: the fault strikes a checksum vector, not the domain.
-        // In 3-D the stored vector of layer 1 feeds the interpolation of
-        // layers 0..=2 (the k-offsets of the 7-point kernel), so all three
-        // flag the corruption — and all three diagnose it as
-        // checksum-only, leaving the domain untouched.
-        abft.inject_checksum_corruption(1, 4, 250.0);
-        let out = abft.step(&mut sim, &NoHook);
+        let (window, whole) = (rows(1..9), sim.whole());
+        abft.sweep_interior(&mut sim, &NoHook, &window);
+        abft.col_comp[10 + 4] += 250.0;
+        let (out, _) = abft.sweep_shell_and_verify(&mut sim, &NoHook, &window, &whole);
         reference.step();
-        assert_eq!(out.detections, 3);
+        assert_eq!(out.detections, 1, "{out:?}");
         assert!(out.corrections.is_empty(), "domain must not be touched");
-        assert_eq!(out.checksum_refreshes, 3);
+        assert_eq!((out.checksum_refreshes, out.uncorrectable), (1, 0));
         // The domain never deviated from the reference…
         assert_eq!(sim.current(), reference.current());
         // …and the repaired state raises no follow-up alarms.
@@ -803,9 +681,70 @@ mod tests {
         assert_eq!(sim.current(), reference.current());
     }
 
+    /// A strike on the **stored** vector `b(t)`, at rest between two
+    /// steps. In 3-D the stored vector of layer 1 feeds the interpolation
+    /// of layers 0..=2 (the k-offsets of the 7-point kernel), so all three
+    /// flag. Sweeping them again changes nothing and they still deviate:
+    /// the protector cannot tell this from a strike on the time-`t` data,
+    /// so each is uncorrectable. The grid, swept from sound data, stays
+    /// bitwise the reference, and the re-sums become the next `b(t)`.
     #[test]
-    fn two_errors_in_one_layer_strict_reports_uncorrectable() {
+    fn a_struck_trusted_vector_is_uncorrectable() {
         let mut sim = make_sim();
+        let mut reference = make_sim();
+        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
+        abft.step(&mut sim, &NoHook);
+        reference.step();
+
+        abft.col_t[10 + 4] += 250.0;
+        let out = abft.step(&mut sim, &NoHook);
+        reference.step();
+        assert_eq!(out.detections, 3, "{out:?}");
+        assert_eq!(out.uncorrectable, 3, "{out:?}");
+        assert!(out.corrections.is_empty(), "{out:?}");
+        assert_eq!(out.checksum_refreshes, 0, "{out:?}");
+        assert_eq!(sim.current(), reference.current());
+        for _ in 0..4 {
+            let out = abft.step(&mut sim, &NoHook);
+            reference.step();
+            assert!(out.is_clean());
+        }
+        assert_eq!(sim.current(), reference.current());
+    }
+
+    /// A strike at rest on the time-`t` grid: cell (5, 4, 1) raised after
+    /// step 2, by 10 and by 1e-3, under the 27-point kernel. The next sweep
+    /// reads the struck cell, so every layer it reaches is flagged; but a
+    /// second sweep of the same time-`t` data writes the same values, so
+    /// no flagged layer passes. Each is reported uncorrectable, never
+    /// adopted as a refresh or "corrected" to the struck trajectory.
+    #[test]
+    fn a_strike_at_rest_on_the_time_t_grid_is_uncorrectable() {
+        for raise in [10.0, 1e-3] {
+            let g = make_sim().current().clone();
+            let stencil = Stencil3D::twenty_seven_point(0.48, 0.02);
+            let mut sim =
+                StencilSim::new(g, stencil, BoundarySpec::clamp()).with_exec(Exec::Serial);
+            let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
+            for _ in 0..2 {
+                assert!(abft.step(&mut sim, &NoHook).is_clean());
+            }
+            let v = sim.current().at(5, 4, 1);
+            sim.current_mut().set(5, 4, 1, v + raise);
+            let out = abft.step(&mut sim, &NoHook);
+            assert!(out.detections > 0, "raise {raise}: {out:?}");
+            assert_eq!(out.uncorrectable, out.detections, "raise {raise}: {out:?}");
+            assert_eq!(out.checksum_refreshes, 0, "raise {raise}: {out:?}");
+            assert!(out.corrections.is_empty(), "raise {raise}: {out:?}");
+        }
+    }
+
+    /// Two flips in one layer, on different lines: the layer is flagged
+    /// once, and sweeping it again repairs both.
+    #[test]
+    fn two_errors_in_one_layer_are_both_repaired() {
+        let mut sim = make_sim();
+        let mut reference = make_sim();
         let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
         let hook = |x: usize, y: usize, z: usize, v: f64| match (x, y, z) {
             (2, 3, 1) => v + 40.0,
@@ -813,10 +752,12 @@ mod tests {
             _ => v,
         };
         let out = abft.step(&mut sim, &hook);
-        assert_eq!(out.detections, 1);
-        assert_eq!(out.uncorrectable, 1);
-        assert!(out.corrections.is_empty());
-        // Next step must be clean again (state refreshed from data).
+        reference.step();
+        assert_eq!((out.detections, out.uncorrectable), (1, 0), "{out:?}");
+        let at: Vec<_> = out.corrections.iter().map(|c| (c.x, c.y, c.z)).collect();
+        assert_eq!(at, [(2, 3, 1), (8, 6, 1)]);
+        assert_eq!(sim.current(), reference.current());
+        // Next step must be clean again.
         let out = abft.step(&mut sim, &NoHook);
         assert!(out.is_clean());
     }
@@ -833,19 +774,21 @@ mod tests {
         StencilSim::new(g, stencil, BoundarySpec::clamp()).with_exec(Exec::Serial)
     }
 
-    /// Two flips in one layer aligned to fake one. The flip at (4, 2) hides
-    /// in the hot row's sum and shows only in column 2; the one at (12, 11)
-    /// hides in the hot column's sum and shows only in row 12. Eq. 10 so
-    /// locates one error where row 12 meets column 2, at a clean cell, and
-    /// with opposite deltas its averaged estimate is even that cell's clean
-    /// value. The repaired lines still deviate, so under `Strict` the layer
-    /// is uncorrectable and no correction is counted.
+    /// Two flips in one layer aligned to fake one, to a locator that uses
+    /// both checksum vectors: the flip at (4, 2) hides in the hot row's
+    /// sum and shows only in column 2, and the one at (12, 11) hides in
+    /// the hot column's sum and shows only in row 12, so Eq. 10 would
+    /// locate one error at a clean cell. The column test sees only column
+    /// 2, but it flags the layer, and sweeping the layer again repairs
+    /// both flips, the one it could not see included.
     #[test]
-    fn two_aligned_flips_that_fake_one_are_uncorrectable() {
+    fn two_aligned_flips_that_fake_one_are_both_repaired() {
         let mut sim = hot_spot_sim();
+        let mut reference = hot_spot_sim();
         let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
         for _ in 0..2 {
             let out = abft.step(&mut sim, &NoHook);
+            reference.step();
             assert!(out.is_clean(), "{out:?}");
         }
         let hook = |x: usize, y: usize, _: usize, v: f64| match (x, y) {
@@ -854,28 +797,12 @@ mod tests {
             _ => v,
         };
         let out = abft.step(&mut sim, &hook);
-        assert_eq!((out.detections, out.uncorrectable), (1, 1), "{out:?}");
-        assert!(out.corrections.is_empty(), "{out:?}");
-        assert_eq!(abft.stats().corrections, 0);
-    }
-
-    #[test]
-    fn two_errors_delta_match_corrects_both() {
-        let mut sim = make_sim();
-        let mut reference = make_sim();
-        let cfg = AbftConfig::<f64>::paper_defaults().with_policy(MultiErrorPolicy::DeltaMatch);
-        let mut abft = OnlineAbft::new(&sim, cfg);
-        let hook = |x: usize, y: usize, z: usize, v: f64| match (x, y, z) {
-            (2, 3, 1) => v + 40.0,
-            (8, 6, 1) => v - 25.0,
-            _ => v,
-        };
-        let out = abft.step(&mut sim, &hook);
         reference.step();
-        assert_eq!(out.corrections.len(), 2);
+        let counts = (out.detections, out.corrections.len(), out.uncorrectable);
+        assert_eq!(counts, (1, 2, 0), "{out:?}");
+        assert_eq!(abft.stats().corrections, 2);
         assert_eq!(sim.current(), reference.current());
     }
-
     #[test]
     fn errors_in_different_layers_corrected_independently() {
         let mut sim = make_sim();
@@ -1012,8 +939,8 @@ mod tests {
     /// the reference with zero detections. A flip at every depth of the
     /// window a sweep writes — the brick's face cell, and each pad cell
     /// out to the window's edge, on both sides of each cut axis and at
-    /// every sweep offset of an epoch — is one detection and one Eq. 10
-    /// correction, and the brick ends within rounding of the reference.
+    /// every sweep offset of an epoch — is one detection and one
+    /// correction, and the brick ends bitwise the reference.
     /// A pad cell just beyond the window is never written, so a strike
     /// there never fires and the run stays bitwise clean.
     #[test]

@@ -47,29 +47,6 @@ impl<T: Real> StripSet<'_, T> {
             }
         }
     }
-
-    /// Time-`t` value at `(x, y, z)` where `y` lies within the captured
-    /// strip width of a `y`-edge.
-    #[inline]
-    pub fn near_y(&self, x: usize, y: usize, z: usize, ny: usize) -> T {
-        match self {
-            StripSet::None => {
-                panic!("boundary corrections require time-t data, but StripSet::None was supplied")
-            }
-            StripSet::Grid(g) => g.at(x, y, z),
-            StripSet::Strips(s) => {
-                let st = &s[z];
-                let w = st.width_y();
-                if y < w {
-                    st.at_y_lo(y, x)
-                } else {
-                    let m = ny - 1 - y;
-                    assert!(m < w, "y={y} outside captured strip width {w}");
-                    st.at_y_hi(m, x)
-                }
-            }
-        }
-    }
 }
 
 /// Capture strips for every layer of a grid with the given widths.
@@ -96,7 +73,7 @@ mod tests {
         let g = grid();
         let s = StripSet::Grid(&g);
         assert_eq!(s.near_x(2, 3, 1, 5), 132.0);
-        assert_eq!(s.near_y(4, 0, 0, 4), 4.0);
+        assert_eq!(s.near_x(4, 0, 0, 5), 4.0);
     }
 
     #[test]
@@ -112,15 +89,6 @@ mod tests {
                         by_strip.near_x(x, y, z, 5),
                         by_grid.near_x(x, y, z, 5),
                         "near_x({x},{y},{z})"
-                    );
-                }
-            }
-            for x in 0..5 {
-                for y in [0usize, 1, 2, 3] {
-                    assert_eq!(
-                        by_strip.near_y(x, y, z, 4),
-                        by_grid.near_y(x, y, z, 4),
-                        "near_y({x},{y},{z})"
                     );
                 }
             }

@@ -24,7 +24,7 @@
 //!    checksums — the brick and the pad cells the sweep wrote, every
 //!    sweep, so corrections land *before* the next post and a neighbour
 //!    can never observe a known-corrupted cell — and escalate damage
-//!    Eq. 10 cannot repair.
+//!    sweeping a flagged layer again cannot repair.
 //!
 //! Either half can end the rank's round with a [`RankExit`]; a half that
 //! fails commits nothing, so a rank's replay bound is simply its `t`.
@@ -98,8 +98,10 @@ pub(crate) enum RankExit {
     /// *before* commit: the simulation still holds the last completed
     /// iteration and no verification ran on torn data.
     PeerLost { iter: usize },
-    /// ABFT verification of iteration `iter` found damage Eq. 10 cannot
-    /// repair, and the rank holds a checkpoint ring: escalate to rollback
+    /// ABFT verification of iteration `iter` found damage that sweeping
+    /// the flagged layers again cannot repair (a strike at rest on the
+    /// time-`t` data or on the trusted checksums), and the rank holds a
+    /// checkpoint ring: escalate to rollback
     /// instead of carrying a known-wrong grid forward. (A job without a
     /// checkpoint policy keeps running, and the damage is reported in the
     /// rank's stats.)
@@ -381,8 +383,8 @@ impl<T: Real> RankStepper<T> {
         self.timing.edge_s += landed.elapsed().saturating_sub(tail).as_secs_f64();
         self.timing.verify_s += tail.as_secs_f64();
         self.t += 1;
-        // Eq. 10 was defeated (multi-point damage). With a ring to roll
-        // back to, escalate instead of carrying a wrong grid forward.
+        // The re-sweep was defeated (a strike at rest). With a ring to
+        // roll back to, escalate instead of carrying a wrong grid forward.
         if uncorrectable > 0 && self.checkpoint.is_some() {
             return Err(RankExit::Uncorrectable { iter: t });
         }
@@ -607,7 +609,7 @@ mod tests {
 
     const ITERS: usize = 9;
 
-    fn spec(grid: (usize, usize), k: usize, period: usize, kill: RankKill) -> JobSpec<f64> {
+    fn spec(grid: (usize, usize), k: usize, period: usize) -> JobSpec<f64> {
         JobSpec::over(
             Grid3D::from_fn(8, 16, 2, |x, y, z| {
                 40.0 + ((x * 5 + y * 3 + z * 11) % 17) as f64 * 0.4
@@ -620,7 +622,6 @@ mod tests {
         .with_steps_per_exchange(k)
         .with_abft(AbftConfig::<f64>::paper_defaults())
         .with_checkpoint(CheckpointPolicy::every(period))
-        .with_rank_kill(kill)
     }
 
     fn serial(spec: &JobSpec<f64>) -> Grid3D<f64> {
@@ -1007,7 +1008,7 @@ mod tests {
             picks in proptest::collection::vec(0usize..64, 64),
         ) {
             let grid = if slabs { (1, 4) } else { (2, 2) };
-            let spec = spec(grid, k, k * periods, RankKill::new(kill.0, kill.1));
+            let spec = spec(grid, k, k * periods).with_rank_kill(RankKill::new(kill.0, kill.1));
             prop_assert_eq!(spec.cfg.mode, HaloMode::Pipelined);
             let mut h = Harness::new(&spec);
             for step in 0.. {
@@ -1024,6 +1025,56 @@ mod tests {
             prop_assert_eq!(h.rollbacks, 1);
             prop_assert_eq!(h.job.recovery.rank_losses, 1);
             let report = h.job.finish(h.steppers, &mut h.cache, 0.0);
+            prop_assert_eq!(report.global, serial(&spec));
+        }
+
+        /// A strike at rest: one brick cell of one rank's time-`t` grid
+        /// is raised between that rank's completion of `t − 1` and its
+        /// post of `t`, at an iteration that stores no snapshot. Sweeping
+        /// the flagged layers again reads the same struck cell, so the
+        /// rank reports them uncorrectable, and in any legal interleaving
+        /// the job ends after exactly one rollback on the serial grid,
+        /// bitwise.
+        #[test]
+        fn a_strike_at_rest_rolls_back_to_the_serial_grid(
+            slabs in any::<bool>(),
+            k in 1usize..=2,
+            rank in 0usize..4,
+            at in 1usize..ITERS,
+            cell in (0usize..1000, 0usize..1000, 0usize..2),
+            picks in proptest::collection::vec(0usize..64, 64),
+        ) {
+            let period = 2 * k;
+            prop_assume!(!at.is_multiple_of(period));
+            let grid = if slabs { (1, 4) } else { (2, 2) };
+            let spec = spec(grid, k, period);
+            let mut h = Harness::new(&spec);
+            let mut struck = false;
+            for step in 0.. {
+                let legal: Vec<usize> = (0..4).filter(|&r| h.legal(r)).collect();
+                if let Some(&r) = legal.get((picks[step % 64] + step / 64) % legal.len().max(1)) {
+                    let s = &mut h.steppers[r];
+                    if r == rank && s.t == at && !h.posted[r] && !struck {
+                        let [x, y, z] = s.pad.lo;
+                        let (bx, by) = (s.brick.x_len, s.brick.y_len);
+                        let [x, y, z] = [x + cell.0 % bx, y + cell.1 % by, z + cell.2];
+                        let v = s.sim.current().at(x, y, z);
+                        s.sim.current_mut().set(x, y, z, v + 10.0);
+                        struck = true;
+                    }
+                    h.advance(r);
+                } else if h.exits.iter().all(|x| *x == Some(Ok(()))) {
+                    break;
+                } else {
+                    prop_assert!(h.exits.iter().all(Option::is_some), "no rank can move");
+                    h.roll_back()?;
+                }
+            }
+            prop_assert!(struck);
+            prop_assert_eq!(h.rollbacks, 1);
+            prop_assert_eq!(h.job.recovery.rank_losses, 0);
+            let report = h.job.finish(h.steppers, &mut h.cache, 0.0);
+            prop_assert!(report.total_stats().uncorrectable >= 1);
             prop_assert_eq!(report.global, serial(&spec));
         }
     }

@@ -246,14 +246,24 @@ mod tests {
         assert_eq!(bereaved.run(), Err(RankExit::PeerLost { iter: 0 }));
         assert_eq!(bereaved.t, 0);
 
-        // Two same-layer flips defeat Eq. 10 under the strict policy: the
-        // step commits before the damage is found, so replay starts past it.
-        let storm = one_rank_spec(7)
+        // A strike at rest on the time-t grid defeats the repair: sweeping
+        // the flagged layers again reads the same struck cell. The step
+        // commits before the damage is found, so replay starts past it.
+        let guarded = one_rank_spec(7)
             .with_abft(AbftConfig::<f64>::paper_defaults())
-            .with_checkpoint(CheckpointPolicy::every(2))
-            .with_flip(0, flip(2, 1, 2, 53))
-            .with_flip(0, flip(2, 4, 4, 53));
-        let mut defeated = one_stepper(&storm);
+            .with_checkpoint(CheckpointPolicy::every(2));
+        let mut defeated = one_stepper(&guarded);
+        for _ in 0..2 {
+            defeated.post().unwrap();
+            defeated.complete().unwrap();
+        }
+        let [x, y, z] = [
+            2 + defeated.pad.lo[0],
+            3 + defeated.pad.lo[1],
+            1 + defeated.pad.lo[2],
+        ];
+        let v = defeated.sim.current().at(x, y, z);
+        defeated.sim.current_mut().set(x, y, z, v + 10.0);
         assert_eq!(defeated.run(), Err(RankExit::Uncorrectable { iter: 2 }));
         assert_eq!(defeated.t, 3);
     }

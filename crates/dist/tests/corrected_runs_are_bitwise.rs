@@ -1,18 +1,18 @@
-//! Repair by recomputation: a run in which every step suffers one flip
-//! that the protector corrects ends **bitwise** equal to the fault-free
-//! protected run. Eq. 10 only locates the struck cell and estimates it;
-//! the repair sweeps the cell again from the time-`t` grid and re-sums its
-//! checksum lines, so grid and trusted column checksums alike are the
-//! clean run's. Drawn over kernels, boundary kinds, `f32` / `f64`, epoch
-//! lengths `k ∈ {1, 2}`, fault sites and bits, for the serial protector
-//! and both distributed drivers. The last test is the other half of the
-//! repair: two aligned flips that fake one are rolled back, never
-//! "corrected" to a wrong value.
+//! Repair by re-execution: a run in which every step suffers one to four
+//! flips in one layer ends **bitwise** equal to the fault-free protected
+//! run, with no rollback. The column test flags the layer, and the repair
+//! sweeps the whole layer again from the time-`t` grid and re-sums it, so
+//! grid and trusted column checksums alike are the clean run's. Drawn
+//! over kernels, boundary kinds, `f32` / `f64`, epoch lengths
+//! `k ∈ {1, 2}`, fault sites and bits, for the serial protector and both
+//! distributed drivers. The last test is a case a locator using both
+//! checksum vectors gets wrong: two aligned flips that fake one are both
+//! repaired in place.
 
 use abft_checkpoint::CheckpointPolicy;
 use abft_core::{AbftConfig, OnlineAbft};
 use abft_dist::{run_distributed, DistConfig, HaloMode};
-use abft_fault::{BitFlip, FlipHook};
+use abft_fault::{BitFlip, MultiFlipHook};
 use abft_grid::{Boundary, BoundarySpec, Grid3D};
 use abft_num::Real;
 use abft_stencil::{Exec, NoHook, Stencil2D, Stencil3D, StencilSim};
@@ -81,30 +81,45 @@ fn bits<T: Real>(v: &[T]) -> Vec<u64> {
     v.iter().map(|c| c.to_bits_u64()).collect()
 }
 
-/// A drawn site `(rank, x, y, z, bit)` folded into `brick` and `T`'s
-/// drawable bits, as a flip at `iteration`.
-fn flip<T: Real>(
+/// One step's drawn flips: a site `(x, y, z, bit)`, and up to three more
+/// `(x, bit)` in the same layer on the lines after it.
+type Site = (usize, usize, usize, u32, Vec<(usize, u32)>);
+
+/// A drawn site folded into `brick` and `T`'s drawable bits, as the flips
+/// at `iteration`: one to four in layer `z`, each on a line `y` of its own
+/// (flips on one line could cancel in its sum; on lines of their own,
+/// each is detected).
+fn flips<T: Real>(
     iteration: usize,
-    (x, y, z, bit): (usize, usize, usize, u32),
+    (x, y, z, bit, more): &Site,
     brick: (usize, usize, usize),
-) -> BitFlip {
+) -> Vec<BitFlip> {
     let low = low_bit::<T>();
-    BitFlip {
+    let first = std::iter::once((*x, *bit));
+    let lines = first.chain(more.iter().copied()).enumerate();
+    let at = |(i, (x, bit)): (usize, (usize, u32))| BitFlip {
         iteration,
         x: x % brick.0,
-        y: y % brick.1,
+        y: (y + i) % brick.1,
         z: z % brick.2,
         bit: low + bit % (T::BITS - low),
-    }
+    };
+    lines.map(at).collect()
 }
 
-/// The serial protector, one flip per step: every step detects and
-/// corrects it, and after every step the grid and the trusted column
-/// checksums are bitwise the clean protected run's.
+/// Up to three more flips beside a site, for [`Site`].
+fn more() -> impl Strategy<Value = Vec<(usize, u32)>> {
+    proptest::collection::vec((0usize..NX, 0u32..64), 0..=3)
+}
+
+/// The serial protector, one to four flips in one layer per step: every
+/// step detects the layer once and corrects every flip, and after every
+/// step the grid and the trusted column checksums are bitwise the clean
+/// protected run's.
 fn serial_case<T: Real>(
     kernel_pick: usize,
     bounds_pick: usize,
-    sites: &[(usize, usize, usize, u32)],
+    sites: &[Site],
 ) -> Result<(), TestCaseError> {
     let (stencil, bounds) = (kernel::<T>(kernel_pick), bounds::<T>(bounds_pick));
     let sim = || StencilSim::new(field::<T>(), stencil.clone(), bounds).with_exec(Exec::Serial);
@@ -112,16 +127,17 @@ fn serial_case<T: Real>(
     let (mut clean, mut struck) = (sim(), sim());
     let mut clean_abft = OnlineAbft::new(&clean, cfg);
     let mut abft = OnlineAbft::new(&struck, cfg);
-    for (t, &site) in sites.iter().enumerate() {
-        let flip = flip::<T>(t, site, (NX, NY, NZ));
+    for (t, site) in sites.iter().enumerate() {
+        let flips = flips::<T>(t, site, (NX, NY, NZ));
         let ctx = format!(
-            "{} bits, kernel {kernel_pick}, {bounds:?}, {flip:?}",
+            "{} bits, kernel {kernel_pick}, {bounds:?}, {flips:?}",
             T::BITS
         );
         prop_assert!(clean_abft.step(&mut clean, &NoHook).is_clean(), "{}", ctx);
-        let out = abft.step(&mut struck, &FlipHook::new(flip));
+        let n = flips.len();
+        let out = abft.step(&mut struck, &MultiFlipHook::new(flips));
         let counts = (out.detections, out.corrections.len(), out.uncorrectable);
-        prop_assert_eq!(counts, (1, 1, 0), "{:?}, {}", out, ctx);
+        prop_assert_eq!(counts, (1, n, 0), "{:?}, {}", out, ctx);
         prop_assert_eq!(
             bits(struck.current().as_slice()),
             bits(clean.current().as_slice()),
@@ -138,16 +154,16 @@ fn serial_case<T: Real>(
     Ok(())
 }
 
-/// One distributed job, one flip per iteration on a drawn rank: every
-/// flip is one detection and one correction, in the rank it struck,
-/// nothing else is flagged (a trusted vector off by a bit would be, one
-/// step later), and the gathered grid is bitwise the clean protected
-/// job's.
+/// One distributed job, one to four flips in one layer per iteration on a
+/// drawn rank: each iteration is one detection, every flip one correction
+/// in the rank it struck, nothing else is flagged (a trusted vector off
+/// by a bit would be, one step later), no rank rolls back, and the
+/// gathered grid is bitwise the clean protected job's.
 fn distributed_case<T: Real>(
     kernel_pick: usize,
     bounds_pick: usize,
     (slabs, k, mode): (bool, usize, HaloMode),
-    sites: &[(usize, usize, usize, usize, u32)],
+    sites: &[(usize, Site)],
 ) -> Result<(), TestCaseError> {
     let (stencil, bounds) = (kernel::<T>(kernel_pick), bounds::<T>(bounds_pick));
     let (rx, ry) = if slabs { (1, 2) } else { (2, 2) };
@@ -159,10 +175,12 @@ fn distributed_case<T: Real>(
         .with_mode(mode);
     let mut struck = base.clone();
     let mut per_rank = vec![0; ranks];
-    for (t, &(rank, x, y, z, bit)) in sites.iter().enumerate() {
+    for (t, (rank, site)) in sites.iter().enumerate() {
         let rank = rank % ranks;
-        per_rank[rank] += 1;
-        struck = struck.with_flip(rank, flip::<T>(t, (x, y, z, bit), (NX / rx, NY / ry, NZ)));
+        for flip in flips::<T>(t, site, (NX / rx, NY / ry, NZ)) {
+            per_rank[rank] += 1;
+            struck = struck.with_flip(rank, flip);
+        }
     }
     let ctx = format!(
         "{} bits, kernel {kernel_pick}, {bounds:?}, {rx}x{ry}, k = {k}, {mode:?}, {sites:?}",
@@ -173,7 +191,9 @@ fn distributed_case<T: Real>(
     let rep = run_distributed(&initial, &stencil, &bounds, None, &struck).expect("valid config");
     let total = rep.total_stats();
     let counts = (total.detections, total.corrections, total.uncorrectable);
-    prop_assert_eq!(counts, (ITERS, ITERS, 0), "{}", ctx);
+    let flipped = per_rank.iter().sum();
+    prop_assert_eq!(counts, (ITERS, flipped, 0), "{}", ctx);
+    prop_assert_eq!(rep.recovery.rollbacks, 0, "{}", ctx);
     let corrected: Vec<_> = rep.ranks.iter().map(|r| r.stats.corrections).collect();
     prop_assert_eq!(corrected, per_rank, "{}", ctx);
     prop_assert_eq!(
@@ -193,7 +213,7 @@ proptest! {
         kernel_pick in 0usize..3,
         bounds_pick in 0usize..5,
         sites in proptest::collection::vec(
-            (0usize..NX, 0usize..NY, 0usize..NZ, 0u32..64),
+            (0usize..NX, 0usize..NY, 0usize..NZ, 0u32..64, more()),
             ITERS..=ITERS,
         ),
     ) {
@@ -209,7 +229,7 @@ proptest! {
         k in 1usize..=2,
         snapshot in any::<bool>(),
         sites in proptest::collection::vec(
-            (0usize..4, 0usize..NX, 0usize..NY, 0usize..NZ, 0u32..64),
+            (0usize..4, (0usize..NX, 0usize..NY, 0usize..NZ, 0u32..64, more())),
             ITERS..=ITERS,
         ),
     ) {
@@ -220,19 +240,19 @@ proptest! {
     }
 }
 
-/// Two flips in one layer of one rank, aligned to fake one. A 16×32
-/// layer of values near 1, cut into two 16×16 slabs, has one hot cell at
-/// (4, 11) of rank 0, whose heat keeps the sums of its row x = 4 and its
-/// column y = 11 near 1e5–1e6 for the first sweeps. A flip at (4, 2)
-/// hides in the hot row and shows only in column 2; one at (12, 11)
-/// hides in the hot column and shows only in row 12. Eq. 10 so locates
-/// one error where row 12 meets column 2, at a clean cell. The repaired
-/// lines still deviate, so under `Strict` the layer is uncorrectable, and
-/// the job rolls back and replays to the serial grid, bitwise — where
-/// Eq. 10 alone would have written a wrong value and counted a
-/// correction.
+/// Two flips in one layer of one rank, aligned to fake one to a locator
+/// that uses both checksum vectors. A 16×32 layer of values near 1, cut
+/// into two 16×16 slabs, has one hot cell at (4, 11) of rank 0, whose
+/// heat keeps the sums of its row x = 4 and its column y = 11 near
+/// 1e5–1e6 for the first sweeps. A flip at (4, 2) hides in the hot row
+/// and shows only in column 2; one at (12, 11) hides in the hot column
+/// and shows only in row 12, so Eq. 10 would locate one error where row
+/// 12 meets column 2, at a clean cell. The column test sees column 2
+/// alone, but it flags the layer, and sweeping the layer again repairs
+/// both flips in place: no rollback, and the gathered grid is the serial
+/// grid, bitwise.
 #[test]
-fn two_aligned_flips_that_fake_one_roll_back_to_the_serial_grid() {
+fn two_aligned_flips_that_fake_one_are_repaired_in_place() {
     let initial = Grid3D::from_fn(16, 32, 1, |x, y, _| match (x, y) {
         (4, 11) => 1e6,
         _ => 1.0 + ((x * 7 + y * 13) % 11) as f64 * 0.01,
@@ -264,8 +284,8 @@ fn two_aligned_flips_that_fake_one_roll_back_to_the_serial_grid() {
         let rep = run_distributed(&initial, &stencil, &bounds, None, &cfg).expect("valid config");
         let total = rep.total_stats();
         let counts = (total.detections, total.corrections, total.uncorrectable);
-        assert_eq!(counts, (1, 0, 1), "{mode:?}");
-        assert!(rep.recovery.rollbacks >= 1, "no rollback, {mode:?}");
+        assert_eq!(counts, (1, 2, 0), "{mode:?}");
+        assert_eq!(rep.recovery.rollbacks, 0, "{mode:?}");
         assert_eq!(rep.global, *serial.current(), "{mode:?}");
     }
 }

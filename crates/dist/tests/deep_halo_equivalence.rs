@@ -299,13 +299,13 @@ fn intra_epoch_brick_flips_are_corrected_at_every_sweep_offset() {
 /// Flips into **ghost-shell cells mid-decay**: sweep `j` of an epoch
 /// writes the brick grown by `k − 1 − j` reaches, and the struck rank's
 /// protector verifies that whole window as one box, so a pad cell is
-/// detected, located and corrected by Eq. 10 like a brick cell. Rank 2 of
-/// the 2×2×1 grid owns the brick at (0..6, 6..12, 0..2); the flips strike
-/// its y-low face, its x-high face and the corner pad cell where the two
-/// meet, at every depth the sweep writes, at both sweep offsets of the
-/// middle epoch that write pad cells (iterations 3 and 4). Each is one
-/// detection and one correction, in rank 2 alone, and the answer is
-/// within rounding of serial (Eq. 10 is exact only to rounding).
+/// detected and repaired by sweeping its layer again like a brick cell.
+/// Rank 2 of the 2×2×1 grid owns the brick at (0..6, 6..12, 0..2); the
+/// flips strike its y-low face, its x-high face and the corner pad cell
+/// where the two meet, at every depth the sweep writes, at both sweep
+/// offsets of the middle epoch that write pad cells (iterations 3 and 4).
+/// Each is one detection and one correction, in rank 2 alone, and the
+/// answer is the serial one.
 /// Unprotected, the same flip propagates into the answer. The kernel is
 /// the 27-point one: under a star, a corner pad cell feeds no brick
 /// cell, so its strike could not show in the unprotected answer.

@@ -72,8 +72,7 @@ impl<T: Real> SweepHook<T> for FlipHook<T> {
 
 /// A sweep hook delivering **several** bit-flips in one sweep — used by
 /// the multi-error campaigns (the paper handles one error per layer per
-/// iteration; simultaneous errors are its future-work case, exercised
-/// here against the `Strict` and `DeltaMatch` policies).
+/// iteration; simultaneous errors are its future-work case).
 #[derive(Debug)]
 pub struct MultiFlipHook<T> {
     flips: Vec<BitFlip>,

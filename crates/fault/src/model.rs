@@ -89,9 +89,9 @@ impl Fault {
 /// observes a disconnect instead of a hang.
 ///
 /// This is the fail-stop complement to [`BitFlip`]'s silent-corruption
-/// model: the paper's Eq. 10 corrects a single flipped point, but a lost
-/// rank (or a multi-point fault that defeats Eq. 10) can only be repaired
-/// by rolling back to a checkpoint and replaying.
+/// model: the online protector repairs flipped points in place, but a
+/// lost rank (or a strike at rest that a re-sweep cannot repair) can only
+/// be repaired by rolling back to a checkpoint and replaying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankKill {
     /// Victim rank index (row-major over the rank grid).

@@ -1,8 +1,8 @@
 //! Counters describing rank-loss detection and checkpoint-based recovery.
 //!
-//! The paper's online scheme corrects single bit flips in place (Eq. 10);
-//! whole-rank loss and multi-point faults escalate to checkpoint rollback
-//! instead. [`RecoveryStats`] is the ledger of that escalation path: how
+//! The paper's online scheme corrects single bit flips in place (Eq. 10;
+//! here by sweeping the flagged layer again); whole-rank loss and strikes
+//! at rest escalate to checkpoint rollback instead. [`RecoveryStats`] is the ledger of that escalation path: how
 //! many ranks were lost, how many rollbacks were served, how much work was
 //! replayed and how long detection-to-respawn took — the quantities the
 //! §5 overhead model trades against the checkpoint period Δ.

@@ -1,34 +1,9 @@
 //! The per-cell constant term `C` of Eq. 1, shared between the clones of a
 //! simulation together with its Theorem 1 line sums.
 
-use abft_grid::{box_col_sums, box_row_sums, Grid3D};
+use abft_grid::{box_col_sums, Grid3D};
 use abft_num::Real;
 use std::sync::{Arc, OnceLock};
-
-/// Per-layer line sums of a field: `row` is flat `[z][x]` (`Σ_y`, the
-/// paper's `c_x`), `col` is flat `[z][y]` (`Σ_x`, the paper's `c_y`),
-/// summed exactly like the checksum vectors of a swept grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineSums<T> {
-    pub row: Vec<T>,
-    pub col: Vec<T>,
-}
-
-impl<T: Real> LineSums<T> {
-    /// Sum every line of `grid` with the box builders, the whole grid
-    /// as the box.
-    pub fn of(grid: &Grid3D<T>) -> Self {
-        let (nx, ny, nz) = grid.dims();
-        let mut row = vec![T::ZERO; nz * nx];
-        let mut col = vec![T::ZERO; nz * ny];
-        let mut lanes = vec![0.0; nx];
-        for (z, r) in row.chunks_exact_mut(nx).enumerate() {
-            box_row_sums(grid, [0, 0, z], [nx, ny], &mut lanes, r);
-        }
-        box_col_sums(grid, [0, 0, 0], [nx, ny, nz], &mut col);
-        Self { row, col }
-    }
-}
 
 /// The constant field of a [`StencilSim`](crate::StencilSim). It never
 /// changes after construction, so every clone of the simulation shares one
@@ -37,7 +12,7 @@ impl<T: Real> LineSums<T> {
 #[derive(Debug)]
 pub struct ConstantField<T> {
     grid: Grid3D<T>,
-    sums: OnceLock<Arc<LineSums<T>>>,
+    sums: OnceLock<Arc<[T]>>,
 }
 
 impl<T: Real> ConstantField<T> {
@@ -52,9 +27,16 @@ impl<T: Real> ConstantField<T> {
         &self.grid
     }
 
-    /// The field's line sums (`c_x`, `c_y` of Theorem 1).
-    pub fn line_sums(&self) -> &Arc<LineSums<T>> {
-        self.sums.get_or_init(|| Arc::new(LineSums::of(&self.grid)))
+    /// The sums of the field's x-lines, flat `[z][y]` (`c_y` of Theorem
+    /// 1), summed by the column builder exactly like the checksum vector
+    /// of a swept grid.
+    pub fn line_sums(&self) -> &Arc<[T]> {
+        self.sums.get_or_init(|| {
+            let (nx, ny, nz) = self.grid.dims();
+            let mut col = vec![T::ZERO; nz * ny];
+            box_col_sums(&self.grid, [0; 3], [nx, ny, nz], &mut col);
+            col.into()
+        })
     }
 }
 
@@ -68,8 +50,7 @@ mod tests {
             (x + 10 * y + 100 * z) as f64
         }));
         let sums = field.line_sums();
-        assert_eq!(&sums.row[0..3], &[10.0, 12.0, 14.0]);
-        assert_eq!(&sums.col[2..4], &[303.0, 333.0]);
+        assert_eq!(&sums[..], &[3.0, 33.0, 303.0, 333.0]);
         assert!(Arc::ptr_eq(sums, field.line_sums()));
     }
 }

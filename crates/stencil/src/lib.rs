@@ -47,7 +47,7 @@ mod library;
 mod sim;
 mod sweep;
 
-pub use constant::{ConstantField, LineSums};
+pub use constant::ConstantField;
 pub use exec::Exec;
 pub use hook::{NoHook, SweepHook};
 pub use kernel::{Stencil2D, Stencil3D, Tap2, Tap3};

@@ -13,7 +13,7 @@
 //! | [`num`] | `abft-num` | the [`num::Real`] float abstraction (f32/f64, bit flips) |
 //! | [`grid`] | `abft-grid` | dense 3-D grids (a 2-D field is one layer), boundary conditions, double buffering |
 //! | [`stencil`] | `abft-stencil` | stencil kernels, serial/rayon sweeps, fused checksums, hooks |
-//! | [`core`] | `abft-core` | **the paper's contribution**: checksum interpolation (Thm. 1), detection (Thm. 2), correction (Eq. 10), online/offline protectors |
+//! | [`core`] | `abft-core` | **the paper's contribution**: checksum interpolation (Thm. 1), detection (Thm. 2), repair by re-sweeping a flagged layer, online/offline protectors |
 //! | [`checkpoint`] | `abft-checkpoint` | in-memory checkpoint/rollback |
 //! | [`fault`] | `abft-fault` | bit-flip injection and campaign driver (§5.1) |
 //! | [`metrics`] | `abft-metrics` | l2 error (Eq. 11), statistics, timers, tables |
@@ -57,7 +57,7 @@ pub use abft_stencil as stencil;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use abft_core::{AbftConfig, MultiErrorPolicy, OfflineAbft, OnlineAbft, ProtectorStats};
+    pub use abft_core::{AbftConfig, OfflineAbft, OnlineAbft, ProtectorStats};
     pub use abft_fault::{BitFlip, Campaign, FlipHook, Method};
     pub use abft_grid::{Boundary, BoundarySpec, Grid3D};
     pub use abft_metrics::{l2_error, Summary, Timer};

@@ -1,5 +1,5 @@
-//! Property-based validation of detection (Theorem 2), location and
-//! correction (Eq. 10): a corruption injected at a random point and
+//! Property-based validation of detection (Theorem 2) and repair: a
+//! corruption injected at a random point and
 //! iteration is located at exactly its coordinates and corrected back to
 //! the reference trajectory — for random stencils and boundary kinds.
 

@@ -80,7 +80,7 @@ fn sign_bit_flip_is_always_detected_and_fixed_online() {
         let r = campaign.run_once(Method::Online, cfg, Some(flip));
         assert!(r.detected(), "sign flip missed at rep {rep}");
         assert_eq!(r.stats.corrections, 1);
-        assert!(r.l2 < 1e-2, "rep {rep}: l2 = {}", r.l2);
+        assert_eq!(r.l2, 0.0, "rep {rep}");
         let _ = scenario;
     }
 }
