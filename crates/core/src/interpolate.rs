@@ -280,8 +280,9 @@ fn joined<T>(y: AxisHit<T>, z: AxisHit<T>) -> Result<[usize; 2], T> {
 }
 
 /// The checksum interpolator for one (stencil, boundary, constant-field,
-/// box) combination. It holds the constant-term sums `c_y` of Theorem 1; each call then runs in `O(nz · n · k²)` time for vectors
-/// of length `n`, independent of the domain volume.
+/// box) combination. It holds the constant-term sums `c_y` of Theorem 1;
+/// each call then runs in `O(nz · n · k²)` time for vectors of length
+/// `n`, independent of the domain volume.
 ///
 /// It covers a box of a grid, and every read resolves one way: box-local
 /// `q` is the grid cell `origin + q` resolved through the **grid's**

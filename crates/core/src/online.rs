@@ -388,18 +388,15 @@ impl<T: Real> OnlineAbft<T> {
             return Vec::new();
         }
         let layers = col_interp.chunks_exact(ny).zip(col_comp.chunks_exact(ny));
-        let deviates = |(interp, comp)| !compare_vectors(interp, comp, epsilon, floor).is_empty();
-        (0..nz)
-            .zip(layers)
-            .filter(|(_, l)| deviates(*l))
-            .map(|(z, _)| z)
-            .collect()
+        let deviates = |(ip, cp): (&[T], &[T])| !compare_vectors(ip, cp, epsilon, floor).is_empty();
+        let flagged = layers.enumerate().filter(|&(_, layer)| deviates(layer));
+        flagged.map(|(z, _)| z).collect()
     }
 
     /// Step 4: repair each flagged layer of box `b`
-    /// ([`OnlineAbft::sweep_layer_again`]), leaving the box's computed checksums
-    /// in `col_comp` for the narrowing to the next iteration's trusted
-    /// state.
+    /// ([`OnlineAbft::sweep_layer_again`]), leaving the box's computed
+    /// checksums in `col_comp` for the narrowing to the next iteration's
+    /// trusted state.
     fn repair(&mut self, sim: &mut StencilSim<T>, b: usize, flagged: Vec<usize>) -> StepOutcome<T> {
         self.stats.steps += 1;
         self.stats.verifications += 1;
