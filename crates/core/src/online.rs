@@ -437,11 +437,15 @@ impl<T: Real> OnlineAbft<T> {
             let largest = &self.boxes.last().expect("a box").0;
             self.layer = vec![T::ZERO; largest.x.len() * largest.y.len()];
         }
+        // Where the box's slice of line `y` of the layer lies in the grid.
+        let (gnx, gny, _) = sim.dims();
+        let line = |y: usize| {
+            let first = ((z0 + z) * gny + y0 + y) * gnx + x0;
+            first..first + nx
+        };
         let before = &mut self.layer[..nx * ny];
-        let cells = sim.current();
-        for (row, y) in before.chunks_exact_mut(nx).zip(d.y.clone()) {
-            let first = cells.idx(x0, y, z0 + z);
-            row.copy_from_slice(&cells.as_slice()[first..first + nx]);
+        for (y, row) in before.chunks_exact_mut(nx).enumerate() {
+            row.copy_from_slice(&sim.current().as_slice()[line(y)]);
         }
         sim.sweep_again(&InteriorWindow {
             z: z0 + z..z0 + z + 1,
@@ -457,13 +461,13 @@ impl<T: Real> OnlineAbft<T> {
             return;
         }
         let repaired = outcome.corrections.len();
-        for (i, &old) in before.iter().enumerate() {
-            let (x, y) = (i % nx, i / nx);
-            let new = cells.at(x0 + x, y0 + y, z0 + z);
-            if new.to_bits_u64() != old.to_bits_u64() {
-                outcome
-                    .corrections
-                    .push(CorrectionEvent { z, x, y, old, new });
+        for (y, row) in before.chunks_exact(nx).enumerate() {
+            for (x, (&old, &new)) in row.iter().zip(&cells.as_slice()[line(y)]).enumerate() {
+                if new.to_bits_u64() != old.to_bits_u64() {
+                    outcome
+                        .corrections
+                        .push(CorrectionEvent { z, x, y, old, new });
+                }
             }
         }
         let repaired = outcome.corrections.len() - repaired;
