@@ -763,6 +763,25 @@ mod tests {
         assert!(out.is_clean());
     }
 
+    /// Two flips of equal size in one layer, on different rows and
+    /// columns: each row deviation matches each column deviation, so
+    /// pairing them by delta cannot tell the flipped cells from the two
+    /// clean crossings. The re-sweep needs no pairing and repairs both.
+    #[test]
+    fn two_errors_delta_match_corrects_both() {
+        let mut sim = make_sim();
+        let mut reference = make_sim();
+        let mut abft = OnlineAbft::new(&sim, AbftConfig::<f64>::paper_defaults());
+        let hook = |x: usize, y: usize, z: usize, v: f64| match (x, y, z) {
+            (2, 3, 1) | (8, 6, 1) => v + 40.0,
+            _ => v,
+        };
+        let out = abft.step(&mut sim, &hook);
+        reference.step();
+        assert_eq!(out.corrections.len(), 2, "{out:?}");
+        assert_eq!(sim.current(), reference.current());
+    }
+
     /// A 16×16 layer of values near 1 with one hot cell at (4, 11), whose
     /// heat keeps the sums of row x = 4 and column y = 11 near 1e5–1e6 for
     /// the first sweeps, while row 12 and column 2 stay near 16.
